@@ -50,7 +50,7 @@ GATE_SLOWDOWN = 1.5
 #: simulator (both a dumb and a planner-informed scheduler).
 GATE_WORKLOADS = ("des_summa_p64", "macro_cyclic_p1024",
                   "macro_cannon_p1024", "predictor_fig10_sweep",
-                  "planner_plans_per_sec", "job_stream_fifo_p64",
+                  "planner_hot_2000_plans_s", "job_stream_fifo_p64",
                   "job_stream_planner_p64")
 
 #: The plan-cache contract: a repeated query must be served at least
@@ -238,7 +238,7 @@ FULL = {
     "predictor_25d_sweep": (
         lambda: _predictor_25d_sweep(1 << 20, 1 << 22), 3),
     "planner_cold": (lambda: _planner_cold(16384, 16384), 1),
-    "planner_plans_per_sec": (lambda: _planner_hot(16384, 16384), 3),
+    "planner_hot_2000_plans_s": (lambda: _planner_hot(16384, 16384), 3),
     "job_stream_fifo_p256": (
         lambda: _job_stream("fifo", **_STREAM_P256), 2),
     "job_stream_planner_p256": (
@@ -264,7 +264,7 @@ QUICK = {
     # segmented-family leaders, so the smoke run scales the planner
     # workloads down (the 100x cache gate applies at both sizes).
     "planner_cold": (lambda: _planner_cold(4096, 1024), 3),
-    "planner_plans_per_sec": (lambda: _planner_hot(4096, 1024), 3),
+    "planner_hot_2000_plans_s": (lambda: _planner_hot(4096, 1024), 3),
     "job_stream_fifo_p64": (
         lambda: _job_stream("fifo", **_STREAM_P64), 3),
     "job_stream_planner_p64": (
@@ -276,7 +276,7 @@ def planner_cache_speedup(current):
     """Hot-vs-cold per-plan speedup from the two planner workloads, or
     None when either is missing."""
     cold = current.get("planner_cold")
-    hot = current.get("planner_plans_per_sec")
+    hot = current.get("planner_hot_2000_plans_s")
     if not cold or not hot:
         return None
     return (cold / PLANNER_COLD_ITERS) / (hot / PLANNER_HOT_ITERS)

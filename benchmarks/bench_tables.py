@@ -17,7 +17,7 @@ from repro.experiments.tables import (
     table2,
     validate_model,
 )
-from repro.models.broadcast_model import BINOMIAL_MODEL, VANDEGEIJN_MODEL
+from repro.costs import BINOMIAL_MODEL, VANDEGEIJN_MODEL
 from repro.platforms import bluegene_p, exascale_2012, grid5000_graphene
 
 

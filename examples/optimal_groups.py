@@ -21,7 +21,7 @@ from repro import PhantomArray
 from repro.core.hsumma import run_hsumma
 from repro.core.tuning import tune_group_count
 from repro.core.grouping import valid_group_counts
-from repro.models.broadcast_model import VANDEGEIJN_MODEL
+from repro.costs import VANDEGEIJN_MODEL
 from repro.models.optimizer import (
     critical_ratio,
     hsumma_beats_summa,

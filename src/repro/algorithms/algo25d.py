@@ -19,18 +19,17 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
-from repro.blocks.dmatrix import DistMatrix
-from repro.blocks.distribution import BlockDistribution
-from repro.blocks.ops import local_gemm_acc
+from repro.blocks.ops import local_gemm_acc, zeros_like_result
+from repro.core.launch import (
+    AlgorithmSpec,
+    collapse,
+    launch,
+    product_dims,
+    square_layout,
+)
 from repro.errors import ConfigurationError
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.model import Network
-from repro.payloads import PhantomArray
-from repro.verify.session import run_verified
-from repro.simulator.runtime import DEFAULT_PARAMS
+from repro.mpi.comm import MpiContext
+from repro.simulator.predictor import SquareGridConfig, predict_summa25d
 from repro.simulator.tracing import SimResult
 
 Gen = Generator[Any, Any, Any]
@@ -46,17 +45,14 @@ def _layer_grid(p: int, c: int) -> int:
         raise ConfigurationError(
             f"2.5D needs p = q^2 * c; p={p}, c={c} gives no integer q"
         )
-    if q % c:
-        raise ConfigurationError(
-            f"2.5D step split needs c | q (q={q}, c={c})"
-        )
-    return q
+    return q  # c | q is the config's check
 
 
 def algo25d_program(
-    ctx: MpiContext, a_tile: Any, b_tile: Any, q: int, c: int
+    ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: SquareGridConfig
 ) -> Gen:
     """Per-rank 2.5D generator; returns the C tile on layer 0."""
+    q, c = cfg.q, cfg.c
     world = ctx.world
     rank = world.rank
     # Rank r = (i * q + j) * c + layer.
@@ -80,10 +76,7 @@ def algo25d_program(
     b_tile = yield from layer_axis.bcast(b_tile, root=0)
 
     # 2. My layer's share of the q pivot steps.
-    if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
-        c_partial: Any = PhantomArray((a_tile.shape[0], b_tile.shape[1]))
-    else:
-        c_partial = np.zeros((a_tile.shape[0], b_tile.shape[1]))
+    c_partial = zeros_like_result(a_tile, b_tile)
     steps = q // c
     for idx in range(steps):
         k = layer * steps + idx
@@ -104,86 +97,33 @@ def run_25d(
     *,
     nprocs: int,
     replication: int = 1,
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
     """Multiply ``A @ B`` with the 2.5D algorithm.
 
     ``nprocs = q^2 * replication`` with ``replication | q``;
     ``replication=1`` degenerates to a SUMMA-like 2-D run, and
     ``replication=p^(1/3)`` recovers the 3-D algorithm's layout.
+    ``**run`` are the shared run options documented on
+    :func:`repro.core.launch.launch`.
     """
-    from repro.faults.spec import coerce_faults
+    q = _layer_grid(nprocs, replication)
+    m, l, n = product_dims(A, B)
+    cfg = SquareGridConfig(m=m, l=l, n=n, q=q, c=replication)
+    return launch(SUMMA25D, cfg, A, B, **run)
 
-    c = replication
-    q = _layer_grid(nprocs, c)
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
 
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    BlockDistribution(m, l, q, q))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    BlockDistribution(l, n, q, q))
+def _configure(m: int, l: int, n: int, *, s: int, replication: int = 1,
+               **_: Any) -> SquareGridConfig:
+    return SquareGridConfig(m=m, l=l, n=n, q=s, c=replication)
 
-    if network is None:
-        network = HomogeneousNetwork(nprocs, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
 
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nprocs, options=options, gamma=gamma,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            layer = rank % c
-            j = (rank // c) % q
-            i = rank // (c * q)
-            a_t = da.tile(i, j) if layer == 0 else None
-            b_t = db.tile(i, j) if layer == 0 else None
-            programs.append(algo25d_program(ctx, a_t, b_t, q, c))
-        return programs
-
-    if backend == "predictor":
-        from repro.simulator.predictor import (
-            Summa25dConfig,
-            _require_predictable,
-            predict_summa25d,
-        )
-
-        _require_predictable(
-            "the 2.5D algorithm", phantom=da.phantom or db.phantom,
-            faults=faults, verify=verify, contention=contention,
-        )
-        sim = predict_summa25d(
-            Summa25dConfig(m=m, l=l, n=n, q=q, c=c),
-            network=network, options=options, gamma=gamma,
-        )
-        return PhantomArray((m, n)), sim
-
-    from repro.simulator.collapse import summa25d_symmetry
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, faults=faults,
-        symmetry=summa25d_symmetry(q, c),
-        meta={"program": "25d", "grid": f"{q}x{q}", "replication": c},
-    )
-
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        BlockDistribution(m, n, q, q),
-    )
-    tiles = {}
-    for rank in range(nprocs):
-        if rank % c == 0:
-            j = (rank // c) % q
-            i = rank // (c * q)
-            tiles[(i, j)] = sim.return_values[rank]
-    return dc.assemble(tiles), sim
+SUMMA25D = AlgorithmSpec(
+    name="2.5d",
+    display="the 2.5D algorithm",
+    program=algo25d_program,
+    layout=square_layout,
+    symmetry=lambda cfg: collapse().summa25d_symmetry(cfg.q, cfg.c),
+    predict=predict_summa25d,
+    configure=_configure,
+)

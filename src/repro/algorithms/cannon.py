@@ -11,19 +11,18 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
-from repro.blocks.dmatrix import DistMatrix
-from repro.blocks.distribution import BlockDistribution
-from repro.blocks.ops import local_gemm_acc
+from repro.blocks.ops import local_gemm_acc, zeros_like_result
+from repro.core.launch import (
+    AlgorithmSpec,
+    collapse,
+    launch,
+    product_dims,
+    square_layout,
+)
 from repro.errors import ConfigurationError
 from repro.mpi.cart import CartComm
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.model import Network
-from repro.payloads import PhantomArray
-from repro.verify.session import run_verified
-from repro.simulator.runtime import DEFAULT_PARAMS
+from repro.mpi.comm import MpiContext
+from repro.simulator.predictor import SquareGridConfig, predict_cannon
 from repro.simulator.tracing import SimResult
 
 Gen = Generator[Any, Any, Any]
@@ -34,8 +33,10 @@ TAG_SHIFT_A = 3
 TAG_SHIFT_B = 4
 
 
-def cannon_program(ctx: MpiContext, a_tile: Any, b_tile: Any, q: int) -> Gen:
+def cannon_program(ctx: MpiContext, a_tile: Any, b_tile: Any,
+                   cfg: SquareGridConfig) -> Gen:
     """Per-rank Cannon generator on a ``q x q`` grid; returns the C tile."""
+    q = cfg.q
     grid = CartComm(ctx.world, q, q)
     i, j = grid.row, grid.col
     comm = grid.comm
@@ -58,10 +59,7 @@ def cannon_program(ctx: MpiContext, a_tile: Any, b_tile: Any, q: int) -> Gen:
             recvtag=TAG_SKEW_B,
         )
 
-    if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
-        c_tile: Any = PhantomArray((a_tile.shape[0], b_tile.shape[1]))
-    else:
-        c_tile = np.zeros((a_tile.shape[0], b_tile.shape[1]))
+    c_tile = zeros_like_result(a_tile, b_tile)
 
     for step in range(q):
         c_tile = yield from local_gemm_acc(ctx, c_tile, a_tile, b_tile)
@@ -89,79 +87,26 @@ def run_cannon(
     B: Any,
     *,
     grid: tuple[int, int],
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
-    """Multiply ``A @ B`` with Cannon's algorithm; ``grid`` must be square."""
-    from repro.faults.spec import coerce_faults
-
+    """Multiply ``A @ B`` with Cannon's algorithm; ``grid`` must be
+    square.  ``**run`` are the shared run options documented on
+    :func:`repro.core.launch.launch`."""
     s, t = grid
     if s != t:
         raise ConfigurationError(
             f"Cannon requires a square grid, got {s}x{t} "
             "(this is the restriction SUMMA lifted)"
         )
-    q = s
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
+    m, l, n = product_dims(A, B)
+    return launch(CANNON, SquareGridConfig(m=m, l=l, n=n, q=s), A, B, **run)
 
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    BlockDistribution(m, l, q, q))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    BlockDistribution(l, n, q, q))
 
-    nranks = q * q
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
-
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nranks, options=options, gamma=gamma,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            i, j = divmod(rank, q)
-            programs.append(
-                cannon_program(ctx, da.tile(i, j), db.tile(i, j), q)
-            )
-        return programs
-
-    if backend == "predictor":
-        from repro.simulator.predictor import (
-            CannonConfig,
-            _require_predictable,
-            predict_cannon,
-        )
-
-        _require_predictable(
-            "Cannon's algorithm", phantom=da.phantom or db.phantom,
-            faults=faults, verify=verify, contention=contention,
-        )
-        sim = predict_cannon(
-            CannonConfig(m=m, l=l, n=n, q=q),
-            network=network, options=options, gamma=gamma,
-        )
-        return PhantomArray((m, n)), sim
-
-    from repro.simulator.collapse import cannon_symmetry
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, faults=faults, symmetry=cannon_symmetry(q),
-        meta={"program": "cannon", "grid": f"{q}x{q}"},
-    )
-
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        BlockDistribution(m, n, q, q),
-    )
-    tiles = {divmod(rank, q): sim.return_values[rank] for rank in range(nranks)}
-    return dc.assemble(tiles), sim
+CANNON = AlgorithmSpec(
+    name="cannon",
+    display="Cannon's algorithm",
+    program=cannon_program,
+    layout=square_layout,
+    symmetry=lambda cfg: collapse().cannon_symmetry(cfg.q),
+    predict=predict_cannon,
+)

@@ -21,18 +21,17 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
-from repro.blocks.dmatrix import DistMatrix
-from repro.blocks.distribution import BlockDistribution
-from repro.blocks.ops import local_gemm_acc
+from repro.blocks.ops import local_gemm_acc, zeros_like_result
+from repro.core.launch import (
+    AlgorithmSpec,
+    collapse,
+    launch,
+    product_dims,
+    square_layout,
+)
 from repro.errors import ConfigurationError
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.model import Network
-from repro.payloads import PhantomArray
-from repro.verify.session import run_verified
-from repro.simulator.runtime import DEFAULT_PARAMS
+from repro.mpi.comm import MpiContext
+from repro.simulator.predictor import SquareGridConfig, predict_dns3d
 from repro.simulator.tracing import SimResult
 
 Gen = Generator[Any, Any, Any]
@@ -50,7 +49,7 @@ def _cube_root(p: int) -> int:
 
 
 def dns3d_program(
-    ctx: MpiContext, a_tile: Any, b_tile: Any, q: int
+    ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: SquareGridConfig
 ) -> Gen:
     """Per-rank 3-D algorithm generator.
 
@@ -58,6 +57,7 @@ def dns3d_program(
     off the front layer).  Returns the C tile on the front layer,
     ``None`` elsewhere.
     """
+    q = cfg.q
     world = ctx.world
     rank = world.rank
     # Rank r = (i * q + j) * q + k.
@@ -104,10 +104,7 @@ def dns3d_program(
     b_held = yield from i_axis.bcast(b_held, root=k)
 
     # 3. Local multiply: this rank now has A_{i,k} and B_{k,j}.
-    if isinstance(a_held, PhantomArray) or isinstance(b_held, PhantomArray):
-        c_partial: Any = PhantomArray((a_held.shape[0], b_held.shape[1]))
-    else:
-        c_partial = np.zeros((a_held.shape[0], b_held.shape[1]))
+    c_partial = zeros_like_result(a_held, b_held)
     c_partial = yield from local_gemm_acc(ctx, c_partial, a_held, b_held)
 
     # 4. Reduce along k to the front layer.
@@ -120,79 +117,22 @@ def run_dns3d(
     B: Any,
     *,
     nprocs: int,
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
-    """Multiply ``A @ B`` with the 3-D algorithm on ``nprocs = q^3`` ranks."""
-    from repro.faults.spec import coerce_faults
-
+    """Multiply ``A @ B`` with the 3-D algorithm on ``nprocs = q^3``
+    ranks.  ``**run`` are the shared run options documented on
+    :func:`repro.core.launch.launch`."""
     q = _cube_root(nprocs)
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
+    m, l, n = product_dims(A, B)
+    cfg = SquareGridConfig(m=m, l=l, n=n, q=q, c=q)
+    return launch(DNS3D, cfg, A, B, **run)
 
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    BlockDistribution(m, l, q, q))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    BlockDistribution(l, n, q, q))
 
-    if network is None:
-        network = HomogeneousNetwork(nprocs, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
-
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nprocs, options=options, gamma=gamma,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            k = rank % q
-            j = (rank // q) % q
-            i = rank // (q * q)
-            a_t = da.tile(i, j) if k == 0 else None
-            b_t = db.tile(i, j) if k == 0 else None
-            programs.append(dns3d_program(ctx, a_t, b_t, q))
-        return programs
-
-    if backend == "predictor":
-        from repro.simulator.predictor import (
-            Dns3dConfig,
-            _require_predictable,
-            predict_dns3d,
-        )
-
-        _require_predictable(
-            "the 3-D (DNS) algorithm", phantom=da.phantom or db.phantom,
-            faults=faults, verify=verify, contention=contention,
-        )
-        sim = predict_dns3d(
-            Dns3dConfig(m=m, l=l, n=n, q=q),
-            network=network, options=options, gamma=gamma,
-        )
-        return PhantomArray((m, n)), sim
-
-    from repro.simulator.collapse import dns3d_symmetry
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, faults=faults, symmetry=dns3d_symmetry(q),
-        meta={"program": "dns3d", "cube": f"{q}x{q}x{q}"},
-    )
-
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        BlockDistribution(m, n, q, q),
-    )
-    tiles = {}
-    for rank in range(nprocs):
-        if rank % q == 0:
-            j = (rank // q) % q
-            i = rank // (q * q)
-            tiles[(i, j)] = sim.return_values[rank]
-    return dc.assemble(tiles), sim
+DNS3D = AlgorithmSpec(
+    name="3d",
+    display="the 3-D (DNS) algorithm",
+    program=dns3d_program,
+    layout=square_layout,
+    symmetry=lambda cfg: collapse().dns3d_symmetry(cfg.q),
+    predict=predict_dns3d,
+)

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
-from repro.blocks.dmatrix import DistMatrix
-from repro.blocks.distribution import BlockDistribution
-from repro.blocks.ops import local_gemm_acc
+from repro.blocks.ops import local_gemm_acc, zeros_like_result
+from repro.core.launch import (
+    AlgorithmSpec,
+    collapse,
+    launch,
+    product_dims,
+    square_layout,
+)
 from repro.errors import ConfigurationError
 from repro.mpi.cart import CartComm
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.model import Network
-from repro.payloads import PhantomArray
-from repro.verify.session import run_verified
-from repro.simulator.runtime import DEFAULT_PARAMS
+from repro.mpi.comm import MpiContext
+from repro.simulator.predictor import SquareGridConfig, predict_fox
 from repro.simulator.tracing import SimResult
 
 Gen = Generator[Any, Any, Any]
@@ -30,15 +29,14 @@ Gen = Generator[Any, Any, Any]
 TAG_ROLL_B = 5
 
 
-def fox_program(ctx: MpiContext, a_tile: Any, b_tile: Any, q: int) -> Gen:
+def fox_program(ctx: MpiContext, a_tile: Any, b_tile: Any,
+                cfg: SquareGridConfig) -> Gen:
     """Per-rank Fox generator on a ``q x q`` grid; returns the C tile."""
+    q = cfg.q
     grid = CartComm(ctx.world, q, q)
     i, j = grid.row, grid.col
 
-    if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
-        c_tile: Any = PhantomArray((a_tile.shape[0], b_tile.shape[1]))
-    else:
-        c_tile = np.zeros((a_tile.shape[0], b_tile.shape[1]))
+    c_tile = zeros_like_result(a_tile, b_tile)
 
     for k in range(q):
         pivot_col = (i + k) % q
@@ -62,74 +60,23 @@ def run_fox(
     B: Any,
     *,
     grid: tuple[int, int],
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
-    """Multiply ``A @ B`` with Fox's algorithm; ``grid`` must be square."""
-    from repro.faults.spec import coerce_faults
-
+    """Multiply ``A @ B`` with Fox's algorithm; ``grid`` must be
+    square.  ``**run`` are the shared run options documented on
+    :func:`repro.core.launch.launch`."""
     s, t = grid
     if s != t:
         raise ConfigurationError(f"Fox requires a square grid, got {s}x{t}")
-    q = s
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
+    m, l, n = product_dims(A, B)
+    return launch(FOX, SquareGridConfig(m=m, l=l, n=n, q=s), A, B, **run)
 
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    BlockDistribution(m, l, q, q))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    BlockDistribution(l, n, q, q))
 
-    nranks = q * q
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
-
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nranks, options=options, gamma=gamma,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            i, j = divmod(rank, q)
-            programs.append(fox_program(ctx, da.tile(i, j), db.tile(i, j), q))
-        return programs
-
-    if backend == "predictor":
-        from repro.simulator.predictor import (
-            FoxConfig,
-            _require_predictable,
-            predict_fox,
-        )
-
-        _require_predictable(
-            "Fox's algorithm", phantom=da.phantom or db.phantom,
-            faults=faults, verify=verify, contention=contention,
-        )
-        sim = predict_fox(
-            FoxConfig(m=m, l=l, n=n, q=q),
-            network=network, options=options, gamma=gamma,
-        )
-        return PhantomArray((m, n)), sim
-
-    from repro.simulator.collapse import fox_symmetry
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, faults=faults, symmetry=fox_symmetry(q),
-        meta={"program": "fox", "grid": f"{q}x{q}"},
-    )
-
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        BlockDistribution(m, n, q, q),
-    )
-    tiles = {divmod(rank, q): sim.return_values[rank] for rank in range(nranks)}
-    return dc.assemble(tiles), sim
+FOX = AlgorithmSpec(
+    name="fox",
+    display="Fox's algorithm",
+    program=fox_program,
+    layout=square_layout,
+    symmetry=lambda cfg: collapse().fox_symmetry(cfg.q),
+    predict=predict_fox,
+)

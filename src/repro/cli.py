@@ -85,15 +85,12 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.groups is not None:
         kwargs["groups"] = args.groups
-    if args.bcast is not None or args.pipeline_depth is not None:
+    if args.bcast is not None:
         from repro.mpi.comm import CollectiveOptions
 
-        options = CollectiveOptions()
-        if args.bcast is not None:
-            options = options.replace(bcast=args.bcast)
-        if args.pipeline_depth is not None:
-            options = options.replace(bcast_segments=args.pipeline_depth)
-        kwargs["options"] = options
+        kwargs["options"] = CollectiveOptions(bcast=args.bcast)
+    if args.pipeline_depth is not None:
+        kwargs["bcast_segments"] = args.pipeline_depth
     faults = None
     if args.faults is not None:
         from repro.faults import parse_fault_spec
@@ -162,30 +159,17 @@ def _cmd_lu(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.blocks.dmatrix import DistMatrix
-    from repro.core.overlap import summa_overlap_program
-    from repro.core.summa import SummaConfig, summa_program
+    from repro.core.overlap import run_summa_overlap
+    from repro.core.summa import run_summa
     from repro.experiments.timeline import render_timeline
-    from repro.mpi.comm import MpiContext
-    from repro.network.homogeneous import HomogeneousNetwork
-    from repro.simulator.engine import Engine
-    from repro.simulator.runtime import DEFAULT_PARAMS
+    from repro.payloads import PhantomArray
     from repro.util.gridmath import factor_grid
 
-    s, t = factor_grid(args.procs)
     n = args.n
-    cfg = SummaConfig(m=n, l=n, n=n, s=s, t=t, block=args.block)
-    da = DistMatrix.phantom_global(n, n, s, t)
-    db = DistMatrix.phantom_global(n, n, s, t)
-    factory = summa_overlap_program if args.overlap else summa_program
-    programs = [
-        factory(MpiContext(r, s * t, gamma=args.gamma),
-                da.tile(*divmod(r, t)), db.tile(*divmod(r, t)), cfg)
-        for r in range(s * t)
-    ]
-    sim = Engine(
-        HomogeneousNetwork(s * t, DEFAULT_PARAMS), collect_trace=True
-    ).run(programs)
+    run = run_summa_overlap if args.overlap else run_summa
+    _, sim = run(PhantomArray((n, n)), PhantomArray((n, n)),
+                 grid=factor_grid(args.procs), block=args.block,
+                 gamma=args.gamma, trace=True)
     schedule = "overlapped" if args.overlap else "bulk-synchronous"
     print(f"{schedule} SUMMA, n={n}, p={args.procs}, b={args.block} "
           f"(total {sim.total_time:.4g}s)")

@@ -20,13 +20,10 @@ import dataclasses
 import math
 from typing import Any
 
-from repro.blocks.distribution import BlockDistribution
-from repro.blocks.dmatrix import DistMatrix
 from repro.cluster.jobs import JobSpec
-from repro.core.hsumma import HSummaConfig, hsumma_program
-from repro.core.summa import SummaConfig, summa_program
+from repro.core.launch import FAMILIES, family, rank_programs
 from repro.errors import ConfigurationError
-from repro.mpi.comm import CollectiveOptions, make_contexts
+from repro.mpi.comm import CollectiveOptions
 from repro.payloads import PhantomArray
 from repro.util.gridmath import factor_grid
 
@@ -35,10 +32,15 @@ from repro.util.gridmath import factor_grid
 class LaunchSpec:
     """How one job will run, as decided by a scheduler.
 
-    ``predicted`` is the scheduler's runtime estimate in virtual
-    seconds (closed-form planner estimate or the crude Hockney model);
-    EASY-backfill reservations and the planner's shortest-first
-    ordering both consume it.  ``s * t`` must equal the job's ``p``.
+    ``algorithm`` names a :data:`repro.core.launch.FAMILIES` row; the
+    shape fields use the planner's vocabulary (``block`` is the SUMMA
+    pivot block / HSUMMA outer block ``B``, ``inner_block`` HSUMMA's
+    ``b``, 0 meaning ``b = B``) and are handed to the family's
+    ``configure``, which validates them.  ``predicted`` is the
+    scheduler's runtime estimate in virtual seconds (closed-form
+    planner estimate or the crude Hockney model); EASY-backfill
+    reservations and the planner's shortest-first ordering both
+    consume it.  ``s * t`` must equal the job's ``p``.
     """
 
     algorithm: str
@@ -47,26 +49,21 @@ class LaunchSpec:
     block: int
     predicted: float
     groups: tuple[int, int] | None = None   # HSUMMA (I, J)
-    outer_block: int = 0                    # HSUMMA B (block is then b)
+    inner_block: int = 0
     bcast: str | None = None
     outer_bcast: str | None = None
     segments: int | None = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("summa", "hsumma"):
+        if self.algorithm not in FAMILIES:
             raise ConfigurationError(
-                f"launch algorithm must be 'summa' or 'hsumma', "
+                f"launch algorithm must be one of {tuple(FAMILIES)}, "
                 f"got {self.algorithm!r}"
             )
         if self.s < 1 or self.t < 1 or self.block < 1:
             raise ConfigurationError(
                 f"launch needs s, t, block >= 1; got "
                 f"s={self.s}, t={self.t}, block={self.block}"
-            )
-        if self.algorithm == "hsumma" and (
-                self.groups is None or self.outer_block < 1):
-            raise ConfigurationError(
-                "hsumma launch needs groups=(I, J) and outer_block >= 1"
             )
 
 
@@ -120,7 +117,7 @@ def naive_launch(job: JobSpec, *, alpha: float, beta: float,
         target = math.sqrt(job.p)
         G = min(counts, key=lambda g: (abs(g - target), g))
         return LaunchSpec(
-            algorithm="hsumma", s=s, t=t, block=block, outer_block=block,
+            algorithm="hsumma", s=s, t=t, block=block,
             groups=choose_group_grid(s, t, G), predicted=predicted,
         )
     return LaunchSpec(
@@ -128,32 +125,30 @@ def naive_launch(job: JobSpec, *, alpha: float, beta: float,
     )
 
 
+def launchable(plan: Any) -> bool:
+    """Whether the stream simulator can place ``plan``: its slot grid
+    holds one rank per grid cell, so replicated layouts (2.5D with
+    ``c > 1``) have no placement and fall back to the naive launch."""
+    return plan.params.get("replication", 1) == 1
+
+
 def launch_from_plan(job: JobSpec, plan: Any) -> LaunchSpec:
     """Translate a planner :class:`~repro.planner.query.Plan` into a
-    launch.  Plans are always SUMMA or HSUMMA (2.5D never wins — it is
-    advisory-only), so every plan is launchable."""
-    params = plan.params
-    s, t = params["grid"]
-    if plan.algorithm == "hsumma":
-        grid = params.get("group_grid") or ()
-        return LaunchSpec(
-            algorithm="hsumma", s=s, t=t,
-            block=params["inner_block"],
-            outer_block=params["block"],
-            groups=(grid[0], grid[1]),
-            bcast=params.get("bcast"),
-            outer_bcast=params.get("outer_bcast"),
-            segments=params.get("segments"),
-            predicted=plan.predicted_time,
-        )
-    if plan.algorithm != "summa":
+    launch of the same family and shape."""
+    if not launchable(plan):
         raise ConfigurationError(
             f"job {job.jid}: plan algorithm {plan.algorithm!r} is not "
             "launchable on the stream simulator"
         )
+    params = plan.params
+    s, t = params["grid"]
     return LaunchSpec(
-        algorithm="summa", s=s, t=t, block=params["block"],
+        algorithm=plan.algorithm, s=s, t=t,
+        block=params["block"],
+        inner_block=params.get("inner_block", 0),
+        groups=tuple(params.get("group_grid") or ()) or None,
         bcast=params.get("bcast"),
+        outer_bcast=params.get("outer_bcast"),
         segments=params.get("segments"),
         predicted=plan.predicted_time,
     )
@@ -162,7 +157,8 @@ def launch_from_plan(job: JobSpec, plan: Any) -> LaunchSpec:
 def build_programs(job: JobSpec, spec: LaunchSpec, *, gamma: float = 0.0,
                    options: CollectiveOptions | None = None,
                    trace: bool = False) -> list:
-    """Fresh per-rank generators for one attempt of ``job``.
+    """Fresh per-rank generators for one attempt of ``job``, from the
+    same program factory the standalone runners use.
 
     Matrices are phantom (scale mode): streams measure time, not
     numerics — the single-run paths already pin numerical correctness.
@@ -178,24 +174,15 @@ def build_programs(job: JobSpec, spec: LaunchSpec, *, gamma: float = 0.0,
         opts = opts.replace(bcast=spec.bcast)
     if spec.segments is not None:
         opts = opts.replace(bcast_segments=spec.segments)
-    da = DistMatrix(PhantomArray((n, n)), BlockDistribution(n, n, spec.s, spec.t))
-    db = DistMatrix(PhantomArray((n, n)), BlockDistribution(n, n, spec.s, spec.t))
-    if spec.algorithm == "hsumma":
-        assert spec.groups is not None
-        cfg: Any = HSummaConfig(
-            m=n, l=n, n=n, s=spec.s, t=spec.t,
-            I=spec.groups[0], J=spec.groups[1],
-            outer_block=spec.outer_block, inner_block=spec.block,
-            outer_bcast=spec.outer_bcast,
-        )
-        program = hsumma_program
-    else:
-        cfg = SummaConfig(m=n, l=n, n=n, s=spec.s, t=spec.t,
-                          block=spec.block)
-        program = summa_program
-    programs = []
-    for rank, ctx in enumerate(
-            make_contexts(job.p, options=opts, gamma=gamma, trace=trace)):
-        i, j = divmod(rank, spec.t)
-        programs.append(program(ctx, da.tile(i, j), db.tile(i, j), cfg))
-    return programs
+    algorithm = family(spec.algorithm)
+    cfg = algorithm.configure(
+        n, n, n, s=spec.s, t=spec.t, block=spec.block,
+        inner_block=spec.inner_block, groups=spec.groups,
+        bcast=spec.bcast, outer_bcast=spec.outer_bcast,
+    )
+    layout = algorithm.layout(cfg)
+    return rank_programs(
+        algorithm, cfg, layout.nranks,
+        layout.deal(PhantomArray((n, n)), PhantomArray((n, n))),
+        options=opts, gamma=gamma, trace=trace,
+    )

@@ -36,6 +36,7 @@ from repro.cluster.placement import SlotGrid
 from repro.cluster.programs import (
     LaunchSpec,
     launch_from_plan,
+    launchable,
     naive_launch,
 )
 from repro.errors import ConfigurationError
@@ -152,7 +153,7 @@ class PlannerScheduler(EasyBackfillScheduler):
             n=job.n, p=job.p, alpha=self.alpha, beta=self.beta,
             gamma=self.gamma,
         ))
-        if plan.algorithm not in ("summa", "hsumma"):
+        if not launchable(plan):
             # At closed-form fidelity a 2.5D candidate can win the plan,
             # but its q x q x c layout has no rectangular slot-grid
             # placement; run the naive 2-D launch instead.

@@ -15,8 +15,8 @@ The paper's general broadcast model (its eq. 1) is
 ``bcast_latency_factor`` / ``bcast_bandwidth_factor`` expose the
 registry's *discrete* ``L`` and ``W`` (what the executable collectives
 realise on the wire); the smooth flavours the optimiser differentiates
-through are re-exported by :mod:`repro.models.broadcast_model` from the
-same registry rows.
+through are :data:`repro.costs.SMOOTH_MODELS`, built from the same
+registry rows.
 """
 
 from __future__ import annotations

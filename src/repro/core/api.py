@@ -11,10 +11,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-import numpy as np
-
+from repro.core.launch import FAMILIES, family, launch
 from repro.errors import ConfigurationError
-from repro.payloads import PhantomArray
 from repro.simulator.tracing import SimResult
 from repro.util.gridmath import factor_grid
 
@@ -57,9 +55,9 @@ class MatmulResult:
         return self.sim.compute_time
 
 
-#: Algorithms accepted by :func:`multiply`.
-ALGORITHMS = ("summa", "hsumma", "cyclic", "cannon", "fox", "3d", "2.5d",
-              "serial")
+#: Algorithms accepted by :func:`multiply`: the family table plus the
+#: one-rank reference.
+ALGORITHMS = (*FAMILIES, "serial")
 
 
 def multiply(
@@ -109,25 +107,14 @@ def multiply(
     overlap:
         Use the one-step-lookahead schedule (summa/hsumma/cyclic only),
         hiding communication behind the gemm.
-    network, params, gamma, options:
-        Platform modelling knobs, see :func:`repro.core.summa.run_summa`.
-    backend:
-        Execution backend: ``None``/``"des"`` (full discrete event
-        simulation), ``"macro"`` (collective-granularity fast path;
-        collapses symmetric ranks automatically when eligible) or
-        ``"predictor"`` (zero stepping — composes the coster's closed
-        forms; summa/hsumma/cyclic without overlap, phantom inputs
-        only); see :mod:`repro.simulator.backends` and
-        ``docs/cost_model.md``.  Ignored by ``serial``.
-    faults:
-        Fault injection: a :class:`repro.faults.FaultSchedule` or a
-        spec string for :func:`repro.faults.parse_fault_spec`.
-        Discrete-event backend only; see ``docs/robustness.md``.
-    verify:
-        Communication-correctness verification: ``True`` for the
-        defaults, a :class:`repro.verify.VerifyOptions`, or a dict of
-        its fields.  The verdict lands on ``result.sim.verdict`` (see
-        ``docs/verification.md``).  Ignored by ``serial``.
+    network, params, gamma, options, backend, faults, verify, **kwargs:
+        The shared run options, documented once on
+        :func:`repro.core.launch.launch` (``kwargs`` carries the rest:
+        ``bcast_segments``, ``contention``, ``trace`` and any
+        family-specific runner parameter such as ``bcast``).  Every
+        family accepts all of them; ``backend="predictor"`` prices
+        every family in :data:`ALGORITHMS` without overlap (phantom
+        inputs only).  ``serial`` uses ``gamma`` alone.
 
     Returns
     -------
@@ -249,9 +236,22 @@ def multiply(
             {"nprocs": nprocs, "replication": replication or 1},
         )
 
-    raise ConfigurationError(
-        f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
+    # A family with no bespoke defaults above: the table row is enough.
+    if algorithm not in FAMILIES:
+        raise ConfigurationError(
+            f"unknown algorithm {algorithm!r}; choose from "
+            f"{(*FAMILIES, 'serial')}"
+        )
+    spec = family(algorithm)
+    b = block or _default_block(l, s, t)
+    cfg = spec.configure(
+        m, l, n, s=s, t=t, block=b, inner_block=inner_block or 0,
+        groups=groups, replication=replication or 1,
+        bcast=kwargs.pop("bcast", None),
+        outer_bcast=kwargs.pop("outer_bcast", None),
     )
+    C, sim = launch(spec, cfg, A, B, **common, **kwargs)
+    return MatmulResult(C, sim, algorithm, {"grid": grid, "block": b})
 
 
 def _default_block(l: int, s: int, t: int) -> int:

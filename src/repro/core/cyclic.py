@@ -28,19 +28,21 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Generator
 
-import numpy as np
-
 from repro.blocks.distribution import BlockCyclicDistribution
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
 from repro.collectives.nonblocking import IBcast
+from repro.core.launch import (
+    AlgorithmSpec,
+    collapse,
+    GridLayout,
+    launch,
+    product_dims,
+)
+from repro.core.summa import c_accumulator
 from repro.errors import ConfigurationError
-from repro.mpi.cart import CartComm
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.model import Network
-from repro.payloads import PhantomArray
-from repro.verify.session import run_verified
-from repro.simulator.runtime import DEFAULT_PARAMS
+from repro.mpi.cart import CartComm, GroupedCartComm
+from repro.mpi.comm import MpiContext
+from repro.simulator.predictor import predict_cyclic
 from repro.simulator.tracing import SimResult
 from repro.util.validation import require, require_divides
 
@@ -113,37 +115,13 @@ def cyclic_summa_program(
     phases (between groups, then within the group); with ``overlap``
     the next step's broadcasts are pre-posted before the gemm.
     """
-    grid = CartComm(ctx.world, cfg.s, cfg.t)
-    i, j = grid.row, grid.col
-    si, tj = cfg.s // cfg.I, cfg.t // cfg.J
-    x, ii = divmod(i, si)
-    y, jj = divmod(j, tj)
-
     if cfg.hierarchical:
-        world = ctx.world
-        outer_row = world.split_by(
-            lambda r: (r // cfg.t) * tj + (r % cfg.t) % tj,
-            key_of=lambda r: (r % cfg.t) // tj,
-        )
-        outer_col = world.split_by(
-            lambda r: (r % cfg.t) * si + (r // cfg.t) % si,
-            key_of=lambda r: (r // cfg.t) // si,
-        )
-        inner_row = world.split_by(
-            lambda r: (r // cfg.t) * cfg.J + (r % cfg.t) // tj,
-            key_of=lambda r: (r % cfg.t) % tj,
-        )
-        inner_col = world.split_by(
-            lambda r: (r % cfg.t) * cfg.I + (r // cfg.t) // si,
-            key_of=lambda r: (r // cfg.t) % si,
-        )
-
-    c_rows = cfg.m // cfg.s
-    c_cols = cfg.n // cfg.t
-    if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
-        c_tile: Any = PhantomArray((c_rows, c_cols))
+        grid = GroupedCartComm(ctx.world, cfg.s, cfg.t, cfg.I, cfg.J)
     else:
-        c_tile = np.zeros((c_rows, c_cols))
+        grid = CartComm(ctx.world, cfg.s, cfg.t)
+    i, j = grid.row, grid.col
+
+    c_tile = c_accumulator(a_tile, b_tile, cfg)
 
     def owners(k: int) -> tuple[int, int]:
         """Grid column owning A's block col k; grid row owning B's."""
@@ -176,18 +154,10 @@ def cyclic_summa_program(
 
     def hier_blocking(k: int) -> Gen:
         oc, orow = owners(k)
-        yk, jk = divmod(oc, tj)
-        xk, ik = divmod(orow, si)
-        a_part = None
-        if jj == jk:
-            a_part = _local_pivot_a(a_tile, cfg, k) if y == yk else None
-            a_part = yield from outer_row.bcast(a_part, root=yk)
-        a_piv = yield from inner_row.bcast(a_part, root=jk)
-        b_part = None
-        if ii == ik:
-            b_part = _local_pivot_b(b_tile, cfg, k) if x == xk else None
-            b_part = yield from outer_col.bcast(b_part, root=xk)
-        b_piv = yield from inner_col.bcast(b_part, root=ik)
+        a_piv = _local_pivot_a(a_tile, cfg, k) if j == oc else None
+        a_piv = yield from grid.bcast_row(a_piv, oc)
+        b_piv = _local_pivot_b(b_tile, cfg, k) if i == orow else None
+        b_piv = yield from grid.bcast_col(b_piv, orow)
         return a_piv, b_piv
 
     nsteps = cfg.nsteps
@@ -241,107 +211,53 @@ def run_cyclic(
     nb: int,
     groups: tuple[int, int] = (1, 1),
     overlap: bool = False,
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    bcast_segments: int | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
     """Multiply block-cyclic ``A @ B``; returns ``(C, SimResult)``.
 
     ``groups=(I, J)`` enables the hierarchical (HSUMMA-style) two-phase
     broadcast; ``overlap=True`` enables one-step lookahead (flat
-    variant).  ``bcast_segments`` sets the segmented-broadcast pipeline
-    depth (shorthand for ``options.bcast_segments``).
+    variant).  ``**run`` are the shared run options documented on
+    :func:`repro.core.launch.launch`.
     """
-    from repro.faults.spec import coerce_faults
-
     s, t = grid
-    if bcast_segments is not None:
-        options = (options or CollectiveOptions()).replace(
-            bcast_segments=bcast_segments)
     I, J = groups
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
+    m, l, n = product_dims(A, B)
     cfg = CyclicConfig(m=m, l=l, n=n, s=s, t=t, nb=nb, I=I, J=J)
+    return launch(CYCLIC_OVERLAP if overlap else CYCLIC, cfg, A, B, **run)
 
-    da_dist = cfg.dist(m, l)
-    db_dist = cfg.dist(l, n)
-    dc_dist = cfg.dist(m, n)
 
-    phantom = isinstance(A, PhantomArray) or isinstance(B, PhantomArray)
+def _overlap_program(ctx: MpiContext, a_tile: Any, b_tile: Any,
+                     cfg: CyclicConfig) -> Gen:
+    return cyclic_summa_program(ctx, a_tile, b_tile, cfg, overlap=True)
 
-    def tile(dist: BlockCyclicDistribution, M: Any, gi: int, gj: int) -> Any:
-        if phantom:
-            return PhantomArray(dist.tile_shape(gi, gj))
-        return dist.extract_tile(np.asarray(M, dtype=float), gi, gj)
 
-    nranks = s * t
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
+def _layout(cfg: CyclicConfig) -> GridLayout:
+    return GridLayout(cfg.s, cfg.t, distribution=cfg.dist)
 
-    if backend == "predictor":
-        from repro.simulator.predictor import (
-            _require_predictable,
-            predict_cyclic,
-        )
 
-        if overlap:
-            raise ConfigurationError(
-                "backend='predictor' cannot price cyclic: feature "
-                "'overlap' requires execution — the split-phase "
-                "schedule posts broadcasts through the point-to-point "
-                "machinery and has no closed form; fallback: use "
-                "backend='des' or backend='macro'"
-            )
-        _require_predictable(
-            "cyclic", phantom=phantom, faults=faults,
-            verify=verify, contention=contention,
-        )
-        sim = predict_cyclic(
-            cfg, network=network, options=options, gamma=gamma,
-            a_itemsize=A.itemsize if isinstance(A, PhantomArray) else 8,
-            b_itemsize=B.itemsize if isinstance(B, PhantomArray) else 8,
-        )
-        return PhantomArray((m, n)), sim
+CYCLIC = AlgorithmSpec(
+    name="cyclic",
+    display="cyclic",
+    program=cyclic_summa_program,
+    layout=_layout,
+    symmetry=lambda cfg: collapse().cyclic_symmetry(cfg.s, cfg.t, cfg.I, cfg.J),
+    predict=predict_cyclic,
+)
 
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nranks, options=options, gamma=gamma,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            gi, gj = divmod(rank, t)
-            programs.append(
-                cyclic_summa_program(
-                    ctx,
-                    tile(da_dist, A, gi, gj),
-                    tile(db_dist, B, gi, gj),
-                    cfg,
-                    overlap=overlap,
-                )
-            )
-        return programs
-
-    from repro.simulator.collapse import cyclic_symmetry
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, faults=faults,
-        # The overlap schedule runs split-phase broadcasts through the
-        # point-to-point machinery, which the collapse cannot cover —
-        # declaring no symmetry keeps it on the per-rank path outright.
-        symmetry=None if overlap else cyclic_symmetry(s, t, I, J),
-        meta={"program": "cyclic", "grid": f"{s}x{t}"},
-    )
-
-    tiles = {divmod(rank, t): sim.return_values[rank] for rank in range(nranks)}
-    if phantom:
-        return PhantomArray((m, n)), sim
-    return dc_dist.assemble(tiles), sim
+#: The lookahead schedule runs split-phase broadcasts through the
+#: point-to-point machinery, which neither the collapse nor the
+#: predictor can cover — no symmetry keeps it on the per-rank path
+#: outright.
+CYCLIC_OVERLAP = AlgorithmSpec(
+    name="cyclic",
+    display="cyclic",
+    program=_overlap_program,
+    layout=_layout,
+    refusal=(
+        "overlap",
+        "the split-phase schedule posts broadcasts through the "
+        "point-to-point machinery and has no closed form",
+        "backend='des' or backend='macro'",
+    ),
+)

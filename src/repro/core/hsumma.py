@@ -27,18 +27,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Generator, Sequence
 
-import numpy as np
-
-from repro.blocks.dmatrix import DistMatrix
-from repro.blocks.distribution import BlockDistribution
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
+from repro.core.grouping import choose_group_grid
+from repro.core.launch import AlgorithmSpec, collapse, launch, product_dims
+from repro.core.summa import c_accumulator
 from repro.errors import ConfigurationError
-from repro.mpi.cart import CartComm
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.model import Network
-from repro.payloads import PhantomArray
+from repro.mpi.cart import CartComm, GroupedCartComm
+from repro.mpi.comm import MpiContext
+from repro.simulator.predictor import predict_hsumma
 from repro.simulator.tracing import SimResult
-from repro.verify.session import run_verified
 from repro.util.validation import require, require_divides
 
 Gen = Generator[Any, Any, Any]
@@ -120,40 +117,15 @@ def hsumma_program(
     ``(x, y) = (i // (s/I), j // (t/J))`` and inner coordinates
     ``(ii, jj) = (i % (s/I), j % (t/J))``.
     """
-    world = ctx.world
-    grid = CartComm(world, cfg.s, cfg.t)
-    i, j = grid.row, grid.col
+    grid = GroupedCartComm(ctx.world, cfg.s, cfg.t, cfg.I, cfg.J)
     si, tj = cfg.inner_s, cfg.inner_t
-    x, ii = divmod(i, si)
-    y, jj = divmod(j, tj)
-
-    # Four communicators (paper Algorithm 1), created collectively.
-    # Outer row: fixed (grid row, inner col), varying group column —
-    # communicator rank equals the group column y.
-    outer_row = world.split_by(
-        lambda r: (r // cfg.t) * tj + (r % cfg.t) % tj,
-        key_of=lambda r: (r % cfg.t) // tj,
-    )
-    # Outer col: fixed (grid col, inner row), varying group row.
-    outer_col = world.split_by(
-        lambda r: (r % cfg.t) * si + (r // cfg.t) % si,
-        key_of=lambda r: (r // cfg.t) // si,
-    )
-    # Inner row: fixed (group, inner row), varying inner column —
-    # communicator rank equals jj.
-    inner_row = world.split_by(
-        lambda r: (r // cfg.t) * cfg.J + (r % cfg.t) // tj,
-        key_of=lambda r: (r % cfg.t) % tj,
-    )
-    # Inner col: fixed (group, inner col), varying inner row.
-    inner_col = world.split_by(
-        lambda r: (r % cfg.t) * cfg.I + (r // cfg.t) // si,
-        key_of=lambda r: (r // cfg.t) % si,
-    )
+    x, ii, y, jj = grid.x, grid.ii, grid.y, grid.jj
+    outer_row, outer_col = grid.outer_row, grid.outer_col
+    inner_row, inner_col = grid.inner_row, grid.inner_col
 
     a_tile_cols = cfg.l // cfg.t
     b_tile_rows = cfg.l // cfg.s
-    c_tile = _c_accumulator(a_tile, b_tile, cfg)
+    c_tile = c_accumulator(a_tile, b_tile, cfg)
 
     for K in range(cfg.outer_steps):
         g0 = K * cfg.outer_block
@@ -206,12 +178,6 @@ def hsumma_program(
     return c_tile
 
 
-def _c_accumulator(a_tile: Any, b_tile: Any, cfg: HSummaConfig) -> Any:
-    if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
-        return PhantomArray((cfg.m // cfg.s, cfg.n // cfg.t))
-    return np.zeros((cfg.m // cfg.s, cfg.n // cfg.t))
-
-
 def run_hsumma(
     A: Any,
     B: Any,
@@ -220,115 +186,76 @@ def run_hsumma(
     groups: int | tuple[int, int],
     outer_block: int,
     inner_block: int | None = None,
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
     outer_bcast: str | None = None,
     inner_bcast: str | None = None,
-    bcast_segments: int | None = None,
-    contention: bool = False,
-    trace: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
     """Multiply block-distributed ``A @ B`` with HSUMMA; returns
-    ``(C, SimResult)``.  ``bcast_segments`` sets the pipeline depth of
-    the segmented broadcast family (shorthand for
-    ``options.bcast_segments``; applies to both hierarchy levels).
+    ``(C, SimResult)``.
 
     ``groups`` is either the total group count ``G`` (the group grid is
     chosen by :func:`repro.core.grouping.choose_group_grid`) or an
     explicit ``(I, J)``.  ``inner_block`` defaults to ``outer_block``
-    (the paper's experimental setting ``b = B``).  With ``trace=True``
-    the result carries ``bcast.inter`` / ``bcast.intra`` / ``gemm``
-    phase spans and the transfer trace (see :mod:`repro.metrics`);
-    timings are bit-identical either way.  ``faults`` injects a
-    :class:`repro.faults.FaultSchedule` (or spec string) on the
-    discrete-event backend; see ``docs/robustness.md``.  ``verify``
-    enables the communication verifier (``docs/verification.md``).
+    (the paper's experimental setting ``b = B``).
+    ``outer_bcast``/``inner_bcast`` override the broadcast algorithm
+    between / within groups.  ``**run`` are the shared run options
+    documented on :func:`repro.core.launch.launch`
+    (``bcast_segments`` applies to both hierarchy levels; with
+    ``trace=True`` the result carries ``bcast.inter`` /
+    ``bcast.intra`` / ``gemm`` phase spans).
     """
-    from repro.core.grouping import choose_group_grid
+    cfg = hsumma_config(A, B, grid, groups, outer_block, inner_block,
+                        outer_bcast, inner_bcast)
+    return launch(HSUMMA, cfg, A, B, **run)
 
+
+def hsumma_config(
+    A: Any,
+    B: Any,
+    grid: tuple[int, int],
+    groups: int | tuple[int, int],
+    outer_block: int,
+    inner_block: int | None = None,
+    outer_bcast: str | None = None,
+    inner_bcast: str | None = None,
+) -> HSummaConfig:
+    """The config of an HSUMMA run of ``A @ B``: ``groups`` as a count
+    ``G`` or an explicit ``(I, J)``, ``inner_block`` defaulting to
+    ``outer_block``."""
     s, t = grid
-    if bcast_segments is not None:
-        options = (options or CollectiveOptions()).replace(
-            bcast_segments=bcast_segments)
-    if isinstance(groups, tuple):
-        I, J = groups
-    else:
-        I, J = choose_group_grid(s, t, groups)
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: A is {A.shape}, B is {B.shape}")
-    cfg = HSummaConfig(
+    m, l, n = product_dims(A, B)
+    I, J = groups if isinstance(groups, tuple) \
+        else choose_group_grid(s, t, groups)
+    return HSummaConfig(
         m=m, l=l, n=n, s=s, t=t, I=I, J=J,
         outer_block=outer_block,
         inner_block=inner_block if inner_block is not None else outer_block,
-        outer_bcast=outer_bcast,
-        inner_bcast=inner_bcast,
+        outer_bcast=outer_bcast, inner_bcast=inner_bcast,
     )
 
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    BlockDistribution(m, l, s, t))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    BlockDistribution(l, n, s, t))
 
-    from repro.faults.spec import coerce_faults
-    from repro.network.homogeneous import HomogeneousNetwork
-    from repro.simulator.runtime import DEFAULT_PARAMS
-
-    nranks = s * t
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
-
-    if backend == "predictor":
-        from repro.simulator.predictor import (
-            _require_predictable,
-            predict_hsumma,
-        )
-
-        _require_predictable(
-            "hsumma", phantom=da.phantom or db.phantom, faults=faults,
-            verify=verify, contention=contention, trace=trace,
-        )
-        sim = predict_hsumma(
-            cfg, network=network, options=options, gamma=gamma,
-            a_itemsize=A.itemsize if isinstance(A, PhantomArray) else 8,
-            b_itemsize=B.itemsize if isinstance(B, PhantomArray) else 8,
-        )
-        return PhantomArray((m, n)), sim
-
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nranks, options=options, gamma=gamma, trace=trace,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            gi, gj = divmod(rank, t)
-            programs.append(
-                hsumma_program(ctx, da.tile(gi, gj), db.tile(gi, gj), cfg)
-            )
-        return programs
-
-    from repro.simulator.collapse import hsumma_symmetry
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, collect_trace=trace, faults=faults,
-        symmetry=hsumma_symmetry(s, t, I, J),
-        meta={"program": "hsumma", "grid": f"{s}x{t}", "groups": f"{I}x{J}"},
+def _configure(m: int, l: int, n: int, *, s: int, t: int, block: int,
+               groups: tuple[int, int] | None, inner_block: int = 0,
+               bcast: str | None = None, outer_bcast: str | None = None,
+               **_: Any) -> HSummaConfig:
+    if not groups:
+        raise ConfigurationError("hsumma needs groups=(I, J)")
+    return HSummaConfig(
+        m=m, l=l, n=n, s=s, t=t, I=groups[0], J=groups[1],
+        outer_block=block, inner_block=inner_block or block,
+        outer_bcast=outer_bcast, inner_bcast=bcast,
     )
 
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        BlockDistribution(m, n, s, t),
-    )
-    tiles = {divmod(rank, t): sim.return_values[rank] for rank in range(nranks)}
-    C = dc.assemble(tiles)
-    return C, sim
+
+HSUMMA = AlgorithmSpec(
+    name="hsumma",
+    display="hsumma",
+    program=hsumma_program,
+    symmetry=lambda cfg: collapse().hsumma_symmetry(
+        cfg.s, cfg.t, cfg.I, cfg.J),
+    predict=predict_hsumma,
+    configure=_configure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +337,7 @@ def hsumma_multilevel_program(
     a_tile_cols = cfg.l // cfg.t
     b_tile_rows = cfg.l // cfg.s
     blocks = cfg.blocks  # b_0 >= b_1 >= ... >= b_{h-1}
-    c_tile = None
-    if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
-        c_tile = PhantomArray((cfg.m // cfg.s, cfg.n // cfg.t))
-    else:
-        c_tile = np.zeros((cfg.m // cfg.s, cfg.n // cfg.t))
+    c_tile = c_accumulator(a_tile, b_tile, cfg)
 
     # Recursive step structure flattened: iterate over the innermost
     # block index and broadcast at level `lev` whenever this index
@@ -453,40 +376,28 @@ def hsumma_multilevel_program(
             # A broadcast at this level: participants share my column
             # digits at deeper levels; I participate iff my digits below
             # `lev` match the owner's.
+            # The source of a level-`lev` broadcast slices what the
+            # level above delivered — at level 0, the input tile.
             if col_digits[lev + 1 :] == owner_col_digits[lev + 1 :]:
-                if lev == 0:
-                    src = None
-                    if col_digits == owner_col_digits:
-                        c0 = g0 % a_tile_cols
-                        src = slice_cols(a_tile, c0, c0 + width)
-                    a_blocks[0] = yield from h_comms[0].bcast(
-                        src, root=owner_col_digits[0], algorithm=cfg.bcast
-                    )
-                else:
-                    src = None
-                    if col_digits[lev:] == owner_col_digits[lev:]:
-                        off = g0 % blocks[lev - 1]
-                        src = slice_cols(a_blocks[lev - 1], off, off + width)
-                    a_blocks[lev] = yield from h_comms[lev].bcast(
-                        src, root=owner_col_digits[lev], algorithm=cfg.bcast
-                    )
+                src = None
+                if col_digits[lev:] == owner_col_digits[lev:]:
+                    held, extent = ((a_tile, a_tile_cols) if lev == 0 else
+                                    (a_blocks[lev - 1], blocks[lev - 1]))
+                    off = g0 % extent
+                    src = slice_cols(held, off, off + width)
+                a_blocks[lev] = yield from h_comms[lev].bcast(
+                    src, root=owner_col_digits[lev], algorithm=cfg.bcast
+                )
             if row_digits[lev + 1 :] == owner_row_digits[lev + 1 :]:
-                if lev == 0:
-                    src = None
-                    if row_digits == owner_row_digits:
-                        r0 = g0 % b_tile_rows
-                        src = slice_rows(b_tile, r0, r0 + width)
-                    b_blocks[0] = yield from v_comms[0].bcast(
-                        src, root=owner_row_digits[0], algorithm=cfg.bcast
-                    )
-                else:
-                    src = None
-                    if row_digits[lev:] == owner_row_digits[lev:]:
-                        off = g0 % blocks[lev - 1]
-                        src = slice_rows(b_blocks[lev - 1], off, off + width)
-                    b_blocks[lev] = yield from v_comms[lev].bcast(
-                        src, root=owner_row_digits[lev], algorithm=cfg.bcast
-                    )
+                src = None
+                if row_digits[lev:] == owner_row_digits[lev:]:
+                    held, extent = ((b_tile, b_tile_rows) if lev == 0 else
+                                    (b_blocks[lev - 1], blocks[lev - 1]))
+                    off = g0 % extent
+                    src = slice_rows(held, off, off + width)
+                b_blocks[lev] = yield from v_comms[lev].bcast(
+                    src, root=owner_row_digits[lev], algorithm=cfg.bcast
+                )
             yield from ctx.end_span()
 
         # The innermost broadcast delivered to everyone in the deepest
@@ -515,27 +426,18 @@ def run_hsumma_multilevel(
     row_factors: tuple[int, ...],
     col_factors: tuple[int, ...],
     blocks: tuple[int, ...],
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
     bcast: str | None = None,
-    contention: bool = False,
-    trace: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
     """Multiply with the multi-level hierarchy (h = len(factors) levels);
-    same contract as :func:`run_hsumma`.
+    same contract as :func:`run_hsumma` (``**run``: the shared options
+    of :func:`repro.core.launch.launch`).
 
     ``h = 1`` is SUMMA, ``h = 2`` is HSUMMA; deeper hierarchies are the
     paper's future-work direction (see the multilevel ablation).
     """
     s, t = grid
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
+    m, l, n = product_dims(A, B)
     cfg = MultiLevelConfig(
         m=m, l=l, n=n, s=s, t=t,
         row_factors=tuple(row_factors),
@@ -543,61 +445,23 @@ def run_hsumma_multilevel(
         blocks=tuple(blocks),
         bcast=bcast,
     )
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    BlockDistribution(m, l, s, t))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    BlockDistribution(l, n, s, t))
+    return launch(HSUMMA_MULTILEVEL, cfg, A, B, **run)
 
-    from repro.faults.spec import coerce_faults
-    from repro.network.homogeneous import HomogeneousNetwork
-    from repro.simulator.runtime import DEFAULT_PARAMS
 
-    nranks = s * t
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
-
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nranks, options=options, gamma=gamma, trace=trace,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            gi, gj = divmod(rank, t)
-            programs.append(
-                hsumma_multilevel_program(
-                    ctx, da.tile(gi, gj), db.tile(gi, gj), cfg
-                )
-            )
-        return programs
-
-    if backend == "predictor":
-        from repro.simulator.predictor import _refuse
-
-        _refuse(
-            "a multi-level HSUMMA run", "level-recursive scheduling",
-            "the h-level hierarchy nests per-level broadcast loops whose "
-            "phase boundaries have no closed form beyond h=2 "
-            "(run_hsumma covers that case)",
-            "backend='macro' (symmetry-collapsed) for deep hierarchies",
-        )
-
-    from repro.simulator.collapse import multilevel_symmetry
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, collect_trace=trace, faults=faults,
-        symmetry=multilevel_symmetry(s, t, cfg.row_factors, cfg.col_factors),
-        meta={"program": "hsumma-multilevel", "grid": f"{s}x{t}",
-              "levels": len(cfg.blocks)},
-    )
-
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        BlockDistribution(m, n, s, t),
-    )
-    tiles = {divmod(rank, t): sim.return_values[rank] for rank in range(nranks)}
-    return dc.assemble(tiles), sim
+HSUMMA_MULTILEVEL = AlgorithmSpec(
+    name="hsumma-multilevel",
+    display="a multi-level HSUMMA run",
+    program=hsumma_multilevel_program,
+    symmetry=lambda cfg: collapse().multilevel_symmetry(
+        cfg.s, cfg.t, cfg.row_factors, cfg.col_factors),
+    refusal=(
+        "level-recursive scheduling",
+        "the h-level hierarchy nests per-level broadcast loops whose "
+        "phase boundaries have no closed form beyond h=2 "
+        "(run_hsumma covers that case)",
+        "backend='macro' (symmetry-collapsed) for deep hierarchies",
+    ),
+)
 
 
 @dataclasses.dataclass(frozen=True)

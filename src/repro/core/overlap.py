@@ -27,40 +27,16 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-import numpy as np
-
-from repro.blocks.dmatrix import DistMatrix
-from repro.blocks.distribution import BlockDistribution
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
 from repro.collectives.nonblocking import IBcast
-from repro.core.summa import SummaConfig
-from repro.errors import ConfigurationError
-from repro.mpi.cart import CartComm
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.model import Network
-from repro.payloads import PhantomArray
-from repro.verify.session import run_verified
-from repro.simulator.runtime import DEFAULT_PARAMS
+from repro.core.hsumma import HSummaConfig, hsumma_config
+from repro.core.launch import AlgorithmSpec, launch, product_dims
+from repro.core.summa import SummaConfig, c_accumulator
+from repro.mpi.cart import CartComm, GroupedCartComm
+from repro.mpi.comm import MpiContext
 from repro.simulator.tracing import SimResult
 
 Gen = Generator[Any, Any, Any]
-
-
-def _refuse_overlap_predictor(name: str, backend: Any) -> None:
-    """The overlap schedules hide transfers behind the gemm through the
-    point-to-point machinery; the predictor's serial phase chain has no
-    model for that, so it refuses with the named-feature error instead
-    of silently pricing the bulk-synchronous schedule."""
-    if backend == "predictor":
-        from repro.simulator.predictor import _refuse
-
-        _refuse(
-            f"a {name} run", "overlap",
-            "the lookahead schedule hides transfers behind the gemm and "
-            "the phase chain prices phases serially",
-            "backend='des' (exact schedule) or backend='macro'",
-        )
 
 
 def summa_overlap_program(
@@ -75,10 +51,7 @@ def summa_overlap_program(
     i, j = grid.row, grid.col
     a_tile_cols = cfg.l // cfg.t
     b_tile_rows = cfg.l // cfg.s
-    if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
-        c_tile: Any = PhantomArray((cfg.m // cfg.s, cfg.n // cfg.t))
-    else:
-        c_tile = np.zeros((cfg.m // cfg.s, cfg.n // cfg.t))
+    c_tile = c_accumulator(a_tile, b_tile, cfg)
 
     def pivot_sources(k: int) -> tuple[int, Any, int, Any]:
         """(owner_col, a_slice_or_None, owner_row, b_slice_or_None)."""
@@ -139,7 +112,7 @@ def summa_overlap_program(
 
 
 def hsumma_overlap_program(
-    ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: "HSummaConfig"
+    ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: HSummaConfig
 ) -> Gen:
     """HSUMMA with lookahead at both hierarchy levels.
 
@@ -149,36 +122,15 @@ def hsumma_overlap_program(
       inner steps of block ``K`` run, hiding the between-groups
       broadcast behind an entire outer block of computation.
     """
-    world = ctx.world
-    grid = CartComm(world, cfg.s, cfg.t)
-    i, j = grid.row, grid.col
+    grid = GroupedCartComm(ctx.world, cfg.s, cfg.t, cfg.I, cfg.J)
     si, tj = cfg.inner_s, cfg.inner_t
-    x, ii = divmod(i, si)
-    y, jj = divmod(j, tj)
-
-    outer_row = world.split_by(
-        lambda r: (r // cfg.t) * tj + (r % cfg.t) % tj,
-        key_of=lambda r: (r % cfg.t) // tj,
-    )
-    outer_col = world.split_by(
-        lambda r: (r % cfg.t) * si + (r // cfg.t) % si,
-        key_of=lambda r: (r // cfg.t) // si,
-    )
-    inner_row = world.split_by(
-        lambda r: (r // cfg.t) * cfg.J + (r % cfg.t) // tj,
-        key_of=lambda r: (r % cfg.t) % tj,
-    )
-    inner_col = world.split_by(
-        lambda r: (r % cfg.t) * cfg.I + (r // cfg.t) // si,
-        key_of=lambda r: (r // cfg.t) % si,
-    )
+    x, ii, y, jj = grid.x, grid.ii, grid.y, grid.jj
+    outer_row, outer_col = grid.outer_row, grid.outer_col
+    inner_row, inner_col = grid.inner_row, grid.inner_col
 
     a_tile_cols = cfg.l // cfg.t
     b_tile_rows = cfg.l // cfg.s
-    if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
-        c_tile: Any = PhantomArray((cfg.m // cfg.s, cfg.n // cfg.t))
-    else:
-        c_tile = np.zeros((cfg.m // cfg.s, cfg.n // cfg.t))
+    c_tile = c_accumulator(a_tile, b_tile, cfg)
 
     def outer_owner(K: int) -> tuple[int, int, int, int]:
         g0 = K * cfg.outer_block
@@ -275,6 +227,32 @@ def hsumma_overlap_program(
     return c_tile
 
 
+#: The overlap schedules hide transfers behind the gemm through the
+#: point-to-point machinery; the predictor's serial phase chain has no
+#: model for that, so it refuses by name instead of silently pricing
+#: the bulk-synchronous schedule (and the collapse cannot cover them).
+_OVERLAP_REFUSAL = (
+    "overlap",
+    "the lookahead schedule hides transfers behind the gemm and "
+    "the phase chain prices phases serially",
+    "backend='des' (exact schedule) or backend='macro'",
+)
+
+SUMMA_OVERLAP = AlgorithmSpec(
+    name="summa-overlap",
+    display="a summa-overlap run",
+    program=summa_overlap_program,
+    refusal=_OVERLAP_REFUSAL,
+)
+
+HSUMMA_OVERLAP = AlgorithmSpec(
+    name="hsumma-overlap",
+    display="a hsumma-overlap run",
+    program=hsumma_overlap_program,
+    refusal=_OVERLAP_REFUSAL,
+)
+
+
 def run_hsumma_overlap(
     A: Any,
     B: Any,
@@ -283,77 +261,15 @@ def run_hsumma_overlap(
     groups: int | tuple[int, int],
     outer_block: int,
     inner_block: int | None = None,
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    bcast_segments: int | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
     """Overlapped HSUMMA; same contract as
-    :func:`repro.core.hsumma.run_hsumma`.  ``bcast_segments`` streams
+    :func:`repro.core.hsumma.run_hsumma` (``**run``: the shared options
+    of :func:`repro.core.launch.launch`).  ``bcast_segments`` streams
     each split-phase broadcast in that many pipeline stages (see
     :class:`repro.collectives.nonblocking.IBcast`)."""
-    from repro.core.grouping import choose_group_grid
-    from repro.core.hsumma import HSummaConfig
-    from repro.faults.spec import coerce_faults
-
-    _refuse_overlap_predictor("hsumma-overlap", backend)
-    s, t = grid
-    if bcast_segments is not None:
-        options = (options or CollectiveOptions()).replace(
-            bcast_segments=bcast_segments)
-    if isinstance(groups, tuple):
-        I, J = groups
-    else:
-        I, J = choose_group_grid(s, t, groups)
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
-    cfg = HSummaConfig(
-        m=m, l=l, n=n, s=s, t=t, I=I, J=J,
-        outer_block=outer_block,
-        inner_block=inner_block if inner_block is not None else outer_block,
-    )
-
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    BlockDistribution(m, l, s, t))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    BlockDistribution(l, n, s, t))
-
-    nranks = s * t
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
-
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nranks, options=options, gamma=gamma,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            gi, gj = divmod(rank, t)
-            programs.append(
-                hsumma_overlap_program(ctx, da.tile(gi, gj), db.tile(gi, gj),
-                                       cfg)
-            )
-        return programs
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, faults=faults,
-        meta={"program": "hsumma-overlap", "grid": f"{s}x{t}"},
-    )
-
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        BlockDistribution(m, n, s, t),
-    )
-    tiles = {divmod(rank, t): sim.return_values[rank] for rank in range(nranks)}
-    return dc.assemble(tiles), sim
+    cfg = hsumma_config(A, B, grid, groups, outer_block, inner_block)
+    return launch(HSUMMA_OVERLAP, cfg, A, B, **run)
 
 
 def run_summa_overlap(
@@ -362,63 +278,14 @@ def run_summa_overlap(
     *,
     grid: tuple[int, int],
     block: int,
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    bcast_segments: int | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
     """Overlapped SUMMA; same contract as
-    :func:`repro.core.summa.run_summa`.  ``bcast_segments`` streams
+    :func:`repro.core.summa.run_summa` (``**run``: the shared options
+    of :func:`repro.core.launch.launch`).  ``bcast_segments`` streams
     each split-phase broadcast in that many pipeline stages (see
     :class:`repro.collectives.nonblocking.IBcast`)."""
-    from repro.faults.spec import coerce_faults
-
-    _refuse_overlap_predictor("summa-overlap", backend)
     s, t = grid
-    if bcast_segments is not None:
-        options = (options or CollectiveOptions()).replace(
-            bcast_segments=bcast_segments)
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
+    m, l, n = product_dims(A, B)
     cfg = SummaConfig(m=m, l=l, n=n, s=s, t=t, block=block)
-
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    BlockDistribution(m, l, s, t))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    BlockDistribution(l, n, s, t))
-
-    nranks = s * t
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
-
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nranks, options=options, gamma=gamma,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            i, j = divmod(rank, t)
-            programs.append(
-                summa_overlap_program(ctx, da.tile(i, j), db.tile(i, j), cfg)
-            )
-        return programs
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, faults=faults,
-        meta={"program": "summa-overlap", "grid": f"{s}x{t}"},
-    )
-
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        BlockDistribution(m, n, s, t),
-    )
-    tiles = {divmod(rank, t): sim.return_values[rank] for rank in range(nranks)}
-    return dc.assemble(tiles), sim
+    return launch(SUMMA_OVERLAP, cfg, A, B, **run)

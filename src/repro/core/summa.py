@@ -20,15 +20,13 @@ from typing import Any, Generator
 
 import numpy as np
 
-from repro.blocks.dmatrix import DistMatrix
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
-from repro.errors import ConfigurationError
+from repro.core.launch import AlgorithmSpec, collapse, launch, product_dims
 from repro.mpi.cart import CartComm
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.model import Network
+from repro.mpi.comm import MpiContext
 from repro.payloads import PhantomArray
+from repro.simulator.predictor import predict_summa
 from repro.simulator.tracing import SimResult
-from repro.verify.session import run_verified
 from repro.util.validation import require, require_divides
 
 Gen = Generator[Any, Any, Any]
@@ -78,7 +76,7 @@ def summa_program(ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: SummaConfig) -
     i, j = grid.row, grid.col
     a_tile_cols = cfg.l // cfg.t
     b_tile_rows = cfg.l // cfg.s
-    c_tile = _c_accumulator(a_tile, b_tile, cfg)
+    c_tile = c_accumulator(a_tile, b_tile, cfg)
 
     for k in range(cfg.nsteps):
         g0 = k * cfg.block
@@ -111,8 +109,9 @@ def summa_program(ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: SummaConfig) -
     return c_tile
 
 
-def _c_accumulator(a_tile: Any, b_tile: Any, cfg: SummaConfig) -> Any:
-    """Zeroed ``(m/s) x (n/t)`` accumulator matching the tile mode."""
+def c_accumulator(a_tile: Any, b_tile: Any, cfg: Any) -> Any:
+    """Zeroed ``(m/s) x (n/t)`` accumulator matching the tile mode (for
+    any config with ``m, n, s, t``)."""
     if isinstance(a_tile, PhantomArray) or isinstance(b_tile, PhantomArray):
         return PhantomArray((cfg.m // cfg.s, cfg.n // cfg.t))
     return np.zeros((cfg.m // cfg.s, cfg.n // cfg.t))
@@ -124,117 +123,35 @@ def run_summa(
     *,
     grid: tuple[int, int],
     block: int,
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
     bcast: str | None = None,
-    bcast_segments: int | None = None,
-    contention: bool = False,
-    trace: bool = False,
-    backend: Any = None,
-    faults: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
     """Multiply block-distributed ``A @ B`` with SUMMA on a simulated
     platform; returns ``(C, SimResult)``.
 
-    ``bcast_segments`` sets the pipeline depth ``s`` of the segmented
-    broadcast family (``pipelined``/``segmented``/``fourcolor``/
-    ``hypersystolic``; ``None`` = each algorithm's default) — a
-    shorthand for ``options.bcast_segments``.
-
-    ``A``/``B`` may be numpy arrays (data mode — ``C`` is the concrete
-    product) or :class:`PhantomArray` husks (scale mode — ``C`` is a
-    phantom and only the timing is meaningful).  With ``trace=True``
-    the result carries phase spans and the transfer trace (see
-    :mod:`repro.metrics`); timings are bit-identical either way.
-    ``backend`` selects the execution backend (``"des"``, ``"macro"``,
-    ``"predictor"`` or a prebuilt engine; see
-    :mod:`repro.simulator.backends`).  The macro backend collapses
-    symmetric ranks automatically when eligible (bit-identical; see
-    ``docs/cost_model.md``); ``"predictor"`` skips simulation entirely
-    and composes the coster's closed forms — phantom inputs only, no
-    faults/verify/contention/tracing.
-    ``faults`` injects a :class:`repro.faults.FaultSchedule` (or spec
-    string) — discrete-event backend only; see ``docs/robustness.md``.
-    ``verify`` enables the communication verifier (True or a
-    :class:`repro.verify.VerifyOptions`); the verdict lands on
-    ``SimResult.verdict`` — see ``docs/verification.md``.
+    ``bcast`` overrides the broadcast algorithm of the pivot
+    broadcasts.  ``**run`` are the shared run options (``network
+    params gamma options bcast_segments contention trace backend
+    faults verify``) documented once on
+    :func:`repro.core.launch.launch`; with ``trace=True`` the result
+    carries ``bcast.row`` / ``bcast.col`` / ``gemm`` phase spans.
     """
     s, t = grid
-    (m, l), (l2, n) = A.shape, B.shape
-    if l != l2:
-        raise ConfigurationError(f"inner dims differ: A is {A.shape}, B is {B.shape}")
+    m, l, n = product_dims(A, B)
     cfg = SummaConfig(m=m, l=l, n=n, s=s, t=t, block=block, bcast=bcast)
-    if bcast_segments is not None:
-        options = (options or CollectiveOptions()).replace(
-            bcast_segments=bcast_segments)
-
-    da = DistMatrix(A if isinstance(A, PhantomArray) else np.asarray(A, dtype=float),
-                    _dist(m, l, s, t))
-    db = DistMatrix(B if isinstance(B, PhantomArray) else np.asarray(B, dtype=float),
-                    _dist(l, n, s, t))
-
-    from repro.faults.spec import coerce_faults
-    from repro.network.homogeneous import HomogeneousNetwork
-    from repro.simulator.runtime import DEFAULT_PARAMS
-
-    nranks = s * t
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    faults = coerce_faults(faults)
-
-    if backend == "predictor":
-        from repro.simulator.predictor import (
-            _require_predictable,
-            predict_summa,
-        )
-
-        _require_predictable(
-            "summa", phantom=da.phantom or db.phantom, faults=faults,
-            verify=verify, contention=contention, trace=trace,
-        )
-        sim = predict_summa(
-            cfg, network=network, options=options, gamma=gamma,
-            a_itemsize=A.itemsize if isinstance(A, PhantomArray) else 8,
-            b_itemsize=B.itemsize if isinstance(B, PhantomArray) else 8,
-        )
-        return PhantomArray((m, n)), sim
-
-    def make_programs():
-        programs = []
-        for rank, ctx in enumerate(
-            make_contexts(nranks, options=options, gamma=gamma, trace=trace,
-                          retry=faults.retry if faults is not None else None)
-        ):
-            i, j = divmod(rank, t)
-            programs.append(
-                summa_program(ctx, da.tile(i, j), db.tile(i, j), cfg)
-            )
-        return programs
-
-    from repro.simulator.collapse import summa_symmetry
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention, collect_trace=trace, faults=faults,
-        symmetry=summa_symmetry(s, t),
-        meta={"program": "summa", "grid": f"{s}x{t}"},
-    )
-
-    dc = DistMatrix(
-        PhantomArray((m, n)) if da.phantom or db.phantom else np.empty((m, n)),
-        _dist(m, n, s, t),
-    )
-    tiles = {
-        divmod(rank, t): sim.return_values[rank] for rank in range(nranks)
-    }
-    C = dc.assemble(tiles)
-    return C, sim
+    return launch(SUMMA, cfg, A, B, **run)
 
 
-def _dist(rows: int, cols: int, s: int, t: int):
-    from repro.blocks.distribution import BlockDistribution
+def _configure(m: int, l: int, n: int, *, s: int, t: int, block: int,
+               bcast: str | None = None, **_: Any) -> SummaConfig:
+    return SummaConfig(m=m, l=l, n=n, s=s, t=t, block=block, bcast=bcast)
 
-    return BlockDistribution(rows, cols, s, t)
+
+SUMMA = AlgorithmSpec(
+    name="summa",
+    display="summa",
+    program=summa_program,
+    symmetry=lambda cfg: collapse().summa_symmetry(cfg.s, cfg.t),
+    predict=predict_summa,
+    configure=_configure,
+)

@@ -13,8 +13,7 @@ One package owns every SUMMA/HSUMMA/broadcast closed form:
   against.
 
 ``repro.models``, ``repro.collectives.cost`` and (through the costers)
-``repro.simulator.predictor`` are thin consumers of this package;
-``tests/costs/test_drift.py`` pins that they cannot drift apart.
+``repro.simulator.predictor`` are thin consumers of this package.
 """
 
 from repro.costs.closed_forms import (
@@ -44,8 +43,10 @@ from repro.costs.lower_bounds import (
 )
 from repro.costs.registry import (
     BCAST_ENTRIES,
+    BINOMIAL_MODEL,
     PIPELINED_BCASTS,
     SMOOTH_MODELS,
+    VANDEGEIJN_MODEL,
     BcastEntry,
     BroadcastModel,
     CostEstimate,
@@ -64,8 +65,10 @@ from repro.costs.registry import (
 
 __all__ = [
     "BCAST_ENTRIES",
+    "BINOMIAL_MODEL",
     "PIPELINED_BCASTS",
     "SMOOTH_MODELS",
+    "VANDEGEIJN_MODEL",
     "BcastEntry",
     "BroadcastModel",
     "CostEstimate",

@@ -1,14 +1,11 @@
 """Algorithm-level closed forms — the paper's equations (2)-(12).
 
-These used to live in ``repro.models.summa_model`` /
-``repro.models.hsumma_model`` / ``repro.models.optimizer`` while the
-predictor and the per-collective layer carried parallel copies; they
-now live here, built on the registry's smooth broadcast factors
-(:data:`repro.costs.registry.SMOOTH_MODELS`), and the ``repro.models``
-modules are thin re-export shims.  ``beta`` is per *element*
-throughout (multiply a per-byte beta by the word size to convert), and
-``p`` may be non-integer — the extremum analysis differentiates
-through ``sqrt(p)``.
+Built on the registry's smooth broadcast factors
+(:data:`repro.costs.registry.SMOOTH_MODELS`); ``repro.models`` adds
+the optimiser, scaling and exascale studies on top.  ``beta`` is per
+*element* throughout (multiply a per-byte beta by the word size to
+convert), and ``p`` may be non-integer — the extremum analysis
+differentiates through ``sqrt(p)``.
 
 Also here: the 2.5D matmul communication cost (Solomonik-Demmel) the
 planner uses to price replication, and the raw flop count.

@@ -1,8 +1,8 @@
 """The single source of truth for per-collective closed-form costs.
 
 Historically three layers each carried their own copy of the Hockney
-closed forms: :mod:`repro.models.broadcast_model` (the paper's smooth
-``L(p)/W(p)`` factor functions the optimiser differentiates through),
+closed forms: the analytic models (the paper's smooth ``L(p)/W(p)``
+factor functions the optimiser differentiates through),
 :mod:`repro.collectives.cost` (the discrete critical-path factors the
 DES engine realises), and the predictor/macro costers built on top.
 This registry collapses them into one table:
@@ -19,9 +19,8 @@ This registry collapses them into one table:
     consumed by :mod:`repro.costs.closed_forms` (eqs. 2-12) and the
     group-count optimiser.
 
-  The two flavours agree exactly at powers of two (the drift test in
-  ``tests/costs/test_drift.py`` pins this, plus object identity of the
-  re-exports, so the layers can never diverge again).
+  The two flavours agree exactly at powers of two (pinned by
+  ``tests/costs/test_drift.py``).
 
 * :func:`estimate` — the one query interface: a :class:`CostQuery`
   (op, algorithm, participant count, message bytes, network
@@ -149,12 +148,19 @@ BCAST_ENTRIES: dict[str, BcastEntry] = {
 }
 
 #: The paper's eq.-1 models built on the registry's smooth factors —
-#: ``repro.models.broadcast_model`` re-exports these very objects, so
-#: the analytic layer and this registry cannot drift.
+#: the analytic layer reads these very objects, so it and this registry
+#: cannot drift.
 SMOOTH_MODELS: dict[str, BroadcastModel] = {
     name: BroadcastModel(name=name, L=entry.L_smooth, W=entry.W_smooth)
     for name, entry in BCAST_ENTRIES.items()
 }
+
+#: Binomial tree: ``log2(p) * (alpha + m*beta)`` (paper Section IV).
+BINOMIAL_MODEL = SMOOTH_MODELS["binomial"]
+
+#: Van de Geijn scatter-allgather:
+#: ``(log2(p) + p - 1)*alpha + 2*(p-1)/p * m*beta`` (paper Section IV).
+VANDEGEIJN_MODEL = SMOOTH_MODELS["vandegeijn"]
 
 
 def bcast_entry(algorithm: str) -> BcastEntry:

@@ -37,10 +37,11 @@ from typing import Sequence
 
 from repro.collectives.cost import bcast_time
 from repro.collectives.cost import collective_time as collective_cost
-from repro.core.hsumma import HSummaConfig
-from repro.core.summa import SummaConfig
+from repro.core.hsumma import HSUMMA, HSummaConfig
+from repro.core.launch import AlgorithmSpec, launch
+from repro.core.summa import SUMMA, SummaConfig
 from repro.errors import ConfigurationError
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
+from repro.mpi.comm import CollectiveOptions, MpiContext
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams, Network
 from repro.network.subnet import SubNetwork
@@ -391,9 +392,10 @@ class TopologyCoster(CollectiveCoster):
 #
 # Historically these functions re-implemented the SUMMA/HSUMMA schedules
 # as hand-derived per-step maxima — a drift hazard against the rank
-# programs.  They now run the *real* rank programs on the macro backend
+# programs.  They now launch the family's spec on a macro backend
 # (collectives priced by the coster, everything else inherited from the
-# engine), so there is exactly one description of each schedule in the
+# engine) through the same :func:`repro.core.launch.launch` the runners
+# use, so there is exactly one description of each schedule in the
 # repository.
 
 
@@ -457,32 +459,25 @@ def _coster_network(coster: CollectiveCoster, nranks: int) -> Network:
 
 
 def _run_macro(
+    spec: AlgorithmSpec,
     cfg,
-    program_factory,
     coster: CollectiveCoster,
     gamma: float,
     nsteps: int,
     *,
     network_coster: CollectiveCoster | None = None,
-    symmetry=None,
 ) -> StepModelReport:
-    nranks = cfg.s * cfg.t
-    options = CollectiveOptions(
-        bcast=getattr(coster, "algorithm", "binomial"),
-        bcast_segments=getattr(coster, "segments", None),
+    network = _coster_network(network_coster or coster, cfg.s * cfg.t)
+    _, sim = launch(
+        spec, cfg, PhantomArray((cfg.m, cfg.l)), PhantomArray((cfg.l, cfg.n)),
+        network=network, gamma=gamma,
+        options=CollectiveOptions(
+            bcast=getattr(coster, "algorithm", "binomial"),
+            bcast_segments=getattr(coster, "segments", None),
+        ),
+        backend=MacroBackend(network, coster=coster,
+                             symmetry=spec.symmetry(cfg)),
     )
-    a_tile = PhantomArray((cfg.m // cfg.s, cfg.l // cfg.t))
-    b_tile = PhantomArray((cfg.l // cfg.s, cfg.n // cfg.t))
-
-    def make_programs():
-        return [
-            program_factory(ctx, a_tile, b_tile, cfg)
-            for ctx in make_contexts(nranks, options=options, gamma=gamma)
-        ]
-
-    network = _coster_network(network_coster or coster, nranks)
-    backend = MacroBackend(network, coster=coster, symmetry=symmetry)
-    sim = backend.run_with_factory(make_programs)
     return StepModelReport(
         total_time=sim.total_time,
         comm_time=sim.comm_time,
@@ -495,13 +490,7 @@ def summa_step_model(
     cfg: SummaConfig, coster: CollectiveCoster, gamma: float = 0.0
 ) -> StepModelReport:
     """Predict a SUMMA run's times under the step-synchronous schedule."""
-    from repro.core.summa import summa_program
-    from repro.simulator.collapse import summa_symmetry
-
-    return _run_macro(
-        cfg, summa_program, coster, gamma, cfg.nsteps,
-        symmetry=summa_symmetry(cfg.s, cfg.t),
-    )
+    return _run_macro(SUMMA, cfg, coster, gamma, cfg.nsteps)
 
 
 def hsumma_step_model(
@@ -516,18 +505,11 @@ def hsumma_step_model(
     ``outer_coster`` allows a different broadcast algorithm between
     groups (defaults to ``coster``).
     """
-    from repro.core.hsumma import hsumma_program
-    from repro.simulator.collapse import hsumma_symmetry
-
     effective = coster
     if outer_coster is not None:
         effective = _HsummaPhaseCoster(coster, outer_coster)
     return _run_macro(
-        cfg,
-        hsumma_program,
-        effective,
-        gamma,
+        HSUMMA, cfg, effective, gamma,
         cfg.outer_steps * cfg.inner_steps,
         network_coster=coster,
-        symmetry=hsumma_symmetry(cfg.s, cfg.t, cfg.I, cfg.J),
     )

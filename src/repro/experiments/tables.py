@@ -15,21 +15,21 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.errors import ModelError
-from repro.models.broadcast_model import BINOMIAL_MODEL, VANDEGEIJN_MODEL, BroadcastModel
-from repro.models.hsumma_model import (
+from repro.costs import (
+    BINOMIAL_MODEL,
+    VANDEGEIJN_MODEL,
+    BroadcastModel,
     hsumma_bandwidth_factor,
     hsumma_latency_factor,
     hsumma_optimal_vdg_cost,
+    summa_bandwidth_factor,
+    summa_latency_factor,
 )
+from repro.errors import ModelError
 from repro.models.optimizer import (
     critical_ratio,
     hsumma_beats_summa,
     predicted_extremum_kind,
-)
-from repro.models.summa_model import (
-    summa_bandwidth_factor,
-    summa_latency_factor,
 )
 from repro.util.tables import format_table
 

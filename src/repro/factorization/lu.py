@@ -25,19 +25,16 @@ unnecessary.  Phantom mode works as for the multiplication kernels.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 import numpy as np
 import scipy.linalg
 
+from repro.core.launch import AlgorithmSpec, launch
 from repro.errors import ConfigurationError
-from repro.mpi.cart import CartComm
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.model import Network
+from repro.mpi.cart import CartComm, GroupedCartComm
+from repro.mpi.comm import MpiContext
 from repro.payloads import PhantomArray
-from repro.verify.session import run_verified
-from repro.simulator.runtime import DEFAULT_PARAMS
 from repro.simulator.tracing import SimResult
 from repro.util.validation import require, require_divides
 
@@ -93,6 +90,20 @@ def _getrf_nopiv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, U
 
 
+def panel_grid(ctx: MpiContext, cfg: LuConfig) -> tuple[CartComm, Any, Any]:
+    """The rank's grid plus its panel broadcasts ``(payload, owner) ->
+    generator`` along the grid row / down the grid column — two-phase
+    through the group hierarchy when ``cfg`` configures one, flat
+    otherwise."""
+    if cfg.hierarchical:
+        grid = GroupedCartComm(ctx.world, cfg.s, cfg.t, cfg.I, cfg.J)
+        return grid, grid.bcast_row, grid.bcast_col
+    grid = CartComm(ctx.world, cfg.s, cfg.t)
+    return (grid,
+            lambda payload, owner: grid.row_comm.bcast(payload, root=owner),
+            lambda payload, owner: grid.col_comm.bcast(payload, root=owner))
+
+
 def lu_program(
     ctx: MpiContext,
     tiles: dict[tuple[int, int], Any],
@@ -105,57 +116,11 @@ def lu_program(
     dict holding ``L`` strictly below the diagonal, ``U`` on and above,
     with the diagonal tiles packed as ``(L_kk, U_kk)`` pairs.
     """
-    grid = CartComm(ctx.world, cfg.s, cfg.t)
+    grid, hbcast_row, hbcast_col = panel_grid(ctx, cfg)
     i, j = grid.row, grid.col
     b = cfg.b
     K = cfg.nblocks
     phantom = any(isinstance(v, PhantomArray) for v in tiles.values())
-
-    si, tj = cfg.s // cfg.I, cfg.t // cfg.J
-    if cfg.hierarchical:
-        world = ctx.world
-        _x, ii = divmod(i, si)
-        _y, jj = divmod(j, tj)
-        outer_row = world.split_by(
-            lambda r: (r // cfg.t) * tj + (r % cfg.t) % tj,
-            key_of=lambda r: (r % cfg.t) // tj,
-        )
-        outer_col = world.split_by(
-            lambda r: (r % cfg.t) * si + (r // cfg.t) % si,
-            key_of=lambda r: (r // cfg.t) // si,
-        )
-        inner_row = world.split_by(
-            lambda r: (r // cfg.t) * cfg.J + (r % cfg.t) // tj,
-            key_of=lambda r: (r % cfg.t) % tj,
-        )
-        inner_col = world.split_by(
-            lambda r: (r % cfg.t) * cfg.I + (r // cfg.t) // si,
-            key_of=lambda r: (r // cfg.t) % si,
-        )
-
-    def hbcast_row(payload: Any, owner_col: int) -> Gen:
-        """Broadcast along the grid row from grid column ``owner_col``,
-        hierarchically when configured."""
-        if not cfg.hierarchical:
-            out = yield from grid.row_comm.bcast(payload, root=owner_col)
-            return out
-        yk, jk = divmod(owner_col, tj)
-        part = None
-        if jj == jk:
-            part = yield from outer_row.bcast(payload, root=yk)
-        out = yield from inner_row.bcast(part, root=jk)
-        return out
-
-    def hbcast_col(payload: Any, owner_row: int) -> Gen:
-        if not cfg.hierarchical:
-            out = yield from grid.col_comm.bcast(payload, root=owner_row)
-            return out
-        xk, ik = divmod(owner_row, si)
-        part = None
-        if ii == ik:
-            part = yield from outer_col.bcast(payload, root=xk)
-        out = yield from inner_col.bcast(part, root=ik)
-        return out
 
     def my_rows_below(k: int) -> list[int]:
         """Global tile-row indices > k owned by my grid row."""
@@ -271,95 +236,102 @@ def lu_program(
     return tiles
 
 
+class TileCyclicLayout:
+    """``b x b`` tiles of a square matrix dealt cyclically over the
+    ``s x t`` grid (tile ``(bi, bj)`` lives on rank ``(bi % s) * t +
+    bj % t``).  Each rank program is handed a fresh dict of the tiles it
+    owns and returns one; ``gather(n, b, tiles)`` turns the returned
+    ``((bi, bj), tile)`` pairs — ``None`` in scale mode — into the
+    kernel's result."""
+
+    def __init__(self, cfg: LuConfig, gather: Callable[[int, int, Any], Any]):
+        self.cfg = cfg
+        self.s, self.t = cfg.s, cfg.t
+        self.nranks = cfg.s * cfg.t
+        self.gather = gather
+
+    def deal(self, A: Any) -> Callable[[int], tuple[dict]]:
+        cfg, b = self.cfg, self.cfg.b
+        phantom = isinstance(A, PhantomArray)
+        data = None if phantom else np.asarray(A, dtype=float)
+        per_rank: list[dict[tuple[int, int], Any]] = [
+            {} for _ in range(self.nranks)]
+        for bi in range(cfg.nblocks):
+            for bj in range(cfg.nblocks):
+                owned = per_rank[(bi % cfg.s) * cfg.t + bj % cfg.t]
+                if phantom:
+                    owned[(bi, bj)] = PhantomArray((b, b))
+                else:
+                    owned[(bi, bj)] = data[bi * b:(bi + 1) * b,
+                                           bj * b:(bj + 1) * b].copy()
+        # Programs update their dict in place, and a verified run builds
+        # the programs once per schedule.
+        return lambda rank: (dict(per_rank[rank]),)
+
+    def assemble(self, inputs: tuple, return_values: list) -> Any:
+        (A,) = inputs
+        if isinstance(A, PhantomArray):
+            return self.gather(self.cfg.n, self.cfg.b, None)
+        return self.gather(
+            self.cfg.n, self.cfg.b,
+            (item for tiles in return_values for item in tiles.items()))
+
+
+def _gather_factors(n: int, b: int, tiles: Any) -> tuple[Any, Any]:
+    if tiles is None:
+        return PhantomArray((n, n)), PhantomArray((n, n))
+    L = np.zeros((n, n))
+    U = np.zeros((n, n))
+    for (bi, bj), tile in tiles:
+        block = (slice(bi * b, (bi + 1) * b), slice(bj * b, (bj + 1) * b))
+        if bi == bj:
+            L[block], U[block] = tile
+        elif bi > bj:
+            L[block] = tile
+        else:
+            U[block] = tile
+    return L, U
+
+
+def _square_config(A: Any, kernel: str, grid: tuple[int, int], block: int,
+                   groups: tuple[int, int]) -> LuConfig:
+    if A.shape[0] != A.shape[1]:
+        raise ConfigurationError(
+            f"{kernel} needs a square matrix, got {A.shape}")
+    (s, t), (I, J) = grid, groups
+    return LuConfig(n=A.shape[0], b=block, s=s, t=t, I=I, J=J)
+
+
+BLOCK_LU = AlgorithmSpec(
+    name="lu",
+    display="a block LU factorisation",
+    program=lu_program,
+    layout=lambda cfg: TileCyclicLayout(cfg, _gather_factors),
+    refusal=(
+        "data-dependent panel ownership",
+        "the trailing-update schedule shrinks with the elimination "
+        "front, so each rank's broadcast participation depends on "
+        "the step index and has no per-step closed form",
+        "backend='macro' for scale runs, backend='des' for data",
+    ),
+)
+
+
 def run_block_lu(
     A: Any,
     *,
     grid: tuple[int, int],
     block: int,
     groups: tuple[int, int] = (1, 1),
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, Any, SimResult]:
     """Factor ``A = L @ U`` on a simulated platform.
 
     Returns ``(L, U, SimResult)`` — concrete triangular factors in data
     mode, phantoms in scale mode.  ``groups=(I, J)`` switches the panel
-    broadcasts to the hierarchical scheme.
+    broadcasts to the hierarchical scheme.  ``**run`` are the shared
+    run options documented on :func:`repro.core.launch.launch`.
     """
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ConfigurationError(f"LU needs a square matrix, got {A.shape}")
-    s, t = grid
-    I, J = groups
-    cfg = LuConfig(n=n, b=block, s=s, t=t, I=I, J=J)
-    K = cfg.nblocks
-    phantom = isinstance(A, PhantomArray)
-
-    def owner(bi: int, bj: int) -> tuple[int, int]:
-        return bi % s, bj % t
-
-    # Distribute tiles.
-    per_rank: list[dict[tuple[int, int], Any]] = [dict() for _ in range(s * t)]
-    for bi in range(K):
-        for bj in range(K):
-            oi, oj = owner(bi, bj)
-            rank = oi * t + oj
-            if phantom:
-                per_rank[rank][(bi, bj)] = PhantomArray((block, block))
-            else:
-                Ad = np.asarray(A, dtype=float)
-                per_rank[rank][(bi, bj)] = Ad[
-                    bi * block : (bi + 1) * block,
-                    bj * block : (bj + 1) * block,
-                ].copy()
-
-    nranks = s * t
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    def make_programs():
-        return [
-            lu_program(ctx, dict(per_rank[rank]), cfg)
-            for rank, ctx in enumerate(
-                make_contexts(nranks, options=options, gamma=gamma)
-            )
-        ]
-
-    if backend == "predictor":
-        from repro.simulator.predictor import _refuse
-
-        _refuse(
-            "a block LU factorisation", "data-dependent panel ownership",
-            "the trailing-update schedule shrinks with the elimination "
-            "front, so each rank's broadcast participation depends on "
-            "the step index and has no per-step closed form",
-            "backend='macro' for scale runs, backend='des' for data",
-        )
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention,
-        meta={"program": "lu", "grid": f"{s}x{t}"},
-    )
-
-    if phantom:
-        return PhantomArray((n, n)), PhantomArray((n, n)), sim
-
-    L = np.zeros((n, n))
-    U = np.zeros((n, n))
-    for rank in range(nranks):
-        for (bi, bj), tile in sim.return_values[rank].items():
-            r0, c0 = bi * block, bj * block
-            if bi == bj:
-                lkk, ukk = tile
-                L[r0 : r0 + block, c0 : c0 + block] = lkk
-                U[r0 : r0 + block, c0 : c0 + block] = ukk
-            elif bi > bj:
-                L[r0 : r0 + block, c0 : c0 + block] = tile
-            else:
-                U[r0 : r0 + block, c0 : c0 + block] = tile
+    cfg = _square_config(A, "LU", grid, block, groups)
+    (L, U), sim = launch(BLOCK_LU, cfg, A, **run)
     return L, U, sim

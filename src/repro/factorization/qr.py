@@ -28,15 +28,16 @@ from typing import Any, Generator
 import numpy as np
 import scipy.linalg
 
+from repro.core.launch import AlgorithmSpec, launch
 from repro.errors import ConfigurationError
-from repro.factorization.lu import LuConfig
-from repro.mpi.cart import CartComm
-from repro.mpi.comm import CollectiveOptions, MpiContext, make_contexts
-from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.model import Network
+from repro.factorization.lu import (
+    LuConfig,
+    TileCyclicLayout,
+    _square_config,
+    panel_grid,
+)
+from repro.mpi.comm import MpiContext
 from repro.payloads import PhantomArray
-from repro.verify.session import run_verified
-from repro.simulator.runtime import DEFAULT_PARAMS
 from repro.simulator.tracing import SimResult
 
 Gen = Generator[Any, Any, Any]
@@ -71,36 +72,11 @@ def qr_program(
     cfg: QrConfig,
 ) -> Gen:
     """Per-rank blocked-QR generator; tiles end up holding ``R``."""
-    grid = CartComm(ctx.world, cfg.s, cfg.t)
+    grid, hbcast_row, _ = panel_grid(ctx, cfg)
     i, j = grid.row, grid.col
     b = cfg.b
     K = cfg.nblocks
     phantom = any(isinstance(v, PhantomArray) for v in tiles.values())
-
-    si, tj = cfg.s // cfg.I, cfg.t // cfg.J
-    if cfg.hierarchical:
-        world = ctx.world
-        _x, _ii = divmod(i, si)
-        _y, jj = divmod(j, tj)
-        outer_row = world.split_by(
-            lambda r: (r // cfg.t) * tj + (r % cfg.t) % tj,
-            key_of=lambda r: (r % cfg.t) // tj,
-        )
-        inner_row = world.split_by(
-            lambda r: (r // cfg.t) * cfg.J + (r % cfg.t) // tj,
-            key_of=lambda r: (r % cfg.t) % tj,
-        )
-
-    def hbcast_row(payload: Any, owner_col: int) -> Gen:
-        if not cfg.hierarchical:
-            out = yield from grid.row_comm.bcast(payload, root=owner_col)
-            return out
-        yk, jk = divmod(owner_col, tj)
-        part = None
-        if jj == jk:
-            part = yield from outer_row.bcast(payload, root=yk)
-        out = yield from inner_row.bcast(part, root=jk)
-        return out
 
     def my_rows_from(k: int) -> list[int]:
         """Global tile rows >= k owned by my grid row."""
@@ -239,77 +215,41 @@ def qr_program(
     return tiles
 
 
+def _gather_r(n: int, b: int, tiles: Any) -> Any:
+    if tiles is None:
+        return PhantomArray((n, n))
+    R = np.zeros((n, n))
+    for (bi, bj), tile in tiles:
+        R[bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] = tile
+    return R
+
+
+BLOCK_QR = AlgorithmSpec(
+    name="qr",
+    display="a block QR factorisation",
+    program=qr_program,
+    layout=lambda cfg: TileCyclicLayout(cfg, _gather_r),
+    refusal=(
+        "data-dependent reflector flow",
+        "panel factorisation and trailing updates couple through "
+        "reflector broadcasts whose extents shrink with the "
+        "factorisation front, leaving no per-step closed form",
+        "backend='macro' for scale runs, backend='des' for data",
+    ),
+)
+
+
 def run_block_qr(
     A: Any,
     *,
     grid: tuple[int, int],
     block: int,
     groups: tuple[int, int] = (1, 1),
-    network: Network | None = None,
-    params: Any = None,
-    gamma: float = 0.0,
-    options: CollectiveOptions | None = None,
-    contention: bool = False,
-    backend: Any = None,
-    verify: Any = None,
+    **run: Any,
 ) -> tuple[Any, SimResult]:
     """Factor ``A = Q R`` on a simulated platform; returns ``(R, SimResult)``
-    (``Q`` stays implicit in the reflectors, as in LAPACK)."""
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ConfigurationError(f"this QR driver needs square A, got {A.shape}")
-    s, t = grid
-    I, J = groups
-    cfg = QrConfig(n=n, b=block, s=s, t=t, I=I, J=J)
-    K = cfg.nblocks
-    phantom = isinstance(A, PhantomArray)
-
-    per_rank: list[dict[tuple[int, int], Any]] = [dict() for _ in range(s * t)]
-    for bi in range(K):
-        for bj in range(K):
-            rank = (bi % s) * t + (bj % t)
-            if phantom:
-                per_rank[rank][(bi, bj)] = PhantomArray((block, block))
-            else:
-                Ad = np.asarray(A, dtype=float)
-                per_rank[rank][(bi, bj)] = Ad[
-                    bi * block : (bi + 1) * block,
-                    bj * block : (bj + 1) * block,
-                ].copy()
-
-    nranks = s * t
-    if network is None:
-        network = HomogeneousNetwork(nranks, params or DEFAULT_PARAMS)
-    def make_programs():
-        return [
-            qr_program(ctx, dict(per_rank[rank]), cfg)
-            for rank, ctx in enumerate(
-                make_contexts(nranks, options=options, gamma=gamma)
-            )
-        ]
-
-    if backend == "predictor":
-        from repro.simulator.predictor import _refuse
-
-        _refuse(
-            "a block QR factorisation", "data-dependent reflector flow",
-            "panel factorisation and trailing updates couple through "
-            "reflector broadcasts whose extents shrink with the "
-            "factorisation front, leaving no per-step closed form",
-            "backend='macro' for scale runs, backend='des' for data",
-        )
-
-    sim = run_verified(
-        make_programs, verify=verify, backend=backend, network=network,
-        contention=contention,
-        meta={"program": "qr", "grid": f"{s}x{t}"},
-    )
-
-    if phantom:
-        return PhantomArray((n, n)), sim
-    R = np.zeros((n, n))
-    for rank in range(nranks):
-        for (bi, bj), tile in sim.return_values[rank].items():
-            R[bi * block : (bi + 1) * block,
-              bj * block : (bj + 1) * block] = tile
-    return R, sim
+    (``Q`` stays implicit in the reflectors, as in LAPACK).  ``**run``
+    are the shared run options documented on
+    :func:`repro.core.launch.launch`."""
+    cfg = _square_config(A, "this QR driver", grid, block, groups)
+    return launch(BLOCK_QR, cfg, A, **run)

@@ -7,9 +7,14 @@ element, matching the paper's usage; multiply a per-byte ``beta`` by
 the word size (8 for float64) to convert.
 """
 
-from repro.models.broadcast_model import BroadcastModel, BINOMIAL_MODEL, VANDEGEIJN_MODEL
-from repro.models.summa_model import summa_communication_cost, summa_computation_cost
-from repro.models.hsumma_model import hsumma_communication_cost
+from repro.costs import (
+    BINOMIAL_MODEL,
+    VANDEGEIJN_MODEL,
+    BroadcastModel,
+    hsumma_communication_cost,
+    summa_communication_cost,
+    summa_computation_cost,
+)
 from repro.models.optimizer import (
     critical_ratio,
     hsumma_beats_summa,

@@ -12,9 +12,13 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.models.broadcast_model import BroadcastModel, VANDEGEIJN_MODEL
-from repro.models.hsumma_model import hsumma_communication_cost
-from repro.models.summa_model import summa_communication_cost, summa_computation_cost
+from repro.costs import (
+    VANDEGEIJN_MODEL,
+    BroadcastModel,
+    hsumma_communication_cost,
+    summa_communication_cost,
+    summa_computation_cost,
+)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -28,8 +28,8 @@ from repro.costs.closed_forms import (  # noqa: F401 (re-exports)
     predicted_extremum_kind,
     vdg_cost_derivative,
 )
+from repro.costs.registry import VANDEGEIJN_MODEL, BroadcastModel
 from repro.errors import ModelError
-from repro.models.broadcast_model import BroadcastModel, VANDEGEIJN_MODEL
 
 __all__ = [
     "critical_ratio",

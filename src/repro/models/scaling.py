@@ -26,13 +26,14 @@ import dataclasses
 import math
 from typing import Sequence
 
-from repro.errors import ModelError
-from repro.models.broadcast_model import BroadcastModel, VANDEGEIJN_MODEL
-from repro.models.optimizer import optimal_group_count
-from repro.models.summa_model import (
+from repro.costs import (
+    VANDEGEIJN_MODEL,
+    BroadcastModel,
     summa_communication_cost,
     summa_computation_cost,
 )
+from repro.errors import ModelError
+from repro.models.optimizer import optimal_group_count
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,6 +8,8 @@ column communicators both algorithms broadcast along.
 
 from __future__ import annotations
 
+from typing import Any, Generator
+
 from repro.errors import CommunicatorError
 from repro.mpi.comm import Comm
 
@@ -57,3 +59,69 @@ class CartComm:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CartComm({self.s}x{self.t}, rank={self.rank}@({self.row},{self.col}))"
+
+
+class GroupedCartComm(CartComm):
+    """An ``s x t`` grid partitioned into an ``I x J`` grid of groups —
+    the communicators of the paper's Algorithm 1.
+
+    The rank at grid position ``(i, j)`` is processor ``P(x,y)(ii,jj)``
+    with group coordinates ``(x, y) = (i // (s/I), j // (t/J))`` and
+    inner coordinates ``(ii, jj) = (i % (s/I), j % (t/J))``.  On top of
+    the Cartesian row/column pair, four communicators are created
+    collectively, always in this order — they are the world's children
+    2-5, which the symmetry declarations in
+    :mod:`repro.simulator.collapse` and the step model's phase coster
+    key on:
+
+    * ``outer_row``: fixed (grid row, inner col), varying group column
+      — communicator rank equals ``y``;
+    * ``outer_col``: fixed (grid col, inner row), varying group row;
+    * ``inner_row``: fixed (group, inner row), varying inner column —
+      communicator rank equals ``jj``;
+    * ``inner_col``: fixed (group, inner col), varying inner row.
+    """
+
+    def __init__(self, comm: Comm, s: int, t: int, I: int, J: int):
+        super().__init__(comm, s, t)
+        si, tj = s // I, t // J
+        self.inner_s, self.inner_t = si, tj
+        self.x, self.ii = divmod(self.row, si)
+        self.y, self.jj = divmod(self.col, tj)
+        self.outer_row = comm.split_by(
+            lambda r: (r // t) * tj + (r % t) % tj,
+            key_of=lambda r: (r % t) // tj,
+        )
+        self.outer_col = comm.split_by(
+            lambda r: (r % t) * si + (r // t) % si,
+            key_of=lambda r: (r // t) // si,
+        )
+        self.inner_row = comm.split_by(
+            lambda r: (r // t) * J + (r % t) // tj,
+            key_of=lambda r: (r % t) % tj,
+        )
+        self.inner_col = comm.split_by(
+            lambda r: (r % t) * I + (r // t) // si,
+            key_of=lambda r: (r // t) % si,
+        )
+
+    def bcast_row(self, payload: Any, owner_col: int) -> Generator:
+        """Two-phase broadcast along the grid row from grid column
+        ``owner_col``: between groups among the ranks sharing the
+        owner's inner column, then within every group."""
+        yk, jk = divmod(owner_col, self.inner_t)
+        part = None
+        if self.jj == jk:
+            part = yield from self.outer_row.bcast(payload, root=yk)
+        out = yield from self.inner_row.bcast(part, root=jk)
+        return out
+
+    def bcast_col(self, payload: Any, owner_row: int) -> Generator:
+        """Two-phase broadcast down the grid column from grid row
+        ``owner_row`` (see :meth:`bcast_row`)."""
+        xk, ik = divmod(owner_row, self.inner_s)
+        part = None
+        if self.ii == ik:
+            part = yield from self.outer_col.bcast(payload, root=xk)
+        out = yield from self.inner_col.bcast(part, root=ik)
+        return out

@@ -228,83 +228,58 @@ class PlanService:
             compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
             total = closed_form_cost(rq, cand)
             return total, total - compute, compute, "closed-form"
-        cfg = _build_config(rq, cand)
-        if cand.algorithm == "2.5d":
-            # 2.5D has no step model, so refine="macro" also takes the
-            # predictor chain — it replays the macro engine's floats
-            # bit-identically, so the label stays honest.
-            from repro.network.homogeneous import HomogeneousNetwork
-            from repro.network.model import HockneyParams
-            from repro.simulator.predictor import predict_summa25d
+        from repro.core.launch import family, live
+        from repro.costs import PIPELINED_BCASTS
+        from repro.experiments import stepmodel
+        from repro.network.model import HockneyParams
 
-            network = HomogeneousNetwork(rq.p, HockneyParams(rq.alpha, rq.beta))
-            res = predict_summa25d(cfg, network=network, gamma=rq.gamma,
-                                   a_itemsize=rq.itemsize,
-                                   b_itemsize=rq.itemsize)
-            st = res.stats[0]
-            return st.clock, st.comm_time, st.compute_time, "predictor"
+        spec = family(cand.algorithm)
+        cfg = _build_config(rq, cand)
+        params = HockneyParams(rq.alpha, rq.beta)
+        # Families with a step model refine at the configured fidelity;
+        # the rest (2.5D) always take their predictor chain — it replays
+        # the macro engine's floats bit-identically, so the label stays
+        # honest.  Resolved here so a wrapper installed on the module
+        # sees the call.
+        step_model = {"summa": stepmodel.summa_step_model,
+                      "hsumma": stepmodel.hsumma_step_model,
+                      }.get(cand.algorithm)
         # The predictor refuses the segmented broadcast family (it has
         # no stage-overlap model), so pipelined candidates are refined
         # at macro fidelity regardless of the configured backend.
-        from repro.costs import PIPELINED_BCASTS
-
         pipelined = (cand.bcast in PIPELINED_BCASTS
                      or cand.outer_bcast in PIPELINED_BCASTS)
-        if self.refine == "predictor" and not pipelined:
+        if step_model is None or (self.refine == "predictor"
+                                  and not pipelined):
             from repro.network.homogeneous import HomogeneousNetwork
-            from repro.network.model import HockneyParams
-            from repro.simulator.predictor import predict_hsumma, predict_summa
 
-            network = HomogeneousNetwork(rq.p, HockneyParams(rq.alpha, rq.beta))
-            predict = (predict_summa if cand.algorithm == "summa"
-                       else predict_hsumma)
-            res = predict(cfg, network=network, gamma=rq.gamma,
-                          a_itemsize=rq.itemsize, b_itemsize=rq.itemsize)
+            res = live(spec.predict)(
+                cfg, network=HomogeneousNetwork(rq.p, params),
+                gamma=rq.gamma, a_itemsize=rq.itemsize,
+                b_itemsize=rq.itemsize)
             st = res.stats[0]
             return st.clock, st.comm_time, st.compute_time, "predictor"
-        from repro.experiments.stepmodel import (
-            AnalyticCoster,
-            hsumma_step_model,
-            summa_step_model,
-        )
-        from repro.network.model import HockneyParams
-
-        params = HockneyParams(rq.alpha, rq.beta)
-        if cand.algorithm == "summa":
-            rep = summa_step_model(
-                cfg,
-                AnalyticCoster(params, cand.bcast, segments=cand.segments),
-                rq.gamma)
-        else:
-            rep = hsumma_step_model(
-                cfg,
-                AnalyticCoster(params, cand.bcast, segments=cand.segments),
-                rq.gamma,
-                outer_coster=AnalyticCoster(params, cand.outer_bcast,
-                                            segments=cand.segments),
-            )
+        costers = {}
+        if cand.outer_bcast is not None:
+            costers["outer_coster"] = stepmodel.AnalyticCoster(
+                params, cand.outer_bcast, segments=cand.segments)
+        rep = step_model(
+            cfg,
+            stepmodel.AnalyticCoster(params, cand.bcast,
+                                     segments=cand.segments),
+            rq.gamma, **costers)
         return rep.total_time, rep.comm_time, rep.compute_time, "macro"
 
 
 def _build_config(rq: ResolvedQuery, cand: Candidate):
+    from repro.core.launch import family
+
     n = rq.n
-    if cand.algorithm == "summa":
-        from repro.core.summa import SummaConfig
-
-        return SummaConfig(m=n, l=n, n=n, s=cand.s, t=cand.t,
-                           block=cand.block, bcast=cand.bcast)
-    if cand.algorithm == "2.5d":
-        from repro.simulator.predictor import Summa25dConfig
-
-        return Summa25dConfig(m=n, l=n, n=n, q=cand.s,
-                              c=cand.replication)
-    from repro.core.hsumma import HSummaConfig
-
-    I, J = cand.group_grid
-    return HSummaConfig(
-        m=n, l=n, n=n, s=cand.s, t=cand.t, I=I, J=J,
-        outer_block=cand.block, inner_block=cand.inner_block,
-        outer_bcast=cand.outer_bcast, inner_bcast=cand.bcast,
+    return family(cand.algorithm).configure(
+        n, n, n, s=cand.s, t=cand.t, block=cand.block,
+        inner_block=cand.inner_block, groups=cand.group_grid,
+        bcast=cand.bcast, outer_bcast=cand.outer_bcast,
+        replication=cand.replication,
     )
 
 

@@ -22,16 +22,19 @@ Fidelity contract versus ``backend="macro"`` on the same network:
 
 The prediction carries **one representative rank** in
 ``SimResult.stats`` (a p=2^20 grid would otherwise materialise a
-million ``RankStats``) and empty ``return_values``; the runners build
-the phantom ``C`` themselves.  Use ``backend="predictor"`` through
-:func:`repro.core.summa.run_summa` / :func:`repro.core.hsumma.
-run_hsumma` / :func:`repro.core.cyclic.run_cyclic` or the CLI.
+million ``RankStats``) and empty ``return_values``;
+:func:`repro.core.launch.launch` builds the phantom ``C`` itself.  Use
+``backend="predictor"`` through the runner of any family whose
+:data:`repro.core.launch.FAMILIES` row carries a chain (SUMMA, HSUMMA,
+block-cyclic, Cannon, Fox, DNS 3-D, 2.5D) or the CLI; families without
+one refuse by name.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+import functools
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.network.model import Network
@@ -43,9 +46,10 @@ class PredictorBackend(Backend):
     """Marker backend returned by ``resolve_backend("predictor")``.
 
     The predictor never steps rank programs, so :meth:`run` cannot
-    exist in a meaningful form — the algorithm runners detect
-    ``backend="predictor"`` *before* building programs and call the
-    ``predict_*`` functions below instead.  Resolving the name still
+    exist in a meaningful form — :func:`repro.core.launch.launch`
+    detects ``backend="predictor"`` *before* building programs and
+    calls the family's ``predict_*`` function below instead.  Resolving
+    the name still
     succeeds (so generic plumbing can validate backend specs), but
     executing it raises with directions.
     """
@@ -61,12 +65,15 @@ class PredictorBackend(Backend):
         self.network = network
 
     def run(self, programs: Any) -> SimResult:
+        from repro.core.launch import FAMILIES, family
+
+        chained = "/".join(name for name in FAMILIES
+                           if family(name).predict is not None)
         raise ConfigurationError(
             "the predictor backend composes closed forms and cannot "
-            "execute rank programs; call it through the algorithm "
-            "runners (run_summa/run_hsumma/run_cyclic/run_cannon/"
-            "run_fox/run_dns3d/run_25d with backend='predictor') or "
-            "the CLI"
+            "execute rank programs; call it through the runner of a "
+            f"family with a predictor chain ({chained}, with "
+            "backend='predictor') or the CLI"
         )
 
 
@@ -138,7 +145,7 @@ def _require_predictable(
         )
 
 
-def _refuse_pipelined(name: str, algorithm: str | None) -> None:
+def _refuse_pipelined(family_name: str, algorithm: str | None) -> None:
     """Refuse the segmented broadcast family (except the grandfathered
     plain ``pipelined`` chain, whose bulk closed form predates this
     policy).
@@ -149,8 +156,10 @@ def _refuse_pipelined(name: str, algorithm: str | None) -> None:
     silently overstate the run it claims to predict.
     """
     if algorithm in ("segmented", "fourcolor", "hypersystolic"):
+        from repro.core.launch import family
+
         _refuse(
-            name, f"pipelined broadcast {algorithm}",
+            family(family_name).display, f"pipelined broadcast {algorithm}",
             "the phase chain prices collectives bulk-synchronously and "
             "has no model for the stage overlap the segmented schedule "
             "exists for",
@@ -187,18 +196,33 @@ class _Chain:
     clock = finish`` — reproduced verbatim here.  Compute requests add
     ``seconds`` to both the compute counter and the clock, as in
     :meth:`repro.simulator.engine.Engine._handle_compute`.
+
+    Besides the clock the chain carries what every ``predict_*`` walk
+    reads off its arguments: the resolved broadcast algorithm(s)
+    ``bcasts``, the reduce algorithm, the pipeline depth, ``gamma`` and
+    the operand item sizes.
     """
 
     __slots__ = ("clock", "comm", "compute", "_coster", "_network",
-                 "_memo")
+                 "_memo", "bcasts", "reduce_alg", "segments", "gamma",
+                 "a_itemsize", "b_itemsize")
 
-    def __init__(self, coster: Any, network: Network | None = None) -> None:
+    def __init__(self, coster: Any, network: Network,
+                 bcasts: tuple[str, ...], options: Any, gamma: float,
+                 a_itemsize: int, b_itemsize: int) -> None:
         self.clock = 0.0
         self.comm = 0.0
         self.compute = 0.0
         self._coster = coster
         self._network = network
         self._memo: dict[tuple, float] = {}
+        self.bcasts = bcasts
+        self.reduce_alg = (options or _default_options()).reduce
+        self.segments = options.bcast_segments if options is not None \
+            else None
+        self.gamma = gamma
+        self.a_itemsize = a_itemsize
+        self.b_itemsize = b_itemsize
 
     def collective(self, op: str, algorithm: str | None, p: int,
                    nbytes: int, *, segments: Any = None,
@@ -216,6 +240,16 @@ class _Chain:
         finish = self.clock + duration
         self.comm += finish - self.clock
         self.clock = finish
+
+    def bcast(self, p: int, nbytes: int, cid0: int, *,
+              algorithm: str | None = None) -> None:
+        """One broadcast among ``p`` ranks at the run's pipeline depth
+        (``algorithm`` defaults to the first resolved one)."""
+        self.collective("bcast", algorithm or self.bcasts[0], p, nbytes,
+                        segments=self.segments, cid0=cid0)
+
+    def reduce(self, p: int, nbytes: int, cid0: int) -> None:
+        self.collective("reduce", self.reduce_alg, p, nbytes, cid0=cid0)
 
     def p2p(self, nbytes: int) -> None:
         """One blocking point-to-point hop on the critical chain.
@@ -239,75 +273,87 @@ class _Chain:
         self.compute += seconds
         self.clock = self.clock + seconds
 
+    def gemm_seconds(self, m: int, k: int, n: int) -> float:
+        from repro.blocks.ops import gemm_flops
+
+        return gemm_flops(m, k, n) * self.gamma
+
     def result(self) -> SimResult:
         rep = RankStats(rank=0, clock=self.clock, comm_time=self.comm,
                         compute_time=self.compute)
         return SimResult(stats=[rep], return_values=[])
 
 
-def _bcast_alg(override: Any, options: Any) -> str:
-    if override is not None:
-        return override
-    if options is not None:
-        return options.bcast
+def _default_options() -> Any:
     from repro.mpi.comm import CollectiveOptions
 
-    return CollectiveOptions().bcast
+    return CollectiveOptions()
 
 
-def _reduce_alg(options: Any) -> str:
-    if options is not None:
-        return options.reduce
-    from repro.mpi.comm import CollectiveOptions
-
-    return CollectiveOptions().reduce
+def _no_override(cfg: Any) -> tuple[None]:
+    return (None,)
 
 
-def _segments(options: Any) -> Any:
-    return options.bcast_segments if options is not None else None
+def chain_walk(
+    family_name: str,
+    overrides: Callable[[Any], tuple] = _no_override,
+) -> Callable[[Callable[[_Chain, Any], None]], Callable[..., SimResult]]:
+    """Turn ``walk(chain, cfg)`` into a ``predict_*`` function.
+
+    Every prediction shares one signature and one preamble, written
+    here once: resolve the coster, resolve each broadcast algorithm
+    (``overrides(cfg)``'s config-level override, else
+    ``options.bcast``, else the library default), refuse the segmented
+    family under ``family_name``'s table name, and hand ``walk`` a
+    fresh :class:`_Chain`; the prediction is the walked chain's
+    :meth:`~_Chain.result`.
+    """
+
+    def decorate(walk: Callable[[_Chain, Any], None]):
+        @functools.wraps(walk)
+        def predict(
+            cfg: Any,
+            *,
+            network: Network,
+            options: Any = None,
+            gamma: float = 0.0,
+            coster: Any = None,
+            a_itemsize: int = 8,
+            b_itemsize: int = 8,
+        ) -> SimResult:
+            coster = _resolve_coster(network, coster)
+            default = (options or _default_options()).bcast
+            bcasts = tuple(alg if alg is not None else default
+                           for alg in overrides(cfg))
+            for alg in bcasts:
+                _refuse_pipelined(family_name, alg)
+            chain = _Chain(coster, network, bcasts, options, gamma,
+                           a_itemsize, b_itemsize)
+            walk(chain, cfg)
+            return chain.result()
+
+        return predict
+
+    return decorate
 
 
-def predict_summa(
-    cfg: Any,
-    *,
-    network: Network,
-    options: Any = None,
-    gamma: float = 0.0,
-    coster: Any = None,
-    a_itemsize: int = 8,
-    b_itemsize: int = 8,
-) -> SimResult:
+@chain_walk("summa", lambda cfg: (cfg.bcast,))
+def predict_summa(chain: _Chain, cfg: Any) -> None:
     """Closed-form prediction of a SUMMA run (``cfg`` as
     :class:`repro.core.summa.SummaConfig`); see the module docstring
     for the fidelity contract."""
-    from repro.blocks.ops import gemm_flops
-
-    coster = _resolve_coster(network, coster)
-    alg = _bcast_alg(cfg.bcast, options)
-    _refuse_pipelined("a SUMMA run", alg)
-    seg = _segments(options)
-    chain = _Chain(coster)
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
-    a_bytes = mloc * cfg.block * a_itemsize
-    b_bytes = cfg.block * nloc * b_itemsize
-    gemm = gemm_flops(mloc, cfg.block, nloc) * gamma
+    a_bytes = mloc * cfg.block * chain.a_itemsize
+    b_bytes = cfg.block * nloc * chain.b_itemsize
+    gemm = chain.gemm_seconds(mloc, cfg.block, nloc)
     for _ in range(cfg.nsteps):
-        chain.collective("bcast", alg, cfg.t, a_bytes, segments=seg, cid0=0)
-        chain.collective("bcast", alg, cfg.s, b_bytes, segments=seg, cid0=1)
+        chain.bcast(cfg.t, a_bytes, 0)
+        chain.bcast(cfg.s, b_bytes, 1)
         chain.compute_seconds(gemm)
-    return chain.result()
 
 
-def predict_hsumma(
-    cfg: Any,
-    *,
-    network: Network,
-    options: Any = None,
-    gamma: float = 0.0,
-    coster: Any = None,
-    a_itemsize: int = 8,
-    b_itemsize: int = 8,
-) -> SimResult:
+@chain_walk("hsumma", lambda cfg: (cfg.outer_bcast, cfg.inner_bcast))
+def predict_hsumma(chain: _Chain, cfg: Any) -> None:
     """Closed-form prediction of an HSUMMA run (``cfg`` as
     :class:`repro.core.hsumma.HSummaConfig`).
 
@@ -317,46 +363,25 @@ def predict_hsumma(
     phases desynchronise ranks within a step; the first unguarded
     inner collective re-synchronises them at the latest arrival).
     """
-    from repro.blocks.ops import gemm_flops
-
-    coster = _resolve_coster(network, coster)
-    outer_alg = _bcast_alg(cfg.outer_bcast, options)
-    inner_alg = _bcast_alg(cfg.inner_bcast, options)
-    _refuse_pipelined("an HSUMMA run", outer_alg)
-    _refuse_pipelined("an HSUMMA run", inner_alg)
-    seg = _segments(options)
-    chain = _Chain(coster)
+    outer_alg, inner_alg = chain.bcasts
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
     si, tj = cfg.inner_s, cfg.inner_t
-    a_outer = mloc * cfg.outer_block * a_itemsize
-    b_outer = cfg.outer_block * nloc * b_itemsize
-    a_inner = mloc * cfg.inner_block * a_itemsize
-    b_inner = cfg.inner_block * nloc * b_itemsize
-    gemm = gemm_flops(mloc, cfg.inner_block, nloc) * gamma
+    a_outer = mloc * cfg.outer_block * chain.a_itemsize
+    b_outer = cfg.outer_block * nloc * chain.b_itemsize
+    a_inner = mloc * cfg.inner_block * chain.a_itemsize
+    b_inner = cfg.inner_block * nloc * chain.b_itemsize
+    gemm = chain.gemm_seconds(mloc, cfg.inner_block, nloc)
     for _ in range(cfg.outer_steps):
-        chain.collective("bcast", outer_alg, cfg.J, a_outer,
-                         segments=seg, cid0=2)
-        chain.collective("bcast", outer_alg, cfg.I, b_outer,
-                         segments=seg, cid0=3)
+        chain.bcast(cfg.J, a_outer, 2, algorithm=outer_alg)
+        chain.bcast(cfg.I, b_outer, 3, algorithm=outer_alg)
         for _ in range(cfg.inner_steps):
-            chain.collective("bcast", inner_alg, tj, a_inner,
-                             segments=seg, cid0=4)
-            chain.collective("bcast", inner_alg, si, b_inner,
-                             segments=seg, cid0=5)
+            chain.bcast(tj, a_inner, 4, algorithm=inner_alg)
+            chain.bcast(si, b_inner, 5, algorithm=inner_alg)
             chain.compute_seconds(gemm)
-    return chain.result()
 
 
-def predict_cyclic(
-    cfg: Any,
-    *,
-    network: Network,
-    options: Any = None,
-    gamma: float = 0.0,
-    coster: Any = None,
-    a_itemsize: int = 8,
-    b_itemsize: int = 8,
-) -> SimResult:
+@chain_walk("cyclic")
+def predict_cyclic(chain: _Chain, cfg: Any) -> None:
     """Closed-form prediction of a block-cyclic (H)SUMMA run (``cfg``
     as :class:`repro.core.cyclic.CyclicConfig`, blocking schedule).
 
@@ -367,102 +392,38 @@ def predict_cyclic(
     split-phase broadcasts through the point-to-point machinery and
     has no closed form here.
     """
-    from repro.blocks.ops import gemm_flops
-
-    coster = _resolve_coster(network, coster)
-    alg = _bcast_alg(None, options)
-    _refuse_pipelined("a block-cyclic run", alg)
-    seg = _segments(options)
-    chain = _Chain(coster)
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
-    a_bytes = mloc * cfg.nb * a_itemsize
-    b_bytes = cfg.nb * nloc * b_itemsize
-    gemm = gemm_flops(mloc, cfg.nb, nloc) * gamma
+    a_bytes = mloc * cfg.nb * chain.a_itemsize
+    b_bytes = cfg.nb * nloc * chain.b_itemsize
+    gemm = chain.gemm_seconds(mloc, cfg.nb, nloc)
     if not cfg.hierarchical:
         for _ in range(cfg.nsteps):
-            chain.collective("bcast", alg, cfg.t, a_bytes,
-                             segments=seg, cid0=0)
-            chain.collective("bcast", alg, cfg.s, b_bytes,
-                             segments=seg, cid0=1)
+            chain.bcast(cfg.t, a_bytes, 0)
+            chain.bcast(cfg.s, b_bytes, 1)
             chain.compute_seconds(gemm)
-        return chain.result()
+        return
     si, tj = cfg.s // cfg.I, cfg.t // cfg.J
     for _ in range(cfg.nsteps):
-        chain.collective("bcast", alg, cfg.J, a_bytes, segments=seg, cid0=2)
-        chain.collective("bcast", alg, tj, a_bytes, segments=seg, cid0=4)
-        chain.collective("bcast", alg, cfg.I, b_bytes, segments=seg, cid0=3)
-        chain.collective("bcast", alg, si, b_bytes, segments=seg, cid0=5)
+        chain.bcast(cfg.J, a_bytes, 2)
+        chain.bcast(tj, a_bytes, 4)
+        chain.bcast(cfg.I, b_bytes, 3)
+        chain.bcast(si, b_bytes, 5)
         chain.compute_seconds(gemm)
-    return chain.result()
 
 
 @dataclasses.dataclass(frozen=True)
-class CannonConfig:
-    """Shape of a Cannon run on a square ``q x q`` torus."""
+class SquareGridConfig:
+    """Shape of a run on a square ``q x q`` tile grid, ``c`` ranks
+    deep: Cannon and Fox (``c = 1``), 2.5D (replication ``c | q``, each
+    layer taking ``q / c`` pivot steps) and the 3-D DNS mesh
+    (``c = q``).  Validated here so a planner-built config fails fast
+    instead of at replay time."""
 
     m: int
     l: int
     n: int
     q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ConfigurationError(f"grid dim must be >= 1, got {self.q}")
-        for label, dim in (("m", self.m), ("l", self.l), ("n", self.n)):
-            if dim % self.q:
-                raise ConfigurationError(
-                    f"{label}={dim} not divisible by grid dim {self.q}")
-
-
-@dataclasses.dataclass(frozen=True)
-class FoxConfig:
-    """Shape of a Fox run on a square ``q x q`` grid."""
-
-    m: int
-    l: int
-    n: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ConfigurationError(f"grid dim must be >= 1, got {self.q}")
-        for label, dim in (("m", self.m), ("l", self.l), ("n", self.n)):
-            if dim % self.q:
-                raise ConfigurationError(
-                    f"{label}={dim} not divisible by grid dim {self.q}")
-
-
-@dataclasses.dataclass(frozen=True)
-class Dns3dConfig:
-    """Shape of a 3-D (DNS) run on a ``q x q x q`` mesh."""
-
-    m: int
-    l: int
-    n: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ConfigurationError(f"mesh dim must be >= 1, got {self.q}")
-        for label, dim in (("m", self.m), ("l", self.l), ("n", self.n)):
-            if dim % self.q:
-                raise ConfigurationError(
-                    f"{label}={dim} not divisible by mesh dim {self.q}")
-
-
-@dataclasses.dataclass(frozen=True)
-class Summa25dConfig:
-    """Shape of a 2.5D run: ``q x q`` layer grid, replication ``c``.
-
-    Mirrors :func:`repro.algorithms.algo25d._layer_grid`'s constraints
-    so a planner-built config fails fast instead of at replay time.
-    """
-
-    m: int
-    l: int
-    n: int
-    q: int
-    c: int
+    c: int = 1
 
     def __post_init__(self) -> None:
         if self.c < 1:
@@ -483,16 +444,16 @@ class Summa25dConfig:
         return self.q * self.q * self.c
 
 
-def predict_cannon(
-    cfg: CannonConfig,
-    *,
-    network: Network,
-    options: Any = None,
-    gamma: float = 0.0,
-    coster: Any = None,
-    a_itemsize: int = 8,
-    b_itemsize: int = 8,
-) -> SimResult:
+def _square_tiles(chain: _Chain, cfg: SquareGridConfig
+                  ) -> tuple[int, int, int, int, int]:
+    """``(mloc, lloc, nloc, a_bytes, b_bytes)`` of one rank's tiles."""
+    mloc, lloc, nloc = cfg.m // cfg.q, cfg.l // cfg.q, cfg.n // cfg.q
+    return (mloc, lloc, nloc, mloc * lloc * chain.a_itemsize,
+            lloc * nloc * chain.b_itemsize)
+
+
+@chain_walk("cannon")
+def predict_cannon(chain: _Chain, cfg: SquareGridConfig) -> None:
     """Closed-form prediction of a Cannon run.
 
     The chain follows a doubly-interior rank (``i >= 1, j >= 1``):
@@ -504,16 +465,9 @@ def predict_cannon(
     phase floats differently on the boundary ranks, hence the
     documented 1e-9 relative tolerance on comm.
     """
-    from repro.blocks.ops import gemm_flops
-
-    coster = _resolve_coster(network, coster)
-    _refuse_pipelined("Cannon's algorithm", _bcast_alg(None, options))
-    chain = _Chain(coster, network)
     q = cfg.q
-    mloc, lloc, nloc = cfg.m // q, cfg.l // q, cfg.n // q
-    a_bytes = mloc * lloc * a_itemsize
-    b_bytes = lloc * nloc * b_itemsize
-    gemm = gemm_flops(mloc, lloc, nloc) * gamma
+    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(chain, cfg)
+    gemm = chain.gemm_seconds(mloc, lloc, nloc)
     if q > 1:
         chain.p2p(a_bytes)  # skew A
         chain.p2p(b_bytes)  # skew B
@@ -523,19 +477,10 @@ def predict_cannon(
             break
         chain.p2p(a_bytes)  # shift A
         chain.p2p(b_bytes)  # shift B
-    return chain.result()
 
 
-def predict_fox(
-    cfg: FoxConfig,
-    *,
-    network: Network,
-    options: Any = None,
-    gamma: float = 0.0,
-    coster: Any = None,
-    a_itemsize: int = 8,
-    b_itemsize: int = 8,
-) -> SimResult:
+@chain_walk("fox")
+def predict_fox(chain: _Chain, cfg: SquareGridConfig) -> None:
     """Closed-form prediction of a Fox run.
 
     Fully lockstep: every round is a row broadcast of the pivot A
@@ -543,37 +488,19 @@ def predict_fox(
     floats on every rank, so total, compute *and* comm replay
     bit-identically.
     """
-    from repro.blocks.ops import gemm_flops
-
-    coster = _resolve_coster(network, coster)
-    alg = _bcast_alg(None, options)
-    _refuse_pipelined("Fox's algorithm", alg)
-    seg = _segments(options)
-    chain = _Chain(coster, network)
     q = cfg.q
-    mloc, lloc, nloc = cfg.m // q, cfg.l // q, cfg.n // q
-    a_bytes = mloc * lloc * a_itemsize
-    b_bytes = lloc * nloc * b_itemsize
-    gemm = gemm_flops(mloc, lloc, nloc) * gamma
+    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(chain, cfg)
+    gemm = chain.gemm_seconds(mloc, lloc, nloc)
     for k in range(q):
-        chain.collective("bcast", alg, q, a_bytes, segments=seg, cid0=0)
+        chain.bcast(q, a_bytes, 0)
         chain.compute_seconds(gemm)
         if k == q - 1:
             break
         chain.p2p(b_bytes)  # roll B
-    return chain.result()
 
 
-def predict_dns3d(
-    cfg: Dns3dConfig,
-    *,
-    network: Network,
-    options: Any = None,
-    gamma: float = 0.0,
-    coster: Any = None,
-    a_itemsize: int = 8,
-    b_itemsize: int = 8,
-) -> SimResult:
+@chain_walk("3d")
+def predict_dns3d(chain: _Chain, cfg: SquareGridConfig) -> None:
     """Closed-form prediction of a 3-D (DNS) run.
 
     The chain follows rank ``(k, k, k)`` (``k >= 1``), which receives
@@ -583,39 +510,20 @@ def predict_dns3d(
     starts at the (global) gemm finish, so the final clock is
     ``total_time`` bit-for-bit.
     """
-    from repro.blocks.ops import gemm_flops
-
-    coster = _resolve_coster(network, coster)
-    alg = _bcast_alg(None, options)
-    _refuse_pipelined("the 3-D (DNS) algorithm", alg)
-    seg = _segments(options)
-    chain = _Chain(coster, network)
     q = cfg.q
-    mloc, lloc, nloc = cfg.m // q, cfg.l // q, cfg.n // q
-    a_bytes = mloc * lloc * a_itemsize
-    b_bytes = lloc * nloc * b_itemsize
+    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(chain, cfg)
     if q > 1:
         chain.p2p(a_bytes)  # route A (i,j,0) -> (i,j,j)
-    chain.collective("bcast", alg, q, a_bytes, segments=seg, cid0=0)
+    chain.bcast(q, a_bytes, 0)
     if q > 1:
         chain.p2p(b_bytes)  # route B (i,j,0) -> (i,j,i)
-    chain.collective("bcast", alg, q, b_bytes, segments=seg, cid0=1)
-    chain.compute_seconds(gemm_flops(mloc, lloc, nloc) * gamma)
-    chain.collective("reduce", _reduce_alg(options), q,
-                     mloc * nloc * 8, cid0=2)
-    return chain.result()
+    chain.bcast(q, b_bytes, 1)
+    chain.compute_seconds(chain.gemm_seconds(mloc, lloc, nloc))
+    chain.reduce(q, mloc * nloc * 8, 2)
 
 
-def predict_summa25d(
-    cfg: Summa25dConfig,
-    *,
-    network: Network,
-    options: Any = None,
-    gamma: float = 0.0,
-    coster: Any = None,
-    a_itemsize: int = 8,
-    b_itemsize: int = 8,
-) -> SimResult:
+@chain_walk("2.5d")
+def predict_summa25d(chain: _Chain, cfg: SquareGridConfig) -> None:
     """Closed-form prediction of a 2.5D run.
 
     Fully lockstep: two layer-axis replication broadcasts, then each
@@ -624,24 +532,13 @@ def predict_summa25d(
     performs the same floats, so total, compute and comm replay
     bit-identically against the macro backend.
     """
-    from repro.blocks.ops import gemm_flops
-
-    coster = _resolve_coster(network, coster)
-    alg = _bcast_alg(None, options)
-    _refuse_pipelined("the 2.5D algorithm", alg)
-    seg = _segments(options)
-    chain = _Chain(coster, network)
     q, c = cfg.q, cfg.c
-    mloc, lloc, nloc = cfg.m // q, cfg.l // q, cfg.n // q
-    a_bytes = mloc * lloc * a_itemsize
-    b_bytes = lloc * nloc * b_itemsize
-    gemm = gemm_flops(mloc, lloc, nloc) * gamma
-    chain.collective("bcast", alg, c, a_bytes, segments=seg, cid0=0)
-    chain.collective("bcast", alg, c, b_bytes, segments=seg, cid0=0)
+    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(chain, cfg)
+    gemm = chain.gemm_seconds(mloc, lloc, nloc)
+    chain.bcast(c, a_bytes, 0)
+    chain.bcast(c, b_bytes, 0)
     for _ in range(q // c):
-        chain.collective("bcast", alg, q, a_bytes, segments=seg, cid0=1)
-        chain.collective("bcast", alg, q, b_bytes, segments=seg, cid0=2)
+        chain.bcast(q, a_bytes, 1)
+        chain.bcast(q, b_bytes, 2)
         chain.compute_seconds(gemm)
-    chain.collective("reduce", _reduce_alg(options), c,
-                     mloc * nloc * 8, cid0=0)
-    return chain.result()
+    chain.reduce(c, mloc * nloc * 8, 0)

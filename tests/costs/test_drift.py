@@ -1,8 +1,8 @@
 """Anti-drift tests: the SUMMA/HSUMMA/broadcast closed forms live in
-exactly one module (`repro.costs`), and every consumer — the models
-layer, the collectives layer, the macro costers and the predictor —
-delegates to it.  If someone re-introduces a local copy of a formula,
-these tests fail."""
+exactly one package (`repro.costs`), and every consumer that still
+carries a second name for one — the collectives front-end, the
+optimizer — delegates to it.  If someone re-introduces a local copy of
+a formula, these tests fail."""
 
 
 import pytest
@@ -10,37 +10,17 @@ import pytest
 from repro import costs
 from repro.collectives import cost as collectives_cost
 from repro.costs.registry import BCAST_ENTRIES, SMOOTH_MODELS
-from repro.models import broadcast_model, hsumma_model, summa_model
 from repro.network.model import HockneyParams
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 
 
 class TestSingleSourceOfTruth:
-    def test_models_broadcast_objects_are_registry_objects(self):
-        """The smooth models re-exported by the models layer ARE the
-        registry's objects (identity, not equal copies)."""
-        assert broadcast_model.BINOMIAL_MODEL is SMOOTH_MODELS["binomial"]
-        assert broadcast_model.VANDEGEIJN_MODEL is SMOOTH_MODELS["vandegeijn"]
-        assert broadcast_model.FLAT_MODEL is SMOOTH_MODELS["flat"]
-        for name, model in broadcast_model.MODELS.items():
-            assert model is SMOOTH_MODELS[name]
-
     def test_collectives_factor_functions_are_registry_functions(self):
         assert (collectives_cost.bcast_latency_factor
                 is costs.bcast_latency_factor)
         assert (collectives_cost.bcast_bandwidth_factor
                 is costs.bcast_bandwidth_factor)
-
-    def test_model_closed_forms_are_registry_functions(self):
-        assert (summa_model.summa_communication_cost
-                is costs.summa_communication_cost)
-        assert (summa_model.summa_computation_cost
-                is costs.summa_computation_cost)
-        assert (hsumma_model.hsumma_communication_cost
-                is costs.hsumma_communication_cost)
-        assert (hsumma_model.hsumma_optimal_vdg_cost
-                is costs.hsumma_optimal_vdg_cost)
 
     def test_optimizer_reexports_are_registry_functions(self):
         from repro.models import optimizer
@@ -52,7 +32,7 @@ class TestSingleSourceOfTruth:
 
     def test_no_closed_forms_left_in_front_ends(self):
         """The collectives front-end holds no arithmetic of its own:
-        its `collective_time` is a thin shim over `costs.estimate`."""
+        its `collective_time` is a thin adapter over `costs.estimate`."""
         import inspect
 
         src = inspect.getsource(collectives_cost)

@@ -11,7 +11,7 @@ from repro.experiments.tables import (
     table2,
     validate_model,
 )
-from repro.models.broadcast_model import BINOMIAL_MODEL, VANDEGEIJN_MODEL
+from repro.costs import BINOMIAL_MODEL, VANDEGEIJN_MODEL
 
 
 class TestCostTable:

@@ -4,12 +4,10 @@ import math
 
 import pytest
 
-from repro.models.broadcast_model import (
-    BINOMIAL_MODEL,
-    FLAT_MODEL,
-    MODELS,
-    VANDEGEIJN_MODEL,
-)
+from repro.costs import BINOMIAL_MODEL, SMOOTH_MODELS, VANDEGEIJN_MODEL
+
+FLAT_MODEL = SMOOTH_MODELS["flat"]
+MODELS = SMOOTH_MODELS
 
 
 class TestModelIdentities:

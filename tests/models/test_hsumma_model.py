@@ -4,15 +4,16 @@ import math
 
 import pytest
 
-from repro.errors import ModelError
-from repro.models.broadcast_model import BINOMIAL_MODEL, VANDEGEIJN_MODEL
-from repro.models.hsumma_model import (
+from repro.costs import (
+    BINOMIAL_MODEL,
+    VANDEGEIJN_MODEL,
     hsumma_bandwidth_factor,
     hsumma_communication_cost,
     hsumma_latency_factor,
     hsumma_optimal_vdg_cost,
+    summa_communication_cost,
 )
-from repro.models.summa_model import summa_communication_cost
+from repro.errors import ModelError
 
 
 class TestDegenerationIdentity:

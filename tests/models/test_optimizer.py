@@ -4,7 +4,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.models.broadcast_model import BINOMIAL_MODEL, VANDEGEIJN_MODEL
+from repro.costs import BINOMIAL_MODEL, VANDEGEIJN_MODEL
 from repro.models.optimizer import (
     critical_ratio,
     hsumma_beats_summa,

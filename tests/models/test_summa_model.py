@@ -4,14 +4,15 @@ import math
 
 import pytest
 
-from repro.errors import ModelError
-from repro.models.broadcast_model import BINOMIAL_MODEL, VANDEGEIJN_MODEL
-from repro.models.summa_model import (
+from repro.costs import (
+    BINOMIAL_MODEL,
+    VANDEGEIJN_MODEL,
     summa_bandwidth_factor,
     summa_communication_cost,
     summa_computation_cost,
     summa_latency_factor,
 )
+from repro.errors import ModelError
 
 
 class TestSummaModel:

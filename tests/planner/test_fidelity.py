@@ -24,7 +24,7 @@ from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.planner import PlanQuery, PlanService
 from repro.simulator.predictor import (
-    Summa25dConfig,
+    SquareGridConfig,
     predict_hsumma,
     predict_summa,
     predict_summa25d,
@@ -39,7 +39,7 @@ def _rebuild_config(result, rq):
         return SummaConfig(m=n, l=n, n=n, s=s, t=t,
                            block=params["block"], bcast=params["bcast"])
     if result.algorithm == "2.5d":
-        return Summa25dConfig(m=n, l=n, n=n, q=s,
+        return SquareGridConfig(m=n, l=n, n=n, q=s,
                               c=params["replication"])
     I, J = params["group_grid"]
     return HSummaConfig(
@@ -127,7 +127,7 @@ class TestPredictorFidelity:
         adv = result.advisory["25d"]
         assert adv["backend"] == "predictor"
         side = math.isqrt(rq.p // adv["replication"])
-        cfg = Summa25dConfig(m=rq.n, l=rq.n, n=rq.n, q=side,
+        cfg = SquareGridConfig(m=rq.n, l=rq.n, n=rq.n, q=side,
                              c=adv["replication"])
         network = HomogeneousNetwork(rq.p, HockneyParams(rq.alpha, rq.beta))
         st = predict_summa25d(cfg, network=network, gamma=rq.gamma,

@@ -14,14 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blocks.distribution import BlockDistribution
 from repro.collectives import BROADCAST_ALGORITHMS
-from repro.models.broadcast_model import BINOMIAL_MODEL, VANDEGEIJN_MODEL
-from repro.models.hsumma_model import hsumma_communication_cost
+from repro.costs import (
+    BINOMIAL_MODEL,
+    VANDEGEIJN_MODEL,
+    hsumma_communication_cost,
+    summa_communication_cost,
+)
 from repro.models.optimizer import (
     critical_ratio,
     predicted_extremum_kind,
     vdg_cost_derivative,
 )
-from repro.models.summa_model import summa_communication_cost
 from repro.network.model import HockneyParams
 from repro.payloads import join_payload, split_payload
 from repro.simulator import run_spmd
