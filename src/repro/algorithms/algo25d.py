@@ -17,6 +17,7 @@ the comparison apples-to-apples with SUMMA/HSUMMA (see DESIGN.md).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Generator
 
 from repro.blocks.ops import local_gemm_acc, zeros_like_result
@@ -25,7 +26,9 @@ from repro.core.launch import (
     collapse,
     launch,
     product_dims,
+    Shape,
     square_layout,
+    square_side,
 )
 from repro.errors import ConfigurationError
 from repro.mpi.comm import MpiContext
@@ -107,15 +110,20 @@ def run_25d(
     ``**run`` are the shared run options documented on
     :func:`repro.core.launch.launch`.
     """
-    q = _layer_grid(nprocs, replication)
-    m, l, n = product_dims(A, B)
-    cfg = SquareGridConfig(m=m, l=l, n=n, q=q, c=replication)
+    _, cfg = _configure(*product_dims(A, B),
+                        Shape(nprocs=nprocs, replication=replication))
     return launch(SUMMA25D, cfg, A, B, **run)
 
 
-def _configure(m: int, l: int, n: int, *, s: int, replication: int = 1,
-               **_: Any) -> SquareGridConfig:
-    return SquareGridConfig(m=m, l=l, n=n, q=s, c=replication)
+def _configure(m: int, l: int, n: int,
+               shape: Shape) -> tuple[Shape, SquareGridConfig]:
+    """The grid is one layer's ``q x q``, from ``nprocs = q^2 * c``."""
+    c = shape.replication or 1
+    shape = shape.resolve("2.5d", l, "replication",
+                          grid_of=lambda p: (_layer_grid(p, c),) * 2)
+    q = square_side("a 2.5D layer", shape)
+    return (dataclasses.replace(shape, replication=c),
+            SquareGridConfig(m=m, l=l, n=n, q=q, c=c))
 
 
 SUMMA25D = AlgorithmSpec(

@@ -17,9 +17,10 @@ from repro.core.launch import (
     collapse,
     launch,
     product_dims,
+    Shape,
     square_layout,
+    square_side,
 )
-from repro.errors import ConfigurationError
 from repro.mpi.cart import CartComm
 from repro.mpi.comm import MpiContext
 from repro.simulator.predictor import SquareGridConfig, predict_cannon
@@ -93,13 +94,15 @@ def run_cannon(
     square.  ``**run`` are the shared run options documented on
     :func:`repro.core.launch.launch`."""
     s, t = grid
-    if s != t:
-        raise ConfigurationError(
-            f"Cannon requires a square grid, got {s}x{t} "
-            "(this is the restriction SUMMA lifted)"
-        )
-    m, l, n = product_dims(A, B)
-    return launch(CANNON, SquareGridConfig(m=m, l=l, n=n, q=s), A, B, **run)
+    _, cfg = _configure(*product_dims(A, B), Shape(s=s, t=t))
+    return launch(CANNON, cfg, A, B, **run)
+
+
+def _configure(m: int, l: int, n: int,
+               shape: Shape) -> tuple[Shape, SquareGridConfig]:
+    shape = shape.resolve("cannon", l)
+    q = square_side("Cannon", shape)
+    return shape, SquareGridConfig(m=m, l=l, n=n, q=q)
 
 
 CANNON = AlgorithmSpec(
@@ -109,4 +112,5 @@ CANNON = AlgorithmSpec(
     layout=square_layout,
     symmetry=lambda cfg: collapse().cannon_symmetry(cfg.q),
     predict=predict_cannon,
+    configure=_configure,
 )

@@ -27,7 +27,9 @@ from repro.core.launch import (
     collapse,
     launch,
     product_dims,
+    Shape,
     square_layout,
+    square_side,
 )
 from repro.errors import ConfigurationError
 from repro.mpi.comm import MpiContext
@@ -122,10 +124,17 @@ def run_dns3d(
     """Multiply ``A @ B`` with the 3-D algorithm on ``nprocs = q^3``
     ranks.  ``**run`` are the shared run options documented on
     :func:`repro.core.launch.launch`."""
-    q = _cube_root(nprocs)
-    m, l, n = product_dims(A, B)
-    cfg = SquareGridConfig(m=m, l=l, n=n, q=q, c=q)
+    _, cfg = _configure(*product_dims(A, B), Shape(nprocs=nprocs))
     return launch(DNS3D, cfg, A, B, **run)
+
+
+def _configure(m: int, l: int, n: int,
+               shape: Shape) -> tuple[Shape, SquareGridConfig]:
+    """The grid is the mesh's ``q x q`` front face, ``q`` the cube root
+    of the rank count."""
+    shape = shape.resolve("3d", l, grid_of=lambda p: (_cube_root(p),) * 2)
+    q = square_side("the 3-D algorithm's front face", shape)
+    return shape, SquareGridConfig(m=m, l=l, n=n, q=q, c=q)
 
 
 DNS3D = AlgorithmSpec(
@@ -135,4 +144,5 @@ DNS3D = AlgorithmSpec(
     layout=square_layout,
     symmetry=lambda cfg: collapse().dns3d_symmetry(cfg.q),
     predict=predict_dns3d,
+    configure=_configure,
 )

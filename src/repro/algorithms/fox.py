@@ -16,9 +16,10 @@ from repro.core.launch import (
     collapse,
     launch,
     product_dims,
+    Shape,
     square_layout,
+    square_side,
 )
-from repro.errors import ConfigurationError
 from repro.mpi.cart import CartComm
 from repro.mpi.comm import MpiContext
 from repro.simulator.predictor import SquareGridConfig, predict_fox
@@ -66,10 +67,15 @@ def run_fox(
     square.  ``**run`` are the shared run options documented on
     :func:`repro.core.launch.launch`."""
     s, t = grid
-    if s != t:
-        raise ConfigurationError(f"Fox requires a square grid, got {s}x{t}")
-    m, l, n = product_dims(A, B)
-    return launch(FOX, SquareGridConfig(m=m, l=l, n=n, q=s), A, B, **run)
+    _, cfg = _configure(*product_dims(A, B), Shape(s=s, t=t))
+    return launch(FOX, cfg, A, B, **run)
+
+
+def _configure(m: int, l: int, n: int,
+               shape: Shape) -> tuple[Shape, SquareGridConfig]:
+    shape = shape.resolve("fox", l)
+    q = square_side("Fox", shape)
+    return shape, SquareGridConfig(m=m, l=l, n=n, q=q)
 
 
 FOX = AlgorithmSpec(
@@ -79,4 +85,5 @@ FOX = AlgorithmSpec(
     layout=square_layout,
     symmetry=lambda cfg: collapse().fox_symmetry(cfg.q),
     predict=predict_fox,
+    configure=_configure,
 )

@@ -159,17 +159,14 @@ def _cmd_lu(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.core.overlap import run_summa_overlap
-    from repro.core.summa import run_summa
+    from repro.core.api import multiply
     from repro.experiments.timeline import render_timeline
     from repro.payloads import PhantomArray
-    from repro.util.gridmath import factor_grid
 
     n = args.n
-    run = run_summa_overlap if args.overlap else run_summa
-    _, sim = run(PhantomArray((n, n)), PhantomArray((n, n)),
-                 grid=factor_grid(args.procs), block=args.block,
-                 gamma=args.gamma, trace=True)
+    sim = multiply(PhantomArray((n, n)), PhantomArray((n, n)),
+                   nprocs=args.procs, algorithm="summa", block=args.block,
+                   overlap=args.overlap, gamma=args.gamma, trace=True).sim
     schedule = "overlapped" if args.overlap else "bulk-synchronous"
     print(f"{schedule} SUMMA, n={n}, p={args.procs}, b={args.block} "
           f"(total {sim.total_time:.4g}s)")
@@ -178,9 +175,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core.hsumma import run_hsumma
-    from repro.core.summa import run_summa
-    from repro.errors import ConfigurationError
+    from repro.core.launch import family, launch, Shape
     from repro.experiments.timeline import render_phase_timeline
     from repro.metrics import (
         critical_path,
@@ -189,23 +184,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
     from repro.payloads import PhantomArray
-    from repro.util.gridmath import factor_grid
 
-    grid = factor_grid(args.procs)
-    A = PhantomArray((args.n, args.n))
-    B = PhantomArray((args.n, args.n))
-    if args.algo == "summa":
-        _, sim = run_summa(A, B, grid=grid, block=args.block,
-                           gamma=args.gamma, trace=True)
-        setting = f"grid {grid[0]}x{grid[1]}, b={args.block}"
-    elif args.algo == "hsumma":
-        groups = args.groups if args.groups is not None else _isqrt(args.procs)
-        _, sim = run_hsumma(A, B, grid=grid, groups=groups,
-                            outer_block=args.block, gamma=args.gamma,
-                            trace=True)
-        setting = f"grid {grid[0]}x{grid[1]}, G={groups}, B=b={args.block}"
-    else:  # argparse choices guard this
-        raise ConfigurationError(f"unknown algorithm {args.algo!r}")
+    n = args.n
+    row = family(args.algo)  # argparse choices guard the name
+    shape, cfg = row.configure(n, n, n, Shape(
+        nprocs=args.procs, block=args.block, groups=args.groups))
+    _, sim = launch(row, cfg, PhantomArray((n, n)), PhantomArray((n, n)),
+                    gamma=args.gamma, trace=True)
+    setting = ", ".join(f"{key}={value}"
+                        for key, value in shape.params().items())
 
     try:
         write_chrome_trace(sim, args.out)
@@ -234,12 +221,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print()
         print(critical_path(sim).to_table())
     return 0
-
-
-def _isqrt(p: int) -> int:
-    import math
-
-    return max(1, math.isqrt(p))
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -458,7 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul = sub.add_parser("multiply", help="run one simulated multiply")
     p_mul.add_argument("--n", type=int, default=4096)
     p_mul.add_argument("--procs", type=int, default=64)
-    p_mul.add_argument("--block", type=int, default=64)
+    p_mul.add_argument(
+        "--block", type=int, default=None,
+        help="pivot block; default: the family's largest valid block "
+             "(families without one reject the flag)",
+    )
     p_mul.add_argument("--algorithm", default="hsumma")
     p_mul.add_argument("--groups", type=int, default=None)
     p_mul.add_argument(

@@ -38,6 +38,10 @@ DEFAULT_SIZES: tuple[tuple[int, int], ...] = (
 )
 
 
+#: The family an unpinned job runs under FIFO/EASY.
+DEFAULT_ALGORITHM = "summa"
+
+
 @dataclasses.dataclass(frozen=True)
 class JobSpec:
     """One multiply request in a stream.

@@ -1,12 +1,12 @@
 """From a scheduled launch to fresh rank programs.
 
 A :class:`LaunchSpec` is everything the scheduler decided about *how*
-one job runs — algorithm, grid shape, blocking, broadcast family, and
-the runtime estimate its decision was based on.  :func:`build_programs`
-turns (job, spec) into the list of per-rank generators one attempt
-executes; the cluster engine calls it once per attempt so retries start
-from pristine state, and the bit-identity test calls it directly to run
-the same programs on a standalone engine.
+one job runs — the family, the shape it runs at (grid, blocking,
+broadcast family), and the runtime estimate its decision was based on.
+:func:`build_programs` turns (job, spec) into the list of per-rank
+generators one attempt executes; the cluster engine calls it once per
+attempt so retries start from pristine state, and the bit-identity test
+calls it directly to run the same programs on a standalone engine.
 
 Jobs execute at DES fidelity only.  The macro backend's collapsed fast
 path keys its pending-collective table by (collective id, sequence),
@@ -20,39 +20,27 @@ import dataclasses
 import math
 from typing import Any
 
-from repro.cluster.jobs import JobSpec
-from repro.core.launch import FAMILIES, family, rank_programs
+from repro.cluster.jobs import DEFAULT_ALGORITHM, JobSpec
+from repro.core.launch import FAMILIES, family, rank_programs, Shape
 from repro.errors import ConfigurationError
 from repro.mpi.comm import CollectiveOptions
 from repro.payloads import PhantomArray
-from repro.util.gridmath import factor_grid
 
 
 @dataclasses.dataclass(frozen=True)
-class LaunchSpec:
-    """How one job will run, as decided by a scheduler.
-
-    ``algorithm`` names a :data:`repro.core.launch.FAMILIES` row; the
-    shape fields use the planner's vocabulary (``block`` is the SUMMA
-    pivot block / HSUMMA outer block ``B``, ``inner_block`` HSUMMA's
-    ``b``, 0 meaning ``b = B``) and are handed to the family's
-    ``configure``, which validates them.  ``predicted`` is the
+class LaunchSpec(Shape):
+    """How one job will run, as decided by a scheduler: a
+    :data:`repro.core.launch.FAMILIES` row, the
+    :class:`~repro.core.launch.Shape` it runs at (handed to the
+    family's ``configure``, which validates it) and ``predicted``, the
     scheduler's runtime estimate in virtual seconds (closed-form
     planner estimate or the crude Hockney model); EASY-backfill
-    reservations and the planner's shortest-first ordering both
-    consume it.  ``s * t`` must equal the job's ``p``.
+    reservations and the planner's shortest-first ordering both consume
+    it.  The grid must be set, and ``s * t`` equal the job's ``p``.
     """
 
-    algorithm: str
-    s: int
-    t: int
-    block: int
-    predicted: float
-    groups: tuple[int, int] | None = None   # HSUMMA (I, J)
-    inner_block: int = 0
-    bcast: str | None = None
-    outer_bcast: str | None = None
-    segments: int | None = None
+    algorithm: str = dataclasses.field(kw_only=True)
+    predicted: float = dataclasses.field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.algorithm not in FAMILIES:
@@ -60,22 +48,11 @@ class LaunchSpec:
                 f"launch algorithm must be one of {tuple(FAMILIES)}, "
                 f"got {self.algorithm!r}"
             )
-        if self.s < 1 or self.t < 1 or self.block < 1:
+        if (self.s or 0) < 1 or (self.t or 0) < 1:
             raise ConfigurationError(
-                f"launch needs s, t, block >= 1; got "
-                f"s={self.s}, t={self.t}, block={self.block}"
+                f"launch needs a grid with s, t >= 1; got "
+                f"s={self.s}, t={self.t}"
             )
-
-
-def default_block(n: int, s: int, t: int) -> int:
-    """Largest pivot block valid for an ``n``-sized SUMMA on ``s x t``:
-    ``gcd(n // s, n // t)`` divides both tile extents and hence ``n``."""
-    return math.gcd(n // s, n // t)
-
-
-def default_launch_shape(job: JobSpec) -> tuple[int, int]:
-    """Most-square grid for a job's rank count (FIFO/EASY default)."""
-    return factor_grid(job.p)
 
 
 def estimate_run_seconds(
@@ -98,31 +75,16 @@ def estimate_run_seconds(
 
 def naive_launch(job: JobSpec, *, alpha: float, beta: float,
                  gamma: float) -> LaunchSpec:
-    """The launch FIFO/EASY use: most-square grid, largest valid block,
-    library-default broadcasts.  Jobs pinned to ``hsumma`` get the
-    group count nearest ``sqrt(p)`` (the paper's analytic optimum for
-    square grids); everything else runs SUMMA."""
-    s, t = default_launch_shape(job)
-    if job.n % s or job.n % t:
-        raise ConfigurationError(
-            f"job {job.jid}: grid {s}x{t} does not tile n={job.n}"
-        )
-    block = default_block(job.n, s, t)
-    predicted = estimate_run_seconds(job.n, job.p, s, t, block,
-                                     alpha, beta, gamma)
-    if job.algorithm == "hsumma":
-        from repro.core.grouping import choose_group_grid, valid_group_counts
-
-        counts = valid_group_counts(s, t)
-        target = math.sqrt(job.p)
-        G = min(counts, key=lambda g: (abs(g - target), g))
-        return LaunchSpec(
-            algorithm="hsumma", s=s, t=t, block=block,
-            groups=choose_group_grid(s, t, G), predicted=predicted,
-        )
-    return LaunchSpec(
-        algorithm="summa", s=s, t=t, block=block, predicted=predicted,
-    )
+    """The launch FIFO/EASY use: the pinned family (SUMMA when the job
+    pins none) at its own defaults for the job's rank count —
+    most-square grid, largest valid block, library-default broadcasts
+    and, for ``hsumma``, the group count nearest ``sqrt(p)``."""
+    name = job.algorithm or DEFAULT_ALGORITHM
+    shape, _ = family(name).configure(job.n, job.n, job.n,
+                                      Shape(nprocs=job.p))
+    predicted = estimate_run_seconds(job.n, job.p, shape.s, shape.t,
+                                     shape.block, alpha, beta, gamma)
+    return LaunchSpec(**vars(shape), algorithm=name, predicted=predicted)
 
 
 def launchable(plan: Any) -> bool:
@@ -140,18 +102,8 @@ def launch_from_plan(job: JobSpec, plan: Any) -> LaunchSpec:
             f"job {job.jid}: plan algorithm {plan.algorithm!r} is not "
             "launchable on the stream simulator"
         )
-    params = plan.params
-    s, t = params["grid"]
-    return LaunchSpec(
-        algorithm=plan.algorithm, s=s, t=t,
-        block=params["block"],
-        inner_block=params.get("inner_block", 0),
-        groups=tuple(params.get("group_grid") or ()) or None,
-        bcast=params.get("bcast"),
-        outer_bcast=params.get("outer_bcast"),
-        segments=params.get("segments"),
-        predicted=plan.predicted_time,
-    )
+    return LaunchSpec.from_params(plan.params, algorithm=plan.algorithm,
+                                  predicted=plan.predicted_time)
 
 
 def build_programs(job: JobSpec, spec: LaunchSpec, *, gamma: float = 0.0,
@@ -174,12 +126,9 @@ def build_programs(job: JobSpec, spec: LaunchSpec, *, gamma: float = 0.0,
         opts = opts.replace(bcast=spec.bcast)
     if spec.segments is not None:
         opts = opts.replace(bcast_segments=spec.segments)
-    algorithm = family(spec.algorithm)
-    cfg = algorithm.configure(
-        n, n, n, s=spec.s, t=spec.t, block=spec.block,
-        inner_block=spec.inner_block, groups=spec.groups,
-        bcast=spec.bcast, outer_bcast=spec.outer_bcast,
-    )
+    row = family(spec.algorithm)
+    shape, cfg = row.configure(n, n, n, spec)
+    algorithm = row.variant(shape)
     layout = algorithm.layout(cfg)
     return rank_programs(
         algorithm, cfg, layout.nranks,

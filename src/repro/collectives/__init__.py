@@ -41,7 +41,7 @@ from repro.collectives.extra import (
     reduce_scatter_ring,
 )
 from repro.collectives.reduce import allreduce_rd, reduce_binomial, reduce_flat
-from repro.collectives.cost import (
+from repro.costs import (
     bcast_bandwidth_factor,
     bcast_latency_factor,
     bcast_time,

@@ -6,7 +6,7 @@ root is always relative rank 0.  Internal messages use the reserved
 negative tag :data:`TAG_BCAST`.
 
 Cost recap under Hockney (``p`` ranks, message ``m`` bytes), matching
-:mod:`repro.collectives.cost`:
+:func:`repro.costs.bcast_time`:
 
 ==============  =======================================================
 flat            ``(p-1) * (alpha + m*beta)``

@@ -11,10 +11,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from repro.core.launch import FAMILIES, family, launch
+from repro.core.launch import FAMILIES, family, launch, product_dims, Shape
 from repro.errors import ConfigurationError
 from repro.simulator.tracing import SimResult
-from repro.util.gridmath import factor_grid
 
 
 @dataclasses.dataclass
@@ -31,7 +30,9 @@ class MatmulResult:
     algorithm:
         Registry name of the algorithm that ran.
     parameters:
-        Echo of the run parameters (grid, blocks, groups, ...).
+        The run's resolved :class:`~repro.core.launch.Shape` as a dict
+        (grid, blocks, groups, ...: what was given plus the family's
+        defaults).
     """
 
     C: Any
@@ -95,23 +96,30 @@ def multiply(
     algorithm:
         One of :data:`ALGORITHMS`.
     block:
-        Pivot block size (SUMMA ``b`` / HSUMMA outer ``B`` / Fox-Cannon
-        tile step).  Defaults to the largest valid block.
+        Pivot block size (SUMMA ``b`` / HSUMMA outer ``B`` / cyclic
+        ``nb``).  Defaults to the largest valid block.
     groups:
-        HSUMMA group count ``G`` or explicit ``(I, J)``; defaults to
-        ``sqrt(p)`` rounded to a valid count (the paper's optimum).
+        HSUMMA/cyclic group count ``G`` or explicit ``(I, J)``; HSUMMA
+        defaults to the valid count nearest ``sqrt(p)`` (the paper's
+        optimum), cyclic to the flat ``(1, 1)``.
     inner_block:
         HSUMMA inner block ``b`` (defaults to ``block``).
     replication:
-        2.5D replication factor ``c``.
+        2.5D replication factor ``c`` (defaults to 1).
     overlap:
         Use the one-step-lookahead schedule (summa/hsumma/cyclic only),
         hiding communication behind the gemm.
+
+    These are the fields of one :class:`~repro.core.launch.Shape`; the
+    family's ``configure`` fills in the defaults above and raises a
+    :class:`~repro.errors.ConfigurationError` naming any argument the
+    family does not take (``block`` for Cannon, ``replication`` for
+    SUMMA, ...) instead of dropping it.
     network, params, gamma, options, backend, faults, verify, **kwargs:
         The shared run options, documented once on
         :func:`repro.core.launch.launch` (``kwargs`` carries the rest:
-        ``bcast_segments``, ``contention``, ``trace`` and any
-        family-specific runner parameter such as ``bcast``).  Every
+        ``bcast_segments``, ``contention``, ``trace``, and the
+        ``bcast``/``outer_bcast`` shape fields).  Every
         family accepts all of them; ``backend="predictor"`` prices
         every family in :data:`ALGORITHMS` without overlap (phantom
         inputs only).  ``serial`` uses ``gamma`` alone.
@@ -133,129 +141,18 @@ def multiply(
         C, sim = run_serial(A, B, gamma=gamma)
         return MatmulResult(C, sim, algorithm, {"gamma": gamma})
 
-    if algorithm in ("3d", "2.5d"):
-        if nprocs is None:
-            raise ConfigurationError(f"{algorithm} needs nprocs")
-    elif grid is None:
-        if nprocs is None:
-            raise ConfigurationError("pass either nprocs or grid")
-        grid = factor_grid(nprocs)
-    if grid is not None:
-        s, t = grid
-    common = dict(network=network, params=params, gamma=gamma, options=options,
-                  backend=backend, faults=faults, verify=verify)
-    m, l = A.shape
-    n = B.shape[1]
-
-    if algorithm == "summa":
-        if overlap:
-            from repro.core.overlap import run_summa_overlap as runner
-        else:
-            from repro.core.summa import run_summa as runner
-
-        b = block or _default_block(l, s, t)
-        C, sim = runner(A, B, grid=grid, block=b, **common, **kwargs)
-        return MatmulResult(
-            C, sim, algorithm,
-            {"grid": grid, "block": b, "overlap": overlap},
-        )
-
-    if algorithm == "hsumma":
-        from repro.core.grouping import valid_group_counts
-
-        if overlap:
-            from repro.core.overlap import run_hsumma_overlap as runner
-        else:
-            from repro.core.hsumma import run_hsumma as runner
-
-        b = block or _default_block(l, s, t)
-        if groups is None:
-            target = int(round((s * t) ** 0.5))
-            valid = valid_group_counts(s, t)
-            groups = min(valid, key=lambda g: abs(g - target))
-        C, sim = runner(
-            A, B, grid=grid, groups=groups, outer_block=b,
-            inner_block=inner_block, **common, **kwargs,
-        )
-        return MatmulResult(
-            C, sim, algorithm,
-            {"grid": grid, "block": b, "groups": groups,
-             "inner_block": inner_block or b, "overlap": overlap},
-        )
-
-    if algorithm == "cyclic":
-        from repro.core.cyclic import run_cyclic
-
-        b = block or _default_block(l, s, t)
-        if groups is None:
-            group_grid = (1, 1)
-        elif isinstance(groups, tuple):
-            group_grid = groups
-        else:
-            from repro.core.grouping import choose_group_grid
-
-            group_grid = choose_group_grid(s, t, groups)
-        C, sim = run_cyclic(
-            A, B, grid=grid, nb=b, groups=group_grid, overlap=overlap,
-            **common, **kwargs,
-        )
-        return MatmulResult(
-            C, sim, algorithm,
-            {"grid": grid, "nb": b, "groups": group_grid,
-             "overlap": overlap},
-        )
-
-    if algorithm == "cannon":
-        from repro.algorithms.cannon import run_cannon
-
-        C, sim = run_cannon(A, B, grid=grid, **common, **kwargs)
-        return MatmulResult(C, sim, algorithm, {"grid": grid})
-
-    if algorithm == "fox":
-        from repro.algorithms.fox import run_fox
-
-        C, sim = run_fox(A, B, grid=grid, **common, **kwargs)
-        return MatmulResult(C, sim, algorithm, {"grid": grid})
-
-    if algorithm == "3d":
-        from repro.algorithms.dns3d import run_dns3d
-
-        nprocs = nprocs or s * t
-        C, sim = run_dns3d(A, B, nprocs=nprocs, **common, **kwargs)
-        return MatmulResult(C, sim, algorithm, {"nprocs": nprocs})
-
-    if algorithm == "2.5d":
-        from repro.algorithms.algo25d import run_25d
-
-        nprocs = nprocs or s * t
-        C, sim = run_25d(
-            A, B, nprocs=nprocs, replication=replication or 1, **common, **kwargs
-        )
-        return MatmulResult(
-            C, sim, algorithm,
-            {"nprocs": nprocs, "replication": replication or 1},
-        )
-
-    # A family with no bespoke defaults above: the table row is enough.
     if algorithm not in FAMILIES:
         raise ConfigurationError(
-            f"unknown algorithm {algorithm!r}; choose from "
-            f"{(*FAMILIES, 'serial')}"
-        )
-    spec = family(algorithm)
-    b = block or _default_block(l, s, t)
-    cfg = spec.configure(
-        m, l, n, s=s, t=t, block=b, inner_block=inner_block or 0,
-        groups=groups, replication=replication or 1,
-        bcast=kwargs.pop("bcast", None),
+            f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    row = family(algorithm)
+    s, t = grid or (None, None)
+    shape, cfg = row.configure(*product_dims(A, B), Shape(
+        s=s, t=t, nprocs=nprocs, block=block, inner_block=inner_block,
+        groups=groups, bcast=kwargs.pop("bcast", None),
         outer_bcast=kwargs.pop("outer_bcast", None),
-    )
-    C, sim = launch(spec, cfg, A, B, **common, **kwargs)
-    return MatmulResult(C, sim, algorithm, {"grid": grid, "block": b})
-
-
-def _default_block(l: int, s: int, t: int) -> int:
-    """Largest block dividing both tile dimensions of the inner axis."""
-    import math
-
-    return math.gcd(l // s, l // t)
+        replication=replication, overlap=overlap))
+    C, sim = launch(
+        row.variant(shape), cfg, A, B, network=network, params=params,
+        gamma=gamma, options=options, backend=backend, faults=faults,
+        verify=verify, **kwargs)
+    return MatmulResult(C, sim, algorithm, shape.params())

@@ -31,12 +31,14 @@ from typing import Any, Generator
 from repro.blocks.distribution import BlockCyclicDistribution
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
 from repro.collectives.nonblocking import IBcast
+from repro.core.grouping import arrange_groups
 from repro.core.launch import (
     AlgorithmSpec,
     collapse,
     GridLayout,
     launch,
     product_dims,
+    Shape,
 )
 from repro.core.summa import c_accumulator
 from repro.errors import ConfigurationError
@@ -236,6 +238,16 @@ def _layout(cfg: CyclicConfig) -> GridLayout:
     return GridLayout(cfg.s, cfg.t, distribution=cfg.dist)
 
 
+def _configure(m: int, l: int, n: int,
+               shape: Shape) -> tuple[Shape, CyclicConfig]:
+    shape = shape.resolve("cyclic", l, "block", "groups", "overlap")
+    # Flat (plain cyclic SUMMA) unless a group grid is asked for.
+    I, J = arrange_groups(shape.s, shape.t, shape.groups or (1, 1))
+    shape = dataclasses.replace(shape, groups=(I, J))
+    return shape, CyclicConfig(m=m, l=l, n=n, s=shape.s, t=shape.t,
+                               nb=shape.block, I=I, J=J)
+
+
 CYCLIC = AlgorithmSpec(
     name="cyclic",
     display="cyclic",
@@ -243,6 +255,8 @@ CYCLIC = AlgorithmSpec(
     layout=_layout,
     symmetry=lambda cfg: collapse().cyclic_symmetry(cfg.s, cfg.t, cfg.I, cfg.J),
     predict=predict_cyclic,
+    configure=_configure,
+    overlap="repro.core.cyclic:CYCLIC_OVERLAP",
 )
 
 #: The lookahead schedule runs split-phase broadcasts through the

@@ -55,6 +55,21 @@ def valid_group_counts(s: int, t: int) -> list[int]:
     return [G for G in divisors(p) if feasible_group_grids(s, t, G)]
 
 
+def default_group_count(s: int, t: int) -> int:
+    """The valid group count nearest ``sqrt(p)`` — the paper's analytic
+    optimum on square grids — ties going to the smaller count."""
+    target = math.sqrt(s * t)
+    return min(valid_group_counts(s, t), key=lambda g: (abs(g - target), g))
+
+
+def arrange_groups(s: int, t: int,
+                   groups: int | tuple[int, int]) -> tuple[int, int]:
+    """``groups`` as a group grid: an explicit ``(I, J)`` as given, a
+    count ``G`` through :func:`choose_group_grid`."""
+    return groups if isinstance(groups, tuple) \
+        else choose_group_grid(s, t, groups)
+
+
 def group_of(i: int, j: int, s: int, t: int, I: int, J: int) -> tuple[int, int]:
     """Group coordinates ``(x, y)`` of grid position ``(i, j)``."""
     if s % I or t % J:

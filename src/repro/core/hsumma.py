@@ -28,10 +28,15 @@ import dataclasses
 from typing import Any, Generator, Sequence
 
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
-from repro.core.grouping import choose_group_grid
-from repro.core.launch import AlgorithmSpec, collapse, launch, product_dims
+from repro.core.grouping import arrange_groups, default_group_count
+from repro.core.launch import (
+    AlgorithmSpec,
+    collapse,
+    launch,
+    product_dims,
+    Shape,
+)
 from repro.core.summa import c_accumulator
-from repro.errors import ConfigurationError
 from repro.mpi.cart import CartComm, GroupedCartComm
 from repro.mpi.comm import MpiContext
 from repro.simulator.predictor import predict_hsumma
@@ -204,46 +209,26 @@ def run_hsumma(
     ``trace=True`` the result carries ``bcast.inter`` /
     ``bcast.intra`` / ``gemm`` phase spans).
     """
-    cfg = hsumma_config(A, B, grid, groups, outer_block, inner_block,
-                        outer_bcast, inner_bcast)
+    s, t = grid
+    _, cfg = _configure(*product_dims(A, B), Shape(
+        s=s, t=t, groups=groups, block=outer_block, inner_block=inner_block,
+        bcast=inner_bcast, outer_bcast=outer_bcast))
     return launch(HSUMMA, cfg, A, B, **run)
 
 
-def hsumma_config(
-    A: Any,
-    B: Any,
-    grid: tuple[int, int],
-    groups: int | tuple[int, int],
-    outer_block: int,
-    inner_block: int | None = None,
-    outer_bcast: str | None = None,
-    inner_bcast: str | None = None,
-) -> HSummaConfig:
-    """The config of an HSUMMA run of ``A @ B``: ``groups`` as a count
-    ``G`` or an explicit ``(I, J)``, ``inner_block`` defaulting to
-    ``outer_block``."""
-    s, t = grid
-    m, l, n = product_dims(A, B)
-    I, J = groups if isinstance(groups, tuple) \
-        else choose_group_grid(s, t, groups)
-    return HSummaConfig(
+def _configure(m: int, l: int, n: int,
+               shape: Shape) -> tuple[Shape, HSummaConfig]:
+    shape = shape.resolve("hsumma", l, "block", "inner_block", "groups",
+                          "bcast", "outer_bcast", "segments", "overlap")
+    s, t = shape.s, shape.t
+    I, J = arrange_groups(s, t, default_group_count(s, t)
+                          if shape.groups is None else shape.groups)
+    shape = dataclasses.replace(
+        shape, groups=(I, J), inner_block=shape.inner_block or shape.block)
+    return shape, HSummaConfig(
         m=m, l=l, n=n, s=s, t=t, I=I, J=J,
-        outer_block=outer_block,
-        inner_block=inner_block if inner_block is not None else outer_block,
-        outer_bcast=outer_bcast, inner_bcast=inner_bcast,
-    )
-
-
-def _configure(m: int, l: int, n: int, *, s: int, t: int, block: int,
-               groups: tuple[int, int] | None, inner_block: int = 0,
-               bcast: str | None = None, outer_bcast: str | None = None,
-               **_: Any) -> HSummaConfig:
-    if not groups:
-        raise ConfigurationError("hsumma needs groups=(I, J)")
-    return HSummaConfig(
-        m=m, l=l, n=n, s=s, t=t, I=groups[0], J=groups[1],
-        outer_block=block, inner_block=inner_block or block,
-        outer_bcast=outer_bcast, inner_bcast=bcast,
+        outer_block=shape.block, inner_block=shape.inner_block,
+        outer_bcast=shape.outer_bcast, inner_bcast=shape.bcast,
     )
 
 
@@ -255,6 +240,7 @@ HSUMMA = AlgorithmSpec(
         cfg.s, cfg.t, cfg.I, cfg.J),
     predict=predict_hsumma,
     configure=_configure,
+    overlap="repro.core.overlap:HSUMMA_OVERLAP",
 )
 
 

@@ -13,17 +13,21 @@ assembly — so a runner is "validate shapes, build the config,
 
 :data:`FAMILIES` is the table of families other layers look up by name
 (:func:`repro.core.api.multiply`, the planner, the cluster simulator,
-the predictor's messages).  Variants nobody enumerates (the overlap
-schedules, the multi-level hierarchy, LU/QR) define a spec next to
-their program and need no row.
+the predictor's messages); none of them names a family itself.  They
+describe a run as a :class:`Shape` — the one run-shape vocabulary — and
+the row's ``configure`` turns it into the family's config, owning the
+family's defaults and rejections.  Variants nobody enumerates (the
+overlap schedules, the multi-level hierarchy, LU/QR) define a spec next
+to their program and need no row.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import math
 import sys
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Mapping
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from repro.network.homogeneous import HomogeneousNetwork
 from repro.payloads import PhantomArray
 from repro.simulator.runtime import DEFAULT_PARAMS
 from repro.simulator.tracing import SimResult
+from repro.util.gridmath import factor_grid
 from repro.verify.session import run_verified
 
 
@@ -103,10 +108,104 @@ def _flat_grid(cfg: Any) -> GridLayout:
     return GridLayout(cfg.s, cfg.t)
 
 
+@dataclasses.dataclass(frozen=True)
+class Shape:
+    """How one run of a family is shaped: the one vocabulary shared by
+    :func:`repro.core.api.multiply`'s keywords, planner candidates,
+    ``Plan.params`` and cluster launches.
+
+    The grid is ``s x t`` — or left to the family, which derives it
+    from the rank count ``nprocs``.  ``block`` is the pivot block
+    (SUMMA ``b`` / HSUMMA outer ``B`` / cyclic ``nb``), ``inner_block``
+    HSUMMA's ``b``, ``groups`` the group grid ``(I, J)`` or a count
+    ``G`` to arrange, ``bcast``/``outer_bcast`` the broadcast algorithm
+    within / between groups, ``replication`` 2.5D's ``c``, ``segments``
+    the pipeline depth of the segmented broadcast family and
+    ``overlap`` the one-step-lookahead schedule.  A field left ``None``
+    (``False``) is unset: the family's ``configure`` fills in its
+    default or rejects the field by name.
+    """
+
+    s: int | None = None
+    t: int | None = None
+    nprocs: int | None = None
+    block: int | None = None
+    inner_block: int | None = None
+    groups: int | tuple[int, int] | None = None
+    bcast: str | None = None
+    outer_bcast: str | None = None
+    replication: int | None = None
+    segments: int | None = None
+    overlap: bool = False
+
+    def params(self) -> dict[str, Any]:
+        """The set fields as a dict — ``MatmulResult.parameters`` and
+        ``Plan.params``: the grid as ``grid``, a group grid as its
+        count ``groups`` plus the pair ``group_grid``."""
+        out = {} if self.s is None else {"grid": (self.s, self.t)}
+        for name in _SHAPE_FIELDS:
+            value = getattr(self, name)
+            if name not in ("s", "t") and value not in (None, False):
+                out[name] = value
+        if isinstance(self.groups, tuple):
+            out["groups"] = self.groups[0] * self.groups[1]
+            out["group_grid"] = self.groups
+        return out
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any], **extra: Any) -> "Shape":
+        """The inverse of :meth:`params` (keys that are no shape field,
+        such as a plan's ``fault_profile``, are ignored)."""
+        fields = {k: v for k, v in params.items() if k in _SHAPE_FIELDS}
+        if "grid" in params:
+            fields["s"], fields["t"] = params["grid"]
+        if params.get("group_grid"):
+            fields["groups"] = tuple(params["group_grid"])
+        return cls(**fields, **extra)
+
+    def resolve(self, family: str, l: int, *accepts: str,
+                grid_of: Callable[[int], tuple[int, int]] = factor_grid,
+                ) -> "Shape":
+        """This shape with the defaults every family shares filled in,
+        for a family's ``configure`` to finish: the grid from the rank
+        count (``grid_of(nprocs)``, most-square unless the family says
+        otherwise) and, for a family that accepts ``block``, the
+        largest block dividing both tile extents of the inner dimension
+        ``l``.  A set field outside ``accepts`` is rejected by name."""
+        placed = ("s", "t", "nprocs") + accepts
+        for name in _SHAPE_FIELDS:
+            if name not in placed and getattr(self, name) not in (None, False):
+                raise ConfigurationError(
+                    f"{family} does not take {name}=; it accepts "
+                    f"{', '.join(('grid', 'nprocs') + accepts)}")
+        s, t = self.s, self.t
+        if s is None:
+            if self.nprocs is None:
+                raise ConfigurationError(
+                    f"{family}: pass either nprocs or grid")
+            s, t = grid_of(self.nprocs)
+        block = self.block
+        if block is None and "block" in accepts:
+            block = math.gcd(l // s, l // t)
+        return dataclasses.replace(self, s=s, t=t, block=block)
+
+
+_SHAPE_FIELDS = tuple(f.name for f in dataclasses.fields(Shape))
+
+
 def square_layout(cfg: Any) -> GridLayout:
     """The ``q x q`` tile grid, ``cfg.c`` ranks deep, of a
     :class:`~repro.simulator.predictor.SquareGridConfig`."""
     return GridLayout(cfg.q, cfg.q, cfg.c)
+
+
+def square_side(display: str, shape: Shape) -> int:
+    """``q`` of the ``q x q`` grid a square-grid family's resolved
+    shape must have."""
+    if shape.s != shape.t:
+        raise ConfigurationError(
+            f"{display} requires a square grid, got {shape.s}x{shape.t}")
+    return shape.s
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,9 +224,13 @@ class AlgorithmSpec:
     ``predict`` (a ``predict_*`` chain) and ``refusal`` (``(feature,
     detail, fallback)`` for the predictor's named refusal) is set.
     ``display`` is how refusals name a run of this family.
-    ``configure(m, l, n, **shape)`` builds the config from the shape
-    vocabulary planner candidates and cluster launches share (``s, t,
-    block, inner_block, groups, bcast, outer_bcast, replication``).
+    ``configure(m, l, n, shape)`` is the single owner of the family's
+    defaults and rejections: it returns ``(resolved shape, config)``
+    for a :class:`Shape`, raising a :class:`ConfigurationError` that
+    names any set field the family does not consume (every
+    :data:`FAMILIES` row has one).  ``overlap`` names, as
+    ``module:ATTRIBUTE``, the spec of the row's lookahead schedule —
+    what :meth:`variant` returns for a shape with ``overlap`` set.
     """
 
     name: str
@@ -137,7 +240,13 @@ class AlgorithmSpec:
     symmetry: Callable[[Any], Any] | None = None
     predict: Callable[..., SimResult] | None = None
     refusal: tuple[str, str, str] | None = None
-    configure: Callable[..., Any] | None = None
+    configure: Callable[[int, int, int, Shape], tuple[Shape, Any]] | None = None
+    overlap: str | None = None
+
+    def variant(self, shape: Shape) -> "AlgorithmSpec":
+        """The spec that runs ``shape`` (as resolved by ``configure``,
+        which rejects ``overlap`` for a row without the variant)."""
+        return _resolve(self.overlap) if shape.overlap else self
 
 
 #: Family name -> ``module:ATTRIBUTE`` of its spec.  Resolved on lookup,
@@ -153,16 +262,25 @@ FAMILIES: dict[str, str] = {
 }
 
 
+def _resolve(path: str) -> AlgorithmSpec:
+    module, attr = path.split(":")
+    return getattr(importlib.import_module(module), attr)
+
+
 def family(name: str) -> AlgorithmSpec:
     """The :data:`FAMILIES` row for ``name``."""
     try:
-        module, attr = FAMILIES[name].split(":")
+        spec = _resolve(FAMILIES[name])
     except KeyError:
         raise ConfigurationError(
             f"unknown algorithm family {name!r}; choose from "
             f"{tuple(FAMILIES)}"
         ) from None
-    return getattr(importlib.import_module(module), attr)
+    if spec.configure is None:
+        raise ConfigurationError(
+            f"family {name!r} has no configure: a table row must own its "
+            "defaults and rejections")
+    return spec
 
 
 def collapse() -> Any:

@@ -29,8 +29,8 @@ from typing import Any, Generator
 
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
 from repro.collectives.nonblocking import IBcast
-from repro.core.hsumma import HSummaConfig, hsumma_config
-from repro.core.launch import AlgorithmSpec, launch, product_dims
+from repro.core.hsumma import HSUMMA, HSummaConfig
+from repro.core.launch import AlgorithmSpec, launch, product_dims, Shape
 from repro.core.summa import SummaConfig, c_accumulator
 from repro.mpi.cart import CartComm, GroupedCartComm
 from repro.mpi.comm import MpiContext
@@ -268,7 +268,9 @@ def run_hsumma_overlap(
     of :func:`repro.core.launch.launch`).  ``bcast_segments`` streams
     each split-phase broadcast in that many pipeline stages (see
     :class:`repro.collectives.nonblocking.IBcast`)."""
-    cfg = hsumma_config(A, B, grid, groups, outer_block, inner_block)
+    s, t = grid
+    _, cfg = HSUMMA.configure(*product_dims(A, B), Shape(
+        s=s, t=t, groups=groups, block=outer_block, inner_block=inner_block))
     return launch(HSUMMA_OVERLAP, cfg, A, B, **run)
 
 

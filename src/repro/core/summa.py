@@ -21,7 +21,13 @@ from typing import Any, Generator
 import numpy as np
 
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
-from repro.core.launch import AlgorithmSpec, collapse, launch, product_dims
+from repro.core.launch import (
+    AlgorithmSpec,
+    collapse,
+    launch,
+    product_dims,
+    Shape,
+)
 from repro.mpi.cart import CartComm
 from repro.mpi.comm import MpiContext
 from repro.payloads import PhantomArray
@@ -142,9 +148,11 @@ def run_summa(
     return launch(SUMMA, cfg, A, B, **run)
 
 
-def _configure(m: int, l: int, n: int, *, s: int, t: int, block: int,
-               bcast: str | None = None, **_: Any) -> SummaConfig:
-    return SummaConfig(m=m, l=l, n=n, s=s, t=t, block=block, bcast=bcast)
+def _configure(m: int, l: int, n: int,
+               shape: Shape) -> tuple[Shape, SummaConfig]:
+    shape = shape.resolve("summa", l, "block", "bcast", "segments", "overlap")
+    return shape, SummaConfig(m=m, l=l, n=n, s=shape.s, t=shape.t,
+                              block=shape.block, bcast=shape.bcast)
 
 
 SUMMA = AlgorithmSpec(
@@ -154,4 +162,5 @@ SUMMA = AlgorithmSpec(
     symmetry=lambda cfg: collapse().summa_symmetry(cfg.s, cfg.t),
     predict=predict_summa,
     configure=_configure,
+    overlap="repro.core.overlap:SUMMA_OVERLAP",
 )

@@ -12,7 +12,7 @@ One package owns every SUMMA/HSUMMA/broadcast closed form:
   memory-dependent communication lower bounds every plan is measured
   against.
 
-``repro.models``, ``repro.collectives.cost`` and (through the costers)
+``repro.models`` and (through the costers)
 ``repro.simulator.predictor`` are thin consumers of this package.
 """
 
@@ -54,6 +54,8 @@ from repro.costs.registry import (
     bcast_bandwidth_factor,
     bcast_entry,
     bcast_latency_factor,
+    bcast_time,
+    collective_time,
     estimate,
     PipelineDepthWarning,
     hypersystolic_depth,
@@ -79,6 +81,8 @@ __all__ = [
     "bcast_bandwidth_factor",
     "bcast_entry",
     "bcast_latency_factor",
+    "bcast_time",
+    "collective_time",
     "critical_ratio",
     "crossover_processor_count",
     "estimate",

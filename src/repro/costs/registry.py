@@ -2,9 +2,9 @@
 
 Historically three layers each carried their own copy of the Hockney
 closed forms: the analytic models (the paper's smooth ``L(p)/W(p)``
-factor functions the optimiser differentiates through),
-:mod:`repro.collectives.cost` (the discrete critical-path factors the
-DES engine realises), and the predictor/macro costers built on top.
+factor functions the optimiser differentiates through), a collectives
+front-end (the discrete critical-path factors the DES engine
+realises), and the predictor/macro costers built on top.
 This registry collapses them into one table:
 
 * :data:`BCAST_ENTRIES` — one :class:`BcastEntry` per broadcast
@@ -452,12 +452,11 @@ def _bcast_estimate(q: CostQuery) -> CostEstimate:
 def estimate(q: CostQuery) -> CostEstimate:
     """Price one collective from the registry's closed forms.
 
-    This is *the* cost function: :mod:`repro.collectives.cost`, the
-    macro backend's :class:`~repro.experiments.stepmodel.AnalyticCoster`
-    / :class:`~repro.experiments.stepmodel.TopologyCoster`, and (through
-    them) the closed-form predictor all route here.  Validation and the
-    float-operation order match the historical
-    ``repro.collectives.cost.collective_time`` exactly.
+    This is *the* cost function: :func:`collective_time` /
+    :func:`bcast_time`, the macro backend's
+    :class:`~repro.experiments.stepmodel.AnalyticCoster` /
+    :class:`~repro.experiments.stepmodel.TopologyCoster`, and (through
+    them) the closed-form predictor all route here.
     """
     if q.nbytes < 0:
         raise ModelError(f"message size must be >= 0, got {q.nbytes}")
@@ -540,3 +539,33 @@ def estimate(q: CostQuery) -> CostEstimate:
             seconds=log2p * alpha, alpha_terms=float(log2p), beta_bytes=0.0
         )
     raise ModelError(f"unknown collective op {q.op!r}")
+
+
+def collective_time(op: str, algorithm: str, m_bytes: float, p: int,
+                    params: HockneyParams, *,
+                    segments: int | None = None) -> float:
+    """:func:`estimate` in seconds for callers holding Hockney
+    parameters (the costers, the figure sweeps).
+
+    Size convention (shared with the macro backend): for rooted
+    distribution ops (``bcast``, ``scatter``) ``m_bytes`` is the total
+    payload at the root; for contribution ops (``gather``,
+    ``allgather``, ``reduce``, ``allreduce``) it is one rank's
+    contribution; for ``barrier`` it is ignored.
+    """
+    return estimate(CostQuery(
+        op=op, algorithm=algorithm, p=p, nbytes=m_bytes,
+        alpha=params.alpha, beta=params.beta, segments=segments,
+    )).seconds
+
+
+def bcast_time(algorithm: str, m_bytes: float, p: int,
+               params: HockneyParams, *,
+               segments: int | None = None) -> float:
+    """Predicted broadcast time of ``m_bytes`` among ``p`` ranks.
+
+    For the pipelined chain, ``segments=None`` uses the analytically
+    optimal segment count for these parameters.
+    """
+    return collective_time("bcast", algorithm, m_bytes, p, params,
+                           segments=segments)

@@ -20,9 +20,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Mapping, Sequence
 
-from repro.core.grouping import choose_group_grid, valid_group_counts
-from repro.core.hsumma import HSummaConfig
-from repro.core.summa import SummaConfig
+from repro.core.grouping import valid_group_counts
+from repro.core.launch import family, launch, live, Shape
 from repro.errors import ConfigurationError
 from repro.experiments.harness import Series
 from repro.experiments.parallel import SweepCache, parallel_map
@@ -35,6 +34,7 @@ from repro.experiments.stepmodel import (
     summa_step_model,
 )
 from repro.models.exascale import ExascaleScenario, exascale_prediction
+from repro.payloads import PhantomArray
 from repro.platforms.base import Platform
 from repro.platforms.bluegene import bluegene_p
 from repro.platforms.exa import exascale_2012
@@ -110,61 +110,29 @@ def _eval_point(platform: Platform, spec: Mapping[str, Any]) -> dict[str, float]
     """Evaluate one sweep point on an already-built platform."""
     p, n, block, G = spec["p"], spec["n"], spec["block"], spec["G"]
     kind = spec["kind"]
-    s, t = factor_grid(p)
     gamma = platform.gamma
+    row = family("summa" if G is None else "hsumma")
+    _, cfg = row.configure(n, n, n, Shape(nprocs=p, block=block, groups=G))
     if kind == "des":
-        from repro.core.hsumma import run_hsumma
-        from repro.core.summa import run_summa
-        from repro.payloads import PhantomArray
-
-        A = PhantomArray((n, n))
-        B = PhantomArray((n, n))
-        if G is None:
-            _, sim = run_summa(
-                A, B, grid=(s, t), block=block, network=platform.network(p),
-                options=platform.options, gamma=gamma,
-            )
-        else:
-            _, sim = run_hsumma(
-                A, B, grid=(s, t), groups=G, outer_block=block,
-                network=platform.network(p), options=platform.options,
-                gamma=gamma,
-            )
-        return {"comm": sim.comm_time, "total": sim.total_time}
-    if kind == "predictor":
+        _, sim = launch(
+            row, cfg, PhantomArray((n, n)), PhantomArray((n, n)),
+            network=platform.network(p), options=platform.options,
+            gamma=gamma,
+        )
+    elif kind == "predictor":
         # Zero stepping: compose the analytic closed forms per phase
         # (topology-blind — the platform's Hockney parameters price
         # every communicator).  See docs/cost_model.md for the
         # fidelity contract versus the macro backend.
-        from repro.simulator.predictor import predict_hsumma, predict_summa
-
-        coster = AnalyticCoster(platform.params, platform.options.bcast)
-        net = platform.network(p)
-        if G is None:
-            scfg = SummaConfig(m=n, l=n, n=n, s=s, t=t, block=block)
-            sim = predict_summa(scfg, network=net, options=platform.options,
-                                gamma=gamma, coster=coster)
-        else:
-            I, J = choose_group_grid(s, t, G)
-            hcfg = HSummaConfig(
-                m=n, l=n, n=n, s=s, t=t, I=I, J=J,
-                outer_block=block, inner_block=block,
-            )
-            sim = predict_hsumma(hcfg, network=net, options=platform.options,
-                                 gamma=gamma, coster=coster)
-        return {"comm": sim.comm_time, "total": sim.total_time}
-    coster = _coster(platform, p, kind)
-    if G is None:
-        scfg = SummaConfig(m=n, l=n, n=n, s=s, t=t, block=block)
-        rep = summa_step_model(scfg, coster, gamma)
-    else:
-        I, J = choose_group_grid(s, t, G)
-        hcfg = HSummaConfig(
-            m=n, l=n, n=n, s=s, t=t, I=I, J=J,
-            outer_block=block, inner_block=block,
+        sim = live(row.predict)(
+            cfg, network=platform.network(p), options=platform.options,
+            gamma=gamma,
+            coster=AnalyticCoster(platform.params, platform.options.bcast),
         )
-        rep = hsumma_step_model(hcfg, coster, gamma)
-    return {"comm": rep.comm_time, "total": rep.total_time}
+    else:
+        step_model = summa_step_model if G is None else hsumma_step_model
+        sim = step_model(cfg, _coster(platform, p, kind), gamma)
+    return {"comm": sim.comm_time, "total": sim.total_time}
 
 
 def _sweep_point(spec: Mapping[str, Any]) -> dict[str, float]:

@@ -35,11 +35,11 @@ import dataclasses
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from repro.collectives.cost import bcast_time
-from repro.collectives.cost import collective_time as collective_cost
 from repro.core.hsumma import HSUMMA, HSummaConfig
 from repro.core.launch import AlgorithmSpec, launch
 from repro.core.summa import SUMMA, SummaConfig
+from repro.costs import bcast_time
+from repro.costs import collective_time as collective_cost
 from repro.errors import ConfigurationError
 from repro.mpi.comm import CollectiveOptions, MpiContext
 from repro.network.homogeneous import HomogeneousNetwork
@@ -103,7 +103,7 @@ class CollectiveCoster(ABC):
     ) -> float:
         """Seconds for one collective (macro-backend oracle interface).
 
-        ``nbytes`` follows :func:`repro.collectives.cost.collective_time`
+        ``nbytes`` follows :func:`repro.costs.collective_time`
         conventions (total at root for bcast/scatter, per-rank
         contribution otherwise).  ``cid`` is the communicator context id
         of the requesting collective, for costers that discriminate by

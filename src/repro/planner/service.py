@@ -144,12 +144,12 @@ class PlanService:
         # Every family competes at refinement fidelity: SUMMA/HSUMMA
         # and 2.5D all have predictor chains now, so the ranking's
         # top_k leaders are re-priced on equal footing.  The one
-        # eligibility wrinkle: 2.5D's layer grid comes from p alone
-        # (q = sqrt(p/c)), so q may not tile an n the 2-D grids tile
-        # fine — such candidates keep the old closed-form advisory
-        # instead of competing.
+        # eligibility wrinkle: a replicated candidate's layer grid
+        # comes from p alone (q = sqrt(p/c)), so q may not tile an n
+        # the 2-D grids tile fine — such candidates keep the old
+        # closed-form advisory instead of competing.
         refinable = [c for c in cands
-                     if c.algorithm != "2.5d" or rq.n % c.s == 0]
+                     if not c.replication or rq.n % c.s == 0]
         if not refinable:
             raise ConfigurationError(
                 f"no refinable candidate for n={rq.n}, p={rq.p} "
@@ -160,7 +160,7 @@ class PlanService:
         # The best 2.5D candidate is always refined — even when it does
         # not lead the ranking — so the plan's 2.5D advisory reports
         # predictor-fidelity times, not the ranking closed form.
-        analytic = [c for c in refinable if c.algorithm == "2.5d"]
+        analytic = [c for c in refinable if c.replication]
         adv_cand: Candidate | None = None
         if analytic:
             adv_cand = min(analytic, key=lambda c: closed_form_cost(rq, c))
@@ -188,7 +188,7 @@ class PlanService:
                 "closed_form_only": False,
             }
         else:
-            skipped = [c for c in cands if c.algorithm == "2.5d"
+            skipped = [c for c in cands if c.replication
                        and c not in analytic]
             if skipped:
                 adv = min(skipped, key=lambda c: closed_form_cost(rq, c))
@@ -236,14 +236,12 @@ class PlanService:
         spec = family(cand.algorithm)
         cfg = _build_config(rq, cand)
         params = HockneyParams(rq.alpha, rq.beta)
-        # Families with a step model refine at the configured fidelity;
-        # the rest (2.5D) always take their predictor chain — it replays
-        # the macro engine's floats bit-identically, so the label stays
-        # honest.  Resolved here so a wrapper installed on the module
-        # sees the call.
-        step_model = {"summa": stepmodel.summa_step_model,
-                      "hsumma": stepmodel.hsumma_step_model,
-                      }.get(cand.algorithm)
+        # Families with a ``<name>_step_model`` in the step-model module
+        # refine at the configured fidelity; the rest (2.5D) always
+        # take their predictor chain — it replays the macro engine's
+        # floats bit-identically, so the label stays honest.  Resolved
+        # here so a wrapper installed on the module sees the call.
+        step_model = getattr(stepmodel, f"{cand.algorithm}_step_model", None)
         # The predictor refuses the segmented broadcast family (it has
         # no stage-overlap model), so pipelined candidates are refined
         # at macro fidelity regardless of the configured backend.
@@ -274,13 +272,7 @@ class PlanService:
 def _build_config(rq: ResolvedQuery, cand: Candidate):
     from repro.core.launch import family
 
-    n = rq.n
-    return family(cand.algorithm).configure(
-        n, n, n, s=cand.s, t=cand.t, block=cand.block,
-        inner_block=cand.inner_block, groups=cand.group_grid,
-        bcast=cand.bcast, outer_bcast=cand.outer_bcast,
-        replication=cand.replication,
-    )
+    return family(cand.algorithm).configure(rq.n, rq.n, rq.n, cand)[1]
 
 
 def _as_cached(plan: Plan) -> Plan:

@@ -3,8 +3,12 @@
 The planner searches algorithm x parameter space: SUMMA and HSUMMA
 grids/blocks/group counts/broadcast algorithms, plus the 2.5D
 replication family (refined at predictor fidelity alongside the 2-D
-candidates whenever its layer grid tiles ``n``).  Ranking costs are
-assembled from the unified cost registry's broadcast factors
+candidates whenever its layer grid tiles ``n``).  A candidate is a
+family name plus the :class:`~repro.core.launch.Shape` it would run
+at; *what* to search is planner policy, so
+:func:`enumerate_candidates` is the one function here that names
+families — the footprint and the ranking read the shape.  Ranking
+costs are assembled from the unified cost registry's broadcast factors
 (:mod:`repro.costs`) — the same ``L(p)``/``W(p)`` the simulator's
 closed forms reduce to — generalised to rectangular ``s x t`` grids;
 on square grids they reduce to the paper's eq. (2)-(5).
@@ -17,6 +21,7 @@ import math
 import warnings
 from typing import Any
 
+from repro.core.launch import Shape
 from repro.costs import (
     CostQuery,
     PipelineDepthWarning,
@@ -49,42 +54,18 @@ MAX_BLOCK = 1024
 
 
 @dataclasses.dataclass(frozen=True)
-class Candidate:
-    """One point of the search space (algorithm + all tunables)."""
+class Candidate(Shape):
+    """One point of the search space: a family name and the
+    :class:`~repro.core.launch.Shape` it would run at (``groups`` is
+    always the ``(I, J)`` pair here)."""
 
-    algorithm: str  # "summa" | "hsumma" | "2.5d"
-    s: int
-    t: int
-    block: int = 0          # SUMMA pivot block / HSUMMA outer block B
-    inner_block: int = 0    # HSUMMA inner block b
-    groups: int = 0         # HSUMMA G
-    group_grid: tuple[int, int] | None = None  # HSUMMA (I, J)
-    bcast: str | None = None
-    outer_bcast: str | None = None
-    replication: int = 1    # 2.5D c
-    segments: int | None = None  # pipeline depth s (segmented family)
+    algorithm: str = dataclasses.field(kw_only=True)
 
     def params(self) -> dict[str, Any]:
-        """The plan's parameter dict (only the fields this algorithm
-        actually has)."""
-        out: dict[str, Any] = {"grid": [self.s, self.t]}
-        if self.algorithm == "2.5d":
-            out["replication"] = self.replication
-            return out
-        if self.algorithm == "summa":
-            out.update(block=self.block, bcast=self.bcast)
-        elif self.algorithm == "hsumma":
-            out.update(
-                groups=self.groups,
-                group_grid=list(self.group_grid or ()),
-                block=self.block,
-                inner_block=self.inner_block,
-                bcast=self.bcast,
-                outer_bcast=self.outer_bcast,
-            )
-        if self.segments is not None:
-            out["segments"] = self.segments
-        return out
+        """The plan's parameter dict — the set shape fields, JSON-ready
+        (pairs as lists)."""
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in super().params().items()}
 
 
 def candidate_grids(p: int, *, max_aspect: int = 4,
@@ -174,10 +155,11 @@ def enumerate_candidates(rq: ResolvedQuery) -> list[Candidate]:
         rows, cols = n / s, n / t
         for b in blocks:
             for alg in algs:
-                out.append(Candidate("summa", s, t, block=b, bcast=alg))
+                out.append(Candidate(algorithm="summa", s=s, t=t, block=b,
+                                     bcast=alg))
             for alg in pipelined:
                 for seg in _segment_choices(rq, alg, rows * b, t):
-                    out.append(Candidate("summa", s, t, block=b,
+                    out.append(Candidate(algorithm="summa", s=s, t=t, block=b,
                                          bcast=alg, segments=seg))
         if p == 1:
             continue
@@ -192,8 +174,8 @@ def enumerate_candidates(rq: ResolvedQuery) -> list[Candidate]:
                 for ib in inner:
                     for alg in algs:
                         out.append(Candidate(
-                            "hsumma", s, t, block=B, inner_block=ib,
-                            groups=G, group_grid=gg,
+                            algorithm="hsumma", s=s, t=t, block=B,
+                            inner_block=ib, groups=gg,
                             bcast=alg, outer_bcast=alg,
                         ))
                     for alg in pipelined:
@@ -202,8 +184,8 @@ def enumerate_candidates(rq: ResolvedQuery) -> list[Candidate]:
                         for seg in _segment_choices(
                                 rq, alg, rows * ib, max(inner_t, 2)):
                             out.append(Candidate(
-                                "hsumma", s, t, block=B, inner_block=ib,
-                                groups=G, group_grid=gg,
+                                algorithm="hsumma", s=s, t=t, block=B,
+                                inner_block=ib, groups=gg,
                                 bcast=alg, outer_bcast=alg, segments=seg,
                             ))
     if not rq.faulty:
@@ -211,24 +193,25 @@ def enumerate_candidates(rq: ResolvedQuery) -> list[Candidate]:
         # offered; the 2.5D schedule has no FT broadcast variant.
         for c in candidate_replications(p):
             side = math.isqrt(p // c) or 1
-            out.append(Candidate("2.5d", side, side, replication=c))
+            out.append(Candidate(algorithm="2.5d", s=side, t=side,
+                                 replication=c))
     return out
 
 
 def candidate_memory_elements(rq: ResolvedQuery, cand: Candidate) -> float:
-    """Per-rank footprint in elements: the three resident tiles plus
-    the algorithm's pivot-panel receive buffers (2.5D replicates all
-    three tiles ``c`` times)."""
+    """Per-rank footprint in elements: the three resident tiles
+    (``replication`` copies of the 2-D share where the family
+    replicates) plus one pivot-panel receive-buffer pair per broadcast
+    level (``block``, and ``inner_block`` where set)."""
     n = rq.n
-    if cand.algorithm == "2.5d":
-        return 3.0 * cand.replication * n * n / rq.p
     rows, cols = n / cand.s, n / cand.t
-    total = 3.0 * rows * cols
-    if cand.algorithm == "summa":
-        total += rows * cand.block + cand.block * cols
+    if cand.replication:
+        total = 3.0 * cand.replication * n * n / rq.p
     else:
-        total += rows * cand.block + cand.block * cols      # outer B
-        total += rows * cand.inner_block + cand.inner_block * cols
+        total = 3.0 * rows * cols
+    for width in (cand.block, cand.inner_block):
+        if width:
+            total += rows * width + width * cols
     return total
 
 
@@ -239,15 +222,15 @@ def closed_form_cost(rq: ResolvedQuery, cand: Candidate) -> float:
     return _comm_cost(rq, cand) + compute
 
 
-def _bcast_term(alg: str, p: int, elements: float,
+def _bcast_term(alg: str | None, p: int, elements: float,
                 alpha: float, beta_el: float,
                 segments: int | None = None) -> float:
+    if p <= 1:
+        return 0.0  # L(1) = W(1) = 0: a single-member broadcast is free
     if alg in PIPELINED_BCASTS:
         # No linear L/W form: priced directly by the registry (element
         # counts with a per-element beta are dimensionally equivalent
         # to its bytes convention).
-        if p <= 1:
-            return 0.0
         return estimate(CostQuery(
             op="bcast", algorithm=alg, p=p, nbytes=elements,
             alpha=alpha, beta=beta_el, segments=segments,
@@ -258,25 +241,20 @@ def _bcast_term(alg: str, p: int, elements: float,
 
 def _comm_cost(rq: ResolvedQuery, cand: Candidate) -> float:
     n, alpha, beta_el = rq.n, rq.alpha, rq.beta_element
-    if cand.algorithm == "2.5d":
+    if cand.replication:
         return algo25d_communication_cost(n, rq.p, cand.replication,
                                           alpha, beta_el)
     rows, cols = n / cand.s, n / cand.t
     seg = cand.segments
-    if cand.algorithm == "summa":
-        steps = n / cand.block
-        return steps * (
-            _bcast_term(cand.bcast, cand.t, rows * cand.block, alpha,
-                        beta_el, seg)
-            + _bcast_term(cand.bcast, cand.s, cand.block * cols, alpha,
-                          beta_el, seg)
-        )
-    # HSUMMA: outer broadcasts across the I x J group grid, inner
-    # broadcasts within each (s/I) x (t/J) group (paper eqs. 3-5,
-    # rectangular generalisation).
-    I, J = cand.group_grid
+    # Outer broadcasts across the I x J group grid, inner broadcasts
+    # within each (s/I) x (t/J) group (paper eqs. 3-5, rectangular
+    # generalisation).  A candidate without groups is the paper's
+    # G = 1 degeneracy (Section III: "with G = 1 or G = p HSUMMA
+    # degenerates to SUMMA"): on the (1, 1) group grid both outer
+    # terms are exactly 0.0 and the inner grid is the whole s x t.
+    I, J = cand.groups or (1, 1)
     inner_s, inner_t = cand.s // I, cand.t // J
-    B, b = cand.block, cand.inner_block
+    B, b = cand.block, cand.inner_block or cand.block
     outer = (n / B) * (
         _bcast_term(cand.outer_bcast, J, rows * B, alpha, beta_el, seg)
         + _bcast_term(cand.outer_bcast, I, B * cols, alpha, beta_el, seg)

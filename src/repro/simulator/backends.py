@@ -176,7 +176,7 @@ class MacroBackend(Engine, Backend):
             else:
                 self.collapse_report = {
                     "mode": "collapsed",
-                    "probed": len(self.symmetry.probe_indices()),
+                    "probed": len(self.symmetry.probe),
                     "ranks": self.symmetry.nranks,
                 }
                 return sim
@@ -233,6 +233,18 @@ class MacroBackend(Engine, Backend):
     def _satisfy(
         self, entry: list[tuple[_RankState, CollectiveRequest]]
     ) -> None:
+        _start, finish, results = self._price(entry)
+        self._events.push(
+            finish, self._collective_done, (entry, results, finish)
+        )
+
+    def _price(
+        self, entry: list[tuple[_RankState, CollectiveRequest]]
+    ) -> tuple[float, float, list[Any]]:
+        """``(start, finish, results)`` of a collective whose
+        participants have all arrived: it starts at the latest arrival
+        clock, runs for the coster's (memoised) duration and hands each
+        member its per-participant result."""
         req0 = entry[0][1]
         p = len(req0.participants)
         payloads: list[Any] = [None] * p
@@ -244,8 +256,7 @@ class MacroBackend(Engine, Backend):
                 start = clock
         nbytes = _op_nbytes(req0.op, req0.root, entry)
         root = req0.root if req0.root is not None else 0
-        key = (req0.op, req0.algorithm, req0.participants, root, nbytes,
-               req0.segments, req0.cid)
+        key = self._duration_key(req0, root, nbytes)
         duration = self._durations.get(key)
         if duration is None:
             duration = self._durations[key] = self.coster.collective_time(
@@ -257,11 +268,13 @@ class MacroBackend(Engine, Backend):
                 segments=req0.segments,
                 cid=req0.cid,
             )
-        finish = start + duration
-        results = _op_results(req0.op, req0.root, p, payloads)
-        self._events.push(
-            finish, self._collective_done, (entry, results, finish)
-        )
+        return (start, start + duration,
+                _op_results(req0.op, req0.root, p, payloads))
+
+    def _duration_key(self, req0: CollectiveRequest, root: int,
+                      nbytes: int) -> tuple:
+        return (req0.op, req0.algorithm, req0.participants, root, nbytes,
+                req0.segments, req0.cid)
 
     def _collective_done(
         self,

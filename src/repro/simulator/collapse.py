@@ -15,8 +15,8 @@ This module collapses that redundancy without giving up exactness:
   rows/columns of the grid form a covering **probe set**, and how a
   communicator's context id maps to an **equivalence class** of comms
   with bit-identical (start, finish) behaviour.  Non-2D layouts (the
-  DNS 3-D mesh, the 2.5D layer stack) declare the same interface
-  through :class:`DnsSymmetry` / :class:`Layered25dSymmetry`.
+  DNS 3-D mesh, the 2.5D layer stack) fill in the same declaration
+  (:func:`dns3d_symmetry` / :func:`summa25d_symmetry`).
 * :class:`CollapsedMacroEngine` steps only the probed ranks' generators
   through the inherited macro machinery (structure-of-arrays state for
   everyone else).  A collective whose participants are all probed fires
@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.network.model import Network
-from repro.simulator.backends import MacroBackend, _op_nbytes, _op_results
+from repro.simulator.backends import MacroBackend
 from repro.simulator.engine import RankProgram, _PARKED, _RankState
 from repro.simulator.events import EventQueue
 from repro.simulator.requests import (
@@ -90,20 +90,27 @@ def _const(color: Any) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class GridSymmetry:
-    """A runner's declaration of its rank-equivalence structure.
+    """A runner's declaration of its rank-equivalence structure — the
+    one type every layout fills in (the factory functions at the bottom
+    of this module: plain and torus-shift 2-D grids, the DNS 3-D mesh,
+    the 2.5D layer stack, the multilevel hierarchy).
 
     Parameters
     ----------
-    s, t:
-        The process grid; world rank ``r`` sits at ``divmod(r, t)``.
-    probe_rows, probe_cols:
-        The probe set is grid rows ``0..probe_rows-1`` plus grid
-        columns ``0..probe_cols-1``.  It must be chosen so that every
-        equivalence class of communicators contains at least one comm
-        whose participants are *all* probed (the class primary), and so
-        that :meth:`twin_indices` maps every rank onto a behavioural
-        twin inside the probe set.  Flat SUMMA/cyclic: 1x1 (a cross).
-        HSUMMA with an ``I x J`` group grid: ``(s/I) x (t/J)``.
+    nranks:
+        World size of the declared run.
+    probe:
+        World ranks in the probe set, ascending.  It must be chosen so
+        that every equivalence class of communicators contains at least
+        one comm whose participants are *all* probed (the class
+        primary), and so that ``twin_indices`` maps every rank onto a
+        behavioural twin inside the probe set.
+    rank_class:
+        Point-to-point congruence class of a world rank: all ranks of
+        one class post their sends/receives in lockstep.
+    twin_indices:
+        Probed behavioural twin per world rank (vectorised over a
+        numpy array of ranks).
     class_keys:
         Maps a communicator's world child sequence number (``cid[0]``
         for depth-1 communicators) to a callable turning its split
@@ -127,41 +134,24 @@ class GridSymmetry:
         symmetry.
     """
 
-    s: int
-    t: int
-    probe_rows: int
-    probe_cols: int
+    nranks: int
+    probe: tuple[int, ...]
+    rank_class: Callable[[int], tuple]
+    twin_indices: Callable[[np.ndarray], np.ndarray]
     class_keys: Mapping[int, Callable[[Any], Any]]
     rotated: frozenset = frozenset()
     p2p_tags: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        if self.s <= 0 or self.t <= 0:
+        if self.nranks <= 0 or not self.probe:
             raise SimulationError(
-                f"grid dims must be positive: {self.s}x{self.t}")
-        if not (0 < self.probe_rows and 0 < self.probe_cols):
-            raise SimulationError(
-                f"probe dims must be positive: "
-                f"{self.probe_rows}x{self.probe_cols}")
-
-    @property
-    def nranks(self) -> int:
-        return self.s * self.t
+                f"a symmetry needs ranks and a probe set: {self.nranks} "
+                f"ranks, {len(self.probe)} probed")
 
     @property
     def covers_grid(self) -> bool:
         """True when the probe set is the whole grid (no collapse win)."""
-        return self.probe_rows >= self.s or self.probe_cols >= self.t
-
-    def probe_indices(self) -> list[int]:
-        """World ranks in the probe set, ascending."""
-        pr = min(self.probe_rows, self.s)
-        pc = min(self.probe_cols, self.t)
-        out = list(range(pr * self.t))
-        for i in range(pr, self.s):
-            base = i * self.t
-            out.extend(range(base, base + pc))
-        return out
+        return len(self.probe) == self.nranks
 
     def class_key(self, cid: tuple) -> tuple:
         """Equivalence class of the communicator with context id ``cid``."""
@@ -176,219 +166,20 @@ class GridSymmetry:
                 f"(child seq {child_seq})")
         return (child_seq, fn(color))
 
-    def rank_class(self, rank: int) -> tuple:
-        """Point-to-point congruence class of a world rank: all ranks
-        of one class post their sends/receives in lockstep."""
-        i, j = divmod(rank, self.t)
-        return (i % self.probe_rows, j % self.probe_cols)
 
-    def twin_indices(self, ranks: np.ndarray) -> np.ndarray:
-        """Probed behavioural twin per world rank (vectorised)."""
-        gi, gj = ranks // self.t, ranks % self.t
-        return (gi % self.probe_rows) * self.t + (gj % self.probe_cols)
-
-
-class TorusShiftSymmetry(GridSymmetry):
-    """Grid symmetry for torus-shift algorithms (Cannon).
-
-    Shift patterns distinguish the *boundary* rows/columns (where the
-    skew guards ``i > 0`` / ``j > 0`` differ and wraparound partners
-    sit) from the interior, which is one big class — so ranks collapse
-    by *clamping* to the probe border rather than wrapping modulo it:
-    rank ``(i, j)`` twins with ``(min(i, pr-1), min(j, pc-1))``.
-    """
-
-    def rank_class(self, rank: int) -> tuple:
-        i, j = divmod(rank, self.t)
-        return (min(i, self.probe_rows - 1), min(j, self.probe_cols - 1))
-
-    def twin_indices(self, ranks: np.ndarray) -> np.ndarray:
-        gi, gj = ranks // self.t, ranks % self.t
-        return (np.minimum(gi, self.probe_rows - 1) * self.t
-                + np.minimum(gj, self.probe_cols - 1))
-
-
-class DnsSymmetry:
-    """Rank-equivalence declaration for the DNS 3-D algorithm on a
-    ``q x q x q`` mesh (rank ``r = (i*q + j)*q + k``).
-
-    A rank's behaviour is a function of five structural flags —
-    ``(k==0, j==0, j==k, i==0, i==k)`` — which decide the A/B routing
-    roles (tags 10/11), broadcast rootness on the j/i axes, and the
-    final reduction to the ``k==0`` face.  The probe is the minimal
-    covering set — the ``{0,1,2}^3`` cube plus five full axis lines —
-    O(q) of the O(q^3) mesh:
-
-    * the cube realises every flag combination (all twins land in it)
-      and both sides of every p2p (sender class, receiver class,
-      occurrence) record the tag-10/11 routes can produce;
-    * full j-lines ``(i=0, k=0)`` and ``(i=0, k=1)`` give both j-axis
-      communicator classes (``k==0`` face vs ``k>=1``) a fully-probed
-      primary, full i-lines ``(j=0, k=0)`` / ``(j=0, k=1)`` do the
-      same for the i-axis, and the k-line ``(i=0, j=0)`` anchors the
-      single (lockstep) reduction class.
-
-    Every other probed rank sits in a partially-probed communicator
-    and joins its class memo (root differences on the rotated j/i
-    axes are handled by the memo's index rotation).
-
-    Breakage conditions (→ per-rank fallback): non-cubic rank counts
-    never reach here (the runner raises first); concrete payloads,
-    faults, or traffic outside tags 10/11 break en route.
-    """
-
-    rotated = frozenset({0, 1})
-    p2p_tags = frozenset({10, 11})
-
-    def __init__(self, q: int) -> None:
-        if q <= 0:
-            raise SimulationError(f"mesh dim must be positive: {q}")
-        self.q = q
-
-    @property
-    def nranks(self) -> int:
-        return self.q ** 3
-
-    @property
-    def covers_grid(self) -> bool:
-        # The {0,1,2}^3 cube alone is the whole mesh once q <= 3.
-        return self.q <= 3
-
-    def _coords(self, rank: int) -> tuple[int, int, int]:
-        q = self.q
-        return rank // (q * q), (rank // q) % q, rank % q
-
-    def probe_indices(self) -> list[int]:
-        q = self.q
-        r = np.arange(self.nranks)
-        i, j, k = r // (q * q), (r // q) % q, r % q
-        cube = (i <= 2) & (j <= 2) & (k <= 2)
-        j_lines = (i == 0) & (k <= 1)
-        i_lines = (j == 0) & (k <= 1)
-        k_line = (i == 0) & (j == 0)
-        return np.flatnonzero(cube | j_lines | i_lines | k_line).tolist()
-
-    def class_key(self, cid: tuple) -> tuple:
-        if len(cid) != 2:
-            raise SymmetryBroken(
-                f"collective on unexpected communicator depth: cid={cid!r}")
-        child_seq, color = cid
-        if child_seq in (0, 1):
-            # j-axis (color = i*q + k) and i-axis (color = j*q + k)
-            # comms: the k=0 face routes/roots differently from k>=1.
-            return (child_seq, min(color % self.q, 1))
-        if child_seq == 2:
-            return (2, 0)  # k-axis reduction: globally lockstep
-        raise SymmetryBroken(
-            f"collective on undeclared communicator family "
-            f"(child seq {child_seq})")
-
-    def rank_class(self, rank: int) -> tuple:
-        i, j, k = self._coords(rank)
-        return (k == 0, j == 0, j == k, i == 0, i == k)
-
-    def twin_indices(self, ranks: np.ndarray) -> np.ndarray:
-        q = self.q
-        i = ranks // (q * q)
-        j = (ranks // q) % q
-        k = ranks % q
-        # Flag-preserving representative with all coordinates in
-        # {0, 1, 2}: clamp the k=0 face; elsewhere k -> 1 and each of
-        # i/j keeps its (==0, ==k, other) role as (0, 1, 2).
-        ti = np.where(k == 0, np.minimum(i, 1),
-                      np.where(i == 0, 0, np.where(i == k, 1, 2)))
-        tj = np.where(k == 0, np.minimum(j, 1),
-                      np.where(j == 0, 0, np.where(j == k, 1, 2)))
-        tk = np.minimum(k, 1)
-        return (ti * q + tj) * q + tk
-
-
-class Layered25dSymmetry:
-    """Rank-equivalence declaration for the 2.5D algorithm on a
-    ``q x q x c`` layer stack (rank ``r = (i*q + j)*c + layer``).
-
-    Every phase is an unguarded collective (layer replication, per-step
-    row/col pivot broadcasts, layer reduction), so the run is fully
-    lockstep; the only observable coordinate is the *layer* (it selects
-    the pivot range ``k = layer*steps + idx``), making the row/col comm
-    classes ``layer``-keyed and the probe a single grid cross
-    (``i == 0`` or ``j == 0``) through all layers — O(q·c) of O(q²·c).
-
-    Breakage conditions (→ per-rank fallback): concrete payloads (the
-    layer reduction combines real partials), faults, heterogeneous
-    costers — all refused en route or by the blocker.
-    """
-
-    rotated = frozenset()
-    p2p_tags = frozenset()
-
-    def __init__(self, q: int, c: int) -> None:
-        if q <= 0 or c <= 0:
-            raise SimulationError(f"bad 2.5D layout: q={q}, c={c}")
-        self.q = q
-        self.c = c
-
-    @property
-    def nranks(self) -> int:
-        return self.q * self.q * self.c
-
-    @property
-    def covers_grid(self) -> bool:
-        return self.q <= 1
-
-    def probe_indices(self) -> list[int]:
-        q, c = self.q, self.c
-        out = []
-        for r in range(self.nranks):
-            i = r // (c * q)
-            j = (r // c) % q
-            if i == 0 or j == 0:
-                out.append(r)
-        return out
-
-    def class_key(self, cid: tuple) -> tuple:
-        if len(cid) != 2:
-            raise SymmetryBroken(
-                f"collective on unexpected communicator depth: cid={cid!r}")
-        child_seq, color = cid
-        if child_seq == 0:
-            return (0, 0)  # layer axis: one lockstep class
-        if child_seq in (1, 2):
-            # row (color = i*c + layer) / col (color = j*c + layer)
-            # comms: the layer picks the rotating pivot root.
-            return (child_seq, color % self.c)
-        raise SymmetryBroken(
-            f"collective on undeclared communicator family "
-            f"(child seq {child_seq})")
-
-    def rank_class(self, rank: int) -> tuple:
-        i = rank // (self.c * self.q)
-        j = (rank // self.c) % self.q
-        return (min(i, 1), min(j, 1), rank % self.c)
-
-    def twin_indices(self, ranks: np.ndarray) -> np.ndarray:
-        # (i, j, layer) -> (0, j, layer): same layer (keeps the retval
-        # face and pivot range), same column rootness on the row comms.
-        return ranks % (self.c * self.q)
-
-
+@dataclasses.dataclass(slots=True)
 class _Memo:
     """What one class primary observed for one collective sequence."""
 
-    __slots__ = ("op", "algorithm", "root", "segments", "p",
-                 "start", "finish", "nbytes_by_me", "results")
-
-    def __init__(self, op, algorithm, root, segments, p,
-                 start, finish, nbytes_by_me, results):
-        self.op = op
-        self.algorithm = algorithm
-        self.root = root
-        self.segments = segments
-        self.p = p
-        self.start = start
-        self.finish = finish
-        self.nbytes_by_me = nbytes_by_me
-        self.results = results
+    op: str
+    algorithm: str | None
+    root: int | None
+    segments: int | None
+    p: int
+    start: float
+    finish: float
+    nbytes_by_me: list
+    results: list
 
 
 def _phantom_ok(value: Any) -> bool:
@@ -466,7 +257,7 @@ class CollapsedMacroEngine(MacroBackend):
                 raise SymmetryBroken(
                     "point-to-point collapse requires a uniform network")
 
-        probe = sym.probe_indices()
+        probe = sym.probe
         probed = bytearray(len(gens))
         for r in probe:
             probed[r] = 1
@@ -574,35 +365,11 @@ class CollapsedMacroEngine(MacroBackend):
         """Fire a fully-probed collective; record or verify its memo."""
         req0 = entry[0][1]
         p = len(req0.participants)
-        payloads: list[Any] = [None] * p
+        start, finish, results = self._price(entry)
         nbytes_by_me = [0] * p
-        start = 0.0
-        for st, req in entry:
-            payloads[req.me] = req.payload
+        for _st, req in entry:
             nbytes_by_me[req.me] = req.nbytes
-            clock = st.stats.clock
-            if clock > start:
-                start = clock
-        nbytes = _op_nbytes(req0.op, req0.root, entry)
-        root = req0.root if req0.root is not None else 0
-        # Participant-invariant costers (a collapse precondition) price
-        # by communicator size, so the duration memo can drop the
-        # participant tuple — same float, one coster call per class.
-        dkey = (req0.op, req0.algorithm, p, root, nbytes, req0.segments,
-                req0.cid[0] if req0.cid else None)
-        duration = self._durations.get(dkey)
-        if duration is None:
-            duration = self._durations[dkey] = self.coster.collective_time(
-                req0.op,
-                req0.algorithm,
-                req0.participants,
-                root,
-                nbytes,
-                segments=req0.segments,
-                cid=req0.cid,
-            )
-        finish = start + duration
-        results = _op_results(req0.op, req0.root, p, payloads)
+        root = req0.root or 0
         rotated = req0.cid[0] in self.symmetry.rotated if req0.cid else False
         memo = self._memos.get(mkey)
         if memo is None:
@@ -628,6 +395,14 @@ class CollapsedMacroEngine(MacroBackend):
         self._events.push(
             finish, self._collective_done, (entry, results, finish)
         )
+
+    def _duration_key(self, req0: CollectiveRequest, root: int,
+                      nbytes: int) -> tuple:
+        # Participant-invariant costers (a collapse precondition) price
+        # by communicator size, so the duration memo can drop the
+        # participant tuple — same float, one coster call per class.
+        return (req0.op, req0.algorithm, len(req0.participants), root, nbytes,
+                req0.segments, req0.cid[0] if req0.cid else None)
 
     def _join(self, state: _RankState, request: CollectiveRequest,
               memo: _Memo) -> None:
@@ -734,42 +509,36 @@ class CollapsedMacroEngine(MacroBackend):
             if key is not None and key not in posts:
                 self._waiters.setdefault(key, []).append(spec)
                 return
-        kind, state, now, me, dst, src, nbytes, payload, need_d, need_s = spec
-        stats = state.stats
-        if kind == "sendrecv":
+        state, now, me, dst, src, nbytes, need_d, need_s = spec
+        # A blocking send or receive is a sendrecv with one leg missing:
+        # the missing leg finishes at the post time, so it charges
+        # exactly 0.0 below.
+        finish_s = finish_r = now
+        payload = None
+        if need_d is not None:
             d_time = posts[need_d][0]
-            s_time, s_nbytes, s_payload = posts[need_s]
             finish_s = ((now if now >= d_time else d_time)
                         + self._wire(me, dst, nbytes))
+        if need_s is not None:
+            s_time, s_nbytes, payload = posts[need_s]
             finish_r = ((now if now >= s_time else s_time)
                         + self._wire(src, me, s_nbytes))
-            done = finish_s if finish_s > finish_r else finish_r
-            self._events.push(
-                done, self._p2p_sendrecv_done,
-                (state, nbytes, s_payload, finish_r, finish_s))
-        elif kind == "send":
-            d_time = posts[need_d][0]
-            finish = ((now if now >= d_time else d_time)
-                      + self._wire(me, dst, nbytes))
-            self._events.push(
-                finish, self._p2p_send_done, (state, nbytes, finish))
-        else:  # "recv"
-            s_time, s_nbytes, s_payload = posts[need_s]
-            finish = ((now if now >= s_time else s_time)
-                      + self._wire(src, me, s_nbytes))
-            self._events.push(
-                finish, self._p2p_recv_done, (state, s_payload, finish))
+        done = finish_s if finish_s > finish_r else finish_r
+        self._events.push(
+            done, self._p2p_done,
+            (state, nbytes, payload, finish_r, finish_s))
 
-    def _p2p_sendrecv_done(self, state: _RankState, nbytes: int,
-                           payload: Any, finish_r: float,
-                           finish_s: float) -> None:
+    def _p2p_done(self, state: _RankState, nbytes: int | None,
+                  payload: Any, finish_r: float, finish_s: float) -> None:
         # Mirrors Engine._fused_recv_done + _fused_send_done for both
         # event orderings: the receive leg's charge lands first (from
         # the shared block_start), then the send tail extends the clock
-        # to finish_s exactly when it completes later.
+        # to finish_s exactly when it completes later.  ``nbytes`` is
+        # None for a bare receive, which sends nothing.
         stats = state.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += nbytes
+        if nbytes is not None:
+            stats.messages_sent += 1
+            stats.bytes_sent += nbytes
         stats.comm_time += finish_r - state.block_start
         if finish_r > stats.clock:
             stats.clock = finish_r
@@ -778,92 +547,58 @@ class CollapsedMacroEngine(MacroBackend):
             stats.clock = finish_s
         self._resume(state, payload, stats.clock)
 
-    def _p2p_send_done(self, state: _RankState, nbytes: int,
-                       finish: float) -> None:
-        stats = state.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += nbytes
-        stats.comm_time += finish - state.block_start
-        self._resume(state, None, finish)
-
-    def _p2p_recv_done(self, state: _RankState, payload: Any,
-                       finish: float) -> None:
-        state.stats.comm_time += finish - state.block_start
-        self._resume(state, payload, finish)
+    def _post_p2p(self, state: _RankState, request: Any, now: float,
+                  dst: int | None, sendtag: tuple | None,
+                  src: int | None, recvtag: tuple | None) -> Any:
+        """Classify one blocking p2p op, count its occurrence per leg,
+        record the class posts and park it until the partner classes'
+        posts exist (``dst``/``src`` is ``None`` for a missing leg)."""
+        me = state.stats.rank
+        cls_me = self._class_of_rank(me)
+        nbytes = need_d = need_s = None
+        if dst is not None:
+            self._check_tag(state, sendtag)
+            nbytes = request.nbytes
+            if not _phantom_ok(request.payload):
+                raise SymmetryBroken(
+                    f"rank {state.stats.rank} sent concrete data")
+            cls_dst = self._class_of_rank(dst)
+            occ = self._next_occ(me, "s", sendtag, cls_dst)
+            self._record_post(("s", cls_me, sendtag, cls_dst, occ),
+                              now, nbytes, request.payload)
+            # My occ-th send to the dst class pairs (FIFO channel
+            # order) with the dst class's occ-th receive from my class,
+            # and symmetrically for the receive leg.
+            need_d = ("r", cls_dst, sendtag, cls_me, occ)
+        if src is not None:
+            self._check_tag(state, recvtag)
+            cls_src = self._class_of_rank(src)
+            occ = self._next_occ(me, "r", recvtag, cls_src)
+            self._record_post(("r", cls_me, recvtag, cls_src, occ),
+                              now, None, None)
+            need_s = ("s", cls_src, recvtag, cls_me, occ)
+        state.blocked_on = request
+        state.block_start = now
+        self._try_p2p([state, now, me, dst, src, nbytes, need_d, need_s])
+        return _PARKED
 
     def _handle_sendrecv(self, state: _RankState,
                          request: SendRecvRequest, now: float) -> Any:
-        self._check_tag(state, request.sendtag)
-        self._check_tag(state, request.recvtag)
-        if not _phantom_ok(request.payload):
-            raise SymmetryBroken(
-                f"rank {state.stats.rank} sent concrete data")
-        me = state.stats.rank
-        cls_me = self._class_of_rank(me)
-        cls_dst = self._class_of_rank(request.dst)
-        cls_src = self._class_of_rank(request.src)
-        occ_s = self._next_occ(me, "s", request.sendtag, cls_dst)
-        occ_r = self._next_occ(me, "r", request.recvtag, cls_src)
-        self._record_post(("s", cls_me, request.sendtag, cls_dst, occ_s),
-                          now, request.nbytes, request.payload)
-        self._record_post(("r", cls_me, request.recvtag, cls_src, occ_r),
-                          now, None, None)
-        state.blocked_on = request
-        state.block_start = now
-        # My occ_s-th send to the dst class pairs (FIFO channel order)
-        # with the dst class's occ_s-th receive from my class, and
-        # symmetrically for the receive leg.
-        self._try_p2p([
-            "sendrecv", state, now, me, request.dst, request.src,
-            request.nbytes, request.payload,
-            ("r", cls_dst, request.sendtag, cls_me, occ_s),
-            ("s", cls_src, request.recvtag, cls_me, occ_r),
-        ])
-        return _PARKED
+        return self._post_p2p(state, request, now, request.dst,
+                              request.sendtag, request.src, request.recvtag)
 
     def _handle_send(self, state: _RankState, request: SendRequest,
                      now: float) -> Any:
-        self._check_tag(state, request.tag)
-        if not _phantom_ok(request.payload):
-            raise SymmetryBroken(
-                f"rank {state.stats.rank} sent concrete data")
-        me = state.stats.rank
-        cls_me = self._class_of_rank(me)
-        cls_dst = self._class_of_rank(request.dst)
-        occ = self._next_occ(me, "s", request.tag, cls_dst)
-        self._record_post(("s", cls_me, request.tag, cls_dst, occ),
-                          now, request.nbytes, request.payload)
-        state.blocked_on = request
-        state.block_start = now
-        self._try_p2p([
-            "send", state, now, me, request.dst, None,
-            request.nbytes, request.payload,
-            ("r", cls_dst, request.tag, cls_me, occ),
-            None,
-        ])
-        return _PARKED
+        return self._post_p2p(state, request, now, request.dst,
+                              request.tag, None, None)
 
     def _handle_recv(self, state: _RankState, request: RecvRequest,
                      now: float) -> Any:
         if request.timeout is not None:
             raise SymmetryBroken(
                 f"rank {state.stats.rank} posted a timed receive")
-        self._check_tag(state, request.tag)
-        me = state.stats.rank
-        cls_me = self._class_of_rank(me)
-        cls_src = self._class_of_rank(request.src)
-        occ = self._next_occ(me, "r", request.tag, cls_src)
-        self._record_post(("r", cls_me, request.tag, cls_src, occ),
-                          now, None, None)
-        state.blocked_on = request
-        state.block_start = now
-        self._try_p2p([
-            "recv", state, now, me, None, request.src,
-            None, None,
-            None,
-            ("s", cls_src, request.tag, cls_me, occ),
-        ])
-        return _PARKED
+        return self._post_p2p(state, request, now, None, None,
+                              request.src, request.tag)
 
     # -- everything the congruence argument cannot cover -------------------
 
@@ -962,10 +697,57 @@ class CollapsedMacroEngine(MacroBackend):
 # program's per-step clock evolution.
 
 
+def _grid(
+    s: int, t: int, probe_rows: int, probe_cols: int,
+    class_keys: Mapping[int, Callable[[Any], Any]], *,
+    clamp: bool = False,
+    rotated: frozenset = frozenset(),
+    p2p_tags: frozenset = frozenset(),
+) -> GridSymmetry:
+    """The declaration of an ``s x t`` grid (world rank ``r`` sits at
+    ``divmod(r, t)``) probed on grid rows ``0..probe_rows-1`` plus grid
+    columns ``0..probe_cols-1``.  Flat SUMMA/cyclic: 1x1 (a cross).
+    HSUMMA with an ``I x J`` group grid: ``(s/I) x (t/J)``.
+
+    Rank ``(i, j)`` twins with — and shares the point-to-point class
+    of — ``(i mod probe_rows, j mod probe_cols)``.  ``clamp`` is the
+    torus-shift variant (Cannon): shift patterns distinguish the
+    *boundary* rows/columns (where the skew guards ``i > 0`` /
+    ``j > 0`` differ and wraparound partners sit) from the interior,
+    which is one big class — so ranks collapse by *clamping* to the
+    probe border rather than wrapping modulo it: rank ``(i, j)`` twins
+    with ``(min(i, probe_rows-1), min(j, probe_cols-1))``.
+    """
+    if s <= 0 or t <= 0:
+        raise SimulationError(f"grid dims must be positive: {s}x{t}")
+    if probe_rows <= 0 or probe_cols <= 0:
+        raise SimulationError(
+            f"probe dims must be positive: {probe_rows}x{probe_cols}")
+    pr, pc = min(probe_rows, s), min(probe_cols, t)
+    probe = [*range(pr * t),
+             *(i * t + j for i in range(pr, s) for j in range(pc))]
+    if clamp:
+        def fold(x: Any, m: int) -> Any:
+            return np.minimum(x, m - 1)
+    else:
+        def fold(x: Any, m: int) -> Any:
+            return x % m
+
+    def twin_indices(ranks: Any) -> Any:
+        return fold(ranks // t, probe_rows) * t + fold(ranks % t, probe_cols)
+
+    return GridSymmetry(
+        nranks=s * t, probe=tuple(probe),
+        rank_class=lambda rank: divmod(int(twin_indices(rank)), t),
+        twin_indices=twin_indices,
+        class_keys=class_keys, rotated=rotated, p2p_tags=p2p_tags,
+    )
+
+
 def summa_symmetry(s: int, t: int) -> GridSymmetry:
     """Flat SUMMA (and flat block-cyclic SUMMA): every row comm behaves
     like every other row comm, ditto columns — a 1x1 probe cross."""
-    return GridSymmetry(s, t, 1, 1, {0: _const, 1: _const})
+    return _grid(s, t, 1, 1, {0: _const, 1: _const})
 
 
 def hsumma_symmetry(s: int, t: int, I: int, J: int) -> GridSymmetry:
@@ -987,12 +769,12 @@ def hsumma_symmetry(s: int, t: int, I: int, J: int) -> GridSymmetry:
     if I == 1 and J == 1:
         # Both outer phases are free; the inner comms span full grid
         # rows/columns and stay in lockstep — SUMMA's cross probe.
-        return GridSymmetry(s, t, 1, 1, {4: _const, 5: _const})
+        return _grid(s, t, 1, 1, {4: _const, 5: _const})
     if I == 1:
         # No outer-col phase, so nothing desynchronises by ii: the
         # inner comms run uniformly and only jj (outer-row guard)
         # structures the run.
-        return GridSymmetry(s, t, 1, tj, {
+        return _grid(s, t, 1, tj, {
             2: lambda color: color % tj,  # color = i*tj + jj
             4: _const,
             5: _const,
@@ -1001,12 +783,12 @@ def hsumma_symmetry(s: int, t: int, I: int, J: int) -> GridSymmetry:
         # No outer-row phase; outer-col comms need ii for sequence
         # alignment, and inner-row comms (whose members all share ii)
         # start at different times depending on ii == ik.
-        return GridSymmetry(s, t, si, 1, {
+        return _grid(s, t, si, 1, {
             3: lambda color: color % si,  # color = j*si + ii
             4: lambda color: color % si,  # color = i*J + y = i
             5: _const,
         })
-    return GridSymmetry(s, t, si, tj, {
+    return _grid(s, t, si, tj, {
         2: lambda color: color % tj,                      # color = i*tj + jj
         3: lambda color: (color % si, (color // si) % tj),  # = j*si + ii
         4: lambda color: (color // J) % si,               # color = i*J + y
@@ -1025,7 +807,7 @@ def cyclic_symmetry(s: int, t: int, I: int = 1, J: int = 1) -> GridSymmetry:
         return summa_symmetry(s, t)
     si, tj = s // I, t // J
     if I == 1:
-        return GridSymmetry(s, t, 1, tj, {
+        return _grid(s, t, 1, tj, {
             2: lambda color: color % tj,
             4: _const,
             5: _const,
@@ -1033,12 +815,12 @@ def cyclic_symmetry(s: int, t: int, I: int = 1, J: int = 1) -> GridSymmetry:
     if J == 1:
         # Unlike HSUMMA's J=1 case, the inner-row phase here runs
         # *before* the guarded outer-col phase, so it starts uniformly.
-        return GridSymmetry(s, t, si, 1, {
+        return _grid(s, t, si, 1, {
             3: lambda color: color % si,
             4: _const,
             5: _const,
         })
-    return GridSymmetry(s, t, si, tj, {
+    return _grid(s, t, si, tj, {
         2: lambda color: color % tj,   # color = i*tj + jj
         3: lambda color: color % si,   # color = j*si + ii
         4: _const,
@@ -1046,7 +828,7 @@ def cyclic_symmetry(s: int, t: int, I: int = 1, J: int = 1) -> GridSymmetry:
     })
 
 
-def cannon_symmetry(q: int) -> TorusShiftSymmetry:
+def cannon_symmetry(q: int) -> GridSymmetry:
     """Cannon on a ``q x q`` torus: four sendrecv families (skew A/B
     guarded by ``i > 0`` / ``j > 0``, then the per-step A/B ring
     shifts) on tags 1-4 and no collectives.
@@ -1054,13 +836,13 @@ def cannon_symmetry(q: int) -> TorusShiftSymmetry:
     Roles depend only on whether a rank sits on the guard boundary
     (row 0 / column 0) or adjacent to it, so the probe is the first
     two full rows plus the first two full columns with *clamped*
-    twins (:class:`TorusShiftSymmetry`): every interior rank twins
-    with (1, 1).  Breakage conditions (→ per-rank fallback): concrete
-    tiles in the shifts, faults, ``q <= 2`` (the probe covers the
-    grid, reported by the blocker as no-win).
+    twins (see :func:`_grid`): every interior rank twins with (1, 1).
+    Breakage conditions (→ per-rank fallback): concrete tiles in the
+    shifts, faults, ``q <= 2`` (the probe covers the grid, reported by
+    the blocker as no-win).
     """
-    return TorusShiftSymmetry(
-        q, q, min(2, q), min(2, q), {},
+    return _grid(
+        q, q, min(2, q), min(2, q), {}, clamp=True,
         p2p_tags=frozenset({1, 2, 3, 4}),
     )
 
@@ -1076,21 +858,129 @@ def fox_symmetry(q: int) -> GridSymmetry:
     conditions: concrete tiles (roll payloads or broadcast pivots),
     faults, traffic outside tag 5.
     """
-    return GridSymmetry(
+    return _grid(
         q, q, 1, 1, {0: _const},
         rotated=frozenset({0}),
         p2p_tags=frozenset({5}),
     )
 
 
-def dns3d_symmetry(q: int) -> DnsSymmetry:
-    """DNS 3-D on a ``q x q x q`` mesh; see :class:`DnsSymmetry`."""
-    return DnsSymmetry(q)
+def dns3d_symmetry(q: int) -> GridSymmetry:
+    """Rank-equivalence declaration for the DNS 3-D algorithm on a
+    ``q x q x q`` mesh (rank ``r = (i*q + j)*q + k``).
+
+    A rank's behaviour is a function of five structural flags —
+    ``(k==0, j==0, j==k, i==0, i==k)`` — which decide the A/B routing
+    roles (tags 10/11), broadcast rootness on the j/i axes, and the
+    final reduction to the ``k==0`` face.  The probe is the minimal
+    covering set — the ``{0,1,2}^3`` cube plus five full axis lines —
+    O(q) of the O(q^3) mesh (the cube alone is the whole mesh once
+    ``q <= 3``):
+
+    * the cube realises every flag combination (all twins land in it)
+      and both sides of every p2p (sender class, receiver class,
+      occurrence) record the tag-10/11 routes can produce;
+    * full j-lines ``(i=0, k=0)`` and ``(i=0, k=1)`` give both j-axis
+      communicator classes (``k==0`` face vs ``k>=1``) a fully-probed
+      primary, full i-lines ``(j=0, k=0)`` / ``(j=0, k=1)`` do the
+      same for the i-axis, and the k-line ``(i=0, j=0)`` anchors the
+      single (lockstep) reduction class.
+
+    Every other probed rank sits in a partially-probed communicator
+    and joins its class memo (root differences on the rotated j/i
+    axes are handled by the memo's index rotation).
+
+    Breakage conditions (→ per-rank fallback): non-cubic rank counts
+    never reach here (the runner raises first); concrete payloads,
+    faults, or traffic outside tags 10/11 break en route.
+    """
+    if q <= 0:
+        raise SimulationError(f"mesh dim must be positive: {q}")
+
+    def coords(ranks: Any) -> tuple[Any, Any, Any]:
+        return ranks // (q * q), (ranks // q) % q, ranks % q
+
+    i, j, k = coords(np.arange(q ** 3))
+    cube = (i <= 2) & (j <= 2) & (k <= 2)
+    j_lines = (i == 0) & (k <= 1)
+    i_lines = (j == 0) & (k <= 1)
+    k_line = (i == 0) & (j == 0)
+
+    def rank_class(rank: int) -> tuple:
+        i, j, k = coords(rank)
+        return (k == 0, j == 0, j == k, i == 0, i == k)
+
+    def twin_indices(ranks: np.ndarray) -> np.ndarray:
+        i, j, k = coords(ranks)
+        # Flag-preserving representative with all coordinates in
+        # {0, 1, 2}: clamp the k=0 face; elsewhere k -> 1 and each of
+        # i/j keeps its (==0, ==k, other) role as (0, 1, 2).
+        ti = np.where(k == 0, np.minimum(i, 1),
+                      np.where(i == 0, 0, np.where(i == k, 1, 2)))
+        tj = np.where(k == 0, np.minimum(j, 1),
+                      np.where(j == 0, 0, np.where(j == k, 1, 2)))
+        tk = np.minimum(k, 1)
+        return (ti * q + tj) * q + tk
+
+    def axis_key(color: int) -> int:
+        # j-axis (color = i*q + k) and i-axis (color = j*q + k) comms:
+        # the k=0 face routes/roots differently from k>=1.
+        return min(color % q, 1)
+
+    return GridSymmetry(
+        nranks=q ** 3,
+        probe=tuple(np.flatnonzero(
+            cube | j_lines | i_lines | k_line).tolist()),
+        rank_class=rank_class,
+        twin_indices=twin_indices,
+        # Child 2 is the k-axis reduction: globally lockstep.
+        class_keys={0: axis_key, 1: axis_key, 2: _const},
+        rotated=frozenset({0, 1}),
+        p2p_tags=frozenset({10, 11}),
+    )
 
 
-def summa25d_symmetry(q: int, c: int) -> Layered25dSymmetry:
-    """2.5D on a ``q x q x c`` stack; see :class:`Layered25dSymmetry`."""
-    return Layered25dSymmetry(q, c)
+def summa25d_symmetry(q: int, c: int) -> GridSymmetry:
+    """Rank-equivalence declaration for the 2.5D algorithm on a
+    ``q x q x c`` layer stack (rank ``r = (i*q + j)*c + layer``).
+
+    Every phase is an unguarded collective (layer replication, per-step
+    row/col pivot broadcasts, layer reduction), so the run is fully
+    lockstep; the only observable coordinate is the *layer* (it selects
+    the pivot range ``k = layer*steps + idx``), making the row/col comm
+    classes ``layer``-keyed and the probe a single grid cross
+    (``i == 0`` or ``j == 0``) through all layers — O(q·c) of O(q²·c).
+
+    Breakage conditions (→ per-rank fallback): concrete payloads (the
+    layer reduction combines real partials), faults, heterogeneous
+    costers — all refused en route or by the blocker.
+    """
+    if q <= 0 or c <= 0:
+        raise SimulationError(f"bad 2.5D layout: q={q}, c={c}")
+
+    def rank_class(rank: int) -> tuple:
+        i = rank // (c * q)
+        j = (rank // c) % q
+        return (min(i, 1), min(j, 1), rank % c)
+
+    def layer_key(color: int) -> int:
+        # row (color = i*c + layer) / col (color = j*c + layer) comms:
+        # the layer picks the rotating pivot root.
+        return color % c
+
+    return GridSymmetry(
+        nranks=q * q * c,
+        # Grid row i == 0 whole, then column j == 0 of every other row.
+        probe=(*range(c * q),
+               *(r for i in range(1, q)
+                 for r in range(i * c * q, i * c * q + c))),
+        rank_class=rank_class,
+        # (i, j, layer) -> (0, j, layer): same layer (keeps the retval
+        # face and pivot range), same column rootness on the row comms.
+        twin_indices=lambda ranks: ranks % (c * q),
+        # Child 0 is the layer axis: one lockstep class.
+        class_keys={0: _const, 1: layer_key, 2: layer_key},
+    )
 
 
 def multilevel_symmetry(
@@ -1162,4 +1052,4 @@ def multilevel_symmetry(
 
         class_keys[2 + 2 * lev] = h_key
         class_keys[3 + 2 * lev] = v_key
-    return GridSymmetry(s, t, s // rf[0], t // cf[0], class_keys)
+    return _grid(s, t, s // rf[0], t // cf[0], class_keys)

@@ -118,13 +118,12 @@ def _qr_case() -> CorpusCase:
                       description="blocked Householder QR on a 2x2 grid")
 
 
-def _collapsed_case(name: str, description: str, runner_name: str,
-                    nranks: int, symmetry_args: tuple,
-                    **kwargs: Any) -> CorpusCase:
-    """Run one runner through the symmetry-collapsed macro engine and
-    through the per-rank engine, and render the congruence contract —
-    collapse actually engaged, per-rank stats bit-identical — as a
-    verdict.
+def _collapsed_case(name: str, description: str, family_name: str,
+                    **shape: Any) -> CorpusCase:
+    """Run one table family through the symmetry-collapsed macro engine
+    and through the per-rank engine, and render the congruence
+    contract — collapse actually engaged, per-rank stats
+    bit-identical — as a verdict.
 
     These cases do not use the message recorder (collapse and
     verification are mutually exclusive by design: the recorder must
@@ -132,31 +131,25 @@ def _collapsed_case(name: str, description: str, runner_name: str,
     property they pin is the congruence itself.
     """
     def run(verify: Any) -> Verdict:
+        from repro.core.launch import Shape, family, launch
         from repro.network.homogeneous import HomogeneousNetwork
         from repro.network.model import HockneyParams
         from repro.payloads import PhantomArray
         from repro.simulator.backends import MacroBackend
-        from repro.simulator import collapse as collapse_mod
         from repro.verify.verdict import Finding
 
-        import repro.algorithms.algo25d as algo25d
-        import repro.algorithms.cannon as cannon
-        import repro.algorithms.dns3d as dns3d
-
-        runner = {"cannon": cannon.run_cannon, "dns3d": dns3d.run_dns3d,
-                  "25d": algo25d.run_25d}[runner_name]
-        factory = {"cannon": collapse_mod.cannon_symmetry,
-                   "dns3d": collapse_mod.dns3d_symmetry,
-                   "25d": collapse_mod.summa25d_symmetry}[runner_name]
         n = 24
         A, B = PhantomArray((n, n)), PhantomArray((n, n))
+        row = family(family_name)
+        _, cfg = row.configure(n, n, n, Shape(**shape))
+        nranks = row.layout(cfg).nranks
         net = HomogeneousNetwork(nranks, HockneyParams(1e-4, 1e-9))
-        col = MacroBackend(net, symmetry=factory(*symmetry_args))
-        _, sim_col = runner(A, B, network=net, gamma=1e-10, backend=col,
-                            **kwargs)
+        col = MacroBackend(net, symmetry=row.symmetry(cfg))
+        _, sim_col = launch(row, cfg, A, B, network=net, gamma=1e-10,
+                            backend=col)
         ref = MacroBackend(net)
-        _, sim_ref = runner(A, B, network=net, gamma=1e-10, backend=ref,
-                            **kwargs)
+        _, sim_ref = launch(row, cfg, A, B, network=net, gamma=1e-10,
+                            backend=ref)
 
         findings = []
         report = col.collapse_report or {}
@@ -193,7 +186,7 @@ def _collapsed_case(name: str, description: str, runner_name: str,
         return Verdict(findings=findings, nranks=nranks,
                        checks=("collapse-congruence",),
                        meta={"backend": "macro+collapse",
-                             "runner": runner_name,
+                             "runner": family_name,
                              "outcome": "clean" if clean else "error",
                              "observed_ops": len(sim_ref.stats)})
 
@@ -247,55 +240,65 @@ def _pipelined_spmd_case(name: str, algorithm: str, nranks: int,
     return CorpusCase(name=name, run=run, description=description)
 
 
+#: Each table family's tiny cases: family -> (case name, description,
+#: ``multiply`` arguments) rows.  A :data:`~repro.core.launch.FAMILIES`
+#: row without an entry gets one case at its defaults on four ranks.
+_FAMILY_CASES: dict[str, tuple[tuple[str, str, dict], ...]] = {
+    "summa": (
+        ("summa", "pivot-broadcast SUMMA on a 2x2 grid", dict(nprocs=4)),
+        ("summa-overlap", "SUMMA with one-step lookahead",
+         dict(nprocs=4, overlap=True)),
+        ("summa-segmented",
+         "SUMMA over the pipelined binary-tree broadcast, depth 3",
+         dict(nprocs=4, bcast="segmented", bcast_segments=3)),
+    ),
+    "hsumma": (
+        ("hsumma", "two-level HSUMMA on a 2x2 grid", dict(nprocs=4)),
+        ("hsumma-overlap", "HSUMMA with one-step lookahead",
+         dict(nprocs=4, overlap=True)),
+    ),
+    "cyclic": (("cyclic", "block-cyclic SUMMA", dict(nprocs=4, block=6)),),
+    "cannon": (("cannon", "Cannon's shift algorithm", dict(nprocs=4)),),
+    "fox": (("fox", "Fox's broadcast-roll algorithm", dict(nprocs=4)),),
+    "3d": (("dns3d", "3-D (DNS) algorithm on a 2x2x2 mesh", dict(nprocs=8)),),
+    "2.5d": (("25d", "2.5D algorithm, replication 2",
+              dict(nprocs=8, replication=2)),),
+}
+
+#: The families with a ``*-collapsed`` congruence case: family -> (case
+#: name, description, shape fields).
+_COLLAPSED_CASES: dict[str, tuple[str, str, dict]] = {
+    "cannon": ("cannon-collapsed",
+               "Cannon through the torus-shift-collapsed macro engine, "
+               "bit-identical to per-rank", dict(nprocs=16)),
+    "3d": ("dns3d-collapsed",
+           "DNS 3-D through the flag-class-collapsed macro engine on a "
+           "4x4x4 mesh, bit-identical to per-rank", dict(nprocs=64)),
+    "2.5d": ("25d-collapsed",
+             "2.5D through the layer-collapsed macro engine (q=4, c=2), "
+             "bit-identical to per-rank", dict(nprocs=32, replication=2)),
+}
+
+#: The order reports print the shipped cases in; the cases of a family
+#: registered later follow.
+_ORDER = (
+    "summa", "hsumma", "hsumma-multilevel", "summa-overlap",
+    "hsumma-overlap", "cyclic", "cannon", "fox", "dns3d", "25d",
+    "cannon-collapsed", "dns3d-collapsed", "25d-collapsed",
+    "hetero-summa1d", "lu", "qr", "spmd-collectives", "summa-segmented",
+    "spmd-fourcolor", "spmd-hypersystolic",
+)
+
+
 def build_corpus() -> list[CorpusCase]:
-    """The full corpus, in the order reports print it."""
-    return [
-        _multiply_case("summa", "pivot-broadcast SUMMA on a 2x2 grid",
-                       nprocs=4, algorithm="summa"),
-        _multiply_case("hsumma", "two-level HSUMMA on a 2x2 grid",
-                       nprocs=4, algorithm="hsumma"),
-        _multilevel_case(),
-        _multiply_case("summa-overlap", "SUMMA with one-step lookahead",
-                       nprocs=4, algorithm="summa", overlap=True),
-        _multiply_case("hsumma-overlap", "HSUMMA with one-step lookahead",
-                       nprocs=4, algorithm="hsumma", overlap=True),
-        _multiply_case("cyclic", "block-cyclic SUMMA", nprocs=4,
-                       algorithm="cyclic", block=6),
-        _multiply_case("cannon", "Cannon's shift algorithm", nprocs=4,
-                       algorithm="cannon"),
-        _multiply_case("fox", "Fox's broadcast-roll algorithm", nprocs=4,
-                       algorithm="fox"),
-        _multiply_case("dns3d", "3-D (DNS) algorithm on a 2x2x2 mesh",
-                       nprocs=8, algorithm="3d"),
-        _multiply_case("25d", "2.5D algorithm, replication 2",
-                       nprocs=8, algorithm="2.5d", replication=2),
-        _collapsed_case(
-            "cannon-collapsed",
-            "Cannon through the torus-shift-collapsed macro engine, "
-            "bit-identical to per-rank", "cannon", 16, (4,), grid=(4, 4),
-        ),
-        _collapsed_case(
-            "dns3d-collapsed",
-            "DNS 3-D through the flag-class-collapsed macro engine on a "
-            "4x4x4 mesh, bit-identical to per-rank", "dns3d", 64, (4,),
-            nprocs=64,
-        ),
-        _collapsed_case(
-            "25d-collapsed",
-            "2.5D through the layer-collapsed macro engine (q=4, c=2), "
-            "bit-identical to per-rank", "25d", 32, (4, 2),
-            nprocs=32, replication=2,
-        ),
-        _hetero_case(),
-        _lu_case(),
-        _qr_case(),
+    """The full corpus, in the order reports print it: the table
+    families' cases generated from :data:`~repro.core.launch.FAMILIES`,
+    and the variants without a row listed by hand."""
+    from repro.core.launch import FAMILIES, family
+
+    cases = [
+        _multilevel_case(), _hetero_case(), _lu_case(), _qr_case(),
         _ft_bcast_case(),
-        _multiply_case(
-            "summa-segmented",
-            "SUMMA over the pipelined binary-tree broadcast, depth 3",
-            nprocs=4, algorithm="summa", bcast="segmented",
-            bcast_segments=3,
-        ),
         _pipelined_spmd_case(
             "spmd-fourcolor", "fourcolor", 5, 2,
             "4-color bidirectional ring multicast on 5 ranks, root 1",
@@ -305,6 +308,16 @@ def build_corpus() -> list[CorpusCase]:
             "hyper-systolic ring broadcast on 7 ranks, root 1",
         ),
     ]
+    for name in FAMILIES:
+        default = ((name, f"{family(name).display} at its defaults on four "
+                    "ranks", dict(nprocs=4)),)
+        cases += [_multiply_case(case, text, algorithm=name, **kwargs)
+                  for case, text, kwargs in _FAMILY_CASES.get(name, default)]
+        if name in _COLLAPSED_CASES:
+            case, text, shape = _COLLAPSED_CASES[name]
+            cases.append(_collapsed_case(case, text, name, **shape))
+    return sorted(cases, key=lambda c: _ORDER.index(c.name)
+                  if c.name in _ORDER else len(_ORDER))
 
 
 def run_corpus(

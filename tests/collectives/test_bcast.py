@@ -5,7 +5,7 @@ import pytest
 
 from repro.collectives import BROADCAST_ALGORITHMS
 from repro.collectives.bcast import optimal_pipeline_segments
-from repro.collectives.cost import bcast_time
+from repro.costs import bcast_time
 from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
 from repro.simulator import run_spmd

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.collectives.cost import (
+from repro.costs import (
     bcast_bandwidth_factor,
     bcast_latency_factor,
     bcast_time,

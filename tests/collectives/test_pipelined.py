@@ -13,7 +13,7 @@ checks without touching this file.
 import numpy as np
 import pytest
 
-from repro.collectives.cost import bcast_time
+from repro.costs import bcast_time
 from repro.collectives.pipelined import (
     LinkStep,
     fourcolor_schedule,

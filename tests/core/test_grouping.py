@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.grouping import (
+    arrange_groups,
     choose_group_grid,
+    default_group_count,
     feasible_group_grids,
     group_aligned_mapping,
     group_of,
@@ -47,6 +49,33 @@ class TestChooseGroupGrid:
     def test_infeasible_raises_with_hint(self):
         with pytest.raises(ConfigurationError, match="valid counts"):
             choose_group_grid(4, 4, 5)
+
+
+class TestDefaultGroupCount:
+    def test_is_both_rules_it_replaced(self):
+        """One nearest-``sqrt(p)`` default stands where ``multiply``
+        (``round(sqrt(p))``, first minimum over the ascending counts)
+        and ``naive_launch`` (``(abs(g - sqrt(p)), g)``) each had their
+        own; on every most-square grid up to p = 4096 all three agree.
+        (Were they ever to differ, ``naive_launch``'s rule — the one
+        kept — is what the pinned stream reports depend on.)"""
+        import math
+
+        from repro.util.gridmath import factor_grid
+
+        for p in range(1, 4097):
+            s, t = factor_grid(p)
+            counts = valid_group_counts(s, t)
+            rounded = int(round(p ** 0.5))
+            by_multiply = min(counts, key=lambda g: abs(g - rounded))
+            by_naive_launch = min(
+                counts, key=lambda g: (abs(g - math.sqrt(p)), g))
+            assert default_group_count(s, t) == by_multiply \
+                == by_naive_launch, p
+
+    def test_arrange_groups_takes_a_count_or_a_pair(self):
+        assert arrange_groups(4, 4, 4) == (2, 2)
+        assert arrange_groups(4, 4, (1, 4)) == (1, 4)
 
 
 class TestValidGroupCounts:

@@ -40,6 +40,15 @@ def family_name(request):
     return request.param
 
 
+def _shape_of(case):
+    """A ``multiply`` case as the :class:`Shape` it describes."""
+    from repro.core.launch import Shape
+
+    case = dict(case)
+    s, t = case.pop("grid", (None, None))
+    return Shape(s=s, t=t, **case)
+
+
 def _run(name, *, phantom=True, **run):
     if phantom:
         A, B = PhantomArray((N, N)), PhantomArray((N, N))
@@ -64,6 +73,68 @@ def test_table_rows_resolve_to_their_own_name(family_name):
 def test_unknown_family_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="transposed-summa"):
         family("transposed-summa")
+
+
+def test_a_table_row_without_configure_is_refused_by_name(monkeypatch):
+    """Only three of the seven rows used to carry a ``configure``; a
+    ``LaunchSpec`` of the others passed validation and died in
+    ``build_programs`` with ``'NoneType' object is not callable``."""
+    import dataclasses
+
+    from repro.core import summa
+
+    monkeypatch.setattr(summa, "BARE", dataclasses.replace(
+        summa.SUMMA, name="bare", configure=None), raising=False)
+    monkeypatch.setitem(FAMILIES, "bare", "repro.core.summa:BARE")
+    with pytest.raises(ConfigurationError, match="'bare' has no configure"):
+        family("bare")
+
+
+def test_every_row_builds_programs_from_a_launch_spec(family_name):
+    from repro.cluster import JobSpec, build_programs
+    from repro.cluster.programs import LaunchSpec
+
+    shape, cfg = family(family_name).configure(
+        N, N, N, _shape_of(CASES[family_name]))
+    nranks = family(family_name).layout(cfg).nranks
+    job = JobSpec(jid=0, arrival=0.0, n=N, p=shape.s * shape.t)
+    spec = LaunchSpec(**vars(shape), algorithm=family_name, predicted=0.0)
+    assert len(build_programs(job, spec)) == nranks
+
+
+#: Shape fields each family consumes; ``multiply`` must reject the rest
+#: by name instead of dropping them.
+ACCEPTS = {
+    "summa": {"block", "bcast", "segments", "overlap"},
+    "hsumma": {"block", "inner_block", "groups", "bcast", "outer_bcast",
+               "segments", "overlap"},
+    "cyclic": {"block", "groups", "overlap"},
+    "cannon": set(),
+    "fox": set(),
+    "3d": set(),
+    "2.5d": {"replication"},
+}
+#: One set value per ``multiply`` shape keyword.
+SET_FIELDS = dict(block=8, inner_block=4, groups=4, replication=2,
+                  overlap=True, bcast="binomial", outer_bcast="binomial")
+
+
+@pytest.mark.parametrize("name,field", [
+    (name, field) for name in ACCEPTS for field in sorted(SET_FIELDS)
+    if field not in ACCEPTS[name]])
+def test_multiply_rejects_unconsumed_shape_fields_by_name(name, field):
+    case = {k: v for k, v in CASES[name].items() if k != field}
+    A = PhantomArray((N, N))
+    with pytest.raises(ConfigurationError) as exc:
+        multiply(A, A, algorithm=name, **case, **{field: SET_FIELDS[field]})
+    message = str(exc.value)
+    assert message.startswith(f"{name} does not take {field}=")
+    for accepted in ACCEPTS[name]:
+        assert accepted in message
+
+
+def test_accepts_table_covers_every_row():
+    assert set(ACCEPTS) == set(FAMILIES)
 
 
 def test_data_mode_product(family_name):
@@ -203,7 +274,8 @@ def test_runner_step_model_and_cluster_share_one_program_factory(
 # Everything from here to TSUMMA is the "one file" (it would live under
 # src/repro/algorithms/); the monkeypatched FAMILIES entry is the "one
 # row".  Nothing in planner/service.py, cluster/programs.py,
-# core/api.py or experiments/stepmodel.py knows the name.
+# core/api.py, verify/corpus.py or experiments/stepmodel.py knows the
+# name; ``configure`` owns the family's defaults and rejections.
 
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows  # noqa: E402
 from repro.core.launch import AlgorithmSpec, collapse  # noqa: E402
@@ -244,8 +316,10 @@ def predict_tsumma(chain, cfg):
         chain.compute_seconds(gemm)
 
 
-def _tsumma_configure(m, l, n, *, s, t, block, bcast=None, **_):
-    return SummaConfig(m=m, l=l, n=n, s=s, t=t, block=block, bcast=bcast)
+def _tsumma_configure(m, l, n, shape):
+    shape = shape.resolve("tsumma", l, "block", "bcast", "segments")
+    return shape, SummaConfig(m=m, l=l, n=n, s=shape.s, t=shape.t,
+                              block=shape.block, bcast=shape.bcast)
 
 
 TSUMMA = AlgorithmSpec(
@@ -262,6 +336,7 @@ TSUMMA = AlgorithmSpec(
 def tsumma_row(monkeypatch):
     monkeypatch.setitem(FAMILIES, "tsumma", f"{__name__}:TSUMMA")
     monkeypatch.setitem(CASES, "tsumma", dict(grid=(2, 4), block=8))
+    monkeypatch.setitem(ACCEPTS, "tsumma", {"block", "bcast", "segments"})
 
 
 def test_toy_family_passes_conformance_from_one_row(tsumma_row):
@@ -273,18 +348,124 @@ def test_toy_family_passes_conformance_from_one_row(tsumma_row):
     test_shared_options_are_accepted_uniformly("tsumma")
     with pytest.raises(ConfigurationError, match="transposed SUMMA"):
         _run("tsumma", backend="predictor", bcast="segmented")
+    test_multiply_rejects_unconsumed_shape_fields_by_name("tsumma", "groups")
+    test_multiply_rejects_unconsumed_shape_fields_by_name("tsumma", "overlap")
+
+
+def test_toy_family_multiplies_with_defaults(tsumma_row):
+    """No ``block``, no grid: the row's ``configure`` supplies both."""
+    rng = np.random.default_rng(7)
+    A, B = rng.standard_normal((N, N)), rng.standard_normal((N, N))
+    result = multiply(A, B, algorithm="tsumma", nprocs=8)
+    assert np.allclose(result.C, A @ B)
+    assert result.parameters == {"grid": (2, 4), "nprocs": 8, "block": 16}
 
 
 def test_toy_family_streams_and_plans_from_one_row(tsumma_row):
+    import dataclasses
+
     from repro.cluster import JobSpec, build_programs
-    from repro.cluster.programs import LaunchSpec
+    from repro.cluster.programs import LaunchSpec, launch_from_plan
+    from repro.core.launch import Shape
     from repro.planner import PlanQuery
-    from repro.planner.service import _build_config
-    from repro.planner.space import Candidate
+    from repro.planner.query import Plan
+    from repro.planner.service import PlanService, _build_config
+    from repro.planner.space import (
+        Candidate,
+        candidate_memory_elements,
+        closed_form_cost,
+    )
 
     job = JobSpec(jid=0, arrival=0.0, n=N, p=8)
     spec = LaunchSpec(algorithm="tsumma", s=2, t=4, block=8, predicted=0.0)
     assert len(build_programs(job, spec)) == 8
-    cfg = _build_config(PlanQuery(n=N, p=8).resolve(),
-                        Candidate("tsumma", 2, 4, block=8))
+    cand = Candidate(algorithm="tsumma", s=2, t=4, block=8,
+                     bcast="binomial")
+    rq = PlanQuery(n=N, p=8).resolve()
+    cfg = _build_config(rq, cand)
     assert (cfg.s, cfg.t, cfg.block) == (2, 4, 8)
+    # Ranked, sized and refined like any candidate: a shape without
+    # groups prices as SUMMA's, and its chain refines it.
+    twin = dataclasses.replace(cand, algorithm="summa")
+    assert closed_form_cost(rq, cand) == closed_form_cost(rq, twin)
+    assert candidate_memory_elements(rq, cand) \
+        == candidate_memory_elements(rq, twin)
+    total, comm, compute, backend = PlanService()._refine(rq, cand)
+    assert backend == "predictor" and total == comm + compute
+
+    # Default shaping as naive_launch does it: the rank count alone.
+    shape, _ = family("tsumma").configure(N, N, N, Shape(nprocs=8))
+    naive = LaunchSpec(**vars(shape), algorithm="tsumma", predicted=0.0)
+    assert (naive.s, naive.t, naive.block) == (2, 4, 16)
+    assert len(build_programs(job, naive)) == 8
+
+    # A plan of the hand-built candidate launches with its shape.
+    plan = Plan(algorithm="tsumma", params=cand.params(),
+                predicted_time=1.5, comm_time=1.0, compute_time=0.5,
+                closed_form_time=1.5, backend="predictor",
+                lower_bound_time=1.0, lower_bound_gap=1.5, query={})
+    launched = launch_from_plan(job, plan)
+    assert launched == LaunchSpec(algorithm="tsumma", s=2, t=4, block=8,
+                                  bcast="binomial", predicted=1.5)
+    assert len(build_programs(job, launched)) == 8
+
+
+def test_toy_family_is_in_the_generated_corpus_and_verifies_clean(
+        tsumma_row):
+    from repro.verify.corpus import build_corpus, run_corpus
+
+    names = [case.name for case in build_corpus()]
+    assert names[-1] == "tsumma" and len(names) == len(set(names))
+    [(case, verdict)] = run_corpus(["tsumma"])
+    assert "transposed SUMMA" in case.description
+    assert verdict.ok and verdict.meta["outcome"] == "clean"
+
+
+# -- keep the yardstick: no layer outside the table names a family -----
+
+#: file -> where a literal equal to a ``FAMILIES`` key may still stand:
+#: a set of the literals allowed anywhere in the file, or the names of
+#: the functions / module-level tables that may hold any.
+FAMILY_LITERALS_ALLOWED = {
+    # ``multiply``'s default ``algorithm``.
+    "core/api.py": {"hsumma"},
+    "cluster/programs.py": set(),
+    "cluster/schedulers.py": set(),
+    "planner/service.py": set(),
+    # What to search is planner policy.
+    "planner/space.py": ("enumerate_candidates",),
+    # The figures compare exactly these two (``G = None`` is the SUMMA
+    # reference).
+    "experiments/figures.py": {"summa", "hsumma"},
+    # The per-row case tables, and the print order of the case names.
+    "verify/corpus.py": ("_FAMILY_CASES", "_COLLAPSED_CASES", "_ORDER"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(FAMILY_LITERALS_ALLOWED))
+def test_no_family_name_outside_the_table(path):
+    import ast
+    import pathlib
+
+    import repro
+
+    allowed = FAMILY_LITERALS_ALLOWED[path]
+    tree = ast.parse((pathlib.Path(repro.__file__).parent / path).read_text())
+    skipped = set()  # docstrings, and everything under an allowed name
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            skipped.add(node.body[0].value)
+        names = [node.name] if isinstance(node, ast.FunctionDef) else [
+            target.id for target in getattr(node, "targets", [])
+            + [getattr(node, "target", None)]
+            if isinstance(target, ast.Name)]
+        if isinstance(allowed, tuple) and set(names) & set(allowed):
+            skipped.update(ast.walk(node))
+    found = [
+        (node.lineno, node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in FAMILIES
+        and node not in skipped
+        and not (isinstance(allowed, set) and node.value in allowed)
+    ]
+    assert not found, f"{path} names a family outside the table: {found}"

@@ -1,14 +1,12 @@
 """Anti-drift tests: the SUMMA/HSUMMA/broadcast closed forms live in
-exactly one package (`repro.costs`), and every consumer that still
-carries a second name for one — the collectives front-end, the
-optimizer — delegates to it.  If someone re-introduces a local copy of
-a formula, these tests fail."""
+exactly one package (`repro.costs`), and the consumer that still
+carries a second name for one — the optimizer — delegates to it.  If
+someone re-introduces a local copy of a formula, these tests fail."""
 
 
 import pytest
 
 from repro import costs
-from repro.collectives import cost as collectives_cost
 from repro.costs.registry import BCAST_ENTRIES, SMOOTH_MODELS
 from repro.network.model import HockneyParams
 
@@ -16,12 +14,6 @@ PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 
 
 class TestSingleSourceOfTruth:
-    def test_collectives_factor_functions_are_registry_functions(self):
-        assert (collectives_cost.bcast_latency_factor
-                is costs.bcast_latency_factor)
-        assert (collectives_cost.bcast_bandwidth_factor
-                is costs.bcast_bandwidth_factor)
-
     def test_optimizer_reexports_are_registry_functions(self):
         from repro.models import optimizer
 
@@ -29,17 +21,6 @@ class TestSingleSourceOfTruth:
         assert optimizer.hsumma_beats_summa is costs.hsumma_beats_summa
         assert (optimizer.crossover_processor_count
                 is costs.crossover_processor_count)
-
-    def test_no_closed_forms_left_in_front_ends(self):
-        """The collectives front-end holds no arithmetic of its own:
-        its `collective_time` is a thin adapter over `costs.estimate`."""
-        import inspect
-
-        src = inspect.getsource(collectives_cost)
-        # The telltale of a duplicated closed form is tree-depth math
-        # in the front-end module.
-        assert "bit_length" not in src
-        assert "log2" not in src
 
 
 class TestDiscreteSmoothAgreement:
@@ -63,7 +44,7 @@ class TestDiscreteSmoothAgreement:
         per-element models path give the same broadcast time."""
         m_bytes = 8192
         for name in ("binomial", "vandegeijn", "flat"):
-            discrete = collectives_cost.bcast_time(name, m_bytes, p, PARAMS)
+            discrete = costs.bcast_time(name, m_bytes, p, PARAMS)
             smooth = SMOOTH_MODELS[name].time(
                 float(m_bytes), float(p), PARAMS.alpha, PARAMS.beta
             )

@@ -195,7 +195,7 @@ class TestCollectiveOptions:
 
     def test_options_flow_to_bcast(self):
         """Configured vdg broadcast must actually run vdg (check cost)."""
-        from repro.collectives.cost import bcast_time
+        from repro.costs import bcast_time
         from repro.network.model import HockneyParams
 
         params = HockneyParams(1e-4, 1e-9)

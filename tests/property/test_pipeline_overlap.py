@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.cost import bcast_time
+from repro.costs import bcast_time
 from repro.costs import optimal_pipeline_segments
 from repro.faults import FaultSchedule, LinkDegradation, MessageDrop
 from repro.network.model import HockneyParams
