@@ -46,12 +46,14 @@ GATE_SLOWDOWN = 1.5
 #: One gate per engine tier: full DES, the symmetry-collapsed macro
 #: path (SUMMA-cyclic plus the torus-shift cannon family landed with
 #: the PR-9 symmetries), the zero-stepping closed-form predictor, the
-#: plan service's hot cache path, and the multi-tenant job-stream
-#: simulator (both a dumb and a planner-informed scheduler).
+#: plan service's hot cache path, the multi-tenant job-stream
+#: simulator (both a dumb and a planner-informed scheduler), and a cold
+#: paper-figure sweep on the micro-DES coster (a coster per point, or a
+#: memo keyed on raw rank tuples, is a 3x slowdown there).
 GATE_WORKLOADS = ("des_summa_p64", "macro_cyclic_p1024",
                   "macro_cannon_p1024", "predictor_fig10_sweep",
                   "planner_hot_2000_plans_s", "job_stream_fifo_p64",
-                  "job_stream_planner_p64")
+                  "job_stream_planner_p64", "figures_fig6_cold")
 
 #: The plan-cache contract: a repeated query must be served at least
 #: this much faster than the cold enumerate/rank/refine path.
@@ -166,6 +168,15 @@ def _predictor_sweep(p, n, block):
                 groups=[2 ** k for k in range(1, 11)])
 
 
+def _fig6_cold():
+    """Figure 6 at paper defaults, in-process and uncached: 17 sweep
+    points on Graphene whose 3584 micro-DES coster queries are 168
+    placement classes, each simulated once per sweep."""
+    from repro.experiments.figures import fig6
+
+    fig6(jobs=1, cache=None)
+
+
 def _planner_cold(n, p):
     """Cold plans: fresh service per plan, so every call pays the full
     enumerate -> closed-form rank -> refine pipeline (at flagship size
@@ -243,6 +254,7 @@ FULL = {
         lambda: _job_stream("fifo", **_STREAM_P256), 2),
     "job_stream_planner_p256": (
         lambda: _job_stream("planner", **_STREAM_P256), 2),
+    "figures_fig6_cold": (_fig6_cold, 3),
 }
 
 QUICK = {
@@ -269,6 +281,8 @@ QUICK = {
         lambda: _job_stream("fifo", **_STREAM_P64), 3),
     "job_stream_planner_p64": (
         lambda: _job_stream("planner", **_STREAM_P64), 3),
+    # Paper size in quick mode too: the whole sweep is under a second.
+    "figures_fig6_cold": (_fig6_cold, 3),
 }
 
 

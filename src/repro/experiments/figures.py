@@ -18,6 +18,7 @@ overridden (the test suite runs scaled-down variants).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Mapping, Sequence
 
 from repro.core.grouping import valid_group_counts
@@ -34,26 +35,13 @@ from repro.experiments.stepmodel import (
     summa_step_model,
 )
 from repro.models.exascale import ExascaleScenario, exascale_prediction
+from repro.network.model import Network
 from repro.payloads import PhantomArray
 from repro.platforms.base import Platform
 from repro.platforms.bluegene import bluegene_p
 from repro.platforms.exa import exascale_2012
 from repro.platforms.grid5000 import grid5000_graphene
 from repro.util.gridmath import factor_grid
-
-
-def _coster(platform: Platform, p: int, kind: str) -> CollectiveCoster:
-    algo = platform.options.bcast
-    if kind == "analytic":
-        return AnalyticCoster(platform.params, algo)
-    if kind == "micro":
-        return MicroDesCoster(platform.network(p), algo)
-    if kind == "topology":
-        return TopologyCoster(platform.network(p), algo)
-    raise ConfigurationError(
-        f"unknown coster kind {kind!r}; use analytic, micro, topology "
-        "or predictor"
-    )
 
 
 # -- sweep points -------------------------------------------------------------
@@ -106,39 +94,76 @@ def _point_spec(platform: Platform, p: int, n: int, block: int,
     }
 
 
-def _eval_point(platform: Platform, spec: Mapping[str, Any]) -> dict[str, float]:
-    """Evaluate one sweep point on an already-built platform."""
-    p, n, block, G = spec["p"], spec["n"], spec["block"], spec["G"]
-    kind = spec["kind"]
-    gamma = platform.gamma
-    row = family("summa" if G is None else "hsumma")
-    _, cfg = row.configure(n, n, n, Shape(nprocs=p, block=block, groups=G))
-    if kind == "des":
-        _, sim = launch(
-            row, cfg, PhantomArray((n, n)), PhantomArray((n, n)),
-            network=platform.network(p), options=platform.options,
-            gamma=gamma,
+@dataclasses.dataclass
+class _Sweep:
+    """What the points of one :func:`group_sweep` call share.
+
+    The platform's network for ``p`` ranks and the coster are built
+    once, on first use, and every point of the call is priced on them,
+    so a placement class the coster simulated for one group count is a
+    memo hit at the next.  The object dies with the call: a cold sweep
+    pays for each class once and nothing is remembered between sweeps.
+    Pickling sends the platform's registered name only (platform
+    objects hold closures), so a task in a worker process builds its
+    own network and coster.
+    """
+
+    platform: Platform
+    p: int
+    kind: str
+
+    def __reduce__(self):
+        return _worker_sweep, (self.platform.name, self.p, self.kind)
+
+    @functools.cached_property
+    def network(self) -> Network:
+        return self.platform.network(self.p)
+
+    @functools.cached_property
+    def coster(self) -> CollectiveCoster:
+        algo = self.platform.options.bcast
+        if self.kind in ("analytic", "predictor"):
+            # The predictor composes the analytic closed forms per
+            # phase (topology-blind — the platform's Hockney parameters
+            # price every communicator).  See docs/cost_model.md for
+            # the fidelity contract versus the macro backend.
+            return AnalyticCoster(self.platform.params, algo)
+        if self.kind == "micro":
+            return MicroDesCoster(self.network, algo)
+        if self.kind == "topology":
+            return TopologyCoster(self.network, algo)
+        raise ConfigurationError(
+            f"unknown coster kind {self.kind!r}; use analytic, micro, "
+            "topology or predictor"
         )
-    elif kind == "predictor":
-        # Zero stepping: compose the analytic closed forms per phase
-        # (topology-blind — the platform's Hockney parameters price
-        # every communicator).  See docs/cost_model.md for the
-        # fidelity contract versus the macro backend.
-        sim = live(row.predict)(
-            cfg, network=platform.network(p), options=platform.options,
-            gamma=gamma,
-            coster=AnalyticCoster(platform.params, platform.options.bcast),
-        )
-    else:
-        step_model = summa_step_model if G is None else hsumma_step_model
-        sim = step_model(cfg, _coster(platform, p, kind), gamma)
-    return {"comm": sim.comm_time, "total": sim.total_time}
+
+    def point(self, spec: Mapping[str, Any]) -> dict[str, float]:
+        """Evaluate one sweep point."""
+        n, block, G = spec["n"], spec["block"], spec["G"]
+        platform = self.platform
+        row = family("summa" if G is None else "hsumma")
+        _, cfg = row.configure(
+            n, n, n, Shape(nprocs=self.p, block=block, groups=G))
+        if self.kind == "des":
+            _, sim = launch(
+                row, cfg, PhantomArray((n, n)), PhantomArray((n, n)),
+                network=self.network, options=platform.options,
+                gamma=platform.gamma,
+            )
+        elif self.kind == "predictor":
+            sim = live(row.predict)(
+                cfg, network=self.network, options=platform.options,
+                gamma=platform.gamma, coster=self.coster,
+            )
+        else:
+            step_model = summa_step_model if G is None else hsumma_step_model
+            sim = step_model(cfg, self.coster, platform.gamma)
+        return {"comm": sim.comm_time, "total": sim.total_time}
 
 
-def _sweep_point(spec: Mapping[str, Any]) -> dict[str, float]:
-    """Worker entry point: rebuild the platform by name, then evaluate."""
-    factory = _PLATFORM_FACTORIES[spec["platform"]]
-    return _eval_point(factory(spec["p"]), spec)
+def _worker_sweep(name: str, p: int, kind: str) -> _Sweep:
+    """Unpickling entry point: rebuild the platform by name."""
+    return _Sweep(_PLATFORM_FACTORIES[name](p), p, kind)
 
 
 def group_sweep(
@@ -174,10 +199,11 @@ def group_sweep(
 
     specs = [_point_spec(platform, p, n, block, coster_kind, G)
              for G in (None, *groups)]
+    sweep = _Sweep(platform, p, coster_kind)
     if _portable(platform):
-        points = parallel_map(_sweep_point, specs, jobs=jobs, cache=cache)
+        points = parallel_map(sweep.point, specs, jobs=jobs, cache=cache)
     else:
-        points = [_eval_point(platform, spec) for spec in specs]
+        points = [sweep.point(spec) for spec in specs]
 
     sref, hs = points[0], points[1:]
     meta: dict[str, Any] = {"platform": platform.name, "p": p, "n": n,

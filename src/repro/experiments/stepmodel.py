@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.core.hsumma import HSUMMA, HSummaConfig
 from repro.core.launch import AlgorithmSpec, launch
@@ -166,10 +166,13 @@ class AnalyticCoster(CollectiveCoster):
 
 class MicroDesCoster(CollectiveCoster):
     """Exact per-collective cost by simulating its message schedule on
-    the real topology.  Results are memoised on
-    ``(op, algorithm, participants, root, nbytes)`` — with the
-    participant tuple collapsed to its size for homogeneous networks,
-    where position is irrelevant."""
+    the real topology.  Results are memoised on ``(op, algorithm,
+    segments, network.placement_key(participants), root, nbytes)``:
+    one simulation per placement class (see
+    :meth:`repro.network.model.Network.placement_key`), however many
+    communicators sit on the machine that way.  ``calls`` counts
+    non-trivial :meth:`collective_time` queries, ``simulations`` the
+    ones that ran an engine."""
 
     def __init__(
         self,
@@ -184,13 +187,14 @@ class MicroDesCoster(CollectiveCoster):
         self.contention = contention
         self.segments = segments
         self._memo: dict = {}
-        self._uniform = (
+        self.calls = 0
+        self.simulations = 0
+        # On a uniform network position is irrelevant — the placement
+        # key is the participant count and any root is root 0 — which
+        # is exactly the invariance contract.
+        self.participant_invariant = (
             isinstance(network, HomogeneousNetwork) and network.intra_params is None
         )
-        # On a uniform network the memo key already collapses the
-        # participant tuple to its size, which is exactly the
-        # invariance contract.
-        self.participant_invariant = self._uniform
 
     def bcast_time(
         self, participants: Sequence[int], root_index: int, nbytes: int
@@ -218,15 +222,14 @@ class MicroDesCoster(CollectiveCoster):
             algorithm = algorithm or self.algorithm
             if segments is None:
                 segments = self.segments
-        if self._uniform:
-            key = (op, algorithm, segments, len(participants), 0, nbytes)
-            root = 0
-        else:
-            key = (op, algorithm, segments, participants, root_index, nbytes)
-            root = root_index
+        self.calls += 1
+        root = 0 if self.participant_invariant else root_index
+        key = (op, algorithm, segments,
+               self.network.placement_key(participants), root, nbytes)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        self.simulations += 1
         t = self._simulate(op, algorithm, participants, root, nbytes, segments)
         self._memo[key] = t
         return t
@@ -311,10 +314,11 @@ class TopologyCoster(CollectiveCoster):
     def __init__(self, network: Network, algorithm: str = "binomial"):
         self.network = network
         self.algorithm = algorithm
-        self._memo: dict[tuple[int, ...], HockneyParams] = {}
+        self._memo: dict[Hashable, HockneyParams] = {}
 
     def _effective_params(self, participants: tuple[int, ...]) -> HockneyParams:
-        hit = self._memo.get(participants)
+        key = self.network.placement_key(participants)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         pairs = self._pairs(participants)
@@ -327,7 +331,7 @@ class TopologyCoster(CollectiveCoster):
         alpha = total_alpha / npairs
         beta = (total_full - total_alpha) / (npairs * self.PROBE_BYTES)
         params = HockneyParams(alpha=max(alpha, 1e-30), beta=max(beta, 1e-30))
-        self._memo[participants] = params
+        self._memo[key] = params
         return params
 
     def _pairs(self, participants: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ ranks share a compute node.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.network.mapping import RankMapping
 from repro.network.model import HockneyParams, LinkClaim, Network
@@ -69,3 +69,10 @@ class HomogeneousNetwork(Network):
         if src == dst:
             return ()
         return ((src, dst),)
+
+    def placement_key(self, ranks: Sequence[int]) -> Hashable:
+        # Without intra-node parameters every pair costs the same on
+        # its own dedicated link: only the count matters.
+        if self.intra_params is None:
+            return len(ranks)
+        return super().placement_key(ranks)

@@ -109,3 +109,17 @@ class Network(ABC):
         """Number of network hops between the ranks (0 if co-located)."""
         self._check_pair(src, dst)
         return 0 if src == dst else 1
+
+    def placement_key(self, ranks: Sequence[int]) -> Hashable:
+        """What of ``ranks`` the costs of traffic among them depend on.
+
+        Contract: two tuples of distinct ranks (a communicator's
+        members, in order) with equal keys have bit-equal
+        ``transfer_time(a[i], a[j], n)`` for every ``i, j, n`` and
+        :meth:`links` claims that differ only by one consistent
+        relabelling — so anything simulated on one tuple (contended or
+        not) holds for the other, and costers memoise on the key.  The
+        default is the tuple itself, which is always sound; a topology
+        overrides it with whatever its costs actually read.
+        """
+        return tuple(ranks)

@@ -7,7 +7,7 @@ back to the world ranks so topology-aware costs stay exact.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.errors import TopologyError
 from repro.network.model import LinkClaim, Network
@@ -42,3 +42,6 @@ class SubNetwork(Network):
     def hops(self, src: int, dst: int) -> int:
         self._check_pair(src, dst)
         return self.base.hops(self.world_ranks[src], self.world_ranks[dst])
+
+    def placement_key(self, ranks: Sequence[int]) -> Hashable:
+        return self.base.placement_key([self.world_ranks[r] for r in ranks])

@@ -20,7 +20,7 @@ layout folds badly onto the torus.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.errors import TopologyError
 from repro.network.mapping import RankMapping, block_mapping
@@ -179,3 +179,14 @@ class Torus3D(Network):
                 claims.append(("torus", node, dim, direction))
                 cur[dim] = (cur[dim] + direction) % extent
         return tuple(claims)
+
+    def placement_key(self, ranks: Sequence[int]) -> Hashable:
+        """Per rank, its node's coordinate offset from the first rank's
+        node, modulo the extents.  :func:`_signed_hop` reads only
+        differences mod extent, so hops, times and the XYZ route are
+        translation-invariant; equal offsets mean one shared node."""
+        coords = [self.coord(self.mapping.node(r)).as_tuple() for r in ranks]
+        return tuple(
+            tuple((c - o) % d for c, o, d in zip(coord, coords[0], self.dims))
+            for coord in coords
+        )

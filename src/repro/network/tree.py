@@ -15,7 +15,7 @@ Uplinks may be exposed as shared links for contention studies.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from repro.errors import TopologyError
 from repro.network.mapping import RankMapping, block_mapping
@@ -123,3 +123,16 @@ class SwitchedCluster(Network):
             claims.append(("uplink", sb, "down"))
         claims.append(("nic", b, "in"))
         return tuple(claims)
+
+    def placement_key(self, ranks: Sequence[int]) -> Hashable:
+        """Per rank, its node and edge switch, each numbered by first
+        appearance: hops, and so times and claims, read nothing else."""
+        nodes: dict[int, int] = {}
+        switches: dict[int, int] = {}
+        key = []
+        for rank in ranks:
+            node = self.mapping.node(rank)
+            switch = self.switch_of(node)
+            key.append((nodes.setdefault(node, len(nodes)),
+                        switches.setdefault(switch, len(switches))))
+        return tuple(key)

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.figures import _point_spec, _sweep_point, group_sweep
+from repro.experiments.figures import _Sweep, _point_spec, group_sweep
 from repro.experiments.parallel import (
     SWEEP_CACHE_SALT,
     SweepCache,
@@ -73,7 +73,7 @@ class TestSweepCache:
     def test_hit_returns_bit_identical_value(self, tmp_path):
         cache = SweepCache(tmp_path)
         spec = _spec()
-        value = _sweep_point(spec)
+        value = _Sweep(grid5000_graphene(16), 16, "micro").point(spec)
         cache.store("f", spec, value)
         hit = cache.lookup("f", spec)
         assert hit == value
@@ -164,13 +164,17 @@ class TestParallelMap:
 
 class TestGroupSweepParallel:
     def test_jobs_and_cache_transparent(self, tmp_path):
-        plat = grid5000_graphene(16)
-        base = group_sweep(plat, 16, 512, 32, name="t")
-        cache = SweepCache(tmp_path)
-        par = group_sweep(plat, 16, 512, 32, name="t", jobs=4, cache=cache)
-        hit = group_sweep(plat, 16, 512, 32, name="t", jobs=1, cache=cache)
-        assert base.columns == par.columns == hit.columns
-        assert base.x == par.x == hit.x
+        # p=16 sits under one Graphene edge switch; p=64 spans four, so
+        # the sweep's shared coster prices placement classes that are
+        # not raw rank tuples.
+        for p in (16, 64):
+            plat = grid5000_graphene(p)
+            base = group_sweep(plat, p, 512, 32, name="t")
+            cache = SweepCache(tmp_path / str(p))
+            par = group_sweep(plat, p, 512, 32, name="t", jobs=4, cache=cache)
+            hit = group_sweep(plat, p, 512, 32, name="t", jobs=1, cache=cache)
+            assert base.columns == par.columns == hit.columns
+            assert base.x == par.x == hit.x
 
     def test_customised_platform_not_cached(self, tmp_path):
         """A platform that can't be rebuilt from its name must be
