@@ -46,14 +46,17 @@ GATE_SLOWDOWN = 1.5
 #: One gate per engine tier: full DES, the symmetry-collapsed macro
 #: path (SUMMA-cyclic plus the torus-shift cannon family landed with
 #: the PR-9 symmetries), the zero-stepping closed-form predictor, the
-#: plan service's hot cache path, the multi-tenant job-stream
-#: simulator (both a dumb and a planner-informed scheduler), and a cold
-#: paper-figure sweep on the micro-DES coster (a coster per point, or a
-#: memo keyed on raw rank tuples, is a 3x slowdown there).
+#: plan service's cold path (arithmetic end to end: a leader refined by
+#: stepping an engine again is a 100x slowdown at the flagship query)
+#: and hot cache path, the multi-tenant job-stream simulator (both a
+#: dumb and a planner-informed scheduler), and a cold paper-figure
+#: sweep on the micro-DES coster (a coster per point, or a memo keyed
+#: on raw rank tuples, is a 3x slowdown there).
 GATE_WORKLOADS = ("des_summa_p64", "macro_cyclic_p1024",
                   "macro_cannon_p1024", "predictor_fig10_sweep",
-                  "planner_hot_2000_plans_s", "job_stream_fifo_p64",
-                  "job_stream_planner_p64", "figures_fig6_cold")
+                  "planner_cold", "planner_hot_2000_plans_s",
+                  "job_stream_fifo_p64", "job_stream_planner_p64",
+                  "figures_fig6_cold")
 
 #: The plan-cache contract: a repeated query must be served at least
 #: this much faster than the cold enumerate/rank/refine path.
@@ -179,9 +182,10 @@ def _fig6_cold():
 
 def _planner_cold(n, p):
     """Cold plans: fresh service per plan, so every call pays the full
-    enumerate -> closed-form rank -> refine pipeline (at flagship size
-    the leaders include segmented-family candidates, which refine
-    through the macro engine — by far the dominant cost)."""
+    enumerate -> closed-form rank -> refine pipeline.  All three stages
+    are arithmetic (the leaders, segmented broadcast family included,
+    are refined by their predictor chains), so enumeration and ranking
+    of the ~2000 candidates are the cost."""
     from repro.planner import PlanQuery, PlanService
 
     q = PlanQuery(n=n, p=p, platform="bluegene-p")
@@ -248,7 +252,7 @@ FULL = {
         lambda: _predictor_sweep(1 << 20, 1 << 22, 256), 3),
     "predictor_25d_sweep": (
         lambda: _predictor_25d_sweep(1 << 20, 1 << 22), 3),
-    "planner_cold": (lambda: _planner_cold(16384, 16384), 1),
+    "planner_cold": (lambda: _planner_cold(16384, 16384), 3),
     "planner_hot_2000_plans_s": (lambda: _planner_hot(16384, 16384), 3),
     "job_stream_fifo_p256": (
         lambda: _job_stream("fifo", **_STREAM_P256), 2),
@@ -272,11 +276,10 @@ QUICK = {
     # the full p = 2^20 scale too.
     "predictor_25d_sweep": (
         lambda: _predictor_25d_sweep(1 << 20, 1 << 22), 3),
-    # Flagship-size cold plans pay multi-second macro refinement of the
-    # segmented-family leaders, so the smoke run scales the planner
-    # workloads down (the 100x cache gate applies at both sizes).
-    "planner_cold": (lambda: _planner_cold(4096, 1024), 3),
-    "planner_hot_2000_plans_s": (lambda: _planner_hot(4096, 1024), 3),
+    # The flagship query, as in full mode: a cold plan steps no engine,
+    # so five of them fit the smoke run.
+    "planner_cold": (lambda: _planner_cold(16384, 16384), 3),
+    "planner_hot_2000_plans_s": (lambda: _planner_hot(16384, 16384), 3),
     "job_stream_fifo_p64": (
         lambda: _job_stream("fifo", **_STREAM_P64), 3),
     "job_stream_planner_p64": (

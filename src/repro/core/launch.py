@@ -383,8 +383,10 @@ def launch(
         run is eligible — bit-identical, see ``docs/cost_model.md``),
         ``"predictor"`` (no stepping: the family's closed-form chain —
         phantom inputs only, no faults/verify/contention/trace, and
-        refused by name for families without a chain) or a prebuilt
-        engine; see :mod:`repro.simulator.backends`.
+        refused by name for families without a chain and for the
+        segmented broadcast family, whose DES runs overlap stages the
+        chain prices serially) or a prebuilt engine; see
+        :mod:`repro.simulator.backends`.
     ``faults``
         A :class:`repro.faults.FaultSchedule` or spec string —
         discrete-event backend only; see ``docs/robustness.md``.
@@ -407,7 +409,11 @@ def launch(
 
     if backend == "predictor":
         # Refuse by name, or price the chain — before any program is built.
-        from repro.simulator.predictor import _refuse, _require_predictable
+        from repro.simulator.predictor import (
+            _refuse,
+            _require_predictable,
+            refuse_pipelined,
+        )
 
         if spec.predict is None:
             _refuse(spec.display, *spec.refusal)
@@ -416,6 +422,7 @@ def launch(
             phantom=any(isinstance(M, PhantomArray) for M in inputs),
             faults=faults, verify=verify, contention=contention, trace=trace,
         )
+        refuse_pipelined(spec, cfg, options)
         a_itemsize, b_itemsize = (
             M.itemsize if isinstance(M, PhantomArray) else 8 for M in inputs)
         sim = live(spec.predict)(

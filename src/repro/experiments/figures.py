@@ -41,6 +41,7 @@ from repro.platforms.base import Platform
 from repro.platforms.bluegene import bluegene_p
 from repro.platforms.exa import exascale_2012
 from repro.platforms.grid5000 import grid5000_graphene
+from repro.simulator.predictor import refuse_pipelined
 from repro.util.gridmath import factor_grid
 
 
@@ -151,6 +152,7 @@ class _Sweep:
                 gamma=platform.gamma,
             )
         elif self.kind == "predictor":
+            refuse_pipelined(row, cfg, platform.options)
             sim = live(row.predict)(
                 cfg, network=self.network, options=platform.options,
                 gamma=platform.gamma, coster=self.coster,

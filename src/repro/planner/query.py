@@ -177,7 +177,9 @@ class ResolvedQuery:
             "beta": self.beta,
             "gamma": self.gamma,
             "memory_elements": self.memory_elements,
-            "faulty": self.faulty,
+            # The profile, not just ``faulty``: the plan reports it as
+            # ``params["fault_profile"]``.
+            "faults": self.faults,
         }
 
 
@@ -185,20 +187,22 @@ class ResolvedQuery:
 class Plan:
     """The planner's answer for one query.
 
-    ``predicted_time`` (= ``comm_time + compute_time``) comes from the
-    refinement backend named in ``backend`` (``"predictor"``,
-    ``"macro"``, or ``"closed-form"`` for candidates only the analytic
-    forms price); ``closed_form_time`` is the ranking-stage estimate.
-    ``lower_bound_gap`` is ``predicted_time / lower_bound_time`` — how
-    far the plan sits above the communication lower bound floor
-    (Ballard/Demmel/Holtz; see ``docs/planner.md``).
+    ``predicted_time`` (= ``comm_time + compute_time``) is the
+    refinement stage's number and ``backend`` the backend that replays
+    it through the family's runner: ``"predictor"``; ``"macro"`` for a
+    plan stepped under ``refine="macro"`` and for a segmented-family
+    broadcast, which ``backend="predictor"`` refuses by policy (see
+    :func:`repro.simulator.predictor.refuse_pipelined`) and
+    ``backend="macro"`` reproduces bit-for-bit; or ``"closed-form"``
+    under ``refine="none"``.  ``closed_form_time`` is the ranking-stage
+    estimate.  ``lower_bound_gap`` is ``predicted_time /
+    lower_bound_time`` — how far the plan sits above the communication
+    lower bound floor (Ballard/Demmel/Holtz; see ``docs/planner.md``).
 
-    A plan is always predictor-refinable (SUMMA or HSUMMA); 2.5D
-    replication — executable under the DES backend but with no
-    closed-form predictor chain — never competes at ranking fidelity
-    alone.  When its analytic estimate beats the chosen plan it shows
-    up in ``advisory`` instead, as a pointer to validate with
-    ``multiply(algorithm="2.5d")``.
+    ``advisory["25d"]`` reports the best 2.5D replication candidate —
+    at refinement fidelity when its layer grid tiles ``n`` (it then
+    also competed for the plan itself), else flagged
+    ``closed_form_only``.
     """
 
     algorithm: str

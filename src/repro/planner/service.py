@@ -22,9 +22,18 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Sequence
 
-from repro.costs import lower_bound_time, summa_computation_cost
+from repro.core.launch import family, live
+from repro.costs import (
+    PIPELINED_BCASTS,
+    lower_bound_time,
+    summa_computation_cost,
+)
 from repro.errors import ConfigurationError
+from repro.experiments import stepmodel
 from repro.experiments.parallel import _MISS, SweepCache
+from repro.mpi.comm import CollectiveOptions
+from repro.network.homogeneous import HomogeneousNetwork
+from repro.network.model import HockneyParams
 from repro.planner.query import Plan, PlanQuery, ResolvedQuery
 from repro.planner.space import (
     Candidate,
@@ -35,7 +44,7 @@ from repro.planner.space import (
 
 #: Bump when the search space, ranking forms, or refinement change in a
 #: way that invalidates stored plans.
-PLAN_CACHE_SALT = "planner-4"  # planner-4: advisory carries closed_form_only
+PLAN_CACHE_SALT = "planner-5"  # planner-5: keyed on the fault profile
 _PLAN_FN = "repro.planner.plan"
 
 REFINE_BACKENDS = ("predictor", "macro", "none")
@@ -141,13 +150,11 @@ class PlanService:
                     f"{tightest:.0f} elements); raise memory_bytes or p"
                 )
             cands = fits
-        # Every family competes at refinement fidelity: SUMMA/HSUMMA
-        # and 2.5D all have predictor chains now, so the ranking's
-        # top_k leaders are re-priced on equal footing.  The one
-        # eligibility wrinkle: a replicated candidate's layer grid
-        # comes from p alone (q = sqrt(p/c)), so q may not tile an n
-        # the 2-D grids tile fine — such candidates keep the old
-        # closed-form advisory instead of competing.
+        # Every family's chain re-prices the ranking's top_k leaders on
+        # equal footing.  The one eligibility wrinkle: a replicated
+        # candidate's layer grid comes from p alone (q = sqrt(p/c)), so
+        # q may not tile an n the 2-D grids tile fine — such candidates
+        # feed the closed-form advisory instead of competing.
         refinable = [c for c in cands
                      if not c.replication or rq.n % c.s == 0]
         if not refinable:
@@ -223,55 +230,46 @@ class PlanService:
 
     def _refine(self, rq: ResolvedQuery, cand: Candidate
                 ) -> tuple[float, float, float, str]:
-        """(total, comm, compute, backend) for one candidate."""
+        """(total, comm, compute, backend) for one candidate.
+
+        ``refine="predictor"`` builds no rank program for any family:
+        the row's ``predict_*`` chain at the candidate's pipeline depth
+        yields the macro oracle's floats.  ``backend`` follows
+        :class:`Plan`: the backend that replays the number.
+        """
         if self.refine == "none":
             compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
             total = closed_form_cost(rq, cand)
             return total, total - compute, compute, "closed-form"
-        from repro.core.launch import family, live
-        from repro.costs import PIPELINED_BCASTS
-        from repro.experiments import stepmodel
-        from repro.network.model import HockneyParams
-
         spec = family(cand.algorithm)
         cfg = _build_config(rq, cand)
         params = HockneyParams(rq.alpha, rq.beta)
-        # Families with a ``<name>_step_model`` in the step-model module
-        # refine at the configured fidelity; the rest (2.5D) always
-        # take their predictor chain — it replays the macro engine's
-        # floats bit-identically, so the label stays honest.  Resolved
-        # here so a wrapper installed on the module sees the call.
+        # Looked up at call time so a wrapper installed on the module
+        # sees the call; without a step model (2.5D) the chain it is.
         step_model = getattr(stepmodel, f"{cand.algorithm}_step_model", None)
-        # The predictor refuses the segmented broadcast family (it has
-        # no stage-overlap model), so pipelined candidates are refined
-        # at macro fidelity regardless of the configured backend.
+        if self.refine == "macro" and step_model is not None:
+            costers = {}
+            if cand.outer_bcast is not None:
+                costers["outer_coster"] = stepmodel.AnalyticCoster(
+                    params, cand.outer_bcast, segments=cand.segments)
+            rep = step_model(
+                cfg,
+                stepmodel.AnalyticCoster(params, cand.bcast,
+                                         segments=cand.segments),
+                rq.gamma, **costers)
+            return rep.total_time, rep.comm_time, rep.compute_time, "macro"
+        st = live(spec.predict)(
+            cfg, network=HomogeneousNetwork(rq.p, params),
+            options=CollectiveOptions(bcast_segments=cand.segments),
+            gamma=rq.gamma, a_itemsize=rq.itemsize,
+            b_itemsize=rq.itemsize).stats[0]
         pipelined = (cand.bcast in PIPELINED_BCASTS
                      or cand.outer_bcast in PIPELINED_BCASTS)
-        if step_model is None or (self.refine == "predictor"
-                                  and not pipelined):
-            from repro.network.homogeneous import HomogeneousNetwork
-
-            res = live(spec.predict)(
-                cfg, network=HomogeneousNetwork(rq.p, params),
-                gamma=rq.gamma, a_itemsize=rq.itemsize,
-                b_itemsize=rq.itemsize)
-            st = res.stats[0]
-            return st.clock, st.comm_time, st.compute_time, "predictor"
-        costers = {}
-        if cand.outer_bcast is not None:
-            costers["outer_coster"] = stepmodel.AnalyticCoster(
-                params, cand.outer_bcast, segments=cand.segments)
-        rep = step_model(
-            cfg,
-            stepmodel.AnalyticCoster(params, cand.bcast,
-                                     segments=cand.segments),
-            rq.gamma, **costers)
-        return rep.total_time, rep.comm_time, rep.compute_time, "macro"
+        return (st.clock, st.comm_time, st.compute_time,
+                "macro" if pipelined else "predictor")
 
 
 def _build_config(rq: ResolvedQuery, cand: Candidate):
-    from repro.core.launch import family
-
     return family(cand.algorithm).configure(rq.n, rq.n, rq.n, cand)[1]
 
 

@@ -132,13 +132,8 @@ def _segment_choices(rq: ResolvedQuery, alg: str, elements: float,
     """Pipeline depths to enumerate for one pipelined candidate: the
     registry's closed-form optimum ``s*`` for the (dominant) row
     message, plus a half/double probe around it."""
-    # The enumeration deliberately probes the infinite-NIC optimum
-    # (and around it) — the ranking prices every depth itself, so the
-    # registry's over-capacity warning is noise here and stays muted.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PipelineDepthWarning)
-        s_opt = optimal_pipeline_segments(
-            elements, p, rq.alpha, rq.beta_element, alg)
+    s_opt = optimal_pipeline_segments(
+        elements, p, rq.alpha, rq.beta_element, alg)
     return sorted({max(1, s_opt // 2), s_opt, 2 * s_opt})
 
 
@@ -146,56 +141,65 @@ def enumerate_candidates(rq: ResolvedQuery) -> list[Candidate]:
     """The full search space for one query."""
     from repro.core.grouping import choose_group_grid, valid_group_counts
 
-    n, p = rq.n, rq.p
-    algs = _bcast_choices(rq)
-    pipelined = PIPELINED_CHOICES if not rq.faulty else ()
-    out: list[Candidate] = []
-    for s, t in candidate_grids(p):
-        blocks = candidate_blocks(n, s, t)
-        rows, cols = n / s, n / t
-        for b in blocks:
-            for alg in algs:
-                out.append(Candidate(algorithm="summa", s=s, t=t, block=b,
-                                     bcast=alg))
-            for alg in pipelined:
-                for seg in _segment_choices(rq, alg, rows * b, t):
-                    out.append(Candidate(algorithm="summa", s=s, t=t, block=b,
-                                         bcast=alg, segments=seg))
-        if p == 1:
-            continue
-        groups = [G for G in valid_group_counts(s, t) if 1 < G < p]
-        for G in groups:
-            gg = choose_group_grid(s, t, G)
-            inner_t = t // gg[1]
-            for B in blocks:
-                # b = B is the paper's main regime; one finer inner
-                # block probes the b < B latency/pipeline trade.
-                inner = [B] + ([B // 4] if B % 4 == 0 else [])
-                for ib in inner:
-                    for alg in algs:
+    # The enumeration deliberately probes the infinite-NIC optimum
+    # (and around it) — the ranking prices every depth itself, so the
+    # registry's over-capacity warning is noise here and stays muted:
+    # once per call, not per pipelined group (every entry to and exit
+    # from a filter context invalidates the interpreter's warning
+    # caches).
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PipelineDepthWarning)
+        n, p = rq.n, rq.p
+        algs = _bcast_choices(rq)
+        pipelined = PIPELINED_CHOICES if not rq.faulty else ()
+        out: list[Candidate] = []
+        for s, t in candidate_grids(p):
+            blocks = candidate_blocks(n, s, t)
+            rows, cols = n / s, n / t
+            for b in blocks:
+                for alg in algs:
+                    out.append(Candidate(algorithm="summa", s=s, t=t,
+                                         block=b, bcast=alg))
+                for alg in pipelined:
+                    for seg in _segment_choices(rq, alg, rows * b, t):
                         out.append(Candidate(
-                            algorithm="hsumma", s=s, t=t, block=B,
-                            inner_block=ib, groups=gg,
-                            bcast=alg, outer_bcast=alg,
-                        ))
-                    for alg in pipelined:
-                        # The pipeline depth follows the inner (hot)
-                        # message; the outer level shares the depth.
-                        for seg in _segment_choices(
-                                rq, alg, rows * ib, max(inner_t, 2)):
+                            algorithm="summa", s=s, t=t, block=b,
+                            bcast=alg, segments=seg))
+            if p == 1:
+                continue
+            groups = [G for G in valid_group_counts(s, t) if 1 < G < p]
+            for G in groups:
+                gg = choose_group_grid(s, t, G)
+                inner_t = t // gg[1]
+                for B in blocks:
+                    # b = B is the paper's main regime; one finer inner
+                    # block probes the b < B latency/pipeline trade.
+                    inner = [B] + ([B // 4] if B % 4 == 0 else [])
+                    for ib in inner:
+                        for alg in algs:
                             out.append(Candidate(
                                 algorithm="hsumma", s=s, t=t, block=B,
                                 inner_block=ib, groups=gg,
-                                bcast=alg, outer_bcast=alg, segments=seg,
+                                bcast=alg, outer_bcast=alg,
                             ))
-    if not rq.faulty:
-        # Under a fault profile only the fault-tolerant 2D family is
-        # offered; the 2.5D schedule has no FT broadcast variant.
-        for c in candidate_replications(p):
-            side = math.isqrt(p // c) or 1
-            out.append(Candidate(algorithm="2.5d", s=side, t=side,
-                                 replication=c))
-    return out
+                        for alg in pipelined:
+                            # The pipeline depth follows the inner (hot)
+                            # message; the outer level shares the depth.
+                            for seg in _segment_choices(
+                                    rq, alg, rows * ib, max(inner_t, 2)):
+                                out.append(Candidate(
+                                    algorithm="hsumma", s=s, t=t, block=B,
+                                    inner_block=ib, groups=gg,
+                                    bcast=alg, outer_bcast=alg, segments=seg,
+                                ))
+        if not rq.faulty:
+            # Under a fault profile only the fault-tolerant 2D family is
+            # offered; the 2.5D schedule has no FT broadcast variant.
+            for c in candidate_replications(p):
+                side = math.isqrt(p // c) or 1
+                out.append(Candidate(algorithm="2.5d", s=side, t=side,
+                                     replication=c))
+        return out
 
 
 def candidate_memory_elements(rq: ResolvedQuery, cand: Candidate) -> float:

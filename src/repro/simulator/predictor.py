@@ -20,6 +20,13 @@ Fidelity contract versus ``backend="macro"`` on the same network:
   for the hierarchical variants, where macro ranks accumulate the same
   per-step phase times under different groupings.
 
+The contract holds for every broadcast algorithm, the segmented family
+(``segmented``/``fourcolor``/``hypersystolic`` at any depth ``s``)
+included: macro prices each such broadcast as one oracle collective
+from the same closed form the chain adds.  It does *not* extend to DES
+for that family (stage overlap), which is why the user-facing
+``backend="predictor"`` refuses it — see :func:`refuse_pipelined`.
+
 The prediction carries **one representative rank** in
 ``SimResult.stats`` (a p=2^20 grid would otherwise materialise a
 million ``RankStats``) and empty ``return_values``;
@@ -145,27 +152,35 @@ def _require_predictable(
         )
 
 
-def _refuse_pipelined(family_name: str, algorithm: str | None) -> None:
-    """Refuse the segmented broadcast family (except the grandfathered
-    plain ``pipelined`` chain, whose bulk closed form predates this
-    policy).
+def refuse_pipelined(spec: Any, cfg: Any, options: Any) -> None:
+    """The user-facing policy on the segmented broadcast family: refuse
+    ``backend="predictor"`` for a run of ``spec`` that resolves any
+    broadcast to ``segmented``/``fourcolor``/``hypersystolic`` (the
+    plain ``pipelined`` chain predates the policy and is
+    grandfathered).
 
-    In a DES run the family's pre-posted stage receives overlap the
-    neighbouring gemm and the next step's broadcast; the predictor's
-    serial phase chain would price every stage bulk-synchronously and
-    silently overstate the run it claims to predict.
+    The chains below price that family exactly as the macro oracle
+    does — one bulk-synchronous collective per broadcast, from the same
+    closed form — so this is not a limit of the arithmetic but of what
+    the number would claim: in a DES run the family's pre-posted stage
+    receives overlap the neighbouring gemm and the next step's
+    broadcast, and a serial phase chain offered as *the prediction of
+    that run* would silently overstate it.  Decided where every other
+    predictor refusal is (:func:`repro.core.launch.launch` and the
+    figure sweeps' ``predictor`` kind); callers that want the macro
+    oracle's float with zero stepping — the planner's refinement — call
+    ``spec.predict`` directly.
     """
-    if algorithm in ("segmented", "fourcolor", "hypersystolic"):
-        from repro.core.launch import family
-
-        _refuse(
-            family(family_name).display, f"pipelined broadcast {algorithm}",
-            "the phase chain prices collectives bulk-synchronously and "
-            "has no model for the stage overlap the segmented schedule "
-            "exists for",
-            "backend='macro' (oracle pricing, same closed forms) or "
-            "backend='des'",
-        )
+    for algorithm in spec.predict.bcasts(cfg, options):
+        if algorithm in ("segmented", "fourcolor", "hypersystolic"):
+            _refuse(
+                spec.display, f"pipelined broadcast {algorithm}",
+                "the phase chain prices collectives bulk-synchronously "
+                "and has no model for the stage overlap the segmented "
+                "schedule exists for",
+                "backend='macro' (oracle pricing, same closed forms) or "
+                "backend='des'",
+            )
 
 
 def _resolve_coster(network: Network, coster: Any) -> Any:
@@ -295,7 +310,6 @@ def _no_override(cfg: Any) -> tuple[None]:
 
 
 def chain_walk(
-    family_name: str,
     overrides: Callable[[Any], tuple] = _no_override,
 ) -> Callable[[Callable[[_Chain, Any], None]], Callable[..., SimResult]]:
     """Turn ``walk(chain, cfg)`` into a ``predict_*`` function.
@@ -303,13 +317,21 @@ def chain_walk(
     Every prediction shares one signature and one preamble, written
     here once: resolve the coster, resolve each broadcast algorithm
     (``overrides(cfg)``'s config-level override, else
-    ``options.bcast``, else the library default), refuse the segmented
-    family under ``family_name``'s table name, and hand ``walk`` a
+    ``options.bcast``, else the library default) and hand ``walk`` a
     fresh :class:`_Chain`; the prediction is the walked chain's
-    :meth:`~_Chain.result`.
+    :meth:`~_Chain.result` — the macro oracle's floats for that
+    config, whatever the broadcast algorithm.  The resolution is also
+    the function's ``bcasts(cfg, options)`` attribute, which is what
+    :func:`refuse_pipelined` reads: *policy* on which runs the
+    user-facing predictor backend accepts is not decided here.
     """
 
     def decorate(walk: Callable[[_Chain, Any], None]):
+        def bcasts(cfg: Any, options: Any) -> tuple[str, ...]:
+            default = (options or _default_options()).bcast
+            return tuple(alg if alg is not None else default
+                         for alg in overrides(cfg))
+
         @functools.wraps(walk)
         def predict(
             cfg: Any,
@@ -322,22 +344,18 @@ def chain_walk(
             b_itemsize: int = 8,
         ) -> SimResult:
             coster = _resolve_coster(network, coster)
-            default = (options or _default_options()).bcast
-            bcasts = tuple(alg if alg is not None else default
-                           for alg in overrides(cfg))
-            for alg in bcasts:
-                _refuse_pipelined(family_name, alg)
-            chain = _Chain(coster, network, bcasts, options, gamma,
-                           a_itemsize, b_itemsize)
+            chain = _Chain(coster, network, bcasts(cfg, options), options,
+                           gamma, a_itemsize, b_itemsize)
             walk(chain, cfg)
             return chain.result()
 
+        predict.bcasts = bcasts
         return predict
 
     return decorate
 
 
-@chain_walk("summa", lambda cfg: (cfg.bcast,))
+@chain_walk(lambda cfg: (cfg.bcast,))
 def predict_summa(chain: _Chain, cfg: Any) -> None:
     """Closed-form prediction of a SUMMA run (``cfg`` as
     :class:`repro.core.summa.SummaConfig`); see the module docstring
@@ -352,7 +370,7 @@ def predict_summa(chain: _Chain, cfg: Any) -> None:
         chain.compute_seconds(gemm)
 
 
-@chain_walk("hsumma", lambda cfg: (cfg.outer_bcast, cfg.inner_bcast))
+@chain_walk(lambda cfg: (cfg.outer_bcast, cfg.inner_bcast))
 def predict_hsumma(chain: _Chain, cfg: Any) -> None:
     """Closed-form prediction of an HSUMMA run (``cfg`` as
     :class:`repro.core.hsumma.HSummaConfig`).
@@ -380,7 +398,7 @@ def predict_hsumma(chain: _Chain, cfg: Any) -> None:
             chain.compute_seconds(gemm)
 
 
-@chain_walk("cyclic")
+@chain_walk()
 def predict_cyclic(chain: _Chain, cfg: Any) -> None:
     """Closed-form prediction of a block-cyclic (H)SUMMA run (``cfg``
     as :class:`repro.core.cyclic.CyclicConfig`, blocking schedule).
@@ -452,7 +470,7 @@ def _square_tiles(chain: _Chain, cfg: SquareGridConfig
             lloc * nloc * chain.b_itemsize)
 
 
-@chain_walk("cannon")
+@chain_walk()
 def predict_cannon(chain: _Chain, cfg: SquareGridConfig) -> None:
     """Closed-form prediction of a Cannon run.
 
@@ -479,7 +497,7 @@ def predict_cannon(chain: _Chain, cfg: SquareGridConfig) -> None:
         chain.p2p(b_bytes)  # shift B
 
 
-@chain_walk("fox")
+@chain_walk()
 def predict_fox(chain: _Chain, cfg: SquareGridConfig) -> None:
     """Closed-form prediction of a Fox run.
 
@@ -499,7 +517,7 @@ def predict_fox(chain: _Chain, cfg: SquareGridConfig) -> None:
         chain.p2p(b_bytes)  # roll B
 
 
-@chain_walk("3d")
+@chain_walk()
 def predict_dns3d(chain: _Chain, cfg: SquareGridConfig) -> None:
     """Closed-form prediction of a 3-D (DNS) run.
 
@@ -522,7 +540,7 @@ def predict_dns3d(chain: _Chain, cfg: SquareGridConfig) -> None:
     chain.reduce(q, mloc * nloc * 8, 2)
 
 
-@chain_walk("2.5d")
+@chain_walk()
 def predict_summa25d(chain: _Chain, cfg: SquareGridConfig) -> None:
     """Closed-form prediction of a 2.5D run.
 

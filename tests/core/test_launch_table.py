@@ -306,7 +306,7 @@ def tsumma_program(ctx, a_tile, b_tile, cfg):
     return c_tile
 
 
-@chain_walk("tsumma", lambda cfg: (cfg.bcast,))
+@chain_walk(lambda cfg: (cfg.bcast,))
 def predict_tsumma(chain, cfg):
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
     gemm = chain.gemm_seconds(mloc, cfg.block, nloc)

@@ -34,6 +34,22 @@ class TestMemo:
         assert not b.from_cache
         assert a.query != b.query
 
+    def test_fault_profiles_do_not_share_an_entry(self, tmp_path):
+        """A faulty plan reports its query's profile in
+        ``params["fault_profile"]``, so the profile — not just "some
+        profile" — keys the memo and the disk cache."""
+        kill, drop = "kill(rank=1,t=0.5)", "drop(p=0.1)"
+        svc = PlanService(cache_dir=str(tmp_path))
+        assert svc.plan(PlanQuery(n=1024, p=16, faults=kill)
+                        ).params["fault_profile"] == kill
+        second = svc.plan(PlanQuery(n=1024, p=16, faults=drop))
+        assert second.params["fault_profile"] == drop
+        assert not second.from_cache
+        from_disk = PlanService(cache_dir=str(tmp_path)).plan(
+            PlanQuery(n=1024, p=16, faults=drop))
+        assert from_disk.from_cache
+        assert from_disk.params["fault_profile"] == drop
+
     def test_service_settings_partition_the_cache(self):
         """top_k/refine are part of the cache key: a plan computed
         under one setting must not serve another."""

@@ -4,9 +4,10 @@ simulator backends' own numbers, not a reimplementation.
 * ``refine="predictor"`` plans carry the predictor's prediction
   *bit-identically* (rebuilding the config from the plan's params and
   calling the predictor reproduces predicted/comm/compute exactly) —
-  except for segmented-family winners, which the predictor refuses by
-  design and the service prices at macro fidelity instead; those must
-  replay bit-identically through the macro step model.
+  except for segmented-family winners, which the user-facing predictor
+  refuses by policy: the service prices them with the same chain and
+  names ``"macro"``, the backend that replays them; those must replay
+  bit-identically through the macro step model.
 * ``refine="macro"`` plans match the predictor's totals within the
   documented fidelity contract (totals bit-identical, communication
   within 1e-9 relative; see ``repro.simulator.predictor``).
@@ -66,8 +67,8 @@ def _replay_with_predictor(result, rq):
 
 
 def _replay_with_macro(result, rq):
-    """Rebuild the chosen config and step the macro engine (the only
-    backend that prices segmented-family plans)."""
+    """Rebuild the chosen config and step the macro engine (the
+    backend a segmented-family plan names)."""
     from repro.experiments.stepmodel import (
         AnalyticCoster,
         hsumma_step_model,
@@ -103,8 +104,9 @@ class TestPredictorFidelity:
         rq = query.resolve()
         result = PlanService().plan(rq)
         if result.backend == "macro":
-            # A segmented-family winner: the predictor refuses these,
-            # so the reported numbers must be the macro engine's own.
+            # A segmented-family winner: the user-facing predictor
+            # refuses these, so the reported numbers must be the macro
+            # engine's own.
             assert result.params["bcast"] in PIPELINED_BCASTS
             rep = _replay_with_macro(result, rq)
             assert result.predicted_time == rep.total_time
@@ -187,7 +189,7 @@ class TestMacroFidelity:
     def test_macro_and_predictor_choose_comparable_plans(self):
         """Backends of identical fidelity must produce plans with
         identical predicted times (they price the same candidates, and
-        segmented-family candidates route to macro under both)."""
+        the chain replays the macro engine's totals bit for bit)."""
         q = PlanQuery(n=2048, p=64)
         a = PlanService(refine="predictor").plan(q)
         b = PlanService(refine="macro").plan(q)

@@ -111,8 +111,9 @@ class TestPlanning:
         assert result.predicted_time == pytest.approx(
             result.comm_time + result.compute_time
         )
-        # Segmented-family winners are priced at macro fidelity (the
-        # predictor refuses them); everything else by the predictor.
+        # Segmented-family winners name the macro backend (the
+        # user-facing predictor refuses them); everything else the
+        # predictor.
         if "segments" in result.params:
             assert result.backend == "macro"
         else:
