@@ -44,8 +44,12 @@ BASELINE_PATH = REPO_ROOT / "BENCH_engine.json"
 #: vary — while still catching a hot path accidentally reverted.
 GATE_SLOWDOWN = 1.5
 #: One gate per engine tier: full DES, the symmetry-collapsed macro
-#: path (SUMMA-cyclic plus the torus-shift cannon family landed with
-#: the PR-9 symmetries), the zero-stepping closed-form predictor, the
+#: path (SUMMA-cyclic, the torus-shift cannon family landed with the
+#: PR-9 symmetries, and the DNS 3-D mesh at its paper size — the family
+#: that steps the smallest share of its ranks, 142 of 17576: building
+#: the unstepped ones again is 2.8x there, and only 1.4x of 4 ms at
+#: q = 8, which this gate could not see), the zero-stepping
+#: closed-form predictor, the
 #: plan service's cold path (arithmetic end to end: a leader refined by
 #: stepping an engine again is a 100x slowdown at the flagship query)
 #: and hot cache path, the multi-tenant job-stream simulator (both a
@@ -53,7 +57,8 @@ GATE_SLOWDOWN = 1.5
 #: sweep on the micro-DES coster (a coster per point, or a memo keyed
 #: on raw rank tuples, is a 3x slowdown there).
 GATE_WORKLOADS = ("des_summa_p64", "macro_cyclic_p1024",
-                  "macro_cannon_p1024", "predictor_fig10_sweep",
+                  "macro_cannon_p1024", "macro_dns3d_p16384",
+                  "predictor_fig10_sweep",
                   "planner_cold", "planner_hot_2000_plans_s",
                   "job_stream_fifo_p64", "job_stream_planner_p64",
                   "figures_fig6_cold")
@@ -266,7 +271,9 @@ QUICK = {
     "des_hsumma_p64": (lambda: _des_hsumma(1024, (8, 8), 4, 64, 64), 3),
     "macro_cyclic_p1024": (lambda: _macro_cyclic(8192, (32, 32), 256), 2),
     "macro_cannon_p1024": (lambda: _macro_cannon(8192, 32), 2),
-    "macro_dns3d_p512": (lambda: _macro_dns3d(2048, 8), 3),
+    # Paper size in quick mode too (q = 26, ~0.06 s): at a quick-sized
+    # mesh the run is milliseconds of stepping and construction hides.
+    "macro_dns3d_p16384": (lambda: _macro_dns3d(26624, 26), 3),
     "des_faulty_summa_p16": (lambda: _des_faulty_summa(512, (4, 4), 64, 16), 3),
     # Same fig10-scale sweep as full mode: p = 2^20 costs the
     # predictor well under a second, so the smoke run keeps it whole.

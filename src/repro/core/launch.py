@@ -7,9 +7,9 @@ declaration for the collapsed macro engine, and its predictor chain or
 the named reason it has none.  :func:`launch` owns everything the
 ``run_*`` functions used to re-type — fault coercion, the default
 network, the ``bcast_segments`` shorthand, the ``backend="predictor"``
-refusals and prediction, the per-rank context loop, verification and
-assembly — so a runner is "validate shapes, build the config,
-``return launch(SPEC, cfg, A, B, **run)``".
+refusals and prediction, the on-demand rank-program factory,
+verification and assembly — so a runner is "validate shapes, build the
+config, ``return launch(SPEC, cfg, A, B, **run)``".
 
 :data:`FAMILIES` is the table of families other layers look up by name
 (:func:`repro.core.api.multiply`, the planner, the cluster simulator,
@@ -27,6 +27,7 @@ import dataclasses
 import importlib
 import math
 import sys
+from collections.abc import Iterator
 from typing import Any, Callable, Generator, Mapping
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from repro.blocks.distribution import BlockDistribution
 from repro.errors import ConfigurationError
 from repro.faults.spec import coerce_faults
-from repro.mpi.comm import CollectiveOptions, make_contexts
+from repro.mpi.comm import CollectiveOptions, context_factory
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.payloads import PhantomArray
 from repro.simulator.runtime import DEFAULT_PARAMS
@@ -312,6 +313,33 @@ def product_dims(A: Any, B: Any) -> tuple[int, int, int]:
     return m, l, n
 
 
+class _RankPrograms:
+    """The rank generators of one execution, rank ``r``'s built when
+    ``r`` is asked for: ``len()`` is the world size, indexing takes a
+    rank in ``0..p-1`` (anything else is an ``IndexError``) and
+    iteration yields every rank's generator in rank order — what its
+    consumers use, and no more.  Each generator is handed out fresh,
+    so ask for a rank once."""
+
+    def __init__(self, nranks: int, build: Callable[[int], Generator]):
+        self._nranks = nranks
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._nranks
+
+    def __getitem__(self, rank: int) -> Generator:
+        if not 0 <= rank < self._nranks:
+            raise IndexError(
+                f"rank {rank} outside world of {self._nranks}")
+        return self._build(rank)
+
+    def __iter__(self) -> Iterator[Generator]:
+        # Not left to index-until-IndexError, which would take an
+        # IndexError raised while building a rank for the end.
+        return map(self._build, range(self._nranks))
+
+
 def rank_programs(
     spec: AlgorithmSpec,
     cfg: Any,
@@ -322,17 +350,24 @@ def rank_programs(
     gamma: float = 0.0,
     trace: bool = False,
     retry: Any = None,
-) -> list:
+) -> _RankPrograms:
     """Fresh rank generators for one execution of ``spec`` over inputs
     already dealt by its layout (``rank_inputs = layout.deal(...)``) —
     the one program factory behind :func:`launch`, the step models and
-    the cluster simulator."""
+    the cluster simulator.
+
+    The result is a sized, indexable, rank-ordered sequence that builds
+    a rank's context and program *on demand*: an engine that steps
+    every rank iterates it and sees exactly the ``p`` generators an
+    eager list would hold, while the collapsed macro engine indexes its
+    probe set and never pays for the other ranks (255 of 16384 contexts
+    for a block-cyclic run on a 128 x 128 grid)."""
     program = live(spec.program)
-    return [
-        program(ctx, *rank_inputs(rank), cfg)
-        for rank, ctx in enumerate(make_contexts(
-            nranks, options=options, gamma=gamma, trace=trace, retry=retry))
-    ]
+    context = context_factory(
+        nranks, options=options, gamma=gamma, trace=trace, retry=retry)
+    return _RankPrograms(
+        nranks,
+        lambda rank: program(context(rank), *rank_inputs(rank), cfg))
 
 
 def launch(
@@ -433,7 +468,7 @@ def launch(
 
     rank_inputs = layout.deal(*inputs)
 
-    def make_programs() -> list:
+    def make_programs() -> _RankPrograms:
         return rank_programs(
             spec, cfg, layout.nranks, rank_inputs, options=options,
             gamma=gamma, trace=trace,

@@ -25,9 +25,11 @@ simulation, so exported traces are reproducible artifacts.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import io
 import json
+import operator
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -264,15 +266,6 @@ class CriticalPath:
         return "\n".join(lines)
 
 
-def _phase_at(result: SimResult, rank: int, start: float, finish: float) -> str | None:
-    """Top-level span of ``rank`` covering the interval's midpoint."""
-    mid = 0.5 * (start + finish)
-    for span in result.spans_for(rank):
-        if span.start <= mid < span.end:
-            return span.name
-    return None
-
-
 def critical_path(result: SimResult) -> CriticalPath:
     """Extract the chain of transfers that determined the makespan.
 
@@ -282,23 +275,44 @@ def critical_path(result: SimResult) -> CriticalPath:
     """
     _require_trace(result)
     makespan = result.total_time
-    # Transfers touching each rank, kept in trace (completion) order.
+    # Indexed once, not per hop: each rank's top-level spans in open
+    # order, and the transfers touching it ordered by (finish, trace
+    # position) — the sort is stable.
+    spans: dict[int, list[Span]] = {}
+    for span in result.spans:
+        spans.setdefault(span.rank, []).append(span)
     by_rank: dict[int, list[TransferRecord]] = {}
     for rec in result.trace:
         by_rank.setdefault(rec.src, []).append(rec)
         if rec.dst != rec.src:
             by_rank.setdefault(rec.dst, []).append(rec)
+    finish_of = operator.attrgetter("finish")
+    for recs in by_rank.values():
+        recs.sort(key=finish_of)
 
     def latest_before(rank: int, t: float) -> TransferRecord | None:
         """Latest-finishing transfer on ``rank`` finishing by ``t`` and
         starting strictly before it (strict start keeps the walk
-        monotone even through zero-duration transfers)."""
+        monotone even through zero-duration transfers); among equal
+        finishes, the earliest in the trace."""
+        recs = by_rank.get(rank, ())
         best: TransferRecord | None = None
-        for rec in by_rank.get(rank, ()):
-            if rec.finish <= t + 1e-18 and rec.start < t:
-                if best is None or rec.finish > best.finish:
-                    best = rec
+        last = bisect.bisect_right(recs, t + 1e-18, key=finish_of)
+        for i in range(last - 1, -1, -1):
+            rec = recs[i]
+            if best is not None and rec.finish < best.finish:
+                break
+            if rec.start < t:
+                best = rec
         return best
+
+    def phase_at(rank: int, start: float, finish: float) -> str | None:
+        """Top-level span of ``rank`` covering the interval's midpoint."""
+        mid = 0.5 * (start + finish)
+        for span in spans.get(rank, ()):
+            if span.start <= mid < span.end:
+                return span.name
+        return None
 
     segments: list[PathSegment] = []
     rank = result.critical_rank
@@ -309,13 +323,13 @@ def critical_path(result: SimResult) -> CriticalPath:
             if t > 0:
                 segments.append(PathSegment(
                     kind="local", rank=rank, start=0.0, finish=t,
-                    phase=_phase_at(result, rank, 0.0, t),
+                    phase=phase_at(rank, 0.0, t),
                 ))
             break
         if rec.finish < t:
             segments.append(PathSegment(
                 kind="local", rank=rank, start=rec.finish, finish=t,
-                phase=_phase_at(result, rank, rec.finish, t),
+                phase=phase_at(rank, rec.finish, t),
             ))
         segments.append(PathSegment(
             kind="transfer", rank=rec.src, peer=rec.dst,

@@ -99,8 +99,7 @@ class CollectiveOptions:
 
 
 class _RankShared:
-    """Read-only state safely shared across the per-rank contexts of one
-    SPMD run.
+    """State shared across the per-rank contexts of one SPMD run.
 
     Ranks behave like separate MPI processes, but each Python process
     simulating p ranks would otherwise hold p copies of the world rank
@@ -109,9 +108,15 @@ class _RankShared:
     because both are pure functions of collectively-executed calls: the
     SPMD discipline already requires every member to derive identical
     memberships, so the first rank's answer is every rank's answer.
+
+    It also knows which ranks this run *built* (each
+    :class:`MpiContext` marks itself): a collapsed run constructs only
+    its probe set, and only a built rank can ever announce a
+    collective.
     """
 
-    __slots__ = ("world_ranks", "splits", "collectives")
+    __slots__ = ("world_ranks", "splits", "collectives", "built",
+                 "announcers")
 
     def __init__(self, nranks: int) -> None:
         self.world_ranks = tuple(range(nranks))
@@ -123,9 +128,43 @@ class _RankShared:
         #: field, so a wrong root or a desynchronised call order fails
         #: at the *call site* of the second rank instead of as a
         #: downstream payload error or deadlock.  Entries are dropped
-        #: once every participant has announced, keeping the registry
-        #: O(concurrent collectives).
+        #: once every participant this run built has announced, keeping
+        #: the registry O(concurrent collectives).
         self.collectives: dict[tuple, list] = {}
+        #: built[r] == 1 once rank r's context exists.
+        self.built = bytearray(nranks)
+        #: cid -> how many members of that communicator are built (the
+        #: announcements that retire one of its registry slots),
+        #: counted at the communicator's first announcement: every
+        #: engine builds the ranks it steps before it steps any.
+        self.announcers: dict[tuple, int] = {}
+
+    def count_announcers(self, cid: tuple, world_ranks: tuple) -> int:
+        count = self.announcers[cid] = sum(
+            map(self.built.__getitem__, world_ranks))
+        return count
+
+
+def context_factory(
+    nranks: int,
+    options: CollectiveOptions | None = None,
+    gamma: float = 0.0,
+    trace: bool = False,
+    retry: RetryPolicy | None = None,
+) -> Callable[[int], "MpiContext"]:
+    """``rank -> MpiContext`` for one SPMD run: every context it builds
+    shares one :class:`_RankShared` (world/partition storage O(p)
+    instead of O(p^2)), and a rank costs nothing until it is asked for
+    — :func:`repro.core.launch.rank_programs` builds only the ranks a
+    backend steps."""
+    shared = _RankShared(nranks)
+    opts = options or CollectiveOptions()
+
+    def context(rank: int) -> MpiContext:
+        return MpiContext(rank, nranks, options=opts, gamma=gamma,
+                          trace=trace, shared=shared, retry=retry)
+
+    return context
 
 
 def make_contexts(
@@ -135,19 +174,12 @@ def make_contexts(
     trace: bool = False,
     retry: RetryPolicy | None = None,
 ) -> list["MpiContext"]:
-    """One :class:`MpiContext` per rank, sharing membership caches.
-
-    Preferred over constructing contexts in a loop for large worlds:
-    the shared :class:`_RankShared` keeps world/partition storage O(p)
-    instead of O(p^2).
-    """
-    shared = _RankShared(nranks)
-    opts = options or CollectiveOptions()
-    return [
-        MpiContext(r, nranks, options=opts, gamma=gamma, trace=trace,
-                   shared=shared, retry=retry)
-        for r in range(nranks)
-    ]
+    """One :class:`MpiContext` per rank, all built now and sharing
+    membership caches (:func:`context_factory` over every rank) — for
+    callers that hand each context to a program themselves
+    (``run_spmd``, the heterogeneous and redistribution runners)."""
+    context = context_factory(nranks, options, gamma, trace, retry)
+    return [context(rank) for rank in range(nranks)]
 
 
 class MpiContext:
@@ -199,6 +231,7 @@ class MpiContext:
         if shared is None or len(shared.world_ranks) != nranks:
             shared = _RankShared(nranks)
         self._shared = shared
+        shared.built[rank] = 1
         self.world = Comm(self, shared.world_ranks, cid=(), _index=rank)
 
     def compute(self, seconds: float) -> Sequence[Any]:
@@ -467,17 +500,21 @@ class Comm:
     ) -> CollectiveRequest:
         seq = next(self._coll_seq)
         sig = (self._world_ranks, op, root, algorithm, segments)
-        registry = self._ctx._shared.collectives
+        shared = self._ctx._shared
+        registry = shared.collectives
         key = (self._cid, seq)
         entry = registry.get(key)
         if entry is None:
-            registry[key] = [sig, 1]
+            entry = registry[key] = [sig, 1]
         else:
             if entry[0] != sig:
                 self._reject_announcement(key, entry[0], sig)
             entry[1] += 1
-            if entry[1] >= len(self._world_ranks):
-                del registry[key]
+        announcers = shared.announcers.get(self._cid)
+        if announcers is None:
+            announcers = shared.count_announcers(self._cid, self._world_ranks)
+        if entry[1] >= announcers:
+            del registry[key]
         return CollectiveRequest(
             op,
             algorithm,

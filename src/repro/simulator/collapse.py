@@ -54,7 +54,7 @@ bit-identity against the per-rank implementation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -234,16 +234,21 @@ class CollapsedMacroEngine(MacroBackend):
 
     # -- run loop: Engine.run for a sparse rank subset ---------------------
 
-    def run(self, programs: Iterable[RankProgram]) -> SimResult:
-        gens = list(programs)
+    def run(self, programs: Sequence[RankProgram]) -> SimResult:
+        """Step ``symmetry.probe`` of ``programs`` — a sized sequence
+        indexable by rank, of which only the probed ranks are ever
+        asked for (the sequence :func:`repro.core.launch.rank_programs`
+        returns builds nothing else; their twins stand in for the
+        rest)."""
+        nranks = len(programs)
         sym = self.symmetry
-        if len(gens) != sym.nranks:
+        if nranks != sym.nranks:
             raise SimulationError(
-                f"{len(gens)} programs but symmetry declares "
+                f"{nranks} programs but symmetry declares "
                 f"{sym.nranks} ranks")
-        if len(gens) > self.network.nranks:
+        if nranks > self.network.nranks:
             raise SimulationError(
-                f"{len(gens)} programs but network only models "
+                f"{nranks} programs but network only models "
                 f"{self.network.nranks} ranks")
 
         if sym.p2p_tags:
@@ -258,13 +263,11 @@ class CollapsedMacroEngine(MacroBackend):
                     "point-to-point collapse requires a uniform network")
 
         probe = sym.probe
-        probed = bytearray(len(gens))
+        probed = bytearray(nranks)
         for r in probe:
             probed[r] = 1
         self._probed = probed
-        # Only the probed generators ever start; the rest are dropped
-        # unexecuted (their twins stand in for them).
-        self._ranks = [_RankState(r, gens[r]) for r in probe]
+        self._ranks = [_RankState(r, programs[r]) for r in probe]
         self._events = EventQueue()
         self._pending = {}
         self._durations = {}
@@ -285,7 +288,7 @@ class CollapsedMacroEngine(MacroBackend):
         self._rank_class: dict[int, tuple] = {}
         self._wires: dict[tuple, float] = {}
         self._trace = []
-        self._spans = SpanRecorder(len(gens))
+        self._spans = SpanRecorder(nranks)
         self._nevents = 0
 
         for state in self._ranks:
@@ -317,7 +320,7 @@ class CollapsedMacroEngine(MacroBackend):
             raise SymmetryBroken(
                 "collectives or point-to-point ops left waiting at end "
                 "of run")
-        return self._assemble(len(gens))
+        return self._assemble(nranks)
 
     # -- collective hook ---------------------------------------------------
 

@@ -6,8 +6,9 @@ oracle.  On a homogeneous fault-free network the resulting virtual
 times follow a *fixed critical chain* per algorithm step — e.g. one
 SUMMA step is exactly ``clock += T_row; clock += T_col; clock += g`` —
 so the whole run can be priced without ever building generators,
-communicators or an event queue.  This module composes those chains
-directly from the coster's analytic forms (see ``docs/cost_model.md``
+communicators or an event queue.  Each family *declares* its chain (a
+nested list of the leaves below and ``repeat`` nodes) and one evaluator
+composes it from the coster's analytic forms (see ``docs/cost_model.md``
 for the derivations and the congruence argument).
 
 Fidelity contract versus ``backend="macro"`` on the same network:
@@ -42,6 +43,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.model import Network
@@ -200,103 +203,127 @@ def _resolve_coster(network: Network, coster: Any) -> Any:
     return coster
 
 
-class _Chain:
-    """The critical rank's clock chain, mirroring the macro engine's
-    float operations exactly.
+def bcast(p: int, nbytes: int, cid0: int,
+          algorithm: str | None = None) -> tuple:
+    """Leaf (a plain tuple, equal to any other of the same priced
+    phase): one broadcast among ``p`` ranks at the run's pipeline depth,
+    on the communicators of world child sequence ``cid0`` (``algorithm``
+    defaults to the run's first resolved one)."""
+    return ("bcast", p, nbytes, cid0, algorithm)
 
-    A macro collective finishes at ``start + T`` with ``start`` the
-    latest participant clock and charges ``finish - block_start`` of
-    comm time; on the critical chain ``start == block_start == clock``,
-    so each phase is ``finish = clock + T; comm += finish - clock;
-    clock = finish`` — reproduced verbatim here.  Compute requests add
-    ``seconds`` to both the compute counter and the clock, as in
-    :meth:`repro.simulator.engine.Engine._handle_compute`.
 
-    Besides the clock the chain carries what every ``predict_*`` walk
-    reads off its arguments: the resolved broadcast algorithm(s)
-    ``bcasts``, the reduce algorithm, the pipeline depth, ``gamma`` and
-    the operand item sizes.
-    """
+def reduce(p: int, nbytes: int, cid0: int) -> tuple:
+    """One reduction among ``p`` ranks, by the run's reduce algorithm."""
+    return ("reduce", p, nbytes, cid0, None)
 
-    __slots__ = ("clock", "comm", "compute", "_coster", "_network",
-                 "_memo", "bcasts", "reduce_alg", "segments", "gamma",
-                 "a_itemsize", "b_itemsize")
 
-    def __init__(self, coster: Any, network: Network,
-                 bcasts: tuple[str, ...], options: Any, gamma: float,
-                 a_itemsize: int, b_itemsize: int) -> None:
-        self.clock = 0.0
-        self.comm = 0.0
-        self.compute = 0.0
-        self._coster = coster
-        self._network = network
-        self._memo: dict[tuple, float] = {}
-        self.bcasts = bcasts
-        self.reduce_alg = (options or _default_options()).reduce
-        self.segments = options.bcast_segments if options is not None \
-            else None
-        self.gamma = gamma
-        self.a_itemsize = a_itemsize
-        self.b_itemsize = b_itemsize
+def p2p(nbytes: int) -> tuple:
+    """One blocking point-to-point hop on the critical chain.
 
-    def collective(self, op: str, algorithm: str | None, p: int,
-                   nbytes: int, *, segments: Any = None,
-                   cid0: int = 0) -> None:
-        if p <= 1:
-            # The engine expands single-rank collectives as free no-ops.
-            return
-        key = (op, algorithm, p, nbytes, segments, cid0)
-        duration = self._memo.get(key)
-        if duration is None:
-            duration = self._memo[key] = self._coster.collective_time(
-                op, algorithm, tuple(range(p)), 0, nbytes,
-                segments=segments, cid=(cid0, 0),
-            )
-        finish = self.clock + duration
-        self.comm += finish - self.clock
-        self.clock = finish
+    On the declared chains the partner always posted at or before the
+    critical rank's clock, so the engine's ``finish = max(now,
+    partner_post) + wire`` collapses to ``finish = clock + wire`` — the
+    same float addition, with the wire time taken from the (uniform)
+    network."""
+    return ("p2p", nbytes)
 
-    def bcast(self, p: int, nbytes: int, cid0: int, *,
-              algorithm: str | None = None) -> None:
-        """One broadcast among ``p`` ranks at the run's pipeline depth
-        (``algorithm`` defaults to the first resolved one)."""
-        self.collective("bcast", algorithm or self.bcasts[0], p, nbytes,
-                        segments=self.segments, cid0=cid0)
 
-    def reduce(self, p: int, nbytes: int, cid0: int) -> None:
-        self.collective("reduce", self.reduce_alg, p, nbytes, cid0=cid0)
+def compute(seconds: float) -> tuple:
+    return ("compute", seconds)
 
-    def p2p(self, nbytes: int) -> None:
-        """One blocking point-to-point hop on the critical chain.
 
-        On the chains below the partner always posted at or before the
-        critical rank's clock, so the engine's
-        ``finish = max(now, partner_post) + wire`` collapses to
-        ``finish = clock + wire`` — the same float addition, with the
-        wire time taken from the (uniform) network.
-        """
-        key = ("p2p", nbytes)
-        duration = self._memo.get(key)
-        if duration is None:
-            duration = self._memo[key] = self._network.transfer_time(
-                0, 1, nbytes)
-        finish = self.clock + duration
-        self.comm += finish - self.clock
-        self.clock = finish
+def repeat(count: int, body: list) -> tuple:
+    """``body`` (leaves and nested repeats) ``count`` times over."""
+    return ("repeat", count, body)
 
-    def compute_seconds(self, seconds: float) -> None:
-        self.compute += seconds
-        self.clock = self.clock + seconds
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Run:
+    """What a declaration reads off the run's arguments (``bcasts``,
+    the resolved broadcast algorithms; ``gamma``; the operand item
+    sizes) and what prices its leaves."""
+
+    coster: Any
+    network: Network
+    bcasts: tuple[str, ...]
+    reduce_alg: str
+    segments: int | None
+    gamma: float
+    a_itemsize: int
+    b_itemsize: int
 
     def gemm_seconds(self, m: int, k: int, n: int) -> float:
         from repro.blocks.ops import gemm_flops
 
         return gemm_flops(m, k, n) * self.gamma
 
-    def result(self) -> SimResult:
-        rep = RankStats(rank=0, clock=self.clock, comm_time=self.comm,
-                        compute_time=self.compute)
-        return SimResult(stats=[rep], return_values=[])
+    def duration(self, leaf: tuple) -> float:
+        """Seconds one leaf adds to the critical rank's clock."""
+        kind = leaf[0]
+        if kind == "compute":
+            return leaf[1]
+        if kind == "p2p":
+            return self.network.transfer_time(0, 1, leaf[1])
+        _, p, nbytes, cid0, algorithm = leaf
+        if kind == "bcast":
+            algorithm, segments = algorithm or self.bcasts[0], self.segments
+        else:
+            algorithm, segments = self.reduce_alg, None
+        return self.coster.collective_time(
+            kind, algorithm, tuple(range(p)), 0, nbytes,
+            segments=segments, cid=(cid0, 0),
+        )
+
+
+def _flatten(nodes: list, numbers: dict[tuple, int]) -> np.ndarray:
+    """The leaves under ``nodes`` in execution order, as their numbers
+    in ``numbers`` (distinct leaf -> first-seen position, filled in
+    here): a ``repeat`` is its body tiled ``count`` times, a collective
+    among ``<= 1`` ranks (the engine's free no-op) has no entry."""
+    parts = []
+    for node in nodes:
+        if node[0] == "repeat":
+            if node[1]:  # a loop that never runs numbers, so prices, nothing
+                parts.append(np.tile(_flatten(node[2], numbers), node[1]))
+        elif node[0] in ("compute", "p2p") or node[1] > 1:
+            parts.append([numbers.setdefault(node, len(numbers))])
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """``0.0, t0, t0 + t1, ...``: every partial sum, left to right."""
+    return np.add.accumulate(np.concatenate(([0.0], terms)))
+
+
+def _evaluate(declaration: list, run: _Run) -> SimResult:
+    """The critical rank's clock over a declared chain, in the macro
+    engine's own float operations.
+
+    A macro collective finishes at ``start + T`` with ``start`` the
+    latest participant clock and charges ``finish - block_start`` of
+    comm time; on the critical chain ``start == block_start == clock``,
+    so a communication leaf is ``finish = clock + T; comm += finish -
+    clock; clock = finish`` and a compute leaf adds its seconds to the
+    compute counter and the clock.  Each distinct leaf is priced once,
+    then every counter is **one strictly sequential running sum** over
+    the flattened leaves (``np.add.accumulate`` adds left to right, as
+    the loop this replaces did) — never ``np.sum``, ``math.fsum`` or
+    ``count * duration``, which round differently and would break the
+    bit-identity with macro (``docs/cost_model.md``, section 2).
+    """
+    numbers: dict[tuple, int] = {}
+    order = _flatten(declaration, numbers)
+    steps = np.array([run.duration(leaf) for leaf in numbers],
+                     dtype=float)[order]
+    is_comm = np.array([leaf[0] != "compute" for leaf in numbers],
+                       dtype=bool)[order]
+    clock = _running_sum(steps)
+    waits = clock[1:] - clock[:-1]  # finish - clock, leaf by leaf
+    rep = RankStats(
+        rank=0, clock=float(clock[-1]),
+        comm_time=float(_running_sum(waits[is_comm])[-1]),
+        compute_time=float(_running_sum(steps[~is_comm])[-1]))
+    return SimResult(stats=[rep], return_values=[])
 
 
 def _default_options() -> Any:
@@ -311,28 +338,31 @@ def _no_override(cfg: Any) -> tuple[None]:
 
 def chain_walk(
     overrides: Callable[[Any], tuple] = _no_override,
-) -> Callable[[Callable[[_Chain, Any], None]], Callable[..., SimResult]]:
-    """Turn ``walk(chain, cfg)`` into a ``predict_*`` function.
+) -> Callable[[Callable[[_Run, Any], list]], Callable[..., SimResult]]:
+    """Turn ``declare(run, cfg) -> nested list`` into a ``predict_*``
+    function.
 
     Every prediction shares one signature and one preamble, written
     here once: resolve the coster, resolve each broadcast algorithm
     (``overrides(cfg)``'s config-level override, else
-    ``options.bcast``, else the library default) and hand ``walk`` a
-    fresh :class:`_Chain`; the prediction is the walked chain's
-    :meth:`~_Chain.result` — the macro oracle's floats for that
-    config, whatever the broadcast algorithm.  The resolution is also
-    the function's ``bcasts(cfg, options)`` attribute, which is what
+    ``options.bcast``, else the library default), hand ``declare`` the
+    :class:`_Run` it reads sizes and ``gamma`` from, and price what it
+    returns — :func:`bcast`/:func:`reduce`/:func:`p2p`/:func:`compute`
+    leaves, loops as :func:`repeat` — with :func:`_evaluate`: the macro
+    oracle's floats for that config, whatever the broadcast algorithm.
+    A family writes no arithmetic.  The resolution is also the
+    function's ``bcasts(cfg, options)`` attribute, which is what
     :func:`refuse_pipelined` reads: *policy* on which runs the
     user-facing predictor backend accepts is not decided here.
     """
 
-    def decorate(walk: Callable[[_Chain, Any], None]):
+    def decorate(declare: Callable[[_Run, Any], list]):
         def bcasts(cfg: Any, options: Any) -> tuple[str, ...]:
             default = (options or _default_options()).bcast
             return tuple(alg if alg is not None else default
                          for alg in overrides(cfg))
 
-        @functools.wraps(walk)
+        @functools.wraps(declare)
         def predict(
             cfg: Any,
             *,
@@ -343,11 +373,11 @@ def chain_walk(
             a_itemsize: int = 8,
             b_itemsize: int = 8,
         ) -> SimResult:
-            coster = _resolve_coster(network, coster)
-            chain = _Chain(coster, network, bcasts(cfg, options), options,
-                           gamma, a_itemsize, b_itemsize)
-            walk(chain, cfg)
-            return chain.result()
+            opts = options or _default_options()
+            run = _Run(_resolve_coster(network, coster), network,
+                       bcasts(cfg, options), opts.reduce,
+                       opts.bcast_segments, gamma, a_itemsize, b_itemsize)
+            return _evaluate(declare(run, cfg), run)
 
         predict.bcasts = bcasts
         return predict
@@ -356,22 +386,20 @@ def chain_walk(
 
 
 @chain_walk(lambda cfg: (cfg.bcast,))
-def predict_summa(chain: _Chain, cfg: Any) -> None:
+def predict_summa(run: _Run, cfg: Any) -> list:
     """Closed-form prediction of a SUMMA run (``cfg`` as
     :class:`repro.core.summa.SummaConfig`); see the module docstring
     for the fidelity contract."""
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
-    a_bytes = mloc * cfg.block * chain.a_itemsize
-    b_bytes = cfg.block * nloc * chain.b_itemsize
-    gemm = chain.gemm_seconds(mloc, cfg.block, nloc)
-    for _ in range(cfg.nsteps):
-        chain.bcast(cfg.t, a_bytes, 0)
-        chain.bcast(cfg.s, b_bytes, 1)
-        chain.compute_seconds(gemm)
+    return [repeat(cfg.nsteps, [
+        bcast(cfg.t, mloc * cfg.block * run.a_itemsize, 0),
+        bcast(cfg.s, cfg.block * nloc * run.b_itemsize, 1),
+        compute(run.gemm_seconds(mloc, cfg.block, nloc)),
+    ])]
 
 
 @chain_walk(lambda cfg: (cfg.outer_bcast, cfg.inner_bcast))
-def predict_hsumma(chain: _Chain, cfg: Any) -> None:
+def predict_hsumma(run: _Run, cfg: Any) -> list:
     """Closed-form prediction of an HSUMMA run (``cfg`` as
     :class:`repro.core.hsumma.HSummaConfig`).
 
@@ -381,25 +409,22 @@ def predict_hsumma(chain: _Chain, cfg: Any) -> None:
     phases desynchronise ranks within a step; the first unguarded
     inner collective re-synchronises them at the latest arrival).
     """
-    outer_alg, inner_alg = chain.bcasts
+    outer_alg, inner_alg = run.bcasts
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
-    si, tj = cfg.inner_s, cfg.inner_t
-    a_outer = mloc * cfg.outer_block * chain.a_itemsize
-    b_outer = cfg.outer_block * nloc * chain.b_itemsize
-    a_inner = mloc * cfg.inner_block * chain.a_itemsize
-    b_inner = cfg.inner_block * nloc * chain.b_itemsize
-    gemm = chain.gemm_seconds(mloc, cfg.inner_block, nloc)
-    for _ in range(cfg.outer_steps):
-        chain.bcast(cfg.J, a_outer, 2, algorithm=outer_alg)
-        chain.bcast(cfg.I, b_outer, 3, algorithm=outer_alg)
-        for _ in range(cfg.inner_steps):
-            chain.bcast(tj, a_inner, 4, algorithm=inner_alg)
-            chain.bcast(si, b_inner, 5, algorithm=inner_alg)
-            chain.compute_seconds(gemm)
+    a_row, b_row = mloc * run.a_itemsize, nloc * run.b_itemsize
+    return [repeat(cfg.outer_steps, [
+        bcast(cfg.J, a_row * cfg.outer_block, 2, outer_alg),
+        bcast(cfg.I, cfg.outer_block * b_row, 3, outer_alg),
+        repeat(cfg.inner_steps, [
+            bcast(cfg.inner_t, a_row * cfg.inner_block, 4, inner_alg),
+            bcast(cfg.inner_s, cfg.inner_block * b_row, 5, inner_alg),
+            compute(run.gemm_seconds(mloc, cfg.inner_block, nloc)),
+        ]),
+    ])]
 
 
 @chain_walk()
-def predict_cyclic(chain: _Chain, cfg: Any) -> None:
+def predict_cyclic(run: _Run, cfg: Any) -> list:
     """Closed-form prediction of a block-cyclic (H)SUMMA run (``cfg``
     as :class:`repro.core.cyclic.CyclicConfig`, blocking schedule).
 
@@ -411,22 +436,15 @@ def predict_cyclic(chain: _Chain, cfg: Any) -> None:
     has no closed form here.
     """
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
-    a_bytes = mloc * cfg.nb * chain.a_itemsize
-    b_bytes = cfg.nb * nloc * chain.b_itemsize
-    gemm = chain.gemm_seconds(mloc, cfg.nb, nloc)
+    a_bytes = mloc * cfg.nb * run.a_itemsize
+    b_bytes = cfg.nb * nloc * run.b_itemsize
     if not cfg.hierarchical:
-        for _ in range(cfg.nsteps):
-            chain.bcast(cfg.t, a_bytes, 0)
-            chain.bcast(cfg.s, b_bytes, 1)
-            chain.compute_seconds(gemm)
-        return
-    si, tj = cfg.s // cfg.I, cfg.t // cfg.J
-    for _ in range(cfg.nsteps):
-        chain.bcast(cfg.J, a_bytes, 2)
-        chain.bcast(tj, a_bytes, 4)
-        chain.bcast(cfg.I, b_bytes, 3)
-        chain.bcast(si, b_bytes, 5)
-        chain.compute_seconds(gemm)
+        pivots = [bcast(cfg.t, a_bytes, 0), bcast(cfg.s, b_bytes, 1)]
+    else:
+        pivots = [bcast(cfg.J, a_bytes, 2), bcast(cfg.t // cfg.J, a_bytes, 4),
+                  bcast(cfg.I, b_bytes, 3), bcast(cfg.s // cfg.I, b_bytes, 5)]
+    return [repeat(cfg.nsteps, pivots + [
+        compute(run.gemm_seconds(mloc, cfg.nb, nloc))])]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -462,16 +480,16 @@ class SquareGridConfig:
         return self.q * self.q * self.c
 
 
-def _square_tiles(chain: _Chain, cfg: SquareGridConfig
+def _square_tiles(run: _Run, cfg: SquareGridConfig
                   ) -> tuple[int, int, int, int, int]:
     """``(mloc, lloc, nloc, a_bytes, b_bytes)`` of one rank's tiles."""
     mloc, lloc, nloc = cfg.m // cfg.q, cfg.l // cfg.q, cfg.n // cfg.q
-    return (mloc, lloc, nloc, mloc * lloc * chain.a_itemsize,
-            lloc * nloc * chain.b_itemsize)
+    return (mloc, lloc, nloc, mloc * lloc * run.a_itemsize,
+            lloc * nloc * run.b_itemsize)
 
 
 @chain_walk()
-def predict_cannon(chain: _Chain, cfg: SquareGridConfig) -> None:
+def predict_cannon(run: _Run, cfg: SquareGridConfig) -> list:
     """Closed-form prediction of a Cannon run.
 
     The chain follows a doubly-interior rank (``i >= 1, j >= 1``):
@@ -484,21 +502,14 @@ def predict_cannon(chain: _Chain, cfg: SquareGridConfig) -> None:
     documented 1e-9 relative tolerance on comm.
     """
     q = cfg.q
-    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(chain, cfg)
-    gemm = chain.gemm_seconds(mloc, lloc, nloc)
-    if q > 1:
-        chain.p2p(a_bytes)  # skew A
-        chain.p2p(b_bytes)  # skew B
-    for step in range(q):
-        chain.compute_seconds(gemm)
-        if step == q - 1:
-            break
-        chain.p2p(a_bytes)  # shift A
-        chain.p2p(b_bytes)  # shift B
+    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(run, cfg)
+    gemm = compute(run.gemm_seconds(mloc, lloc, nloc))
+    shift = [p2p(a_bytes), p2p(b_bytes)]  # the skews are the same hops
+    return (shift if q > 1 else []) + [repeat(q - 1, [gemm] + shift), gemm]
 
 
 @chain_walk()
-def predict_fox(chain: _Chain, cfg: SquareGridConfig) -> None:
+def predict_fox(run: _Run, cfg: SquareGridConfig) -> list:
     """Closed-form prediction of a Fox run.
 
     Fully lockstep: every round is a row broadcast of the pivot A
@@ -507,18 +518,13 @@ def predict_fox(chain: _Chain, cfg: SquareGridConfig) -> None:
     bit-identically.
     """
     q = cfg.q
-    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(chain, cfg)
-    gemm = chain.gemm_seconds(mloc, lloc, nloc)
-    for k in range(q):
-        chain.bcast(q, a_bytes, 0)
-        chain.compute_seconds(gemm)
-        if k == q - 1:
-            break
-        chain.p2p(b_bytes)  # roll B
+    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(run, cfg)
+    step = [bcast(q, a_bytes, 0), compute(run.gemm_seconds(mloc, lloc, nloc))]
+    return [repeat(q - 1, step + [p2p(b_bytes)])] + step
 
 
 @chain_walk()
-def predict_dns3d(chain: _Chain, cfg: SquareGridConfig) -> None:
+def predict_dns3d(run: _Run, cfg: SquareGridConfig) -> list:
     """Closed-form prediction of a 3-D (DNS) run.
 
     The chain follows rank ``(k, k, k)`` (``k >= 1``), which receives
@@ -529,19 +535,17 @@ def predict_dns3d(chain: _Chain, cfg: SquareGridConfig) -> None:
     ``total_time`` bit-for-bit.
     """
     q = cfg.q
-    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(chain, cfg)
-    if q > 1:
-        chain.p2p(a_bytes)  # route A (i,j,0) -> (i,j,j)
-    chain.bcast(q, a_bytes, 0)
-    if q > 1:
-        chain.p2p(b_bytes)  # route B (i,j,0) -> (i,j,i)
-    chain.bcast(q, b_bytes, 1)
-    chain.compute_seconds(chain.gemm_seconds(mloc, lloc, nloc))
-    chain.reduce(q, mloc * nloc * 8, 2)
+    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(run, cfg)
+    route_a = [p2p(a_bytes)] if q > 1 else []  # (i,j,0) -> (i,j,j)
+    route_b = [p2p(b_bytes)] if q > 1 else []  # (i,j,0) -> (i,j,i)
+    return route_a + [bcast(q, a_bytes, 0)] + route_b + [
+        bcast(q, b_bytes, 1),
+        compute(run.gemm_seconds(mloc, lloc, nloc)),
+        reduce(q, mloc * nloc * 8, 2)]
 
 
 @chain_walk()
-def predict_summa25d(chain: _Chain, cfg: SquareGridConfig) -> None:
+def predict_summa25d(run: _Run, cfg: SquareGridConfig) -> list:
     """Closed-form prediction of a 2.5D run.
 
     Fully lockstep: two layer-axis replication broadcasts, then each
@@ -551,12 +555,8 @@ def predict_summa25d(chain: _Chain, cfg: SquareGridConfig) -> None:
     bit-identically against the macro backend.
     """
     q, c = cfg.q, cfg.c
-    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(chain, cfg)
-    gemm = chain.gemm_seconds(mloc, lloc, nloc)
-    chain.bcast(c, a_bytes, 0)
-    chain.bcast(c, b_bytes, 0)
-    for _ in range(q // c):
-        chain.bcast(q, a_bytes, 1)
-        chain.bcast(q, b_bytes, 2)
-        chain.compute_seconds(gemm)
-    chain.reduce(c, mloc * nloc * 8, 0)
+    mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(run, cfg)
+    return [bcast(c, a_bytes, 0), bcast(c, b_bytes, 0),
+            repeat(q // c, [bcast(q, a_bytes, 1), bcast(q, b_bytes, 2),
+                            compute(run.gemm_seconds(mloc, lloc, nloc))]),
+            reduce(c, mloc * nloc * 8, 0)]

@@ -236,7 +236,8 @@ def test_runner_step_model_and_cluster_share_one_program_factory(
         monkeypatch):
     """``run_summa``, ``summa_step_model`` and ``cluster.build_programs``
     all reach ``summa_program`` through the spec's module attribute, so
-    one wrapper on the module counts every rank of all three."""
+    one wrapper on the module counts every rank each of them builds —
+    which for the collapsed step model is its symmetry's probe set."""
     from repro.cluster import JobSpec, build_programs
     from repro.cluster.programs import naive_launch
     from repro.core import summa
@@ -259,14 +260,17 @@ def test_runner_step_model_and_cluster_share_one_program_factory(
     del built[:]
     cfg = summa.SummaConfig(m=N, l=N, n=N, s=4, t=4, block=8)
     summa_step_model(cfg, AnalyticCoster(PARAMS), GAMMA)
-    assert sorted(built) == list(range(16))
+    assert built == list(summa.SUMMA.symmetry(cfg).probe)
+    assert len(built) == 7  # the 4x4 cross: row 0 plus column 0
 
     del built[:]
     job = JobSpec(jid=0, arrival=0.0, n=N, p=4)
     spec = naive_launch(job, alpha=PARAMS.alpha, beta=PARAMS.beta,
                         gamma=GAMMA)
-    assert len(build_programs(job, spec, gamma=GAMMA)) == 4
-    assert sorted(built) == [0, 1, 2, 3]
+    programs = build_programs(job, spec, gamma=GAMMA)
+    assert len(programs) == 4 and not built  # sized before any is built
+    assert len(list(programs)) == 4
+    assert built == [0, 1, 2, 3]
 
 
 # -- the yardstick: a new family is one file plus one table row --------
@@ -281,7 +285,12 @@ from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows  # noqa: E40
 from repro.core.launch import AlgorithmSpec, collapse  # noqa: E402
 from repro.core.summa import SummaConfig, c_accumulator  # noqa: E402
 from repro.mpi.cart import CartComm  # noqa: E402
-from repro.simulator.predictor import chain_walk  # noqa: E402
+from repro.simulator.predictor import (  # noqa: E402
+    bcast,
+    chain_walk,
+    compute,
+    repeat,
+)
 
 
 def tsumma_program(ctx, a_tile, b_tile, cfg):
@@ -307,13 +316,13 @@ def tsumma_program(ctx, a_tile, b_tile, cfg):
 
 
 @chain_walk(lambda cfg: (cfg.bcast,))
-def predict_tsumma(chain, cfg):
+def predict_tsumma(run, cfg):
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
-    gemm = chain.gemm_seconds(mloc, cfg.block, nloc)
-    for _ in range(cfg.nsteps):
-        chain.bcast(cfg.s, cfg.block * nloc * chain.b_itemsize, 1)
-        chain.bcast(cfg.t, mloc * cfg.block * chain.a_itemsize, 0)
-        chain.compute_seconds(gemm)
+    return [repeat(cfg.nsteps, [
+        bcast(cfg.s, cfg.block * nloc * run.b_itemsize, 1),
+        bcast(cfg.t, mloc * cfg.block * run.a_itemsize, 0),
+        compute(run.gemm_seconds(mloc, cfg.block, nloc)),
+    ])]
 
 
 def _tsumma_configure(m, l, n, shape):

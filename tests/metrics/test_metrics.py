@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.core.hsumma import run_hsumma
 from repro.core.summa import run_summa
 from repro.errors import ConfigurationError
 from repro.metrics import (
+    CriticalPath,
+    PathSegment,
     critical_path,
     phase_rollup,
     spans_to_csv,
@@ -21,6 +24,8 @@ from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
 from repro.simulator.engine import Engine
 from repro.simulator.requests import ComputeRequest, RecvRequest, SendRequest
+from repro.simulator.spans import Span, phase_of
+from repro.simulator.tracing import RankStats, SimResult, TransferRecord
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_trace_2x2_summa.json"
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
@@ -142,6 +147,139 @@ class TestCriticalPath:
         out = critical_path(_summa_2x2()).to_table()
         assert "critical path" in out
         assert "transfer" in out
+
+
+def _linear_scan_critical_path(result):
+    """The reference :func:`critical_path`: every hop scans all of the
+    rank's transfers and every local segment all top-level spans.
+    ``critical_path`` indexes both per rank once and bisects; the tie
+    rules below are the contract it must keep."""
+    by_rank = {}
+    for rec in result.trace:
+        by_rank.setdefault(rec.src, []).append(rec)
+        if rec.dst != rec.src:
+            by_rank.setdefault(rec.dst, []).append(rec)
+
+    def latest_before(rank, t):
+        best = None
+        for rec in by_rank.get(rank, ()):
+            if rec.finish <= t + 1e-18 and rec.start < t:
+                if best is None or rec.finish > best.finish:
+                    best = rec
+        return best
+
+    def phase_at(rank, start, finish):
+        mid = 0.5 * (start + finish)
+        for span in result.spans_for(rank):
+            if span.start <= mid < span.end:
+                return span.name
+        return None
+
+    segments = []
+    rank = result.critical_rank
+    t = result.stats[rank].clock if result.stats else 0.0
+    for _guard in range(2 * len(result.trace) + 2):
+        rec = latest_before(rank, t)
+        if rec is None:
+            if t > 0:
+                segments.append(PathSegment(
+                    kind="local", rank=rank, start=0.0, finish=t,
+                    phase=phase_at(rank, 0.0, t)))
+            break
+        if rec.finish < t:
+            segments.append(PathSegment(
+                kind="local", rank=rank, start=rec.finish, finish=t,
+                phase=phase_at(rank, rec.finish, t)))
+        segments.append(PathSegment(
+            kind="transfer", rank=rec.src, peer=rec.dst, start=rec.start,
+            finish=rec.finish, nbytes=rec.nbytes, phase=phase_of(rec.span)))
+        prev_src = latest_before(rec.src, rec.start)
+        prev_dst = latest_before(rec.dst, rec.start)
+        src_busy = prev_src.finish if prev_src is not None else -1.0
+        dst_busy = prev_dst.finish if prev_dst is not None else -1.0
+        rank = rec.dst if dst_busy > src_busy else rec.src
+        t = rec.start
+        if t <= 0:
+            break
+    segments.reverse()
+    return CriticalPath(segments=tuple(segments), makespan=result.total_time)
+
+
+def _hsumma_torus_contended():
+    """``des_general``'s traced operation at its smoke size."""
+    from repro.platforms import bluegene_p
+
+    plat = bluegene_p(16)
+    A, B = PhantomArray((512, 512)), PhantomArray((512, 512))
+    _, sim = run_hsumma(A, B, grid=(4, 4), groups=4, outer_block=64,
+                        contention=True, trace=True, network=plat.network(16),
+                        options=plat.options, gamma=plat.gamma)
+    return sim
+
+
+def _synthetic(seed):
+    """A random trace on a coarse time lattice: equal finishes,
+    zero-duration transfers and both-gated starts are the common case,
+    not the corner."""
+    rng = random.Random(seed)
+    nranks = rng.randint(2, 5)
+    trace = []
+    for _ in range(rng.randint(0, 40)):
+        start = rng.randint(0, 8) / 4
+        src = rng.randrange(nranks)
+        trace.append(TransferRecord(
+            src=src, dst=rng.choice([src, rng.randrange(nranks)]), tag=0,
+            nbytes=rng.randint(0, 9), start=start,
+            finish=start + rng.choice([0, 0, 1, 2, 3]) / 4,
+            span=rng.choice([None, "a/coll.bcast", "b"])))
+    spans = []
+    for rank in range(nranks):
+        edges = sorted(rng.sample(range(0, 13), rng.randint(0, 6)))
+        for lo, hi in zip(edges[::2], edges[1::2]):
+            spans.append(Span(name=rng.choice("ab"), rank=rank,
+                              start=lo / 4, end=hi / 4))
+    rng.shuffle(spans)
+    stats = [RankStats(rank=r, clock=rng.randint(0, 12) / 4)
+             for r in range(nranks)]
+    return SimResult(stats=stats, return_values=[None] * nranks,
+                     trace=trace, spans=spans)
+
+
+class TestCriticalPathKeepsTheLinearScansAnswer:
+    @pytest.mark.parametrize("run", [_summa_2x2, _hsumma_4x4,
+                                     _hsumma_torus_contended])
+    def test_traced_runs(self, run):
+        sim = run()
+        path = critical_path(sim)
+        assert path == _linear_scan_critical_path(sim)
+        assert len(path.segments) > 3 and path.makespan == sim.total_time
+
+    def test_tie_rules_on_a_coarse_lattice(self):
+        hops = 0
+        for seed in range(400):
+            sim = _synthetic(seed)
+            path = critical_path(sim)
+            assert path == _linear_scan_critical_path(sim), seed
+            hops += len(path.segments)
+        assert hops > 1000
+
+    def test_equal_finishes_go_to_the_earliest_trace_record(self):
+        first = TransferRecord(src=1, dst=0, tag=0, nbytes=1, start=0.25,
+                               finish=1.0)
+        second = TransferRecord(src=2, dst=0, tag=0, nbytes=2, start=0.5,
+                                finish=1.0)
+        instant = TransferRecord(src=0, dst=0, tag=0, nbytes=3, start=1.0,
+                                 finish=1.0)
+        sim = SimResult(
+            stats=[RankStats(rank=0, clock=1.0), RankStats(rank=1),
+                   RankStats(rank=2)],
+            return_values=[None] * 3, trace=[first, second, instant])
+        path = critical_path(sim)
+        assert path == _linear_scan_critical_path(sim)
+        # ``instant`` finishes by t but does not start strictly before
+        # it; of the two that do, the earlier record wins.
+        assert [(s.kind, s.rank, s.nbytes) for s in path.segments] \
+            == [("local", 1, 0), ("transfer", 1, 1)]
 
 
 class TestChromeExporter:
