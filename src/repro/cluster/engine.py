@@ -8,21 +8,29 @@ machine.  The split of responsibilities:
   (``ClusterNetwork.bind``); rank namespaces never overlap and never
   get reused, so no channel, endpoint or link bookkeeping can leak
   between jobs or between retries of one job.
-* Job programs still address their peers ``0..p-1``; a thin generator
-  wrapper (:func:`_translated`) shifts the rank fields of every yielded
-  request by the attempt's base, and nothing else.  With base 0 the
-  wrapper is skipped entirely, which is what makes the 1-job stream
-  bit-identical to a standalone run.
-* Scheduling is event-driven: arrivals, attempt completions and slot
-  failures each trigger one dispatch round; the scheduler proposes one
-  launch at a time until nothing more fits.
+* An attempt's programs are built *at* its base
+  (:func:`~repro.cluster.programs.build_programs`): the MPI layer,
+  which already maps a communicator rank to a wire rank, folds the
+  base into that map, so the point-to-point requests a job yields name
+  engine ranks and nothing downstream rewrites a request.  Everything
+  a job observes stays ``0..p-1``, and at base 0 the map is the
+  standalone one — a 1-job stream is bit-identical to a standalone run.
+* What the machine charges belongs to machine *slots*: the route memo
+  here and the wire-time memo in :class:`ClusterNetwork` are keyed by
+  slot pair, so a job placed where an earlier one ran asks the machine
+  nothing new.
+* Scheduling is event-driven and happens *around* the engine, never
+  inside its stepping loop: arrivals, attempt completions (counted by
+  the :meth:`Engine._rank_finished` hook) and slot failures each
+  trigger one dispatch round; the scheduler proposes one launch at a
+  time until nothing more fits.
 * Fail-stop faults hit machine *slots* at virtual times.  The owning
-  attempt dies instantly (its pending events are left in the queue and
-  neutralised by a per-resume guard), its slots free up, and the job is
-  requeued at the back — or marked failed once its retry budget is
-  exhausted.  Deaths are pushed before all arrivals so that at equal
-  times a failure preempts a completion, matching the single-run
-  engine's documented tie-break.
+  attempt dies instantly (its ranks are marked finished, so the events
+  still queued for them are dropped by the engine as stale), its slots
+  free up, and the job is requeued at the back — or marked failed once
+  its retry budget is exhausted.  Deaths are pushed before all arrivals
+  so that at equal times a failure preempts a completion, matching the
+  single-run engine's documented tie-break.
 
 Everything is deterministic: the event queue is already FIFO within a
 timestamp, schedulers break ties on explicit keys, and the only
@@ -38,22 +46,11 @@ from repro.cluster.network import ClusterNetwork
 from repro.cluster.placement import SlotGrid
 from repro.cluster.programs import LaunchSpec, build_programs
 from repro.cluster.schedulers import Scheduler
-from repro.errors import ConfigurationError, DeadlockError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.mpi.comm import CollectiveOptions
 from repro.network.model import Network
-from repro.simulator.engine import Engine, _pending_op_info, _RankState
-from repro.simulator.events import EventQueue
-from repro.simulator.requests import (
-    CollectiveRequest,
-    IRecvRequest,
-    ISendRequest,
-    RecvRequest,
-    RequestHandle,
-    SendRecvRequest,
-    SendRequest,
-)
-from repro.simulator.spans import SpanRecorder
-from repro.simulator.tracing import SimResult, TransferRecord
+from repro.simulator.engine import Engine, _RankState
+from repro.simulator.tracing import SimResult
 
 
 class JobRecord:
@@ -119,40 +116,6 @@ class _Attempt:
         self.predicted_finish = predicted_finish
         self.live = len(slots)   # unfinished ranks
         self.dead = False        # fail-stop hit
-
-
-def _shift(request: Any, base: int) -> Any:
-    """Shift the rank fields of one yielded request by ``base``.
-
-    Requests are freshly allocated per yield on the MPI side, so
-    in-place mutation is safe; handles were created engine-side and
-    already carry engine ranks, so they pass through untouched — as do
-    span/compute/counter requests, which name no peers.
-    """
-    cls = request.__class__
-    if cls is SendRequest or cls is ISendRequest:
-        request.dst += base
-    elif cls is RecvRequest or cls is IRecvRequest:
-        request.src += base
-    elif cls is SendRecvRequest:
-        request.dst += base
-        request.src += base
-    elif cls is CollectiveRequest:
-        request.participants = tuple(r + base for r in request.participants)
-    elif cls is tuple:
-        return tuple(_shift(item, base) for item in request)
-    return request
-
-
-def _translated(gen: Any, base: int):
-    """Wrap a rank program so every yielded request is base-shifted."""
-    value = None
-    while True:
-        try:
-            request = gen.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = yield _shift(request, base)
 
 
 class ClusterEngine(Engine):
@@ -233,61 +196,26 @@ class ClusterEngine(Engine):
         jobs = validate_stream(list(jobs))
         records = [JobRecord(job, self.max_retries) for job in jobs]
 
-        # Mirror Engine.run()'s setup, with a dynamic rank table: ranks
-        # are appended as attempts launch, and self._attempts[r] maps an
-        # engine rank back to its owning attempt.
-        self._ranks: list[_RankState] = []
-        self._events = EventQueue()
-        self._channels: dict[Any, dict[int, Any]] = {}
-        self._rankmul = self.network.nranks
-        self._link_free: dict[Any, float] = {}
-        self._links_cache: dict[tuple[int, int], tuple] = {}
-        self._ep_pool: list[Any] = []
-        self._rh_pool: list[RequestHandle] = []
-        self._fast = not self.contention and not self.collect_trace
-        self._trace: list[TransferRecord] = []
-        self._spans = SpanRecorder(self.network.nranks)
-        self._nevents = 0
-        self._chan_digests: dict[Any, int] = {}
+        # Ranks are appended as attempts launch; self._attempts[r] maps
+        # an engine rank back to its owning attempt.
+        self._setup(self.network.nranks)
         self._attempts: list[_Attempt] = []
         self._queue: list[JobRecord] = []
         self._running: list[_Attempt] = []
         self._slot_owner: dict[int, _Attempt] = {}
-
-        # Failures first: at equal virtual times a fail-stop preempts
-        # arrivals and completions (same tie-break Engine.run documents).
-        for slot, t in self._failures:
-            self._events.push(t, self._slot_failure, (slot, t))
-        for record in records:
-            self._events.push(record.job.arrival, self._job_arrival,
-                              (record, record.job.arrival))
-
-        events = self._events
-        max_events = self.max_events
-        while events:
-            _time, batch = events.pop_batch()
-            self._nevents += len(batch)
-            if self._nevents > max_events:
-                raise SimulationError(
-                    f"event cap of {max_events} exceeded; "
-                    "likely a livelock in a rank program"
-                )
-            for _t, _seq, fn, args in batch:
-                fn(*args)
-
-        blocked = [
-            (s.stats.rank, s.blocked_on)
-            for s in self._ranks
-            if not s.finished
-        ]
-        if blocked:
-            detail = ", ".join(f"rank {r} on {op!r}" for r, op in blocked[:8])
-            more = "" if len(blocked) <= 8 else f" (+{len(blocked) - 8} more)"
-            raise DeadlockError(
-                f"job stream deadlocked: {detail}{more}",
-                blocked={r: _pending_op_info(op) for r, op in blocked},
-            )
-        stranded = [r.job.jid for r in self._queue]
+        try:
+            # Failures first: at equal virtual times a fail-stop preempts
+            # arrivals and completions (same tie-break Engine.run
+            # documents).
+            for slot, t in self._failures:
+                self._events.push(t, self._slot_failure, (slot, t))
+            for record in records:
+                self._events.push(record.job.arrival, self._job_arrival,
+                                  (record, record.job.arrival))
+            self._drain("job stream")
+            stranded = [r.job.jid for r in self._queue]
+        finally:
+            self._release()
         if stranded:
             raise SimulationError(
                 f"jobs {stranded} still queued after the machine drained "
@@ -295,23 +223,27 @@ class ClusterEngine(Engine):
             )
         return sorted(records, key=lambda r: r.job.jid)
 
-    # -- engine hook --------------------------------------------------------
+    # -- engine hooks -------------------------------------------------------
 
-    def _resume(self, state: _RankState, value: Any, time: float) -> None:
-        # Events aimed at a killed attempt's ranks are stale; dropping
-        # them here (instead of scrubbing the heap) keeps failure
-        # handling O(p) and the event order deterministic.
+    def _rank_finished(self, state: _RankState, time: float) -> None:
         attempt = self._attempts[state.stats.rank]
-        if attempt.dead:
-            return
-        super()._resume(state, value, time)
-        if state.finished:
-            attempt.live -= 1
-            if attempt.live == 0:
-                # Defer completion to its own event so job teardown and
-                # the next dispatch round never run in the middle of a
-                # transfer-completion cascade.
-                self._events.push(time, self._attempt_done, (attempt,))
+        attempt.live -= 1
+        if attempt.live == 0:
+            # Defer completion to its own event so job teardown and
+            # the next dispatch round never run in the middle of a
+            # transfer-completion cascade.
+            self._events.push(time, self._attempt_done, (attempt,))
+
+    def _links(self, src: int, dst: int) -> tuple:
+        # Routes belong to machine slots, not to the engine ranks bound
+        # to them: every attempt placed on a slot pair shares the route
+        # the first one asked the machine for.
+        slot = self.network.slots
+        key = (slot[src], slot[dst])
+        links = self._links_cache.get(key)
+        if links is None:
+            links = self._links_cache[key] = tuple(self.machine.links(*key))
+        return links
 
     # -- job lifecycle ------------------------------------------------------
 
@@ -363,15 +295,11 @@ class ClusterEngine(Engine):
             self._slot_owner[slot] = attempt
         programs = build_programs(record.job, spec, gamma=self.gamma,
                                   options=self.options,
-                                  trace=self.collect_trace)
-        states = []
-        for offset, gen in enumerate(programs):
-            if base:
-                gen = _translated(gen, base)
-            state = _RankState(base + offset, gen)
-            self._ranks.append(state)
-            self._attempts.append(attempt)
-            states.append(state)
+                                  trace=self.collect_trace, base=base)
+        states = [_RankState(base + offset, gen)
+                  for offset, gen in enumerate(programs)]
+        self._ranks.extend(states)
+        self._attempts.extend([attempt] * len(states))
         for state in states:
             self._resume(state, None, now)
 
@@ -385,7 +313,7 @@ class ClusterEngine(Engine):
         for i in range(attempt.p):
             rank = attempt.base + i
             self._spans.finish(rank, self._ranks[rank].stats.clock)
-        self._release(attempt)
+        self._vacate(attempt)
         record.status = "done"
         record.finish = finish
         record.result = self._job_result(attempt)
@@ -400,7 +328,7 @@ class ClusterEngine(Engine):
         return SimResult(stats=stats, return_values=return_values,
                          trace=trace, spans=spans)
 
-    def _release(self, attempt: _Attempt) -> None:
+    def _vacate(self, attempt: _Attempt) -> None:
         self._running.remove(attempt)
         self._grid.release(attempt.slots)
         for slot in attempt.slots:
@@ -421,7 +349,7 @@ class ClusterEngine(Engine):
             state.finished = True  # deadlock check must skip dead ranks
             self._spans.finish(rank, max(state.stats.clock, attempt.start))
         record = attempt.record
-        self._release(attempt)
+        self._vacate(attempt)
         record.failed_attempts += 1
         if record.retries_left > 0:
             record.retries_left -= 1

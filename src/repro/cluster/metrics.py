@@ -17,6 +17,8 @@ Report fields (``to_dict`` keys, mirrored in the text table):
   complete and are reported separately, not folded into latency).
 * ``queue_wait_p50`` / ``queue_wait_max`` / ``queue_wait_mean`` —
   submission-to-first-start seconds over jobs that started.
+  These six are ``None`` (JSON ``null``, ``n/a`` in the table) when the
+  sample is empty — a stream in which no job completed, or none started.
 * ``utilisation`` — slot-seconds occupied by attempts (including dead
   attempts: a killed job held its block until the failure) divided by
   ``slots * makespan``.
@@ -33,10 +35,11 @@ from typing import Sequence
 from repro.cluster.engine import JobRecord
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (``q`` in [0, 100])."""
+def percentile(values: Sequence[float], q: float) -> float | None:
+    """Nearest-rank percentile of ``values`` (``q`` in [0, 100]);
+    ``None`` for an empty sample."""
     if not values:
-        return math.nan
+        return None
     if not (0 <= q <= 100):
         raise ValueError(f"percentile must be in [0, 100], got {q}")
     ordered = sorted(values)
@@ -55,12 +58,12 @@ class StreamReport:
     rejected: int
     makespan: float
     throughput: float
-    latency_p50: float
-    latency_p99: float
-    latency_mean: float
-    queue_wait_p50: float
-    queue_wait_max: float
-    queue_wait_mean: float
+    latency_p50: float | None
+    latency_p99: float | None
+    latency_mean: float | None
+    queue_wait_p50: float | None
+    queue_wait_max: float | None
+    queue_wait_mean: float | None
     utilisation: float
     retried_attempts: int
 
@@ -95,10 +98,10 @@ class StreamReport:
             latency_p50=percentile(latencies, 50),
             latency_p99=percentile(latencies, 99),
             latency_mean=(sum(latencies) / len(latencies)
-                          if latencies else math.nan),
+                          if latencies else None),
             queue_wait_p50=percentile(waits, 50),
-            queue_wait_max=max(waits) if waits else math.nan,
-            queue_wait_mean=sum(waits) / len(waits) if waits else math.nan,
+            queue_wait_max=max(waits, default=None),
+            queue_wait_mean=sum(waits) / len(waits) if waits else None,
             utilisation=busy / (slots * makespan) if makespan > 0 else 0.0,
             retried_attempts=sum(r.failed_attempts for r in records),
         )
@@ -108,8 +111,8 @@ class StreamReport:
 
     def to_text(self) -> str:
         """Multi-line human-readable report."""
-        def fmt(x: float) -> str:
-            return "n/a" if math.isnan(x) else f"{x:.6g}"
+        def fmt(x: float | None) -> str:
+            return "n/a" if x is None else f"{x:.6g}"
 
         rows = [
             ("jobs", f"{self.jobs} ({self.completed} done, "

@@ -4,7 +4,7 @@ Every job attempt gets a *fresh, disjoint* range of engine ranks (a
 rank namespace), but all of them charge their transfers to — and claim
 links on — the **same underlying machine**.  :class:`ClusterNetwork`
 is that adapter: engine rank ``r`` is bound to machine slot
-``slot_of(r)`` at launch time, ``transfer_time``/``links``/``hops``
+``slots[r]`` at launch time, ``transfer_time``/``links``/``hops``
 delegate through the binding, and because ``links`` returns the
 *machine's* link claims, the engine's contention accounting serialises
 transfers from different jobs that cross the same physical link —
@@ -14,6 +14,12 @@ Engine ranks are never reused: a retried job binds a new range, so no
 channel or link state can leak between attempts.  Capacity is sized up
 front (sum over jobs of ``p * (1 + max_retries)``) because the engine
 fixes its rank multiplier at setup.
+
+Slots *are* reused, and costs belong to them: ``transfer_time`` keeps
+the machine's answer per ``(slot, slot, nbytes)`` (networks are pure
+cost models, so the kept float is the one the machine would return),
+and ``slots`` lets the engine key its route memo the same way.  A job
+placed where an earlier one ran costs the machine no new question.
 """
 
 from __future__ import annotations
@@ -41,17 +47,14 @@ class ClusterNetwork(Network):
     def __init__(self, machine: Network, capacity: int) -> None:
         super().__init__(capacity)
         self.machine = machine
-        self._slot: list[int] = []
-
-    @property
-    def bound(self) -> int:
-        """Engine ranks bound so far."""
-        return len(self._slot)
+        #: Machine slot of every bound engine rank, in bind order.
+        self.slots: list[int] = []
+        self._wire_times: dict[tuple[int, int, float], float] = {}
 
     def bind(self, slots: Sequence[int]) -> int:
         """Bind the next ``len(slots)`` engine ranks to machine slots;
         returns the base engine rank of the new range."""
-        base = len(self._slot)
+        base = len(self.slots)
         if base + len(slots) > self.nranks:
             raise TopologyError(
                 f"cluster rank capacity exhausted: {base} bound, "
@@ -63,23 +66,19 @@ class ClusterNetwork(Network):
                     f"slot {slot} outside machine with "
                     f"{self.machine.nranks} slots"
                 )
-        self._slot.extend(slots)
+        self.slots.extend(slots)
         return base
 
-    def slot_of(self, rank: int) -> int:
-        """Machine slot an engine rank is bound to."""
-        try:
-            return self._slot[rank]
-        except IndexError:
-            raise TopologyError(f"engine rank {rank} is not bound") from None
-
     def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
-        return self.machine.transfer_time(
-            self._slot[src], self._slot[dst], nbytes
-        )
+        slots = self.slots
+        key = (slots[src], slots[dst], nbytes)
+        wire = self._wire_times.get(key)
+        if wire is None:
+            wire = self._wire_times[key] = self.machine.transfer_time(*key)
+        return wire
 
     def links(self, src: int, dst: int) -> Sequence[LinkClaim]:
-        return self.machine.links(self._slot[src], self._slot[dst])
+        return self.machine.links(self.slots[src], self.slots[dst])
 
     def hops(self, src: int, dst: int) -> int:
-        return self.machine.hops(self._slot[src], self._slot[dst])
+        return self.machine.hops(self.slots[src], self.slots[dst])

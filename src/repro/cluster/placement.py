@@ -8,17 +8,17 @@ communication patterns keep the same shape they have in a standalone
 run — what changes under load is only *which* physical links those
 patterns cross and who else is using them.
 
-Candidate blocks come from the fig8 zigzag enumeration
-(:func:`repro.network.mapping.subgrid_blocks`) when the requested shape
-tiles the machine exactly — aligned groups, the paper's Figure-8
-layout — and from a row-major anchor scan otherwise.  Both orders are
-fixed, so placement is deterministic given the allocation history.
+Candidate blocks are the groups of the fig8 zigzag enumeration
+(:func:`repro.network.mapping.subgrid_blocks`, in its order) when the
+requested shape tiles the machine exactly — aligned groups, the paper's
+Figure-8 layout — and come from a row-major anchor scan otherwise.  Both
+orders are fixed, so placement is deterministic given the allocation
+history.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.network.mapping import subgrid_blocks
 
 
 class SlotGrid:
@@ -64,29 +64,21 @@ class SlotGrid:
         return ((s <= self.rows and t <= self.cols)
                 or (t <= self.rows and s <= self.cols))
 
-    def _candidates(self, rs: int, cs: int):
-        """Anchor positions for an ``rs x cs`` block, in placement order."""
-        if self.rows % rs == 0 and self.cols % cs == 0:
-            # Aligned tiling: walk the zigzag group order so consecutive
-            # jobs pack group-contiguously (fig8 layout).
-            for block in subgrid_blocks(self.rows, self.cols,
-                                        self.rows // rs, self.cols // cs):
-                yield divmod(block[0], self.cols)
-        else:
-            for r0 in range(self.rows - rs + 1):
-                for c0 in range(self.cols - cs + 1):
-                    yield r0, c0
-
     def _find_block(self, rs: int, cs: int) -> tuple[int, ...] | None:
         """First fully-free ``rs x cs`` block, slots row-major, or None."""
-        if rs > self.rows or cs > self.cols:
-            return None
-        free = self._free
-        for r0, c0 in self._candidates(rs, cs):
-            block = tuple((r0 + i) * self.cols + (c0 + j)
-                          for i in range(rs) for j in range(cs))
-            if all(free[slot] for slot in block):
-                return block
+        rows, cols, free = self.rows, self.cols, self._free
+        # Aligned tiling: only the tiles, row-major — the zigzag group
+        # order, so consecutive jobs pack group-contiguously (fig8
+        # layout).  Otherwise every anchor, row-major.
+        dr, dc = (rs, cs) if rows % rs == 0 and cols % cs == 0 else (1, 1)
+        for r0 in range(0, rows - rs + 1, dr):
+            for c0 in range(0, cols - cs + 1, dc):
+                # A busy anchor is dropped at its first busy row; only
+                # the winner's slot tuple is ever built.
+                starts = range(r0 * cols + c0, (r0 + rs) * cols, cols)
+                if all(all(free[a:a + cs]) for a in starts):
+                    return tuple(slot for a in starts
+                                 for slot in range(a, a + cs))
         return None
 
     def find(self, s: int, t: int) -> tuple[int, ...] | None:

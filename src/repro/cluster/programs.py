@@ -108,9 +108,10 @@ def launch_from_plan(job: JobSpec, plan: Any) -> LaunchSpec:
 
 def build_programs(job: JobSpec, spec: LaunchSpec, *, gamma: float = 0.0,
                    options: CollectiveOptions | None = None,
-                   trace: bool = False) -> list:
+                   trace: bool = False, base: int = 0) -> list:
     """Fresh per-rank generators for one attempt of ``job``, from the
-    same program factory the standalone runners use.
+    same program factory the standalone runners use, bound at engine
+    rank ``base`` (the attempt's first rank in a shared engine).
 
     Matrices are phantom (scale mode): streams measure time, not
     numerics — the single-run paths already pin numerical correctness.
@@ -133,5 +134,5 @@ def build_programs(job: JobSpec, spec: LaunchSpec, *, gamma: float = 0.0,
     return rank_programs(
         algorithm, cfg, layout.nranks,
         layout.deal(PhantomArray((n, n)), PhantomArray((n, n))),
-        options=opts, gamma=gamma, trace=trace,
+        options=opts, gamma=gamma, trace=trace, base=base,
     )

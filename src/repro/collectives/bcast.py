@@ -198,7 +198,7 @@ def bcast_vandegeijn(
     # checks and tag interning hoisted out of the loop).
     segs: list[Any] = [None] * size
     segs[vr] = my_segment
-    world = comm._world_ranks
+    world = comm._wire
     right = world[_abs(vr + 1, root, size)]
     left = world[_abs(vr - 1, root, size)]
     wire_tag = comm._tag(TAG_ALLGATHER)

@@ -350,6 +350,7 @@ def rank_programs(
     gamma: float = 0.0,
     trace: bool = False,
     retry: Any = None,
+    base: int = 0,
 ) -> _RankPrograms:
     """Fresh rank generators for one execution of ``spec`` over inputs
     already dealt by its layout (``rank_inputs = layout.deal(...)``) —
@@ -361,10 +362,13 @@ def rank_programs(
     every rank iterates it and sees exactly the ``p`` generators an
     eager list would hold, while the collapsed macro engine indexes its
     probe set and never pays for the other ranks (255 of 16384 contexts
-    for a block-cyclic run on a 128 x 128 grid)."""
+    for a block-cyclic run on a 128 x 128 grid).  ``base`` binds the
+    run at that engine rank (:func:`~repro.mpi.comm.context_factory`):
+    0 unless the engine hosts other runs beside this one."""
     program = live(spec.program)
     context = context_factory(
-        nranks, options=options, gamma=gamma, trace=trace, retry=retry)
+        nranks, options=options, gamma=gamma, trace=trace, retry=retry,
+        base=base)
     return _RankPrograms(
         nranks,
         lambda rank: program(context(rank), *rank_inputs(rank), cfg))

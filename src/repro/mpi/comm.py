@@ -113,15 +113,22 @@ class _RankShared:
     :class:`MpiContext` marks itself): a collapsed run constructs only
     its probe set, and only a built rank can ever announce a
     collective.
+
+    The contexts sharing one instance are all bound at one ``base``
+    (:func:`context_factory`), so a membership has one wire tuple.
     """
 
-    __slots__ = ("world_ranks", "splits", "collectives", "built",
+    __slots__ = ("world_ranks", "splits", "wires", "collectives", "built",
                  "announcers")
 
     def __init__(self, nranks: int) -> None:
         self.world_ranks = tuple(range(nranks))
         #: child cid -> {color: ordered world-rank tuple}
         self.splits: dict[tuple, dict[int, tuple[int, ...]]] = {}
+        #: world-rank tuple -> the same members as wire ranks, for a run
+        #: bound at a non-zero base (one tuple per communicator, not
+        #: one per member).
+        self.wires: dict[tuple[int, ...], tuple[int, ...]] = {}
         #: (cid, seq) -> [signature tuple, ranks seen]: the collective
         #: announcement registry.  The first announcement of a slot
         #: seeds it; every later announcement must match field for
@@ -144,6 +151,13 @@ class _RankShared:
             map(self.built.__getitem__, world_ranks))
         return count
 
+    def wire(self, world_ranks: tuple[int, ...], base: int) -> tuple[int, ...]:
+        wire = self.wires.get(world_ranks)
+        if wire is None:
+            wire = self.wires[world_ranks] = tuple(
+                r + base for r in world_ranks)
+        return wire
+
 
 def context_factory(
     nranks: int,
@@ -151,18 +165,26 @@ def context_factory(
     gamma: float = 0.0,
     trace: bool = False,
     retry: RetryPolicy | None = None,
+    base: int = 0,
 ) -> Callable[[int], "MpiContext"]:
     """``rank -> MpiContext`` for one SPMD run: every context it builds
     shares one :class:`_RankShared` (world/partition storage O(p)
     instead of O(p^2)), and a rank costs nothing until it is asked for
     — :func:`repro.core.launch.rank_programs` builds only the ranks a
-    backend steps."""
+    backend steps.
+
+    ``base`` is where the run's ranks sit in the engine that steps them
+    (a job of a :mod:`repro.cluster` stream is one of many in one
+    engine; a standalone run is at 0).  The run itself stays
+    ``0..nranks-1`` in everything it can observe; only the peers of
+    the point-to-point requests its communicators yield are offset
+    (see :class:`Comm`)."""
     shared = _RankShared(nranks)
     opts = options or CollectiveOptions()
 
     def context(rank: int) -> MpiContext:
         return MpiContext(rank, nranks, options=opts, gamma=gamma,
-                          trace=trace, shared=shared, retry=retry)
+                          trace=trace, shared=shared, retry=retry, base=base)
 
     return context
 
@@ -206,6 +228,8 @@ class MpiContext:
         :class:`repro.faults.RetryPolicy` governing timed receives and
         the fault-tolerant broadcast on this rank's communicators.
         Defaults to :data:`repro.faults.DEFAULT_RETRY_POLICY`.
+    base:
+        Engine rank of this run's rank 0 (see :func:`context_factory`).
     """
 
     def __init__(
@@ -217,11 +241,13 @@ class MpiContext:
         trace: bool = False,
         shared: _RankShared | None = None,
         retry: RetryPolicy | None = None,
+        base: int = 0,
     ) -> None:
         if not (0 <= rank < nranks):
             raise CommunicatorError(f"rank {rank} outside world of {nranks}")
         self.rank = rank
         self.nranks = nranks
+        self.base = base
         self.options = options or CollectiveOptions()
         if gamma < 0:
             raise CommunicatorError(f"gamma must be >= 0, got {gamma}")
@@ -289,6 +315,13 @@ class Comm:
     Only member ranks hold a ``Comm`` object for a given communicator.
     ``rank``/``size`` are relative to the communicator; all public
     methods take communicator-relative ranks.
+
+    Two tuples map a communicator rank outward.  ``_world_ranks`` is
+    the member's rank in its own run — what ``world_ranks``, collective
+    announcements and ``CollectiveRequest.participants`` carry.
+    ``_wire`` is its rank in the engine stepping the run — the peer of
+    every point-to-point request.  They are the same object unless the
+    context is bound at a non-zero base.
     """
 
     def __init__(
@@ -319,6 +352,9 @@ class Comm:
                     f"{self._world_ranks}"
                 ) from None
         self.size = len(self._world_ranks)
+        base = ctx.base
+        self._wire = (ctx._shared.wire(self._world_ranks, base) if base
+                      else self._world_ranks)
         self._cid = cid
         self._child_seq = itertools.count()
         self._coll_seq = itertools.count()
@@ -368,7 +404,7 @@ class Comm:
     def send(self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None) -> Gen:
         """Blocking send of ``obj`` to communicator rank ``dest``."""
         self._check_rank(dest)
-        yield SendRequest(self._world_ranks[dest], self._tag(tag), obj, nbytes)
+        yield SendRequest(self._wire[dest], self._tag(tag), obj, nbytes)
 
     def recv(self, source: int, tag: int = 0,
              timeout: float | None = None) -> Gen:
@@ -380,7 +416,7 @@ class Comm:
         see :meth:`recv_retry` and :mod:`repro.collectives.ft`).
         """
         self._check_rank(source)
-        payload = yield RecvRequest(self._world_ranks[source], self._tag(tag),
+        payload = yield RecvRequest(self._wire[source], self._tag(tag),
                                     timeout=timeout)
         return payload
 
@@ -398,7 +434,7 @@ class Comm:
         self._check_rank(source)
         policy = policy or self._ctx.retry
         wire_tag = self._tag(tag)
-        src = self._world_ranks[source]
+        src = self._wire[source]
         for attempt in range(policy.max_attempts):
             payload = yield RecvRequest(
                 src, wire_tag, timeout=policy.escalation_timeout(attempt)
@@ -415,13 +451,13 @@ class Comm:
     def isend(self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None) -> Gen:
         """Nonblocking send; returns a handle for :meth:`wait`."""
         self._check_rank(dest)
-        handle = yield ISendRequest(self._world_ranks[dest], self._tag(tag), obj, nbytes)
+        handle = yield ISendRequest(self._wire[dest], self._tag(tag), obj, nbytes)
         return handle
 
     def irecv(self, source: int, tag: int = 0) -> Gen:
         """Nonblocking receive; returns a handle for :meth:`wait`."""
         self._check_rank(source)
-        handle = yield IRecvRequest(self._world_ranks[source], self._tag(tag))
+        handle = yield IRecvRequest(self._wire[source], self._tag(tag))
         return handle
 
     # A bare RequestHandle yielded to the engine waits on itself; the
@@ -454,13 +490,13 @@ class Comm:
         """Simultaneous send+receive (the Cannon/Fox shift primitive)."""
         self._check_rank(dest)
         self._check_rank(source)
-        world = self._world_ranks
+        wire = self._wire
         # The engine's fused shift primitive: both posts plus both
         # waits (receive first, send second) in one resume — identical
         # on the wire and in every charged wait time to the explicit
         # isend/irecv/wait sequence.
         payload = yield SendRecvRequest(
-            world[dest], world[source], self._tag(sendtag),
+            wire[dest], wire[source], self._tag(sendtag),
             self._tag(recvtag), sendobj, nbytes,
         )
         return payload

@@ -76,8 +76,9 @@ def subgrid_order(s: int, t: int, I: int, J: int) -> tuple[int, ...]:
     (nodes, placement slots) keeps each group contiguous.
 
     Identity-pinned: :func:`repro.core.grouping.group_aligned_mapping`
-    and the cluster placement layer both consume this exact order, and
-    tests pin it against the historical inline enumeration.
+    consumes this exact order and the cluster placement layer walks its
+    aligned candidates in it; tests pin both against the historical
+    inline enumeration.
     """
     if s < 1 or t < 1 or I < 1 or J < 1:
         raise TopologyError(f"need s,t,I,J >= 1; got {s}, {t}, {I}, {J}")

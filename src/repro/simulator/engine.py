@@ -275,7 +275,41 @@ class Engine:
                 f"{len(gens)} programs but network only models "
                 f"{self.network.nranks} ranks"
             )
-        self._ranks = [_RankState(i, g) for i, g in enumerate(gens)]
+        self._setup(len(gens))
+        try:
+            ranks = self._ranks
+            ranks.extend(_RankState(i, g) for i, g in enumerate(gens))
+            if self._faults is not None:
+                # Deaths are pushed before the initial resumes so that at
+                # equal virtual times a fail-stop preempts completions —
+                # a deterministic, documented tie-break.  Deaths aimed at
+                # ranks not in this run are ignored (a schedule may be
+                # reused across runs of different sizes).
+                for death in self._faults.death_events():
+                    if death.rank < len(ranks):
+                        self._events.push(death.time, self._rank_death,
+                                          (death,))
+            for state in ranks:
+                self._resume(state, None, state.stats.clock)
+            self._drain("simulation")
+            for state in ranks:
+                self._spans.finish(state.stats.rank, state.stats.clock)
+            return SimResult(
+                stats=[s.stats for s in ranks],
+                return_values=[s.retval for s in ranks],
+                trace=self._trace,
+                spans=self._spans.roots,
+            )
+        finally:
+            self._release()
+
+    # -- one execution: set-up, drain, release ------------------------------
+
+    def _setup(self, nranks: int) -> None:
+        """Fresh per-run tables for an execution spanning ``nranks``
+        ranks; ``_ranks`` starts empty (a job stream appends as it
+        launches)."""
+        self._ranks: list[_RankState] = []
         self._events = EventQueue()
         # tag -> (src * nranks + dst) -> channel: the int inner key is
         # cheap to hash and spares a 3-tuple allocation per post.
@@ -292,25 +326,15 @@ class Engine:
         self._fast = (not self.contention and not self.collect_trace
                       and self._faults is None)
         self._trace: list[TransferRecord] = []
-        self._spans = SpanRecorder(len(gens))
+        self._spans = SpanRecorder(nranks)
         self._nevents = 0
         # Per-tag channel digests for deterministic drop decisions
         # (see repro.faults); the per-channel ordinal lives on _Channel.
         self._chan_digests: dict[Any, int] = {}
 
-        if self._faults is not None:
-            # Deaths are pushed before the initial resumes so that at
-            # equal virtual times a fail-stop preempts completions —
-            # a deterministic, documented tie-break.  Deaths aimed at
-            # ranks not in this run are ignored (a schedule may be
-            # reused across runs of different sizes).
-            for death in self._faults.death_events():
-                if death.rank < len(self._ranks):
-                    self._events.push(death.time, self._rank_death, (death,))
-
-        for state in self._ranks:
-            self._resume(state, None, state.stats.clock)
-
+    def _drain(self, what: str) -> None:
+        """Run the event queue dry; a rank still unfinished then is a
+        deadlock of ``what``."""
         events = self._events
         max_events = self.max_events
         while events:
@@ -333,25 +357,29 @@ class Engine:
             detail = ", ".join(f"rank {r} on {op!r}" for r, op in blocked[:8])
             more = "" if len(blocked) <= 8 else f" (+{len(blocked) - 8} more)"
             raise DeadlockError(
-                f"simulation deadlocked: {detail}{more}",
+                f"{what} deadlocked: {detail}{more}",
                 blocked={r: _pending_op_info(op) for r, op in blocked},
             )
 
-        for state in self._ranks:
-            self._spans.finish(state.stats.rank, state.stats.clock)
-
-        return SimResult(
-            stats=[s.stats for s in self._ranks],
-            return_values=[s.retval for s in self._ranks],
-            trace=self._trace,
-            spans=self._spans.roots,
-        )
+    def _release(self) -> None:
+        """Drop the tables of a finished execution.  An engine is a
+        reference cycle (``_dispatch`` holds its bound methods), so
+        whatever it still holds waits for the collector's next full
+        pass; emptied here, rank states and channels go by reference
+        count the moment the run returns."""
+        del (self._ranks, self._events, self._channels, self._link_free,
+             self._links_cache, self._ep_pool, self._rh_pool)
 
     # -- generator stepping -------------------------------------------------
 
     def _resume(self, state: _RankState, value: Any, time: float) -> None:
         """Resume ``state`` at virtual ``time`` with ``value``, then keep
-        stepping it through zero-time requests until it blocks or ends."""
+        stepping it through zero-time requests until it blocks or ends.
+        A finished rank is never stepped: an event still aimed at one
+        (the ranks of a killed stream attempt are marked finished) is
+        stale, and dropping it here spares scrubbing the heap."""
+        if state.finished:
+            return
         stats = state.stats
         if time > stats.clock:
             stats.clock = time
@@ -367,6 +395,7 @@ class Engine:
             except StopIteration as stop:
                 state.finished = True
                 state.retval = stop.value
+                self._rank_finished(state, time)
                 return
             try:
                 handler = dispatch[request.__class__]
@@ -375,6 +404,10 @@ class Engine:
             value = handler(state, request, stats.clock)
             if value is _PARKED:
                 return
+
+    def _rank_finished(self, state: _RankState, time: float) -> None:
+        """Hook: ``state``'s program returned during the resume at
+        virtual ``time``."""
 
     def _resolve_handler(self, state: _RankState, request: Any):
         """Slow path: map an unseen request subclass to its handler."""

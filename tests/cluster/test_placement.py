@@ -1,5 +1,7 @@
 """Rectangular sub-grid placement on the shared slot grid."""
 
+import random
+
 import pytest
 
 from repro.cluster.placement import SlotGrid
@@ -65,3 +67,36 @@ def test_clone_is_independent():
     shadow.allocate(2, 2)
     assert grid.free_count == 4
     assert shadow.free_count == 0
+
+
+def _eager_find_block(grid, rs, cs):
+    """The search as it was first written: every candidate's slot tuple
+    built, then tested — the reference the lazy search must equal."""
+    if rs > grid.rows or cs > grid.cols:
+        return None
+    if grid.rows % rs == 0 and grid.cols % cs == 0:
+        anchors = [divmod(block[0], grid.cols) for block in
+                   subgrid_blocks(grid.rows, grid.cols,
+                                  grid.rows // rs, grid.cols // cs)]
+    else:
+        anchors = [(r0, c0) for r0 in range(grid.rows - rs + 1)
+                   for c0 in range(grid.cols - cs + 1)]
+    for r0, c0 in anchors:
+        block = tuple((r0 + i) * grid.cols + (c0 + j)
+                      for i in range(rs) for j in range(cs))
+        if all(grid._free[slot] for slot in block):
+            return block
+    return None
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 16), (4, 6), (3, 5), (1, 7)])
+def test_lazy_search_returns_the_eager_search_s_blocks(rows, cols):
+    rng = random.Random(rows * 100 + cols)
+    for busy_share in (0.0, 0.1, 0.4, 0.8):
+        grid = SlotGrid(rows, cols)
+        grid._free = [rng.random() >= busy_share
+                      for _ in range(rows * cols)]
+        for rs in range(1, rows + 2):
+            for cs in range(1, cols + 2):
+                assert grid._find_block(rs, cs) \
+                    == _eager_find_block(grid, rs, cs), (rs, cs)

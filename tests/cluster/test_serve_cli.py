@@ -3,7 +3,7 @@
 import json
 
 from repro.cli import main
-from repro.cluster import dump_trace, poisson_stream
+from repro.cluster import JobSpec, dump_trace, poisson_stream
 
 
 def test_serve_check_smoke(capsys):
@@ -56,3 +56,27 @@ def test_serve_text_report_per_scheduler(capsys):
 def test_serve_rejects_bad_slot_grid(capsys):
     assert main(["serve", "--slot-grid", "nonsense"]) == 2
     assert "--slot-grid" in capsys.readouterr().err
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"invalid JSON token {token!r} in serve --json")
+
+
+def test_serve_json_is_valid_when_no_job_completes(tmp_path, capsys):
+    # One p=16 job on an 8-slot machine is rejected: no latency and no
+    # queue-wait sample.  "No sample" is null, never a bare NaN token.
+    trace = tmp_path / "arrivals.jsonl"
+    dump_trace([JobSpec(jid=0, arrival=0.0, n=256, p=16)], str(trace))
+    argv = ["serve", "--arrivals", str(trace), "--slots", "8",
+            "--scheduler", "fifo,planner"]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out,
+                         parse_constant=_refuse_constant)
+    for report in payload["reports"].values():
+        assert (report["jobs"], report["completed"],
+                report["rejected"]) == (1, 0, 1)
+        for key in ("latency_p50", "latency_p99", "latency_mean",
+                    "queue_wait_p50", "queue_wait_max", "queue_wait_mean"):
+            assert report[key] is None
+    assert main(argv) == 0
+    assert "p50 n/a" in capsys.readouterr().out  # the table keeps n/a
