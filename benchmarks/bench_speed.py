@@ -18,7 +18,8 @@ Usage::
     python benchmarks/bench_speed.py --quick --check
         # regression gate: fail (exit 1) if any gate workload (one per
         # engine tier — DES, macro, predictor) is more than
-        # GATE_SLOWDOWN x slower than the committed baseline
+        # GATE_SLOWDOWN x slower than the committed baseline, or if
+        # the DES gate workload replayed none of its broadcasts
 
 ``--check`` compares against the ``current`` numbers already in the
 committed ``BENCH_engine.json`` *before* overwriting them, so CI fails
@@ -87,8 +88,8 @@ def _des_summa(n, grid, block, p):
 
     plat = _grid5000(p)
     A, B = PhantomArray((n, n)), PhantomArray((n, n))
-    run_summa(A, B, grid=grid, block=block, network=plat.network(p),
-              options=plat.options, gamma=plat.gamma)
+    return run_summa(A, B, grid=grid, block=block, network=plat.network(p),
+                     options=plat.options, gamma=plat.gamma)[1]
 
 
 def _des_hsumma(n, grid, groups, block, p):
@@ -307,19 +308,22 @@ def planner_cache_speedup(current):
 
 
 def measure(workloads):
-    """Best-of-reps wall-clock per workload, in definition order."""
-    out = {}
+    """Best-of-reps wall-clock per workload, in definition order, and
+    what each workload's last repetition returned."""
+    out, returned = {}, {}
     for name, (fn, reps) in workloads.items():
-        best = min(_time_one(fn) for _ in range(reps))
+        runs = [_time_one(fn) for _ in range(reps)]
+        best = min(seconds for seconds, _ in runs)
         out[name] = round(best, 4)
+        returned[name] = runs[-1][1]
         print(f"  {name:24s} {best:8.3f} s  (best of {reps})")
-    return out
+    return out, returned
 
 
 def _time_one(fn):
     start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    value = fn()
+    return time.perf_counter() - start, value
 
 
 def load_baseline():
@@ -345,7 +349,7 @@ def main(argv=None):
     print(f"bench_speed ({mode} mode):")
     baseline = load_baseline()
     committed = baseline.get(mode, {})
-    current = measure(workloads)
+    current, returned = measure(workloads)
 
     cache_speedup = planner_cache_speedup(current)
     if cache_speedup is not None:
@@ -359,6 +363,14 @@ def main(argv=None):
             print(f"gate: FAIL — plan cache only {cache_speedup:.0f}x faster "
                   f"than cold planning (contract: >= "
                   f"{PLANNER_MIN_SPEEDUP:.0f}x)")
+            status = 1
+        sim = returned.get("des_summa_p64")
+        if sim is not None and not (sim.replay or {}).get("replayed"):
+            # The 1.5x gate compares against a ``current`` that this
+            # very script re-records: a silently disabled replay (a
+            # 2.5x slowdown) would pass it from the second run on.
+            print(f"gate: FAIL — des_summa_p64 replayed no broadcast "
+                  f"(SimResult.replay = {sim.replay})")
             status = 1
         for workload in GATE_WORKLOADS:
             old = committed.get(workload, {}).get("current")

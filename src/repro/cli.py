@@ -117,6 +117,9 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
     )
     if faults is not None:
         print(f"  {result.sim.fault_summary()}")
+    replayed = result.sim.replay_summary()
+    if replayed:
+        print(f"  {replayed}")
     return 0
 
 

@@ -142,6 +142,11 @@ class ClusterEngine(Engine):
         Attempts allowed per job beyond the first.
     """
 
+    #: The scheduler observes global time (an attempt's completion
+    #: frees slots for whoever is queued *then*), and ``(cid, seq)`` is
+    #: not unique across jobs: a stream expands every broadcast.
+    _replay = False
+
     def __init__(
         self,
         machine: Network,

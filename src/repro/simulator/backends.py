@@ -103,6 +103,7 @@ class MacroBackend(Engine, Backend):
     """
 
     _inline_compute = True
+    _RUN_TABLES = Engine._RUN_TABLES + ("_durations",)
 
     def __init__(
         self,
@@ -199,15 +200,16 @@ class MacroBackend(Engine, Backend):
             return "probe set covers the whole grid"
         return None
 
-    def run(self, programs: Iterable[RankProgram]) -> SimResult:
-        #: (cid, seq) -> [(rank state, its request)]; a collective fires
-        #: once every participant has arrived.
-        self._pending: dict[tuple, list[tuple[_RankState, CollectiveRequest]]] = {}
+    def _setup(self, nranks: int) -> None:
+        super()._setup(nranks)
+        # Every collective is priced by the coster: none expands, so
+        # there is nothing to replay and no report of it.
+        self._expanding = "priced by the coster"
+        self._report = None
         #: coster result cache; costers are deterministic in the full
         #: argument set, and bulk-synchronous algorithms repeat the
         #: same (op, size, bytes) shape thousands of times.
         self._durations: dict[tuple, float] = {}
-        return super().run(programs)
 
     # -- the collective hook -------------------------------------------------
 
@@ -218,19 +220,10 @@ class MacroBackend(Engine, Backend):
             # Single-rank collectives are free no-ops; expanding them
             # costs nothing and reuses the exact result semantics.
             return False
-        state.blocked_on = request
-        state.block_start = now
-        key = (request.cid, request.seq)
-        entry = self._pending.get(key)
-        if entry is None:
-            entry = self._pending[key] = []
-        entry.append((state, request))
-        if len(entry) == len(request.participants):
-            del self._pending[key]
-            self._satisfy(entry)
+        self._park(state, request, now)
         return True
 
-    def _satisfy(
+    def _filled(
         self, entry: list[tuple[_RankState, CollectiveRequest]]
     ) -> None:
         _start, finish, results = self._price(entry)

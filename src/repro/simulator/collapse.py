@@ -62,14 +62,12 @@ from repro.errors import SimulationError
 from repro.network.model import Network
 from repro.simulator.backends import MacroBackend
 from repro.simulator.engine import RankProgram, _PARKED, _RankState
-from repro.simulator.events import EventQueue
 from repro.simulator.requests import (
     CollectiveRequest,
     RecvRequest,
     SendRecvRequest,
     SendRequest,
 )
-from repro.simulator.spans import SpanRecorder
 from repro.simulator.tracing import RankStats, SimResult
 
 
@@ -221,6 +219,9 @@ class CollapsedMacroEngine(MacroBackend):
     DES, and the counters replicate to twins at assembly.
     """
 
+    _RUN_TABLES = MacroBackend._RUN_TABLES + (
+        "_memos", "_parked", "_posts", "_waiters")
+
     def __init__(
         self,
         network: Network,
@@ -262,15 +263,14 @@ class CollapsedMacroEngine(MacroBackend):
                 raise SymmetryBroken(
                     "point-to-point collapse requires a uniform network")
 
-        probe = sym.probe
-        probed = bytearray(nranks)
-        for r in probe:
-            probed[r] = 1
-        self._probed = probed
-        self._ranks = [_RankState(r, programs[r]) for r in probe]
-        self._events = EventQueue()
-        self._pending = {}
-        self._durations = {}
+        self._setup(nranks)
+        try:
+            return self._run_probe(programs, nranks)
+        finally:
+            self._release()
+
+    def _setup(self, nranks: int) -> None:
+        super()._setup(nranks)
         #: (class key, seq) -> _Memo recorded by the class primary.
         self._memos: dict[tuple, _Memo] = {}
         #: (class key, seq) -> [(state, request)] waiting for a primary.
@@ -284,12 +284,19 @@ class CollapsedMacroEngine(MacroBackend):
         self._waiters: dict[tuple, list] = {}
         #: (rank, kind, wire tag, partner class) -> next occurrence.
         self._occ: dict[tuple, int] = {}
-        #: (class, rank class cache) and wire-time memo.
         self._rank_class: dict[int, tuple] = {}
-        self._wires: dict[tuple, float] = {}
-        self._trace = []
-        self._spans = SpanRecorder(nranks)
-        self._nevents = 0
+
+    def _setup_matching(self) -> None:
+        """None: point-to-point is collapsed per class (_post_p2p)."""
+
+    def _run_probe(self, programs: Sequence[RankProgram],
+                   nranks: int) -> SimResult:
+        probe = self.symmetry.probe
+        probed = bytearray(nranks)
+        for r in probe:
+            probed[r] = 1
+        self._probed = probed
+        self._ranks.extend(_RankState(r, programs[r]) for r in probe)
 
         for state in self._ranks:
             self._resume(state, None, state.stats.clock)
@@ -329,25 +336,17 @@ class CollapsedMacroEngine(MacroBackend):
     ) -> bool:
         if len(request.participants) <= 1:
             return False  # free no-op; expand for the exact result
-        ckey = self._class_of(request.cid)
+        if self._all_probed(request):
+            self._park(state, request, now)
+            return True
         state.blocked_on = request
         state.block_start = now
-        if self._all_probed(request):
-            key = (request.cid, request.seq)
-            entry = self._pending.get(key)
-            if entry is None:
-                entry = self._pending[key] = []
-            entry.append((state, request))
-            if len(entry) == len(request.participants):
-                del self._pending[key]
-                self._satisfy_primary(entry, (ckey, request.seq))
+        mkey = (self._class_of(request.cid), request.seq)
+        memo = self._memos.get(mkey)
+        if memo is not None:
+            self._join(state, request, memo)
         else:
-            mkey = (ckey, request.seq)
-            memo = self._memos.get(mkey)
-            if memo is not None:
-                self._join(state, request, memo)
-            else:
-                self._parked.setdefault(mkey, []).append((state, request))
+            self._parked.setdefault(mkey, []).append((state, request))
         return True
 
     def _class_of(self, cid: tuple) -> tuple:
@@ -364,9 +363,10 @@ class CollapsedMacroEngine(MacroBackend):
                 probed[r] for r in request.participants)
         return full
 
-    def _satisfy_primary(self, entry: list, mkey: tuple) -> None:
+    def _filled(self, entry: list) -> None:
         """Fire a fully-probed collective; record or verify its memo."""
         req0 = entry[0][1]
+        mkey = (self._class_of(req0.cid), req0.seq)
         p = len(req0.participants)
         start, finish, results = self._price(entry)
         nbytes_by_me = [0] * p

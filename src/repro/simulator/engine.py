@@ -49,9 +49,11 @@ from typing import Any, Generator, Iterable
 from repro.errors import DeadlockError, RankFailure, SimulationError
 from repro.faults.schedule import chan_digest
 from repro.network.model import Network
+from repro.simulator import replay
 from repro.simulator.events import EventQueue
 from repro.simulator.requests import (
     RECV_TIMEOUT,
+    CollectiveReply,
     CollectiveRequest,
     ComputeRequest,
     CounterRequest,
@@ -197,10 +199,12 @@ class Engine:
         Messages of at most this many bytes use the MPI *eager*
         protocol: the send completes after injecting the message,
         without waiting for the matching receive (which later completes
-        at ``max(recv post, arrival)``).  The default 0 keeps the pure
-        rendezvous semantics the paper's model assumes; real MPI
-        implementations eagerly buffer small messages, which removes
-        the send-send deadlocks rendezvous would have.
+        at ``max(recv post, arrival)``).  At the default 0 every message
+        that carries bytes is a rendezvous, as the paper's model
+        assumes; a zero-byte message (a ``None`` payload: barriers,
+        acknowledgements) satisfies ``nbytes <= 0`` and is eager even
+        then.  Real MPI implementations eagerly buffer small messages,
+        which removes the send-send deadlocks rendezvous would have.
     faults:
         Optional :class:`repro.faults.FaultSchedule` injecting link
         degradation, message drops (with automatic retransmission),
@@ -214,6 +218,18 @@ class Engine:
     #: transfers (hence the pinned trace artifacts) is only guaranteed
     #: stable with the event, so the base DES keeps it off.
     _inline_compute = False
+
+    #: May a repeated blocking broadcast be replayed from its recorded
+    #: schedule (see :meth:`_filled`)?  Callers that must see every
+    #: message move — the verifier, the micro-DES coster's
+    #: one-collective engines, a job stream (its scheduler observes
+    #: global time) — set it to False on the instance or a subclass.
+    _replay = True
+
+    #: What :meth:`_release` drops (subclasses add their own).
+    _RUN_TABLES: tuple[str, ...] = (
+        "_ranks", "_events", "_pending", "_schedules", "_wires", "_channels",
+        "_link_free", "_links_cache", "_ep_pool", "_rh_pool")
 
     def __init__(
         self,
@@ -299,6 +315,7 @@ class Engine:
                 return_values=[s.retval for s in ranks],
                 trace=self._trace,
                 spans=self._spans.roots,
+                replay=self._report,
             )
         finally:
             self._release()
@@ -308,9 +325,42 @@ class Engine:
     def _setup(self, nranks: int) -> None:
         """Fresh per-run tables for an execution spanning ``nranks``
         ranks; ``_ranks`` starts empty (a job stream appends as it
-        launches)."""
+        launches).
+
+        Count before adding one: an engine with more than 30 instance
+        attributes loses CPython's key-sharing dictionary and every
+        ``self.x`` of the hot path with it (8 % of a collapsed macro
+        run, measured; ``tests/simulator/test_release.py`` pins it)."""
         self._ranks: list[_RankState] = []
         self._events = EventQueue()
+        self._trace: list[TransferRecord] = []
+        self._spans = SpanRecorder(nranks)
+        self._nevents = 0
+        #: (cid, seq) -> [(rank state, its request)]: ranks parked at a
+        #: collective announcement until every participant has arrived.
+        self._pending: dict[tuple, list] = {}
+        # Replay needs a run without global time: each of these
+        # switches introduces one (link occupancy, the discovery order
+        # of the trace, fault windows, eager arrivals).
+        self._expanding: str | None = (
+            "expansion requested" if not self._replay
+            else "contention" if self.contention
+            else "transfer trace" if self.collect_trace
+            else "faults" if self._faults is not None
+            else "eager protocol" if self.eager_threshold
+            else None)
+        #: shape key -> recorded Schedule, or the reason it has none.
+        self._schedules: dict[tuple, Any] = {}
+        #: (src, dst, nbytes) -> wire time of a replayed leg.
+        self._wires: dict[tuple, float] = {}
+        self._report: dict | None = {
+            "replayed": 0, "expanded": 0, "recorded": 0, "reasons": {}}
+        self._setup_matching()
+
+    def _setup_matching(self) -> None:
+        """The tables of the point-to-point machinery (an engine that
+        matches nothing itself — the collapsed macro engine — has
+        none)."""
         # tag -> (src * nranks + dst) -> channel: the int inner key is
         # cheap to hash and spares a 3-tuple allocation per post.
         self._channels: dict[Any, dict[int, _Channel]] = {}
@@ -325,9 +375,6 @@ class Engine:
         # a memoised per-channel lookup — the branch-free fast path.
         self._fast = (not self.contention and not self.collect_trace
                       and self._faults is None)
-        self._trace: list[TransferRecord] = []
-        self._spans = SpanRecorder(nranks)
-        self._nevents = 0
         # Per-tag channel digests for deterministic drop decisions
         # (see repro.faults); the per-channel ordinal lives on _Channel.
         self._chan_digests: dict[Any, int] = {}
@@ -337,16 +384,23 @@ class Engine:
         deadlock of ``what``."""
         events = self._events
         max_events = self.max_events
-        while events:
-            _time, batch = events.pop_batch()
-            self._nevents += len(batch)
-            if self._nevents > max_events:
-                raise SimulationError(
-                    f"event cap of {max_events} exceeded; "
-                    "likely a livelock in a rank program"
-                )
-            for _t, _seq, fn, args in batch:
-                fn(*args)
+        while True:
+            while events:
+                _time, batch = events.pop_batch()
+                self._nevents += len(batch)
+                if self._nevents > max_events:
+                    raise SimulationError(
+                        f"event cap of {max_events} exceeded; "
+                        "likely a livelock in a rank program"
+                    )
+                for _t, _seq, fn, args in batch:
+                    fn(*args)
+            if self._expanding is not None or not self._pending:
+                break
+            # A broadcast some participant never joined (or joins only
+            # after hearing from a parked one): expand what is parked,
+            # so a deadlock is reported in point-to-point terms.
+            self._stop_replaying("unfilled at drain")
 
         blocked = [
             (s.stats.rank, s.blocked_on)
@@ -367,8 +421,8 @@ class Engine:
         whatever it still holds waits for the collector's next full
         pass; emptied here, rank states and channels go by reference
         count the moment the run returns."""
-        del (self._ranks, self._events, self._channels, self._link_free,
-             self._links_cache, self._ep_pool, self._rh_pool)
+        for table in self._RUN_TABLES:
+            self.__dict__.pop(table, None)
 
     # -- generator stepping -------------------------------------------------
 
@@ -383,6 +437,15 @@ class Engine:
         stats = state.stats
         if time > stats.clock:
             stats.clock = time
+        elif time < stats.clock:
+            # Woken by a completion earlier than its own clock — only
+            # possible once ranks step out of time order, after a
+            # replayed broadcast let some leave before the last
+            # arrived.  A rank is stepped when the queue reaches its
+            # clock, never ahead of it (a timed receive relies on it).
+            self._events.push(stats.clock, self._resume,
+                              (state, value, stats.clock))
+            return
         # Handlers that park set blocked_on again; while the rank is
         # actively stepping it is by definition not blocked, so one
         # clear per resume replaces one per request.
@@ -428,12 +491,10 @@ class Engine:
     def _handle_collective(self, state: _RankState,
                            request: CollectiveRequest, now: float) -> Any:
         # Zero virtual time to *announce*: the request describes the
-        # collective about to run.  The base engine absorbs it (resuming
-        # with None), so the communicator expands it into the exact
-        # point-to-point schedule — the pre-request behaviour,
-        # bit-identically.  Subclasses (the macro backend) may instead
-        # satisfy it from a cost oracle by returning True from
-        # _collective.
+        # collective about to run.  Absorbed (resumed with None), the
+        # communicator expands it into the exact point-to-point
+        # schedule; parked (see _collective), the rank waits for the
+        # other participants and for whatever _filled decides.
         if self._collective(state, request, now):
             return _PARKED
         return None
@@ -517,6 +578,12 @@ class Engine:
     def _handle_recv(self, state: _RankState, request: RecvRequest,
                      now: float) -> Any:
         rank = state.stats.rank
+        timeout = request.timeout
+        if timeout is not None and self._expanding is None:
+            # A timed receive observes global time: a rank parked at a
+            # broadcast must not hold back the send that would beat
+            # the deadline.
+            self._stop_replaying("timed receive")
         state.blocked_on = request
         state.block_start = now
         pool = self._ep_pool
@@ -533,17 +600,21 @@ class Engine:
         except KeyError:
             chan = self._make_channel(src, rank, tag)
         queue = chan.sends
-        if queue:
+        # A queued send is normally older than this receive; one posted
+        # past the deadline (by a rank stepped ahead of this one, after
+        # a replayed broadcast) must not beat the deadline.
+        if queue and (timeout is None or queue[0].post_time <= now + timeout):
             ep.matched = True
             self._start_transfer(chan, queue.popleft(), ep)
             return _PARKED
-        chan.recvs.append(ep)
-        if request.timeout is not None:
+        if not queue:
+            chan.recvs.append(ep)
+        if timeout is not None:
             # The deadline bounds *matching*, not completion: once a
             # send pairs up, the transfer always runs to the end (as on
             # a real wire).
             ep.timed = True
-            deadline = now + request.timeout
+            deadline = now + timeout
             self._events.push(
                 deadline, self._recv_timeout, (state, ep, chan, deadline)
             )
@@ -552,7 +623,10 @@ class Engine:
     def _handle_span_open(self, state: _RankState, request: SpanOpenRequest,
                           now: float) -> Any:
         # Zero virtual time: absorbed inline, no event scheduled, so
-        # traced and untraced runs are bit-identical.
+        # traced and untraced runs are bit-identical.  Root spans are
+        # kept in opening order, which replay would permute.
+        if self._expanding is None:
+            self._stop_replaying("span trace")
         self._spans.open(state.stats.rank, request.name, request.attrs, now)
         return None
 
@@ -644,16 +718,28 @@ class Engine:
             raise SimulationError(
                 f"rank {stats.rank} waiting on rank {handle.rank}'s handle"
             )
-        if handle.done:
-            wait = handle.finish_time - now
-            if wait > 0.0:
-                stats.comm_time += wait
-                stats.clock = now + wait
+        if handle.done and handle.finish_time <= now:
             return handle.payload
+        return self._await(state, handle, None, now)
+
+    def _await(self, state: _RankState, handle: RequestHandle, pair: Any,
+               now: float) -> Any:
+        """Park ``state`` at ``now`` as the waiter of ``handle`` (with
+        ``pair`` as in :meth:`_handle_wait_pair`).  A handle that is
+        done but finished *later* than ``now`` — possible only when
+        ranks step out of time order, after a replayed broadcast — is
+        delivered again at its finish time, so the wait is charged and
+        the rank resumed exactly as if it had found the handle
+        pending."""
         state.blocked_on = handle
         state.block_start = now
         handle._waiter = True
         handle._parked_state = state
+        handle._pair = pair
+        if handle.done:
+            self._events.push(
+                handle.finish_time, self._complete_handle,
+                (handle, handle.finish_time, handle.payload))
         return _PARKED
 
     def _handle_tuple(self, state: _RankState, batch: tuple, now: float) -> Any:
@@ -701,31 +787,14 @@ class Engine:
             raise SimulationError(
                 f"rank {stats.rank} waiting on another rank's handle"
             )
-        if first.done:
-            wait = first.finish_time - now
-            if wait > 0.0:
-                stats.comm_time += wait
-                stats.clock = now + wait
-            now = stats.clock
-            if second.done:
-                wait = second.finish_time - now
-                if wait > 0.0:
-                    stats.comm_time += wait
-                    stats.clock = now + wait
+        if first.done and first.finish_time <= now:
+            if second.done and second.finish_time <= now:
                 return first.payload
             # First already over: only the second leg remains.
-            state.blocked_on = second
-            state.block_start = now
             state.resume_value = first.payload
-            second._waiter = True
-            second._parked_state = state
-            second._pair = _PAIR_FINAL
-            return _PARKED
+            return self._await(state, second, _PAIR_FINAL, now)
+        self._await(state, first, second, now)
         state.blocked_on = pair
-        state.block_start = now
-        first._waiter = True
-        first._parked_state = state
-        first._pair = second
         return _PARKED
 
     def _pair_continue(self, parked: _RankState, second: RequestHandle,
@@ -738,26 +807,12 @@ class Engine:
         stats = parked.stats
         if now > stats.clock:
             stats.clock = now
-        if second.done:
-            wait = second.finish_time - stats.clock
-            if wait > 0.0:
-                stats.comm_time += wait
-                stats.clock += wait
-            self._resume(parked, value, stats.clock)
-            if second._internal:
-                rpool = self._rh_pool
-                if len(rpool) < _RH_POOL_MAX:
-                    second.done = False
-                    second.payload = None
-                    second._parked_state = None
-                    rpool.append(second)
+        if second.done and second.finish_time <= stats.clock:
+            self._resume(parked, value, now)
+            self._maybe_recycle_handle(second)
             return
-        parked.blocked_on = second
-        parked.block_start = stats.clock
         parked.resume_value = value
-        second._waiter = True
-        second._parked_state = parked
-        second._pair = _PAIR_FINAL
+        self._await(parked, second, _PAIR_FINAL, stats.clock)
 
     def _handle_sendrecv(self, state: _RankState, request: SendRecvRequest,
                          now: float) -> Any:
@@ -803,11 +858,12 @@ class Engine:
         except KeyError:
             chan = self._make_channel(rank, dst, tag)
         queue = chan.recvs
-        if queue and fast:
+        if queue and fast and queue[0].post_time <= now:
             # Matched immediately on the fault-free path: no send
             # endpoint at all — the completion callback works from the
             # bare handle.  The queued receive was posted at or before
-            # ``now``, so the transfer starts now.
+            # ``now`` (always, unless a replayed broadcast let this
+            # rank step behind its peer), so the transfer starts now.
             recv = queue.popleft()
             recv.matched = True
             try:
@@ -860,7 +916,8 @@ class Engine:
         queue = chan.sends
         if queue:
             send = queue.popleft()
-            if fast and send.eager_arrival is None:
+            if (fast and send.eager_arrival is None
+                    and send.post_time <= now):
                 # Matched rendezvous on the fault-free path: the bare
                 # handle stands in for the receive endpoint.
                 snb = send.nbytes
@@ -907,15 +964,115 @@ class Engine:
 
     def _collective(self, state: _RankState, request: CollectiveRequest,
                     now: float) -> bool:
-        """Hook: satisfy ``request`` directly instead of expanding it.
+        """Hook: park ``state`` at its announcement (:meth:`_park`) and
+        return ``True`` — whoever resumes it later does so with a
+        :class:`~repro.simulator.requests.CollectiveReply`, or with
+        ``None`` to make it expand after all — or return ``False`` to
+        absorb the announcement, so the communicator expands the
+        collective into point-to-point messages now.
 
-        Return ``True`` after parking the rank (the subclass then owns
-        resumption, and must resume with a
-        :class:`~repro.simulator.requests.CollectiveReply`); return
-        ``False`` to absorb the announcement so the communicator
-        expands the collective into point-to-point messages.
-        """
+        The DES parks broadcasts only (a reduction must keep its
+        data-mode summation order), and only while nothing in the run
+        observes global time."""
+        if request.op != "bcast":
+            return False
+        if self._expanding is None and len(request.participants) > 1:
+            self._park(state, request, now)
+            return True
+        if request.me == request.root:
+            self._count_expanded(self._expanding or "one-rank communicator")
         return False
+
+    def _park(self, state: _RankState, request: CollectiveRequest,
+              now: float) -> None:
+        """Park ``state`` on its announcement; the participant that
+        completes the collective hands it to :meth:`_filled`."""
+        state.blocked_on = request
+        state.block_start = now
+        key = (request.cid, request.seq)
+        entry = self._pending.get(key)
+        if entry is None:
+            entry = self._pending[key] = []
+        entry.append((state, request))
+        if len(entry) == len(request.participants):
+            del self._pending[key]
+            self._filled(entry)
+
+    def _filled(self, entry: list[tuple[_RankState, CollectiveRequest]]
+                ) -> None:
+        """Every participant of a broadcast is parked: replay it from
+        the schedule recorded for its shape, or release it to expand.
+        The choice is made here, once per collective — never while one
+        is half parked — so all its participants take one path.
+
+        A replayed rank gets the engine's own float operations in the
+        engine's order (:meth:`repro.simulator.replay.Schedule.replay`)
+        and one event, at its own exit clock."""
+        req0 = entry[0][1]
+        root = req0.root
+        size = len(entry)
+        clock = [0.0] * size
+        comm = [0.0] * size
+        payload = None
+        for st, req in entry:
+            clock[req.me] = st.stats.clock
+            comm[req.me] = st.stats.comm_time
+            if req.me == root:
+                payload = req.payload
+        shape = replay.signature(payload)
+        if shape is None:
+            self._release_parked(entry, "payload without an array signature")
+            return
+        key = (req0.algorithm, size, root, req0.segments) + shape
+        schedule = self._schedules.get(key)
+        if schedule is None:
+            schedule = self._schedules[key] = replay.record(*key)
+            self._report["recorded"] += 1
+        if schedule.__class__ is str:
+            self._release_parked(entry, schedule)
+            return
+        parts = req0.participants
+        base = entry[0][0].stats.rank - parts[req0.me]
+        if base:  # contexts bound at a non-zero base: price engine ranks
+            parts = [r + base for r in parts]
+        schedule.replay(clock, comm, parts, self._wires,
+                        self.network.transfer_time)
+        self._report["replayed"] += 1
+        reply = CollectiveReply(payload)
+        push = self._events.push
+        resume = self._resume
+        for st, req in entry:
+            me = req.me
+            stats = st.stats
+            stats.comm_time = comm[me]
+            stats.messages_sent += schedule.messages[me]
+            stats.bytes_sent += schedule.nbytes[me]
+            push(clock[me], resume, (st, reply, clock[me]))
+
+    def _release_parked(self, entry: list, reason: str) -> None:
+        """Resume the parked ranks of ``entry`` with None, each at its
+        own clock: they expand the broadcast as if never parked."""
+        if any(req.me == req.root for _st, req in entry):
+            self._count_expanded(reason)  # else its root counts it
+        for st, _req in entry:
+            clock = st.stats.clock
+            self._events.push(clock, self._resume, (st, None, clock))
+
+    def _count_expanded(self, reason: str) -> None:
+        report = self._report
+        report["expanded"] += 1
+        reasons = report["reasons"]
+        reasons[reason] = reasons.get(reason, 0) + 1
+
+    def _stop_replaying(self, reason: str) -> None:
+        """Something that observes global time entered the run (a timed
+        receive, a span tree's recording order) or the queue drained
+        around an unfilled broadcast: release everything parked and
+        expand every broadcast from here on."""
+        self._expanding = reason
+        pending, self._pending = self._pending, {}
+        for entry in pending.values():
+            self._release_parked(entry, reason)
 
     # -- matching -----------------------------------------------------------
 
@@ -972,6 +1129,14 @@ class Engine:
         src = chan.src
         start = send.post_time
         if recv.post_time > start:
+            if send.nbytes <= self.eager_threshold and src != chan.dst:
+                # An eager-size send found its receive already queued
+                # yet posted later — only when ranks step out of time
+                # order.  In time order the send would have come first
+                # and gone out eagerly; so it does.
+                self._eager_send(chan, send)
+                self._start_transfer(chan, send, recv)
+                return
             start = recv.post_time
         links = None
         if self.contention and src != chan.dst:
@@ -1117,7 +1282,8 @@ class Engine:
                 parked: _RankState = handle._parked_state
                 handle._waiter = False
                 second = handle._pair
-                parked.stats.comm_time += finish - parked.block_start
+                if finish > parked.block_start:
+                    parked.stats.comm_time += finish - parked.block_start
                 if second is None:
                     self._resume(parked, None, finish)
                 elif second is _PAIR_FINAL:
@@ -1152,7 +1318,8 @@ class Engine:
                 parked = handle._parked_state
                 handle._waiter = False
                 second = handle._pair
-                parked.stats.comm_time += finish - parked.block_start
+                if finish > parked.block_start:
+                    parked.stats.comm_time += finish - parked.block_start
                 if second is None:
                     self._resume(parked, payload, finish)
                 elif second is _PAIR_FINAL:
@@ -1205,7 +1372,8 @@ class Engine:
             parked: _RankState = shandle._parked_state
             shandle._waiter = False
             shandle._pair = None
-            parked.stats.comm_time += finish - parked.block_start
+            if finish > parked.block_start:
+                parked.stats.comm_time += finish - parked.block_start
             value = parked.resume_value
             parked.resume_value = None
             self._resume(parked, value, finish)
@@ -1227,7 +1395,8 @@ class Engine:
                 parked = handle._parked_state
                 handle._waiter = False
                 second = handle._pair
-                parked.stats.comm_time += finish - parked.block_start
+                if finish > parked.block_start:
+                    parked.stats.comm_time += finish - parked.block_start
                 if second is None:
                     self._resume(parked, payload, finish)
                 elif second is _PAIR_FINAL:
@@ -1264,7 +1433,8 @@ class Engine:
                 parked: _RankState = handle._parked_state
                 handle._waiter = False
                 second = handle._pair
-                parked.stats.comm_time += finish - parked.block_start
+                if finish > parked.block_start:
+                    parked.stats.comm_time += finish - parked.block_start
                 if second is None:
                     self._resume(parked, None, finish)
                 elif second is _PAIR_FINAL:
@@ -1288,24 +1458,16 @@ class Engine:
         # receive leg is over; finish the wait on the send leg.
         if finish > stats.clock:
             stats.clock = finish
-        if second.done:
-            wait = second.finish_time - stats.clock
-            if wait > 0.0:
-                stats.comm_time += wait
-                stats.clock += wait
-            self._resume(parked, payload, stats.clock)
+        if second.done and second.finish_time <= stats.clock:
+            self._resume(parked, payload, finish)
             if second._internal and len(rpool) < _RH_POOL_MAX:
                 second.done = False
                 second.payload = None
                 second._parked_state = None
                 rpool.append(second)
         else:
-            parked.blocked_on = second
-            parked.block_start = stats.clock
             parked.resume_value = payload
-            second._waiter = True
-            second._parked_state = parked
-            second._pair = _PAIR_FINAL
+            self._await(parked, second, _PAIR_FINAL, stats.clock)
         if len(rpool) < _RH_POOL_MAX:
             rhandle.done = False
             rhandle.payload = None
@@ -1341,13 +1503,16 @@ class Engine:
     def _complete_endpoint(
         self, ep: _Endpoint, finish: float, payload: Any
     ) -> None:
-        state = self._ranks[ep.rank]
         if ep.handle is None:
             # Blocking operation: the rank is parked on it right now.
+            state = self._ranks[ep.rank]
             state.stats.comm_time += finish - state.block_start
             self._resume(state, payload, finish)
             return
-        handle = ep.handle
+        self._complete_handle(ep.handle, finish, payload)
+
+    def _complete_handle(self, handle: RequestHandle, finish: float,
+                         payload: Any) -> None:
         handle.done = True
         handle.finish_time = finish
         handle.payload = payload
@@ -1355,7 +1520,8 @@ class Engine:
             parked: _RankState = handle._parked_state  # type: ignore[attr-defined]
             handle._waiter = False
             second = handle._pair
-            parked.stats.comm_time += finish - parked.block_start
+            if finish > parked.block_start:
+                parked.stats.comm_time += finish - parked.block_start
             if second is None:
                 self._resume(parked, payload, finish)
             elif second is _PAIR_FINAL:
@@ -1368,3 +1534,11 @@ class Engine:
                 handle._pair = None
                 self._pair_continue(parked, second, finish, payload)
                 self._maybe_recycle_handle(handle)
+
+
+class ExpandingEngine(Engine):
+    """An engine that steps every message of every broadcast — for
+    callers whose simulations hold one collective each (nothing
+    repeats, so a schedule would be recorded for every run)."""
+
+    _replay = False

@@ -1,0 +1,220 @@
+"""A blocking broadcast's message schedule, recorded once and replayed.
+
+A fault-free, uncontended, untraced run without the eager protocol has
+no global time: each ``(src, dst, tag)`` channel has one sender and one
+receiver posting in program order and a rendezvous starts at the later
+of the two post clocks, so every :class:`~repro.simulator.tracing.
+RankStats` float is a function of the programs alone.  A broadcast that
+is a straight line of blocking sends, receives and fused shifts is then
+a fixed dataflow over its participants' arrival clocks, and the engine
+(:meth:`repro.simulator.engine.Engine._filled`) prices every instance
+after the first by walking that dataflow instead of stepping it.
+
+:func:`record` obtains the dataflow from the one description there is —
+the registered algorithm's own generators, run on a micro-world of the
+broadcast's size — and :meth:`Schedule.replay` applies to each rank the
+engine's float operations in the engine's order.  A schedule is kept
+only if replaying it reproduces its own recording run bit for bit;
+anything else is refused by name and expands as it always did.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable
+
+import numpy as np
+
+from repro.payloads import PhantomArray
+from repro.simulator.requests import RecvRequest, SendRecvRequest, SendRequest
+
+#: Endpoint modes of a step: what a leg's finish time does to the rank
+#: on that side.  A fused shift has two legs; whichever the schedule
+#: evaluates first is held until the other completes the operation.
+_BLOCKING, _HOLD, _SHIFT_RECV, _SHIFT_SEND = range(4)
+
+
+class _Unreplayable(Exception):
+    """Raised inside a recording run; ``args[0]`` is the reason key."""
+
+
+def signature(payload: Any) -> tuple[int, int] | None:
+    """``(element count, itemsize)`` — all a broadcast's message sizes
+    depend on — or None for a payload the splitters do not cut that
+    way."""
+    if payload.__class__ is PhantomArray or isinstance(payload, np.ndarray):
+        return (payload.size, payload.itemsize)
+    return None
+
+
+class Schedule:
+    """The legs of one broadcast shape in a dataflow order.
+
+    ``steps`` are ``(sender, receiver, nbytes, sender mode, receiver
+    mode)`` over communicator ranks; ``messages`` / ``nbytes`` are each
+    rank's send totals."""
+
+    __slots__ = ("steps", "messages", "nbytes")
+
+    def __init__(self, ops: list[list[tuple]]) -> None:
+        """Pair the legs of per-rank op lists ``[(dst, sendtag, nbytes,
+        src, recvtag), ...]`` (a missing leg is None) the way the
+        engine would: a send leg and the matching receive leg meet when
+        both belong to their ranks' current operation."""
+        size = len(ops)
+        self.steps: list[tuple] = []
+        self.messages = [0] * size
+        self.nbytes = [0] * size
+        at = [-1] * size                # index of each rank's current op
+        current: list[Any] = [None] * size
+        to_send = [False] * size        # current op's send leg unpaired?
+        to_recv = [False] * size
+
+        def advance(rank: int) -> None:
+            at[rank] += 1
+            op = ops[rank][at[rank]] if at[rank] < len(ops[rank]) else None
+            current[rank] = op
+            to_send[rank] = op is not None and op[0] is not None
+            to_recv[rank] = op is not None and op[3] is not None
+            work.append(rank)
+
+        def meet(s: int, r: int) -> None:
+            send, recv = current[s], current[r]
+            if not (to_send[s] and to_recv[r] and send[0] == r
+                    and recv[3] == s and send[1] == recv[4]):
+                return
+            to_send[s] = to_recv[r] = False
+            smode = (_BLOCKING if send[3] is None
+                     else _HOLD if to_recv[s] else _SHIFT_SEND)
+            rmode = (_BLOCKING if recv[0] is None
+                     else _HOLD if to_send[r] else _SHIFT_RECV)
+            self.steps.append((s, r, send[2], smode, rmode))
+            self.messages[s] += 1
+            self.nbytes[s] += send[2]
+            for rank in {s, r}:
+                if not (to_send[rank] or to_recv[rank]):
+                    advance(rank)
+
+        work: list[int] = []
+        for rank in range(size):
+            advance(rank)
+        while work:
+            me = work.pop()
+            if to_send[me]:
+                meet(me, current[me][0])
+            if to_recv[me]:
+                meet(current[me][3], me)
+        if any(op is not None for op in current):
+            raise _Unreplayable("non-blocking schedule")
+
+    def replay(self, clock: list[float], comm: list[float], parts: Any,
+               wires: dict, transfer_time: Callable) -> None:
+        """Advance ``clock`` (arrival clocks in, exit clocks out) and
+        ``comm`` (running ``comm_time``), both indexed by communicator
+        rank, through the schedule.  ``parts`` maps a communicator rank
+        to the rank ``transfer_time`` prices; ``wires`` memoises it per
+        ``(src, dst, nbytes)``.  The float operations are the engine's,
+        in its order: a blocking operation charges ``finish - post``; a
+        fused shift charges its receive leg from the post, then the
+        send leg's tail past the receive."""
+        hold = [0.0] * len(clock)
+        for s, r, nbytes, smode, rmode in self.steps:
+            key = (parts[s], parts[r], nbytes)
+            wire = wires.get(key)
+            if wire is None:
+                wire = wires[key] = transfer_time(*key)
+            cs = clock[s]
+            cr = clock[r]
+            finish = (cs if cs >= cr else cr) + wire
+            if smode == _BLOCKING:
+                comm[s] += finish - cs
+                clock[s] = finish
+            elif smode == _HOLD:
+                hold[s] = finish
+            else:
+                _shift_done(clock, comm, s, hold[s], finish)
+            if rmode == _BLOCKING:
+                comm[r] += finish - cr
+                clock[r] = finish
+            elif rmode == _HOLD:
+                hold[r] = finish
+            else:
+                _shift_done(clock, comm, r, finish, hold[r])
+
+
+def _shift_done(clock: list[float], comm: list[float], rank: int,
+                recv_finish: float, send_finish: float) -> None:
+    charged = comm[rank] + (recv_finish - clock[rank])
+    if send_finish > recv_finish:
+        charged += send_finish - recv_finish
+        recv_finish = send_finish
+    comm[rank] = charged
+    clock[rank] = recv_finish
+
+
+def _tap(gen: Any, log: list[tuple]) -> Any:
+    """Drive ``gen`` unchanged while logging what it yields; requests
+    are copied field by field (the Van de Geijn ring re-yields one
+    mutated request every round)."""
+    value = None
+    while True:
+        try:
+            request = gen.send(value)
+        except StopIteration:
+            return
+        cls = request.__class__
+        if cls is SendRecvRequest:
+            op = (request.dst, request.sendtag, request.nbytes,
+                  request.src, request.recvtag)
+        elif cls is SendRequest:
+            op = (request.dst, request.tag, request.nbytes, None, None)
+        elif cls is RecvRequest and request.timeout is None:
+            op = (None, None, None, request.src, request.tag)
+        else:
+            raise _Unreplayable("non-blocking schedule")
+        if op[2] == 0:
+            # A zero-byte message is eager even at eager_threshold 0:
+            # its sender does not wait for the receive, which no
+            # rendezvous dataflow reproduces under staggered arrivals.
+            raise _Unreplayable("zero-byte send")
+        log.append(op)
+        value = yield request
+
+
+def record(algorithm: str, size: int, root: int, segments: int | None,
+           count: int, itemsize: int) -> "Schedule | str":
+    """The schedule of one broadcast shape, or the reason (a key of
+    ``SimResult.replay["reasons"]``) it cannot be replayed.
+
+    Runs ``get_broadcast(algorithm)`` — the algorithm function, not
+    ``Comm.bcast`` — for every rank of a ``size``-rank micro-world on a
+    phantom payload through a plain engine, then checks that replaying
+    the log at simultaneous arrival reproduces that run exactly."""
+    from repro.collectives import get_broadcast
+    from repro.mpi.comm import make_contexts
+    from repro.network.homogeneous import HomogeneousNetwork
+    from repro.simulator.engine import Engine
+    from repro.simulator.runtime import DEFAULT_PARAMS
+
+    algo = get_broadcast(algorithm)
+    payload = PhantomArray((count,), itemsize)
+    logs: list[list[tuple]] = [[] for _ in range(size)]
+    network = HomogeneousNetwork(size, DEFAULT_PARAMS)
+    try:
+        sim = Engine(network).run([
+            _tap(algo(ctx.world, payload if ctx.rank == root else None, root,
+                      segments=segments), logs[ctx.rank])
+            for ctx in make_contexts(size)
+        ])
+        schedule = Schedule(logs)
+    except _Unreplayable as refused:
+        return refused.args[0]
+    clock = [0.0] * size
+    comm = [0.0] * size
+    schedule.replay(clock, comm, range(size), {}, network.transfer_time)
+    for rank, stats in enumerate(sim.stats):
+        if (clock[rank], comm[rank], schedule.messages[rank],
+                schedule.nbytes[rank]) != (
+                    stats.clock, stats.comm_time, stats.messages_sent,
+                    stats.bytes_sent):
+            return "recording not reproduced"
+    return schedule

@@ -99,6 +99,14 @@ class SimResult:
         "collapsed", "probed": k, "ranks": n}`` when the symmetry fast
         path engaged, ``{"mode": "per-rank", "reason": ...}`` when it
         fell back — or None on backends without a collapse fast path.
+    replay:
+        Which path the DES took for its broadcasts: ``{"replayed": n,
+        "expanded": n, "recorded": k, "reasons": {reason: count}}`` —
+        ``replayed`` were priced from a recorded schedule (``recorded``
+        of them seen for the first time), ``expanded`` were stepped
+        message by message, each for a named reason (``docs/
+        performance.md`` lists them).  None on backends that never
+        replay (macro, predictor).
     """
 
     stats: list[RankStats]
@@ -107,6 +115,7 @@ class SimResult:
     spans: list[Span] = dataclasses.field(default_factory=list)
     verdict: object = None
     collapse: dict | None = None
+    replay: dict | None = None
 
     @property
     def nranks(self) -> int:
@@ -201,6 +210,19 @@ class SimResult:
         from repro.metrics import phase_rollup
 
         return phase_rollup(self, rank=rank)
+
+    def replay_summary(self) -> str:
+        """One-line broadcast replay report ("" when there is none)."""
+        if self.replay is None:
+            return ""
+        reasons = ", ".join(f"{n} {why}" for why, n in
+                            sorted(self.replay["reasons"].items()))
+        return (
+            f"broadcasts: {self.replay['replayed']} replayed from "
+            f"{self.replay['recorded']} recorded schedules, "
+            f"{self.replay['expanded']} expanded"
+            + (f" ({reasons})" if reasons else "")
+        )
 
     def summary(self) -> str:
         """One-line human summary."""

@@ -107,6 +107,8 @@ class VerifySession:
         deadlocked run yields the structured diagnosis.
         """
         wrapped = self.wrap_programs(programs)
+        # The recorder observes messages: every broadcast expands.
+        engine._replay = False
         try:
             return engine.run(wrapped)
         except DeadlockError as exc:
@@ -115,6 +117,8 @@ class VerifySession:
         except ReproError as exc:
             exc.verdict = self.finalize(outcome="error", exc=exc)
             raise
+        finally:
+            del engine._replay  # a prebuilt engine goes back as it came
 
     def finalize(self, outcome: str = "clean",
                  exc: BaseException | None = None,
@@ -222,8 +226,11 @@ def run_verified(
             def rerun(net: Any) -> Any:
                 # Faults off: drops/degradation only move virtual time,
                 # never numerics, so the fault-free rerun must still
-                # reproduce the baseline bit-for-bit.
-                return build(net, None).run(make_programs()).return_values
+                # reproduce the baseline bit-for-bit — by moving every
+                # payload through the perturbed wire, not by replay.
+                engine = build(net, None)
+                engine._replay = False
+                return engine.run(make_programs()).return_values
 
             schedule_findings = check_schedules(
                 rerun, network,

@@ -8,8 +8,10 @@ import weakref
 import pytest
 
 from repro.errors import DeadlockError
+from repro.mpi.comm import make_contexts
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
+from repro.simulator.backends import MacroBackend
 from repro.simulator.engine import Engine
 from repro.simulator.requests import ComputeRequest, RecvRequest, SendRequest
 
@@ -63,6 +65,68 @@ def test_a_failed_run_is_released_too_and_the_engine_runs_again():
     assert not hasattr(engine, "_channels")
     result = engine.run([_sender(), _receiver()])
     assert result.return_values[1] == b"x" * 100
+
+
+def test_a_deadlocked_macro_run_releases_the_ranks_it_parked():
+    # The park table belongs to the run (_setup / _release), whichever
+    # backend fills it: a rank parked on a collective nobody completes
+    # must not stay reachable from the engine's reference cycle.
+    refs = []
+
+    class Spy(MacroBackend):
+        def _collective(self, state, request, now):
+            # The rank state is the program's only owner.
+            refs.append(weakref.ref(state.gen))
+            return super()._collective(state, request, now)
+
+    def program(ctx):
+        if ctx.rank == 0:
+            yield from ctx.world.bcast(b"x" * 100, root=0)
+
+    gc.collect()
+    gc.disable()
+    try:
+        engine = Spy(HomogeneousNetwork(2, PARAMS))
+        try:
+            engine.run([program(ctx) for ctx in make_contexts(2)])
+        except DeadlockError as exc:
+            assert exc.blocked[0]["kind"] == "collective"
+        else:
+            raise AssertionError("rank 0 should be left parked")
+        assert not hasattr(engine, "_pending")
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_an_engine_stays_within_the_shared_key_limit(monkeypatch):
+    # CPython shares one key table among the instance dictionaries of a
+    # class while they hold at most 30 attributes; past that every
+    # ``self.x`` of the hot path slows down (8 % of a collapsed macro
+    # run).  A stream engine is past it and pays per message anyway.
+    from repro.algorithms.cannon import run_cannon
+    from repro.payloads import PhantomArray
+    from repro.simulator.runtime import run_spmd
+
+    held = {}
+    release = Engine._release
+
+    def spy(engine):
+        held[type(engine).__name__] = len(vars(engine))
+        release(engine)
+
+    monkeypatch.setattr(Engine, "_release", spy)
+
+    def program(ctx):
+        yield from ctx.world.bcast(b"x" if ctx.rank == 0 else None, root=0)
+
+    run_spmd(program, 4)
+    run_spmd(program, 4, backend="macro")
+    A = PhantomArray((64, 64))
+    sim = run_cannon(A, A, grid=(4, 4), backend="macro")[1]
+    assert sim.collapse["mode"] == "collapsed"
+    assert set(held) == {"DesBackend", "MacroBackend", "CollapsedMacroEngine"}
+    assert max(held.values()) <= 30, held
 
 
 def test_rank_finished_hook_fires_once_per_program_at_its_resume_time():
