@@ -47,7 +47,7 @@ from repro.network.model import HockneyParams, Network
 from repro.network.subnet import SubNetwork
 from repro.payloads import PhantomArray
 from repro.simulator.backends import MacroBackend
-from repro.simulator.engine import ExpandingEngine
+from repro.simulator.engine import Engine
 from repro.simulator.runtime import DEFAULT_PARAMS
 
 
@@ -293,7 +293,7 @@ class MicroDesCoster(CollectiveCoster):
         programs = [
             program(MpiContext(r, n, options=options)) for r in range(n)
         ]
-        sim = ExpandingEngine(subnet, contention=self.contention).run(programs)
+        sim = Engine(subnet, contention=self.contention).run(programs)
         return sim.total_time
 
 

@@ -307,9 +307,10 @@ class FaultSchedule:
         return am, bm
 
     def transfer_time(self, network, src: int, dst: int,
-                      nbytes: int, t: float) -> float:
-        """Possibly-degraded wire time for one delivery attempt."""
-        clean = network.transfer_time(src, dst, nbytes)
+                      nbytes: int, t: float, clean: float) -> float:
+        """Possibly-degraded wire time for one delivery attempt;
+        ``clean`` is the fault-free ``network.transfer_time(src, dst,
+        nbytes)``, which the caller prices once per message."""
         if not self.degradations or src == dst:
             return clean
         am, bm = self.link_factors(src, dst, t)

@@ -221,9 +221,9 @@ class Engine:
 
     #: May a repeated blocking broadcast be replayed from its recorded
     #: schedule (see :meth:`_filled`)?  Callers that must see every
-    #: message move — the verifier, the micro-DES coster's
-    #: one-collective engines, a job stream (its scheduler observes
-    #: global time) — set it to False on the instance or a subclass.
+    #: message move — the verifier, a job stream (its scheduler
+    #: observes global time), the replay property tests' reference —
+    #: set it to False on the instance or a subclass.
     _replay = True
 
     #: What :meth:`_release` drops (subclasses add their own).
@@ -349,8 +349,11 @@ class Engine:
             else "faults" if self._faults is not None
             else "eager protocol" if self.eager_threshold
             else None)
-        #: shape key -> recorded Schedule, or the reason it has none.
-        self._schedules: dict[tuple, Any] = {}
+        #: The run's replay table (see _filled): shape key (a tuple) ->
+        #: recorded Schedule or the reason it has none.  Its one other
+        #: key, None, holds the replay memos: (communicator id -> its
+        #: placement class's memo, placement key -> that memo).
+        self._schedules: dict[tuple | None, Any] = {None: ({}, {})}
         #: (src, dst, nbytes) -> wire time of a replayed leg.
         self._wires: dict[tuple, float] = {}
         self._report: dict | None = {
@@ -1007,7 +1010,13 @@ class Engine:
 
         A replayed rank gets the engine's own float operations in the
         engine's order (:meth:`repro.simulator.replay.Schedule.replay`)
-        and one event, at its own exit clock."""
+        and one event, at its own exit clock.
+
+        Those floats are a function of the schedule, the wires and the
+        inputs alone, and communicators with equal placement keys have
+        bit-equal wires: so the last few distinct ``(arrival clocks,
+        comm_time)`` of a shape on a placement class, compared with
+        ``==``, hand back their exits without a replay."""
         req0 = entry[0][1]
         root = req0.root
         size = len(entry)
@@ -1024,9 +1033,10 @@ class Engine:
             self._release_parked(entry, "payload without an array signature")
             return
         key = (req0.algorithm, size, root, req0.segments) + shape
-        schedule = self._schedules.get(key)
+        schedules = self._schedules
+        schedule = schedules.get(key)
         if schedule is None:
-            schedule = self._schedules[key] = replay.record(*key)
+            schedule = schedules[key] = replay.record(*key)
             self._report["recorded"] += 1
         if schedule.__class__ is str:
             self._release_parked(entry, schedule)
@@ -1035,8 +1045,25 @@ class Engine:
         base = entry[0][0].stats.rank - parts[req0.me]
         if base:  # contexts bound at a non-zero base: price engine ranks
             parts = [r + base for r in parts]
-        schedule.replay(clock, comm, parts, self._wires,
-                        self.network.transfer_time)
+        by_cid, by_class = schedules[None]
+        memo = by_cid.get(req0.cid)
+        if memo is None:
+            memo = by_cid[req0.cid] = by_class.setdefault(
+                self.network.placement_key(parts), {})
+        seen = memo.get(key)
+        if seen is None:
+            seen = memo[key] = []
+        for arrival, charged, exits, comms in seen:
+            if arrival == clock and charged == comm:
+                clock, comm = exits, comms
+                break
+        else:
+            inputs = (clock[:], comm[:])
+            schedule.replay(clock, comm, parts, self._wires,
+                            self.network.transfer_time)
+            seen.append(inputs + (clock, comm))
+            if len(seen) > replay.MEMO_INPUTS:
+                del seen[0]
         self._report["replayed"] += 1
         reply = CollectiveReply(payload)
         push = self._events.push
@@ -1217,7 +1244,10 @@ class Engine:
         """
         faults = self._faults
         src, dst, tag = chan.src, chan.dst, chan.tag
-        clean = self.network.transfer_time(src, dst, nbytes)
+        clean = chan.tt.get(nbytes)
+        if clean is None:
+            clean = chan.tt[nbytes] = self.network.transfer_time(
+                src, dst, nbytes)
         if src == dst:
             return start + clean
         ordinal = chan.ordinal
@@ -1230,11 +1260,13 @@ class Engine:
         attempt = 0
         while (attempt < retry.max_retransmits
                and faults.drop(src, dst, digest, ordinal, attempt, t)):
-            t += faults.transfer_time(self.network, src, dst, nbytes, t)
+            t += faults.transfer_time(self.network, src, dst, nbytes, t,
+                                      clean=clean)
             t += retry.backoff_delay(attempt)
             attempt += 1
             sender_stats.retries += 1
-        finish = t + faults.transfer_time(self.network, src, dst, nbytes, t)
+        finish = t + faults.transfer_time(self.network, src, dst, nbytes, t,
+                                          clean=clean)
         sender_stats.fault_delay += finish - (start + clean)
         return finish
 
@@ -1537,8 +1569,8 @@ class Engine:
 
 
 class ExpandingEngine(Engine):
-    """An engine that steps every message of every broadcast — for
-    callers whose simulations hold one collective each (nothing
-    repeats, so a schedule would be recorded for every run)."""
+    """An engine that steps every message of every broadcast: the
+    reference replay is compared with
+    (``tests/property/test_replay_equals_expansion.py``)."""
 
     _replay = False

@@ -16,10 +16,15 @@ broadcast's size — and :meth:`Schedule.replay` applies to each rank the
 engine's float operations in the engine's order.  A schedule is kept
 only if replaying it reproduces its own recording run bit for bit;
 anything else is refused by name and expands as it always did.
+
+A recording depends on nothing but the algorithm function and the
+shape, so it is kept for the life of the process: every run after the
+first finds its shapes recorded (see :data:`CACHE_LEGS`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Callable
 
 import numpy as np
@@ -31,6 +36,23 @@ from repro.simulator.requests import RecvRequest, SendRecvRequest, SendRequest
 #: on that side.  A fused shift has two legs; whichever the schedule
 #: evaluates first is held until the other completes the operation.
 _BLOCKING, _HOLD, _SHIFT_RECV, _SHIFT_SEND = range(4)
+
+#: Legs the process-wide recording cache may hold (a p = 256 Van de
+#: Geijn schedule has about 65 k; a refusal counts as one).  The least
+#: recently used recordings go first; one larger than the whole bound
+#: serves the run that recorded it and is not kept.  Full, the cache
+#: holds about 22 MB (four p = 256 Van de Geijn schedules, measured
+#: with tracemalloc; process RSS 32 -> 60 MB while filling it).
+CACHE_LEGS = 1 << 18
+
+#: (algorithm function, size, root, segments, count, itemsize) ->
+#: Schedule or refusal, least recently used first.
+_recorded: OrderedDict[tuple, "Schedule | str"] = OrderedDict()
+_held = 0  # legs in _recorded
+
+#: Distinct inputs remembered per shape and placement class of a run
+#: (see :meth:`repro.simulator.engine.Engine._filled`).
+MEMO_INPUTS = 4
 
 
 class _Unreplayable(Exception):
@@ -51,7 +73,8 @@ class Schedule:
 
     ``steps`` are ``(sender, receiver, nbytes, sender mode, receiver
     mode)`` over communicator ranks; ``messages`` / ``nbytes`` are each
-    rank's send totals."""
+    rank's send totals.  All three are tuples: a schedule is shared by
+    every run of the process."""
 
     __slots__ = ("steps", "messages", "nbytes")
 
@@ -61,9 +84,9 @@ class Schedule:
         engine would: a send leg and the matching receive leg meet when
         both belong to their ranks' current operation."""
         size = len(ops)
-        self.steps: list[tuple] = []
-        self.messages = [0] * size
-        self.nbytes = [0] * size
+        steps: list[tuple] = []
+        messages = [0] * size
+        nbytes = [0] * size
         at = [-1] * size                # index of each rank's current op
         current: list[Any] = [None] * size
         to_send = [False] * size        # current op's send leg unpaired?
@@ -87,9 +110,9 @@ class Schedule:
                      else _HOLD if to_recv[s] else _SHIFT_SEND)
             rmode = (_BLOCKING if recv[0] is None
                      else _HOLD if to_send[r] else _SHIFT_RECV)
-            self.steps.append((s, r, send[2], smode, rmode))
-            self.messages[s] += 1
-            self.nbytes[s] += send[2]
+            steps.append((s, r, send[2], smode, rmode))
+            messages[s] += 1
+            nbytes[s] += send[2]
             for rank in {s, r}:
                 if not (to_send[rank] or to_recv[rank]):
                     advance(rank)
@@ -105,6 +128,9 @@ class Schedule:
                 meet(current[me][3], me)
         if any(op is not None for op in current):
             raise _Unreplayable("non-blocking schedule")
+        self.steps = tuple(steps)
+        self.messages = tuple(messages)
+        self.nbytes = tuple(nbytes)
 
     def replay(self, clock: list[float], comm: list[float], parts: Any,
                wires: dict, transfer_time: Callable) -> None:
@@ -188,14 +214,40 @@ def record(algorithm: str, size: int, root: int, segments: int | None,
     Runs ``get_broadcast(algorithm)`` — the algorithm function, not
     ``Comm.bcast`` — for every rank of a ``size``-rank micro-world on a
     phantom payload through a plain engine, then checks that replaying
-    the log at simultaneous arrival reproduces that run exactly."""
+    the log at simultaneous arrival reproduces that run exactly.
+
+    Answers from the process-wide cache when it can; the cache is keyed
+    by the function the name resolves to, so a re-registered or wrapped
+    broadcast records afresh."""
+    global _held
     from repro.collectives import get_broadcast
+
+    key = (get_broadcast(algorithm), size, root, segments, count, itemsize)
+    found = _recorded.get(key)
+    if found is not None:
+        _recorded.move_to_end(key)
+        return found
+    found = _record(*key)
+    legs = _legs(found)
+    if legs <= CACHE_LEGS:
+        _recorded[key] = found
+        _held += legs
+        while _held > CACHE_LEGS:
+            _held -= _legs(_recorded.popitem(last=False)[1])
+    return found
+
+
+def _legs(found: "Schedule | str") -> int:
+    return len(found.steps) if found.__class__ is Schedule else 1
+
+
+def _record(algo: Callable, size: int, root: int, segments: int | None,
+            count: int, itemsize: int) -> "Schedule | str":
     from repro.mpi.comm import make_contexts
     from repro.network.homogeneous import HomogeneousNetwork
     from repro.simulator.engine import Engine
     from repro.simulator.runtime import DEFAULT_PARAMS
 
-    algo = get_broadcast(algorithm)
     payload = PhantomArray((count,), itemsize)
     logs: list[list[tuple]] = [[] for _ in range(size)]
     network = HomogeneousNetwork(size, DEFAULT_PARAMS)

@@ -135,7 +135,10 @@ class SpanRecorder:
     """
 
     def __init__(self, nranks: int):
-        self._stacks: list[list[Span]] = [[] for _ in range(nranks)]
+        #: Per rank, every open span with its path (outermost first):
+        #: joined once at open rather than once per transfer.
+        self._stacks: list[list[tuple[Span, str]]] = [
+            [] for _ in range(nranks)]
         self.roots: list[Span] = []
         #: Open spans across all ranks; zero on untraced runs, letting
         #: the engine skip the per-transfer current_path call entirely.
@@ -145,10 +148,13 @@ class SpanRecorder:
         span = Span(name=name, rank=rank, start=time, attrs=attrs)
         stack = self._stacks[rank]
         if stack:
-            stack[-1].children.append(span)
+            parent, path = stack[-1]
+            parent.children.append(span)
+            path += PATH_SEP + name
         else:
             self.roots.append(span)
-        stack.append(span)
+            path = name
+        stack.append((span, path))
         self.nopen += 1
 
     def close(self, rank: int, attrs: dict[str, Any], time: float) -> None:
@@ -157,7 +163,7 @@ class SpanRecorder:
             raise SimulationError(
                 f"rank {rank} closed a span but none is open"
             )
-        span = stack.pop()
+        span = stack.pop()[0]
         span.end = time
         if attrs:
             span.attrs.update(attrs)
@@ -167,16 +173,14 @@ class SpanRecorder:
         """Force-close anything still open when the rank's program ends."""
         stack = self._stacks[rank]
         while stack:
-            stack.pop().end = time
+            stack.pop()[0].end = time
             self.nopen -= 1
 
     def current_path(self, rank: int) -> str | None:
         """Slash-joined names of the rank's open spans (outermost first),
         or None when no span is open — used to attribute transfers."""
         stack = self._stacks[rank]
-        if not stack:
-            return None
-        return PATH_SEP.join(s.name for s in stack)
+        return stack[-1][1] if stack else None
 
 
 def iter_spans(roots: list[Span]) -> Iterator[Span]:

@@ -2,6 +2,8 @@
 degradation and slowdowns stretch virtual time by exact factors, timed
 receives expire, and fail-stop deaths raise structured errors."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,27 @@ class TestDrops:
         n = faulty.total_retries
         assert n > 0
         assert faulty.total_fault_delay >= n * 1e-3
+
+
+class CountingNetwork(HomogeneousNetwork):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = collections.Counter()
+
+    def transfer_time(self, src, dst, nbytes):
+        self.calls[src, dst, nbytes] += 1
+        return super().transfer_time(src, dst, nbytes)
+
+
+class TestCleanWire:
+    def test_each_clean_wire_is_priced_once(self):
+        """Retransmissions reuse the memoised fault-free wire time."""
+        net = CountingNetwork(2, PARAMS)
+        faulty = run_spmd(_chatter(16), 2, network=net, faults=FaultSchedule(
+            seed=3, faults=[MessageDrop(p=0.6),
+                            RankSlowdown(rank=0, factor=2.0)]))
+        assert faulty.total_retries > 0
+        assert list(net.calls.values()) == [1]
 
 
 class TestDegradation:

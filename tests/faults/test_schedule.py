@@ -197,7 +197,8 @@ class TestFaultSchedule:
         nbytes = 1 << 20
         alpha = net.transfer_time(0, 1, 0)
         clean = net.transfer_time(0, 1, nbytes)
-        assert sched.transfer_time(net, 0, 1, nbytes, 0.0) == pytest.approx(
+        assert sched.transfer_time(
+            net, 0, 1, nbytes, 0.0, clean=clean) == pytest.approx(
             2.0 * alpha + 4.0 * (clean - alpha))
 
     def test_transfer_time_clean_outside_window(self):
@@ -206,7 +207,7 @@ class TestFaultSchedule:
             LinkDegradation(beta_mult=8.0, t0=1.0, t1=2.0),
         ])
         clean = net.transfer_time(0, 1, 4096)
-        assert sched.transfer_time(net, 0, 1, 4096, 0.0) == clean
+        assert sched.transfer_time(net, 0, 1, 4096, 0.0, clean=clean) == clean
 
     def test_drop_monotone_in_probability(self):
         """Raising p can only add drops, never remove one — the variate
