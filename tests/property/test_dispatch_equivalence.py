@@ -6,7 +6,9 @@ method+args records.  Those are pure mechanics: a shuffled mix of
 *every* request kind — sends, receives, isend/irecv/wait, compute,
 spans, counters, timed receives and collectives, with and without an
 active fault schedule — must produce bit-identical ``SimResult`` stats,
-trace and spans to the seed semantics.
+trace and spans to the seed semantics.  Each mix is pinned traced and
+untraced: an untraced fault-free run is the engine's cheapest path
+(no trace, no spans, no fault hooks), so it is pinned on its own.
 
 The seed semantics are pinned as golden JSON fixtures (generated with
 ``pytest --regen-golden`` against the pre-refactor engine and committed)
@@ -169,21 +171,30 @@ def _program(rounds, rank):
     return gen
 
 
-def _run(seed: int, faulty: bool):
+def _run(seed: int, faulty: bool, trace: bool = True):
     rounds = _plan(seed)
     faults = parse_fault_spec(FAULT_SPEC, seed=seed) if faulty else None
 
     def factory(ctx):
         return _program(rounds, ctx.rank)(ctx)
 
-    return run_spmd(factory, NRANKS, params=PARAMS, trace=True,
+    return run_spmd(factory, NRANKS, params=PARAMS, trace=trace,
                     faults=faults)
 
 
-def _snapshot(sim) -> dict:
-    """JSON-stable full dump: stats, trace, spans, return values."""
-    return {
+def _snapshot(sim, trace: bool = True) -> dict:
+    """JSON-stable full dump: stats, return values and totals, plus the
+    trace and spans of a traced run."""
+    snap = {
         "stats": [dataclasses.asdict(s) for s in sim.stats],
+        "return_values": [list(v) for v in sim.return_values],
+        "total_time": sim.total_time,
+        "comm_time": sim.comm_time,
+        "compute_time": sim.compute_time,
+    }
+    if not trace:
+        return snap
+    snap.update({
         "trace": [
             {"src": t.src, "dst": t.dst, "tag": repr(t.tag),
              "nbytes": t.nbytes, "start": t.start, "finish": t.finish,
@@ -194,22 +205,25 @@ def _snapshot(sim) -> dict:
             [s.rank, s.name, s.start, s.end]
             for s in sim.iter_spans()
         ],
-        "return_values": [list(v) for v in sim.return_values],
-        "total_time": sim.total_time,
-        "comm_time": sim.comm_time,
-        "compute_time": sim.compute_time,
-    }
+    })
+    return snap
 
 
-CASES = [(seed, faulty) for seed in (0, 1) for faulty in (False, True)]
+CASES = [
+    pytest.param(seed, faulty, trace,
+                 id=f"{seed}-{faulty}" + ("" if trace else "-untraced"))
+    for seed in (0, 1) for faulty in (False, True) for trace in (True, False)
+]
 
 
-@pytest.mark.parametrize("seed,faulty", CASES)
-def test_dispatch_matches_seed_semantics(seed, faulty, regen_golden):
+@pytest.mark.parametrize("seed,faulty,trace", CASES)
+def test_dispatch_matches_seed_semantics(seed, faulty, trace, regen_golden):
     """The refactored dispatch reproduces the pinned seed output —
-    every stat, every trace record, every span, bit for bit."""
-    snap = _snapshot(_run(seed, faulty))
-    name = f"dispatch_seed{seed}_{'faulty' if faulty else 'clean'}.json"
+    every stat and return value, and traced every trace record and
+    span, bit for bit."""
+    snap = _snapshot(_run(seed, faulty, trace), trace)
+    name = (f"dispatch_seed{seed}_{'' if trace else 'untraced_'}"
+            f"{'faulty' if faulty else 'clean'}.json")
     path = GOLDEN_DIR / name
     if regen_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
