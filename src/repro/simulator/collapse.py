@@ -212,7 +212,7 @@ class CollapsedMacroEngine(MacroBackend):
     partner class, occurrence)`` and cross-checked against its class
     (same post clock, same size, phantom payloads only).  A send
     completes against the partner *class's* recorded receive post and
-    vice versa, reproducing the fused DES path's float operations —
+    vice versa, reproducing the DES sendrecv's float operations —
     ``finish = max(post, partner_post) + wire`` per leg, the receive
     leg's comm charge first, then the send tail — exactly.  Sends
     charge ``messages_sent``/``bytes_sent`` to the sender as in the
@@ -533,11 +533,13 @@ class CollapsedMacroEngine(MacroBackend):
 
     def _p2p_done(self, state: _RankState, nbytes: int | None,
                   payload: Any, finish_r: float, finish_s: float) -> None:
-        # Mirrors Engine._fused_recv_done + _fused_send_done for both
-        # event orderings: the receive leg's charge lands first (from
-        # the shared block_start), then the send tail extends the clock
-        # to finish_s exactly when it completes later.  ``nbytes`` is
-        # None for a bare receive, which sends nothing.
+        # Mirrors Engine._complete_handle on the receive leg, then
+        # _pair_continue (or the _PAIR_FINAL completion) on the send
+        # leg, for both event orderings: the receive leg's charge
+        # lands first (from the shared block_start), then the send
+        # tail extends the clock to finish_s exactly when it completes
+        # later.  ``nbytes`` is None for a bare receive, which sends
+        # nothing.
         stats = state.stats
         if nbytes is not None:
             stats.messages_sent += 1

@@ -31,10 +31,16 @@ observable bit (see ``docs/performance.md``):
 * Events are ``(method, args)`` records in the
   :class:`~repro.simulator.events.EventQueue` — no closure is
   allocated per event.
+* Every point-to-point operation — blocking, nonblocking and both legs
+  of a fused ``SendRecvRequest`` — posts through one
+  :meth:`Engine._post_send` / :meth:`Engine._post_recv` pair and
+  completes through :meth:`Engine._transfer_done` (a blocking
+  endpoint inline, a handle via :meth:`Engine._complete_handle`).
 * Per-``(src, dst, tag)`` match state lives in interned
   :class:`_Channel` objects (one dict probe per post, queues allocated
   once, the fault layer's ordinal inline).
-* :class:`_Endpoint` objects are pooled across transfers.
+* :class:`_Endpoint` objects, and the handles of fused sendrecvs, are
+  pooled across transfers.
 * Fault-free transfer times are memoised on each channel per message
   size — networks are pure cost models, so the cached float is the
   exact float the network would return.
@@ -43,7 +49,6 @@ observable bit (see ``docs/performance.md``):
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Generator, Iterable
 
 from repro.errors import DeadlockError, RankFailure, SimulationError
@@ -83,7 +88,7 @@ _PAIR_FINAL = object()
 #: a belt-and-braces guard against pathological programs).
 _EP_POOL_MAX = 4096
 
-#: Cap on recycled fused-sendrecv handles (two live per parked rank, so
+#: Cap on recycled sendrecv handles (two live per parked rank, so
 #: even a 2048-rank run stays within the cap).
 _RH_POOL_MAX = 4096
 
@@ -371,13 +376,9 @@ class Engine:
         self._link_free: dict[Any, float] = {}
         self._links_cache: dict[tuple[int, int], tuple] = {}
         self._ep_pool: list[_Endpoint] = []
-        # Handles created by the fused sendrecv path never escape the
-        # engine, so they are recycled once their pair wait resumes.
+        # Handles created by _handle_sendrecv never escape the engine,
+        # so they are recycled once their pair wait resumes.
         self._rh_pool: list[RequestHandle] = []
-        # No contention, no tracing, no faults: every transfer cost is
-        # a memoised per-channel lookup — the branch-free fast path.
-        self._fast = (not self.contention and not self.collect_trace
-                      and self._faults is None)
         # Per-tag channel digests for deterministic drop decisions
         # (see repro.faults); the per-channel ordinal lives on _Channel.
         self._chan_digests: dict[Any, int] = {}
@@ -526,12 +527,15 @@ class Engine:
         self._events.push(finish, self._resume, (state, None, finish))
         return _PARKED
 
-    # The four point-to-point handlers inline endpoint acquisition,
-    # channel lookup and FIFO matching (the bodies _acquire_ep /
-    # _channel / _post_send / _post_recv used to share): each is called
-    # hundreds of thousands of times per run and the call overhead was
-    # measurable.  All four follow the same shape — pool an endpoint,
-    # probe the channel, match against the opposite queue or park.
+    # Every point-to-point handler posts through _post_send /
+    # _post_recv: pool an endpoint, probe the channel, match against
+    # the opposite queue or queue up.  Against an inlined copy per
+    # handler plus a fused fault-free path, the calls cost the
+    # des_general benchmark 2.1 % of wall_s (1.235 -> 1.260 s, ten
+    # pairs, 2-vCPU Xeon, CPython 3.11); its verified SUMMA, the one
+    # operation that took the fused path, 5.5 %.  Folding the two
+    # inlines left in _transfer_done and _start_transfer into helpers
+    # as well cost another 0.8 % (six pairs).
     #
     # Pool invariant (established at every release site): a pooled
     # endpoint has payload=None, handle=None, span=None,
@@ -549,6 +553,29 @@ class Engine:
             )
         state.blocked_on = request
         state.block_start = now
+        self._post_send(rank, dst, request.tag, request.payload,
+                        request.nbytes, None, now)
+        return _PARKED
+
+    def _handle_recv(self, state: _RankState, request: RecvRequest,
+                     now: float) -> Any:
+        timeout = request.timeout
+        if timeout is not None and self._expanding is None:
+            # A timed receive observes global time: a rank parked at a
+            # broadcast must not hold back the send that would beat
+            # the deadline.
+            self._stop_replaying("timed receive")
+        state.blocked_on = request
+        state.block_start = now
+        self._post_recv(state, request.src, request.tag, None, now, timeout)
+        return _PARKED
+
+    def _post_send(self, rank: int, dst: int, tag: Any, payload: Any,
+                   nbytes: int, handle: RequestHandle | None,
+                   now: float) -> None:
+        """Post ``rank``'s send to ``dst`` (``handle`` None: blocking):
+        start the transfer against the channel's oldest queued receive,
+        or queue it — injected at once if it is eager-size."""
         spans = self._spans
         span = spans.current_path(rank) if spans.nopen else None
         pool = self._ep_pool
@@ -556,13 +583,12 @@ class Engine:
             ep = pool.pop()
             ep.rank = rank
             ep.post_time = now
-            ep.payload = request.payload
-            ep.nbytes = request.nbytes
+            ep.payload = payload
+            ep.nbytes = nbytes
+            ep.handle = handle
             ep.span = span
         else:
-            ep = _Endpoint(rank, now, request.payload, request.nbytes,
-                           None, span)
-        tag = request.tag
+            ep = _Endpoint(rank, now, payload, nbytes, handle, span)
         try:
             chan = self._channels[tag][rank * self._rankmul + dst]
         except KeyError:
@@ -572,32 +598,26 @@ class Engine:
             recv = queue.popleft()
             recv.matched = True
             self._start_transfer(chan, ep, recv)
-            return _PARKED
-        if ep.nbytes <= self.eager_threshold:
+            return
+        if nbytes <= self.eager_threshold and rank != dst:
             self._eager_send(chan, ep)
         chan.sends.append(ep)
-        return _PARKED
 
-    def _handle_recv(self, state: _RankState, request: RecvRequest,
-                     now: float) -> Any:
+    def _post_recv(self, state: _RankState, src: int, tag: Any,
+                   handle: RequestHandle | None, now: float,
+                   timeout: float | None = None) -> None:
+        """Post ``state``'s receive from ``src`` (``handle`` None:
+        blocking): start the transfer from the channel's oldest queued
+        send, or queue it — with an expiry event if it is timed."""
         rank = state.stats.rank
-        timeout = request.timeout
-        if timeout is not None and self._expanding is None:
-            # A timed receive observes global time: a rank parked at a
-            # broadcast must not hold back the send that would beat
-            # the deadline.
-            self._stop_replaying("timed receive")
-        state.blocked_on = request
-        state.block_start = now
         pool = self._ep_pool
         if pool:
             ep = pool.pop()
             ep.rank = rank
             ep.post_time = now
+            ep.handle = handle
         else:
-            ep = _Endpoint(rank, now)
-        tag = request.tag
-        src = request.src
+            ep = _Endpoint(rank, now, handle=handle)
         try:
             chan = self._channels[tag][src * self._rankmul + rank]
         except KeyError:
@@ -609,7 +629,7 @@ class Engine:
         if queue and (timeout is None or queue[0].post_time <= now + timeout):
             ep.matched = True
             self._start_transfer(chan, queue.popleft(), ep)
-            return _PARKED
+            return
         if not queue:
             chan.recvs.append(ep)
         if timeout is not None:
@@ -621,7 +641,6 @@ class Engine:
             self._events.push(
                 deadline, self._recv_timeout, (state, ep, chan, deadline)
             )
-        return _PARKED
 
     def _handle_span_open(self, state: _RankState, request: SpanOpenRequest,
                           now: float) -> Any:
@@ -649,62 +668,15 @@ class Engine:
     def _handle_isend(self, state: _RankState, request: ISendRequest,
                       now: float) -> Any:
         rank = state.stats.rank
-        dst = request.dst
         handle = RequestHandle(rank, "send")
-        spans = self._spans
-        span = spans.current_path(rank) if spans.nopen else None
-        pool = self._ep_pool
-        if pool:
-            ep = pool.pop()
-            ep.rank = rank
-            ep.post_time = now
-            ep.payload = request.payload
-            ep.nbytes = request.nbytes
-            ep.handle = handle
-            ep.span = span
-        else:
-            ep = _Endpoint(rank, now, request.payload, request.nbytes,
-                           handle, span)
-        tag = request.tag
-        try:
-            chan = self._channels[tag][rank * self._rankmul + dst]
-        except KeyError:
-            chan = self._make_channel(rank, dst, tag)
-        queue = chan.recvs
-        if queue:
-            recv = queue.popleft()
-            recv.matched = True
-            self._start_transfer(chan, ep, recv)
-            return handle
-        if ep.nbytes <= self.eager_threshold and rank != dst:
-            self._eager_send(chan, ep)
-        chan.sends.append(ep)
+        self._post_send(rank, request.dst, request.tag, request.payload,
+                        request.nbytes, handle, now)
         return handle
 
     def _handle_irecv(self, state: _RankState, request: IRecvRequest,
                       now: float) -> Any:
-        rank = state.stats.rank
-        handle = RequestHandle(rank, "recv")
-        pool = self._ep_pool
-        if pool:
-            ep = pool.pop()
-            ep.rank = rank
-            ep.post_time = now
-            ep.handle = handle
-        else:
-            ep = _Endpoint(rank, now, handle=handle)
-        tag = request.tag
-        src = request.src
-        try:
-            chan = self._channels[tag][src * self._rankmul + rank]
-        except KeyError:
-            chan = self._make_channel(src, rank, tag)
-        queue = chan.sends
-        if queue:
-            ep.matched = True
-            self._start_transfer(chan, queue.popleft(), ep)
-        else:
-            chan.recvs.append(ep)
+        handle = RequestHandle(state.stats.rank, "recv")
+        self._post_recv(state, request.src, request.tag, handle, now)
         return handle
 
     def _handle_wait(self, state: _RankState, request: WaitRequest,
@@ -812,7 +784,12 @@ class Engine:
             stats.clock = now
         if second.done and second.finish_time <= stats.clock:
             self._resume(parked, value, now)
-            self._maybe_recycle_handle(second)
+            rpool = self._rh_pool
+            if second._internal and len(rpool) < _RH_POOL_MAX:
+                second.done = False
+                second.payload = None
+                second._parked_state = None
+                rpool.append(second)
             return
         parked.resume_value = value
         self._await(parked, second, _PAIR_FINAL, stats.clock)
@@ -820,32 +797,15 @@ class Engine:
     def _handle_sendrecv(self, state: _RankState, request: SendRecvRequest,
                          now: float) -> Any:
         """Post the send, post the receive, wait on both (receive
-        first) — the bodies of _handle_isend, _handle_irecv and
-        _handle_wait_pair fused into one resume.  Completions arrive
-        via events, so neither handle can be done here: always park on
-        the receive with the send as its pair.
-
-        This is the hottest handler of any run built on ring
-        collectives, so the fault-free/untraced transfer start is
-        inlined (``self._fast``) and both handles come from a recycle
-        pool — they never escape the engine, so their lifetime ends
-        with the pair wait (see the ``_internal`` recycling in the
-        completion callbacks)."""
-        stats = state.stats
-        rank = stats.rank
-        spans = self._spans
-        span = spans.current_path(rank) if spans.nopen else None
-        pool = self._ep_pool
+        first) — _handle_isend, _handle_irecv and _handle_wait_pair in
+        one resume.  Completions arrive via events, so neither handle
+        can be done here: always park on the receive with the send as
+        its pair.  Both handles come from a recycle pool: they never
+        escape the engine, so their lifetime ends with the pair wait
+        (see the ``_internal`` recycling in :meth:`_complete_handle`
+        and :meth:`_pair_continue`)."""
+        rank = state.stats.rank
         rpool = self._rh_pool
-        channels = self._channels
-        rankmul = self._rankmul
-        fast = self._fast
-        # Event scheduling is inlined (EventQueue.push semantics): this
-        # handler runs once per ring round on every rank, so even the
-        # bound-method call is measurable.
-        events = self._events
-        heap = events._heap
-        # -- send leg ---------------------------------------------------
         if rpool:
             shandle = rpool.pop()
             shandle.rank = rank
@@ -853,56 +813,6 @@ class Engine:
         else:
             shandle = RequestHandle(rank, "send")
             shandle._internal = True
-        nbytes = request.nbytes
-        dst = request.dst
-        tag = request.sendtag
-        try:
-            chan = channels[tag][rank * rankmul + dst]
-        except KeyError:
-            chan = self._make_channel(rank, dst, tag)
-        queue = chan.recvs
-        if queue and fast and queue[0].post_time <= now:
-            # Matched immediately on the fault-free path: no send
-            # endpoint at all — the completion callback works from the
-            # bare handle.  The queued receive was posted at or before
-            # ``now`` (always, unless a replayed broadcast let this
-            # rank step behind its peer), so the transfer starts now.
-            recv = queue.popleft()
-            recv.matched = True
-            try:
-                finish = now + chan.tt[nbytes]
-            except KeyError:
-                wire = chan.tt[nbytes] = self.network.transfer_time(
-                    rank, dst, nbytes
-                )
-                finish = now + wire
-            stats.messages_sent += 1
-            stats.bytes_sent += nbytes
-            seq = events._seq
-            events._seq = seq + 1
-            heappush(heap, (finish, seq, self._fused_send_done,
-                            (shandle, recv, request.payload, finish)))
-        else:
-            if pool:
-                sep = pool.pop()
-                sep.rank = rank
-                sep.post_time = now
-                sep.payload = request.payload
-                sep.nbytes = nbytes
-                sep.handle = shandle
-                sep.span = span
-            else:
-                sep = _Endpoint(rank, now, request.payload, nbytes,
-                                shandle, span)
-            if queue:
-                recv = queue.popleft()
-                recv.matched = True
-                self._start_transfer(chan, sep, recv)
-            else:
-                if nbytes <= self.eager_threshold and rank != dst:
-                    self._eager_send(chan, sep)
-                chan.sends.append(sep)
-        # -- receive leg ------------------------------------------------
         if rpool:
             rhandle = rpool.pop()
             rhandle.rank = rank
@@ -910,60 +820,10 @@ class Engine:
         else:
             rhandle = RequestHandle(rank, "recv")
             rhandle._internal = True
-        src = request.src
-        tag = request.recvtag
-        try:
-            chan = channels[tag][src * rankmul + rank]
-        except KeyError:
-            chan = self._make_channel(src, rank, tag)
-        queue = chan.sends
-        if queue:
-            send = queue.popleft()
-            if (fast and send.eager_arrival is None
-                    and send.post_time <= now):
-                # Matched rendezvous on the fault-free path: the bare
-                # handle stands in for the receive endpoint.
-                snb = send.nbytes
-                try:
-                    finish = now + chan.tt[snb]
-                except KeyError:
-                    wire = chan.tt[snb] = self.network.transfer_time(
-                        src, rank, snb
-                    )
-                    finish = now + wire
-                sender_stats = self._ranks[src].stats
-                sender_stats.messages_sent += 1
-                sender_stats.bytes_sent += snb
-                seq = events._seq
-                events._seq = seq + 1
-                heappush(heap, (finish, seq, self._fused_recv_done,
-                                (send, rhandle, finish)))
-            else:
-                if pool:
-                    rep = pool.pop()
-                    rep.rank = rank
-                    rep.post_time = now
-                    rep.handle = rhandle
-                else:
-                    rep = _Endpoint(rank, now, handle=rhandle)
-                rep.matched = True
-                self._start_transfer(chan, send, rep)
-        else:
-            if pool:
-                rep = pool.pop()
-                rep.rank = rank
-                rep.post_time = now
-                rep.handle = rhandle
-            else:
-                rep = _Endpoint(rank, now, handle=rhandle)
-            chan.recvs.append(rep)
-        # -- wait (recv, send) ------------------------------------------
-        state.blocked_on = rhandle
-        state.block_start = now
-        rhandle._waiter = True
-        rhandle._parked_state = state
-        rhandle._pair = shandle
-        return _PARKED
+        self._post_send(rank, request.dst, request.sendtag, request.payload,
+                        request.nbytes, shandle, now)
+        self._post_recv(state, request.src, request.recvtag, rhandle, now)
+        return self._await(state, rhandle, shandle, now)
 
     def _collective(self, state: _RankState, request: CollectiveRequest,
                     now: float) -> bool:
@@ -1281,7 +1141,9 @@ class Engine:
             return  # a send paired up first; the transfer will finish
         try:
             chan.recvs.remove(ep)
-        except ValueError:  # pragma: no cover - defensive
+        except ValueError:
+            # Never queued: the channel's head was a send posted past
+            # the deadline (see _post_recv), so nothing matched it.
             pass
         ep.matched = True
         state.stats.timeouts += 1
@@ -1296,82 +1158,27 @@ class Engine:
 
     def _transfer_done(self, send: _Endpoint, recv: _Endpoint,
                        finish: float) -> None:
-        # Both completions inline _complete_endpoint (this callback
-        # fires once per rendezvous transfer — the most common event in
-        # any run).  Order matters and is part of the pinned semantics:
-        # the sender completes (and may resume) before the receiver.
+        # Order matters and is part of the pinned semantics: the sender
+        # completes (and may resume) before the receiver.  A blocking
+        # endpoint's completion is _complete_endpoint inlined (this
+        # callback fires once per rendezvous transfer — the most common
+        # event in any run); a handle's goes through _complete_handle.
         ranks = self._ranks
-        rpool = self._rh_pool
-        state = ranks[send.rank]
         handle = send.handle
         if handle is None:
+            state = ranks[send.rank]
             state.stats.comm_time += finish - state.block_start
             self._resume(state, None, finish)
         else:
-            handle.done = True
-            handle.finish_time = finish
-            if handle._waiter:
-                parked: _RankState = handle._parked_state
-                handle._waiter = False
-                second = handle._pair
-                if finish > parked.block_start:
-                    parked.stats.comm_time += finish - parked.block_start
-                if second is None:
-                    self._resume(parked, None, finish)
-                elif second is _PAIR_FINAL:
-                    handle._pair = None
-                    value = parked.resume_value
-                    parked.resume_value = None
-                    self._resume(parked, value, finish)
-                    if handle._internal and len(rpool) < _RH_POOL_MAX:
-                        handle.done = False
-                        handle.payload = None
-                        handle._parked_state = None
-                        rpool.append(handle)
-                else:
-                    handle._pair = None
-                    self._pair_continue(parked, second, finish, None)
-                    if handle._internal and len(rpool) < _RH_POOL_MAX:
-                        handle.done = False
-                        handle.payload = None
-                        handle._parked_state = None
-                        rpool.append(handle)
+            self._complete_handle(handle, finish, None)
         payload = send.payload
-        state = ranks[recv.rank]
         handle = recv.handle
         if handle is None:
+            state = ranks[recv.rank]
             state.stats.comm_time += finish - state.block_start
             self._resume(state, payload, finish)
         else:
-            handle.done = True
-            handle.finish_time = finish
-            handle.payload = payload
-            if handle._waiter:
-                parked = handle._parked_state
-                handle._waiter = False
-                second = handle._pair
-                if finish > parked.block_start:
-                    parked.stats.comm_time += finish - parked.block_start
-                if second is None:
-                    self._resume(parked, payload, finish)
-                elif second is _PAIR_FINAL:
-                    handle._pair = None
-                    value = parked.resume_value
-                    parked.resume_value = None
-                    self._resume(parked, value, finish)
-                    if handle._internal and len(rpool) < _RH_POOL_MAX:
-                        handle.done = False
-                        handle.payload = None
-                        handle._parked_state = None
-                        rpool.append(handle)
-                else:
-                    handle._pair = None
-                    self._pair_continue(parked, second, finish, payload)
-                    if handle._internal and len(rpool) < _RH_POOL_MAX:
-                        handle.done = False
-                        handle.payload = None
-                        handle._parked_state = None
-                        rpool.append(handle)
+            self._complete_handle(handle, finish, payload)
         # Both rendezvous endpoints are dead here — nothing else
         # references them.  Timed receives are the exception: their
         # pending expiry event still holds the object, so they are
@@ -1389,140 +1196,6 @@ class Engine:
                 recv.handle = None
                 recv.matched = False
                 pool.append(recv)
-
-    def _fused_send_done(self, shandle: RequestHandle, recv: _Endpoint,
-                         payload: Any, finish: float) -> None:
-        """Rendezvous completion whose send side is a bare fused-path
-        handle (no endpoint was ever created).  Mirrors
-        :meth:`_transfer_done` exactly: sender first, then receiver."""
-        shandle.done = True
-        shandle.finish_time = finish
-        rpool = self._rh_pool
-        if shandle._waiter:
-            # Parked _PAIR_FINAL-style: the receive leg already
-            # finished; resume with its stashed payload.
-            parked: _RankState = shandle._parked_state
-            shandle._waiter = False
-            shandle._pair = None
-            if finish > parked.block_start:
-                parked.stats.comm_time += finish - parked.block_start
-            value = parked.resume_value
-            parked.resume_value = None
-            self._resume(parked, value, finish)
-            if len(rpool) < _RH_POOL_MAX:
-                shandle.done = False
-                shandle.payload = None
-                shandle._parked_state = None
-                rpool.append(shandle)
-        state = self._ranks[recv.rank]
-        handle = recv.handle
-        if handle is None:
-            state.stats.comm_time += finish - state.block_start
-            self._resume(state, payload, finish)
-        else:
-            handle.done = True
-            handle.finish_time = finish
-            handle.payload = payload
-            if handle._waiter:
-                parked = handle._parked_state
-                handle._waiter = False
-                second = handle._pair
-                if finish > parked.block_start:
-                    parked.stats.comm_time += finish - parked.block_start
-                if second is None:
-                    self._resume(parked, payload, finish)
-                elif second is _PAIR_FINAL:
-                    handle._pair = None
-                    value = parked.resume_value
-                    parked.resume_value = None
-                    self._resume(parked, value, finish)
-                    self._maybe_recycle_handle(handle)
-                else:
-                    handle._pair = None
-                    self._pair_continue(parked, second, finish, payload)
-                    self._maybe_recycle_handle(handle)
-        if not recv.timed and len(self._ep_pool) < _EP_POOL_MAX:
-            recv.handle = None
-            recv.matched = False
-            self._ep_pool.append(recv)
-
-    def _fused_recv_done(self, send: _Endpoint, rhandle: RequestHandle,
-                         finish: float) -> None:
-        """Rendezvous completion whose receive side is a bare fused-path
-        handle.  The handle is by construction still parked (the fused
-        wait blocks on the receive), so the receiver side is exactly the
-        pair-wait continuation."""
-        state = self._ranks[send.rank]
-        handle = send.handle
-        rpool = self._rh_pool
-        if handle is None:
-            state.stats.comm_time += finish - state.block_start
-            self._resume(state, None, finish)
-        else:
-            handle.done = True
-            handle.finish_time = finish
-            if handle._waiter:
-                parked: _RankState = handle._parked_state
-                handle._waiter = False
-                second = handle._pair
-                if finish > parked.block_start:
-                    parked.stats.comm_time += finish - parked.block_start
-                if second is None:
-                    self._resume(parked, None, finish)
-                elif second is _PAIR_FINAL:
-                    handle._pair = None
-                    value = parked.resume_value
-                    parked.resume_value = None
-                    self._resume(parked, value, finish)
-                    self._maybe_recycle_handle(handle)
-                else:
-                    handle._pair = None
-                    self._pair_continue(parked, second, finish, None)
-                    self._maybe_recycle_handle(handle)
-        payload = send.payload
-        parked = rhandle._parked_state
-        rhandle._waiter = False
-        second = rhandle._pair
-        rhandle._pair = None
-        stats = parked.stats
-        stats.comm_time += finish - parked.block_start
-        # _pair_continue inlined (this is the hottest completion): the
-        # receive leg is over; finish the wait on the send leg.
-        if finish > stats.clock:
-            stats.clock = finish
-        if second.done and second.finish_time <= stats.clock:
-            self._resume(parked, payload, finish)
-            if second._internal and len(rpool) < _RH_POOL_MAX:
-                second.done = False
-                second.payload = None
-                second._parked_state = None
-                rpool.append(second)
-        else:
-            parked.resume_value = payload
-            self._await(parked, second, _PAIR_FINAL, stats.clock)
-        if len(rpool) < _RH_POOL_MAX:
-            rhandle.done = False
-            rhandle.payload = None
-            rhandle._parked_state = None
-            rpool.append(rhandle)
-        pool = self._ep_pool
-        if len(pool) < _EP_POOL_MAX:
-            send.payload = None
-            send.handle = None
-            send.span = None
-            send.matched = False
-            pool.append(send)
-
-    def _maybe_recycle_handle(self, handle: RequestHandle) -> None:
-        """Return a dead fused-sendrecv handle to the pool (cold path;
-        the rendezvous callback inlines this check)."""
-        if handle._internal:
-            rpool = self._rh_pool
-            if len(rpool) < _RH_POOL_MAX:
-                handle.done = False
-                handle.payload = None
-                handle._parked_state = None
-                rpool.append(handle)
 
     def _eager_recv_done(self, recv: _Endpoint, payload: Any,
                          finish: float) -> None:
@@ -1545,27 +1218,37 @@ class Engine:
 
     def _complete_handle(self, handle: RequestHandle, finish: float,
                          payload: Any) -> None:
+        """``handle``'s operation finished at ``finish``: resume its
+        waiter, or go on to the second leg of a pair wait
+        (:meth:`_pair_continue`).  A sendrecv handle
+        (``_internal``) is dead once its pair wait is over and goes
+        back to the pool."""
         handle.done = True
         handle.finish_time = finish
         handle.payload = payload
-        if handle._waiter:
-            parked: _RankState = handle._parked_state  # type: ignore[attr-defined]
-            handle._waiter = False
-            second = handle._pair
-            if finish > parked.block_start:
-                parked.stats.comm_time += finish - parked.block_start
-            if second is None:
-                self._resume(parked, payload, finish)
-            elif second is _PAIR_FINAL:
-                handle._pair = None
-                value = parked.resume_value
-                parked.resume_value = None
-                self._resume(parked, value, finish)
-                self._maybe_recycle_handle(handle)
-            else:
-                handle._pair = None
-                self._pair_continue(parked, second, finish, payload)
-                self._maybe_recycle_handle(handle)
+        if not handle._waiter:
+            return
+        parked: _RankState = handle._parked_state
+        handle._waiter = False
+        second = handle._pair
+        if finish > parked.block_start:
+            parked.stats.comm_time += finish - parked.block_start
+        if second is None:
+            self._resume(parked, payload, finish)
+            return
+        handle._pair = None
+        if second is _PAIR_FINAL:
+            value = parked.resume_value
+            parked.resume_value = None
+            self._resume(parked, value, finish)
+        else:
+            self._pair_continue(parked, second, finish, payload)
+        rpool = self._rh_pool
+        if handle._internal and len(rpool) < _RH_POOL_MAX:
+            handle.done = False
+            handle.payload = None
+            handle._parked_state = None
+            rpool.append(handle)
 
 
 class ExpandingEngine(Engine):

@@ -7,11 +7,15 @@ rank clock, comm_time, message counts, payloads, traces — must equal
 the run spelled out with individual isend/irecv/wait requests.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.faults import parse_fault_spec
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
+from repro.network.torus import Torus3D
 from repro.simulator.engine import Engine
 from repro.simulator.requests import (
     ComputeRequest,
@@ -19,6 +23,7 @@ from repro.simulator.requests import (
     ISendRequest,
     SendRecvRequest,
 )
+from repro.verify.session import run_verified
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
 
@@ -27,13 +32,36 @@ def _engine(n: int, **kw) -> Engine:
     return Engine(HomogeneousNetwork(n, PARAMS), **kw)
 
 
+def _run_plain(size: int, make):
+    return _engine(size).run(make())
+
+
+def _run_faulty(size: int, make):
+    faults = parse_fault_spec("drop(p=0.2); slow(rank=1, factor=3)", seed=11)
+    sim = _engine(size, faults=faults).run(make())
+    assert sum(s.retries for s in sim.stats) > 0  # drops really fired
+    return sim
+
+
+def _run_contended(size: int, make):
+    torus = Torus3D((2, 2, 2), PARAMS)  # covers both ring sizes
+    return Engine(torus, contention=True).run(make())
+
+
+def _run_verified(size: int, make):
+    sim = run_verified(make, verify=True, backend=None,
+                       network=HomogeneousNetwork(size, PARAMS))
+    assert sim.verdict.ok
+    return sim
+
+
+#: Engine set-ups under which the point-to-point path once split.
+RUNNERS = [_run_faulty, _run_contended, _run_verified]
+
+
 def _assert_same_result(res_a, res_b):
-    for sa, sb in zip(res_a.stats, res_b.stats):
-        assert sa.clock == sb.clock
-        assert sa.comm_time == sb.comm_time
-        assert sa.compute_time == sb.compute_time
-        assert sa.messages_sent == sb.messages_sent
-        assert sa.bytes_sent == sb.bytes_sent
+    assert ([dataclasses.asdict(s) for s in res_a.stats]
+            == [dataclasses.asdict(s) for s in res_b.stats])
     assert res_a.return_values == res_b.return_values
 
 
@@ -73,71 +101,90 @@ def _ring_batched(rank: int, size: int, payload: bytes, rounds: int):
     return carry
 
 
+def _ring_case(variant, run) -> None:
+    size, rounds = 8, 5
+    payloads = [bytes([r]) * (100 * (r + 1)) for r in range(size)]
+    base = run(size, lambda: [_ring_explicit(r, size, payloads[r], rounds)
+                              for r in range(size)])
+    fused = run(size, lambda: [variant(r, size, payloads[r], rounds)
+                               for r in range(size)])
+    _assert_same_result(base, fused)
+    # After `rounds` shifts every rank holds the payload that
+    # started `rounds` ranks to its left.
+    for r in range(size):
+        assert fused.return_values[r] == payloads[(r - rounds) % size]
+
+
+def _skewed_ring_case(variant, run) -> None:
+    """Unequal compute between shifts exercises both wait orders
+    (send finishing before and after the receive)."""
+    size, rounds = 6, 4
+
+    def skew(builder, rank):
+        def program():
+            carry = bytes([rank]) * 64
+            inner = builder(rank, size, carry, rounds)
+            # Interleave: advance the inner ring one value at a
+            # time with rank-dependent compute in between.
+            value = None
+            try:
+                while True:
+                    req = inner.send(value)
+                    value = yield req
+                    # One compute per completed shift: after the
+                    # fused request, or after a *wait* batch (a
+                    # tuple of handles — not the posting batch).
+                    if isinstance(req, SendRecvRequest) or (
+                        isinstance(req, tuple)
+                        and not isinstance(req[0], (ISendRequest, IRecvRequest))
+                    ):
+                        yield ComputeRequest(1e-5 * (rank + 1))
+            except StopIteration as stop:
+                return stop.value
+
+        return program()
+
+    def skew_explicit(rank):
+        def program():
+            carry = bytes([rank]) * 64
+            right = (rank + 1) % size
+            left = (rank - 1) % size
+            for _ in range(rounds):
+                shandle = yield ISendRequest(right, 0, carry)
+                rhandle = yield IRecvRequest(left, 0)
+                carry = yield rhandle
+                yield shandle
+                yield ComputeRequest(1e-5 * (rank + 1))
+            return carry
+
+        return program()
+
+    base = run(size, lambda: [skew_explicit(r) for r in range(size)])
+    fused = run(size, lambda: [skew(variant, r) for r in range(size)])
+    _assert_same_result(base, fused)
+
+
 class TestSendRecvEquivalence:
     @pytest.mark.parametrize("variant", [_ring_fused, _ring_batched])
     def test_ring_matches_explicit_sequence(self, variant):
-        size, rounds = 8, 5
-        payloads = [bytes([r]) * (100 * (r + 1)) for r in range(size)]
-        base = _engine(size).run(
-            [_ring_explicit(r, size, payloads[r], rounds) for r in range(size)]
-        )
-        fused = _engine(size).run(
-            [variant(r, size, payloads[r], rounds) for r in range(size)]
-        )
-        _assert_same_result(base, fused)
-        # After `rounds` shifts every rank holds the payload that
-        # started `rounds` ranks to its left.
-        for r in range(size):
-            assert fused.return_values[r] == payloads[(r - rounds) % size]
+        _ring_case(variant, _run_plain)
 
     @pytest.mark.parametrize("variant", [_ring_fused, _ring_batched])
     def test_skewed_ring_matches_explicit_sequence(self, variant):
-        """Unequal compute between shifts exercises both wait orders
-        (send finishing before and after the receive)."""
-        size, rounds = 6, 4
+        _skewed_ring_case(variant, _run_plain)
 
-        def skew(builder, rank):
-            def program():
-                carry = bytes([rank]) * 64
-                inner = builder(rank, size, carry, rounds)
-                # Interleave: advance the inner ring one value at a
-                # time with rank-dependent compute in between.
-                value = None
-                try:
-                    while True:
-                        req = inner.send(value)
-                        value = yield req
-                        # One compute per completed shift: after the
-                        # fused request, or after a *wait* batch (a
-                        # tuple of handles — not the posting batch).
-                        if isinstance(req, SendRecvRequest) or (
-                            isinstance(req, tuple)
-                            and not isinstance(req[0], (ISendRequest, IRecvRequest))
-                        ):
-                            yield ComputeRequest(1e-5 * (rank + 1))
-                except StopIteration as stop:
-                    return stop.value
+    @pytest.mark.parametrize("run", RUNNERS)
+    @pytest.mark.parametrize("variant", [_ring_fused, _ring_batched])
+    def test_ring_matches_explicit_under(self, variant, run):
+        """Faults, contention and the verifier each once sent the fused
+        request down its own path; every RankStats field must still
+        equal the explicit sequence's."""
+        _ring_case(variant, run)
 
-            return program()
-
-        def skew_explicit(rank):
-            def program():
-                carry = bytes([rank]) * 64
-                right = (rank + 1) % size
-                left = (rank - 1) % size
-                for _ in range(rounds):
-                    shandle = yield ISendRequest(right, 0, carry)
-                    rhandle = yield IRecvRequest(left, 0)
-                    carry = yield rhandle
-                    yield shandle
-                    yield ComputeRequest(1e-5 * (rank + 1))
-                return carry
-
-            return program()
-
-        base = _engine(size).run([skew_explicit(r) for r in range(size)])
-        fused = _engine(size).run([skew(variant, r) for r in range(size)])
-        _assert_same_result(base, fused)
+    @pytest.mark.parametrize("run", RUNNERS)
+    @pytest.mark.parametrize("variant", [_ring_fused, _ring_batched])
+    def test_skewed_ring_matches_explicit_under(self, variant, run):
+        _skewed_ring_case(variant, run)
 
     def test_trace_identical(self):
         size, rounds = 4, 3
