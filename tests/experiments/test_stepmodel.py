@@ -5,6 +5,9 @@ full discrete-event simulation *exactly* — so everything it predicts at
 16384 ranks is backed by the executable semantics at small scale.
 """
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.core.hsumma import HSummaConfig, run_hsumma
@@ -108,6 +111,33 @@ class TestCrossValidationTopology:
             cfg, MicroDesCoster(platform.network(16), "vandegeijn")
         )
         assert rep.comm_time == pytest.approx(sim.comm_time, rel=0.05)
+
+
+#: (s, t, I, J) grids and group grids of the phase-pricing pin.
+PHASE_GRIDS = [(4, 4, 2, 2), (2, 8, 1, 4), (4, 4, 4, 1), (8, 8, 2, 4)]
+PHASE_BCASTS = ["binomial", "vandegeijn", "segmented", "fourcolor",
+                "hypersystolic"]
+
+
+def test_outer_phase_is_priced_by_its_announced_algorithm():
+    """Each HSUMMA phase is priced under the broadcast algorithm its
+    requests announce, for every mix of outer and inner algorithm.  The
+    digest (``float.hex`` of total, comm and compute over 200
+    configurations) was computed when the outer phase still had a
+    coster of its own."""
+    h = hashlib.sha256()
+    for (s, t, I, J), outer, inner, depth in itertools.product(
+            PHASE_GRIDS, PHASE_BCASTS, PHASE_BCASTS, [None, 3]):
+        cfg = HSummaConfig(m=256, l=256, n=256, s=s, t=t, I=I, J=J,
+                           outer_block=16, inner_block=8,
+                           outer_bcast=outer, inner_bcast=inner)
+        rep = hsumma_step_model(
+            cfg, AnalyticCoster(PARAMS, inner, segments=depth), GAMMA,
+            outer_coster=AnalyticCoster(PARAMS, outer, segments=depth))
+        for value in (rep.total_time, rep.comm_time, rep.compute_time):
+            h.update(value.hex().encode())
+    assert h.hexdigest() == (
+        "87c4cf5123c65d4dc48a2fd59a3f72a8a2735bd46fe6d1d1b0d11ba11d290559")
 
 
 class TestCosters:
