@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ranking leaders re-priced by the "
                              "refinement backend")
     p_plan.add_argument(
-        "--refine", choices=["predictor", "macro", "none"],
+        "--refine", choices=["predictor", "none"],
         default="predictor",
         help="refinement backend for the ranking leaders",
     )

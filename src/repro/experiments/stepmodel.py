@@ -70,8 +70,7 @@ class CollectiveCoster(ABC):
 
     The macro backend queries :meth:`collective_time` for every
     collective a rank program issues; :meth:`bcast_time` is the
-    historical broadcast-only entry point the figure sweeps use
-    directly.
+    broadcast-only entry point, kept for direct callers.
 
     ``participant_invariant`` declares that :meth:`collective_time`
     depends only on ``(op, algorithm, len(participants), nbytes,
@@ -403,56 +402,6 @@ class TopologyCoster(CollectiveCoster):
 # repository.
 
 
-class _HsummaPhaseCoster(CollectiveCoster):
-    """Routes HSUMMA outer-phase collectives to a separate coster.
-
-    Discrimination is by communicator context id: ``hsumma_program``
-    derives its communicators from the world in a fixed order (Cart
-    row, Cart col, outer row, outer col, inner row, inner col), so the
-    outer-group communicators carry world child sequence numbers 2 and
-    3.  Coupled to that construction order by design.
-    """
-
-    _OUTER_SEQS = (2, 3)
-
-    def __init__(self, inner: CollectiveCoster, outer: CollectiveCoster):
-        self._inner = inner
-        self._outer = outer
-        self.algorithm = getattr(inner, "algorithm", "binomial")
-        self.segments = getattr(inner, "segments", None)
-        self.participant_invariant = (
-            getattr(inner, "participant_invariant", False)
-            and getattr(outer, "participant_invariant", False)
-        )
-
-    def bcast_time(
-        self, participants: Sequence[int], root_index: int, nbytes: int
-    ) -> float:
-        return self._inner.bcast_time(participants, root_index, nbytes)
-
-    def collective_time(
-        self,
-        op: str,
-        algorithm: str | None,
-        participants: Sequence[int],
-        root_index: int,
-        nbytes: int,
-        *,
-        segments: int | None = None,
-        cid: tuple | None = None,
-    ) -> float:
-        if cid and cid[0] in self._OUTER_SEQS:
-            coster = self._outer
-            algorithm = getattr(coster, "algorithm", algorithm)
-            segments = getattr(coster, "segments", segments)
-        else:
-            coster = self._inner
-        return coster.collective_time(
-            op, algorithm, participants, root_index, nbytes,
-            segments=segments, cid=cid,
-        )
-
-
 def _coster_network(coster: CollectiveCoster, nranks: int) -> Network:
     """The network the macro backend should run over for ``coster``."""
     net = getattr(coster, "network", None)
@@ -468,10 +417,8 @@ def _run_macro(
     coster: CollectiveCoster,
     gamma: float,
     nsteps: int,
-    *,
-    network_coster: CollectiveCoster | None = None,
 ) -> StepModelReport:
-    network = _coster_network(network_coster or coster, cfg.s * cfg.t)
+    network = _coster_network(coster, cfg.s * cfg.t)
     _, sim = launch(
         spec, cfg, PhantomArray((cfg.m, cfg.l)), PhantomArray((cfg.l, cfg.n)),
         network=network, gamma=gamma,
@@ -498,22 +445,13 @@ def summa_step_model(
 
 
 def hsumma_step_model(
-    cfg: HSummaConfig,
-    coster: CollectiveCoster,
-    gamma: float = 0.0,
-    *,
-    outer_coster: CollectiveCoster | None = None,
+    cfg: HSummaConfig, coster: CollectiveCoster, gamma: float = 0.0
 ) -> StepModelReport:
     """Predict an HSUMMA run's times under the step-synchronous schedule.
 
-    ``outer_coster`` allows a different broadcast algorithm between
-    groups (defaults to ``coster``).
+    Each phase is priced under the broadcast algorithm its requests
+    announce (``cfg.outer_bcast`` / ``cfg.inner_bcast``, else the
+    coster's).
     """
-    effective = coster
-    if outer_coster is not None:
-        effective = _HsummaPhaseCoster(coster, outer_coster)
-    return _run_macro(
-        HSUMMA, cfg, effective, gamma,
-        cfg.outer_steps * cfg.inner_steps,
-        network_coster=coster,
-    )
+    return _run_macro(HSUMMA, cfg, coster, gamma,
+                      cfg.outer_steps * cfg.inner_steps)

@@ -190,8 +190,8 @@ class Plan:
     ``predicted_time`` (= ``comm_time + compute_time``) is the
     refinement stage's number and ``backend`` the backend that replays
     it through the family's runner: ``"predictor"``; ``"macro"`` for a
-    plan stepped under ``refine="macro"`` and for a segmented-family
-    broadcast, which ``backend="predictor"`` refuses by policy (see
+    segmented-family broadcast, which ``backend="predictor"`` refuses
+    by policy (see
     :func:`repro.simulator.predictor.refuse_pipelined`) and
     ``backend="macro"`` reproduces bit-for-bit; or ``"closed-form"``
     under ``refine="none"``.  ``closed_form_time`` is the ranking-stage

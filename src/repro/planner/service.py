@@ -1,13 +1,12 @@
 """The plan service: rank candidates by closed form, refine the top-k
-with the simulator's predictor (or macro) backend, cache the winner.
+with each family's predictor chain, cache the winner.
 
 Cold path per query: enumerate the space (:mod:`repro.planner.space`),
 drop candidates over the memory budget, rank by the registry closed
-forms, re-price the ``top_k`` leaders with
-``repro.simulator.predictor`` (``refine="predictor"``, the default;
-``"macro"`` steps the symmetry-collapsed engine instead, ``"none"``
-trusts the ranking), and report the winner with its gap to the
-communication lower bound.
+forms, re-price the ``top_k`` leaders with the family's ``predict_*``
+chain (``refine="predictor"``, the default; ``"none"`` trusts the
+ranking), and report the winner with its gap to the communication
+lower bound.
 
 Hot path: an in-process memo (exact :class:`Plan` objects) in front of
 an optional on-disk content-hash cache (the sweep harness's
@@ -29,7 +28,6 @@ from repro.costs import (
     summa_computation_cost,
 )
 from repro.errors import ConfigurationError
-from repro.experiments import stepmodel
 from repro.experiments.parallel import _MISS, SweepCache
 from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
@@ -47,7 +45,7 @@ from repro.planner.space import (
 PLAN_CACHE_SALT = "planner-5"  # planner-5: keyed on the fault profile
 _PLAN_FN = "repro.planner.plan"
 
-REFINE_BACKENDS = ("predictor", "macro", "none")
+REFINE_BACKENDS = ("predictor", "none")
 
 
 class PlanService:
@@ -61,7 +59,7 @@ class PlanService:
     top_k:
         How many ranking leaders the refinement backend re-prices.
     refine:
-        ``"predictor"`` (default), ``"macro"``, or ``"none"``.
+        ``"predictor"`` (default) or ``"none"``.
     """
 
     def __init__(self, *, cache_dir: str | None = None, top_k: int = 4,
@@ -241,25 +239,9 @@ class PlanService:
             compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
             total = closed_form_cost(rq, cand)
             return total, total - compute, compute, "closed-form"
-        spec = family(cand.algorithm)
-        cfg = _build_config(rq, cand)
-        params = HockneyParams(rq.alpha, rq.beta)
-        # Looked up at call time so a wrapper installed on the module
-        # sees the call; without a step model (2.5D) the chain it is.
-        step_model = getattr(stepmodel, f"{cand.algorithm}_step_model", None)
-        if self.refine == "macro" and step_model is not None:
-            costers = {}
-            if cand.outer_bcast is not None:
-                costers["outer_coster"] = stepmodel.AnalyticCoster(
-                    params, cand.outer_bcast, segments=cand.segments)
-            rep = step_model(
-                cfg,
-                stepmodel.AnalyticCoster(params, cand.bcast,
-                                         segments=cand.segments),
-                rq.gamma, **costers)
-            return rep.total_time, rep.comm_time, rep.compute_time, "macro"
-        st = live(spec.predict)(
-            cfg, network=HomogeneousNetwork(rq.p, params),
+        st = live(family(cand.algorithm).predict)(
+            _build_config(rq, cand),
+            network=HomogeneousNetwork(rq.p, HockneyParams(rq.alpha, rq.beta)),
             options=CollectiveOptions(bcast_segments=cand.segments),
             gamma=rq.gamma, a_itemsize=rq.itemsize,
             b_itemsize=rq.itemsize).stats[0]

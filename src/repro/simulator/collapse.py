@@ -58,7 +58,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import DeadlockError, SimulationError
 from repro.network.model import Network
 from repro.simulator.backends import MacroBackend
 from repro.simulator.engine import RankProgram, _PARKED, _RankState
@@ -300,29 +300,13 @@ class CollapsedMacroEngine(MacroBackend):
 
         for state in self._ranks:
             self._resume(state, None, state.stats.clock)
-
-        events = self._events
-        max_events = self.max_events
-        while events:
-            _time, batch = events.pop_batch()
-            self._nevents += len(batch)
-            if self._nevents > max_events:
-                raise SimulationError(
-                    f"event cap of {max_events} exceeded; "
-                    "likely a livelock in a rank program"
-                )
-            for _t, _seq, fn, args in batch:
-                fn(*args)
-
-        stuck = [s for s in self._ranks if not s.finished]
-        if stuck:
+        try:
+            self._drain("collapsed run")
+        except DeadlockError as stuck:
             # Either an equivalence class never produced a fully-probed
             # primary (the declaration is too coarse for this run) or a
             # genuine deadlock; the per-rank fallback distinguishes them.
-            raise SymmetryBroken(
-                f"{len(stuck)} probed ranks left blocked "
-                f"(first: rank {stuck[0].stats.rank} on "
-                f"{stuck[0].blocked_on!r})")
+            raise SymmetryBroken(str(stuck)) from None
         if self._parked or self._pending or self._waiters:
             raise SymmetryBroken(
                 "collectives or point-to-point ops left waiting at end "

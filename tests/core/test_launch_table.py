@@ -478,3 +478,27 @@ def test_no_family_name_outside_the_table(path):
         and not (isinstance(allowed, set) and node.value in allowed)
     ]
     assert not found, f"{path} names a family outside the table: {found}"
+
+
+def test_the_planner_imports_no_step_model():
+    """The planner finds a family's pricing through ``FAMILIES`` alone:
+    importing the step models would bring back a second lookup."""
+    import ast
+    import pathlib
+
+    import repro
+
+    found = []
+    for path in sorted((pathlib.Path(repro.__file__).parent
+                        / "planner").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}"
+                           for alias in node.names] + [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if "repro.experiments.stepmodel" in modules:
+                found.append((path.name, node.lineno))
+    assert not found, f"the planner imports the step models: {found}"

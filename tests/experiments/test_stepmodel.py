@@ -132,8 +132,7 @@ def test_outer_phase_is_priced_by_its_announced_algorithm():
                            outer_block=16, inner_block=8,
                            outer_bcast=outer, inner_bcast=inner)
         rep = hsumma_step_model(
-            cfg, AnalyticCoster(PARAMS, inner, segments=depth), GAMMA,
-            outer_coster=AnalyticCoster(PARAMS, outer, segments=depth))
+            cfg, AnalyticCoster(PARAMS, inner, segments=depth), GAMMA)
         for value in (rep.total_time, rep.comm_time, rep.compute_time):
             h.update(value.hex().encode())
     assert h.hexdigest() == (

@@ -4,6 +4,8 @@ consumers can tell a refined estimate from the tiling fallback."""
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.planner import Plan, PlanQuery, PlanService
 
@@ -13,6 +15,13 @@ def _plan_json(capsys, *extra):
                  "--json", *extra])
     assert code == 0
     return json.loads(capsys.readouterr().out)
+
+
+def test_plan_refuses_the_removed_macro_refinement(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["plan", "--n", "1024", "-p", "16", "--refine", "macro"])
+    assert exit_info.value.code == 2
+    assert "'predictor', 'none'" in capsys.readouterr().err
 
 
 def test_plan_json_advisory_carries_closed_form_flag(capsys):

@@ -8,9 +8,6 @@ simulator backends' own numbers, not a reimplementation.
   refuses by policy: the service prices them with the same chain and
   names ``"macro"``, the backend that replays them; those must replay
   bit-identically through the macro step model.
-* ``refine="macro"`` plans match the predictor's totals within the
-  documented fidelity contract (totals bit-identical, communication
-  within 1e-9 relative; see ``repro.simulator.predictor``).
 """
 
 
@@ -84,10 +81,7 @@ def _replay_with_macro(result, rq):
             rq.gamma)
     return hsumma_step_model(
         cfg, AnalyticCoster(hock, result.params["bcast"], segments=seg),
-        rq.gamma,
-        outer_coster=AnalyticCoster(hock, result.params["outer_bcast"],
-                                    segments=seg),
-    )
+        rq.gamma)
 
 
 QUERIES = [
@@ -154,44 +148,3 @@ class TestPredictorFidelity:
         assert result.predicted_time == st.clock
         assert result.comm_time == st.comm_time
         assert result.compute_time == st.compute_time
-
-
-class TestMacroFidelity:
-    @pytest.mark.parametrize("query", QUERIES[:2])
-    def test_macro_plan_matches_replay_contract(self, query):
-        """Re-pricing the macro plan's config must agree per the
-        documented fidelity contract.  For predictor-refinable winners
-        that means the predictor's totals (bit-identical, communication
-        within 1e-9 relative); segmented-family winners replay through
-        the macro engine bit-identically."""
-        rq = query.resolve()
-        result = PlanService(refine="macro").plan(rq)
-        if result.algorithm == "2.5d":
-            # No 2.5D step model exists; refine="macro" routes the
-            # family through its predictor chain (which replays the
-            # macro engine's floats bit-identically anyway).
-            assert result.backend == "predictor"
-            st = _replay_with_predictor(result, rq)
-            assert result.predicted_time == st.clock
-            assert result.comm_time == st.comm_time
-            return
-        assert result.backend == "macro"
-        if result.params.get("bcast") in PIPELINED_BCASTS:
-            rep = _replay_with_macro(result, rq)
-            assert result.predicted_time == rep.total_time
-            assert result.comm_time == rep.comm_time
-        else:
-            st = _replay_with_predictor(result, rq)
-            assert result.predicted_time == st.clock
-            assert result.compute_time == st.compute_time
-            assert result.comm_time == pytest.approx(st.comm_time, rel=1e-9)
-
-    def test_macro_and_predictor_choose_comparable_plans(self):
-        """Backends of identical fidelity must produce plans with
-        identical predicted times (they price the same candidates, and
-        the chain replays the macro engine's totals bit for bit)."""
-        q = PlanQuery(n=2048, p=64)
-        a = PlanService(refine="predictor").plan(q)
-        b = PlanService(refine="macro").plan(q)
-        assert a.predicted_time == b.predicted_time
-        assert a.algorithm == b.algorithm

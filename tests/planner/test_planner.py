@@ -163,13 +163,11 @@ class TestPlanning:
         assert result.backend == "closed-form"
         assert result.predicted_time == pytest.approx(result.closed_form_time)
 
-    def test_refine_macro(self):
-        result = PlanService(refine="macro").plan(PlanQuery(n=1024, p=16))
-        assert result.backend == "macro"
-
     def test_bad_refine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PlanService(refine="crystal-ball")
+        for refine in ("crystal-ball", "macro"):
+            with pytest.raises(ConfigurationError,
+                               match=r"\('predictor', 'none'\)"):
+                PlanService(refine=refine)
 
     def test_bad_top_k_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -3,11 +3,11 @@ the answer did not move.
 
 ``refine="predictor"`` prices every leader — segmented broadcast family
 included — with the family's ``predict_*`` chain, so a cold plan builds
-no rank program and constructs no macro engine; ``refine="macro"``
-remains the explicit request to step.  The digests were computed at the
-commit before the segmented-family leaders stopped going through
-``*_step_model`` (every float as ``float.hex``): the chain replays the
-collapsed engine's numbers bit for bit, labels and advisory included.
+no rank program and constructs no macro engine (neither refinement
+choice steps one).  The digests were computed at the commit before the
+segmented-family leaders stopped going through ``*_step_model`` (every
+float as ``float.hex``): the chain replays the collapsed engine's
+numbers bit for bit, labels and advisory included.
 """
 
 import hashlib
@@ -103,10 +103,3 @@ def test_cold_plan_steps_nothing_and_did_not_move(query, digest, macro_runs):
     plan = PlanService().plan(PlanQuery(**query))
     assert macro_runs == []
     assert _digest(plan) == digest
-
-
-def test_refine_macro_still_steps(macro_runs):
-    plan = PlanService(refine="macro").plan(PlanQuery(n=1024, p=64,
-                                                      platform=BGP))
-    assert plan.backend == "macro"
-    assert len(macro_runs) >= 1

@@ -18,8 +18,9 @@ Two sweeps:
   algorithm at each depth through ``options``;
 * Hypothesis over SUMMA and HSUMMA shapes — square and rectangular
   grids, config-level and mixed inner/outer algorithms — against the
-  step models with the matching ``AnalyticCoster``s, the planner's
-  ``refine="macro"`` reference.
+  step models with the matching ``AnalyticCoster`` and against a plain
+  per-rank ``MacroBackend`` with the default coster; each phase is
+  priced under the algorithm its requests announce.
 """
 
 import pytest
@@ -183,7 +184,5 @@ class TestChainEqualsStepModel:
             options=options, gamma=GAMMA)
         _assert_contract(chain, hsumma_step_model(
             cfg, AnalyticCoster(PARAMS, cfg.inner_bcast, segments=depth),
-            GAMMA,
-            outer_coster=AnalyticCoster(PARAMS, cfg.outer_bcast,
-                                        segments=depth)))
+            GAMMA))
         _assert_contract(chain, _per_rank_macro(HSUMMA, cfg, options))
