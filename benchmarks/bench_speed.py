@@ -186,6 +186,16 @@ def _fig6_cold():
     fig6(jobs=1, cache=None)
 
 
+def _fig8_topology(p, n, block, groups=None):
+    """Figure 8's sweep on the BG/P torus, in-process and uncached:
+    every point is priced by the topology coster and, its
+    communicator classes each sitting on one placement, steps only
+    its probe set."""
+    from repro.experiments.figures import fig8
+
+    fig8(p=p, n=n, block=block, groups=groups, jobs=1, cache=None)
+
+
 def _planner_cold(n, p):
     """Cold plans: fresh service per plan, so every call pays the full
     enumerate -> closed-form rank -> refine pipeline.  All three stages
@@ -265,6 +275,9 @@ FULL = {
     "job_stream_planner_p256": (
         lambda: _job_stream("planner", **_STREAM_P256), 2),
     "figures_fig6_cold": (_fig6_cold, 3),
+    # One paper-size point: G=32 and its SUMMA reference at p=1024.
+    "figures_fig8_topology": (
+        lambda: _fig8_topology(1024, 65536, 256, groups=[32]), 1),
 }
 
 QUICK = {
@@ -294,6 +307,8 @@ QUICK = {
         lambda: _job_stream("planner", **_STREAM_P64), 3),
     # Paper size in quick mode too: the whole sweep is under a second.
     "figures_fig6_cold": (_fig6_cold, 3),
+    # The perf benchmark's fig8 op: seven group counts plus SUMMA.
+    "figures_fig8_topology": (lambda: _fig8_topology(64, 4096, 128), 3),
 }
 
 

@@ -78,9 +78,18 @@ class CollectiveCoster(ABC):
     which is root.  The symmetry-collapsed macro path and the
     predictor rely on it (see ``docs/cost_model.md``); costers that
     price by topology position must leave it False.
+
+    ``placement_invariant`` declares the weaker promise of a coster
+    that prices by position: :meth:`collective_time` depends only on
+    ``(op, algorithm, self.network.placement_key(participants),
+    nbytes, segments)`` — never on the root or the cid.  The collapsed
+    macro path accepts such a coster for a family that enumerates its
+    communicators, once every equivalence class is shown to sit on one
+    placement; the predictor does not.
     """
 
     participant_invariant: bool = False
+    placement_invariant: bool = False
 
     @abstractmethod
     def bcast_time(
@@ -303,7 +312,14 @@ class TopologyCoster(CollectiveCoster):
     and per-byte slope among the participants on the real topology, so
     a group whose members straddle the torus pays more than a compact
     one — cheap topology sensitivity at 16384 ranks.
+
+    The parameters are memoised on ``network.placement_key`` and the
+    root is never read, so the coster is ``placement_invariant``: a
+    SUMMA/HSUMMA/cyclic sweep whose communicator classes each sit on
+    one placement runs the symmetry-collapsed macro engine.
     """
+
+    placement_invariant = True
 
     #: Pairs sampled per communicator before falling back to all pairs.
     MAX_PAIR_SAMPLES = 512

@@ -14,6 +14,30 @@ from repro.errors import CommunicatorError
 from repro.mpi.comm import Comm
 
 
+def cart_splits(t: int) -> dict[int, tuple]:
+    """``child -> (color_of, key_of)`` of the row (world child 0) and
+    column (child 1) splits of an ``s x t`` grid.  Pure arithmetic, so
+    the symmetry declarations of :mod:`repro.simulator.collapse` can
+    evaluate them over a numpy array of ranks."""
+    return {
+        0: (lambda r: r // t, lambda r: r % t),
+        1: (lambda r: r % t, lambda r: r // t),
+    }
+
+
+def grouped_splits(s: int, t: int, I: int, J: int) -> dict[int, tuple]:
+    """The four splits :class:`GroupedCartComm` adds (world children
+    2-5: outer row, outer column, inner row, inner column), as
+    :func:`cart_splits`."""
+    si, tj = s // I, t // J
+    return {
+        2: (lambda r: (r // t) * tj + (r % t) % tj, lambda r: (r % t) // tj),
+        3: (lambda r: (r % t) * si + (r // t) % si, lambda r: (r // t) // si),
+        4: (lambda r: (r // t) * J + (r % t) // tj, lambda r: (r % t) % tj),
+        5: (lambda r: (r % t) * I + (r // t) // si, lambda r: (r // t) % si),
+    }
+
+
 class CartComm:
     """A communicator arranged as an ``s x t`` row-major grid.
 
@@ -33,8 +57,9 @@ class CartComm:
         self.t = t
         self.row, self.col = divmod(comm.rank, t)
         # Collective: every member executes both splits in this order.
-        self.row_comm = comm.split_by(lambda r: r // t, key_of=lambda r: r % t)
-        self.col_comm = comm.split_by(lambda r: r % t, key_of=lambda r: r // t)
+        splits = cart_splits(t)
+        self.row_comm = comm.split_by(*splits[0])
+        self.col_comm = comm.split_by(*splits[1])
 
     @property
     def rank(self) -> int:
@@ -70,9 +95,8 @@ class GroupedCartComm(CartComm):
     inner coordinates ``(ii, jj) = (i % (s/I), j % (t/J))``.  On top of
     the Cartesian row/column pair, four communicators are created
     collectively, always in this order — they are the world's children
-    2-5, which the symmetry declarations in
-    :mod:`repro.simulator.collapse` and the step model's phase coster
-    key on:
+    2-5 (:func:`grouped_splits`), which the symmetry declarations in
+    :mod:`repro.simulator.collapse` key on and enumerate:
 
     * ``outer_row``: fixed (grid row, inner col), varying group column
       — communicator rank equals ``y``;
@@ -88,22 +112,11 @@ class GroupedCartComm(CartComm):
         self.inner_s, self.inner_t = si, tj
         self.x, self.ii = divmod(self.row, si)
         self.y, self.jj = divmod(self.col, tj)
-        self.outer_row = comm.split_by(
-            lambda r: (r // t) * tj + (r % t) % tj,
-            key_of=lambda r: (r % t) // tj,
-        )
-        self.outer_col = comm.split_by(
-            lambda r: (r % t) * si + (r // t) % si,
-            key_of=lambda r: (r // t) // si,
-        )
-        self.inner_row = comm.split_by(
-            lambda r: (r // t) * J + (r % t) // tj,
-            key_of=lambda r: (r % t) % tj,
-        )
-        self.inner_col = comm.split_by(
-            lambda r: (r % t) * I + (r // t) // si,
-            key_of=lambda r: (r // t) % si,
-        )
+        splits = grouped_splits(s, t, I, J)
+        self.outer_row = comm.split_by(*splits[2])
+        self.outer_col = comm.split_by(*splits[3])
+        self.inner_row = comm.split_by(*splits[4])
+        self.inner_col = comm.split_by(*splits[5])
 
     def bcast_row(self, payload: Any, owner_col: int) -> Generator:
         """Two-phase broadcast along the grid row from grid column

@@ -18,8 +18,10 @@ rank generators.  A *backend* decides how much machinery executes them:
   algorithms mixing collectives with sends (block-cyclic, Cannon
   shifts, overlap variants' split-phase broadcasts) remain faithful.
   When the runner declares a :class:`~repro.simulator.collapse.
-  GridSymmetry` and the run is eligible (participant-invariant coster,
-  no faults/contention/tracing), :meth:`MacroBackend.run_with_factory`
+  GridSymmetry` and the run is eligible (a participant-invariant
+  coster, or a placement-invariant one with every communicator class on
+  one placement; no faults/contention/tracing),
+  :meth:`MacroBackend.run_with_factory`
   steps only a covering *probe set* of ranks and replicates the rest
   from their behavioural twins — bit-identical to the per-rank path,
   ``O(s + t)`` generators instead of ``s * t`` (see
@@ -157,7 +159,7 @@ class MacroBackend(Engine, Backend):
         ``make_programs``.  ``self.collapse_report`` records which path
         executed and why.
         """
-        reason = self._collapse_blocker()
+        reason, symmetry = self._collapse_blocker()
         if reason is None:
             from repro.simulator.collapse import (
                 CollapsedMacroEngine,
@@ -166,7 +168,7 @@ class MacroBackend(Engine, Backend):
 
             engine = CollapsedMacroEngine(
                 self.network,
-                symmetry=self.symmetry,
+                symmetry=symmetry,
                 coster=self.coster,
                 max_events=self.max_events,
             )
@@ -177,28 +179,43 @@ class MacroBackend(Engine, Backend):
             else:
                 self.collapse_report = {
                     "mode": "collapsed",
-                    "probed": len(self.symmetry.probe),
-                    "ranks": self.symmetry.nranks,
+                    "probed": len(symmetry.probe),
+                    "ranks": symmetry.nranks,
                 }
                 return sim
         self.collapse_report = {"mode": "per-rank", "reason": reason}
         return self.run(make_programs())
 
-    def _collapse_blocker(self) -> str | None:
-        """Why the collapsed path cannot be attempted, or None."""
-        if self.symmetry is None:
-            return "no grid symmetry declared"
-        if not getattr(self.coster, "participant_invariant", False):
-            return "coster depends on participant identity"
+    def _collapse_blocker(self) -> tuple[str | None, Any]:
+        """``(reason, None)`` when the collapsed path cannot be
+        attempted, else ``(None, the symmetry to step under)``.
+
+        A participant-invariant coster prices every class alike.  A
+        placement-invariant one (its price reads
+        ``coster.network.placement_key(participants)``, never the root
+        or the cid) does so only if each declared class sits on one
+        placement, which is checked here, last, over every declared
+        communicator — before any program is built."""
+        symmetry = self.symmetry
+        if symmetry is None:
+            return "no grid symmetry declared", None
+        placed = not getattr(self.coster, "participant_invariant", False)
+        if placed and not (getattr(self.coster, "placement_invariant", False)
+                           and symmetry.communicators is not None):
+            return "coster depends on participant identity", None
         if self.contention:
-            return "contention modelling enabled"
+            return "contention modelling enabled", None
         if self.collect_trace:
-            return "transfer tracing enabled"
+            return "transfer tracing enabled", None
         if self.eager_threshold:
-            return "eager protocol changes p2p completion semantics"
-        if self.symmetry.covers_grid:
-            return "probe set covers the whole grid"
-        return None
+            return "eager protocol changes p2p completion semantics", None
+        if symmetry.covers_grid:
+            return "probe set covers the whole grid", None
+        if placed:
+            symmetry = symmetry.placed(self.coster.network)
+            if symmetry is None:
+                return "a communicator class spans several placements", None
+        return None, symmetry
 
     def _setup(self, nranks: int) -> None:
         super()._setup(nranks)

@@ -25,6 +25,13 @@ This module collapses that redundancy without giving up exactness:
   the arrival clock, signature and payload size match it exactly.
   Classes in ``rotated`` match memos up to a root rotation (Fox's
   rotating pivot, the DNS axis broadcasts).
+* A coster priced by placement (``TopologyCoster`` on the BG/P torus)
+  is as good as a participant-invariant one once every class sits on
+  one ``network.placement_key``: SUMMA, HSUMMA and cyclic enumerate
+  their communicators (``GridSymmetry.communicators``),
+  :meth:`GridSymmetry.placed` proves the single key per class before
+  anything is stepped, and the engine checks each communicator it
+  observes against the declared members.
 * Point-to-point traffic on tags listed in ``p2p_tags`` collapses by
   the same congruence: every probed rank's n-th send/recv on a tag to
   a partner *class* must post at the same clock with the same size as
@@ -54,11 +61,12 @@ bit-identity against the per-rank implementation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import DeadlockError, SimulationError
+from repro.mpi.cart import cart_splits, grouped_splits
 from repro.network.model import Network
 from repro.simulator.backends import MacroBackend
 from repro.simulator.engine import RankProgram, _PARKED, _RankState
@@ -123,13 +131,25 @@ class GridSymmetry:
         axis broadcasts rooted at the layer index): signature and
         per-member sizes are compared after rotating the root to
         position 0, and a joining member reads the memo at its
-        root-relative position.  Sound only for participant-invariant
-        costers (a collapse precondition), which are root-invariant.
+        root-relative position.  Sound only for costers that never read
+        the root (a collapse precondition: participant- and
+        placement-invariant costers alike).
     p2p_tags:
         Base tags whose point-to-point traffic collapses by class
         congruence (see :class:`CollapsedMacroEngine`).  Any traffic on
         other tags, or any nonblocking/timed primitive, breaks the
         symmetry.
+    communicators:
+        Enumerates every communicator of the families in
+        ``class_keys`` as ``(class key, members in split order)``.  A
+        coster priced by placement (``placement_invariant``) answers a
+        class alike only if all its communicators share one
+        ``network.placement_key``; :meth:`placed` proves that before
+        anything is stepped.  ``None`` declares nothing, and such
+        costers then run per rank.
+    placements:
+        Set by :meth:`placed`, never by hand: class key ->
+        ``(placement key, set of member tuples)``.
     """
 
     nranks: int
@@ -139,6 +159,8 @@ class GridSymmetry:
     class_keys: Mapping[int, Callable[[Any], Any]]
     rotated: frozenset = frozenset()
     p2p_tags: frozenset = frozenset()
+    communicators: Callable[[], Iterator[tuple[Any, tuple]]] | None = None
+    placements: Mapping[Any, tuple[Hashable, set]] | None = None
 
     def __post_init__(self) -> None:
         if self.nranks <= 0 or not self.probe:
@@ -150,6 +172,23 @@ class GridSymmetry:
     def covers_grid(self) -> bool:
         """True when the probe set is the whole grid (no collapse win)."""
         return len(self.probe) == self.nranks
+
+    def placed(self, network: Network) -> GridSymmetry | None:
+        """This declaration with every class bound to its one placement
+        key on ``network``, or None when some class spans several.
+        One ``placement_key`` per declared communicator; nothing is
+        stepped."""
+        placements: dict[Any, tuple[Hashable, set]] = {}
+        for ckey, members in self.communicators():
+            pkey = network.placement_key(members)
+            hit = placements.get(ckey)
+            if hit is None:
+                placements[ckey] = (pkey, {members})
+            elif hit[0] != pkey:
+                return None
+            else:
+                hit[1].add(members)
+        return dataclasses.replace(self, placements=placements)
 
     def class_key(self, cid: tuple) -> tuple:
         """Equivalence class of the communicator with context id ``cid``."""
@@ -275,8 +314,8 @@ class CollapsedMacroEngine(MacroBackend):
         self._memos: dict[tuple, _Memo] = {}
         #: (class key, seq) -> [(state, request)] waiting for a primary.
         self._parked: dict[tuple, list] = {}
-        self._full_by_cid: dict[tuple, bool] = {}
-        self._class_by_cid: dict[tuple, tuple] = {}
+        #: cid -> (all members probed?, class key, price key).
+        self._comms: dict[tuple, tuple] = {}
         #: p2p post records: (kind, class, wire tag, partner class,
         #: occurrence) -> (post clock, nbytes, payload).
         self._posts: dict[tuple, tuple] = {}
@@ -320,12 +359,15 @@ class CollapsedMacroEngine(MacroBackend):
     ) -> bool:
         if len(request.participants) <= 1:
             return False  # free no-op; expand for the exact result
-        if self._all_probed(request):
+        comm = self._comms.get(request.cid)
+        if comm is None:
+            comm = self._observe(request)
+        if comm[0]:
             self._park(state, request, now)
             return True
         state.blocked_on = request
         state.block_start = now
-        mkey = (self._class_of(request.cid), request.seq)
+        mkey = (comm[1], request.seq)
         memo = self._memos.get(mkey)
         if memo is not None:
             self._join(state, request, memo)
@@ -333,24 +375,33 @@ class CollapsedMacroEngine(MacroBackend):
             self._parked.setdefault(mkey, []).append((state, request))
         return True
 
-    def _class_of(self, cid: tuple) -> tuple:
-        ckey = self._class_by_cid.get(cid)
-        if ckey is None:
-            ckey = self._class_by_cid[cid] = self.symmetry.class_key(cid)
-        return ckey
-
-    def _all_probed(self, request: CollectiveRequest) -> bool:
-        full = self._full_by_cid.get(request.cid)
-        if full is None:
-            probed = self._probed
-            full = self._full_by_cid[request.cid] = all(
-                probed[r] for r in request.participants)
-        return full
+    def _observe(self, request: CollectiveRequest) -> tuple:
+        """Record a communicator on first sight: whether all its members
+        are probed, its class key, and the key it is priced by — its
+        size under a participant-invariant coster, else its class's one
+        placement key, once its members are checked to be declared
+        ones."""
+        members = request.participants
+        ckey = self.symmetry.class_key(request.cid)
+        placements = self.symmetry.placements
+        if placements is None:
+            price = len(members)
+        else:
+            placed = placements.get(ckey)
+            if placed is None or members not in placed[1]:
+                raise SymmetryBroken(
+                    f"communicator {request.cid!r} is not one the "
+                    f"symmetry declares for class {ckey!r}")
+            price = placed[0]
+        probed = self._probed
+        comm = self._comms[request.cid] = (
+            all(probed[r] for r in members), ckey, price)
+        return comm
 
     def _filled(self, entry: list) -> None:
         """Fire a fully-probed collective; record or verify its memo."""
         req0 = entry[0][1]
-        mkey = (self._class_of(req0.cid), req0.seq)
+        mkey = (self._comms[req0.cid][1], req0.seq)
         p = len(req0.participants)
         start, finish, results = self._price(entry)
         nbytes_by_me = [0] * p
@@ -385,11 +436,12 @@ class CollapsedMacroEngine(MacroBackend):
 
     def _duration_key(self, req0: CollectiveRequest, root: int,
                       nbytes: int) -> tuple:
-        # Participant-invariant costers (a collapse precondition) price
-        # by communicator size, so the duration memo can drop the
-        # participant tuple — same float, one coster call per class.
-        return (req0.op, req0.algorithm, len(req0.participants), root, nbytes,
-                req0.segments, req0.cid[0] if req0.cid else None)
+        # A collapse prices a communicator by its size or, under a
+        # placement-invariant coster, by its class's placement key (see
+        # _observe), so the duration memo can drop the participant
+        # tuple — same float, one coster call per class.
+        return (req0.op, req0.algorithm, self._comms[req0.cid][2], root,
+                nbytes, req0.segments, req0.cid[0])
 
     def _join(self, state: _RankState, request: CollectiveRequest,
               memo: _Memo) -> None:
@@ -683,36 +735,49 @@ class CollapsedMacroEngine(MacroBackend):
 # col = 1; then outer row/outer col/inner row/inner col = 2..5 where
 # the program creates them; the multilevel hierarchy's level comms at
 # 2+2*lev / 3+2*lev).  docs/cost_model.md derives each map from the
-# program's per-step clock evolution.
+# program's per-step clock evolution.  The SUMMA, HSUMMA and cyclic
+# declarations also enumerate their communicators' members, from the
+# split functions of repro.mpi.cart that the programs split by.
 
 
 def _grid(
     s: int, t: int, probe_rows: int, probe_cols: int,
     class_keys: Mapping[int, Callable[[Any], Any]], *,
+    full_rows: int | None = None,
+    splits: Mapping[int, tuple] | None = None,
     clamp: bool = False,
     rotated: frozenset = frozenset(),
     p2p_tags: frozenset = frozenset(),
 ) -> GridSymmetry:
     """The declaration of an ``s x t`` grid (world rank ``r`` sits at
-    ``divmod(r, t)``) probed on grid rows ``0..probe_rows-1`` plus grid
-    columns ``0..probe_cols-1``.  Flat SUMMA/cyclic: 1x1 (a cross).
-    HSUMMA with an ``I x J`` group grid: ``(s/I) x (t/J)``.
+    ``divmod(r, t)``) probed on grid rows ``0..full_rows-1`` (default
+    ``probe_rows``) plus grid columns ``0..probe_cols-1``.  Flat
+    SUMMA/cyclic: 1x1 (a cross).  HSUMMA with an ``I x J`` group grid:
+    ``(s/I) x (t/J)``, of which only row 0 is probed whole when
+    ``I, J > 1``.
 
     Rank ``(i, j)`` twins with — and shares the point-to-point class
-    of — ``(i mod probe_rows, j mod probe_cols)``.  ``clamp`` is the
+    of — ``(i mod probe_rows, j mod probe_cols)``, which sits in the
+    probe columns.  ``clamp`` is the
     torus-shift variant (Cannon): shift patterns distinguish the
     *boundary* rows/columns (where the skew guards ``i > 0`` /
     ``j > 0`` differ and wraparound partners sit) from the interior,
     which is one big class — so ranks collapse by *clamping* to the
     probe border rather than wrapping modulo it: rank ``(i, j)`` twins
     with ``(min(i, probe_rows-1), min(j, probe_cols-1))``.
+
+    ``splits`` (``child -> (color_of, key_of)``, as
+    :func:`repro.mpi.cart.cart_splits` returns them) declares the
+    members of every communicator of the families in ``class_keys``
+    (:attr:`GridSymmetry.communicators`).
     """
     if s <= 0 or t <= 0:
         raise SimulationError(f"grid dims must be positive: {s}x{t}")
     if probe_rows <= 0 or probe_cols <= 0:
         raise SimulationError(
             f"probe dims must be positive: {probe_rows}x{probe_cols}")
-    pr, pc = min(probe_rows, s), min(probe_cols, t)
+    pr = min(probe_rows if full_rows is None else full_rows, s)
+    pc = min(probe_cols, t)
     probe = [*range(pr * t),
              *(i * t + j for i in range(pr, s) for j in range(pc))]
     if clamp:
@@ -725,23 +790,48 @@ def _grid(
     def twin_indices(ranks: Any) -> Any:
         return fold(ranks // t, probe_rows) * t + fold(ranks % t, probe_cols)
 
+    communicators = None
+    if splits is not None:
+        def communicators() -> Iterator[tuple[Any, tuple]]:
+            for child, color, members in _split_members(
+                    s * t, splits, class_keys):
+                yield (child, class_keys[child](color)), members
+
     return GridSymmetry(
         nranks=s * t, probe=tuple(probe),
         rank_class=lambda rank: divmod(int(twin_indices(rank)), t),
         twin_indices=twin_indices,
         class_keys=class_keys, rotated=rotated, p2p_tags=p2p_tags,
+        communicators=communicators,
     )
+
+
+def _split_members(
+    nranks: int, splits: Mapping[int, tuple], children: Sequence[int],
+) -> Iterator[tuple[int, int, tuple]]:
+    """``(child, color, members)`` of every communicator the world's
+    ``split_by`` cuts for each of ``children``, members ordered by
+    ``(key, rank)`` as :meth:`repro.mpi.comm.Comm.split_by` orders
+    them."""
+    ranks = np.arange(nranks)
+    for child in children:
+        color_of, key_of = splits[child]
+        colors = color_of(ranks)
+        order = np.lexsort((ranks, key_of(ranks), colors))
+        cuts = np.flatnonzero(np.diff(colors[order])) + 1
+        for members in np.split(order, cuts):
+            yield child, int(colors[members[0]]), tuple(members.tolist())
 
 
 def summa_symmetry(s: int, t: int) -> GridSymmetry:
     """Flat SUMMA (and flat block-cyclic SUMMA): every row comm behaves
     like every other row comm, ditto columns — a 1x1 probe cross."""
-    return _grid(s, t, 1, 1, {0: _const, 1: _const})
+    return _grid(s, t, 1, 1, {0: _const, 1: _const}, splits=cart_splits(t))
 
 
 def hsumma_symmetry(s: int, t: int, I: int, J: int) -> GridSymmetry:
-    """HSUMMA with an ``I x J`` group grid; probe one group's worth of
-    full rows and columns.
+    """HSUMMA with an ``I x J`` group grid; ranks twin modulo one
+    group, ``(s/I) x (t/J)``.
 
     Within an outer step the guarded outer phases desynchronise ranks
     by their inner coordinates, so the class keys carry exactly the
@@ -750,15 +840,22 @@ def hsumma_symmetry(s: int, t: int, I: int, J: int) -> GridSymmetry:
     ``(ii, jj)`` (seq alignment + start-time split), inner-row comms
     by ``ii`` (start-time split), inner-col comms are uniform.
 
+    With ``J > 1`` the probe is grid row 0 plus the first ``t/J`` grid
+    columns, ``t + (t/J)(s-1)`` ranks: row 0 holds an outer-row
+    primary per ``jj``; the columns hold every twin, an outer-col
+    primary per ``(ii, jj)``, an inner-row primary per ``ii`` (group
+    column 0) and the inner-col primary.
+
     Degenerate group strips simplify: a trivial outer dimension's
     broadcast is a free single-member no-op, so the desync (and the
     probe) shrinks with it.
     """
     si, tj = s // I, t // J
+    splits = grouped_splits(s, t, I, J)
     if I == 1 and J == 1:
         # Both outer phases are free; the inner comms span full grid
         # rows/columns and stay in lockstep — SUMMA's cross probe.
-        return _grid(s, t, 1, 1, {4: _const, 5: _const})
+        return _grid(s, t, 1, 1, {4: _const, 5: _const}, splits=splits)
     if I == 1:
         # No outer-col phase, so nothing desynchronises by ii: the
         # inner comms run uniformly and only jj (outer-row guard)
@@ -767,22 +864,23 @@ def hsumma_symmetry(s: int, t: int, I: int, J: int) -> GridSymmetry:
             2: lambda color: color % tj,  # color = i*tj + jj
             4: _const,
             5: _const,
-        })
+        }, splits=splits)
     if J == 1:
         # No outer-row phase; outer-col comms need ii for sequence
         # alignment, and inner-row comms (whose members all share ii)
-        # start at different times depending on ii == ik.
+        # start at different times depending on ii == ik — a whole
+        # grid row per ii is a primary, so si rows are probed whole.
         return _grid(s, t, si, 1, {
             3: lambda color: color % si,  # color = j*si + ii
             4: lambda color: color % si,  # color = i*J + y = i
             5: _const,
-        })
+        }, splits=splits)
     return _grid(s, t, si, tj, {
         2: lambda color: color % tj,                      # color = i*tj + jj
         3: lambda color: (color % si, (color // si) % tj),  # = j*si + ii
         4: lambda color: (color // J) % si,               # color = i*J + y
         5: _const,                                        # color = j*I + x
-    })
+    }, full_rows=1, splits=splits)
 
 
 def cyclic_symmetry(s: int, t: int, I: int = 1, J: int = 1) -> GridSymmetry:
@@ -791,16 +889,18 @@ def cyclic_symmetry(s: int, t: int, I: int = 1, J: int = 1) -> GridSymmetry:
     both inner families start uniformly — the outer families still
     need their guard coordinate for sequence alignment, because a
     guarded comm only announces in the steps its ``jj``/``ii`` matches
-    the rotating owner."""
+    the rotating owner.  With ``I, J > 1`` the probe is HSUMMA's: grid
+    row 0 plus the first ``t/J`` columns."""
     if I * J <= 1:
         return summa_symmetry(s, t)
     si, tj = s // I, t // J
+    splits = grouped_splits(s, t, I, J)
     if I == 1:
         return _grid(s, t, 1, tj, {
             2: lambda color: color % tj,
             4: _const,
             5: _const,
-        })
+        }, splits=splits)
     if J == 1:
         # Unlike HSUMMA's J=1 case, the inner-row phase here runs
         # *before* the guarded outer-col phase, so it starts uniformly.
@@ -808,13 +908,13 @@ def cyclic_symmetry(s: int, t: int, I: int = 1, J: int = 1) -> GridSymmetry:
             3: lambda color: color % si,
             4: _const,
             5: _const,
-        })
+        }, splits=splits)
     return _grid(s, t, si, tj, {
         2: lambda color: color % tj,   # color = i*tj + jj
         3: lambda color: color % si,   # color = j*si + ii
         4: _const,
         5: _const,
-    })
+    }, full_rows=1, splits=splits)
 
 
 def cannon_symmetry(q: int) -> GridSymmetry:
