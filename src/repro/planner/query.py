@@ -11,6 +11,7 @@ and cross the CLI boundary.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Any, Mapping
 
@@ -47,6 +48,19 @@ def _platform_factory(name: str):
             f"unknown platform {name!r}; choose from {PLATFORM_NAMES} "
             "or pass alpha/beta/gamma explicitly"
         ) from None
+
+
+def _finite(name: str, value: float, *, zero_ok: bool = False) -> float:
+    """``value`` as a finite float, > 0 (>= 0 under ``zero_ok``), with
+    one spelling per number (``1`` is ``1.0``, ``-0.0`` is ``0.0``) so
+    equal queries share one cache key.  ``not x > 0`` rejects NaN too."""
+    value = float(value)
+    if not (value >= 0 if zero_ok else value > 0) or not math.isfinite(value):
+        raise ConfigurationError(
+            f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, "
+            f"got {value!r}"
+        )
+    return value or 0.0  # -0.0 is falsy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,19 +127,14 @@ class PlanQuery:
 
             alpha = DEFAULT_PARAMS.alpha if alpha is None else alpha
             beta = DEFAULT_PARAMS.beta if beta is None else beta
-        gamma = 0.0 if gamma is None else gamma
-        if alpha <= 0 or beta <= 0 or gamma < 0:
-            raise ConfigurationError(
-                f"need alpha, beta > 0 and gamma >= 0; got "
-                f"alpha={alpha}, beta={beta}, gamma={gamma}"
-            )
+        alpha = _finite("alpha", alpha)
+        beta = _finite("beta", beta)
+        gamma = _finite("gamma", 0.0 if gamma is None else gamma,
+                        zero_ok=True)
         memory_elements = None
         if self.memory_bytes is not None:
-            if self.memory_bytes <= 0:
-                raise ConfigurationError(
-                    f"memory budget must be > 0, got {self.memory_bytes}"
-                )
-            memory_elements = self.memory_bytes / itemsize
+            memory_elements = _finite("memory_bytes",
+                                      self.memory_bytes) / itemsize
         faulty = bool(self.faults and self.faults.strip())
         if faulty:
             # Validate the spec eagerly so a typo fails the query, not
@@ -139,6 +148,14 @@ class PlanQuery:
             faults=self.faults if faulty else None,
             bcast_default=bcast_default,
         )
+
+
+#: Every resolved field that can influence the chosen plan, and nothing
+#: else: two PlanQueries resolving to the same numbers share one cache
+#: entry.  ``faults`` is the profile, not just ``faulty``: the plan
+#: reports it as ``params["fault_profile"]``.
+CANONICAL_FIELDS = ("n", "p", "itemsize", "alpha", "beta", "gamma",
+                    "memory_elements", "faults")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,22 +182,16 @@ class ResolvedQuery:
     def beta_element(self) -> float:
         return self.beta * self.itemsize
 
+    @functools.cached_property
+    def key(self) -> tuple[Any, ...]:
+        """The :data:`CANONICAL_FIELDS` values: the in-process memo key
+        (one hash, no JSON)."""
+        return tuple(getattr(self, name) for name in CANONICAL_FIELDS)
+
     def canonical(self) -> dict[str, Any]:
-        """The JSON spec that keys the plan cache: every field that can
-        influence the chosen plan, and nothing else (two PlanQueries
-        resolving to the same numbers share one cache entry)."""
-        return {
-            "n": self.n,
-            "p": self.p,
-            "itemsize": self.itemsize,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "memory_elements": self.memory_elements,
-            # The profile, not just ``faulty``: the plan reports it as
-            # ``params["fault_profile"]``.
-            "faults": self.faults,
-        }
+        """The JSON spec that keys the on-disk plan cache: the same
+        fields as :attr:`key`, by name."""
+        return dict(zip(CANONICAL_FIELDS, self.key))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,17 +8,19 @@ chain (``refine="predictor"``, the default; ``"none"`` trusts the
 ranking), and report the winner with its gap to the communication
 lower bound.
 
-Hot path: an in-process memo (exact :class:`Plan` objects) in front of
-an optional on-disk content-hash cache (the sweep harness's
+Hot path: an in-process memo keyed on the resolved numbers as a tuple
+(:attr:`ResolvedQuery.key`, holding exact cache-flagged :class:`Plan`
+objects) in front of an optional on-disk content-hash cache keyed on
+the JSON spec (the sweep harness's
 :class:`~repro.experiments.parallel.SweepCache`, under its own salt) —
-so repeated queries cost a dict lookup, and plans survive across
-processes when a cache directory is given.  ``plan_many`` deduplicates
-equivalent queries (same resolved numbers) before pricing.
+so a repeated query costs one hash and one dict probe, and plans
+survive across processes when a cache directory is given.
+``plan_many`` deduplicates equivalent queries (same key) before pricing.
 """
 
 from __future__ import annotations
 
-import json
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from repro.core.launch import family, live
@@ -36,7 +38,7 @@ from repro.planner.query import Plan, PlanQuery, ResolvedQuery
 from repro.planner.space import (
     Candidate,
     candidate_memory_elements,
-    closed_form_cost,
+    closed_form_costs,
     enumerate_candidates,
 )
 
@@ -75,7 +77,7 @@ class PlanService:
         self.refine = refine
         self._disk = (SweepCache(cache_dir, salt=PLAN_CACHE_SALT)
                       if cache_dir is not None else None)
-        self._memo: dict[str, Plan] = {}
+        self._memo: dict[tuple[Any, ...], Plan] = {}
         self.stats = {"memo_hits": 0, "disk_hits": 0, "planned": 0,
                       "deduped": 0}
 
@@ -84,12 +86,12 @@ class PlanService:
     def plan(self, query: PlanQuery | ResolvedQuery) -> Plan:
         """The best plan for one query (cached)."""
         rq = query.resolve() if isinstance(query, PlanQuery) else query
-        spec = self._spec(rq)
-        key = json.dumps(spec, sort_keys=True)
+        key = rq.key
         hit = self._memo.get(key)
         if hit is not None:
             self.stats["memo_hits"] += 1
-            return _as_cached(hit)
+            return hit
+        spec = self._spec(rq)
         if self._disk is not None:
             stored = self._disk.lookup(_PLAN_FN, spec)
             if stored is not _MISS:
@@ -112,10 +114,10 @@ class PlanService:
         (queries that resolve to the same numbers share one plan)."""
         resolved = [q.resolve() if isinstance(q, PlanQuery) else q
                     for q in queries]
-        plans: dict[str, Plan] = {}
+        plans: dict[tuple[Any, ...], Plan] = {}
         out: list[Plan] = []
         for rq in resolved:
-            key = json.dumps(self._spec(rq), sort_keys=True)
+            key = rq.key
             if key in plans:
                 self.stats["deduped"] += 1
                 out.append(plans[key])
@@ -152,54 +154,61 @@ class PlanService:
         # equal footing.  The one eligibility wrinkle: a replicated
         # candidate's layer grid comes from p alone (q = sqrt(p/c)), so
         # q may not tile an n the 2-D grids tile fine — such candidates
-        # feed the closed-form advisory instead of competing.
-        refinable = [c for c in cands
+        # feed the closed-form advisory instead of competing.  Each
+        # candidate's closed form is computed once, then reused by the
+        # sort, the advisory minima, the plan and refine="none".
+        priced = list(zip(closed_form_costs(rq, cands), cands))
+        refinable = [(cost, c) for cost, c in priced
                      if not c.replication or rq.n % c.s == 0]
         if not refinable:
             raise ConfigurationError(
                 f"no refinable candidate for n={rq.n}, p={rq.p} "
                 "(every configuration was filtered out)"
             )
-        ranked = sorted(refinable, key=lambda c: closed_form_cost(rq, c))
+        # Ties keep enumeration order: the sort is stable and min()
+        # returns the first minimum.
+        ranked = sorted(refinable, key=itemgetter(0))
         leaders = ranked[: self.top_k]
         # The best 2.5D candidate is always refined — even when it does
         # not lead the ranking — so the plan's 2.5D advisory reports
         # predictor-fidelity times, not the ranking closed form.
-        analytic = [c for c in refinable if c.replication]
-        adv_cand: Candidate | None = None
+        analytic = [pc for pc in refinable if pc[1].replication]
+        adv: tuple[float, Candidate] | None = None
         if analytic:
-            adv_cand = min(analytic, key=lambda c: closed_form_cost(rq, c))
-            if adv_cand not in leaders:
-                leaders = leaders + [adv_cand]
-        best: tuple[float, float, float, str, Candidate] | None = None
+            adv = min(analytic, key=itemgetter(0))
+            if adv not in leaders:
+                leaders = leaders + [adv]
+        best: tuple[float, float, float, str, float, Candidate] | None = None
         adv_refined: tuple[float, float, float, str] | None = None
-        for cand in leaders:
-            refined = self._refine(rq, cand)
-            if cand is adv_cand:
+        flops = summa_computation_cost(rq.n, rq.p, rq.gamma)
+        for cost, cand in leaders:
+            refined = (self._refine(rq, cand) if self.refine == "predictor"
+                       else (cost, cost - flops, flops, "closed-form"))
+            if adv is not None and cand is adv[1]:
                 adv_refined = refined
             if best is None or refined[0] < best[0]:
-                best = (*refined, cand)
+                best = (*refined, cost, cand)
         assert best is not None  # leaders is non-empty
-        predicted, comm, compute, backend, cand = best
+        predicted, comm, compute, backend, closed_form_time, cand = best
         advisory: dict[str, Any] = {}
-        if adv_refined is not None and adv_cand is not None:
+        if adv_refined is not None and adv is not None:
             advisory["25d"] = {
-                "replication": adv_cand.replication,
+                "replication": adv[1].replication,
                 "predicted_time": adv_refined[0],
                 "comm_time": adv_refined[1],
                 "compute_time": adv_refined[2],
                 "backend": adv_refined[3],
-                "closed_form_time": closed_form_cost(rq, adv_cand),
+                "closed_form_time": adv[0],
                 "closed_form_only": False,
             }
         else:
-            skipped = [c for c in cands if c.replication
-                       and c not in analytic]
+            # Reached only when no replicated candidate is refinable.
+            skipped = [pc for pc in priced if pc[1].replication]
             if skipped:
-                adv = min(skipped, key=lambda c: closed_form_cost(rq, c))
+                cost, c = min(skipped, key=itemgetter(0))
                 advisory["25d"] = {
-                    "replication": adv.replication,
-                    "closed_form_time": closed_form_cost(rq, adv),
+                    "replication": c.replication,
+                    "closed_form_time": cost,
                     # Flags the fallback for JSON consumers: this
                     # variant never entered the refined competition
                     # (its layer grid does not tile n).
@@ -217,7 +226,7 @@ class PlanService:
             predicted_time=predicted,
             comm_time=comm,
             compute_time=compute,
-            closed_form_time=closed_form_cost(rq, cand),
+            closed_form_time=closed_form_time,
             backend=backend,
             lower_bound_time=lb.seconds,
             lower_bound_gap=gap,
@@ -228,17 +237,14 @@ class PlanService:
 
     def _refine(self, rq: ResolvedQuery, cand: Candidate
                 ) -> tuple[float, float, float, str]:
-        """(total, comm, compute, backend) for one candidate.
+        """(total, comm, compute, backend) for one candidate under
+        ``refine="predictor"``.
 
-        ``refine="predictor"`` builds no rank program for any family:
-        the row's ``predict_*`` chain at the candidate's pipeline depth
-        yields the macro oracle's floats.  ``backend`` follows
-        :class:`Plan`: the backend that replays the number.
+        No rank program is built for any family: the row's
+        ``predict_*`` chain at the candidate's pipeline depth yields the
+        macro oracle's floats.  ``backend`` follows :class:`Plan`: the
+        backend that replays the number.
         """
-        if self.refine == "none":
-            compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
-            total = closed_form_cost(rq, cand)
-            return total, total - compute, compute, "closed-form"
         st = live(family(cand.algorithm).predict)(
             _build_config(rq, cand),
             network=HomogeneousNetwork(rq.p, HockneyParams(rq.alpha, rq.beta)),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.core.launch import Shape
 from repro.costs import (
@@ -223,7 +223,29 @@ def closed_form_cost(rq: ResolvedQuery, cand: Candidate) -> float:
     """Ranking-stage estimate in seconds (communication + computation),
     assembled from the registry's broadcast factors."""
     compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
-    return _comm_cost(rq, cand) + compute
+    return _comm_cost(rq, cand, _bcast_term) + compute
+
+
+def closed_form_costs(rq: ResolvedQuery,
+                      cands: Sequence[Candidate]) -> list[float]:
+    """:func:`closed_form_cost` of each candidate, bit for bit, pricing
+    each distinct broadcast term once: candidates share most of their
+    ``(algorithm, p, elements, segments)`` terms, and the table lives
+    for this call only."""
+    table: dict[tuple[Any, ...], float] = {}
+
+    def term(alg: str | None, p: int, elements: float, alpha: float,
+             beta_el: float, segments: int | None) -> float:
+        # alpha and beta_el are the query's: not part of the key.
+        key = (alg, p, elements, segments)
+        cost = table.get(key)
+        if cost is None:
+            cost = table[key] = _bcast_term(alg, p, elements, alpha, beta_el,
+                                            segments)
+        return cost
+
+    compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
+    return [_comm_cost(rq, cand, term) + compute for cand in cands]
 
 
 def _bcast_term(alg: str | None, p: int, elements: float,
@@ -243,7 +265,10 @@ def _bcast_term(alg: str | None, p: int, elements: float,
             + elements * bcast_bandwidth_factor(alg, p) * beta_el)
 
 
-def _comm_cost(rq: ResolvedQuery, cand: Candidate) -> float:
+def _comm_cost(rq: ResolvedQuery, cand: Candidate,
+               term: Callable[..., float]) -> float:
+    """Communication seconds, each broadcast term priced by ``term``
+    (:func:`_bcast_term` or a table in front of it)."""
     n, alpha, beta_el = rq.n, rq.alpha, rq.beta_element
     if cand.replication:
         return algo25d_communication_cost(n, rq.p, cand.replication,
@@ -260,11 +285,11 @@ def _comm_cost(rq: ResolvedQuery, cand: Candidate) -> float:
     inner_s, inner_t = cand.s // I, cand.t // J
     B, b = cand.block, cand.inner_block or cand.block
     outer = (n / B) * (
-        _bcast_term(cand.outer_bcast, J, rows * B, alpha, beta_el, seg)
-        + _bcast_term(cand.outer_bcast, I, B * cols, alpha, beta_el, seg)
+        term(cand.outer_bcast, J, rows * B, alpha, beta_el, seg)
+        + term(cand.outer_bcast, I, B * cols, alpha, beta_el, seg)
     )
     inner = (n / b) * (
-        _bcast_term(cand.bcast, inner_t, rows * b, alpha, beta_el, seg)
-        + _bcast_term(cand.bcast, inner_s, b * cols, alpha, beta_el, seg)
+        term(cand.bcast, inner_t, rows * b, alpha, beta_el, seg)
+        + term(cand.bcast, inner_s, b * cols, alpha, beta_el, seg)
     )
     return outer + inner
