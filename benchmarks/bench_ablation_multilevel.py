@@ -10,12 +10,10 @@ a latency-dominated platform point and check the predicted ordering.
 from conftest import run_once
 
 
-from repro.blocks.dmatrix import DistMatrix
-from repro.core.hsumma import MultiLevelConfig, hsumma_multilevel_program
-from repro.mpi.comm import CollectiveOptions, MpiContext
-from repro.network.homogeneous import HomogeneousNetwork
+from repro.core.hsumma import run_hsumma_multilevel
+from repro.mpi.comm import CollectiveOptions
 from repro.network.model import HockneyParams
-from repro.simulator.engine import Engine
+from repro.payloads import PhantomArray
 from repro.util.tables import format_table
 
 # Latency-dominated: alpha huge relative to message sizes.
@@ -27,21 +25,10 @@ VDG = CollectiveOptions(bcast="vandegeijn")
 
 
 def _run(row_factors, col_factors, blocks):
-    cfg = MultiLevelConfig(m=N, l=N, n=N, s=S, t=T,
-                           row_factors=row_factors,
-                           col_factors=col_factors,
-                           blocks=blocks, bcast="vandegeijn")
-    nranks = S * T
-    da = DistMatrix.phantom_global(N, N, S, T)
-    db = DistMatrix.phantom_global(N, N, S, T)
-    programs = []
-    for rank in range(nranks):
-        i, j = divmod(rank, T)
-        ctx = MpiContext(rank, nranks, options=VDG)
-        programs.append(
-            hsumma_multilevel_program(ctx, da.tile(i, j), db.tile(i, j), cfg)
-        )
-    sim = Engine(HomogeneousNetwork(nranks, PARAMS)).run(programs)
+    A = PhantomArray((N, N))
+    _, sim = run_hsumma_multilevel(
+        A, A, grid=(S, T), row_factors=row_factors, col_factors=col_factors,
+        blocks=blocks, bcast="vandegeijn", params=PARAMS, options=VDG)
     return sim.total_time
 
 

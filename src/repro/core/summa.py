@@ -7,6 +7,13 @@ matrices.  There are ``l/b`` steps; in step ``k`` the owners of the
 owners of the pivot row of ``B`` broadcast it along their grid column,
 and every rank accumulates one rank-``b`` update into its ``C`` tile.
 
+HSUMMA is the same loop with each broadcast split over a hierarchy, so
+one program runs both: a config's :class:`Levels` schedule lists per
+level its row and column factors, its block and its broadcast
+algorithm.  One level is SUMMA, two are HSUMMA, more are the
+multi-level hierarchy the paper leaves as future work
+(:mod:`repro.core.hsumma`).
+
 This module provides the per-rank SPMD generator
 (:func:`summa_program`) and a one-call runner (:func:`run_summa`) that
 distributes the inputs, simulates, checks nothing is left in flight,
@@ -16,7 +23,8 @@ and reassembles ``C``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Generator
+import math
+from typing import Any, Generator, NamedTuple
 
 import numpy as np
 
@@ -28,7 +36,7 @@ from repro.core.launch import (
     product_dims,
     Shape,
 )
-from repro.mpi.cart import CartComm
+from repro.mpi.cart import CartComm, level_splits
 from repro.mpi.comm import MpiContext
 from repro.payloads import PhantomArray
 from repro.simulator.predictor import predict_summa
@@ -36,6 +44,51 @@ from repro.simulator.tracing import SimResult
 from repro.util.validation import require, require_divides
 
 Gen = Generator[Any, Any, Any]
+
+
+class Levels(NamedTuple):
+    """A run as nested broadcast levels, outermost first: level ``q``
+    splits the grid rows by ``rows[q]`` and the columns by ``cols[q]``
+    and broadcasts ``blocks[q]``-wide pivot panels with algorithm
+    ``bcasts[q]`` (``None``: the run's default)."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    blocks: tuple[int, ...]
+    bcasts: tuple[str | None, ...]
+
+
+def check_levels(cfg: Any, name: str) -> None:
+    """The validation every level-scheduled config shares: positive
+    sizes, factors that multiply to the grid, blocks that nest, and a
+    grid and top block that divide the matrices."""
+    rows, cols, blocks, _ = cfg.schedule
+    require(cfg.m > 0 and cfg.l > 0 and cfg.n > 0,
+            f"matrix dims must be positive: {cfg.m}, {cfg.l}, {cfg.n}")
+    require(cfg.s > 0 and cfg.t > 0,
+            f"grid dims must be positive: {cfg.s}x{cfg.t}")
+    require(len(rows) >= 1 and len(rows) == len(cols) == len(blocks),
+            f"{name}: row factors, column factors and blocks need one "
+            "entry per level")
+    require(min(rows + cols) >= 1 and math.prod(rows) == cfg.s
+            and math.prod(cols) == cfg.t,
+            f"{name}: level factors {rows} x {cols} do not multiply to "
+            f"the {cfg.s}x{cfg.t} grid")
+    for outer, inner in zip(blocks, blocks[1:]):
+        require(inner <= outer,
+                f"inner block {inner} must be <= outer block {outer} "
+                "(paper Section III)")
+        require_divides(inner, outer, f"{name}: inner block into outer block")
+    require_divides(cfg.s, cfg.m, f"{name}: grid rows into C rows")
+    require_divides(cfg.t, cfg.n, f"{name}: grid cols into C cols")
+    require_divides(cfg.s, cfg.l, f"{name}: grid rows into inner dim")
+    require_divides(cfg.t, cfg.l, f"{name}: grid cols into inner dim")
+    # A pivot column (width `block`) must live on one grid column,
+    # and the B pivot row on one grid row.
+    require_divides(blocks[0], cfg.l // cfg.t,
+                    f"{name}: block into A tile width")
+    require_divides(blocks[0], cfg.l // cfg.s,
+                    f"{name}: block into B tile height")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,64 +108,111 @@ class SummaConfig:
     bcast: str | None = None  # override CollectiveOptions.bcast
 
     def __post_init__(self) -> None:
-        require(self.m > 0 and self.l > 0 and self.n > 0,
-                f"matrix dims must be positive: {self.m}, {self.l}, {self.n}")
-        require(self.s > 0 and self.t > 0,
-                f"grid dims must be positive: {self.s}x{self.t}")
-        require_divides(self.s, self.m, "SUMMA: grid rows into C rows")
-        require_divides(self.t, self.n, "SUMMA: grid cols into C cols")
-        require_divides(self.s, self.l, "SUMMA: grid rows into inner dim")
-        require_divides(self.t, self.l, "SUMMA: grid cols into inner dim")
-        require_divides(self.block, self.l, "SUMMA: block into inner dim")
-        # A pivot column (width `block`) must live on one grid column,
-        # and the B pivot row on one grid row.
-        require_divides(self.block, self.l // self.t,
-                        "SUMMA: block into A tile width")
-        require_divides(self.block, self.l // self.s,
-                        "SUMMA: block into B tile height")
+        check_levels(self, "SUMMA")
 
     @property
     def nsteps(self) -> int:
         return self.l // self.block
 
+    @property
+    def schedule(self) -> Levels:
+        return Levels((self.s,), (self.t,), (self.block,), (self.bcast,))
 
-def summa_program(ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: SummaConfig) -> Gen:
-    """Per-rank SUMMA generator; returns this rank's ``C`` tile."""
-    grid = CartComm(ctx.world, cfg.s, cfg.t)
+
+def summa_program(ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: Any) -> Gen:
+    """Per-rank generator over ``cfg.schedule``; returns this rank's
+    ``C`` tile.
+
+    Each ``blocks[-1]``-wide step first broadcasts, at every level
+    whose block boundary it starts (outermost first), the pivot panel
+    of ``A`` along the level's row communicator and that of ``B`` along
+    its column communicator; then it accumulates one gemm.  A rank
+    joins a level's broadcast when its deeper digits match the
+    owner's, and the owner's digit is the root; the source slices what
+    the level above delivered (at the top, its own tile).  Span names
+    follow the depth: ``bcast.row`` / ``bcast.col`` per matrix at one
+    level, else one ``bcast.inter`` / ``bcast.mid<q>`` / ``bcast.intra``
+    span per level.
+    """
+    s, t = cfg.s, cfg.t
+    rows, cols, blocks, bcasts = cfg.schedule
+    h = len(blocks)
+    flat = h == 1
+    grid = CartComm(ctx.world, s, t)
+    if flat:
+        comms = [grid.row_comm, grid.col_comm]
+    else:
+        splits = level_splits(s, t, rows, cols)
+        comms = [ctx.world.split_by(*splits[c]) for c in sorted(splits)]
     i, j = grid.row, grid.col
-    a_tile_cols = cfg.l // cfg.t
-    b_tile_rows = cfg.l // cfg.s
+
+    # Per level: block, communicators, factors, and the moduli that hold
+    # a coordinate's digits below the level (join) and from it down (hold).
+    levels = []
+    c_hold, r_hold = t, s
+    for q in range(h):
+        c_join, r_join = c_hold // cols[q], r_hold // rows[q]
+        levels.append((q, blocks[q], comms[2 * q], comms[2 * q + 1], c_join,
+                       c_hold, cols[q], r_join, r_hold, rows[q], bcasts[q]))
+        c_hold, r_hold = c_join, r_join
+
+    trace = ctx.trace
+    a_w, b_h = cfg.l // t, cfg.l // s
+    a_held, b_held = [a_tile] + [None] * h, [b_tile] + [None] * h
     c_tile = c_accumulator(a_tile, b_tile, cfg)
+    for g0 in range(0, cfg.l, blocks[-1]):
+        oc, orow = g0 // a_w, g0 // b_h
+        for (q, block, row_comm, col_comm, c_join, c_hold, cf, r_join, r_hold,
+             rf, alg) in levels:
+            if g0 % block:
+                continue  # not at a level-q block boundary
+            if trace:
+                yield from _span(ctx, blocks, q, g0, "A")
+            if j % c_join == oc % c_join:
+                a = None
+                if j % c_hold == oc % c_hold:
+                    off = g0 % (blocks[q - 1] if q else a_w)
+                    a = slice_cols(a_held[q], off, off + block)
+                a_held[q + 1] = yield from row_comm.bcast(
+                    a, root=oc // c_join % cf, algorithm=alg)
+            if trace and flat:
+                yield from ctx.end_span()
+                yield from _span(ctx, blocks, q, g0, "B")
+            if i % r_join == orow % r_join:
+                b = None
+                if i % r_hold == orow % r_hold:
+                    off = g0 % (blocks[q - 1] if q else b_h)
+                    b = slice_rows(b_held[q], off, off + block)
+                b_held[q + 1] = yield from col_comm.bcast(
+                    b, root=orow // r_join % rf, algorithm=alg)
+            if trace:
+                yield from ctx.end_span()
 
-    for k in range(cfg.nsteps):
-        g0 = k * cfg.block
-
-        yield from ctx.span("bcast.row", step=k, matrix="A")
-        owner_col = g0 // a_tile_cols
-        a_piv = None
-        if j == owner_col:
-            c0 = g0 % a_tile_cols
-            a_piv = slice_cols(a_tile, c0, c0 + cfg.block)
-        a_piv = yield from grid.row_comm.bcast(
-            a_piv, root=owner_col, algorithm=cfg.bcast
-        )
-        yield from ctx.end_span()
-
-        yield from ctx.span("bcast.col", step=k, matrix="B")
-        owner_row = g0 // b_tile_rows
-        b_piv = None
-        if i == owner_row:
-            r0 = g0 % b_tile_rows
-            b_piv = slice_rows(b_tile, r0, r0 + cfg.block)
-        b_piv = yield from grid.col_comm.bcast(
-            b_piv, root=owner_row, algorithm=cfg.bcast
-        )
-        yield from ctx.end_span()
-
-        yield from ctx.span("gemm", step=k)
-        c_tile = yield from local_gemm_acc(ctx, c_tile, a_piv, b_piv)
-        yield from ctx.end_span()
+        if trace:
+            yield from _span(ctx, blocks, h, g0, None)
+        c_tile = yield from local_gemm_acc(ctx, c_tile, a_held[h], b_held[h])
+        if trace:
+            yield from ctx.end_span()
     return c_tile
+
+
+def _span(ctx: MpiContext, blocks: tuple[int, ...], q: int, g0: int,
+          matrix: str | None) -> Any:
+    """Open the span around level ``q``'s broadcast of ``matrix``
+    (``q = h``: the gemm) at the step starting at ``g0``.  One level
+    names each matrix's broadcast (SUMMA), more name each level
+    (HSUMMA's ``bcast.inter`` / ``bcast.intra``)."""
+    h, top = len(blocks), blocks[0]
+    if h == 1:
+        if q == h:
+            return ctx.span("gemm", step=g0 // top)
+        return ctx.span("bcast.row" if matrix == "A" else "bcast.col",
+                        step=g0 // top, matrix=matrix)
+    name = ("gemm" if q == h else "bcast.inter" if q == 0
+            else "bcast.intra" if q == h - 1 else f"bcast.mid{q}")
+    if q == 0:
+        return ctx.span(name, step=g0 // top)
+    return ctx.span(name, step=g0 // top, inner_step=g0 % top // blocks[-1])
 
 
 def c_accumulator(a_tile: Any, b_tile: Any, cfg: Any) -> Any:
@@ -155,11 +255,17 @@ def _configure(m: int, l: int, n: int,
                               block=shape.block, bcast=shape.bcast)
 
 
+def symmetry(cfg: Any) -> Any:
+    """The collapse declaration of a level-scheduled run."""
+    rows, cols, _, _ = cfg.schedule
+    return collapse().summa_symmetry(cfg.s, cfg.t, rows, cols)
+
+
 SUMMA = AlgorithmSpec(
     name="summa",
     display="summa",
     program=summa_program,
-    symmetry=lambda cfg: collapse().summa_symmetry(cfg.s, cfg.t),
+    symmetry=symmetry,
     predict=predict_summa,
     configure=_configure,
     overlap="repro.core.overlap:SUMMA_OVERLAP",

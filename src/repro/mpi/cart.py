@@ -8,34 +8,51 @@ column communicators both algorithms broadcast along.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+import functools
+import math
+import types
+from typing import Any, Generator, Mapping
 
 from repro.errors import CommunicatorError
 from repro.mpi.comm import Comm
 
 
-def cart_splits(t: int) -> dict[int, tuple]:
-    """``child -> (color_of, key_of)`` of the row (world child 0) and
-    column (child 1) splits of an ``s x t`` grid.  Pure arithmetic, so
-    the symmetry declarations of :mod:`repro.simulator.collapse` can
-    evaluate them over a numpy array of ranks."""
-    return {
-        0: (lambda r: r // t, lambda r: r % t),
-        1: (lambda r: r % t, lambda r: r // t),
-    }
+@functools.lru_cache(maxsize=64)
+def level_splits(s: int, t: int, rows: tuple[int, ...],
+                 cols: tuple[int, ...]) -> Mapping[int, tuple]:
+    """``child -> (color_of, key_of)`` of the communicators of an
+    ``s x t`` grid split into ``h = len(rows)`` nested levels, outermost
+    first: ``rows``/``cols`` are per-level factors of ``s``/``t``, and
+    grid row ``i`` has one mixed-radix digit per level (likewise
+    column ``j``).  Level ``q``'s row communicator fixes the grid row
+    and every column digit but digit ``q``, which orders it; its column
+    communicator is the transpose.  At ``h = 1`` they are the Cartesian
+    row and column (world children 0/1); below that, level ``q``'s pair
+    is children ``2 + 2q`` / ``3 + 2q`` (at ``h = 2``, the outer and
+    inner pairs of :class:`GroupedCartComm`).  A color is the fixed
+    grid row (column) times ``t / cols[q]`` (``s / rows[q]``) plus the
+    other digits read as one number.  Pure arithmetic, so the symmetry
+    declarations of :mod:`repro.simulator.collapse` can evaluate them
+    over a numpy array of ranks.  Every rank of a run asks for the same
+    splits, so they are built once and shared, read-only."""
+    first = 0 if len(rows) == 1 else 2
+    splits = {}
+    for q in range(len(rows)):
+        splits[first + 2 * q], splits[first + 2 * q + 1] = _level_pair(
+            s, t, rows[q], cols[q], math.prod(rows[q + 1:]),
+            math.prod(cols[q + 1:]))
+    return types.MappingProxyType(splits)
 
 
-def grouped_splits(s: int, t: int, I: int, J: int) -> dict[int, tuple]:
-    """The four splits :class:`GroupedCartComm` adds (world children
-    2-5: outer row, outer column, inner row, inner column), as
-    :func:`cart_splits`."""
-    si, tj = s // I, t // J
-    return {
-        2: (lambda r: (r // t) * tj + (r % t) % tj, lambda r: (r % t) // tj),
-        3: (lambda r: (r % t) * si + (r // t) % si, lambda r: (r // t) // si),
-        4: (lambda r: (r // t) * J + (r % t) // tj, lambda r: (r % t) % tj),
-        5: (lambda r: (r % t) * I + (r // t) // si, lambda r: (r // t) % si),
-    }
+def _level_pair(s: int, t: int, rf: int, cf: int, rb: int,
+                cb: int) -> tuple[tuple, tuple]:
+    """The row and column splits of one level with factors ``rf``/``cf``
+    and ``rb``/``cb`` grid rows/columns below it."""
+    ra, ca, rw, cw = rb * rf, cb * cf, s // rf, t // cf
+    return ((lambda r: r // t * cw + r % t // ca * cb + r % cb,
+             lambda r: r % t // cb % cf),
+            (lambda r: r % t * rw + r // t // ra * rb + r // t % rb,
+             lambda r: r // t // rb % rf))
 
 
 class CartComm:
@@ -57,7 +74,7 @@ class CartComm:
         self.t = t
         self.row, self.col = divmod(comm.rank, t)
         # Collective: every member executes both splits in this order.
-        splits = cart_splits(t)
+        splits = level_splits(s, t, (s,), (t,))
         self.row_comm = comm.split_by(*splits[0])
         self.col_comm = comm.split_by(*splits[1])
 
@@ -95,8 +112,9 @@ class GroupedCartComm(CartComm):
     inner coordinates ``(ii, jj) = (i % (s/I), j % (t/J))``.  On top of
     the Cartesian row/column pair, four communicators are created
     collectively, always in this order — they are the world's children
-    2-5 (:func:`grouped_splits`), which the symmetry declarations in
-    :mod:`repro.simulator.collapse` key on and enumerate:
+    2-5 (:func:`level_splits` at two levels), which the symmetry
+    declarations in :mod:`repro.simulator.collapse` key on and
+    enumerate:
 
     * ``outer_row``: fixed (grid row, inner col), varying group column
       — communicator rank equals ``y``;
@@ -112,7 +130,7 @@ class GroupedCartComm(CartComm):
         self.inner_s, self.inner_t = si, tj
         self.x, self.ii = divmod(self.row, si)
         self.y, self.jj = divmod(self.col, tj)
-        splits = grouped_splits(s, t, I, J)
+        splits = level_splits(s, t, (I, si), (J, tj))
         self.outer_row = comm.split_by(*splits[2])
         self.outer_col = comm.split_by(*splits[3])
         self.inner_row = comm.split_by(*splits[4])

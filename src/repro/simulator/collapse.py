@@ -61,12 +61,13 @@ bit-identity against the per-rank implementation.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import DeadlockError, SimulationError
-from repro.mpi.cart import cart_splits, grouped_splits
+from repro.mpi.cart import level_splits
 from repro.network.model import Network
 from repro.simulator.backends import MacroBackend
 from repro.simulator.engine import RankProgram, _PARKED, _RankState
@@ -99,7 +100,7 @@ class GridSymmetry:
     """A runner's declaration of its rank-equivalence structure — the
     one type every layout fills in (the factory functions at the bottom
     of this module: plain and torus-shift 2-D grids, the DNS 3-D mesh,
-    the 2.5D layer stack, the multilevel hierarchy).
+    the 2.5D layer stack).
 
     Parameters
     ----------
@@ -732,12 +733,12 @@ class CollapsedMacroEngine(MacroBackend):
 #
 # The class-key maps below are coupled, by design, to the communicator
 # creation order of the rank programs (CartComm row = world child 0,
-# col = 1; then outer row/outer col/inner row/inner col = 2..5 where
-# the program creates them; the multilevel hierarchy's level comms at
-# 2+2*lev / 3+2*lev).  docs/cost_model.md derives each map from the
-# program's per-step clock evolution.  The SUMMA, HSUMMA and cyclic
-# declarations also enumerate their communicators' members, from the
-# split functions of repro.mpi.cart that the programs split by.
+# col = 1; below one level, level q's row/column comms at 2+2q / 3+2q
+# — at two levels, outer row/outer col/inner row/inner col = 2..5).
+# docs/cost_model.md derives each map from the program's per-step
+# clock evolution.  The SUMMA and cyclic declarations also enumerate
+# their communicators' members, from the split functions of
+# repro.mpi.cart that the programs split by.
 
 
 def _grid(
@@ -767,7 +768,7 @@ def _grid(
     with ``(min(i, probe_rows-1), min(j, probe_cols-1))``.
 
     ``splits`` (``child -> (color_of, key_of)``, as
-    :func:`repro.mpi.cart.cart_splits` returns them) declares the
+    :func:`repro.mpi.cart.level_splits` returns them) declares the
     members of every communicator of the families in ``class_keys``
     (:attr:`GridSymmetry.communicators`).
     """
@@ -823,64 +824,61 @@ def _split_members(
             yield child, int(colors[members[0]]), tuple(members.tolist())
 
 
-def summa_symmetry(s: int, t: int) -> GridSymmetry:
-    """Flat SUMMA (and flat block-cyclic SUMMA): every row comm behaves
-    like every other row comm, ditto columns — a 1x1 probe cross."""
-    return _grid(s, t, 1, 1, {0: _const, 1: _const}, splits=cart_splits(t))
+def summa_symmetry(s: int, t: int, rows: Sequence[int] | None = None,
+                   cols: Sequence[int] | None = None) -> GridSymmetry:
+    """SUMMA over nested levels (:func:`repro.core.summa.summa_program`):
+    ``rows``/``cols`` are per-level factors of ``s``/``t``, outermost
+    first.  One level (the default) is flat SUMMA, and flat block-cyclic
+    SUMMA; HSUMMA with an ``I x J`` group grid is ``(I, s/I)``,
+    ``(J, t/J)``.
 
+    Within a step, level ``q``'s broadcasts run only on ranks whose
+    digits below ``q`` match the step owner's, so ranks desynchronise
+    by those digits; the innermost column broadcast runs everywhere
+    and re-synchronises them.  Digits no guard reads are unobservable:
+    ranks twin modulo the grid extent below the first level whose
+    factor exceeds 1 (HSUMMA: one group; SUMMA: a cross).
 
-def hsumma_symmetry(s: int, t: int, I: int, J: int) -> GridSymmetry:
-    """HSUMMA with an ``I x J`` group grid; ranks twin modulo one
-    group, ``(s/I) x (t/J)``.
-
-    Within an outer step the guarded outer phases desynchronise ranks
-    by their inner coordinates, so the class keys carry exactly the
-    coordinates that phase order makes observable: outer-row comms
-    split by ``jj`` (guard + seq alignment), outer-col comms by
-    ``(ii, jj)`` (seq alignment + start-time split), inner-row comms
-    by ``ii`` (start-time split), inner-col comms are uniform.
-
-    With ``J > 1`` the probe is grid row 0 plus the first ``t/J`` grid
-    columns, ``t + (t/J)(s-1)`` ranks: row 0 holds an outer-row
-    primary per ``jj``; the columns hold every twin, an outer-col
-    primary per ``(ii, jj)``, an inner-row primary per ``ii`` (group
-    column 0) and the inner-col primary.
-
-    Degenerate group strips simplify: a trivial outer dimension's
-    broadcast is a free single-member no-op, so the desync (and the
-    probe) shrinks with it.
+    A level-``q`` row communicator's class is its column digits below
+    ``q`` (which steps it joins) and, once a column broadcast above
+    ``q`` is non-trivial, its row's digits from ``q`` down (whether its
+    members waited for one); a column communicator's is its row digits
+    below ``q`` and, once a row broadcast down to ``q`` is non-trivial,
+    its column's digits below ``q``.  The probe is grid row 0 plus the
+    twin columns; the first non-trivial row communicator spans beyond
+    those, so when its class reads row digits every row they tell
+    apart is probed whole (HSUMMA at ``J = 1``).  Levels with factor 1
+    above the innermost run free one-member broadcasts and declare
+    nothing.  ``docs/cost_model.md`` section 4 derives the keys.
     """
-    si, tj = s // I, t // J
-    splits = grouped_splits(s, t, I, J)
-    if I == 1 and J == 1:
-        # Both outer phases are free; the inner comms span full grid
-        # rows/columns and stay in lockstep — SUMMA's cross probe.
-        return _grid(s, t, 1, 1, {4: _const, 5: _const}, splits=splits)
-    if I == 1:
-        # No outer-col phase, so nothing desynchronises by ii: the
-        # inner comms run uniformly and only jj (outer-row guard)
-        # structures the run.
-        return _grid(s, t, 1, tj, {
-            2: lambda color: color % tj,  # color = i*tj + jj
-            4: _const,
-            5: _const,
-        }, splits=splits)
-    if J == 1:
-        # No outer-row phase; outer-col comms need ii for sequence
-        # alignment, and inner-row comms (whose members all share ii)
-        # start at different times depending on ii == ik — a whole
-        # grid row per ii is a primary, so si rows are probed whole.
-        return _grid(s, t, si, 1, {
-            3: lambda color: color % si,  # color = j*si + ii
-            4: lambda color: color % si,  # color = i*J + y = i
-            5: _const,
-        }, splits=splits)
-    return _grid(s, t, si, tj, {
-        2: lambda color: color % tj,                      # color = i*tj + jj
-        3: lambda color: (color % si, (color // si) % tj),  # = j*si + ii
-        4: lambda color: (color // J) % si,               # color = i*J + y
-        5: _const,                                        # color = j*I + x
-    }, full_rows=1, splits=splits)
+    rows = tuple(rows or (s,))
+    cols = tuple(cols or (t,))
+    h = len(rows)
+    r_below = [math.prod(rows[q + 1:]) for q in range(h)]
+    c_below = [math.prod(cols[q + 1:]) for q in range(h)]
+    r_hold = [s, *r_below[:-1]]
+    c_first = next((q for q in range(h) if cols[q] > 1), h - 1)
+    r_first = next((q for q in range(h) if rows[q] > 1), h - 1)
+    first = 0 if h == 1 else 2
+    keys: dict[int, Callable[[Any], Any]] = {}
+    for q in range(h):
+        if cols[q] > 1 or q == h - 1:
+            keys[first + 2 * q] = _level_key(
+                t // cols[q], r_hold[q] if r_first < q else 1, c_below[q])
+        if rows[q] > 1 or q == h - 1:
+            keys[first + 2 * q + 1] = _level_key(
+                s // rows[q], c_below[q] if c_first <= q else 1, r_below[q])
+    return _grid(s, t, r_below[r_first], c_below[c_first], keys,
+                 full_rows=r_hold[c_first] if r_first < c_first else 1,
+                 splits=level_splits(s, t, rows, cols))
+
+
+def _level_key(width: int, fixed: int, own: int) -> Callable[[Any], tuple]:
+    """Class key of a level communicator whose color is its fixed grid
+    row (column) times ``width`` plus its other digits
+    (:func:`repro.mpi.cart.level_splits`): the fixed coordinate modulo
+    ``fixed``, the other digits modulo ``own``."""
+    return lambda color: (color // width % fixed, color % own)
 
 
 def cyclic_symmetry(s: int, t: int, I: int = 1, J: int = 1) -> GridSymmetry:
@@ -894,7 +892,7 @@ def cyclic_symmetry(s: int, t: int, I: int = 1, J: int = 1) -> GridSymmetry:
     if I * J <= 1:
         return summa_symmetry(s, t)
     si, tj = s // I, t // J
-    splits = grouped_splits(s, t, I, J)
+    splits = level_splits(s, t, (I, si), (J, tj))
     if I == 1:
         return _grid(s, t, 1, tj, {
             2: lambda color: color % tj,
@@ -1070,75 +1068,3 @@ def summa25d_symmetry(q: int, c: int) -> GridSymmetry:
         # Child 0 is the layer axis: one lockstep class.
         class_keys={0: _const, 1: layer_key, 2: layer_key},
     )
-
-
-def multilevel_symmetry(
-    s: int, t: int,
-    row_factors: Sequence[int],
-    col_factors: Sequence[int],
-) -> GridSymmetry:
-    """The h-level hierarchy of ``hsumma_multilevel_program``: level
-    ``lev``'s horizontal comm is world child ``2 + 2*lev`` (color
-    ``(i, other col digits)``, key ``col digit lev``) and the vertical
-    comm is child ``3 + 2*lev``, with broadcasts guarded by the deeper
-    digits matching the step owner's.
-
-    The level-0 digits of ``i``/``j`` are unobservable (no guard
-    references them; they only select rootness, which a
-    participant-invariant coster cannot see), so ranks collapse modulo
-    the level-0 factor: probe ``(s / row_factors[0]) x
-    (t / col_factors[0])``, and a comm's class keeps every digit the
-    guards can read — the deeper digits of its fixed coordinate plus
-    its deeper fixed split digits.  ``h = 1`` degenerates to the SUMMA
-    cross; ``h = 2`` refines :func:`hsumma_symmetry` (same probe,
-    finer comm classes — equally sound, verified en route).  Breakage
-    conditions: ``row_factors[0] == 1`` (probe covers the grid),
-    concrete tiles, faults, tracing spans.
-    """
-    rf = tuple(row_factors)
-    cf = tuple(col_factors)
-    h = len(rf)
-    if h == 0 or len(cf) != h:
-        raise SimulationError(
-            f"bad multilevel factors: {rf!r} vs {cf!r}")
-
-    def prod(xs: Sequence[int]) -> int:
-        out = 1
-        for v in xs:
-            out *= v
-        return out
-
-    rbelow = [prod(rf[lev + 1:]) for lev in range(h)]
-    cbelow = [prod(cf[lev + 1:]) for lev in range(h)]
-
-    def row_tail(i: int) -> tuple:
-        # Digits 1..h-1 of a row index (digit 0 dropped: unobservable).
-        rem = i % rbelow[0]
-        out = []
-        for lev in range(1, h):
-            d, rem = divmod(rem, rbelow[lev])
-            out.append(d)
-        return tuple(out)
-
-    def col_tail(j: int) -> tuple:
-        rem = j % cbelow[0]
-        out = []
-        for lev in range(1, h):
-            d, rem = divmod(rem, cbelow[lev])
-            out.append(d)
-        return tuple(out)
-
-    class_keys: dict[int, Callable[[Any], Any]] = {}
-    for lev in range(h):
-        def h_key(color: Any, lev: int = lev) -> tuple:
-            i, cds = color
-            # cds lists col digits q != lev ascending; drop digit 0.
-            return (row_tail(i), cds if lev == 0 else cds[1:])
-
-        def v_key(color: Any, lev: int = lev) -> tuple:
-            j, rds = color
-            return (col_tail(j), rds if lev == 0 else rds[1:])
-
-        class_keys[2 + 2 * lev] = h_key
-        class_keys[3 + 2 * lev] = v_key
-    return _grid(s, t, s // rf[0], t // cf[0], class_keys)

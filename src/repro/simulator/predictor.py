@@ -34,8 +34,8 @@ million ``RankStats``) and empty ``return_values``;
 :func:`repro.core.launch.launch` builds the phantom ``C`` itself.  Use
 ``backend="predictor"`` through the runner of any family whose
 :data:`repro.core.launch.FAMILIES` row carries a chain (SUMMA, HSUMMA,
-block-cyclic, Cannon, Fox, DNS 3-D, 2.5D) or the CLI; families without
-one refuse by name.
+block-cyclic, Cannon, Fox, DNS 3-D, 2.5D), the multi-level hierarchy
+or the CLI; families without one refuse by name.
 """
 
 from __future__ import annotations
@@ -385,42 +385,37 @@ def chain_walk(
     return decorate
 
 
-@chain_walk(lambda cfg: (cfg.bcast,))
+@chain_walk(lambda cfg: cfg.schedule.bcasts)
 def predict_summa(run: _Run, cfg: Any) -> list:
-    """Closed-form prediction of a SUMMA run (``cfg`` as
-    :class:`repro.core.summa.SummaConfig`); see the module docstring
-    for the fidelity contract."""
-    mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
-    return [repeat(cfg.nsteps, [
-        bcast(cfg.t, mloc * cfg.block * run.a_itemsize, 0),
-        bcast(cfg.s, cfg.block * nloc * run.b_itemsize, 1),
-        compute(run.gemm_seconds(mloc, cfg.block, nloc)),
-    ])]
+    """Closed-form prediction of a SUMMA run over ``cfg.schedule``
+    (:class:`repro.core.summa.Levels`): one level is SUMMA, two are
+    HSUMMA, more the multi-level hierarchy.
 
-
-@chain_walk(lambda cfg: (cfg.outer_bcast, cfg.inner_bcast))
-def predict_hsumma(run: _Run, cfg: Any) -> list:
-    """Closed-form prediction of an HSUMMA run (``cfg`` as
-    :class:`repro.core.hsumma.HSummaConfig`).
-
-    Per outer step the critical chain is outer-row, outer-col, then
-    ``inner_steps`` repetitions of inner-row, inner-col, gemm — the
-    order every macro rank's clock converges to (the guarded outer
-    phases desynchronise ranks within a step; the first unguarded
-    inner collective re-synchronises them at the latest arrival).
+    One nested ``repeat`` per level: each level's row and column
+    broadcasts, then the next level's loop over its blocks — at the
+    innermost level, the gemm.  That is the order every macro rank's
+    clock converges to: guarded broadcasts desynchronise ranks within
+    a step, and the first unguarded collective below them
+    re-synchronises them at the latest arrival (``docs/cost_model.md``
+    derives it).  See the module docstring for the fidelity contract.
     """
-    outer_alg, inner_alg = run.bcasts
+    rows, cols, blocks, _ = cfg.schedule
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
     a_row, b_row = mloc * run.a_itemsize, nloc * run.b_itemsize
-    return [repeat(cfg.outer_steps, [
-        bcast(cfg.J, a_row * cfg.outer_block, 2, outer_alg),
-        bcast(cfg.I, cfg.outer_block * b_row, 3, outer_alg),
-        repeat(cfg.inner_steps, [
-            bcast(cfg.inner_t, a_row * cfg.inner_block, 4, inner_alg),
-            bcast(cfg.inner_s, cfg.inner_block * b_row, 5, inner_alg),
-            compute(run.gemm_seconds(mloc, cfg.inner_block, nloc)),
-        ]),
-    ])]
+    first = 0 if len(blocks) == 1 else 2
+    chain = [compute(run.gemm_seconds(mloc, blocks[-1], nloc))]
+    for q in reversed(range(len(blocks))):
+        chain = [repeat((blocks[q - 1] if q else cfg.l) // blocks[q], [
+            bcast(cols[q], a_row * blocks[q], first + 2 * q, run.bcasts[q]),
+            bcast(rows[q], blocks[q] * b_row, first + 2 * q + 1,
+                  run.bcasts[q]),
+            *chain,
+        ])]
+    return chain
+
+
+#: HSUMMA is SUMMA over a two-level schedule.
+predict_hsumma = predict_summa
 
 
 @chain_walk()

@@ -70,7 +70,7 @@ def _multilevel_case() -> CorpusCase:
     return CorpusCase(
         name="hsumma-multilevel",
         run=run,
-        description="three-level hierarchy on a 4x4 grid",
+        description="two-level hierarchy (2x2 groups) on a 4x4 grid",
     )
 
 

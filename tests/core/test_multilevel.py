@@ -1,35 +1,21 @@
 """Tests for the multi-level HSUMMA extension (paper future work)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.blocks.dmatrix import DistMatrix
 from repro.blocks.verify import max_abs_error
-from repro.core.hsumma import MultiLevelConfig, hsumma_multilevel_program
+from repro.core.hsumma import (
+    MultiLevelConfig,
+    run_hsumma,
+    run_hsumma_multilevel,
+)
 from repro.errors import ConfigurationError
-from repro.mpi.comm import CollectiveOptions, MpiContext
-from repro.network.homogeneous import HomogeneousNetwork
+from repro.mpi.comm import CollectiveOptions
 from repro.network.model import HockneyParams
-from repro.simulator.engine import Engine
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
-
-
-def run_multilevel(A, B, cfg, options=None, gamma=0.0):
-    nranks = cfg.s * cfg.t
-    da = DistMatrix.from_global(A, cfg.s, cfg.t)
-    db = DistMatrix.from_global(B, cfg.s, cfg.t)
-    programs = []
-    for rank in range(nranks):
-        i, j = divmod(rank, cfg.t)
-        ctx = MpiContext(rank, nranks, options=options, gamma=gamma)
-        programs.append(
-            hsumma_multilevel_program(ctx, da.tile(i, j), db.tile(i, j), cfg)
-        )
-    sim = Engine(HomogeneousNetwork(nranks, PARAMS)).run(programs)
-    dc = DistMatrix.from_global(np.zeros((cfg.m, cfg.n)), cfg.s, cfg.t)
-    tiles = {divmod(r, cfg.t): sim.return_values[r] for r in range(nranks)}
-    return dc.dist.assemble(tiles), sim
 
 
 class TestMultiLevelConfig:
@@ -57,55 +43,49 @@ class TestMultiLevelCorrectness:
         n = 16
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        cfg = MultiLevelConfig(m=n, l=n, n=n, s=4, t=4,
-                               row_factors=(4,), col_factors=(4,),
-                               blocks=(4,))
-        C, _ = run_multilevel(A, B, cfg)
+        C, _ = run_hsumma_multilevel(
+            A, B, grid=(4, 4), row_factors=(4,), col_factors=(4,),
+            blocks=(4,), params=PARAMS)
         assert max_abs_error(C, A @ B) < 1e-10
 
     def test_two_levels_match_hsumma(self, rng):
         n = 32
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        cfg = MultiLevelConfig(m=n, l=n, n=n, s=4, t=4,
-                               row_factors=(2, 2), col_factors=(2, 2),
-                               blocks=(8, 4))
-        C, _ = run_multilevel(A, B, cfg)
+        C, _ = run_hsumma_multilevel(
+            A, B, grid=(4, 4), row_factors=(2, 2), col_factors=(2, 2),
+            blocks=(8, 4), params=PARAMS)
         assert max_abs_error(C, A @ B) < 1e-10
 
     def test_three_levels(self, rng):
         n = 32
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        cfg = MultiLevelConfig(m=n, l=n, n=n, s=8, t=8,
-                               row_factors=(2, 2, 2), col_factors=(2, 2, 2),
-                               blocks=(4, 4, 2))
-        C, _ = run_multilevel(A, B, cfg)
+        C, _ = run_hsumma_multilevel(
+            A, B, grid=(8, 8), row_factors=(2, 2, 2), col_factors=(2, 2, 2),
+            blocks=(4, 4, 2), params=PARAMS)
         assert max_abs_error(C, A @ B) < 1e-10
 
     def test_asymmetric_factors(self, rng):
         n = 24
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        cfg = MultiLevelConfig(m=n, l=n, n=n, s=2, t=6,
-                               row_factors=(2, 1), col_factors=(3, 2),
-                               blocks=(4, 2))
-        C, _ = run_multilevel(A, B, cfg)
+        C, _ = run_hsumma_multilevel(
+            A, B, grid=(2, 6), row_factors=(2, 1), col_factors=(3, 2),
+            blocks=(4, 2), params=PARAMS)
         assert max_abs_error(C, A @ B) < 1e-10
 
     def test_two_level_timing_matches_hsumma_runner(self):
-        """Multi-level with h=2 must cost the same as run_hsumma."""
-        from repro.core.hsumma import run_hsumma
-
+        """Multi-level with h=2 is run_hsumma, every field of every rank."""
         n = 32
         rng = np.random.default_rng(0)
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         vdg = CollectiveOptions(bcast="vandegeijn")
-        cfg = MultiLevelConfig(m=n, l=n, n=n, s=4, t=4,
-                               row_factors=(2, 2), col_factors=(2, 2),
-                               blocks=(8, 8))
-        _, ml_sim = run_multilevel(A, B, cfg, options=vdg)
+        _, ml_sim = run_hsumma_multilevel(
+            A, B, grid=(4, 4), row_factors=(2, 2), col_factors=(2, 2),
+            blocks=(8, 8), params=PARAMS, options=vdg)
         _, h_sim = run_hsumma(A, B, grid=(4, 4), groups=(2, 2),
                               outer_block=8, params=PARAMS, options=vdg)
-        assert ml_sim.total_time == pytest.approx(h_sim.total_time)
+        assert ([dataclasses.astuple(r) for r in ml_sim.stats]
+                == [dataclasses.astuple(r) for r in h_sim.stats])

@@ -45,12 +45,12 @@ from repro.simulator.collapse import (
     cannon_symmetry,
     dns3d_symmetry,
     fox_symmetry,
-    multilevel_symmetry,
     summa25d_symmetry,
     summa_symmetry,
 )
 from tests.property.conformance import (
     GROUP_GRIDS,
+    MULTILEVEL,
     Run,
     check_collapse,
     check_predictor,
@@ -166,6 +166,9 @@ MULTILEVEL_CONFIGS = [
     (4, 8, (2, 2), (2, 4), (8, 4)),
     (8, 8, (2, 2, 2), (2, 2, 2), (8, 4, 2)),
     (4, 4, (4,), (4,), (4,)),
+    # Trivial top-level factors: collapses like the two levels below.
+    (8, 8, (1, 2, 4), (1, 4, 2), (8, 4, 2)),
+    (4, 8, (1, 2, 2), (2, 1, 4), (8, 8, 4)),
 ]
 
 
@@ -207,6 +210,10 @@ class TestNewFamiliesPredictor:
 
     def test_25d(self):
         _predicts(_widest("2.5d"))
+
+    def test_multilevel(self):
+        _predicts(widest_run(MULTILEVEL,
+                             CollectiveOptions(bcast="vandegeijn")))
 
 
 class TestNewFamiliesFallBack:
@@ -297,7 +304,7 @@ class TestNewFamiliesFallBack:
         A = rng.standard_normal((32, 32))
         B = rng.standard_normal((32, 32))
         net = HomogeneousNetwork(16, PARAMS)
-        col = MacroBackend(net, symmetry=multilevel_symmetry(
+        col = MacroBackend(net, symmetry=summa_symmetry(
             4, 4, (2, 2), (2, 2)))
         C, sim = run_hsumma_multilevel(
             A, B, grid=(4, 4), row_factors=(2, 2), col_factors=(2, 2),

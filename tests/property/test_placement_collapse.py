@@ -32,7 +32,7 @@ import functools
 import pytest
 
 from repro.core.cyclic import run_cyclic
-from repro.core.hsumma import run_hsumma
+from repro.core.hsumma import HSUMMA_MULTILEVEL, MultiLevelConfig, run_hsumma
 from repro.core.summa import run_summa
 from repro.experiments.stepmodel import MicroDesCoster, TopologyCoster
 from repro.mpi.comm import CollectiveOptions
@@ -44,9 +44,10 @@ from repro.platforms.bluegene import BGP_PARAMS, bluegene_p
 from repro.platforms.grid5000 import grid5000_graphene
 from repro.simulator import collapse
 from repro.simulator.backends import MacroBackend
-from repro.simulator.collapse import hsumma_symmetry, summa_symmetry
+from repro.simulator.collapse import summa_symmetry
 from tests.property.conformance import (
     GROUP_GRIDS,
+    Run,
     check_collapse,
     widest_run,
 )
@@ -105,6 +106,18 @@ class TestTopologyCollapseEqualsPerRank:
     def test_cyclic(self):
         _collapses_on_torus("cyclic", GROUP_GRIDS)
 
+    def test_multilevel_with_trivial_top_level(self):
+        cfg = MultiLevelConfig(m=64, l=64, n=64, s=4, t=8,
+                               row_factors=(1, 2, 2), col_factors=(1, 4, 2),
+                               blocks=(8, 4, 4))
+        run = Run(HSUMMA_MULTILEVEL, cfg, (64, 64, 64),
+                  frozenset({"vandegeijn"}), False,
+                  CollectiveOptions(bcast="vandegeijn"), "torus",
+                  phantom=True, trace=False)
+        net = run.net()
+        sim = check_collapse(run, net, TopologyCoster(net, "vandegeijn"))
+        assert sim.collapse["mode"] == "collapsed", sim.collapse
+
 
 def test_classes_of_one_family_on_different_placements_are_priced_apart():
     # Three nodes a switch under a 6x4 grid: rows 0, 1 and 2 meet the
@@ -114,7 +127,7 @@ def test_classes_of_one_family_on_different_placements_are_priced_apart():
     # three alike.
     net = SwitchedCluster(nnodes=24, nodes_per_switch=3,
                           params=HockneyParams(alpha=1e-4, beta=1e-9))
-    sym = hsumma_symmetry(6, 4, 2, 1)
+    sym = summa_symmetry(6, 4, (2, 3), (1, 4))
     placements = sym.placed(net).placements
     keys = {pkey for (child, _), (pkey, _) in placements.items() if child == 4}
     assert len(keys) == 3
@@ -188,7 +201,7 @@ class TestRefusals:
             runner = functools.partial(run_summa, A, B, grid=(8, 8), block=4,
                                        gamma=GAMMA)
         else:
-            sym = hsumma_symmetry(8, 8, 2, 4)
+            sym = summa_symmetry(8, 8, (2, 4), (4, 2))
             runner = functools.partial(
                 run_hsumma, A, B, grid=(8, 8), groups=(2, 4), outer_block=8,
                 inner_block=4, gamma=GAMMA)

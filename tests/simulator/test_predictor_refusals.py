@@ -225,16 +225,6 @@ class TestLegitimateRefusals:
                        "backend='macro'")
         assert "backend='des'" in msg
 
-    def test_multilevel_refuses_with_named_fallback(self):
-        from repro.core.hsumma import run_hsumma_multilevel
-
-        A, B = _phantoms()
-        with pytest.raises(ConfigurationError) as exc:
-            run_hsumma_multilevel(A, B, grid=(4, 4),
-                                  row_factors=(2, 2), col_factors=(2, 2),
-                                  blocks=(8, 4), backend="predictor")
-        _refusal(exc, "level-recursive scheduling", "backend='macro'")
-
 
 class TestCosterRefusal:
     def test_participant_dependent_coster(self):
