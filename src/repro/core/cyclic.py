@@ -42,7 +42,7 @@ from repro.core.launch import (
 )
 from repro.core.summa import c_accumulator
 from repro.errors import ConfigurationError
-from repro.mpi.cart import CartComm, GroupedCartComm
+from repro.mpi.cart import CartComm, group_levels
 from repro.mpi.comm import MpiContext
 from repro.simulator.predictor import predict_cyclic
 from repro.simulator.tracing import SimResult
@@ -124,10 +124,8 @@ def cyclic_summa_program(
     phases (between groups, then within the group); with ``overlap``
     the next step's broadcasts are pre-posted before the gemm.
     """
-    if cfg.hierarchical:
-        grid = GroupedCartComm(ctx.world, cfg.s, cfg.t, cfg.I, cfg.J)
-    else:
-        grid = CartComm(ctx.world, cfg.s, cfg.t)
+    grid = CartComm(ctx.world, cfg.s, cfg.t,
+                    *group_levels(cfg.s, cfg.t, cfg.I, cfg.J))
     i, j = grid.row, grid.col
 
     c_tile = c_accumulator(a_tile, b_tile, cfg)
@@ -136,71 +134,46 @@ def cyclic_summa_program(
         """Grid column owning A's block col k; grid row owning B's."""
         return k % cfg.t, k % cfg.s
 
-    # ---- flat (non-hierarchical) broadcast paths ------------------------
-
-    def flat_blocking(k: int) -> Gen:
+    def pivots(k: int) -> tuple[Any, Any]:
+        """This rank's share of step ``k``'s pivots (None off owner)."""
         oc, orow = owners(k)
-        a_piv = _local_pivot_a(a_tile, cfg, k) if j == oc else None
-        a_piv = yield from grid.row_comm.bcast(a_piv, root=oc)
-        b_piv = _local_pivot_b(b_tile, cfg, k) if i == orow else None
-        b_piv = yield from grid.col_comm.bcast(b_piv, root=orow)
-        return a_piv, b_piv
-
-    seg = ctx.options.bcast_segments
-
-    def flat_make(k: int) -> tuple[IBcast, IBcast]:
-        oc, orow = owners(k)
-        return (IBcast(grid.row_comm, oc, tag_salt=k, segments=seg),
-                IBcast(grid.col_comm, orow, tag_salt=k, segments=seg))
-
-    def flat_complete(pair, k: int) -> Gen:
-        oc, orow = owners(k)
-        a_src = _local_pivot_a(a_tile, cfg, k) if j == oc else None
-        b_src = _local_pivot_b(b_tile, cfg, k) if i == orow else None
-        a_piv = yield from pair[0].complete(a_src)
-        b_piv = yield from pair[1].complete(b_src)
-        return a_piv, b_piv
-
-    # ---- hierarchical broadcast path (two phases per pivot) -------------
-
-    def hier_blocking(k: int) -> Gen:
-        oc, orow = owners(k)
-        a_piv = _local_pivot_a(a_tile, cfg, k) if j == oc else None
-        a_piv = yield from grid.bcast_row(a_piv, oc)
-        b_piv = _local_pivot_b(b_tile, cfg, k) if i == orow else None
-        b_piv = yield from grid.bcast_col(b_piv, orow)
-        return a_piv, b_piv
+        return (_local_pivot_a(a_tile, cfg, k) if j == oc else None,
+                _local_pivot_b(b_tile, cfg, k) if i == orow else None)
 
     nsteps = cfg.nsteps
 
     if not overlap:
         for k in range(nsteps):
-            if cfg.hierarchical:
-                a_piv, b_piv = yield from hier_blocking(k)
-            else:
-                a_piv, b_piv = yield from flat_blocking(k)
+            oc, orow = owners(k)
+            a_piv, b_piv = pivots(k)
+            a_piv = yield from grid.bcast_row(a_piv, oc)
+            b_piv = yield from grid.bcast_col(b_piv, orow)
             c_tile = yield from local_gemm_acc(ctx, c_tile, a_piv, b_piv)
         return c_tile
 
     if cfg.hierarchical:
         raise ConfigurationError(HIERARCHICAL_OVERLAP)
 
-    cur = flat_make(0)
-    yield from cur[0].post()
-    yield from cur[1].post()
+    seg = ctx.options.bcast_segments
+
+    def post(k: int) -> Gen:
+        oc, orow = owners(k)
+        pair = (IBcast(grid.row_comm, oc, tag_salt=k, segments=seg),
+                IBcast(grid.col_comm, orow, tag_salt=k, segments=seg))
+        yield from pair[0].post()
+        yield from pair[1].post()
+        return pair
+
+    cur = yield from post(0)
     pending: list[IBcast] = []
     for k in range(nsteps):
-        a_piv, b_piv = yield from flat_complete(cur, k)
+        a_src, b_src = pivots(k)
+        a_piv = yield from cur[0].complete(a_src)
+        b_piv = yield from cur[1].complete(b_src)
         pending.extend(cur)
         if k + 1 < nsteps:
-            nxt = flat_make(k + 1)
-            yield from nxt[0].post()
-            yield from nxt[1].post()
-        else:
-            nxt = None
+            cur = yield from post(k + 1)
         c_tile = yield from local_gemm_acc(ctx, c_tile, a_piv, b_piv)
-        if nxt is not None:
-            cur = nxt
         if len(pending) > 8:
             retire, pending = pending[:-4], pending[-4:]
             for bc in retire:

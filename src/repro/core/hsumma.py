@@ -31,7 +31,13 @@ from typing import Any
 
 from repro.core.grouping import arrange_groups, default_group_count
 from repro.core.launch import AlgorithmSpec, launch, product_dims, Shape
-from repro.core.summa import Levels, check_levels, summa_program, symmetry
+from repro.core.summa import (
+    check_levels,
+    Levels,
+    refuse_overlap_bcast,
+    summa_program,
+    symmetry,
+)
 from repro.simulator.predictor import predict_summa
 from repro.simulator.tracing import SimResult
 from repro.util.validation import require_divides
@@ -133,6 +139,7 @@ def _configure(m: int, l: int, n: int,
                shape: Shape) -> tuple[Shape, HSummaConfig]:
     shape = shape.resolve("hsumma", l, "block", "inner_block", "groups",
                           "bcast", "outer_bcast", "segments", "overlap")
+    refuse_overlap_bcast("hsumma", shape, "outer_bcast", "bcast")
     s, t = shape.s, shape.t
     I, J = arrange_groups(s, t, default_group_count(s, t)
                           if shape.groups is None else shape.groups)

@@ -12,7 +12,13 @@ one-step-lookahead scheme on top of the split-phase broadcast
   forwarding is done, so the transfers progress *while* every rank is
   inside its gemm;
 * tree forwarding is nonblocking, so interior ranks relay the next
-  pivots without stalling their own compute.
+  pivots without stalling their own compute;
+* over a hierarchy (HSUMMA) every outer level posts its next block's
+  broadcast as soon as the current one completes, hiding the
+  between-groups transfer behind a whole block of inner steps.
+
+One program (:func:`lookahead_program`) runs this over a config's
+level schedule, so SUMMA (one level) and HSUMMA (two) share it.
 
 In the limit where per-step communication and computation are
 comparable, the virtual makespan drops from ``comm + compute`` towards
@@ -29,194 +35,80 @@ from typing import Any, Generator
 
 from repro.blocks.ops import local_gemm_acc, slice_cols, slice_rows
 from repro.collectives.nonblocking import IBcast
-from repro.core.hsumma import HSUMMA, HSummaConfig
+from repro.core.hsumma import HSUMMA
 from repro.core.launch import AlgorithmSpec, launch, product_dims, Shape
 from repro.core.summa import SummaConfig, c_accumulator
-from repro.mpi.cart import CartComm, GroupedCartComm
+from repro.mpi.cart import CartComm
 from repro.mpi.comm import MpiContext
 from repro.simulator.tracing import SimResult
 
 Gen = Generator[Any, Any, Any]
 
 
-def summa_overlap_program(
-    ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: SummaConfig
+def lookahead_program(
+    ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: Any
 ) -> Gen:
-    """SUMMA with one-step lookahead; returns this rank's ``C`` tile.
+    """SUMMA over ``cfg.schedule`` with lookahead; returns this rank's
+    ``C`` tile.
 
-    Equivalent arithmetic to :func:`repro.core.summa.summa_program`
-    (tests assert identical results); only the schedule differs.
+    The arithmetic of :func:`repro.core.summa.summa_program` over the
+    same schedule and grid legs (:meth:`~repro.mpi.cart.CartComm.leg`);
+    only the schedule differs.  At each level's block boundary the rank
+    completes that level's split-phase broadcasts and posts the next
+    block's, so an outer level hides behind a whole block of steps and
+    the innermost, pre-posted one step ahead, behind the gemm.  Tag
+    salts are the level's block index (``2k`` / ``2k + 1`` for the row
+    / column broadcast of step ``k`` at one level).
     """
-    grid = CartComm(ctx.world, cfg.s, cfg.t)
-    i, j = grid.row, grid.col
-    a_tile_cols = cfg.l // cfg.t
-    b_tile_rows = cfg.l // cfg.s
-    c_tile = c_accumulator(a_tile, b_tile, cfg)
-
-    def pivot_sources(k: int) -> tuple[int, Any, int, Any]:
-        """(owner_col, a_slice_or_None, owner_row, b_slice_or_None)."""
-        g0 = k * cfg.block
-        owner_col = g0 // a_tile_cols
-        owner_row = g0 // b_tile_rows
-        a_src = None
-        if j == owner_col:
-            c0 = g0 % a_tile_cols
-            a_src = slice_cols(a_tile, c0, c0 + cfg.block)
-        b_src = None
-        if i == owner_row:
-            r0 = g0 % b_tile_rows
-            b_src = slice_rows(b_tile, r0, r0 + cfg.block)
-        return owner_col, a_src, owner_row, b_src
-
+    rows, cols, blocks, _ = cfg.schedule
+    h = len(blocks)
+    grid = CartComm(ctx.world, cfg.s, cfg.t, rows, cols)
     seg = ctx.options.bcast_segments
+    # Per matrix (row broadcast of A, column broadcast of B): the tile
+    # extent along the pivot and the slicer.
+    axes = ((cfg.l // cfg.t, slice_cols), (cfg.l // cfg.s, slice_rows))
+    held = ([a_tile] + [None] * h, [b_tile] + [None] * h)
 
-    def make_step(k: int) -> tuple[IBcast, IBcast]:
-        owner_col, _, owner_row, _ = pivot_sources(k)
-        return (
-            IBcast(grid.row_comm, owner_col, tag_salt=2 * k, segments=seg),
-            IBcast(grid.col_comm, owner_row, tag_salt=2 * k + 1, segments=seg),
-        )
+    def post(q: int, g0: int) -> Gen:
+        """Post level ``q``'s broadcasts of the block starting at
+        ``g0``; returns ``(axis, IBcast, source)`` for those this rank
+        joins."""
+        k = g0 // blocks[q]
+        joined = []
+        for x, (extent, _) in enumerate(axes):
+            comm, root, source = grid.leg(q, x, g0 // extent)
+            if comm is not None:
+                bc = IBcast(comm, root, tag_salt=2 * k + x if h == 1 else k,
+                            segments=seg)
+                yield from bc.post()
+                joined.append((x, bc, source))
+        return joined
 
-    # Prime the pipeline: post step 0's receives.
-    cur = make_step(0)
-    yield from cur[0].post()
-    yield from cur[1].post()
-
+    c_tile = c_accumulator(a_tile, b_tile, cfg)
+    posted: list = [None] * h
     pending: list[IBcast] = []
-    for k in range(cfg.nsteps):
-        _, a_src, _, b_src = pivot_sources(k)
-        a_piv = yield from cur[0].complete(a_src)
-        b_piv = yield from cur[1].complete(b_src)
-        pending.extend(cur)
-        if k + 1 < cfg.nsteps:
-            nxt = make_step(k + 1)
-            yield from nxt[0].post()
-            yield from nxt[1].post()
-        else:
-            nxt = None
-        # The gemm overlaps with step k+1's transfers: our irecvs are
-        # posted, the owners isend right after their own forwarding.
-        c_tile = yield from local_gemm_acc(ctx, c_tile, a_piv, b_piv)
-        if nxt is not None:
-            cur = nxt
+    for g0 in range(0, cfg.l, blocks[-1]):
+        for q, block in enumerate(blocks):
+            if g0 % block:
+                continue  # not at a level-q block boundary
+            if posted[q] is None:
+                posted[q] = yield from post(q, g0)
+            for x, bc, source in posted[q]:
+                part = None
+                if source:
+                    extent, cut = axes[x]
+                    off = g0 % (blocks[q - 1] if q else extent)
+                    part = cut(held[x][q], off, off + block)
+                held[x][q + 1] = yield from bc.complete(part)
+                pending.append(bc)
+            posted[q] = ((yield from post(q, g0 + block))
+                         if g0 + block < cfg.l else None)
+        # The gemm overlaps with the posted transfers: our irecvs are
+        # up, the owners isend right after their own forwarding.
+        c_tile = yield from local_gemm_acc(ctx, c_tile, held[0][h],
+                                           held[1][h])
         # Retire old forward-send handles occasionally (keeps the
         # handle list bounded without synchronising the pipeline).
-        if len(pending) > 8:
-            retire, pending = pending[:-4], pending[-4:]
-            for bc in retire:
-                yield from bc.finish()
-
-    for bc in pending:
-        yield from bc.finish()
-    return c_tile
-
-
-def hsumma_overlap_program(
-    ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: HSummaConfig
-) -> Gen:
-    """HSUMMA with lookahead at both hierarchy levels.
-
-    * inner pivots for global step ``q+1`` are pre-posted before the
-      gemm of step ``q`` (as in :func:`summa_overlap_program`);
-    * the *outer* block for outer step ``K+1`` is prefetched while the
-      inner steps of block ``K`` run, hiding the between-groups
-      broadcast behind an entire outer block of computation.
-    """
-    grid = GroupedCartComm(ctx.world, cfg.s, cfg.t, cfg.I, cfg.J)
-    si, tj = cfg.inner_s, cfg.inner_t
-    x, ii, y, jj = grid.x, grid.ii, grid.y, grid.jj
-    outer_row, outer_col = grid.outer_row, grid.outer_col
-    inner_row, inner_col = grid.inner_row, grid.inner_col
-
-    a_tile_cols = cfg.l // cfg.t
-    b_tile_rows = cfg.l // cfg.s
-    c_tile = c_accumulator(a_tile, b_tile, cfg)
-
-    def outer_owner(K: int) -> tuple[int, int, int, int]:
-        g0 = K * cfg.outer_block
-        yk, jk = divmod(g0 // a_tile_cols, tj)
-        xk, ik = divmod(g0 // b_tile_rows, si)
-        return yk, jk, xk, ik
-
-    seg = ctx.options.bcast_segments
-
-    def make_outer(K: int) -> tuple[IBcast | None, IBcast | None]:
-        yk, jk, xk, ik = outer_owner(K)
-        oa = (IBcast(outer_row, yk, tag_salt=K, segments=seg)
-              if jj == jk else None)
-        ob = (IBcast(outer_col, xk, tag_salt=K, segments=seg)
-              if ii == ik else None)
-        return oa, ob
-
-    def post_outer(pair) -> Gen:
-        for bc in pair:
-            if bc is not None:
-                yield from bc.post()
-
-    def make_inner(q: int, jk: int, ik: int) -> tuple[IBcast, IBcast]:
-        return (
-            IBcast(inner_row, jk, tag_salt=q, segments=seg),
-            IBcast(inner_col, ik, tag_salt=q, segments=seg),
-        )
-
-    # Prime: post outer 0 and (after completing it at K=0 below) inner 0.
-    cur_outer = make_outer(0)
-    yield from post_outer(cur_outer)
-
-    pending: list[IBcast] = []
-    a_outer = b_outer = None
-    cur_inner: tuple[IBcast, IBcast] | None = None
-    total_steps = cfg.outer_steps * cfg.inner_steps
-
-    for q in range(total_steps):
-        K, kk = divmod(q, cfg.inner_steps)
-        yk, jk, xk, ik = outer_owner(K)
-        g0 = K * cfg.outer_block
-
-        if kk == 0:
-            # Complete this block's outer broadcasts; prefetch the next.
-            oa, ob = cur_outer
-            if oa is not None:
-                src = None
-                if y == yk:
-                    c0 = g0 % a_tile_cols
-                    src = slice_cols(a_tile, c0, c0 + cfg.outer_block)
-                a_outer = yield from oa.complete(src)
-                pending.append(oa)
-            if ob is not None:
-                src = None
-                if x == xk:
-                    r0 = g0 % b_tile_rows
-                    src = slice_rows(b_tile, r0, r0 + cfg.outer_block)
-                b_outer = yield from ob.complete(src)
-                pending.append(ob)
-            if K + 1 < cfg.outer_steps:
-                cur_outer = make_outer(K + 1)
-                yield from post_outer(cur_outer)
-            if cur_inner is None:
-                cur_inner = make_inner(q, jk, ik)
-                yield from cur_inner[0].post()
-                yield from cur_inner[1].post()
-
-        off = kk * cfg.inner_block
-        a_src = slice_cols(a_outer, off, off + cfg.inner_block) if jj == jk else None
-        b_src = slice_rows(b_outer, off, off + cfg.inner_block) if ii == ik else None
-        a_piv = yield from cur_inner[0].complete(a_src)
-        b_piv = yield from cur_inner[1].complete(b_src)
-        pending.extend(cur_inner)
-
-        if q + 1 < total_steps:
-            K1, _ = divmod(q + 1, cfg.inner_steps)
-            _, jk1, _, ik1 = outer_owner(K1)
-            nxt = make_inner(q + 1, jk1, ik1)
-            yield from nxt[0].post()
-            yield from nxt[1].post()
-        else:
-            nxt = None
-
-        c_tile = yield from local_gemm_acc(ctx, c_tile, a_piv, b_piv)
-        cur_inner = nxt
-
         if len(pending) > 8:
             retire, pending = pending[:-4], pending[-4:]
             for bc in retire:
@@ -241,14 +133,14 @@ _OVERLAP_REFUSAL = (
 SUMMA_OVERLAP = AlgorithmSpec(
     name="summa-overlap",
     display="a summa-overlap run",
-    program=summa_overlap_program,
+    program=lookahead_program,
     refusal=_OVERLAP_REFUSAL,
 )
 
 HSUMMA_OVERLAP = AlgorithmSpec(
     name="hsumma-overlap",
     display="a hsumma-overlap run",
-    program=hsumma_overlap_program,
+    program=lookahead_program,
     refusal=_OVERLAP_REFUSAL,
 )
 
@@ -264,10 +156,8 @@ def run_hsumma_overlap(
     **run: Any,
 ) -> tuple[Any, SimResult]:
     """Overlapped HSUMMA; same contract as
-    :func:`repro.core.hsumma.run_hsumma` (``**run``: the shared options
-    of :func:`repro.core.launch.launch`).  ``bcast_segments`` streams
-    each split-phase broadcast in that many pipeline stages (see
-    :class:`repro.collectives.nonblocking.IBcast`)."""
+    :func:`repro.core.hsumma.run_hsumma` but for the broadcast
+    overrides (see :func:`run_summa_overlap`)."""
     s, t = grid
     _, cfg = HSUMMA.configure(*product_dims(A, B), Shape(
         s=s, t=t, groups=groups, block=outer_block, inner_block=inner_block))
@@ -283,10 +173,9 @@ def run_summa_overlap(
     **run: Any,
 ) -> tuple[Any, SimResult]:
     """Overlapped SUMMA; same contract as
-    :func:`repro.core.summa.run_summa` (``**run``: the shared options
-    of :func:`repro.core.launch.launch`).  ``bcast_segments`` streams
-    each split-phase broadcast in that many pipeline stages (see
-    :class:`repro.collectives.nonblocking.IBcast`)."""
+    :func:`repro.core.summa.run_summa` but for ``bcast``: the lookahead
+    always runs the split-phase binomial tree, which the shared option
+    ``bcast_segments`` streams in that many pipeline stages."""
     s, t = grid
     m, l, n = product_dims(A, B)
     cfg = SummaConfig(m=m, l=l, n=n, s=s, t=t, block=block)

@@ -36,7 +36,8 @@ from repro.core.launch import (
     product_dims,
     Shape,
 )
-from repro.mpi.cart import CartComm, level_splits
+from repro.errors import ConfigurationError
+from repro.mpi.cart import CartComm
 from repro.mpi.comm import MpiContext
 from repro.payloads import PhantomArray
 from repro.simulator.predictor import predict_summa
@@ -126,65 +127,48 @@ def summa_program(ctx: MpiContext, a_tile: Any, b_tile: Any, cfg: Any) -> Gen:
     Each ``blocks[-1]``-wide step first broadcasts, at every level
     whose block boundary it starts (outermost first), the pivot panel
     of ``A`` along the level's row communicator and that of ``B`` along
-    its column communicator; then it accumulates one gemm.  A rank
-    joins a level's broadcast when its deeper digits match the
-    owner's, and the owner's digit is the root; the source slices what
-    the level above delivered (at the top, its own tile).  Span names
-    follow the depth: ``bcast.row`` / ``bcast.col`` per matrix at one
-    level, else one ``bcast.inter`` / ``bcast.mid<q>`` / ``bcast.intra``
-    span per level.
+    its column communicator; then it accumulates one gemm.  The grid
+    (:class:`~repro.mpi.cart.CartComm` over the schedule's factors)
+    says per level whether a rank joins, the root and the source; the
+    source slices what the level above delivered (at the top, its own
+    tile).  Span names follow the depth: ``bcast.row`` / ``bcast.col``
+    per matrix at one level, else one ``bcast.inter`` /
+    ``bcast.mid<q>`` / ``bcast.intra`` span per level.
     """
-    s, t = cfg.s, cfg.t
     rows, cols, blocks, bcasts = cfg.schedule
     h = len(blocks)
     flat = h == 1
-    grid = CartComm(ctx.world, s, t)
-    if flat:
-        comms = [grid.row_comm, grid.col_comm]
-    else:
-        splits = level_splits(s, t, rows, cols)
-        comms = [ctx.world.split_by(*splits[c]) for c in sorted(splits)]
-    i, j = grid.row, grid.col
-
-    # Per level: block, communicators, factors, and the moduli that hold
-    # a coordinate's digits below the level (join) and from it down (hold).
-    levels = []
-    c_hold, r_hold = t, s
-    for q in range(h):
-        c_join, r_join = c_hold // cols[q], r_hold // rows[q]
-        levels.append((q, blocks[q], comms[2 * q], comms[2 * q + 1], c_join,
-                       c_hold, cols[q], r_join, r_hold, rows[q], bcasts[q]))
-        c_hold, r_hold = c_join, r_join
-
+    grid = CartComm(ctx.world, cfg.s, cfg.t, rows, cols)
     trace = ctx.trace
-    a_w, b_h = cfg.l // t, cfg.l // s
+    a_w, b_h = cfg.l // cfg.t, cfg.l // cfg.s
     a_held, b_held = [a_tile] + [None] * h, [b_tile] + [None] * h
     c_tile = c_accumulator(a_tile, b_tile, cfg)
     for g0 in range(0, cfg.l, blocks[-1]):
         oc, orow = g0 // a_w, g0 // b_h
-        for (q, block, row_comm, col_comm, c_join, c_hold, cf, r_join, r_hold,
-             rf, alg) in levels:
+        for q, block in enumerate(blocks):
             if g0 % block:
                 continue  # not at a level-q block boundary
             if trace:
                 yield from _span(ctx, blocks, q, g0, "A")
-            if j % c_join == oc % c_join:
+            comm, root, source = grid.leg(q, 0, oc)
+            if comm is not None:
                 a = None
-                if j % c_hold == oc % c_hold:
+                if source:
                     off = g0 % (blocks[q - 1] if q else a_w)
                     a = slice_cols(a_held[q], off, off + block)
-                a_held[q + 1] = yield from row_comm.bcast(
-                    a, root=oc // c_join % cf, algorithm=alg)
+                a_held[q + 1] = yield from comm.bcast(
+                    a, root=root, algorithm=bcasts[q])
             if trace and flat:
                 yield from ctx.end_span()
                 yield from _span(ctx, blocks, q, g0, "B")
-            if i % r_join == orow % r_join:
+            comm, root, source = grid.leg(q, 1, orow)
+            if comm is not None:
                 b = None
-                if i % r_hold == orow % r_hold:
+                if source:
                     off = g0 % (blocks[q - 1] if q else b_h)
                     b = slice_rows(b_held[q], off, off + block)
-                b_held[q + 1] = yield from col_comm.bcast(
-                    b, root=orow // r_join % rf, algorithm=alg)
+                b_held[q + 1] = yield from comm.bcast(
+                    b, root=root, algorithm=bcasts[q])
             if trace:
                 yield from ctx.end_span()
 
@@ -248,9 +232,22 @@ def run_summa(
     return launch(SUMMA, cfg, A, B, **run)
 
 
+def refuse_overlap_bcast(family: str, shape: Shape, *fields: str) -> None:
+    """Reject a broadcast-algorithm field on a lookahead shape by name:
+    the lookahead always runs the split-phase binomial tree
+    (:class:`~repro.collectives.nonblocking.IBcast`), so the field
+    would be dropped silently."""
+    for name in fields:
+        if shape.overlap and getattr(shape, name) is not None:
+            raise ConfigurationError(
+                f"{family} with overlap=True does not take {name}=; the "
+                "lookahead always runs the split-phase binomial broadcast")
+
+
 def _configure(m: int, l: int, n: int,
                shape: Shape) -> tuple[Shape, SummaConfig]:
     shape = shape.resolve("summa", l, "block", "bcast", "segments", "overlap")
+    refuse_overlap_bcast("summa", shape, "bcast")
     return shape, SummaConfig(m=m, l=l, n=n, s=shape.s, t=shape.t,
                               block=shape.block, bcast=shape.bcast)
 

@@ -32,7 +32,7 @@ import scipy.linalg
 
 from repro.core.launch import AlgorithmSpec, launch
 from repro.errors import ConfigurationError
-from repro.mpi.cart import CartComm, GroupedCartComm
+from repro.mpi.cart import CartComm, group_levels
 from repro.mpi.comm import MpiContext
 from repro.payloads import PhantomArray
 from repro.simulator.tracing import SimResult
@@ -90,18 +90,12 @@ def _getrf_nopiv(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, U
 
 
-def panel_grid(ctx: MpiContext, cfg: LuConfig) -> tuple[CartComm, Any, Any]:
-    """The rank's grid plus its panel broadcasts ``(payload, owner) ->
-    generator`` along the grid row / down the grid column — two-phase
-    through the group hierarchy when ``cfg`` configures one, flat
-    otherwise."""
-    if cfg.hierarchical:
-        grid = GroupedCartComm(ctx.world, cfg.s, cfg.t, cfg.I, cfg.J)
-        return grid, grid.bcast_row, grid.bcast_col
-    grid = CartComm(ctx.world, cfg.s, cfg.t)
-    return (grid,
-            lambda payload, owner: grid.row_comm.bcast(payload, root=owner),
-            lambda payload, owner: grid.col_comm.bcast(payload, root=owner))
+def panel_grid(ctx: MpiContext, cfg: LuConfig) -> CartComm:
+    """The rank's grid; its ``bcast_row`` / ``bcast_col`` carry the
+    panel broadcasts, two-phase through the group hierarchy when
+    ``cfg`` configures one, flat otherwise."""
+    return CartComm(ctx.world, cfg.s, cfg.t,
+                    *group_levels(cfg.s, cfg.t, cfg.I, cfg.J))
 
 
 def lu_program(
@@ -116,7 +110,7 @@ def lu_program(
     dict holding ``L`` strictly below the diagonal, ``U`` on and above,
     with the diagonal tiles packed as ``(L_kk, U_kk)`` pairs.
     """
-    grid, hbcast_row, hbcast_col = panel_grid(ctx, cfg)
+    grid = panel_grid(ctx, cfg)
     i, j = grid.row, grid.col
     b = cfg.b
     K = cfg.nblocks
@@ -194,7 +188,7 @@ def lu_program(
                 l_stack = np.vstack([l_panel[bi] for bi in l_indices])
             else:
                 l_stack = np.empty((0, b))
-        l_stack = yield from hbcast_row(l_stack, owner_col)
+        l_stack = yield from grid.bcast_row(l_stack, owner_col)
         if phantom:
             l_panel = {bi: PhantomArray((b, b)) for bi in l_indices}
         else:
@@ -212,7 +206,7 @@ def lu_program(
                 u_stack = np.hstack([u_panel[bj] for bj in u_indices])
             else:
                 u_stack = np.empty((b, 0))
-        u_stack = yield from hbcast_col(u_stack, owner_row)
+        u_stack = yield from grid.bcast_col(u_stack, owner_row)
         if phantom:
             u_panel = {bj: PhantomArray((b, b)) for bj in u_indices}
         else:

@@ -72,7 +72,7 @@ def qr_program(
     cfg: QrConfig,
 ) -> Gen:
     """Per-rank blocked-QR generator; tiles end up holding ``R``."""
-    grid, hbcast_row, _ = panel_grid(ctx, cfg)
+    grid = panel_grid(ctx, cfg)
     i, j = grid.row, grid.col
     b = cfg.b
     K = cfg.nblocks
@@ -152,7 +152,7 @@ def qr_program(
                 payload = np.vstack(
                     [v_mine[bi] for bi in rows_mine] + [T]
                 )
-        payload = yield from hbcast_row(payload, owner_col)
+        payload = yield from grid.bcast_row(payload, owner_col)
         if phantom:
             v_blocks = {bi: PhantomArray((b, b)) for bi in rows_mine}
             T = PhantomArray((b, b))

@@ -738,7 +738,7 @@ class CollapsedMacroEngine(MacroBackend):
 # docs/cost_model.md derives each map from the program's per-step
 # clock evolution.  The SUMMA and cyclic declarations also enumerate
 # their communicators' members, from the split functions of
-# repro.mpi.cart that the programs split by.
+# repro.mpi.cart that CartComm creates them by.
 
 
 def _grid(

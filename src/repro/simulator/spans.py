@@ -8,7 +8,8 @@ programs (and the MPI layer automatically) open spans around the
 phases they execute:
 
     yield from ctx.span("bcast.inter", step=k)
-    a_piv = yield from outer_row.bcast(a_piv, root=yk)
+    comm, root, _ = grid.leg(0, 0, owner_col)
+    a_piv = yield from comm.bcast(a_piv, root=root)
     yield from ctx.end_span()
 
 A span is an interval of one rank's virtual clock.  Spans nest (each

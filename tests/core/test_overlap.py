@@ -1,5 +1,7 @@
 """Tests for overlapped SUMMA/HSUMMA (paper future work: overlap)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.blocks.verify import max_abs_error
 from repro.core.hsumma import run_hsumma
 from repro.core.overlap import run_hsumma_overlap, run_summa_overlap
 from repro.core.summa import run_summa
+from repro.errors import ConfigurationError
 from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
 
@@ -102,6 +105,34 @@ class TestOverlapBenefit:
             grid=(4, 4), block=8, params=PARAMS, gamma=1e-9,
         )
         assert real.total_time == pytest.approx(phantom.total_time)
+
+
+class TestOverlapRefusesBcast:
+    """The lookahead always runs the split-phase binomial tree, so a
+    broadcast-algorithm field with ``overlap=True`` is refused by name
+    instead of being dropped."""
+
+    @pytest.mark.parametrize("family, field", [
+        ("summa", "bcast"), ("hsumma", "bcast"), ("hsumma", "outer_bcast")])
+    def test_configure_names_the_field(self, family, field):
+        from repro.core.launch import family as row, Shape
+
+        shape = Shape(s=4, t=4, overlap=True, **{field: "vandegeijn"})
+        with pytest.raises(ConfigurationError, match=f"{field}="):
+            row(family).configure(256, 256, 256, shape)
+        # The same shape without the lookahead configures.
+        row(family).configure(256, 256, 256,
+                              dataclasses.replace(shape, overlap=False))
+
+    @pytest.mark.parametrize("algorithm", ["summa", "hsumma"])
+    def test_multiply_refuses(self, algorithm):
+        from repro import multiply
+
+        A = PhantomArray((256, 256))
+        with pytest.raises(ConfigurationError,
+                           match="overlap=True does not take bcast="):
+            multiply(A, A, grid=(4, 4), algorithm=algorithm, overlap=True,
+                     bcast="vandegeijn")
 
 
 class TestIBcast:

@@ -71,7 +71,7 @@ class TestRenderTimeline:
         two schedules."""
         from repro.blocks.dmatrix import DistMatrix
         from repro.core.summa import SummaConfig, summa_program
-        from repro.core.overlap import summa_overlap_program
+        from repro.core.overlap import lookahead_program
         from repro.mpi.comm import MpiContext
 
         n = 64
@@ -91,7 +91,7 @@ class TestRenderTimeline:
                           collect_trace=True).run(progs)
 
         plain = render_timeline(run(summa_program), width=40)
-        over = render_timeline(run(summa_overlap_program), width=40)
+        over = render_timeline(run(lookahead_program), width=40)
         assert plain != over
 
 

@@ -49,17 +49,32 @@ class TestCartComm:
         assert all(res.return_values)
 
     def test_row_and_col_comms(self):
-        def prog(ctx):
-            grid = CartComm(ctx.world, 2, 3)
-            rows = yield from grid.row_comm.allgather(ctx.rank)
-            cols = yield from grid.col_comm.allgather(ctx.rank)
-            return (rows, cols)
+        # The flat grid, and a 4x4 grid split into 2x2 groups of 2x2.
+        for s, t, levels in ((2, 3, ()), (4, 4, ((2, 2), (2, 2)))):
+            def prog(ctx):
+                grid = CartComm(ctx.world, s, t, *levels)
+                rows = yield from grid.row_comm.allgather(ctx.rank)
+                cols = yield from grid.col_comm.allgather(ctx.rank)
+                # Each broadcast walks every level from its owner.
+                along = []
+                for owner in range(t):
+                    mine = (grid.row, owner) if grid.col == owner else None
+                    along.append((yield from grid.bcast_row(mine, owner)))
+                down = []
+                for owner in range(s):
+                    mine = (owner, grid.col) if grid.row == owner else None
+                    down.append((yield from grid.bcast_col(mine, owner)))
+                return rows, cols, along, down
 
-        res = run_spmd(prog, 6)
-        # Rank 4 is at (1, 1): row mates {3,4,5}, col mates {1,4}.
-        rows, cols = res.return_values[4]
-        assert rows == [3, 4, 5]
-        assert cols == [1, 4]
+            res = run_spmd(prog, s * t)
+            for rank, got in enumerate(res.return_values):
+                i, j = divmod(rank, t)
+                # E.g. rank 4 of the 2x3 grid: row mates {3,4,5}, col
+                # mates {1,4}.
+                assert got == ([i * t + c for c in range(t)],
+                               [r * t + j for r in range(s)],
+                               [(i, owner) for owner in range(t)],
+                               [(owner, j) for owner in range(s)])
 
     def test_row_comm_rank_is_col(self):
         def prog(ctx):
