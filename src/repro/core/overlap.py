@@ -58,7 +58,8 @@ def lookahead_program(
     block's, so an outer level hides behind a whole block of steps and
     the innermost, pre-posted one step ahead, behind the gemm.  Tag
     salts are the level's block index (``2k`` / ``2k + 1`` for the row
-    / column broadcast of step ``k`` at one level).
+    / column broadcast of step ``k`` at one level); tags feed the fault
+    schedule's drop decisions, so the salts are part of the behaviour.
     """
     rows, cols, blocks, _ = cfg.schedule
     h = len(blocks)
