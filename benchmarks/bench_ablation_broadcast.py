@@ -47,7 +47,10 @@ def test_hsumma_wins_under_every_broadcast(benchmark, record_output):
     results = run_once(benchmark, sweep)
     rows = []
     for algo, (summa, hs) in results.items():
-        best_g = min(hs, key=lambda g: (hs[g], g))
+        # The smallest G within the assertions' tolerance of the
+        # minimum: group counts tie to the last ulp on flat curves.
+        best = min(hs.values())
+        best_g = min(g for g in hs if hs[g] <= best * (1 + 1e-9))
         rows.append([algo, summa, hs[best_g], best_g, summa / hs[best_g]])
     text = format_table(
         ["broadcast", "summa_comm", "best_hsumma_comm", "best_G", "ratio"],

@@ -16,7 +16,7 @@ Usage::
 
 
 from repro import HockneyParams, PhantomArray
-from repro.collectives import BROADCAST_ALGORITHMS
+from repro.collectives import COLLECTIVES
 from repro.core.hsumma import run_hsumma
 from repro.core.summa import run_summa
 from repro.mpi.comm import CollectiveOptions
@@ -39,7 +39,7 @@ def main() -> None:
     sizes = [64, 4096, 262_144, 1_048_576]
 
     rows = []
-    for algo in sorted(BROADCAST_ALGORITHMS):
+    for algo in sorted(COLLECTIVES["bcast"].algorithms):
         row = [algo]
         for nelems in sizes:
             row.append(bcast_time(algo, nelems, nranks) * 1e3)
@@ -56,7 +56,7 @@ def main() -> None:
     # Now the same algorithms inside SUMMA vs HSUMMA.
     n, block, G = 2048, 16, 8
     rows = []
-    for algo in sorted(BROADCAST_ALGORITHMS):
+    for algo in sorted(COLLECTIVES["bcast"].algorithms):
         opts = CollectiveOptions(bcast=algo)
         _, s_sim = run_summa(
             PhantomArray((n, n)), PhantomArray((n, n)),

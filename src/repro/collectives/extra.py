@@ -44,8 +44,10 @@ def allgather_bruck(comm: Any, obj: Any) -> Gen:
     while dist < size:
         dst = (me - dist) % size
         src = (me + dist) % size
-        # Send the offsets I currently hold that the partner lacks.
-        bundle = [(off, val) for off, val in items.items() if off < dist]
+        # Send the offsets I currently hold that the partner lacks:
+        # in the last round only the ``size - dist`` it still needs.
+        bundle = [(off, val) for off, val in items.items()
+                  if off < min(dist, size - dist)]
         incoming = yield from comm.sendrecv(
             bundle, dst, src, sendtag=TAG_BRUCK, recvtag=TAG_BRUCK
         )
@@ -54,8 +56,7 @@ def allgather_bruck(comm: Any, obj: Any) -> Gen:
         dist *= 2
     out = [None] * size
     for off, val in items.items():
-        if off < size:
-            out[(me + off) % size] = val
+        out[(me + off) % size] = val
     return out
 
 

@@ -28,11 +28,8 @@ This registry collapses them into one table:
   latency/bandwidth decomposition) out.  Every non-broadcast
   collective's critical-path cost lives here too.
 
-Size convention (shared with the macro backend): for rooted
-distribution ops (``bcast``, ``scatter``) ``nbytes`` is the total
-payload at the root; for contribution ops (``gather``, ``allgather``,
-``reduce``, ``allreduce``) it is one rank's contribution; ``barrier``
-ignores it.
+``nbytes`` follows the op's size convention: the ``size`` field of its
+row in :data:`repro.collectives.COLLECTIVES`.
 """
 
 from __future__ import annotations
@@ -484,7 +481,9 @@ def estimate(q: CostQuery) -> CostEstimate:
             beta_bytes=(p - 1) * m,
         )
     if q.op == "allgather":
-        if q.algorithm == "ring":
+        if q.algorithm == "ring" or (q.algorithm == "recursive_doubling"
+                                     and p & (p - 1)):
+            # Recursive doubling falls back to the ring off powers of two.
             return CostEstimate(
                 seconds=(p - 1) * (alpha + m * beta),
                 alpha_terms=float(p - 1),
@@ -496,7 +495,6 @@ def estimate(q: CostQuery) -> CostEstimate:
                 alpha_terms=float(log2p),
                 beta_bytes=(p - 1) * m,
             )
-        raise ModelError(f"no closed-form allgather cost for {q.algorithm!r}")
     if q.op == "reduce":
         if q.algorithm == "flat":
             return CostEstimate(
@@ -510,12 +508,12 @@ def estimate(q: CostQuery) -> CostEstimate:
                 alpha_terms=float(log2p),
                 beta_bytes=log2p * m,
             )
-        raise ModelError(f"no closed-form reduce cost for {q.algorithm!r}")
     if q.op == "allreduce":
         if q.algorithm == "rabenseifner":
+            # A ring reduce-scatter plus a ring allgather of m/p chunks.
             return CostEstimate(
-                seconds=2 * log2p * alpha + 2 * (p - 1) / p * m * beta,
-                alpha_terms=float(2 * log2p),
+                seconds=2 * (p - 1) * alpha + 2 * (p - 1) / p * m * beta,
+                alpha_terms=float(2 * (p - 1)),
                 beta_bytes=2 * (p - 1) / p * m,
             )
         if q.algorithm == "recursive_doubling":
@@ -532,27 +530,21 @@ def estimate(q: CostQuery) -> CostEstimate:
             ) + estimate(
                 dataclasses.replace(q, op="bcast", algorithm="binomial")
             )
-        raise ModelError(f"no closed-form allreduce cost for {q.algorithm!r}")
     if q.op == "barrier":
         # Dissemination barrier: ceil(log2 p) zero-byte rounds.
         return CostEstimate(
             seconds=log2p * alpha, alpha_terms=float(log2p), beta_bytes=0.0
         )
-    raise ModelError(f"unknown collective op {q.op!r}")
+    raise ModelError(
+        f"no closed-form cost for collective {q.op!r} / {q.algorithm!r}")
 
 
 def collective_time(op: str, algorithm: str, m_bytes: float, p: int,
                     params: HockneyParams, *,
                     segments: int | None = None) -> float:
     """:func:`estimate` in seconds for callers holding Hockney
-    parameters (the costers, the figure sweeps).
-
-    Size convention (shared with the macro backend): for rooted
-    distribution ops (``bcast``, ``scatter``) ``m_bytes`` is the total
-    payload at the root; for contribution ops (``gather``,
-    ``allgather``, ``reduce``, ``allreduce``) it is one rank's
-    contribution; for ``barrier`` it is ignored.
-    """
+    parameters (the costers, the figure sweeps); ``m_bytes`` follows
+    the op's size convention (see the module docstring)."""
     return estimate(CostQuery(
         op=op, algorithm=algorithm, p=p, nbytes=m_bytes,
         alpha=params.alpha, beta=params.beta, segments=segments,

@@ -35,6 +35,7 @@ import dataclasses
 from abc import ABC, abstractmethod
 from typing import Hashable, Sequence
 
+from repro.collectives import COLLECTIVES, CONTRIBUTION, ROOT
 from repro.core.hsumma import HSUMMA, HSummaConfig
 from repro.core.launch import AlgorithmSpec, launch
 from repro.core.summa import SUMMA, SummaConfig
@@ -111,11 +112,11 @@ class CollectiveCoster(ABC):
     ) -> float:
         """Seconds for one collective (macro-backend oracle interface).
 
-        ``nbytes`` follows :func:`repro.costs.collective_time`
-        conventions (total at root for bcast/scatter, per-rank
-        contribution otherwise).  ``cid`` is the communicator context id
-        of the requesting collective, for costers that discriminate by
-        communicator; the closed-form costers ignore it.
+        ``nbytes`` follows the op's size convention (its row in
+        :data:`repro.collectives.COLLECTIVES`).  ``cid`` is the
+        communicator context id of the requesting collective, for
+        costers that discriminate by communicator; the closed-form
+        costers ignore it.
         """
         if op == "bcast":
             return self.bcast_time(participants, root_index, nbytes)
@@ -251,52 +252,37 @@ class MicroDesCoster(CollectiveCoster):
         nbytes: int,
         segments: int | None,
     ) -> float:
+        row = COLLECTIVES.get(op)
+        if row is None:
+            raise ConfigurationError(
+                f"micro-DES coster cannot simulate op {op!r}"
+            )
         subnet = SubNetwork(self.network, participants)
         n = len(participants)
-        kwargs: dict = {}
-        if algorithm is not None and op in ("bcast", "allgather", "reduce",
-                                            "allreduce"):
-            kwargs[op] = algorithm
-        if op == "bcast":
-            kwargs["bcast_segments"] = segments
+        kwargs: dict = {"bcast_segments": segments}
+        if algorithm is not None and row.option is not None:
+            kwargs[row.option] = algorithm
         options = CollectiveOptions(**kwargs)
 
+        def stand_in(rank: int):
+            """``rank``'s payload: phantom bytes of the size convention."""
+            if row.size == ROOT and rank != root:
+                return None
+            if row.to == "each":
+                # The root's payload is one part per rank.
+                base, extra = divmod(nbytes, n)
+                return [
+                    PhantomArray((base + (1 if i < extra else 0),),
+                                 itemsize=1)
+                    for i in range(n)
+                ]
+            return PhantomArray((nbytes,), itemsize=1)
+
         def program(ctx: MpiContext):
-            comm = ctx.world
-            if op == "bcast":
-                payload = (
-                    PhantomArray((nbytes,), itemsize=1)
-                    if ctx.rank == root else None
-                )
-                yield from comm.bcast(payload, root=root, algorithm=algorithm)
-            elif op == "scatter":
-                parts = None
-                if ctx.rank == root:
-                    base, extra = divmod(nbytes, n)
-                    parts = [
-                        PhantomArray((base + (1 if i < extra else 0),),
-                                     itemsize=1)
-                        for i in range(n)
-                    ]
-                yield from comm.scatter(parts, root=root)
-            elif op == "gather":
-                yield from comm.gather(
-                    PhantomArray((nbytes,), itemsize=1), root=root
-                )
-            elif op == "allgather":
-                yield from comm.allgather(PhantomArray((nbytes,), itemsize=1))
-            elif op == "reduce":
-                yield from comm.reduce(
-                    PhantomArray((nbytes,), itemsize=1), root=root
-                )
-            elif op == "allreduce":
-                yield from comm.allreduce(PhantomArray((nbytes,), itemsize=1))
-            elif op == "barrier":
-                yield from comm.barrier()
-            else:
-                raise ConfigurationError(
-                    f"micro-DES coster cannot simulate op {op!r}"
-                )
+            args = () if row.size is None else (stand_in(ctx.rank),)
+            if row.rooted:
+                args += (root,)
+            yield from getattr(ctx.world, op)(*args)
 
         programs = [
             program(MpiContext(r, n, options=options)) for r in range(n)

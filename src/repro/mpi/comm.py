@@ -25,15 +25,7 @@ import dataclasses
 import itertools
 from typing import Any, Callable, Generator, Sequence
 
-from repro.collectives import (
-    get_allgather,
-    get_allreduce,
-    get_broadcast,
-    get_reduce,
-)
-from repro.collectives.barrier import barrier_dissemination
-from repro.collectives.gather import gather_binomial
-from repro.collectives.scatter import scatter_binomial
+from repro.collectives import COLLECTIVES, ROOT, SIGNATURE, Collective
 from repro.errors import (
     CollectiveMismatchError,
     CommunicatorError,
@@ -70,22 +62,11 @@ def _wire_size(payload: Any) -> int | None:
 class CollectiveOptions:
     """Default algorithm choices for collective operations.
 
-    Attributes
-    ----------
-    bcast:
-        Broadcast algorithm name from
-        :data:`repro.collectives.BROADCAST_ALGORITHMS` ("binomial",
-        "vandegeijn", "flat", "binary", "chain", "pipelined",
-        "segmented", "fourcolor", "hypersystolic").
-    bcast_segments:
-        Pipeline depth ``s``: segment count for the pipelined /
-        segmented broadcast family (None = auto).
-    allgather:
-        "ring", "recursive_doubling" or "bruck".
-    reduce:
-        Reduction tree: "binomial" or "flat".
-    allreduce:
-        "recursive_doubling" or "rabenseifner".
+    ``bcast``, ``allgather``, ``reduce`` and ``allreduce`` each name an
+    algorithm of the op's row in :data:`repro.collectives.COLLECTIVES`
+    (the row's ``option`` is the field).  ``bcast_segments`` is the
+    pipeline depth ``s``: the segment count for the pipelined /
+    segmented broadcast family (None = auto).
     """
 
     bcast: str = "binomial"
@@ -516,16 +497,6 @@ class Comm:
     # payload's wire size — so span trees self-document which collective
     # ran where without the algorithms knowing about tracing at all.
 
-    #: Announcement signature fields, with the check id a mismatch in
-    #: each maps to (compared in order; the first difference wins).
-    _SIG_FIELDS = (
-        ("participants", "collective-comm-mismatch"),
-        ("op", "collective-op-mismatch"),
-        ("root", "collective-root-mismatch"),
-        ("algorithm", "collective-arg-mismatch"),
-        ("segments", "collective-arg-mismatch"),
-    )
-
     def _announce(
         self,
         op: str,
@@ -569,10 +540,10 @@ class Comm:
         different signature: name the first differing field and fail
         eagerly with the verification check id a verifier would
         assign."""
-        names = [name for name, _ in self._SIG_FIELDS]
+        names = [name for name, _ in SIGNATURE]
         exp = dict(zip(names, expected))
         obs = dict(zip(names, observed))
-        for name, check in self._SIG_FIELDS:
+        for name, check in SIGNATURE:
             if exp[name] != obs[name]:
                 raise CollectiveMismatchError(
                     f"rank {self._ctx.rank}: collective #{key[1]} on "
@@ -588,35 +559,57 @@ class Comm:
             expected=exp, observed=obs,
         )
 
+    def _collective(
+        self,
+        row: Collective,
+        obj: Any,
+        root: int | None = None,
+        algorithm: str | None = None,
+        segments: int | None = None,
+    ) -> Gen:
+        """The one path of every collective call: open its ``coll.*``
+        span, announce it, expand it unless the backend replied with
+        the result, close the span."""
+        ctx = self._ctx
+        name = algorithm or (getattr(ctx.options, row.option) if row.option
+                             else next(iter(row.algorithms)))
+        from_root = row.size == ROOT
+        if ctx.trace:
+            attrs = {"comm_size": self.size, "algorithm": name}
+            if row.rooted:
+                attrs["root"] = root
+            yield SpanOpenRequest("coll." + row.op, attrs)
+        reply = yield self._announce(
+            row.op, name, None if from_root and self.rank != root else obj,
+            root=root, segments=segments,
+        )
+        if reply is None:
+            # Algorithm lookup deferred to the expansion path: the
+            # macro backend answers most announcements without it.
+            algo = row.algorithm(name)
+            if row.size is None:
+                result = yield from algo(self)
+            elif not row.rooted:
+                result = yield from algo(self, obj)
+            elif segments is None:
+                result = yield from algo(self, obj, root)
+            else:
+                result = yield from algo(self, obj, root, segments=segments)
+        else:
+            result = reply.value
+        if ctx.trace:
+            yield SpanCloseRequest(
+                {"nbytes": _wire_size(result if from_root else obj)})
+        return result
+
     def bcast(self, obj: Any, root: int, algorithm: str | None = None) -> Gen:
         """Broadcast ``obj`` from ``root``; returns the object on every rank.
 
         ``algorithm`` overrides the context default for this call.
         """
         self._check_rank(root)
-        ctx = self._ctx
-        options = ctx.options
-        name = algorithm or options.bcast
-        segments = options.bcast_segments
-        if ctx.trace:
-            yield SpanOpenRequest(
-                "coll.bcast",
-                {"comm_size": self.size, "algorithm": name, "root": root},
-            )
-        reply = yield self._announce(
-            "bcast", name, obj if self.rank == root else None,
-            root=root, segments=segments,
-        )
-        if reply is None:
-            # Algorithm lookup deferred to the expansion path: the
-            # macro backend answers most announcements without it.
-            algo = get_broadcast(name)
-            result = yield from algo(self, obj, root, segments=segments)
-        else:
-            result = reply.value
-        if ctx.trace:
-            yield SpanCloseRequest({"nbytes": _wire_size(result)})
-        return result
+        return self._collective(COLLECTIVES["bcast"], obj, root, algorithm,
+                                self._ctx.options.bcast_segments)
 
     def scatter(self, parts: Sequence[Any] | None, root: int) -> Gen:
         """Scatter ``parts[i]`` to rank ``i``; ``parts`` given on root only."""
@@ -633,102 +626,31 @@ class Comm:
                     f"scatter root {root} supplied {len(parts)} parts for a "
                     f"communicator of size {self.size}"
                 )
-        if self._ctx.trace:
-            yield SpanOpenRequest(
-                "coll.scatter",
-                {"comm_size": self.size, "algorithm": "binomial", "root": root},
-            )
-        reply = yield self._announce(
-            "scatter", "binomial", parts if self.rank == root else None,
-            root=root,
-        )
-        if reply is None:
-            result = yield from scatter_binomial(self, parts, root)
-        else:
-            result = reply.value
-        if self._ctx.trace:
-            yield SpanCloseRequest({"nbytes": _wire_size(result)})
-        return result
+        return self._collective(COLLECTIVES["scatter"], parts, root)
 
     def gather(self, obj: Any, root: int) -> Gen:
         """Gather every rank's ``obj`` to ``root`` (list indexed by rank)."""
         self._check_rank(root)
-        if self._ctx.trace:
-            yield SpanOpenRequest(
-                "coll.gather",
-                {"comm_size": self.size, "algorithm": "binomial", "root": root},
-            )
-        reply = yield self._announce("gather", "binomial", obj, root=root)
-        if reply is None:
-            result = yield from gather_binomial(self, obj, root)
-        else:
-            result = reply.value
-        if self._ctx.trace:
-            yield SpanCloseRequest({"nbytes": _wire_size(obj)})
-        return result
+        return self._collective(COLLECTIVES["gather"], obj, root)
 
     def allgather(self, obj: Any, algorithm: str | None = None) -> Gen:
         """All ranks end with the list of every rank's contribution."""
-        name = algorithm or self.options.allgather
-        if self._ctx.trace:
-            yield SpanOpenRequest(
-                "coll.allgather", {"comm_size": self.size, "algorithm": name}
-            )
-        reply = yield self._announce("allgather", name, obj)
-        if reply is None:
-            result = yield from get_allgather(name)(self, obj)
-        else:
-            result = reply.value
-        if self._ctx.trace:
-            yield SpanCloseRequest({"nbytes": _wire_size(obj)})
-        return result
+        return self._collective(COLLECTIVES["allgather"], obj,
+                                algorithm=algorithm)
 
     def reduce(self, obj: Any, root: int) -> Gen:
         """Element-wise sum onto ``root`` (None elsewhere)."""
         self._check_rank(root)
-        name = self.options.reduce
-        if self._ctx.trace:
-            yield SpanOpenRequest(
-                "coll.reduce",
-                {"comm_size": self.size, "algorithm": name, "root": root},
-            )
-        reply = yield self._announce("reduce", name, obj, root=root)
-        if reply is None:
-            result = yield from get_reduce(name)(self, obj, root)
-        else:
-            result = reply.value
-        if self._ctx.trace:
-            yield SpanCloseRequest({"nbytes": _wire_size(obj)})
-        return result
+        return self._collective(COLLECTIVES["reduce"], obj, root)
 
     def allreduce(self, obj: Any, algorithm: str | None = None) -> Gen:
         """Element-wise sum delivered to every rank."""
-        name = algorithm or self.options.allreduce
-        if self._ctx.trace:
-            yield SpanOpenRequest(
-                "coll.allreduce", {"comm_size": self.size, "algorithm": name}
-            )
-        reply = yield self._announce("allreduce", name, obj)
-        if reply is None:
-            result = yield from get_allreduce(name)(self, obj)
-        else:
-            result = reply.value
-        if self._ctx.trace:
-            yield SpanCloseRequest({"nbytes": _wire_size(obj)})
-        return result
+        return self._collective(COLLECTIVES["allreduce"], obj,
+                                algorithm=algorithm)
 
     def barrier(self) -> Gen:
         """Dissemination barrier."""
-        if self._ctx.trace:
-            yield SpanOpenRequest(
-                "coll.barrier",
-                {"comm_size": self.size, "algorithm": "dissemination"},
-            )
-        reply = yield self._announce("barrier", "dissemination", None)
-        if reply is None:
-            yield from barrier_dissemination(self)
-        if self._ctx.trace:
-            yield SpanCloseRequest({"nbytes": _wire_size(None)})
+        return self._collective(COLLECTIVES["barrier"], None)
 
     # -- derived communicators -------------------------------------------------
 

@@ -52,9 +52,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Iterable
 
+from repro.collectives import COLLECTIVES
 from repro.errors import ConfigurationError
 from repro.network.model import Network
-from repro.payloads import combine_payloads
 from repro.simulator.engine import Engine, RankProgram, _RankState
 from repro.simulator.requests import CollectiveReply, CollectiveRequest
 from repro.simulator.tracing import SimResult
@@ -243,28 +243,32 @@ class MacroBackend(Engine, Backend):
     def _filled(
         self, entry: list[tuple[_RankState, CollectiveRequest]]
     ) -> None:
-        _start, finish, results = self._price(entry)
+        _start, finish, _sizes, results = self._price(entry)
         self._events.push(
             finish, self._collective_done, (entry, results, finish)
         )
 
     def _price(
         self, entry: list[tuple[_RankState, CollectiveRequest]]
-    ) -> tuple[float, float, list[Any]]:
-        """``(start, finish, results)`` of a collective whose
+    ) -> tuple[float, float, list[int], list[Any]]:
+        """``(start, finish, sizes, results)`` of a collective whose
         participants have all arrived: it starts at the latest arrival
         clock, runs for the coster's (memoised) duration and hands each
-        member its per-participant result."""
+        member its per-participant result; ``sizes`` are the members'
+        payload sizes."""
         req0 = entry[0][1]
+        row = COLLECTIVES[req0.op]
         p = len(req0.participants)
         payloads: list[Any] = [None] * p
+        sizes = [0] * p
         start = 0.0
         for st, req in entry:
             payloads[req.me] = req.payload
+            sizes[req.me] = req.nbytes
             clock = st.stats.clock
             if clock > start:
                 start = clock
-        nbytes = _op_nbytes(req0.op, req0.root, entry)
+        nbytes = row.message_size(req0.root, sizes)
         root = req0.root if req0.root is not None else 0
         key = self._duration_key(req0, root, nbytes)
         duration = self._durations.get(key)
@@ -278,8 +282,8 @@ class MacroBackend(Engine, Backend):
                 segments=req0.segments,
                 cid=req0.cid,
             )
-        return (start, start + duration,
-                _op_results(req0.op, req0.root, p, payloads))
+        return (start, start + duration, sizes,
+                row.results(req0.root, payloads))
 
     def _duration_key(self, req0: CollectiveRequest, root: int,
                       nbytes: int) -> tuple:
@@ -313,50 +317,6 @@ def _default_coster(network: Network, *, contention: bool) -> Any:
     if isinstance(network, HomogeneousNetwork) and network.intra_params is None:
         return AnalyticCoster(network.params)
     return MicroDesCoster(network, contention=contention)
-
-
-def _op_nbytes(
-    op: str,
-    root: int | None,
-    entry: list[tuple[_RankState, CollectiveRequest]],
-) -> int:
-    """Wire size following the coster convention: the root's total
-    payload for distribution ops, the largest per-rank contribution for
-    contribution ops."""
-    if op in ("bcast", "scatter"):
-        for _, req in entry:
-            if req.me == root:
-                return req.nbytes
-        return 0
-    if op == "barrier":
-        return 0
-    return max(req.nbytes for _, req in entry)
-
-
-def _op_results(
-    op: str, root: int | None, p: int, payloads: list[Any]
-) -> list[Any]:
-    """Per-participant results (indexed by communicator rank), matching
-    the expanded algorithms' return conventions."""
-    if op == "bcast":
-        return [payloads[root]] * p
-    if op == "scatter":
-        parts = payloads[root]
-        return [parts[i] for i in range(p)]
-    if op == "gather":
-        return [payloads if i == root else None for i in range(p)]
-    if op == "allgather":
-        return [payloads] * p
-    if op in ("reduce", "allreduce"):
-        acc = payloads[0]
-        for contribution in payloads[1:]:
-            acc = combine_payloads(acc, contribution)
-        if op == "allreduce":
-            return [acc] * p
-        return [acc if i == root else None for i in range(p)]
-    if op == "barrier":
-        return [None] * p
-    raise ConfigurationError(f"macro backend cannot satisfy op {op!r}")
 
 
 def resolve_backend(

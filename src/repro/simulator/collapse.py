@@ -404,10 +404,7 @@ class CollapsedMacroEngine(MacroBackend):
         req0 = entry[0][1]
         mkey = (self._comms[req0.cid][1], req0.seq)
         p = len(req0.participants)
-        start, finish, results = self._price(entry)
-        nbytes_by_me = [0] * p
-        for _st, req in entry:
-            nbytes_by_me[req.me] = req.nbytes
+        start, finish, nbytes_by_me, results = self._price(entry)
         root = req0.root or 0
         rotated = req0.cid[0] in self.symmetry.rotated if req0.cid else False
         memo = self._memos.get(mkey)

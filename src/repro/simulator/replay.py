@@ -211,7 +211,8 @@ def record(algorithm: str, size: int, root: int, segments: int | None,
     """The schedule of one broadcast shape, or the reason (a key of
     ``SimResult.replay["reasons"]``) it cannot be replayed.
 
-    Runs ``get_broadcast(algorithm)`` — the algorithm function, not
+    Runs the broadcast row's ``algorithm(name)`` (see
+    :data:`repro.collectives.COLLECTIVES`) — the algorithm function, not
     ``Comm.bcast`` — for every rank of a ``size``-rank micro-world on a
     phantom payload through a plain engine, then checks that replaying
     the log at simultaneous arrival reproduces that run exactly.
@@ -220,9 +221,10 @@ def record(algorithm: str, size: int, root: int, segments: int | None,
     by the function the name resolves to, so a re-registered or wrapped
     broadcast records afresh."""
     global _held
-    from repro.collectives import get_broadcast
+    from repro.collectives import COLLECTIVES
 
-    key = (get_broadcast(algorithm), size, root, segments, count, itemsize)
+    key = (COLLECTIVES["bcast"].algorithm(algorithm), size, root, segments,
+           count, itemsize)
     found = _recorded.get(key)
     if found is not None:
         _recorded.move_to_end(key)

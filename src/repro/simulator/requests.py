@@ -213,8 +213,7 @@ class CollectiveRequest(_Request):
     Attributes
     ----------
     op:
-        Operation name: "bcast", "scatter", "gather", "allgather",
-        "reduce", "allreduce" or "barrier".
+        Operation name: a key of :data:`repro.collectives.COLLECTIVES`.
     algorithm:
         Resolved algorithm registry name for ``op``.
     cid:
@@ -230,9 +229,8 @@ class CollectiveRequest(_Request):
     root:
         Communicator rank of the root for rooted operations, else None.
     payload:
-        This rank's contribution (op-dependent: the message on a bcast
-        root, the parts list on a scatter root, the local contribution
-        for gather/allgather/reduce/allreduce, None otherwise).
+        This rank's payload under the op's size convention (only the
+        root supplies one for a ``ROOT``-sized op; None otherwise).
     segments:
         Segment count for segmented algorithms (pipelined broadcast),
         or None.

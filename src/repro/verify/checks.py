@@ -13,6 +13,7 @@ eagerly completed into the void, a wait that can never return — are
 
 from __future__ import annotations
 
+from repro.collectives import COLLECTIVES, SIGNATURE
 from repro.verify.recorder import CollectiveGroup, OpRecord, Recorder
 from repro.verify.verdict import Finding
 
@@ -54,20 +55,6 @@ CHECKS: dict[str, str] = {
 
 #: How many example operations a rolled-up finding quotes in detail.
 _EXAMPLES = 4
-
-#: Collectives whose per-rank contributions must agree in size (the
-#: combine step requires identical shapes).
-_UNIFORM_PAYLOAD_OPS = frozenset({"reduce", "allreduce"})
-
-#: Signature field -> check id, compared across every announcement of a
-#: collective slot (mirrors the communicator layer's early validation).
-_COLLECTIVE_FIELDS = (
-    ("participants", "collective-comm-mismatch"),
-    ("op", "collective-op-mismatch"),
-    ("root", "collective-root-mismatch"),
-    ("algorithm", "collective-arg-mismatch"),
-    ("segments", "collective-arg-mismatch"),
-)
 
 
 def run_structural_checks(recorder: Recorder,
@@ -183,7 +170,7 @@ def _check_collective(group: CollectiveGroup, outcome: str) -> list[Finding]:
     first = group.by_rank[first_rank]
     slot = {"cid": repr(group.cid), "seq": group.seq, "op": first.op}
 
-    for field, check in _COLLECTIVE_FIELDS:
+    for field, check in SIGNATURE:
         expected = getattr(first, field)
         for rank in group.order[1:]:
             observed = getattr(group.by_rank[rank], field)
@@ -200,7 +187,7 @@ def _check_collective(group: CollectiveGroup, outcome: str) -> list[Finding]:
                 ))
                 break  # one finding per field is enough
 
-    if first.op in _UNIFORM_PAYLOAD_OPS:
+    if COLLECTIVES[first.op].uniform:
         sizes = {r: group.by_rank[r].nbytes for r in group.order}
         if len(set(sizes.values())) > 1:
             findings.append(Finding(

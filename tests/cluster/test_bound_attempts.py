@@ -18,7 +18,7 @@ import pytest
 from repro.cluster import JobSpec, serve
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.schedulers import FifoScheduler
-from repro.collectives import BROADCAST_ALGORITHMS
+from repro.collectives import COLLECTIVES
 from repro.mpi.comm import CollectiveOptions
 from repro.network.torus import Torus3D
 from repro.simulator.runtime import DEFAULT_PARAMS
@@ -46,7 +46,7 @@ def _assert_same_job(attempt_stats, reference_stats):
 
 
 @pytest.mark.parametrize("algorithm", [None, "hsumma"])
-@pytest.mark.parametrize("bcast", sorted(BROADCAST_ALGORITHMS))
+@pytest.mark.parametrize("bcast", sorted(COLLECTIVES["bcast"].algorithms))
 @pytest.mark.parametrize("contention", [True, False])
 def test_later_job_of_a_stream_equals_the_first(bcast, algorithm,
                                                 contention):
@@ -64,7 +64,7 @@ def test_later_job_of_a_stream_equals_the_first(bcast, algorithm,
 
 
 @pytest.mark.parametrize("algorithm", [None, "hsumma"])
-@pytest.mark.parametrize("bcast", sorted(BROADCAST_ALGORITHMS))
+@pytest.mark.parametrize("bcast", sorted(COLLECTIVES["bcast"].algorithms))
 def test_retry_after_a_kill_equals_an_unkilled_job(bcast, algorithm):
     # contention=False: the killed attempt's transfers still on the
     # wire would otherwise hold their links past the kill and delay

@@ -1,7 +1,7 @@
 """Shared broadcast-conformance harness.
 
 Every test that takes the ``bcast_algorithm`` fixture sweeps the full
-registry (:data:`repro.collectives.BROADCAST_ALGORITHMS`): registering
+registry (:data:`repro.collectives.COLLECTIVES` ``["bcast"]``): registering
 a new broadcast algorithm automatically enrolls it in the conformance
 suite in ``test_pipelined.py`` — payload bit-identity across comm
 sizes/roots/dtypes/segment counts and backends, ``repro.verify``
@@ -11,7 +11,7 @@ cleanliness, closed-form/DES cost agreement — with no test edits.
 import numpy as np
 import pytest
 
-from repro.collectives import BROADCAST_ALGORITHMS
+from repro.collectives import COLLECTIVES
 from repro.network.model import HockneyParams
 from repro.simulator import run_spmd
 
@@ -56,7 +56,7 @@ class BcastHarness:
         return run_spmd(prog, size, **kwargs)
 
 
-@pytest.fixture(params=sorted(BROADCAST_ALGORITHMS))
+@pytest.fixture(params=sorted(COLLECTIVES["bcast"].algorithms))
 def bcast_algorithm(request):
     """Every registered broadcast algorithm, by registration alone."""
     return request.param

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import BROADCAST_ALGORITHMS
+from repro.collectives import COLLECTIVES
 from repro.collectives.bcast import optimal_pipeline_segments
 from repro.costs import bcast_time
 from repro.network.model import HockneyParams
@@ -11,7 +11,7 @@ from repro.payloads import PhantomArray
 from repro.simulator import run_spmd
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
-ALGOS = sorted(BROADCAST_ALGORITHMS)
+ALGOS = sorted(COLLECTIVES["bcast"].algorithms)
 
 
 def _bcast_prog(algorithm, root, payload_factory):
@@ -136,11 +136,11 @@ class TestPipelineSegments:
 
 class TestRegistry:
     def test_unknown_algorithm_rejected(self):
-        from repro.collectives import get_broadcast
+        from repro.collectives import COLLECTIVES
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="unknown broadcast"):
-            get_broadcast("nope")
+            COLLECTIVES["bcast"].algorithm("nope")
 
     def test_all_registered(self):
         assert set(ALGOS) == {

@@ -132,11 +132,11 @@ class TestRabenseifner:
             assert ag == [0, 1, 2, 3]
 
     def test_unknown_allreduce_rejected(self):
-        from repro.collectives import get_allreduce
+        from repro.collectives import COLLECTIVES
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="allreduce"):
-            get_allreduce("nope")
+            COLLECTIVES["allreduce"].algorithm("nope")
 
     def test_shape_preserved(self):
         def prog(ctx):

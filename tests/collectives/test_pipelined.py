@@ -4,7 +4,7 @@ bidirectional ring, hyper-systolic ring).
 
 The ``TestConformance*`` classes consume the ``bcast_algorithm``
 fixture from ``conftest.py``, so every algorithm in
-:data:`repro.collectives.BROADCAST_ALGORITHMS` is swept by
+:data:`repro.collectives.COLLECTIVES` ``["bcast"]`` is swept by
 registration alone — a newly registered broadcast picks up delivery,
 dtype, segment-count, macro-backend, verify-cleanliness and cost
 checks without touching this file.

@@ -5,7 +5,7 @@ recv_retry failure path."""
 import numpy as np
 import pytest
 
-from repro.collectives import BROADCAST_ALGORITHMS
+from repro.collectives import COLLECTIVES
 from repro.collectives.ft import ancestor_chain, subtree_backups
 from repro.errors import FaultToleranceError
 from repro.faults import FaultSchedule, RetryPolicy
@@ -18,7 +18,7 @@ PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 
 class TestTreeHelpers:
     def test_registry_has_ft_binomial(self):
-        assert "ft_binomial" in BROADCAST_ALGORITHMS
+        assert "ft_binomial" in COLLECTIVES["bcast"].algorithms
 
     def test_ancestor_chain_examples(self):
         assert ancestor_chain(0) == []

@@ -10,7 +10,7 @@ communicators yield are offset.
 import numpy as np
 import pytest
 
-from repro.collectives import BROADCAST_ALGORITHMS
+from repro.collectives import COLLECTIVES
 from repro.errors import CollectiveMismatchError
 from repro.mpi.comm import context_factory
 from repro.network.homogeneous import HomogeneousNetwork
@@ -96,7 +96,7 @@ def _idle():
     yield
 
 
-@pytest.mark.parametrize("algorithm", sorted(BROADCAST_ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(COLLECTIVES["bcast"].algorithms))
 def test_every_broadcast_runs_the_same_at_a_base(algorithm):
     # Engine ranks 0..BASE-1 are somebody else's (idle here); the run
     # occupies BASE..BASE+P-1 of the same engine.

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blocks.distribution import BlockDistribution
-from repro.collectives import BROADCAST_ALGORITHMS
+from repro.collectives import COLLECTIVES
 from repro.costs import (
     BINOMIAL_MODEL,
     VANDEGEIJN_MODEL,
@@ -124,7 +124,7 @@ class TestDistributionProperties:
 class TestBroadcastProperties:
     @settings(max_examples=25, deadline=None)
     @given(
-        algorithm=st.sampled_from(sorted(BROADCAST_ALGORITHMS)),
+        algorithm=st.sampled_from(sorted(COLLECTIVES["bcast"].algorithms)),
         size=st.integers(min_value=1, max_value=20),
         data=st.data(),
     )

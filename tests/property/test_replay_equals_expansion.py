@@ -20,7 +20,7 @@ import pytest
 
 from repro.cluster import JobSpec, serve
 from repro.cluster.engine import ClusterEngine
-from repro.collectives import BROADCAST_ALGORITHMS
+from repro.collectives import COLLECTIVES
 from repro.core.hsumma import run_hsumma
 from repro.core.summa import run_summa
 from repro.errors import DeadlockError
@@ -116,7 +116,7 @@ def sweep_program(algorithm, size, nranks=16):
 
 @pytest.mark.parametrize("network", sorted(NETWORKS))
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("algorithm", sorted(BROADCAST_ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(COLLECTIVES["bcast"].algorithms))
 def test_replay_equals_expansion(algorithm, size, network):
     replayed, expanded = both(sweep_program(algorithm, size),
                               NETWORKS[network])

@@ -14,7 +14,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.collectives import BROADCAST_ALGORITHMS, bcast_flat
+from repro.collectives import COLLECTIVES, bcast_flat
 from repro.core.summa import run_summa
 from repro.mpi.comm import make_contexts
 from repro.network.homogeneous import HomogeneousNetwork
@@ -185,7 +185,7 @@ def test_a_name_bound_to_another_function_records_afresh(monkeypatch):
     def wrapped(*args, **kwargs):
         return bcast_flat(*args, **kwargs)
 
-    monkeypatch.setitem(BROADCAST_ALGORITHMS, "binomial", wrapped)
+    monkeypatch.setitem(COLLECTIVES["bcast"].algorithms, "binomial", wrapped)
     replayed, _ = both(programs, network)
     assert replayed.replay["replayed"] == 3
     assert stats_of(replayed) != stats_of(before)
