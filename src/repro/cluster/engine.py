@@ -254,7 +254,8 @@ class ClusterEngine(Engine):
 
     def _job_arrival(self, record: JobRecord, now: float) -> None:
         if record.launch is None:
-            record.launch = self.scheduler.launch_spec(record.job)
+            record.launch = self.scheduler.launch_spec(record.job,
+                                                       self.options)
             if record.launch.s * record.launch.t != record.job.p:
                 raise ConfigurationError(
                     f"scheduler proposed grid {record.launch.s}x"

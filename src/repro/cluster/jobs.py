@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -69,9 +70,10 @@ class JobSpec:
     algorithm: str | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
+        if not 0 <= self.arrival < math.inf:
             raise ConfigurationError(
-                f"job {self.jid}: arrival must be >= 0, got {self.arrival}"
+                f"job {self.jid}: arrival must be finite and >= 0, "
+                f"got {self.arrival}"
             )
         if self.n < 1 or self.p < 1:
             raise ConfigurationError(
@@ -134,8 +136,9 @@ def poisson_stream(
     """
     if njobs < 1:
         raise ConfigurationError(f"need njobs >= 1, got {njobs}")
-    if rate <= 0:
-        raise ConfigurationError(f"arrival rate must be > 0, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ConfigurationError(f"arrival rate must be finite and > 0, "
+                                 f"got {rate}")
     if not sizes:
         raise ConfigurationError("size catalogue must be non-empty")
     if weights is not None and len(weights) != len(sizes):

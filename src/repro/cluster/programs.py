@@ -17,12 +17,11 @@ always step per rank, and plans inform *decisions*, not execution.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Any
 
 from repro.cluster.jobs import DEFAULT_ALGORITHM, JobSpec
 from repro.core.launch import FAMILIES, family, rank_programs, Shape
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ModelError
 from repro.mpi.comm import CollectiveOptions
 from repro.payloads import PhantomArray
 
@@ -33,8 +32,8 @@ class LaunchSpec(Shape):
     :data:`repro.core.launch.FAMILIES` row, the
     :class:`~repro.core.launch.Shape` it runs at (handed to the
     family's ``configure``, which validates it) and ``predicted``, the
-    scheduler's runtime estimate in virtual seconds (closed-form
-    planner estimate or the crude Hockney model); EASY-backfill
+    scheduler's runtime estimate in virtual seconds (the plan's
+    predicted time, or :func:`naive_launch`'s closed form); EASY-backfill
     reservations and the planner's shortest-first ordering both consume
     it.  The grid must be set, and ``s * t`` equal the job's ``p``.
     """
@@ -55,35 +54,48 @@ class LaunchSpec(Shape):
             )
 
 
-def estimate_run_seconds(
-    n: int, p: int, s: int, t: int, block: int,
-    alpha: float, beta: float, gamma: float, itemsize: int = 8,
-) -> float:
-    """Crude closed-form SUMMA estimate: per-step binomial row/column
-    broadcasts under Hockney plus the gemm flops.  Used by the FIFO and
-    EASY schedulers, which by design plan without the planner."""
-    steps = max(1, n // block)
-    la = math.ceil(math.log2(t)) if t > 1 else 0
-    lb = math.ceil(math.log2(s)) if s > 1 else 0
-    a_bytes = (n // s) * block * itemsize
-    b_bytes = block * (n // t) * itemsize
-    comm = steps * (la * (alpha + a_bytes * beta)
-                    + lb * (alpha + b_bytes * beta))
-    compute = 2.0 * n * n * n / p * gamma
-    return comm + compute
+def _run_options(spec: Shape,
+                 options: CollectiveOptions | None) -> CollectiveOptions:
+    """The collective options one attempt of a launch at ``spec`` runs
+    under: the stream's ``options`` with the launch's own broadcast
+    and pipeline depth, where set, on top."""
+    opts = options or CollectiveOptions()
+    return opts.replace(bcast=spec.bcast or opts.bcast,
+                        bcast_segments=spec.segments or opts.bcast_segments)
 
 
-def naive_launch(job: JobSpec, *, alpha: float, beta: float,
-                 gamma: float) -> LaunchSpec:
+def naive_launch(job: JobSpec, *, alpha: float, beta: float, gamma: float,
+                 options: CollectiveOptions | None = None) -> LaunchSpec:
     """The launch FIFO/EASY use: the pinned family (SUMMA when the job
     pins none) at its own defaults for the job's rank count —
-    most-square grid, largest valid block, library-default broadcasts
-    and, for ``hsumma``, the group count nearest ``sqrt(p)``."""
+    most-square grid, largest valid block, the stream's broadcasts
+    and, for ``hsumma``, the group count nearest ``sqrt(p)``.
+
+    ``predicted`` is the planner's ranking form
+    (:func:`repro.planner.space.closed_form_cost`) of the broadcasts
+    the attempt runs: the shape's unset broadcasts and pipeline depth
+    are read from the stream's ``options``, as :func:`build_programs`
+    reads them.  The launch itself keeps them unset."""
+    from repro.planner.query import PlanQuery
+    from repro.planner.space import closed_form_cost
+
     name = job.algorithm or DEFAULT_ALGORITHM
     shape, _ = family(name).configure(job.n, job.n, job.n,
                                       Shape(nprocs=job.p))
-    predicted = estimate_run_seconds(job.n, job.p, shape.s, shape.t,
-                                     shape.block, alpha, beta, gamma)
+    opts = _run_options(shape, options)
+    priced = dataclasses.replace(
+        shape, bcast=opts.bcast, outer_bcast=shape.outer_bcast or opts.bcast,
+        segments=opts.bcast_segments)
+    query = PlanQuery(n=job.n, p=job.p, alpha=alpha, beta=beta,
+                      gamma=gamma).resolve()
+    try:
+        predicted = closed_form_cost(query, priced)
+    except ModelError:
+        # No ranking row (the fault-tolerant tree): price the library
+        # default it relaxes, an over-estimate on a healthy machine.
+        default = CollectiveOptions().bcast
+        predicted = closed_form_cost(query, dataclasses.replace(
+            priced, bcast=default, outer_bcast=default))
     return LaunchSpec(**vars(shape), algorithm=name, predicted=predicted)
 
 
@@ -122,11 +134,6 @@ def build_programs(job: JobSpec, spec: LaunchSpec, *, gamma: float = 0.0,
             f"p={job.p} ranks"
         )
     n = job.n
-    opts = options or CollectiveOptions()
-    if spec.bcast is not None:
-        opts = opts.replace(bcast=spec.bcast)
-    if spec.segments is not None:
-        opts = opts.replace(bcast_segments=spec.segments)
     row = family(spec.algorithm)
     shape, cfg = row.configure(n, n, n, spec)
     algorithm = row.variant(shape)
@@ -134,5 +141,6 @@ def build_programs(job: JobSpec, spec: LaunchSpec, *, gamma: float = 0.0,
     return rank_programs(
         algorithm, cfg, layout.nranks,
         layout.deal(PhantomArray((n, n)), PhantomArray((n, n))),
-        options=opts, gamma=gamma, trace=trace, base=base,
+        options=_run_options(spec, options), gamma=gamma, trace=trace,
+        base=base,
     )

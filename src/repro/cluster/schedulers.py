@@ -40,6 +40,7 @@ from repro.cluster.programs import (
     naive_launch,
 )
 from repro.errors import ConfigurationError
+from repro.mpi.comm import CollectiveOptions
 
 
 class RunningAttempt(Protocol):
@@ -66,10 +67,12 @@ class Scheduler:
         self.beta = beta
         self.gamma = gamma
 
-    def launch_spec(self, job: JobSpec) -> LaunchSpec:
-        """How this scheduler would run ``job`` (grid, block, estimate)."""
+    def launch_spec(self, job: JobSpec,
+                    options: CollectiveOptions | None = None) -> LaunchSpec:
+        """How this scheduler would run ``job`` (grid, block, estimate)
+        in a stream whose collectives default to ``options``."""
         return naive_launch(job, alpha=self.alpha, beta=self.beta,
-                            gamma=self.gamma)
+                            gamma=self.gamma, options=options)
 
     def pick(self, queue: Sequence[QueuedJob], grid: SlotGrid, now: float,
              running: Sequence[RunningAttempt]):
@@ -146,7 +149,8 @@ class PlannerScheduler(EasyBackfillScheduler):
 
         self._service = PlanService(cache_dir=None, refine="none")
 
-    def launch_spec(self, job: JobSpec) -> LaunchSpec:
+    def launch_spec(self, job: JobSpec,
+                    options: CollectiveOptions | None = None) -> LaunchSpec:
         from repro.planner.query import PlanQuery
 
         plan = self._service.plan(PlanQuery(
@@ -157,11 +161,11 @@ class PlannerScheduler(EasyBackfillScheduler):
             # At closed-form fidelity a 2.5D candidate can win the plan,
             # but its q x q x c layout has no rectangular slot-grid
             # placement; run the naive 2-D launch instead.
-            return super().launch_spec(job)
+            return super().launch_spec(job, options)
         if job.algorithm is not None and plan.algorithm != job.algorithm:
             # The job pinned an algorithm the plan disagrees with; honour
             # the pin with the naive launch (the plan stays advisory).
-            return super().launch_spec(job)
+            return super().launch_spec(job, options)
         return launch_from_plan(job, plan)
 
     def _backfill_candidates(self, queue):

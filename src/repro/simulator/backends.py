@@ -26,9 +26,10 @@ rank generators.  A *backend* decides how much machinery executes them:
   from their behavioural twins — bit-identical to the per-rank path,
   ``O(s + t)`` generators instead of ``s * t`` (see
   :mod:`repro.simulator.collapse` and ``docs/cost_model.md``).
-* :class:`~repro.simulator.predictor.PredictorBackend` — no stepping at
-  all: the runners compose the coster's closed forms phase by phase
-  (``backend="predictor"``).  Exact for total/compute time versus the
+* ``backend="predictor"`` (:mod:`repro.simulator.predictor`) — no
+  stepping at all and no engine: the runners compose the coster's
+  closed forms phase by phase, and :func:`resolve_backend` refuses the
+  name.  Exact for total/compute time versus the
   macro backend on homogeneous networks; see ``docs/cost_model.md``
   for the documented tolerance on ``comm_time``.
 
@@ -332,14 +333,12 @@ def resolve_backend(
     """Turn a backend spec into a ready engine.
 
     ``backend`` may be None or ``"des"`` (full discrete-event),
-    ``"macro"`` (coster-satisfied collectives), ``"predictor"``
-    (closed-form composition — only meaningful through the algorithm
-    runners, which compute the prediction without building an engine;
-    resolving it here returns a :class:`~repro.simulator.predictor.
-    PredictorBackend` whose :meth:`run` explains that), or an
+    ``"macro"`` (coster-satisfied collectives), or an
     already-built :class:`~repro.simulator.engine.Engine` /
     :class:`Backend` instance, which is returned as-is (its own
-    network/options win).
+    network/options win).  ``"predictor"`` has no engine (the runners
+    price it before any program is built), so it raises: the
+    fault-injection refusal first, else directions to a runner.
 
     ``faults`` is a :class:`repro.faults.FaultSchedule`; only the
     discrete-event path can honour one (the macro backend raises, and a
@@ -374,9 +373,23 @@ def resolve_backend(
             symmetry=symmetry,
         )
     if backend == "predictor":
-        from repro.simulator.predictor import PredictorBackend
+        if active:
+            raise ConfigurationError(
+                "backend='predictor' cannot run: feature 'fault "
+                "injection' requires execution — closed forms price "
+                "healthy runs only; fallback: use backend='des' for "
+                "faulted runs"
+            )
+        from repro.core.launch import FAMILIES, family
 
-        return PredictorBackend(network, faults=faults)
+        chained = "/".join(name for name in FAMILIES
+                           if family(name).predict is not None)
+        raise ConfigurationError(
+            "the predictor backend composes closed forms and cannot "
+            "execute rank programs; call it through the runner of a "
+            f"family with a predictor chain ({chained}, with "
+            "backend='predictor') or the CLI"
+        )
     raise ConfigurationError(
         f"unknown backend {backend!r} (expected 'des', 'macro', "
         "'predictor', or an Engine instance)"

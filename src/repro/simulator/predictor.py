@@ -48,43 +48,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.model import Network
-from repro.simulator.backends import Backend
 from repro.simulator.tracing import RankStats, SimResult
-
-
-class PredictorBackend(Backend):
-    """Marker backend returned by ``resolve_backend("predictor")``.
-
-    The predictor never steps rank programs, so :meth:`run` cannot
-    exist in a meaningful form — :func:`repro.core.launch.launch`
-    detects ``backend="predictor"`` *before* building programs and
-    calls the family's ``predict_*`` function below instead.  Resolving
-    the name still
-    succeeds (so generic plumbing can validate backend specs), but
-    executing it raises with directions.
-    """
-
-    def __init__(self, network: Network, *, faults: Any = None) -> None:
-        if faults is not None and not getattr(faults, "empty", False):
-            raise ConfigurationError(
-                "backend='predictor' cannot run: feature 'fault "
-                "injection' requires execution — closed forms price "
-                "healthy runs only; fallback: use backend='des' for "
-                "faulted runs"
-            )
-        self.network = network
-
-    def run(self, programs: Any) -> SimResult:
-        from repro.core.launch import FAMILIES, family
-
-        chained = "/".join(name for name in FAMILIES
-                           if family(name).predict is not None)
-        raise ConfigurationError(
-            "the predictor backend composes closed forms and cannot "
-            "execute rank programs; call it through the runner of a "
-            f"family with a predictor chain ({chained}, with "
-            "backend='predictor') or the CLI"
-        )
 
 
 def _refuse(name: str, feature: str, detail: str, fallback: str) -> None:

@@ -66,8 +66,8 @@ def run_spmd(
         Execution backend: ``None``/``"des"`` for the full discrete
         event simulation, ``"macro"`` for the collective-granularity
         macro backend, or a prebuilt engine instance (see
-        :mod:`repro.simulator.backends`).  ``"predictor"`` is not
-        usable here — it has no per-rank programs to run; reach it
+        :mod:`repro.simulator.backends`).  ``"predictor"`` runs no
+        rank programs, so it is refused before any is built; reach it
         through the algorithm runners (:func:`repro.core.api.multiply`
         with ``backend="predictor"``).
     faults:

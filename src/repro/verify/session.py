@@ -200,11 +200,11 @@ def run_verified(
         sim.collapse = getattr(engine, "collapse_report", None)
         return sim
 
+    engine = build(network, faults)
     programs = list(make_programs())
     session = VerifySession(opts, len(programs))
     if meta:
         session.meta.update(meta)
-    engine = build(network, faults)
     sim = session.execute(engine, programs)
     # The recorder must observe every rank, so verified runs never take
     # the collapse fast path — but the report (with its fallback reason)

@@ -73,3 +73,22 @@ def test_jobspec_validation():
         JobSpec(jid=0, arrival=0.0, n=0, p=4)
     with pytest.raises(ConfigurationError):
         JobSpec(jid=0, arrival=0.0, n=64, p=4, algorithm="cannon")
+
+
+@pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+def test_jobspec_rejects_non_finite_arrival(arrival):
+    with pytest.raises(ConfigurationError, match=r"job 7: arrival"):
+        JobSpec(jid=7, arrival=arrival, n=64, p=4)
+
+
+def test_trace_rejects_nan_arrival():
+    # JSON has no NaN, but Python's json module reads one; a stream
+    # holding it would report every job "completed" at makespan 0.
+    with pytest.raises(ConfigurationError, match=r"job 0: arrival"):
+        loads_trace('{"jid": 0, "arrival": NaN, "n": 64, "p": 4}\n')
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_poisson_stream_rejects_non_finite_rate(rate):
+    with pytest.raises(ConfigurationError, match="arrival rate"):
+        poisson_stream(3, rate=rate, seed=0)

@@ -11,6 +11,7 @@ from repro.cluster import (
 )
 from repro.cluster.schedulers import SCHEDULERS, resolve_scheduler
 from repro.errors import ConfigurationError
+from repro.mpi.comm import CollectiveOptions
 from repro.network.torus import Torus3D
 from repro.simulator.runtime import DEFAULT_PARAMS
 
@@ -80,6 +81,25 @@ def test_backfill_never_delays_reserved_head():
     # Job 2's predicted run exceeds job 0's remaining time, so it waits
     # until after the reserved head has started.
     assert by[2].first_start >= by[1].first_start
+
+
+@pytest.mark.parametrize("n,p", [(512, 16), (768, 16), (1024, 64),
+                                 (4096, 256)])
+@pytest.mark.parametrize("algorithm", [None, "hsumma"])
+@pytest.mark.parametrize("bcast", ["binomial", "vandegeijn"])
+@pytest.mark.parametrize("scheduler", ["fifo", "easy"])
+def test_lone_job_prediction_is_its_runtime(scheduler, bcast, algorithm,
+                                            n, p):
+    # On the default homogeneous machine the closed form a FIFO/EASY
+    # launch is priced by is exact, under whichever broadcast the
+    # stream's options make the job run: a backfill decision never
+    # rests on an estimate the run then overshoots.
+    job = JobSpec(jid=0, arrival=0.0, n=n, p=p, algorithm=algorithm)
+    record, = serve([job], scheduler=scheduler, gamma=GAMMA,
+                    options=CollectiveOptions(bcast=bcast)).records
+    assert record.status == "done"
+    assert record.launch.predicted == pytest.approx(
+        record.finish - record.first_start, rel=1e-12)
 
 
 def test_planner_beats_fifo_p99_on_contended_trace():

@@ -15,7 +15,8 @@ from repro.core.cyclic import run_cyclic
 from repro.core.summa import run_summa
 from repro.errors import ConfigurationError
 from repro.payloads import PhantomArray
-from repro.simulator.predictor import PredictorBackend, _require_predictable
+from repro.simulator.backends import resolve_backend
+from repro.simulator.predictor import _require_predictable
 from repro.verify import VerifyOptions
 
 
@@ -262,7 +263,24 @@ class TestBackendObject:
         network = HomogeneousNetwork(4, DEFAULT_PARAMS)
         schedule = parse_fault_spec("kill(rank=1,t=0.5)", seed=0)
         with pytest.raises(ConfigurationError) as exc:
-            PredictorBackend(network, faults=schedule)
+            resolve_backend("predictor", network, faults=schedule)
         msg = str(exc.value)
         assert "'fault injection'" in msg
         assert "fallback: use backend='des'" in msg
+
+    @pytest.mark.parametrize("verify", [None, True])
+    def test_spmd_run_refuses_before_building_a_program(self, verify):
+        from repro.simulator.runtime import run_spmd
+
+        built = []
+
+        def program(ctx):
+            built.append(ctx.rank)
+            return iter(())
+
+        with pytest.raises(ConfigurationError) as exc:
+            run_spmd(program, 4, backend="predictor", verify=verify)
+        msg = str(exc.value)
+        assert "cannot execute rank programs" in msg
+        assert "summa" in msg and "backend='predictor'" in msg
+        assert built == []
