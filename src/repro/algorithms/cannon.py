@@ -62,24 +62,17 @@ def cannon_program(ctx: MpiContext, a_tile: Any, b_tile: Any,
 
     c_tile = zeros_like_result(a_tile, b_tile)
 
+    # The per-step shift partners: A left along the row, B up the column.
+    left, right = grid.rank_at(i, j - 1), grid.rank_at(i, j + 1)
+    up, down = grid.rank_at(i - 1, j), grid.rank_at(i + 1, j)
     for step in range(q):
         c_tile = yield from local_gemm_acc(ctx, c_tile, a_tile, b_tile)
         if step == q - 1:
             break
         a_tile = yield from comm.sendrecv(
-            a_tile,
-            grid.rank_at(i, j - 1),
-            grid.rank_at(i, j + 1),
-            sendtag=TAG_SHIFT_A,
-            recvtag=TAG_SHIFT_A,
-        )
+            a_tile, left, right, sendtag=TAG_SHIFT_A, recvtag=TAG_SHIFT_A)
         b_tile = yield from comm.sendrecv(
-            b_tile,
-            grid.rank_at(i - 1, j),
-            grid.rank_at(i + 1, j),
-            sendtag=TAG_SHIFT_B,
-            recvtag=TAG_SHIFT_B,
-        )
+            b_tile, up, down, sendtag=TAG_SHIFT_B, recvtag=TAG_SHIFT_B)
     return c_tile
 
 

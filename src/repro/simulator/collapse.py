@@ -69,9 +69,11 @@ import numpy as np
 from repro.errors import DeadlockError, SimulationError
 from repro.mpi.cart import level_splits
 from repro.network.model import Network
+from repro.payloads import PhantomArray
 from repro.simulator.backends import MacroBackend
 from repro.simulator.engine import RankProgram, _PARKED, _RankState
 from repro.simulator.requests import (
+    CollectiveReply,
     CollectiveRequest,
     RecvRequest,
     SendRecvRequest,
@@ -168,6 +170,15 @@ class GridSymmetry:
             raise SimulationError(
                 f"a symmetry needs ranks and a probe set: {self.nranks} "
                 f"ranks, {len(self.probe)} probed")
+        seen: set[int] = set()
+        for rank in self.probe:
+            if not 0 <= rank < self.nranks:
+                raise SimulationError(
+                    f"probe rank {rank} is outside the {self.nranks}-rank "
+                    f"world")
+            if rank in seen:
+                raise SimulationError(f"probe rank {rank} is listed twice")
+            seen.add(rank)
 
     @property
     def covers_grid(self) -> bool:
@@ -223,9 +234,7 @@ class _Memo:
 def _phantom_ok(value: Any) -> bool:
     """True when ``value`` carries no concrete data a partial comm's
     unobserved members could have influenced."""
-    from repro.payloads import is_phantom
-
-    if value is None or is_phantom(value):
+    if value is None or isinstance(value, PhantomArray):
         return True
     if isinstance(value, (list, tuple)):
         return all(_phantom_ok(v) for v in value)
@@ -247,20 +256,23 @@ class CollapsedMacroEngine(MacroBackend):
     raises :class:`SymmetryBroken` the moment the run strays outside
     the declared symmetry (the caller then falls back per-rank).
 
-    Point-to-point collapse: for tags in ``symmetry.p2p_tags``, each
-    probed rank's posts are recorded under ``(kind, my class, wire tag,
-    partner class, occurrence)`` and cross-checked against its class
-    (same post clock, same size, phantom payloads only).  A send
-    completes against the partner *class's* recorded receive post and
-    vice versa, reproducing the DES sendrecv's float operations —
-    ``finish = max(post, partner_post) + wire`` per leg, the receive
-    leg's comm charge first, then the send tail — exactly.  Sends
-    charge ``messages_sent``/``bytes_sent`` to the sender as in the
-    DES, and the counters replicate to twins at assembly.
+    Point-to-point collapse: for tags in ``symmetry.p2p_tags``, the
+    posts of one class to one partner class on one wire tag form a
+    *stream* — ``(post clock, nbytes, payload)`` indexed by occurrence
+    — and every member's n-th post is checked against the stream's
+    n-th entry (same post clock, same size, phantom payloads only).  A
+    probed rank reaches its streams through a *lane* per ``(leg, wire
+    tag, peer)``, resolved on first use (:meth:`_lane`).  A send
+    completes against the partner *class's* receive stream at the same
+    occurrence and vice versa, reproducing the DES sendrecv's float
+    operations — ``finish = max(post, partner_post) + wire`` per leg,
+    the receive leg's comm charge first, then the send tail — exactly.
+    Sends charge ``messages_sent``/``bytes_sent`` to the sender as in
+    the DES, and the counters replicate to twins at assembly.
     """
 
     _RUN_TABLES = MacroBackend._RUN_TABLES + (
-        "_memos", "_parked", "_posts", "_waiters")
+        "_memos", "_parked", "_posts", "_waiters", "_occ")
 
     def __init__(
         self,
@@ -315,15 +327,18 @@ class CollapsedMacroEngine(MacroBackend):
         self._memos: dict[tuple, _Memo] = {}
         #: (class key, seq) -> [(state, request)] waiting for a primary.
         self._parked: dict[tuple, list] = {}
-        #: cid -> (all members probed?, class key, price key).
+        #: cid -> (all members probed?, class key, price key, rotated?).
         self._comms: dict[tuple, tuple] = {}
-        #: p2p post records: (kind, class, wire tag, partner class,
-        #: occurrence) -> (post clock, nbytes, payload).
+        #: p2p class-post streams: (kind, class, wire tag, partner
+        #: class) -> (posts [(post clock, nbytes, payload)] indexed by
+        #: occurrence, {member rank: [its next occurrence]}).
         self._posts: dict[tuple, tuple] = {}
-        #: post key -> [op spec] parked until that post is recorded.
+        #: (id of a stream's post list, occurrence) -> [op spec] parked
+        #: until that post exists.
         self._waiters: dict[tuple, list] = {}
-        #: (rank, kind, wire tag, partner class) -> next occurrence.
-        self._occ: dict[tuple, int] = {}
+        #: p2p lanes (see _lane): wire tag -> {rank << 33 | peer << 1
+        #: | leg: lane}.
+        self._occ: dict[tuple, dict] = {}
         self._rank_class: dict[int, tuple] = {}
 
     def _setup_matching(self) -> None:
@@ -371,17 +386,18 @@ class CollapsedMacroEngine(MacroBackend):
         mkey = (comm[1], request.seq)
         memo = self._memos.get(mkey)
         if memo is not None:
-            self._join(state, request, memo)
+            self._join(state, request, memo, comm[3])
         else:
             self._parked.setdefault(mkey, []).append((state, request))
         return True
 
     def _observe(self, request: CollectiveRequest) -> tuple:
         """Record a communicator on first sight: whether all its members
-        are probed, its class key, and the key it is priced by — its
-        size under a participant-invariant coster, else its class's one
+        are probed, its class key, the key it is priced by — its size
+        under a participant-invariant coster, else its class's one
         placement key, once its members are checked to be declared
-        ones."""
+        ones — and whether its family matches memos up to a root
+        rotation."""
         members = request.participants
         ckey = self.symmetry.class_key(request.cid)
         placements = self.symmetry.placements
@@ -396,17 +412,18 @@ class CollapsedMacroEngine(MacroBackend):
             price = placed[0]
         probed = self._probed
         comm = self._comms[request.cid] = (
-            all(probed[r] for r in members), ckey, price)
+            all(probed[r] for r in members), ckey, price,
+            request.cid[0] in self.symmetry.rotated)
         return comm
 
     def _filled(self, entry: list) -> None:
         """Fire a fully-probed collective; record or verify its memo."""
         req0 = entry[0][1]
-        mkey = (self._comms[req0.cid][1], req0.seq)
+        _, ckey, _, rotated = self._comms[req0.cid]
+        mkey = (ckey, req0.seq)
         p = len(req0.participants)
         start, finish, nbytes_by_me, results = self._price(entry)
         root = req0.root or 0
-        rotated = req0.cid[0] in self.symmetry.rotated if req0.cid else False
         memo = self._memos.get(mkey)
         if memo is None:
             self._memos[mkey] = memo = _Memo(
@@ -416,7 +433,7 @@ class CollapsedMacroEngine(MacroBackend):
             waiting = self._parked.pop(mkey, None)
             if waiting:
                 for st, req in waiting:
-                    self._join(st, req, memo)
+                    self._join(st, req, memo, rotated)
         elif (memo.start != start or memo.finish != finish
               or memo.op != req0.op or memo.algorithm != req0.algorithm
               or memo.segments != req0.segments or memo.p != p
@@ -442,10 +459,8 @@ class CollapsedMacroEngine(MacroBackend):
                 nbytes, req0.segments, req0.cid[0])
 
     def _join(self, state: _RankState, request: CollectiveRequest,
-              memo: _Memo) -> None:
+              memo: _Memo, rotated: bool) -> None:
         """Satisfy a partially-probed member from its class memo."""
-        rotated = (request.cid[0] in self.symmetry.rotated
-                   if request.cid else False)
         if (request.op != memo.op
                 or request.algorithm != memo.algorithm
                 or (not rotated and request.root != memo.root)
@@ -478,19 +493,17 @@ class CollapsedMacroEngine(MacroBackend):
             raise SymmetryBroken(
                 "collective carries concrete data; unobserved members "
                 "could contribute different values")
-        # Inherited _collective_done: comm_time += finish - block_start,
-        # then resume with a CollectiveReply — the same float operations
-        # the rank's own communicator would have produced, since by
-        # congruence its start/duration equal the memoed ones.
-        if rotated and me != request.me:
-            results = list(memo.results)
-            results[request.me] = value
-        else:
-            results = memo.results
-        self._events.push(
-            memo.finish, self._collective_done,
-            ([(state, request)], results, memo.finish),
-        )
+        self._events.push(memo.finish, self._joined,
+                          (state, value, memo.finish))
+
+    def _joined(self, state: _RankState, value: Any, finish: float) -> None:
+        # MacroBackend._collective_done for one member: comm_time +=
+        # finish - block_start, then resume with a CollectiveReply —
+        # the same float operations the rank's own communicator would
+        # have produced, since by congruence its start/duration equal
+        # the memoed ones.
+        state.stats.comm_time += finish - state.block_start
+        self._resume(state, CollectiveReply(value), finish)
 
     # -- point-to-point collapse -------------------------------------------
 
@@ -500,34 +513,61 @@ class CollapsedMacroEngine(MacroBackend):
             cls = self._rank_class[rank] = self.symmetry.rank_class(rank)
         return cls
 
-    def _next_occ(self, rank: int, kind: str, tag: tuple,
-                  partner_cls: tuple) -> int:
-        key = (rank, kind, tag, partner_cls)
-        occ = self._occ.get(key, 0)
-        self._occ[key] = occ + 1
-        return occ
+    def _lane(self, me: int, leg: int, tag: tuple, peer: int) -> list:
+        """Resolve rank ``me``'s ``leg`` (0 send, 1 receive) to ``peer``
+        on wire ``tag``, once per run: ``[own posts, partner posts,
+        occurrence counter, wire memo, src, dst]``.
 
-    def _check_tag(self, state: _RankState, tag: tuple) -> None:
+        The own posts are the stream of ``me``'s class to the peer's
+        class; the partner posts, the peer class's opposite stream
+        back.  My n-th send to the peer class pairs (FIFO channel
+        order) with the peer class's n-th receive from my class, so
+        ``me`` counts occurrences per partner *class*: every lane of
+        ``me`` into one stream shares one counter.  The wire memo maps
+        a leg's size to its wire time between ``src`` and ``dst``."""
         if tag[1] not in self.symmetry.p2p_tags:
             raise SymmetryBroken(
-                f"rank {state.stats.rank} used undeclared p2p tag "
-                f"{tag[1]!r}")
+                f"rank {me} used undeclared p2p tag {tag[1]!r}")
+        cls_me = self._class_of_rank(me)
+        cls_peer = self._class_of_rank(peer)
+        kind, other = ("s", "r") if leg == 0 else ("r", "s")
+        posts = self._posts
+        mine = posts.get((kind, cls_me, tag, cls_peer))
+        if mine is None:
+            mine = posts[kind, cls_me, tag, cls_peer] = ([], {})
+        theirs = posts.get((other, cls_peer, tag, cls_me))
+        if theirs is None:
+            theirs = posts[other, cls_peer, tag, cls_me] = ([], {})
+        counter = mine[1].get(me)
+        if counter is None:
+            counter = mine[1][me] = [0]
+        src, dst = (me, peer) if leg == 0 else (peer, me)
+        lane = [mine[0], theirs[0], counter, {}, src, dst]
+        self._occ.setdefault(tag, {})[me << 33 | peer << 1 | leg] = lane
+        return lane
 
-    def _record_post(self, key: tuple, time: float, nbytes: Any,
-                     payload: Any) -> None:
-        """Record one class post; verify against earlier class members
-        and release any ops parked on it."""
-        rec = self._posts.get(key)
-        if rec is None:
-            self._posts[key] = (time, nbytes, payload)
-            waiting = self._waiters.pop(key, None)
+    def _post(self, lane: list, leg: int, tag: tuple, now: float,
+              nbytes: int | None, payload: Any) -> int:
+        """Post the lane's next occurrence to its own stream and return
+        the occurrence: the class's first post there is recorded (and
+        releases the ops parked on it), every later one must match it."""
+        posts = lane[0]
+        counter = lane[2]
+        occ = counter[0]
+        counter[0] = occ + 1
+        if len(posts) > occ:
+            first = posts[occ]
+            if first[0] != now or first[1] != nbytes:
+                raise SymmetryBroken(
+                    f"p2p class members diverged on {'sr'[leg]!r} post "
+                    f"{occ} of tag {tag[1]!r}")
+        else:
+            posts.append((now, nbytes, payload))
+            waiting = self._waiters.pop((id(posts), occ), None)
             if waiting:
                 for spec in waiting:
                     self._try_p2p(spec)
-        elif rec[0] != time or rec[1] != nbytes:
-            raise SymmetryBroken(
-                f"p2p class members diverged on {key[0]!r} post "
-                f"{key[4]} of tag {key[2][1]!r}")
+        return occ
 
     def _wire(self, src: int, dst: int, nbytes: int) -> float:
         key = (src, dst, nbytes)
@@ -537,29 +577,34 @@ class CollapsedMacroEngine(MacroBackend):
                 src, dst, nbytes)
         return tt
 
-    def _try_p2p(self, spec: list) -> None:
-        """Fire a parked p2p op once its partner-class posts exist, or
-        re-park it on the first missing one."""
-        posts = self._posts
-        needs = spec[-2], spec[-1]
-        for key in needs:
-            if key is not None and key not in posts:
-                self._waiters.setdefault(key, []).append(spec)
-                return
-        state, now, me, dst, src, nbytes, need_d, need_s = spec
+    def _try_p2p(self, spec: tuple) -> None:
+        """Fire a posted p2p op once its partner-class posts exist, or
+        park it on the first missing one."""
+        state, now, nbytes, send, s_occ, recv, r_occ = spec
+        if send is not None and len(send[1]) <= s_occ:
+            self._waiters.setdefault((id(send[1]), s_occ), []).append(spec)
+            return
+        if recv is not None and len(recv[1]) <= r_occ:
+            self._waiters.setdefault((id(recv[1]), r_occ), []).append(spec)
+            return
         # A blocking send or receive is a sendrecv with one leg missing:
         # the missing leg finishes at the post time, so it charges
         # exactly 0.0 below.
         finish_s = finish_r = now
         payload = None
-        if need_d is not None:
-            d_time = posts[need_d][0]
-            finish_s = ((now if now >= d_time else d_time)
-                        + self._wire(me, dst, nbytes))
-        if need_s is not None:
-            s_time, s_nbytes, payload = posts[need_s]
-            finish_r = ((now if now >= s_time else s_time)
-                        + self._wire(src, me, s_nbytes))
+        if send is not None:
+            d_time = send[1][s_occ][0]
+            wire = send[3].get(nbytes)
+            if wire is None:
+                wire = send[3][nbytes] = self._wire(send[4], send[5], nbytes)
+            finish_s = (now if now >= d_time else d_time) + wire
+        if recv is not None:
+            s_time, s_nbytes, payload = recv[1][r_occ]
+            wire = recv[3].get(s_nbytes)
+            if wire is None:
+                wire = recv[3][s_nbytes] = self._wire(
+                    recv[4], recv[5], s_nbytes)
+            finish_r = (now if now >= s_time else s_time) + wire
         done = finish_s if finish_s > finish_r else finish_r
         self._events.push(
             done, self._p2p_done,
@@ -589,36 +634,33 @@ class CollapsedMacroEngine(MacroBackend):
     def _post_p2p(self, state: _RankState, request: Any, now: float,
                   dst: int | None, sendtag: tuple | None,
                   src: int | None, recvtag: tuple | None) -> Any:
-        """Classify one blocking p2p op, count its occurrence per leg,
-        record the class posts and park it until the partner classes'
-        posts exist (``dst``/``src`` is ``None`` for a missing leg)."""
+        """Post one blocking p2p op on its lanes (``dst``/``src`` is
+        ``None`` for a missing leg) and park it until the partner
+        classes' posts exist."""
         me = state.stats.rank
-        cls_me = self._class_of_rank(me)
-        nbytes = need_d = need_s = None
+        lanes = self._occ
+        send = recv = nbytes = None
+        s_occ = r_occ = 0
         if dst is not None:
-            self._check_tag(state, sendtag)
+            table = lanes.get(sendtag)
+            send = None if table is None else table.get(me << 33 | dst << 1)
+            if send is None:
+                send = self._lane(me, 0, sendtag, dst)
             nbytes = request.nbytes
             if not _phantom_ok(request.payload):
-                raise SymmetryBroken(
-                    f"rank {state.stats.rank} sent concrete data")
-            cls_dst = self._class_of_rank(dst)
-            occ = self._next_occ(me, "s", sendtag, cls_dst)
-            self._record_post(("s", cls_me, sendtag, cls_dst, occ),
-                              now, nbytes, request.payload)
-            # My occ-th send to the dst class pairs (FIFO channel
-            # order) with the dst class's occ-th receive from my class,
-            # and symmetrically for the receive leg.
-            need_d = ("r", cls_dst, sendtag, cls_me, occ)
+                raise SymmetryBroken(f"rank {me} sent concrete data")
+            s_occ = self._post(send, 0, sendtag, now, nbytes,
+                               request.payload)
         if src is not None:
-            self._check_tag(state, recvtag)
-            cls_src = self._class_of_rank(src)
-            occ = self._next_occ(me, "r", recvtag, cls_src)
-            self._record_post(("r", cls_me, recvtag, cls_src, occ),
-                              now, None, None)
-            need_s = ("s", cls_src, recvtag, cls_me, occ)
+            table = lanes.get(recvtag)
+            recv = None if table is None else table.get(
+                me << 33 | src << 1 | 1)
+            if recv is None:
+                recv = self._lane(me, 1, recvtag, src)
+            r_occ = self._post(recv, 1, recvtag, now, None, None)
         state.blocked_on = request
         state.block_start = now
-        self._try_p2p([state, now, me, dst, src, nbytes, need_d, need_s])
+        self._try_p2p((state, now, nbytes, send, s_occ, recv, r_occ))
         return _PARKED
 
     def _handle_sendrecv(self, state: _RankState,
@@ -659,7 +701,7 @@ class CollapsedMacroEngine(MacroBackend):
     # -- result assembly ---------------------------------------------------
 
     def _assemble(self, nranks: int) -> SimResult:
-        """Replicate probed stats/results onto their twins (SoA gathers)."""
+        """Replicate probed stats/results onto their twins."""
         sym = self.symmetry
         states = self._ranks
         p2p = bool(sym.p2p_tags)
@@ -677,45 +719,33 @@ class CollapsedMacroEngine(MacroBackend):
                     f"rank {s.rank} returned concrete data")
             self._spans.finish(s.rank, s.clock)
 
-        # Probe-slot arrays (structure-of-arrays view of the run)...
-        clock = np.array([st.stats.clock for st in states])
-        comm = np.array([st.stats.comm_time for st in states])
-        comp = np.array([st.stats.compute_time for st in states])
-        msgs = np.array([st.stats.messages_sent for st in states],
-                        dtype=np.int64)
-        byts = np.array([st.stats.bytes_sent for st in states],
-                        dtype=np.int64)
+        # Each rank's probe slot: its own for probed ranks, its twin's
+        # (through the symmetry's vectorised twin map) for the rest.
         slot = np.full(nranks, -1, dtype=np.intp)
         for idx, st in enumerate(states):
             slot[st.stats.rank] = idx
-
-        # ...gathered through the symmetry's twin map for unprobed
-        # ranks, identity for probed ones.
         ranks = np.arange(nranks)
         on_probe = slot >= 0
         twin = np.where(on_probe, ranks, sym.twin_indices(ranks))
         tslot = slot[twin]
         if np.any(tslot < 0):  # pragma: no cover - probe-set invariant
             raise SymmetryBroken("twin map left the probe set")
-        all_clock = clock[tslot]
-        all_comm = comm[tslot]
-        all_comp = comp[tslot]
-        all_msgs = msgs[tslot]
-        all_byts = byts[tslot]
+        tslot = tslot.tolist()
 
         stats: list[RankStats] = []
-        for r in range(nranks):
-            if on_probe[r]:
-                stats.append(states[slot[r]].stats)
+        for r, (own, idx) in enumerate(zip(on_probe.tolist(), tslot)):
+            ts = states[idx].stats
+            if own:
+                stats.append(ts)
             else:
                 rs = RankStats(rank=r)
-                rs.clock = float(all_clock[r])
-                rs.comm_time = float(all_comm[r])
-                rs.compute_time = float(all_comp[r])
-                rs.messages_sent = int(all_msgs[r])
-                rs.bytes_sent = int(all_byts[r])
+                rs.clock = ts.clock
+                rs.comm_time = ts.comm_time
+                rs.compute_time = ts.compute_time
+                rs.messages_sent = ts.messages_sent
+                rs.bytes_sent = ts.bytes_sent
                 stats.append(rs)
-        return_values = [states[tslot[r]].retval for r in range(nranks)]
+        return_values = [states[idx].retval for idx in tslot]
         return SimResult(
             stats=stats,
             return_values=return_values,

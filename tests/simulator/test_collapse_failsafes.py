@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.cannon import run_cannon
+from repro.errors import SimulationError
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
@@ -90,3 +91,13 @@ def test_each_wraparound_rank_of_the_corner_probe_is_needed(i, j):
                                      if r != dropped))
     assert sim.collapse["mode"] == "per-rank"
     assert "deadlocked" in sim.collapse["reason"]
+
+
+@pytest.mark.parametrize("probe, message", [
+    ((0, 1, 16), "probe rank 16 is outside the 16-rank world"),
+    ((-1, 0, 1), "probe rank -1 is outside the 16-rank world"),
+    ((0, 1, 1, 2), "probe rank 1 is listed twice"),
+])
+def test_a_malformed_probe_is_refused_by_name(probe, message):
+    with pytest.raises(SimulationError, match=message):
+        dataclasses.replace(cannon_symmetry(4), probe=probe)
