@@ -532,17 +532,12 @@ class CollapsedMacroEngine(MacroBackend):
         cls_peer = self._class_of_rank(peer)
         kind, other = ("s", "r") if leg == 0 else ("r", "s")
         posts = self._posts
-        mine = posts.get((kind, cls_me, tag, cls_peer))
-        if mine is None:
-            mine = posts[kind, cls_me, tag, cls_peer] = ([], {})
-        theirs = posts.get((other, cls_peer, tag, cls_me))
-        if theirs is None:
-            theirs = posts[other, cls_peer, tag, cls_me] = ([], {})
-        counter = mine[1].get(me)
-        if counter is None:
-            counter = mine[1][me] = [0]
+        mine, counters = posts.setdefault((kind, cls_me, tag, cls_peer),
+                                          ([], {}))
+        theirs, _ = posts.setdefault((other, cls_peer, tag, cls_me),
+                                     ([], {}))
         src, dst = (me, peer) if leg == 0 else (peer, me)
-        lane = [mine[0], theirs[0], counter, {}, src, dst]
+        lane = [mine, theirs, counters.setdefault(me, [0]), {}, src, dst]
         self._occ.setdefault(tag, {})[me << 33 | peer << 1 | leg] = lane
         return lane
 
