@@ -143,9 +143,11 @@ class ClusterEngine(Engine):
     """
 
     #: The scheduler observes global time (an attempt's completion
-    #: frees slots for whoever is queued *then*), and ``(cid, seq)`` is
-    #: not unique across jobs: a stream expands every broadcast.
-    _replay = False
+    #: frees slots for whoever is queued *then*): a stream never
+    #: replays a broadcast, it steps it (``Engine._step``, which keys an
+    #: instance by its attempt's base rank: ``(cid, seq)`` repeats
+    #: across jobs).
+    _global_time = "job stream"
 
     def __init__(
         self,

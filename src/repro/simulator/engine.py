@@ -44,6 +44,11 @@ observable bit (see ``docs/performance.md``):
 * Fault-free transfer times are memoised on each channel per message
   size — networks are pure cost models, so the cached float is the
   exact float the network would return.
+* Under contention a channel caches its route as a tuple of shared
+  one-float cells, one per link, holding the time the link frees up.
+* Under global time a broadcast is stepped from its recorded schedule
+  (:meth:`Engine._step`): one event per leg, no endpoints, handles or
+  generator frames.
 """
 
 from __future__ import annotations
@@ -92,6 +97,20 @@ _EP_POOL_MAX = 4096
 #: even a 2048-rank run stays within the cap).
 _RH_POOL_MAX = 4096
 
+#: Why a run observes global time, for the reasons under which a
+#: broadcast is stepped from its recorded schedule rather than through
+#: its generators (the others — a verifier, the eager protocol, a drain
+#: around an unfilled broadcast — must see every message move).
+_STEPPING = frozenset({"contention", "transfer trace", "faults",
+                       "span trace", "timed receive", "job stream"})
+
+#: A stepped rank's fused shift whose receive leg is done: it now
+#: waits on the send leg.
+_AWAIT_SEND = object()
+
+#: A recorded step's mode for a blocking send or receive.
+_BLOCKING = replay.BLOCKING
+
 
 class _Endpoint:
     """One side of a pending point-to-point operation."""
@@ -127,7 +146,8 @@ class _Channel:
     probe and never allocates queues it immediately throws away.
     """
 
-    __slots__ = ("src", "dst", "tag", "sends", "recvs", "ordinal", "tt")
+    __slots__ = ("src", "dst", "tag", "sends", "recvs", "ordinal", "tt",
+                 "claims")
 
     def __init__(self, src: int, dst: int, tag: Any):
         self.src = src
@@ -141,6 +161,8 @@ class _Channel:
         #: would return (bulk-synchronous traffic repeats a handful of
         #: message sizes per channel thousands of times).
         self.tt: dict[int, float] = {}
+        #: The route's link cells under contention (see Engine._claims).
+        self.claims: tuple | None = None
 
 
 class _RankState:
@@ -155,6 +177,49 @@ class _RankState:
         self.finished = False
         self.retval: Any = None
         self.resume_value: Any = None  # stashed for _PAIR_FINAL wake-ups
+
+
+class _Stepped:
+    """One broadcast instance stepped from its recorded schedule (see
+    :meth:`Engine._step`).
+
+    ``steps`` and ``lanes`` are the schedule's (shared by the process);
+    ``chans`` the run's channel of every leg.  Per rank, indexed by
+    communicator rank: its state once it announced, its open span path,
+    its next lane entry, and for a fused shift the send leg's finish
+    (or ``_AWAIT_SEND``).  ``first`` holds the post clock of a leg's
+    first side until its second side posts."""
+
+    __slots__ = ("steps", "lanes", "chans", "reply", "states", "spans", "at",
+                 "hold", "first", "joined")
+
+    def __init__(self, steps: tuple, lanes: tuple, chans: tuple,
+                 payload: Any) -> None:
+        size = len(lanes)
+        self.steps = steps
+        self.lanes = lanes
+        self.chans = chans
+        self.reply = CollectiveReply(payload)
+        self.states: list[Any] = [None] * size
+        self.spans: list[str | None] = [None] * size
+        self.at = [0] * size
+        self.hold: list[Any] = [None] * size
+        self.first: list[float | None] = [None] * len(steps)
+        self.joined = 0
+
+    def pending(self, state: "_RankState") -> Any:
+        """The request expansion would show ``state`` blocked on."""
+        me = self.states.index(state)
+        entry = self.lanes[me][self.at[me] - 1]
+        chan = self.chans[entry >> 2]
+        kind = entry & 3
+        if kind == 0:
+            return SendRequest(chan.dst, chan.tag, None,
+                               self.steps[entry >> 2][2])
+        if kind == 1:
+            return RecvRequest(chan.src, chan.tag)
+        return RequestHandle(state.stats.rank, "send"
+                             if self.hold[me] is _AWAIT_SEND else "recv")
 
 
 def _pending_op_info(op: Any) -> dict:
@@ -225,11 +290,15 @@ class Engine:
     _inline_compute = False
 
     #: May a repeated blocking broadcast be replayed from its recorded
-    #: schedule (see :meth:`_filled`)?  Callers that must see every
-    #: message move — the verifier, a job stream (its scheduler
-    #: observes global time), the replay property tests' reference —
-    #: set it to False on the instance or a subclass.
+    #: schedule (see :meth:`_filled`), or stepped from it under global
+    #: time (see :meth:`_step`)?  Callers that must see every message
+    #: move through the generators — the verifier, the replay property
+    #: tests' reference — set it to False on the instance or a subclass.
     _replay = True
+
+    #: Why every run of this class observes global time (None: only the
+    #: switches of a run make it so); such a run never replays.
+    _global_time: str | None = None
 
     #: What :meth:`_release` drops (subclasses add their own).
     _RUN_TABLES: tuple[str, ...] = (
@@ -353,16 +422,19 @@ class Engine:
             else "transfer trace" if self.collect_trace
             else "faults" if self._faults is not None
             else "eager protocol" if self.eager_threshold
-            else None)
+            else self._global_time)
         #: The run's replay table (see _filled): shape key (a tuple) ->
-        #: recorded Schedule or the reason it has none.  Its one other
-        #: key, None, holds the replay memos: (communicator id -> its
-        #: placement class's memo, placement key -> that memo).
+        #: recorded Schedule or the reason it has none.  Its key None
+        #: holds the replay memos: (communicator id -> its placement
+        #: class's memo, placement key -> that memo); a key ``(cid,
+        #: base, shape key)`` the channels of a stepped shape's legs
+        #: on that communicator (see _step).
         self._schedules: dict[tuple | None, Any] = {None: ({}, {})}
         #: (src, dst, nbytes) -> wire time of a replayed leg.
         self._wires: dict[tuple, float] = {}
         self._report: dict | None = {
-            "replayed": 0, "expanded": 0, "recorded": 0, "reasons": {}}
+            "replayed": 0, "expanded": 0, "stepped": 0, "recorded": 0,
+            "reasons": {}}
         self._setup_matching()
 
     def _setup_matching(self) -> None:
@@ -373,7 +445,8 @@ class Engine:
         # cheap to hash and spares a 3-tuple allocation per post.
         self._channels: dict[Any, dict[int, _Channel]] = {}
         self._rankmul = self.network.nranks
-        self._link_free: dict[Any, float] = {}
+        #: link -> its one-float cell: the time the link frees up.
+        self._link_free: dict[Any, list[float]] = {}
         self._links_cache: dict[tuple[int, int], tuple] = {}
         self._ep_pool: list[_Endpoint] = []
         # Handles created by _handle_sendrecv never escape the engine,
@@ -399,15 +472,20 @@ class Engine:
                     )
                 for _t, _seq, fn, args in batch:
                     fn(*args)
-            if self._expanding is not None or not self._pending:
+            if not self._pending:
                 break
             # A broadcast some participant never joined (or joins only
             # after hearing from a parked one): expand what is parked,
             # so a deadlock is reported in point-to-point terms.
-            self._stop_replaying("unfilled at drain")
+            if self._expanding is None:
+                self._stop_replaying("unfilled at drain")
+            elif (self._expanding not in _STEPPING
+                  or not self._release_unfilled()):
+                break
 
         blocked = [
-            (s.stats.rank, s.blocked_on)
+            (s.stats.rank, s.blocked_on.pending(s)
+             if s.blocked_on.__class__ is _Stepped else s.blocked_on)
             for s in self._ranks
             if not s.finished
         ]
@@ -834,16 +912,21 @@ class Engine:
         absorb the announcement, so the communicator expands the
         collective into point-to-point messages now.
 
-        The DES parks broadcasts only (a reduction must keep its
-        data-mode summation order), and only while nothing in the run
-        observes global time."""
+        The DES takes over broadcasts only (a reduction must keep its
+        data-mode summation order): it parks them while nothing in the
+        run observes global time, and steps them from their recorded
+        schedules once something does."""
         if request.op != "bcast":
             return False
-        if self._expanding is None and len(request.participants) > 1:
-            self._park(state, request, now)
-            return True
+        reason = self._expanding
+        if len(request.participants) > 1:
+            if reason is None:
+                self._park(state, request, now)
+                return True
+            if reason in _STEPPING:
+                return self._step(state, request, now)
         if request.me == request.root:
-            self._count_expanded(self._expanding or "one-rank communicator")
+            self._count_expanded(reason or "one-rank communicator")
         return False
 
     def _park(self, state: _RankState, request: CollectiveRequest,
@@ -888,19 +971,11 @@ class Engine:
             comm[req.me] = st.stats.comm_time
             if req.me == root:
                 payload = req.payload
-        shape = replay.signature(payload)
-        if shape is None:
-            self._release_parked(entry, "payload without an array signature")
-            return
-        key = (req0.algorithm, size, root, req0.segments) + shape
-        schedules = self._schedules
-        schedule = schedules.get(key)
-        if schedule is None:
-            schedule = schedules[key] = replay.record(*key)
-            self._report["recorded"] += 1
+        key, schedule = self._recorded(req0, payload)
         if schedule.__class__ is str:
             self._release_parked(entry, schedule)
             return
+        schedules = self._schedules
         parts = req0.participants
         base = entry[0][0].stats.rank - parts[req0.me]
         if base:  # contexts bound at a non-zero base: price engine ranks
@@ -936,6 +1011,22 @@ class Engine:
             stats.bytes_sent += schedule.nbytes[me]
             push(clock[me], resume, (st, reply, clock[me]))
 
+    def _recorded(self, request: CollectiveRequest,
+                  payload: Any) -> tuple[tuple | None, Any]:
+        """``(shape key, recorded Schedule or the reason it has none)``
+        of the broadcast ``request`` announces, ``payload`` its root's."""
+        shape = replay.signature(payload)
+        if shape is None:
+            return None, "payload without an array signature"
+        key = (request.algorithm, len(request.participants), request.root,
+               request.segments) + shape
+        schedules = self._schedules
+        schedule = schedules.get(key)
+        if schedule is None:
+            schedule = schedules[key] = replay.record(*key)
+            self._report["recorded"] += 1
+        return key, schedule
+
     def _release_parked(self, entry: list, reason: str) -> None:
         """Resume the parked ranks of ``entry`` with None, each at its
         own clock: they expand the broadcast as if never parked."""
@@ -951,6 +1042,17 @@ class Engine:
         reasons = report["reasons"]
         reasons[reason] = reasons.get(reason, 0) + 1
 
+    def _release_unfilled(self) -> bool:
+        """At drain under stepping: let the non-roots still waiting for
+        a root that never announced expand, so a deadlock reads as it
+        would have.  False if none were waiting."""
+        pending = self._pending
+        waiting = [key for key, entry in pending.items()
+                   if entry.__class__ is list]
+        for key in waiting:
+            self._release_parked(pending.pop(key), "unfilled at drain")
+        return bool(waiting)
+
     def _stop_replaying(self, reason: str) -> None:
         """Something that observes global time entered the run (a timed
         receive, a span tree's recording order) or the queue drained
@@ -958,8 +1060,257 @@ class Engine:
         expand every broadcast from here on."""
         self._expanding = reason
         pending, self._pending = self._pending, {}
-        for entry in pending.values():
+        for (cid, seq), entry in pending.items():
             self._release_parked(entry, reason)
+            # Its participants still to come expand too, stepped run or
+            # not (see _step): one path per collective.
+            st, req = entry[0]
+            left = len(req.participants) - len(entry)
+            if left:
+                base = st.stats.rank - req.participants[req.me]
+                self._pending[(cid, seq, base)] = left
+
+    # -- stepping a broadcast under global time -------------------------------
+    #
+    # Each leg of the recorded schedule is one transfer on its run
+    # channel.  A rank posts its legs op by op, as its generators would
+    # have, and a leg starts the moment its second side posts: its link
+    # claims, wire memo, fault ordinal, trace record and message counts
+    # go through _start_transfer's float operations, and one event
+    # completes it (_leg_done), sender first, like _transfer_done.  A
+    # fused shift completes like _handle_sendrecv's pair wait.  After its
+    # last leg a rank's own generator resumes with the root's payload.
+
+    def _step(self, state: _RankState, request: CollectiveRequest,
+              now: float) -> bool:
+        """The :meth:`_collective` hook under global time.  The root's
+        announcement decides, once per broadcast instance, whether it is
+        stepped (parked: True) or expands (absorbed: False); a non-root
+        that announces first waits, unposted, for that decision.  A
+        stream's ``(cid, seq)`` repeats across jobs, so an instance is
+        keyed by its engine base rank too."""
+        me = request.me
+        root = request.root
+        if request.algorithm in replay.TIMED:
+            if me == root:
+                found = self._recorded(request, request.payload)[1]
+                self._count_expanded(found if found.__class__ is str
+                                     else self._expanding)
+            return False
+        parts = request.participants
+        base = state.stats.rank - parts[me]
+        key = (request.cid, request.seq, base)
+        pending = self._pending
+        entry = pending.get(key)
+        if entry.__class__ is _Stepped:
+            self._join(entry, state, me, now)
+            if entry.joined == len(parts):
+                del pending[key]
+            return True
+        if entry.__class__ is int:  # decided to expand; ranks to come
+            if me == root:  # decided before the root announced
+                self._count_expanded(self._expanding)
+            if entry == 1:
+                del pending[key]
+            else:
+                pending[key] = entry - 1
+            return False
+        if me != root:
+            if entry is None:
+                entry = pending[key] = []
+            entry.append((state, request))
+            state.blocked_on = request
+            state.block_start = now
+            return True
+        parked = entry or ()
+        shape, found = self._recorded(request, request.payload)
+        if found.__class__ is not str:
+            schedule = found
+            found = schedule.lanes(root)
+        if found.__class__ is str:
+            self._count_expanded(found)
+            # Expand the waiting ranks first: they post before the
+            # root, at their own clocks, as if never held back.
+            for st, _req in parked:
+                self._resume(st, None, st.stats.clock)
+            left = len(parts) - 1 - len(parked)
+            if left:
+                pending[key] = left
+            elif parked:
+                del pending[key]
+            return False
+        lanes, tags = found
+        where = (request.cid, base, shape)
+        chans = self._schedules.get(where)
+        if chans is None:
+            chans = self._schedules[where] = self._leg_channels(
+                schedule.steps, tags, parts, base, request.cid)
+        inst = _Stepped(schedule.steps, lanes, chans, request.payload)
+        self._count_expanded(self._expanding)
+        self._report["stepped"] += 1
+        for st, req in parked:
+            self._join(inst, st, req.me, st.stats.clock)
+        self._join(inst, state, me, now)
+        if inst.joined < len(parts):
+            pending[key] = inst
+        elif parked:
+            del pending[key]
+        return True
+
+    def _leg_channels(self, steps: tuple, tags: tuple, parts: Any,
+                      base: int, cid: tuple) -> tuple:
+        """The run channel of every leg of a schedule on communicator
+        ``cid`` (members ``parts``, bound at engine ``base``)."""
+        channels = self._channels
+        mul = self._rankmul
+        wire = [p + base for p in parts] if base else parts
+        by_tag: dict[int, dict] = {}
+        chans = []
+        for (s, r, _nbytes, _smode, _rmode), tag in zip(steps, tags):
+            inner = by_tag.get(tag)
+            if inner is None:
+                inner = by_tag[tag] = channels.setdefault((cid, tag), {})
+            src = wire[s]
+            dst = wire[r]
+            chan = inner.get(src * mul + dst)
+            if chan is None:
+                chan = self._make_channel(src, dst, (cid, tag))
+            chans.append(chan)
+        return tuple(chans)
+
+    def _join(self, inst: _Stepped, state: _RankState, me: int,
+              now: float) -> None:
+        """``state`` (communicator rank ``me``) enters the stepped
+        instance at ``now`` and posts its first op."""
+        inst.states[me] = state
+        if self.collect_trace:
+            spans = self._spans
+            inst.spans[me] = (spans.current_path(state.stats.rank)
+                              if spans.nopen else None)
+        inst.joined += 1
+        self._step_post(inst, me, state, now)
+
+    def _step_on(self, inst: _Stepped, me: int, state: _RankState,
+                 time: float) -> None:
+        """:meth:`_resume` for ``state``, rank ``me`` of a stepped
+        broadcast: post its next op, or hand its generator the root's
+        payload."""
+        if state.finished:
+            return
+        stats = state.stats
+        if time > stats.clock:
+            stats.clock = time
+        elif time < stats.clock:
+            self._events.push(stats.clock, self._step_on,
+                              (inst, me, state, stats.clock))
+            return
+        if inst.at[me] == len(inst.lanes[me]):
+            self._resume(state, inst.reply, time)
+        else:
+            self._step_post(inst, me, state, time)
+
+    def _step_post(self, inst: _Stepped, me: int, state: _RankState,
+                   now: float) -> None:
+        """Post ``me``'s next op at ``now``: its send leg, then (a fused
+        shift) its receive leg.  A leg whose other side is posted starts
+        as :meth:`_start_transfer` would start it."""
+        state.blocked_on = inst
+        state.block_start = now
+        lane = inst.lanes[me]
+        at = inst.at[me]
+        entry = lane[at]
+        if entry & 3 == 2:
+            inst.at[me] = at + 2
+            legs: tuple = (entry >> 2, lane[at + 1] >> 2)
+        else:
+            inst.at[me] = at + 1
+            legs = (entry >> 2,)
+        first = inst.first
+        for leg in legs:
+            start = first[leg]
+            if start is None:
+                first[leg] = now
+                continue
+            if now > start:
+                start = now
+            chan = inst.chans[leg]
+            sender, _r, nbytes, _smode, _rmode = inst.steps[leg]
+            cells = None
+            if self.contention:
+                cells = chan.claims
+                if cells is None:
+                    cells = self._claims(chan)
+                for cell in cells:
+                    if cell[0] > start:
+                        start = cell[0]
+            stats = inst.states[sender].stats
+            if self._faults is None:
+                wire = chan.tt.get(nbytes)
+                if wire is None:
+                    wire = chan.tt[nbytes] = self.network.transfer_time(
+                        chan.src, chan.dst, nbytes)
+                finish = start + wire
+            else:
+                finish = self._faulty_finish(chan, nbytes, start, stats)
+            if cells is not None:
+                for cell in cells:
+                    cell[0] = finish
+            if self.collect_trace:
+                self._trace.append(
+                    TransferRecord(chan.src, chan.dst, chan.tag, nbytes,
+                                   start, finish, span=inst.spans[sender]))
+            stats.messages_sent += 1
+            stats.bytes_sent += nbytes
+            self._events.push(finish, self._leg_done, (inst, leg, finish))
+
+    def _leg_done(self, inst: _Stepped, leg: int, finish: float) -> None:
+        """:meth:`_transfer_done` for one leg: the sender completes
+        first.  A blocking op resumes its rank; a fused shift's legs
+        complete as the handles of :meth:`_handle_sendrecv` do."""
+        sender, receiver, _nbytes, smode, rmode = inst.steps[leg]
+        states = inst.states
+        hold = inst.hold
+        state = states[sender]
+        if smode == _BLOCKING:
+            state.stats.comm_time += finish - state.block_start
+            self._step_on(inst, sender, state, finish)
+        elif hold[sender] is _AWAIT_SEND:
+            hold[sender] = None
+            if finish > state.block_start:
+                state.stats.comm_time += finish - state.block_start
+            self._step_on(inst, sender, state, finish)
+        else:
+            hold[sender] = finish
+        state = states[receiver]
+        stats = state.stats
+        if rmode == _BLOCKING:
+            stats.comm_time += finish - state.block_start
+            self._step_on(inst, receiver, state, finish)
+            return
+        # The receive leg of a fused shift (_complete_handle, then
+        # _pair_continue on the send leg).
+        if finish > state.block_start:
+            stats.comm_time += finish - state.block_start
+        if finish > stats.clock:
+            stats.clock = finish
+        sent = hold[receiver]
+        if sent is not None and sent <= stats.clock:
+            hold[receiver] = None
+            self._step_on(inst, receiver, state, finish)
+            return
+        hold[receiver] = _AWAIT_SEND
+        state.block_start = stats.clock
+        if sent is not None:  # done, but later than the clock
+            self._events.push(sent, self._shift_sent, (inst, receiver, sent))
+
+    def _shift_sent(self, inst: _Stepped, me: int, finish: float) -> None:
+        """The send leg of ``me``'s fused shift, done earlier, is
+        delivered again at its finish (see :meth:`_await`)."""
+        inst.hold[me] = None
+        state = inst.states[me]
+        if finish > state.block_start:
+            state.stats.comm_time += finish - state.block_start
+        self._step_on(inst, me, state, finish)
 
     # -- matching -----------------------------------------------------------
 
@@ -981,16 +1332,19 @@ class Engine:
         queues ``ep`` on the channel's send FIFO."""
         src, dst = chan.src, chan.dst
         start = ep.post_time
-        links = None
+        cells = None
         if self.contention:
-            links = self._links(src, dst)
-            for link in links:
-                start = max(start, self._link_free.get(link, 0.0))
+            cells = chan.claims
+            if cells is None:
+                cells = self._claims(chan)
+            for cell in cells:
+                if cell[0] > start:
+                    start = cell[0]
         stats = self._ranks[src].stats
         finish = self._transfer_finish(chan, ep.nbytes, start, stats)
-        if links is not None:
-            for link in links:
-                self._link_free[link] = finish
+        if cells is not None:
+            for cell in cells:
+                cell[0] = finish
         ep.eager_arrival = finish
         if self.collect_trace:
             self._trace.append(
@@ -1025,13 +1379,14 @@ class Engine:
                 self._start_transfer(chan, send, recv)
                 return
             start = recv.post_time
-        links = None
+        cells = None
         if self.contention and src != chan.dst:
-            links = self._links(src, chan.dst)
-            for link in links:
-                free = self._link_free.get(link, 0.0)
-                if free > start:
-                    start = free
+            cells = chan.claims
+            if cells is None:
+                cells = self._claims(chan)
+            for cell in cells:
+                if cell[0] > start:
+                    start = cell[0]
 
         nbytes = send.nbytes
         sender_stats = self._ranks[src].stats
@@ -1045,9 +1400,9 @@ class Engine:
                 finish = start + wire
         else:
             finish = self._faulty_finish(chan, nbytes, start, sender_stats)
-        if links is not None:
-            for link in links:
-                self._link_free[link] = finish
+        if cells is not None:
+            for cell in cells:
+                cell[0] = finish
 
         if self.collect_trace:
             self._trace.append(
@@ -1059,6 +1414,19 @@ class Engine:
         sender_stats.bytes_sent += nbytes
 
         self._events.push(finish, self._transfer_done, (send, recv, finish))
+
+    def _claims(self, chan: _Channel) -> tuple:
+        """The cells of ``chan``'s route, one per link, shared by every
+        channel that claims the link; cached on the channel."""
+        link_free = self._link_free
+        cells = []
+        for link in self._links(chan.src, chan.dst):
+            cell = link_free.get(link)
+            if cell is None:
+                cell = link_free[link] = [0.0]
+            cells.append(cell)
+        claims = chan.claims = tuple(cells)
+        return claims
 
     def _links(self, src: int, dst: int) -> tuple:
         """Physical links of the (src, dst) route, memoised — routes are

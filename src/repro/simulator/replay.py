@@ -17,6 +17,13 @@ engine's float operations in the engine's order.  A schedule is kept
 only if replaying it reproduces its own recording run bit for bit;
 anything else is refused by name and expands as it always did.
 
+A run that observes global time (contention, a transfer or span
+trace, faults, a job stream) cannot skip a broadcast's messages, but it
+need not step them through the algorithm's generators either: the
+engine steps each rank's legs of the same recording
+(:meth:`Schedule.lanes`, :meth:`repro.simulator.engine.Engine._step`),
+one event per leg, exactly where expansion would have put it.
+
 A recording depends on nothing but the algorithm function and the
 shape, so it is kept for the life of the process: every run after the
 first finds its shapes recorded (see :data:`CACHE_LEGS`).
@@ -36,14 +43,21 @@ from repro.simulator.requests import RecvRequest, SendRecvRequest, SendRequest
 #: on that side.  A fused shift has two legs; whichever the schedule
 #: evaluates first is held until the other completes the operation.
 _BLOCKING, _HOLD, _SHIFT_RECV, _SHIFT_SEND = range(4)
+BLOCKING = _BLOCKING
 
 #: Legs the process-wide recording cache may hold (a p = 256 Van de
 #: Geijn schedule has about 65 k; a refusal counts as one).  The least
 #: recently used recordings go first; one larger than the whole bound
 #: serves the run that recorded it and is not kept.  Full, the cache
 #: holds about 22 MB (four p = 256 Van de Geijn schedules, measured
-#: with tracemalloc; process RSS 32 -> 60 MB while filling it).
+#: with tracemalloc; process RSS 32 -> 60 MB while filling it).  A
+#: schedule that has been stepped also holds its lanes, two ints a leg.
 CACHE_LEGS = 1 << 18
+
+#: Broadcasts whose receives time out.  A non-root that announces one
+#: before its root must post at once (its deadline runs from the post),
+#: so it never waits for the root's shape and is never stepped.
+TIMED = frozenset({"ft_binomial"})
 
 #: (algorithm function, size, root, segments, count, itemsize) ->
 #: Schedule or refusal, least recently used first.
@@ -72,11 +86,12 @@ class Schedule:
     """The legs of one broadcast shape in a dataflow order.
 
     ``steps`` are ``(sender, receiver, nbytes, sender mode, receiver
-    mode)`` over communicator ranks; ``messages`` / ``nbytes`` are each
-    rank's send totals.  All three are tuples: a schedule is shared by
-    every run of the process."""
+    mode)`` over communicator ranks; ``tags`` the wire tag of each
+    step as the recording saw it; ``messages`` / ``nbytes`` are each
+    rank's send totals.  All are tuples: a schedule is shared by every
+    run of the process."""
 
-    __slots__ = ("steps", "messages", "nbytes")
+    __slots__ = ("steps", "tags", "messages", "nbytes", "_lanes")
 
     def __init__(self, ops: list[list[tuple]]) -> None:
         """Pair the legs of per-rank op lists ``[(dst, sendtag, nbytes,
@@ -85,6 +100,7 @@ class Schedule:
         both belong to their ranks' current operation."""
         size = len(ops)
         steps: list[tuple] = []
+        tags: list[Any] = []
         messages = [0] * size
         nbytes = [0] * size
         at = [-1] * size                # index of each rank's current op
@@ -111,6 +127,7 @@ class Schedule:
             rmode = (_BLOCKING if recv[0] is None
                      else _HOLD if to_send[r] else _SHIFT_RECV)
             steps.append((s, r, send[2], smode, rmode))
+            tags.append(send[1])
             messages[s] += 1
             nbytes[s] += send[2]
             for rank in {s, r}:
@@ -129,8 +146,63 @@ class Schedule:
         if any(op is not None for op in current):
             raise _Unreplayable("non-blocking schedule")
         self.steps = tuple(steps)
+        self.tags = tuple(tags)
         self.messages = tuple(messages)
         self.nbytes = tuple(nbytes)
+        self._lanes: Any = None
+
+    def lanes(self, root: int) -> "tuple[tuple, tuple] | str":
+        """``(lanes, tags)`` for stepping this schedule under global
+        time, or the reason it cannot be stepped; built on first use
+        and kept (``root`` is the one this schedule was recorded for).
+
+        ``lanes[rank]`` lists the rank's legs in posting order, each as
+        ``4 * step + kind``: kind 0 a blocking send, 1 a blocking
+        receive, 2 the send leg of a fused shift (its receive leg,
+        kind 3, follows).  ``tags[step]`` is the step's tag within the
+        communicator.
+
+        A non-root must open with a receive: one that announces before
+        its root waits for the root's shape without posting, which is
+        exact only if nothing it would have posted could match yet."""
+        found = self._lanes
+        if found is None:
+            found = self._lanes = self._lay(root)
+        return found
+
+    def _lay(self, root: int) -> "tuple[tuple, tuple] | str":
+        tags = []
+        for tag in self.tags:
+            if tag.__class__ is not tuple or len(tag) != 2 or tag[0] != ():
+                return "tags outside the communicator"
+            tags.append(tag[1])
+        legs: list[list[int]] = [[] for _ in self.messages]
+        for step, (s, r, _nbytes, smode, rmode) in enumerate(self.steps):
+            if s == r:
+                return "send to self"
+            legs[s].append(4 * step + (0 if smode == _BLOCKING else 2))
+            legs[r].append(4 * step + (1 if rmode == _BLOCKING else 3))
+        lanes = []
+        for rank, mine in enumerate(legs):
+            # A rank's legs come op by op, so the two legs of a fused
+            # shift are neighbours; the send leg is posted first.
+            lane: list[int] = []
+            at = 0
+            while at < len(mine):
+                leg = mine[at]
+                if leg & 2:
+                    other = mine[at + 1]
+                    lane += (other, leg) if leg & 1 else (leg, other)
+                    at += 2
+                else:
+                    lane.append(leg)
+                    at += 1
+            if not lane:
+                return "a rank without legs"
+            if rank != root and lane[0] & 3 != 1:
+                return "a non-root sends first"
+            lanes.append(tuple(lane))
+        return tuple(lanes), tuple(tags)
 
     def replay(self, clock: list[float], comm: list[float], parts: Any,
                wires: dict, transfer_time: Callable) -> None:

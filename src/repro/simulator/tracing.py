@@ -101,12 +101,14 @@ class SimResult:
         fell back — or None on backends without a collapse fast path.
     replay:
         Which path the DES took for its broadcasts: ``{"replayed": n,
-        "expanded": n, "recorded": k, "reasons": {reason: count}}`` —
-        ``replayed`` were priced from a recorded schedule (``recorded``
-        of them seen for the first time), ``expanded`` were stepped
-        message by message, each for a named reason (``docs/
-        performance.md`` lists them).  None on backends that never
-        replay (macro, predictor).
+        "expanded": n, "stepped": n, "recorded": k, "reasons": {reason:
+        count}}`` — ``replayed`` were priced from a recorded schedule
+        (``recorded`` shapes seen for the first time), ``expanded`` were
+        stepped message by message, each for a named reason (``docs/
+        performance.md`` lists them), ``stepped`` of those from a
+        recorded schedule rather than through the algorithm's
+        generators.  None on backends that never replay (macro,
+        predictor).
     """
 
     stats: list[RankStats]
@@ -222,6 +224,8 @@ class SimResult:
             f"{self.replay['recorded']} recorded schedules, "
             f"{self.replay['expanded']} expanded"
             + (f" ({reasons})" if reasons else "")
+            + (f", {self.replay['stepped']} of them stepped from their "
+               "schedules" if self.replay["stepped"] else "")
         )
 
     def summary(self) -> str:

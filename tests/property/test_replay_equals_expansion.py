@@ -178,23 +178,26 @@ def one_bcast(algorithm, payload, root=0):
 def test_a_fallback_is_named_in_the_result(algorithm, payload, reason):
     replayed, expanded = both(spmd(8, one_bcast(algorithm, payload)))
     assert_same(replayed, expanded)
-    assert replayed.replay == {"replayed": 0, "expanded": 1,
+    assert replayed.replay == {"replayed": 0, "expanded": 1, "stepped": 0,
                                "recorded": replayed.replay["recorded"],
                                "reasons": {reason: 1}}
 
 
-@pytest.mark.parametrize("switch, reason", [
-    (dict(contention=True), "contention"),
-    (dict(collect_trace=True), "transfer trace"),
-    (dict(eager_threshold=64), "eager protocol"),
-    (dict(faults="drop(p=0.01)"), "faults"),
-    (dict(verify=VerifyOptions(schedules=0)), "expansion requested"),
-    (dict(trace=True), "transfer trace"),
+@pytest.mark.parametrize("switch, reason, stepped", [
+    (dict(contention=True), "contention", 1),
+    (dict(collect_trace=True), "transfer trace", 1),
+    (dict(eager_threshold=64), "eager protocol", 0),
+    (dict(faults="drop(p=0.01)"), "faults", 1),
+    (dict(verify=VerifyOptions(schedules=0)), "expansion requested", 0),
+    (dict(trace=True), "transfer trace", 1),
 ])
-def test_a_run_with_global_time_expands_and_says_why(switch, reason):
+def test_a_run_with_global_time_expands_and_says_why(switch, reason, stepped):
+    # Under global time a broadcast is stepped from its recorded
+    # schedule, except where every message must move through the
+    # generators (the verifier) or a send may not wait for its receive.
     sim = run_spmd(one_bcast("binomial", np.arange(64.0)), 8, **switch)
-    assert sim.replay == {"replayed": 0, "expanded": 1, "recorded": 0,
-                          "reasons": {reason: 1}}
+    assert sim.replay == {"replayed": 0, "expanded": 1, "stepped": stepped,
+                          "recorded": stepped, "reasons": {reason: 1}}
 
 
 def test_backends_that_never_replay_report_none():
@@ -218,13 +221,25 @@ def test_spans_without_a_transfer_trace_stop_replay():
 
 # -- trap 1: a job stream ---------------------------------------------------------
 
-def test_a_stream_expands_and_a_later_job_still_completes():
+def test_a_stream_expands_and_a_later_job_still_completes(monkeypatch):
     # In a stream (cid, seq) is not unique and the scheduler observes
-    # global time: ClusterEngine keeps expanding.
-    assert ClusterEngine._replay is False
+    # global time: ClusterEngine never replays; it steps each broadcast
+    # from its schedule, keyed by the attempt's base rank.
+    reports = []
+    release = ClusterEngine._release
+
+    def spy(engine):
+        reports.append(engine._report)
+        release(engine)
+
+    monkeypatch.setattr(ClusterEngine, "_release", spy)
     jobs = [JobSpec(jid=j, arrival=0.0, n=256, p=16) for j in range(2)]
     result = serve(jobs, slots=32, contention=False,
                    options=CollectiveOptions(bcast="vandegeijn"))
+    [report] = reports
+    assert report["replayed"] == 0
+    assert report["stepped"] == report["expanded"] > 0
+    assert report["reasons"] == {"job stream": report["expanded"]}
     assert [r.attempts[0].base for r in result.records] == [0, 16]
     assert [sum(s.messages_sent for s in r.result.stats)
             for r in result.records] == [480, 480]

@@ -222,8 +222,9 @@ def test_a_report_does_not_depend_on_what_ran_before(cold_cache, order):
                                ("vandegeijn", 3)])]
     reports = {i: Engine(network).run(runs[i]()).replay for i in order}
     assert reports == {
-        0: {"replayed": 2, "expanded": 0, "recorded": 1, "reasons": {}},
-        1: {"replayed": 2, "expanded": 1, "recorded": 3,
+        0: {"replayed": 2, "expanded": 0, "stepped": 0, "recorded": 1,
+            "reasons": {}},
+        1: {"replayed": 2, "expanded": 1, "stepped": 0, "recorded": 3,
             "reasons": {"zero-byte send": 1}},
     }
     assert len(replay._recorded) == 3
