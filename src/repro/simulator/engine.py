@@ -100,7 +100,8 @@ _RH_POOL_MAX = 4096
 #: Why a run observes global time, for the reasons under which a
 #: broadcast is stepped from its recorded schedule rather than through
 #: its generators (the others — a verifier, the eager protocol, a drain
-#: around an unfilled broadcast — must see every message move).
+#: around an unfilled broadcast — must see every message move; so must
+#: an eager run whatever else it switches on: a schedule is rendezvous).
 _STEPPING = frozenset({"contention", "transfer trace", "faults",
                        "span trace", "timed receive", "job stream"})
 
@@ -923,7 +924,7 @@ class Engine:
             if reason is None:
                 self._park(state, request, now)
                 return True
-            if reason in _STEPPING:
+            if reason in _STEPPING and not self.eager_threshold:
                 return self._step(state, request, now)
         if request.me == request.root:
             self._count_expanded(reason or "one-rank communicator")
@@ -1194,16 +1195,13 @@ class Engine:
                  time: float) -> None:
         """:meth:`_resume` for ``state``, rank ``me`` of a stepped
         broadcast: post its next op, or hand its generator the root's
-        payload."""
+        payload.  A leg never finishes before its post, so ``time`` is
+        never behind the rank's clock."""
         if state.finished:
             return
         stats = state.stats
         if time > stats.clock:
             stats.clock = time
-        elif time < stats.clock:
-            self._events.push(stats.clock, self._step_on,
-                              (inst, me, state, stats.clock))
-            return
         if inst.at[me] == len(inst.lanes[me]):
             self._resume(state, inst.reply, time)
         else:

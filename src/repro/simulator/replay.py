@@ -43,6 +43,8 @@ from repro.simulator.requests import RecvRequest, SendRecvRequest, SendRequest
 #: on that side.  A fused shift has two legs; whichever the schedule
 #: evaluates first is held until the other completes the operation.
 _BLOCKING, _HOLD, _SHIFT_RECV, _SHIFT_SEND = range(4)
+
+#: The mode of a blocking endpoint, for the engine's stepped legs.
 BLOCKING = _BLOCKING
 
 #: Legs the process-wide recording cache may hold (a p = 256 Van de
@@ -51,7 +53,8 @@ BLOCKING = _BLOCKING
 #: serves the run that recorded it and is not kept.  Full, the cache
 #: holds about 22 MB (four p = 256 Van de Geijn schedules, measured
 #: with tracemalloc; process RSS 32 -> 60 MB while filling it).  A
-#: schedule that has been stepped also holds its lanes, two ints a leg.
+#: schedule that has been stepped also holds its lanes, about 90 bytes
+#: a leg.
 CACHE_LEGS = 1 << 18
 
 #: Broadcasts whose receives time out.  A non-root that announces one
