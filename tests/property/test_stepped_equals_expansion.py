@@ -165,11 +165,11 @@ def test_a_stream_with_a_slot_failure_steps_what_expansion_moves(monkeypatch):
 
 # -- the fail-safes ---------------------------------------------------------------
 
-def one_bcast(algorithm, payload, root=0, late=None):
-    """One broadcast over the world; rank ``late`` arrives 50 us after
-    the others."""
+def one_bcast(algorithm, payload, root=0, late=None, delay=5e-5):
+    """One broadcast over the world; rank ``late`` arrives ``delay``
+    after the others."""
     def body(ctx):
-        yield ComputeRequest(5e-5 if ctx.rank == late else ctx.rank * 1e-6)
+        yield ComputeRequest(delay if ctx.rank == late else ctx.rank * 1e-6)
         got = yield from ctx.world.bcast(
             payload if ctx.rank == root else None, root=root,
             algorithm=algorithm)
@@ -224,11 +224,23 @@ def test_a_run_that_must_move_every_message_does(switch, reason):
     sim = run_spmd(body, 8, network=network, **switch)
     assert sim.replay == {"replayed": 0, "expanded": 1, "stepped": 0,
                           "recorded": 0, "reasons": {reason: 1}}
-    switch.pop("verify", None)
-    reference = ExpandingEngine(network, **switch).run(
-        spmd(8, body)())
+    engine = {k: v for k, v in switch.items() if k != "verify"}
+    reference = ExpandingEngine(network, **engine).run(spmd(8, body)())
     assert ([dataclasses.astuple(s) for s in sim.stats]
             == [dataclasses.astuple(s) for s in reference.stats])
+
+
+@pytest.mark.parametrize("root", [0, 4])
+def test_a_broadcast_whose_receives_time_out_never_waits_for_its_root(root):
+    # Held back until a root 0.1 s late, a non-root would post its
+    # first timed receive after the deadline it runs from.
+    stepped, _ = both(
+        spmd(5, one_bcast("ft_binomial", np.arange(64.0), root=root,
+                          late=root, delay=0.1)),
+        lambda: Torus3D((2, 2, 2), PARAMS), contention=True,
+        collect_trace=True)
+    assert sum(s.timeouts for s in stepped.stats) > 0
+    assert stepped.replay["reasons"] == {"non-blocking schedule": 1}
 
 
 @pytest.mark.parametrize("algorithm", RECORDABLE)
