@@ -1189,33 +1189,29 @@ class Engine:
             inst.spans[me] = (spans.current_path(state.stats.rank)
                               if spans.nopen else None)
         inst.joined += 1
-        self._step_post(inst, me, state, now)
+        self._step_on(inst, me, state, now)
 
     def _step_on(self, inst: _Stepped, me: int, state: _RankState,
-                 time: float) -> None:
+                 now: float) -> None:
         """:meth:`_resume` for ``state``, rank ``me`` of a stepped
-        broadcast: post its next op, or hand its generator the root's
-        payload.  A leg never finishes before its post, so ``time`` is
-        never behind the rank's clock."""
+        broadcast: post its next op at ``now`` — its send leg, then (a
+        fused shift) its receive leg — or, after its last, hand its
+        generator the root's payload.  A leg whose other side is posted
+        starts as :meth:`_start_transfer` would start it.  A leg never
+        finishes before its post, so ``now`` is never behind the
+        rank's clock."""
         if state.finished:
             return
         stats = state.stats
-        if time > stats.clock:
-            stats.clock = time
-        if inst.at[me] == len(inst.lanes[me]):
-            self._resume(state, inst.reply, time)
-        else:
-            self._step_post(inst, me, state, time)
-
-    def _step_post(self, inst: _Stepped, me: int, state: _RankState,
-                   now: float) -> None:
-        """Post ``me``'s next op at ``now``: its send leg, then (a fused
-        shift) its receive leg.  A leg whose other side is posted starts
-        as :meth:`_start_transfer` would start it."""
-        state.blocked_on = inst
-        state.block_start = now
+        if now > stats.clock:
+            stats.clock = now
         lane = inst.lanes[me]
         at = inst.at[me]
+        if at == len(lane):
+            self._resume(state, inst.reply, now)
+            return
+        state.blocked_on = inst
+        state.block_start = now
         entry = lane[at]
         if entry & 3 == 2:
             inst.at[me] = at + 2
