@@ -41,6 +41,7 @@ from repro.payloads import PhantomArray
 from repro.simulator.runtime import DEFAULT_PARAMS
 from repro.simulator.tracing import SimResult
 from repro.util.gridmath import factor_grid
+from repro.util.validation import require_finite
 from repro.verify.session import run_verified
 
 
@@ -438,6 +439,7 @@ def launch(
     :class:`~repro.payloads.PhantomArray` husks (scale mode: only the
     timing is meaningful).
     """
+    require_finite(gamma, "gamma")  # every tier: the predictor too
     layout = spec.layout(cfg)
     faults = coerce_faults(faults)
     if network is None:

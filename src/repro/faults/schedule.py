@@ -28,6 +28,7 @@ import math
 from typing import Iterable
 
 from repro.errors import ConfigurationError
+from repro.util.validation import require_finite
 
 _MASK64 = (1 << 64) - 1
 
@@ -83,6 +84,8 @@ def chan_digest(tag: object) -> int:
 
 
 def _require_window(t0: float, t1: float) -> None:
+    require_finite(t0, "fault window start t0")
+    require_finite(t1, "fault window end t1", inf_ok=True)
     if t1 < t0:
         raise ConfigurationError(f"fault window end {t1} before start {t0}")
 
@@ -106,6 +109,8 @@ class LinkDegradation:
     t1: float = math.inf
 
     def __post_init__(self) -> None:
+        require_finite(self.alpha_mult, "alpha_mult")
+        require_finite(self.beta_mult, "beta_mult")
         if self.alpha_mult < 1.0 or self.beta_mult < 1.0:
             raise ConfigurationError(
                 "degradation multipliers must be >= 1 "
@@ -167,6 +172,7 @@ class RankSlowdown:
     t1: float = math.inf
 
     def __post_init__(self) -> None:
+        require_finite(self.factor, "slowdown factor")
         if self.factor < 1.0:
             raise ConfigurationError(
                 f"slowdown factor must be >= 1, got {self.factor}"
@@ -189,6 +195,7 @@ class RankDeath:
     time: float
 
     def __post_init__(self) -> None:
+        require_finite(self.time, "death time")
         if self.time < 0:
             raise ConfigurationError(f"death time must be >= 0, got {self.time}")
 
@@ -212,6 +219,9 @@ class RetryPolicy:
     max_attempts: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("timeout", "timeout_multiplier", "backoff",
+                     "backoff_multiplier", "max_backoff"):
+            require_finite(getattr(self, name), f"retry {name}")
         if self.timeout <= 0 or self.backoff < 0 or self.max_backoff < 0:
             raise ConfigurationError("retry policy times must be positive")
         if self.timeout_multiplier < 1 or self.backoff_multiplier < 1:

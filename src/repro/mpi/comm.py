@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import numbers
 from typing import Any, Callable, Generator, Sequence
 
 from repro.collectives import COLLECTIVES, ROOT, SIGNATURE, Collective
 from repro.errors import (
     CollectiveMismatchError,
     CommunicatorError,
+    ConfigurationError,
     FaultToleranceError,
 )
 from repro.faults.schedule import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -46,6 +48,7 @@ from repro.simulator.requests import (
     payload_nbytes,
 )
 from repro.simulator.spans import SpanCloseRequest, SpanOpenRequest
+from repro.util.validation import require_finite
 
 Gen = Generator[Any, Any, Any]
 
@@ -74,6 +77,13 @@ class CollectiveOptions:
     allgather: str = "ring"
     reduce: str = "binomial"
     allreduce: str = "recursive_doubling"
+
+    def __post_init__(self) -> None:
+        depth = self.bcast_segments
+        if depth is not None and (isinstance(depth, bool) or not isinstance(
+                depth, numbers.Integral) or depth < 1):
+            raise ConfigurationError(
+                f"bcast_segments must be None or an int >= 1, got {depth!r}")
 
     def replace(self, **kwargs: Any) -> "CollectiveOptions":
         return dataclasses.replace(self, **kwargs)
@@ -230,6 +240,7 @@ class MpiContext:
         self.nranks = nranks
         self.base = base
         self.options = options or CollectiveOptions()
+        require_finite(gamma, "gamma")
         if gamma < 0:
             raise CommunicatorError(f"gamma must be >= 0, got {gamma}")
         self.gamma = gamma

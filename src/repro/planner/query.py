@@ -16,6 +16,7 @@ import math
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
+from repro.util.validation import require_finite
 
 #: Supported dtypes and their element sizes in bytes.
 DTYPE_ITEMSIZE = {
@@ -53,12 +54,12 @@ def _platform_factory(name: str):
 def _finite(name: str, value: float, *, zero_ok: bool = False) -> float:
     """``value`` as a finite float, > 0 (>= 0 under ``zero_ok``), with
     one spelling per number (``1`` is ``1.0``, ``-0.0`` is ``0.0``) so
-    equal queries share one cache key.  ``not x > 0`` rejects NaN too."""
+    equal queries share one cache key."""
     value = float(value)
-    if not (value >= 0 if zero_ok else value > 0) or not math.isfinite(value):
+    require_finite(value, name)
+    if not (value >= 0 if zero_ok else value > 0):
         raise ConfigurationError(
-            f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, "
-            f"got {value!r}"
+            f"{name} must be {'>= 0' if zero_ok else '> 0'}, got {value!r}"
         )
     return value or 0.0  # -0.0 is falsy
 

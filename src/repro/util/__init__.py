@@ -14,6 +14,7 @@ from repro.util.tables import format_table
 from repro.util.validation import (
     require,
     require_divides,
+    require_finite,
     require_positive,
     require_power_of_two,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "format_table",
     "require",
     "require_divides",
+    "require_finite",
     "require_positive",
     "require_power_of_two",
 ]

@@ -7,6 +7,7 @@ configuration-error paths easy to test.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -19,8 +20,22 @@ def require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+def require_finite(value: float, name: str, *, inf_ok: bool = False) -> None:
+    """Require ``value`` to be a number: never NaN, and finite unless
+    ``inf_ok`` (a documented open end, such as a fault window's ``t1``).
+
+    A range check such as ``x < bound`` is false for NaN and lets it
+    through, so a constructor runs this one first.
+    """
+    if math.isnan(value) or (math.isinf(value) and not inf_ok):
+        raise ConfigurationError(
+            f"{name} must be {'a number' if inf_ok else 'finite'}, "
+            f"got {value!r}")
+
+
 def require_positive(value: float, name: str) -> None:
-    """Require ``value > 0``."""
+    """Require ``0 < value < inf``."""
+    require_finite(value, name)
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
 

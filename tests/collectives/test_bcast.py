@@ -5,7 +5,7 @@ import pytest
 
 from repro.collectives import COLLECTIVES
 from repro.collectives.bcast import optimal_pipeline_segments
-from repro.costs import bcast_time
+from repro.costs import PipelineDepthWarning, bcast_time
 from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
 from repro.simulator import run_spmd
@@ -114,7 +114,9 @@ class TestTiming:
 
 class TestPipelineSegments:
     def test_optimal_formula(self):
-        s = optimal_pipeline_segments(1e6, 10, 1e-5, 1e-9)
+        # 28 segments over a 10-rank chain that holds 9 in flight.
+        with pytest.warns(PipelineDepthWarning, match="capacity 9"):
+            s = optimal_pipeline_segments(1e6, 10, 1e-5, 1e-9)
         assert s == round((1e6 * 1e-9 * 8 / 1e-5) ** 0.5)
 
     def test_degenerate_cases(self):

@@ -6,7 +6,7 @@ public :class:`repro.mpi.Comm` method, on a homogeneous network: on
 the discrete-event engine untraced and traced, and on the macro
 backend.  Every ``RankStats`` field, the per-rank return values and
 the traced ``coll.*`` span trees (names, attributes in their order,
-start/end) are hashed, floats as ``float.hex``.  A fourth and fifth
+start/end) are hashed through ``tests/pins.py``.  A fourth and fifth
 digest pin ``MicroDesCoster.collective_time`` for the pair on a
 homogeneous network and on a 2x2x2 torus.  A refusal is recorded as
 its message.
@@ -15,15 +15,9 @@ Three rows the cost-model fixes move are left out: the macro times of
 ``allreduce/rabenseifner`` and ``allgather/recursive_doubling`` (their
 return values stay pinned), and ``allgather/bruck`` off powers of two
 (its return values stay pinned; its coster times are not taken).
-
-Regenerate the table with ``python -m tests.collectives.test_collective_pin``
-(it prints ``PINS``) only after a deliberate change of behaviour.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -34,8 +28,8 @@ from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
-from repro.payloads import PhantomArray
 from repro.simulator import run_spmd
+from tests.pins import canon, check
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
 SIZES = (1, 2, 3, 5, 8)
@@ -71,27 +65,6 @@ def _times_unpinned(op, algorithm, p, tier):
     if tier == "macro":
         return (op, algorithm) in UNPINNED_MACRO_TIMES
     return (op, algorithm) == ("allgather", "bruck") and p & (p - 1) != 0
-
-
-def _canon(value):
-    """``value`` as nested tuples of strings, floats as ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape,
-                hashlib.sha256(value.tobytes()).hexdigest())
-    if isinstance(value, PhantomArray):
-        return ("phantom", value.shape, value.itemsize)
-    if dataclasses.is_dataclass(value):
-        return (type(value).__name__,) + tuple(
-            (f.name, _canon(getattr(value, f.name)))
-            for f in dataclasses.fields(value))
-    if isinstance(value, dict):
-        # Insertion order: a span's attributes are pinned in order.
-        return tuple((str(k), _canon(v)) for k, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return tuple(_canon(v) for v in value)
-    return repr(value)
 
 
 def _contribution(rank, index=0):
@@ -156,12 +129,13 @@ def record_runs(op, algorithm, tier):
             except ReproError as exc:
                 out.append((p, root, "refused", str(exc)))
                 continue
-            values = _canon(sim.return_values)
+            # Insertion order: a span's attributes are pinned in order.
+            values = canon(sim.return_values, sort_keys=False)
             if _times_unpinned(op, algorithm, p, tier):
                 out.append((p, root, values))
                 continue
-            out.append((p, root, values, _canon(sim.stats),
-                        _canon(sim.spans)))
+            out.append((p, root, values, canon(sim.stats, sort_keys=False),
+                        canon(sim.spans, sort_keys=False)))
     return tuple(out)
 
 
@@ -190,7 +164,7 @@ def record_coster(op, algorithm, tier):
                 except ReproError as exc:
                     out.append((p, root, nbytes, "refused", str(exc)))
                     continue
-                out.append((p, root, nbytes, _canon(t)))
+                out.append((p, root, nbytes, canon(t)))
     return tuple(out)
 
 
@@ -198,13 +172,10 @@ TIERS = (*(label for label, _ in RUNS),
          *(label for label, _ in COSTER_NETWORKS))
 
 
-def _digest(pair, tier):
-    op, algorithm = pair
+def record(op, algorithm, tier):
     if tier in dict(RUNS):
-        text = repr(record_runs(op, algorithm, tier))
-    else:
-        text = repr(record_coster(op, algorithm, tier))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return record_runs(op, algorithm, tier)
+    return record_coster(op, algorithm, tier)
 
 
 def _case_id(pair, tier=None):
@@ -317,14 +288,7 @@ PINS = {
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=_case_id)
-def test_collectives_are_pinned(pair):
-    got = {_case_id(pair, tier): _digest(pair, tier) for tier in TIERS}
-    assert got == {k: PINS[k] for k in got}
+def test_collectives_are_pinned(pair, request):
+    check(request, {_case_id(pair, tier): record(*pair, tier)
+                    for tier in TIERS})
 
-
-if __name__ == "__main__":
-    print("PINS = {")
-    for pair in PAIRS:
-        for tier in TIERS:
-            print(f"    {_case_id(pair, tier)!r}: {_digest(pair, tier)!r},")
-    print("}")

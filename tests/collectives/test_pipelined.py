@@ -21,6 +21,7 @@ from repro.collectives.pipelined import (
 )
 from repro.costs import (
     PIPELINED_BCASTS,
+    PipelineDepthWarning,
     hypersystolic_depth,
     hypersystolic_stride,
     optimal_pipeline_segments,
@@ -180,7 +181,8 @@ class TestOptimalSegments:
             optimal_pipeline_segments(1e6, 16, 1e-5, 1e-9, "binomial")
 
     def test_default_matches_legacy_pipelined_formula(self):
-        s = optimal_pipeline_segments(1e6, 10, 1e-5, 1e-9)
+        with pytest.warns(PipelineDepthWarning, match="capacity 9"):
+            s = optimal_pipeline_segments(1e6, 10, 1e-5, 1e-9)
         assert s == round((1e6 * 1e-9 * 8 / 1e-5) ** 0.5)
 
 
@@ -246,7 +248,9 @@ class TestFamilyTiming:
         from repro.payloads import PhantomArray
 
         big = lambda: PhantomArray((1 << 20,))
-        s = optimal_pipeline_segments(8 << 20, 16, 1e-4, 1e-9, "segmented")
+        with pytest.warns(PipelineDepthWarning, match="capacity 6"):
+            s = optimal_pipeline_segments(8 << 20, 16, 1e-4, 1e-9,
+                                          "segmented")
         t_seg = bcast_harness.run("segmented", 16, segments=s,
                                   payload_factory=big).total_time
         t_bin = bcast_harness.run("binomial", 16,

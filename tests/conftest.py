@@ -16,21 +16,22 @@ settings.register_profile("repro", derandomize=True, deadline=None)
 settings.load_profile("repro")
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    # A test that asks for a pipeline depth above the route's capacity
+    # asserts the warning; any other one is a bug.
+    config.addinivalue_line(
+        "filterwarnings", "error::repro.costs.PipelineDepthWarning")
+
+
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--regen-golden",
         action="store_true",
         default=False,
-        help="rewrite golden reference files from the current output "
-             "instead of failing on a mismatch (commit the diff after "
-             "an intentional behaviour change)",
+        help="rewrite every pin table and golden file from the current "
+             "output instead of failing on a mismatch (tests/pins.py; "
+             "commit the diff after an intentional behaviour change)",
     )
-
-
-@pytest.fixture
-def regen_golden(request: pytest.FixtureRequest) -> bool:
-    """True when the run should rewrite golden files (``--regen-golden``)."""
-    return request.config.getoption("--regen-golden")
 
 
 @pytest.fixture

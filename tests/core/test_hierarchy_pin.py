@@ -5,18 +5,12 @@ the discrete-event engine (numpy operands, then phantom and traced),
 the macro backend (collapsed where the declaration allows) and the
 predictor, and hashes what the runs report: every ``RankStats`` field,
 the return values, the collapse report and the traced span tree (names,
-attributes and times), floats as ``float.hex``.  A refusal is recorded
-as its message.  Any change to a float, a count, a span or a report
-changes the digest.
-
-Regenerate the table with ``python -m tests.core.test_hierarchy_pin``
-(it prints ``PINS``) only after a deliberate change of behaviour.
+attributes and times) through ``tests/pins.py``.  A refusal is
+recorded as its message.  Any change to a float, a count, a span or a
+report changes the digest.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -27,6 +21,7 @@ from repro.errors import ConfigurationError
 from repro.mpi.comm import CollectiveOptions
 from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
+from tests.pins import canon, check
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
 GAMMA = 1e-9
@@ -62,26 +57,6 @@ CASES = (
 )
 
 
-def _canon(value):
-    """``value`` as nested tuples of strings, floats as ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape,
-                hashlib.sha256(value.tobytes()).hexdigest())
-    if isinstance(value, PhantomArray):
-        return ("phantom", value.shape, value.itemsize)
-    if dataclasses.is_dataclass(value):
-        return (type(value).__name__,) + tuple(
-            (f.name, _canon(getattr(value, f.name)))
-            for f in dataclasses.fields(value))
-    if isinstance(value, dict):
-        return tuple(sorted((str(k), _canon(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_canon(v) for v in value)
-    return repr(value)
-
-
 def _run(algorithm, grid, groups, bcasts, operands, **run):
     if algorithm == "summa":
         return run_summa(*operands, grid=grid, block=8, bcast=bcasts[1],
@@ -111,17 +86,9 @@ def record(algorithm, grid, groups, options, bcasts):
         except ConfigurationError as exc:
             out.append((label, "refused", str(exc)))
             continue
-        out.append((label, _canon(C), _canon(sim.stats),
-                    _canon(sim.return_values), _canon(sim.collapse),
-                    _canon(sim.spans)))
+        out.append((label, *map(canon, (C, sim.stats, sim.return_values,
+                                        sim.collapse, sim.spans))))
     return tuple(out)
-
-
-def _digest(case, setting):
-    algorithm, grid, groups = case
-    _, options, bcasts = setting
-    text = repr(record(algorithm, grid, groups, options, bcasts))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _case_id(case, setting):
@@ -193,9 +160,9 @@ PINS = {
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: _case_id(c, ("",))[:-1])
-def test_runs_are_pinned(case):
-    got = {_case_id(case, s): _digest(case, s) for s in BCASTS}
-    assert got == {k: PINS[k] for k in got}
+def test_runs_are_pinned(case, request):
+    check(request, {_case_id(case, s): record(*case, *s[1:])
+                    for s in BCASTS})
 
 
 @pytest.mark.parametrize("grid, probed", [((4, 4), 10), ((8, 4), 20)])
@@ -209,11 +176,3 @@ def test_column_strip_collapses(grid, probed):
     assert sim.collapse == {"mode": "collapsed", "probed": probed,
                             "ranks": grid[0] * grid[1]}
 
-
-if __name__ == "__main__":
-    print("PINS = {")
-    for case in CASES:
-        for setting in BCASTS:
-            print(f"    {_case_id(case, setting)!r}: "
-                  f"{_digest(case, setting)!r},")
-    print("}")

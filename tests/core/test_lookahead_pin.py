@@ -4,23 +4,17 @@ Each case runs one family on the discrete-event engine with numpy
 operands, untraced and traced, once fault-free and once under a
 transient fault schedule, and hashes what the runs report: every
 ``RankStats`` field, the return values and every ``TransferRecord``
-(``src, dst, tag, nbytes, start, finish, span``), floats as
-``float.hex``.  The families are the SUMMA and HSUMMA lookahead
+(``src, dst, tag, nbytes, start, finish, span``) through
+``tests/pins.py``.  The families are the SUMMA and HSUMMA lookahead
 schedules, block-cyclic SUMMA (flat, hierarchical and flat with
 lookahead) and block LU / QR (flat and hierarchical panel
 broadcasts).  A refusal is recorded as its message.  Message tags and
 the fault schedule's drop decisions both read the broadcast tag salts
 and the communicator creation order, so a change to either changes
 the digest.
-
-Regenerate the table with ``python -m tests.core.test_lookahead_pin``
-(it prints ``PINS``) only after a deliberate change of behaviour.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -31,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.factorization.lu import run_block_lu
 from repro.factorization.qr import run_block_qr
 from repro.network.model import HockneyParams
-from repro.payloads import PhantomArray
+from tests.pins import canon, check
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
 GAMMA = 1e-9
@@ -57,26 +51,6 @@ CASES = (
     *((kernel, (4, 4), G, None)
       for kernel in ("lu", "qr") for G in ((1, 1), (2, 2))),
 )
-
-
-def _canon(value):
-    """``value`` as nested tuples of strings, floats as ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape,
-                hashlib.sha256(value.tobytes()).hexdigest())
-    if isinstance(value, PhantomArray):
-        return ("phantom", value.shape, value.itemsize)
-    if dataclasses.is_dataclass(value):
-        return (type(value).__name__,) + tuple(
-            (f.name, _canon(getattr(value, f.name)))
-            for f in dataclasses.fields(value))
-    if isinstance(value, dict):
-        return tuple(sorted((str(k), _canon(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_canon(v) for v in value)
-    return repr(value)
 
 
 def _operands(family):
@@ -121,15 +95,9 @@ def record(family, grid, groups, extra, faults):
         except ConfigurationError as exc:
             out.append(("refused", str(exc)))
             continue
-        out.append((_canon(C), _canon(sim.stats),
-                    _canon(sim.return_values), _canon(sim.trace)))
+        out.append(tuple(map(canon, (C, sim.stats, sim.return_values,
+                                     sim.trace))))
     return tuple(out)
-
-
-def _digest(case, setting):
-    family, grid, groups, extra = case
-    text = repr(record(family, grid, groups, extra, setting[1]))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _case_id(case, setting):
@@ -217,15 +185,6 @@ PINS = {
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: _case_id(c, ("",))[:-1])
-def test_runs_are_pinned(case):
-    got = {_case_id(case, s): _digest(case, s) for s in FAULTS}
-    assert got == {k: PINS[k] for k in got}
+def test_runs_are_pinned(case, request):
+    check(request, {_case_id(case, s): record(*case, s[1]) for s in FAULTS})
 
-
-if __name__ == "__main__":
-    print("PINS = {")
-    for case in CASES:
-        for setting in FAULTS:
-            print(f"    {_case_id(case, setting)!r}: "
-                  f"{_digest(case, setting)!r},")
-    print("}")

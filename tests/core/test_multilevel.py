@@ -1,7 +1,5 @@
 """Tests for the multi-level HSUMMA extension (paper future work)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from repro.core.hsumma import (
 from repro.errors import ConfigurationError
 from repro.mpi.comm import CollectiveOptions
 from repro.network.model import HockneyParams
+from tests.pins import stats
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 
@@ -87,5 +86,4 @@ class TestMultiLevelCorrectness:
             blocks=(8, 8), params=PARAMS, options=vdg)
         _, h_sim = run_hsumma(A, B, grid=(4, 4), groups=(2, 2),
                               outer_block=8, params=PARAMS, options=vdg)
-        assert ([dataclasses.astuple(r) for r in ml_sim.stats]
-                == [dataclasses.astuple(r) for r in h_sim.stats])
+        assert stats(ml_sim) == stats(h_sim)

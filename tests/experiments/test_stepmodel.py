@@ -5,7 +5,6 @@ full discrete-event simulation *exactly* — so everything it predicts at
 16384 ranks is backed by the executable semantics at small scale.
 """
 
-import hashlib
 import itertools
 
 import pytest
@@ -25,6 +24,7 @@ from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
 from repro.payloads import PhantomArray
+from tests.pins import canon, digest
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 GAMMA = 1e-10
@@ -125,7 +125,7 @@ def test_outer_phase_is_priced_by_its_announced_algorithm():
     digest (``float.hex`` of total, comm and compute over 200
     configurations) was computed when the outer phase still had a
     coster of its own."""
-    h = hashlib.sha256()
+    hexes = []
     for (s, t, I, J), outer, inner, depth in itertools.product(
             PHASE_GRIDS, PHASE_BCASTS, PHASE_BCASTS, [None, 3]):
         cfg = HSummaConfig(m=256, l=256, n=256, s=s, t=t, I=I, J=J,
@@ -133,9 +133,8 @@ def test_outer_phase_is_priced_by_its_announced_algorithm():
                            outer_bcast=outer, inner_bcast=inner)
         rep = hsumma_step_model(
             cfg, AnalyticCoster(PARAMS, inner, segments=depth), GAMMA)
-        for value in (rep.total_time, rep.comm_time, rep.compute_time):
-            h.update(value.hex().encode())
-    assert h.hexdigest() == (
+        hexes += canon((rep.total_time, rep.comm_time, rep.compute_time))
+    assert digest("".join(hexes), 64) == (
         "87c4cf5123c65d4dc48a2fd59a3f72a8a2735bd46fe6d1d1b0d11ba11d290559")
 
 

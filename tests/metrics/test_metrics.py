@@ -26,6 +26,7 @@ from repro.simulator.engine import Engine
 from repro.simulator.requests import ComputeRequest, RecvRequest, SendRequest
 from repro.simulator.spans import Span, phase_of
 from repro.simulator.tracing import RankStats, SimResult, TransferRecord
+from tests.pins import check_golden
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_trace_2x2_summa.json"
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
@@ -316,16 +317,12 @@ class TestChromeExporter:
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
 
-    def test_golden_2x2_summa(self, regen_golden):
+    def test_golden_2x2_summa(self, request):
         """The exporter output on a fixed 2x2 SUMMA run is pinned: the
         trace is a reproducible artifact, so any diff here is a real
         behaviour change (regenerate with ``pytest --regen-golden``,
         see docs/observability.md)."""
-        produced = to_chrome_json(_summa_2x2())
-        if regen_golden:
-            GOLDEN.write_text(produced + "\n")
-        golden = json.loads(GOLDEN.read_text())
-        assert json.loads(produced) == golden
+        check_golden(request, GOLDEN, to_chrome_json(_summa_2x2()))
 
 
 class TestSpanCsv:

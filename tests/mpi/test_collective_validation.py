@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import CollectiveMismatchError
+from repro.errors import CollectiveMismatchError, ConfigurationError
 from repro.mpi.comm import CollectiveOptions
 from repro.simulator.runtime import run_spmd
 
 
 def _run(program, nranks=4, **kw):
     return run_spmd(program, nranks, **kw)
+
+
+@pytest.mark.parametrize("depth", [0, -1, 2.0, True])
+def test_a_pipeline_depth_is_none_or_a_positive_int(depth):
+    # Under bcast="binomial" a depth of 0 was silently ignored; the
+    # segmented family refused it only when its first broadcast ran.
+    with pytest.raises(ConfigurationError, match="bcast_segments"):
+        CollectiveOptions(bcast_segments=depth)
 
 
 class TestEagerMismatchDetection:

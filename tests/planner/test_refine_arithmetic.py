@@ -10,13 +10,11 @@ float as ``float.hex``): the chain replays the collapsed engine's
 numbers bit for bit, labels and advisory included.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from repro.planner import PlanQuery, PlanService
 from repro.simulator.backends import MacroBackend
+from tests.pins import json_digest
 
 from .test_fidelity import QUERIES as FIDELITY_QUERIES
 
@@ -60,22 +58,6 @@ FIELDS = ("algorithm", "params", "backend", "candidates", "predicted_time",
           "advisory")
 
 
-def _hexed(value):
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: _hexed(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_hexed(item) for item in value]
-    return value
-
-
-def _digest(plan):
-    row = [_hexed(getattr(plan, name)) for name in FIELDS]
-    return hashlib.sha256(
-        json.dumps(row, sort_keys=True).encode()).hexdigest()
-
-
 @pytest.fixture
 def macro_runs(monkeypatch):
     """Every macro-engine execution, as a list of the engines."""
@@ -102,4 +84,4 @@ def test_the_fidelity_suite_is_pinned_here():
 def test_cold_plan_steps_nothing_and_did_not_move(query, digest, macro_runs):
     plan = PlanService().plan(PlanQuery(**query))
     assert macro_runs == []
-    assert _digest(plan) == digest
+    assert json_digest([getattr(plan, name) for name in FIELDS]) == digest

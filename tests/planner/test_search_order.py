@@ -6,9 +6,6 @@ last — and rank the same.  The digests were computed at the commit
 before ``Candidate`` became "family + ``Shape``" (flat nine-field
 dataclass, three per-family ranking forms)."""
 
-import hashlib
-import json
-
 import pytest
 
 from repro.planner import PlanQuery
@@ -17,6 +14,7 @@ from repro.planner.space import (
     closed_form_cost,
     enumerate_candidates,
 )
+from tests.pins import json_digest
 
 #: query -> (candidates, candidates within budget, digest of the ordered
 #: ``(algorithm, params)`` list, digest of the first 32 ranked with
@@ -33,11 +31,6 @@ PINNED = [
 ]
 
 
-def _digest(rows):
-    return hashlib.sha256(
-        json.dumps(rows, sort_keys=True).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("query,pinned", PINNED)
 def test_enumeration_and_ranking_order_are_pinned(query, pinned):
     rq = PlanQuery(**query).resolve()
@@ -47,7 +40,7 @@ def test_enumeration_and_ranking_order_are_pinned(query, pinned):
     ranked = sorted(fits, key=lambda c: closed_form_cost(rq, c))[:32]
     assert (
         len(cands), len(fits),
-        _digest([[c.algorithm, c.params()] for c in cands]),
-        _digest([[c.algorithm, c.params(), closed_form_cost(rq, c).hex()]
-                 for c in ranked]),
+        json_digest([[c.algorithm, c.params()] for c in cands]),
+        json_digest([[c.algorithm, c.params(), closed_form_cost(rq, c)]
+                     for c in ranked]),
     ) == pinned

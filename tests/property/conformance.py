@@ -14,8 +14,9 @@ reason.  On homogeneous networks no makespan may beat the BDHLS floor.
 
 A row enrols by registration: :func:`conforms` runs the contract on any
 row, a toy one registered by a test included.  The sweep itself is
-``test_conformance.py``; tests that pin one fixed run through a
-``check_*`` build it with :func:`widest_run`.
+``test_conformance.py``, beside the table of fixed runs each pinned
+through one ``check_*``; tests build a fixed run with
+:func:`widest_run`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.payloads import PhantomArray
 from repro.platforms.bluegene import torus_dims_for
 from repro.simulator.backends import MacroBackend
 from repro.simulator.engine import ExpandingEngine
+from tests.pins import assert_identical, bits
 
 #: Not dyadic: sums grouped differently round differently.
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
@@ -266,28 +268,13 @@ def make_network(kind: str, p: int):
                    ranks_per_node=per_node)
 
 
-def digest(value):
-    """A return value as something ``==`` compares bit for bit."""
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape, str(value.dtype), value.tobytes())
-    if isinstance(value, (list, tuple)):
-        return [digest(v) for v in value]
-    return value
-
-
-def assert_identical(sim, ref):
-    assert ([dataclasses.astuple(s) for s in sim.stats]
-            == [dataclasses.astuple(s) for s in ref.stats])
-    assert digest(sim.return_values) == digest(ref.return_values)
-
-
 def check_replay(run, network):
     """DES replay == DES expansion, numpy operands multiplied; a traced
     run expands and says so."""
     C, des = run.launch("des", network, trace=run.trace)
     C_ref, ref = run.launch(ExpandingEngine(network), network)
     assert_identical(des, ref)
-    assert digest(C) == digest(C_ref)
+    assert bits(C) == bits(C_ref)
     if not run.phantom:
         A, B = run.operands()
         np.testing.assert_allclose(C, A @ B, rtol=1e-10, atol=1e-12)

@@ -28,6 +28,7 @@ from repro.faults import parse_fault_spec
 from repro.network.model import HockneyParams
 from repro.simulator import run_spmd
 from repro.simulator.requests import RECV_TIMEOUT, CounterRequest
+from tests.pins import check_golden
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
@@ -183,28 +184,23 @@ def _run(seed: int, faulty: bool, trace: bool = True):
 
 
 def _snapshot(sim, trace: bool = True) -> dict:
-    """JSON-stable full dump: stats, return values and totals, plus the
-    trace and spans of a traced run."""
-    snap = {
-        "stats": [dataclasses.asdict(s) for s in sim.stats],
-        "return_values": [list(v) for v in sim.return_values],
-        "total_time": sim.total_time,
-        "comm_time": sim.comm_time,
-        "compute_time": sim.compute_time,
-    }
-    if not trace:
-        return snap
-    snap.update({
-        "trace": [
+    """JSON-stable full dump: stats, the trace and spans of a traced
+    run, then return values and totals (the golden files' key order)."""
+    snap = {"stats": [dataclasses.asdict(s) for s in sim.stats]}
+    if trace:
+        snap["trace"] = [
             {"src": t.src, "dst": t.dst, "tag": repr(t.tag),
              "nbytes": t.nbytes, "start": t.start, "finish": t.finish,
              "span": t.span}
             for t in sim.trace
-        ],
-        "spans": [
-            [s.rank, s.name, s.start, s.end]
-            for s in sim.iter_spans()
-        ],
+        ]
+        snap["spans"] = [[s.rank, s.name, s.start, s.end]
+                         for s in sim.iter_spans()]
+    snap.update({
+        "return_values": [list(v) for v in sim.return_values],
+        "total_time": sim.total_time,
+        "comm_time": sim.comm_time,
+        "compute_time": sim.compute_time,
     })
     return snap
 
@@ -217,20 +213,14 @@ CASES = [
 
 
 @pytest.mark.parametrize("seed,faulty,trace", CASES)
-def test_dispatch_matches_seed_semantics(seed, faulty, trace, regen_golden):
+def test_dispatch_matches_seed_semantics(seed, faulty, trace, request):
     """The refactored dispatch reproduces the pinned seed output —
     every stat and return value, and traced every trace record and
     span, bit for bit."""
     snap = _snapshot(_run(seed, faulty, trace), trace)
     name = (f"dispatch_seed{seed}_{'' if trace else 'untraced_'}"
             f"{'faulty' if faulty else 'clean'}.json")
-    path = GOLDEN_DIR / name
-    if regen_golden:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(snap, indent=1) + "\n")
-        pytest.skip(f"regenerated {name}")
-    golden = json.loads(path.read_text())
-    assert snap == golden
+    check_golden(request, GOLDEN_DIR / name, json.dumps(snap, indent=1))
 
 
 @pytest.mark.parametrize("seed,faulty", [(7, False), (7, True)])

@@ -17,12 +17,18 @@ Three claims the pipeline-depth machinery rests on:
     schedules while messages are being dropped and links degraded.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.costs import bcast_time
-from repro.costs import optimal_pipeline_segments
+from repro.costs import (
+    PipelineDepthWarning,
+    bcast_time,
+    max_pipeline_segments,
+    optimal_pipeline_segments,
+)
 from repro.faults import FaultSchedule, LinkDegradation, MessageDrop
 from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
@@ -44,6 +50,18 @@ def _bcast_prog(algorithm, payload_factory, segments):
     return prog
 
 
+def _optimum(m_bytes, p, algorithm):
+    """The registry's ``s*``, which warns exactly when it exceeds the
+    route's segment capacity."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = optimal_pipeline_segments(m_bytes, p, PARAMS.alpha, PARAMS.beta,
+                                      algorithm)
+    over = s > max_pipeline_segments(p, algorithm)
+    assert [w.category for w in caught] == [PipelineDepthWarning] * over
+    return s
+
+
 def _des_time(algorithm, p, elements, segments):
     prog = _bcast_prog(algorithm, lambda: PhantomArray((elements,)),
                        segments)
@@ -57,9 +75,7 @@ class TestNeverSlowerAtOptimum:
     def test_s_opt_never_slower_than_unsegmented(self, algorithm, p,
                                                  log2_elements):
         elements = 1 << log2_elements
-        s_opt = optimal_pipeline_segments(elements * 8, p,
-                                          PARAMS.alpha, PARAMS.beta,
-                                          algorithm)
+        s_opt = _optimum(elements * 8, p, algorithm)
         t_opt = _des_time(algorithm, p, elements, s_opt)
         t_one = _des_time(algorithm, p, elements, 1)
         # 2% headroom: s* is the *closed-form* optimum; the DES adds
@@ -74,8 +90,7 @@ class TestRegistryOptimum:
     def test_s_opt_within_rounding_of_discrete_minimum(self, algorithm,
                                                        p, log2_bytes):
         m = float(1 << log2_bytes)
-        s_opt = optimal_pipeline_segments(m, p, PARAMS.alpha,
-                                          PARAMS.beta, algorithm)
+        s_opt = _optimum(m, p, algorithm)
         cost_opt = bcast_time(algorithm, m, p, PARAMS, segments=s_opt)
         sweep = range(1, max(4 * s_opt, 8) + 1)
         best = min(bcast_time(algorithm, m, p, PARAMS, segments=s)
@@ -86,8 +101,7 @@ class TestRegistryOptimum:
 
     @pytest.mark.parametrize("algorithm", NEW_ALGOS)
     def test_large_messages_want_more_segments(self, algorithm):
-        depths = [optimal_pipeline_segments(m, 64, PARAMS.alpha,
-                                            PARAMS.beta, algorithm)
+        depths = [_optimum(m, 64, algorithm)
                   for m in (1 << 10, 1 << 16, 1 << 22)]
         assert depths == sorted(depths)
         assert depths[-1] > depths[0]

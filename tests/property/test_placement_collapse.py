@@ -8,13 +8,11 @@ on one placement key (checked up front, before a program is built) and
 every communicator the probe observes is a declared one (checked en
 route).  The tier conformance harness (``test_conformance.py``) draws
 collapsed == per-rank on the torus and the switched cluster for every
-row; here, the placement contracts of the families that enumerate their
-communicators:
+row, and its table of fixed runs pins it on a ``Torus3D`` for SUMMA,
+for HSUMMA and block-cyclic SUMMA over every group grid of 32 ranks
+and for a hierarchy with a trivial top level.  Here, the placement
+contracts of the families that enumerate their communicators:
 
-* **Collapsed == per-rank, bit for bit** (the harness's
-  ``check_collapse``), on a ``Torus3D`` for SUMMA and for HSUMMA and
-  block-cyclic SUMMA over every group grid of 32 ranks: every
-  ``RankStats`` field and every return value.
 * **Classes of one family on different placements** are priced apart
   and still collapse.
 * **Refusals are named and cheap.**  A class split across placements
@@ -32,10 +30,9 @@ import functools
 import pytest
 
 from repro.core.cyclic import run_cyclic
-from repro.core.hsumma import HSUMMA_MULTILEVEL, MultiLevelConfig, run_hsumma
+from repro.core.hsumma import run_hsumma
 from repro.core.summa import run_summa
 from repro.experiments.stepmodel import MicroDesCoster, TopologyCoster
-from repro.mpi.comm import CollectiveOptions
 from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
 from repro.network.tree import SwitchedCluster
@@ -45,12 +42,7 @@ from repro.platforms.grid5000 import grid5000_graphene
 from repro.simulator import collapse
 from repro.simulator.backends import MacroBackend
 from repro.simulator.collapse import summa_symmetry
-from tests.property.conformance import (
-    GROUP_GRIDS,
-    Run,
-    check_collapse,
-    widest_run,
-)
+from tests.pins import assert_identical
 
 GAMMA = 1e-10
 SPLIT = "a communicator class spans several placements"
@@ -76,49 +68,6 @@ def _run_pair(runner, net, symmetry, bcast):
     return sim_ref, sim_col, col.collapse_report
 
 
-def _assert_identical(sim_ref, sim_col):
-    assert ([dataclasses.asdict(s) for s in sim_col.stats]
-            == [dataclasses.asdict(s) for s in sim_ref.stats])
-    assert sim_col.return_values == sim_ref.return_values
-
-
-def _collapses_on_torus(name, groups=(None,)):
-    """``check_collapse`` under ``TopologyCoster`` on the row's widest
-    run a torus affords, at each group grid it is given."""
-    for g in groups:
-        run = widest_run(name, CollectiveOptions(bcast="vandegeijn"),
-                         stepped=True, network="torus", groups=g)
-        net = run.net()
-        sim = check_collapse(run, net, TopologyCoster(net, "vandegeijn"))
-        assert sim.collapse["mode"] == "collapsed", (g, sim.collapse)
-
-
-class TestTopologyCollapseEqualsPerRank:
-    """The conformance harness draws this on every row; here, each
-    family that enumerates its communicators, over every group grid."""
-
-    def test_summa(self):
-        _collapses_on_torus("summa")
-
-    def test_hsumma(self):
-        _collapses_on_torus("hsumma", GROUP_GRIDS)
-
-    def test_cyclic(self):
-        _collapses_on_torus("cyclic", GROUP_GRIDS)
-
-    def test_multilevel_with_trivial_top_level(self):
-        cfg = MultiLevelConfig(m=64, l=64, n=64, s=4, t=8,
-                               row_factors=(1, 2, 2), col_factors=(1, 4, 2),
-                               blocks=(8, 4, 4))
-        run = Run(HSUMMA_MULTILEVEL, cfg, (64, 64, 64),
-                  frozenset({"vandegeijn"}), False,
-                  CollectiveOptions(bcast="vandegeijn"), "torus",
-                  phantom=True, trace=False)
-        net = run.net()
-        sim = check_collapse(run, net, TopologyCoster(net, "vandegeijn"))
-        assert sim.collapse["mode"] == "collapsed", sim.collapse
-
-
 def test_classes_of_one_family_on_different_placements_are_priced_apart():
     # Three nodes a switch under a 6x4 grid: rows 0, 1 and 2 meet the
     # switch boundaries in three ways and rows 3-5 repeat them, so the
@@ -137,7 +86,7 @@ def test_classes_of_one_family_on_different_placements_are_priced_apart():
             groups=(2, 1), outer_block=2, gamma=GAMMA, **kw),
         net, sym, "binomial")
     assert report["mode"] == "collapsed", report
-    _assert_identical(sim_ref, sim_col)
+    assert_identical(sim_col, sim_ref)
 
 
 class TestRefusals:
@@ -151,19 +100,15 @@ class TestRefusals:
             collapse.CollapsedMacroEngine, "__init__",
             lambda self, *a, **kw: built.append(1))
         net = grid5000_graphene(128).network(128)
-        s, t = 8, 16
-        coster = TopologyCoster(net, "vandegeijn")
-        assert coster.placement_invariant
-        col = MacroBackend(net, coster=coster, symmetry=summa_symmetry(s, t))
-        A, B = PhantomArray((128, 128)), PhantomArray((128, 128))
-        _, sim = run_summa(A, B, grid=(s, t), block=8, network=net,
-                           backend=col, gamma=GAMMA)
-        assert col.collapse_report == {"mode": "per-rank", "reason": SPLIT}
+        assert TopologyCoster(net, "vandegeijn").placement_invariant
+        A = PhantomArray((128, 128))
+        sim_ref, sim, report = _run_pair(
+            lambda **kw: run_summa(A, A, grid=(8, 16), block=8, gamma=GAMMA,
+                                   **kw),
+            net, summa_symmetry(8, 16), "vandegeijn")
+        assert report == {"mode": "per-rank", "reason": SPLIT}
         assert built == []
-        ref = MacroBackend(net, coster=TopologyCoster(net, "vandegeijn"))
-        _, sim_ref = run_summa(A, B, grid=(s, t), block=8, network=net,
-                               backend=ref, gamma=GAMMA)
-        _assert_identical(sim_ref, sim)
+        assert_identical(sim, sim_ref)
 
     def test_the_micro_des_coster_stays_per_rank_off_uniform_networks(self):
         # It reads the root on a topology, so it is not placement
@@ -213,7 +158,7 @@ class TestRefusals:
                                              "binomial")
         assert report["mode"] == "per-rank"
         assert "is not one the symmetry declares" in report["reason"]
-        _assert_identical(sim_ref, sim_col)
+        assert_identical(sim_col, sim_ref)
 
 
 SWEEP = [(s, t, I, J) for s in (2, 4, 8) for t in (2, 4, 8)

@@ -13,8 +13,6 @@ of getting replay wrong: each fails when its guard is removed from the
 engine or the recorder.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from repro.collectives import COLLECTIVES
 from repro.core.hsumma import run_hsumma
 from repro.core.summa import run_summa
 from repro.errors import DeadlockError
-from repro.mpi.comm import CollectiveOptions, context_factory, make_contexts
+from repro.mpi.comm import CollectiveOptions, context_factory
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
@@ -36,6 +34,7 @@ from repro.simulator.requests import RECV_TIMEOUT, ComputeRequest
 from repro.simulator.runtime import run_spmd
 from repro.verify import VerifyOptions
 from repro.verify.corpus import run_corpus
+from tests.pins import assert_identical, bits, both, spmd, stats
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
 SIZES = (2, 3, 5, 8, 13, 16)
@@ -44,37 +43,9 @@ NETWORKS = {
     "switched": lambda: SwitchedCluster(16, 4, PARAMS),
     "torus": lambda: Torus3D((4, 2, 2), PARAMS),
 }
+HOMOGENEOUS = NETWORKS["homogeneous"]
 #: Algorithms that are a straight line of blocking operations.
 REPLAYABLE = {"flat", "binomial", "binary", "chain", "vandegeijn"}
-
-
-def digest(value):
-    """A return value as something ``==`` compares bit for bit."""
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape, str(value.dtype), value.tobytes())
-    if isinstance(value, (list, tuple)):
-        return [digest(v) for v in value]
-    return value
-
-
-def both(make_programs, network=NETWORKS["homogeneous"]):
-    """The same programs with replay (as every user gets it) and with
-    every message stepped."""
-    replayed = Engine(network()).run(make_programs())
-    expanded = ExpandingEngine(network()).run(make_programs())
-    assert expanded.replay["replayed"] == 0
-    return replayed, expanded
-
-
-def assert_same(replayed, expanded):
-    assert ([dataclasses.astuple(s) for s in replayed.stats]
-            == [dataclasses.astuple(s) for s in expanded.stats])
-    assert digest(replayed.return_values) == digest(expanded.return_values)
-
-
-def spmd(nranks, body):
-    """``make_programs`` for ``body(ctx)`` on ``nranks`` fresh contexts."""
-    return lambda: [body(ctx) for ctx in make_contexts(nranks)]
 
 
 def stagger(rank, i):
@@ -118,9 +89,7 @@ def sweep_program(algorithm, size, nranks=16):
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("algorithm", sorted(COLLECTIVES["bcast"].algorithms))
 def test_replay_equals_expansion(algorithm, size, network):
-    replayed, expanded = both(sweep_program(algorithm, size),
-                              NETWORKS[network])
-    assert_same(replayed, expanded)
+    replayed, _ = both(sweep_program(algorithm, size), NETWORKS[network])
     report = replayed.replay
     assert report["replayed"] + report["expanded"] == max(2 * size, 10)
     if algorithm in REPLAYABLE:
@@ -153,8 +122,7 @@ def test_data_mode_product_is_bit_identical(monkeypatch, runner, kwargs,
     c_expanded, expanded = runner(a, b, **kwargs)
     assert replayed.replay["replayed"] > 0 == expanded.replay["replayed"]
     assert c_replayed.tobytes() == c_expanded.tobytes()
-    assert ([dataclasses.astuple(s) for s in replayed.stats]
-            == [dataclasses.astuple(s) for s in expanded.stats])
+    assert_identical(replayed, expanded)
 
 
 # -- the named fallbacks --------------------------------------------------------
@@ -176,8 +144,7 @@ def one_bcast(algorithm, payload, root=0):
     ("ft_binomial", np.arange(64.0), "non-blocking schedule"),
 ])
 def test_a_fallback_is_named_in_the_result(algorithm, payload, reason):
-    replayed, expanded = both(spmd(8, one_bcast(algorithm, payload)))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(8, one_bcast(algorithm, payload)), HOMOGENEOUS)
     assert replayed.replay == {"replayed": 0, "expanded": 1, "stepped": 0,
                                "recorded": replayed.replay["recorded"],
                                "reasons": {reason: 1}}
@@ -209,14 +176,8 @@ def test_backends_that_never_replay_report_none():
 
 def test_spans_without_a_transfer_trace_stop_replay():
     # Root spans are kept in opening order, which replay would permute.
-    def programs():
-        return [one_bcast("binomial", np.arange(64.0))(ctx)
-                for ctx in make_contexts(8, trace=True)]
-    replayed, expanded = both(programs)
-    assert_same(replayed, expanded)
-    assert ([(s.rank, s.name, s.start, s.end) for s in replayed.iter_spans()]
-            == [(s.rank, s.name, s.start, s.end)
-                for s in expanded.iter_spans()])
+    replayed, _ = both(spmd(8, one_bcast("binomial", np.arange(64.0))),
+                       HOMOGENEOUS, spans=True)
     assert replayed.replay["reasons"] == {"span trace": 1}
 
 
@@ -251,14 +212,13 @@ def test_a_run_bound_at_a_nonzero_base_is_priced_on_engine_ranks():
     # (on a torus the two differ in every hop count).
     base, size = 5, 8
 
-    def programs():
+    def programs(spans=False):
         context = context_factory(size, base=base)
         idle = [(lambda: (yield ComputeRequest(0.0)))() for _ in range(base)]
         body = one_bcast("vandegeijn", PhantomArray((4096,)), root=3)
         return idle + [body(context(r)) for r in range(size)]
 
-    replayed, expanded = both(programs, NETWORKS["torus"])
-    assert_same(replayed, expanded)
+    replayed, _ = both(programs, NETWORKS["torus"])
     assert replayed.replay["replayed"] == 1
 
 
@@ -299,8 +259,7 @@ def test_a_verified_run_and_its_reruns_move_every_message(monkeypatch):
     monkeypatch.setattr(Engine, "run", spy)
     verified = run_spmd(body, 8, verify=VerifyOptions(schedules=2))
     assert verified.verdict.ok and verified.verdict.meta["observed_ops"] > 0
-    assert ([dataclasses.astuple(s) for s in verified.stats]
-            == [dataclasses.astuple(s) for s in unverified.stats])
+    assert stats(verified) == stats(unverified)
     assert len(runs) == 3  # the primary run and two perturbed reruns
     for messages, report in runs:
         assert messages == unverified.total_messages > 0
@@ -323,18 +282,15 @@ def test_a_schedule_with_a_zero_byte_send_is_refused():
     assert replay.record("vandegeijn", 8, 0, None, 3, 8) == "zero-byte send"
     assert isinstance(replay.record("vandegeijn", 8, 0, None, 8, 8),
                       replay.Schedule)
-    replayed, expanded = both(
-        spmd(8, one_bcast("vandegeijn", PhantomArray((3,)))))
-    assert_same(replayed, expanded)
+    both(spmd(8, one_bcast("vandegeijn", PhantomArray((3,)))), HOMOGENEOUS)
 
 
 # -- trap 4: left == right ---------------------------------------------------------
 
 @pytest.mark.parametrize("root", [0, 1])
 def test_a_two_rank_ring_pairs_each_leg_with_the_right_one(root):
-    replayed, expanded = both(
-        spmd(2, one_bcast("vandegeijn", np.arange(4097.0), root=root)))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(2, one_bcast(
+        "vandegeijn", np.arange(4097.0), root=root)), HOMOGENEOUS)
     assert replayed.replay["replayed"] == 1
 
 
@@ -355,8 +311,7 @@ def test_a_verdict_learned_while_another_collective_is_half_parked(algorithm):
             algorithm=algorithm)
         return got
 
-    replayed, expanded = both(spmd(4, body))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(4, body), HOMOGENEOUS)
     assert replayed.replay["replayed"] == (2 if algorithm == "binomial" else 0)
 
 
@@ -381,9 +336,8 @@ def test_a_timed_receive_releases_what_is_parked(payload):
             yield from ctx.world.wait(handle)
         return got
 
-    replayed, expanded = both(spmd(4, body))
-    assert_same(replayed, expanded)
-    assert digest(replayed.return_values[3]) == digest(payload)
+    replayed, _ = both(spmd(4, body), HOMOGENEOUS)
+    assert bits(replayed.return_values[3]) == bits(payload)
     assert replayed.stats[3].timeouts == 0
     assert replayed.replay["reasons"] == {"timed receive": 1}
 
@@ -422,8 +376,7 @@ def test_a_broadcast_whose_last_rank_waits_on_a_parked_one_completes():
             yield from ctx.world.send(got, 2, tag=3)
         return got
 
-    replayed, expanded = both(spmd(3, body))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(3, body), HOMOGENEOUS)
     assert replayed.replay["reasons"] == {"unfilled at drain": 1}
 
 
@@ -468,8 +421,7 @@ def test_a_fused_shift_behind_its_peer_starts_at_the_later_post(late_leg):
         if ctx.rank == source:
             yield from ctx.world.send(PhantomArray((32,)), 1)
 
-    replayed, expanded = both(spmd(5, early_leaver(after)))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(5, early_leaver(after)), HOMOGENEOUS)
     assert replayed.replay["replayed"] == 1
 
 
@@ -480,8 +432,7 @@ def test_a_zero_byte_send_behind_its_receive_is_still_eager():
             yield from ctx.world.recv(1, tag=2)
         elif ctx.rank == 1:
             yield from ctx.world.send(None, 4, tag=2)
-    replayed, expanded = both(spmd(5, early_leaver(after)))
-    assert_same(replayed, expanded)
+    both(spmd(5, early_leaver(after)), HOMOGENEOUS)
 
 
 def test_a_wait_on_a_handle_finished_before_the_wait_charges_nothing():
@@ -502,8 +453,7 @@ def test_a_wait_on_a_handle_finished_before_the_wait_charges_nothing():
         if ctx.rank == 1:
             yield from ctx.world.send(PhantomArray((8,)), 4, tag=2)
 
-    replayed, expanded = both(spmd(5, body))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(5, body), HOMOGENEOUS)
     assert replayed.stats[4].comm_time == 0.0
 
 
@@ -527,8 +477,7 @@ def test_a_send_posted_past_the_deadline_does_not_beat_it():
             yield ComputeRequest(5e-4)
             yield from ctx.world.send(PhantomArray((8,)), 1, tag=2)
 
-    replayed, expanded = both(spmd(5, early_leaver(after)))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(5, early_leaver(after)), HOMOGENEOUS)
     assert replayed.return_values[1][0] == "late"
 
 
@@ -557,8 +506,7 @@ def test_a_wait_that_ends_later_does_not_step_the_rank_ahead():
         result = yield from early_leaver(after)(ctx)
         return result
 
-    replayed, expanded = both(spmd(5, body))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(5, body), HOMOGENEOUS)
     assert replayed.return_values[1][0] == "late"
 
 
@@ -585,6 +533,5 @@ def test_a_rank_woken_before_its_clock_is_stepped_at_its_clock():
         result = yield from early_leaver(after)(ctx)
         return result
 
-    replayed, expanded = both(spmd(5, body))
-    assert_same(replayed, expanded)
+    replayed, _ = both(spmd(5, body), HOMOGENEOUS)
     assert replayed.return_values[1][0] == "late"

@@ -15,8 +15,6 @@ fail-safes: what still expands through the generators says why, and
 waiting for a root changes nothing a run can observe.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -24,8 +22,7 @@ from repro.cluster import JobSpec, serve
 from repro.cluster.engine import ClusterEngine
 from repro.collectives import COLLECTIVES
 from repro.errors import DeadlockError
-from repro.faults import parse_fault_spec
-from repro.mpi.comm import CollectiveOptions, make_contexts
+from repro.mpi.comm import CollectiveOptions
 from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
 from repro.network.tree import SwitchedCluster
@@ -35,6 +32,7 @@ from repro.simulator.engine import Engine, ExpandingEngine
 from repro.simulator.requests import ComputeRequest
 from repro.simulator.runtime import run_spmd
 from repro.verify import VerifyOptions
+from tests.pins import both, observed, spmd, stats
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
 FAULTS = "drop(p=0.05); slow(rank=3,factor=2)"
@@ -57,43 +55,6 @@ MODES = {
     "faults": dict(network=lambda: Torus3D((3, 3, 2), PARAMS),
                    faults=FAULTS),
 }
-
-
-def digest(value):
-    """A return value as something ``==`` compares bit for bit."""
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape, str(value.dtype), value.tobytes())
-    if isinstance(value, (list, tuple)):
-        return [digest(v) for v in value]
-    return value
-
-
-def observed(sim):
-    """Everything a run shows, as something ``==`` compares exactly."""
-    return ([dataclasses.astuple(s) for s in sim.stats],
-            digest(sim.return_values),
-            [dataclasses.astuple(t) for t in sim.trace],
-            [(s.rank, s.name, s.start, s.end, s.attrs)
-             for s in sim.iter_spans()])
-
-
-def both(make_programs, network, *, spans=False, faults=None, **switches):
-    """The same programs stepped (as every user gets them) and with every
-    message moved through the generators."""
-    runs = []
-    for engine in (Engine, ExpandingEngine):
-        schedule = parse_fault_spec(faults, seed=7) if faults else None
-        runs.append(engine(network(), faults=schedule, **switches).run(
-            make_programs(spans)))
-    stepped, expanded = runs
-    assert observed(stepped) == observed(expanded)
-    assert expanded.replay["stepped"] == 0
-    return stepped, expanded
-
-
-def spmd(nranks, body):
-    return lambda spans=False: [body(ctx) for ctx in make_contexts(
-        nranks, trace=spans)]
 
 
 def rounds(algorithm, size):
@@ -200,12 +161,8 @@ def test_a_segmented_fourcolor_broadcast_under_contention_expands():
             algorithm="fourcolor")
         return got
 
-    def programs(spans=False):
-        options = CollectiveOptions(bcast_segments=4)
-        return [body(ctx) for ctx in make_contexts(8, options)]
-
-    stepped, _ = both(programs, lambda: Torus3D((2, 2, 2), PARAMS),
-                      contention=True)
+    stepped, _ = both(spmd(8, body, CollectiveOptions(bcast_segments=4)),
+                      lambda: Torus3D((2, 2, 2), PARAMS), contention=True)
     assert stepped.replay["reasons"] == {"non-blocking schedule": 1}
     assert stepped.replay["stepped"] == 0
 
@@ -226,8 +183,7 @@ def test_a_run_that_must_move_every_message_does(switch, reason):
                           "recorded": 0, "reasons": {reason: 1}}
     engine = {k: v for k, v in switch.items() if k != "verify"}
     reference = ExpandingEngine(network, **engine).run(spmd(8, body)())
-    assert ([dataclasses.astuple(s) for s in sim.stats]
-            == [dataclasses.astuple(s) for s in reference.stats])
+    assert stats(sim) == stats(reference)
 
 
 @pytest.mark.parametrize("root", [0, 4])

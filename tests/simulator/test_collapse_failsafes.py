@@ -22,6 +22,7 @@ from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
 from repro.simulator.backends import MacroBackend
 from repro.simulator.collapse import cannon_symmetry
+from tests.pins import assert_identical
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 GAMMA = 1e-10
@@ -34,14 +35,9 @@ def corner_probe(q):
                         - {q * q - 1}))
 
 
-def _fields(sim):
-    return [(s.clock, s.comm_time, s.compute_time, s.messages_sent,
-             s.bytes_sent) for s in sim.stats]
-
-
 def run_both(q, operands=None, **changes):
     """Cannon under ``cannon_symmetry(q)`` with ``changes`` applied, and
-    the same run stepped per rank; asserts the floats agree."""
+    the same run stepped per rank; asserts every field agrees."""
     operands = operands or (PhantomArray((8 * q, 8 * q)),) * 2
     network = HomogeneousNetwork(q * q, PARAMS)
     symmetry = dataclasses.replace(cannon_symmetry(q), **changes)
@@ -50,7 +46,7 @@ def run_both(q, operands=None, **changes):
                         gamma=GAMMA)
     _, ref = run_cannon(*operands, grid=(q, q), network=network,
                         backend=MacroBackend(network), gamma=GAMMA)
-    assert _fields(sim) == _fields(ref)
+    assert_identical(sim, ref)
     return C, sim
 
 

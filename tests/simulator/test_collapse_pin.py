@@ -1,7 +1,7 @@
 """Bit-for-bit pins of symmetry-collapsed macro runs.
 
 Each case runs one family on the collapsed macro engine and hashes what
-the run reports: every ``RankStats`` field (floats as ``float.hex``),
+the run reports through ``tests/pins.py``: every ``RankStats`` field,
 the shapes of the return values and the collapse report.  Each case is
 also held equal, field for field, to the same run stepped per rank, so
 a digest change is either a change of what the per-rank macro backend
@@ -12,15 +12,9 @@ point-to-point lanes (Cannon's sendrecv shifts, Fox's ring roll, the
 DNS-3D blocking send/recv routes), memo joins of partially-probed
 communicators (plain and root-rotated), and a placement-keyed coster on
 a torus.
-
-Regenerate the table with ``python -m tests.simulator.test_collapse_pin``
-(it prints ``PINS``) only after a deliberate change of behaviour.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import hashlib
 
 import pytest
 
@@ -37,6 +31,7 @@ from repro.network.torus import Torus3D
 from repro.payloads import PhantomArray
 from repro.simulator.backends import MacroBackend
 from repro.simulator.collapse import summa_symmetry
+from tests.pins import assert_identical, canon, check
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 GAMMA = 1e-10
@@ -80,23 +75,6 @@ CASES = {
 }
 
 
-def _canon(value):
-    """``value`` as nested tuples of strings, floats as ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, PhantomArray):
-        return ("phantom", value.shape, value.itemsize)
-    if dataclasses.is_dataclass(value):
-        return (type(value).__name__,) + tuple(
-            (f.name, _canon(getattr(value, f.name)))
-            for f in dataclasses.fields(value))
-    if isinstance(value, dict):
-        return tuple(sorted((str(k), _canon(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_canon(v) for v in value)
-    return repr(value)
-
-
 def _backends(nranks, torus):
     """(collapsing backend, per-rank backend) on the case's network."""
     if torus is None:
@@ -120,14 +98,8 @@ def record(name):
     _, ref = run(network=network, backend=per_rank, gamma=GAMMA)
     assert sim.collapse["mode"] == "collapsed", sim.collapse
     assert ref.collapse["mode"] == "per-rank"
-    assert _canon(sim.stats) == _canon(ref.stats)
-    assert _canon(sim.return_values) == _canon(ref.return_values)
-    return (_canon(sim.stats), _canon(sim.return_values),
-            _canon(sim.collapse))
-
-
-def _digest(name):
-    return hashlib.sha256(repr(record(name)).encode()).hexdigest()[:16]
+    assert_identical(sim, ref)
+    return canon(sim.stats), canon(sim.return_values), canon(sim.collapse)
 
 
 PINS = {
@@ -148,12 +120,6 @@ PINS = {
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_collapsed_runs_are_pinned(name):
-    assert _digest(name) == PINS[name]
+def test_collapsed_runs_are_pinned(name, request):
+    check(request, {name: record(name)})
 
-
-if __name__ == "__main__":
-    print("PINS = {")
-    for name in CASES:
-        print(f"    {name!r}: {_digest(name)!r},")
-    print("}")

@@ -7,8 +7,6 @@ rank clock, comm_time, message counts, payloads, traces — must equal
 the run spelled out with individual isend/irecv/wait requests.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.errors import SimulationError
@@ -24,6 +22,7 @@ from repro.simulator.requests import (
     SendRecvRequest,
 )
 from repro.verify.session import run_verified
+from tests.pins import assert_identical
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
 
@@ -57,12 +56,6 @@ def _run_verified(size: int, make):
 
 #: Engine set-ups under which the point-to-point path once split.
 RUNNERS = [_run_faulty, _run_contended, _run_verified]
-
-
-def _assert_same_result(res_a, res_b):
-    assert ([dataclasses.asdict(s) for s in res_a.stats]
-            == [dataclasses.asdict(s) for s in res_b.stats])
-    assert res_a.return_values == res_b.return_values
 
 
 def _ring_explicit(rank: int, size: int, payload: bytes, rounds: int):
@@ -108,7 +101,7 @@ def _ring_case(variant, run) -> None:
                               for r in range(size)])
     fused = run(size, lambda: [variant(r, size, payloads[r], rounds)
                                for r in range(size)])
-    _assert_same_result(base, fused)
+    assert_identical(base, fused)
     # After `rounds` shifts every rank holds the payload that
     # started `rounds` ranks to its left.
     for r in range(size):
@@ -161,7 +154,7 @@ def _skewed_ring_case(variant, run) -> None:
 
     base = run(size, lambda: [skew_explicit(r) for r in range(size)])
     fused = run(size, lambda: [skew(variant, r) for r in range(size)])
-    _assert_same_result(base, fused)
+    assert_identical(base, fused)
 
 
 class TestSendRecvEquivalence:
@@ -212,7 +205,7 @@ class TestSendRecvEquivalence:
                 [builder(r, size, bytes([r]) * 32, rounds) for r in range(size)]
             )
 
-        _assert_same_result(run(_ring_explicit), run(_ring_fused))
+        assert_identical(run(_ring_explicit), run(_ring_fused))
 
 
 class TestBatchedYieldProtocol:

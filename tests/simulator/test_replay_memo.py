@@ -8,7 +8,6 @@ Every test holds the result to the same run with every message stepped
 (``ExpandingEngine``) at zero tolerance.
 """
 
-import dataclasses
 from collections import OrderedDict
 
 import numpy as np
@@ -16,28 +15,16 @@ import pytest
 
 from repro.collectives import COLLECTIVES, bcast_flat
 from repro.core.summa import run_summa
-from repro.mpi.comm import make_contexts
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams, Network
 from repro.network.torus import Torus3D
 from repro.payloads import PhantomArray
 from repro.simulator import replay
-from repro.simulator.engine import Engine, ExpandingEngine
+from repro.simulator.engine import Engine
 from repro.simulator.requests import ComputeRequest
+from tests.pins import both, spmd, stats
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
-
-
-def stats_of(sim):
-    return [dataclasses.astuple(s) for s in sim.stats]
-
-
-def both(programs, network):
-    """``programs()`` replayed and with every message stepped."""
-    replayed = Engine(network).run(programs())
-    expanded = ExpandingEngine(network).run(programs())
-    assert stats_of(replayed) == stats_of(expanded)
-    return replayed, expanded
 
 
 @pytest.fixture
@@ -75,7 +62,7 @@ def rows_program(nranks, row_size, before, algorithm="binomial", count=64,
                 algorithm=algorithm)
             out.append(got.shape)
         return out
-    return lambda: [body(ctx) for ctx in make_contexts(nranks)]
+    return spmd(nranks, body)
 
 
 def test_a_torus_summa_replays_fewer_times_than_it_broadcasts(
@@ -89,7 +76,7 @@ def test_a_torus_summa_replays_fewer_times_than_it_broadcasts(
     assert 0 < len(replays) < replayed.replay["replayed"]
     monkeypatch.setattr(Engine, "_replay", False)
     expanded = run_summa(A, A, **kwargs)[1]
-    assert stats_of(replayed) == stats_of(expanded)
+    assert stats(replayed) == stats(expanded)
 
 
 def _staggered(ctx, row):
@@ -116,11 +103,10 @@ def test_equal_placement_keys_with_other_inputs_do_not_hit(before):
     network = HomogeneousNetwork(8, PARAMS)
     assert network.placement_key([0, 1, 2, 3]) == network.placement_key(
         [4, 5, 6, 7])
-    replayed, _ = both(rows_program(8, 4, before), network)
+    replayed, _ = both(rows_program(8, 4, before), lambda: network)
     assert replayed.replay["replayed"] == 6
-    row0 = [dataclasses.astuple(s)[1:] for s in replayed.stats[:4]]
-    row1 = [dataclasses.astuple(s)[1:] for s in replayed.stats[4:]]
-    assert row0 != row1
+    rows = [s[1:] for s in stats(replayed)]  # every field but the rank
+    assert rows[:4] != rows[4:]
 
 
 class Skewed(Network):
@@ -144,7 +130,7 @@ def test_a_network_keyed_by_the_rank_tuple_stays_exact(replays):
                             count=4096)
     Engine(Skewed(8)).run(programs())  # record the shape
     replays.clear()
-    replayed, _ = both(programs, Skewed(8))
+    replayed, _ = both(programs, lambda: Skewed(8))
     assert replayed.replay["replayed"] == len(replays) == 6
 
 
@@ -165,8 +151,7 @@ def test_a_memo_never_holds_more_than_its_bound(monkeypatch):
                 np.arange(64.0) if ctx.rank == 0 else None, root=0,
                 algorithm="binomial")
 
-    both(lambda: [body(ctx) for ctx in make_contexts(4)],
-         HomogeneousNetwork(4, PARAMS))
+    both(spmd(4, body), lambda: HomogeneousNetwork(4, PARAMS))
     _by_cid, by_class = held[0][None]
     memos = [seen for memo in by_class.values() for seen in memo.values()]
     assert memos and max(map(len, memos)) == replay.MEMO_INPUTS
@@ -186,9 +171,9 @@ def test_a_name_bound_to_another_function_records_afresh(monkeypatch):
         return bcast_flat(*args, **kwargs)
 
     monkeypatch.setitem(COLLECTIVES["bcast"].algorithms, "binomial", wrapped)
-    replayed, _ = both(programs, network)
+    replayed, _ = both(programs, lambda: network)
     assert replayed.replay["replayed"] == 3
-    assert stats_of(replayed) != stats_of(before)
+    assert stats(replayed) != stats(before)
 
 
 def test_the_recording_cache_is_bounded_in_legs(cold_cache, monkeypatch):
@@ -211,7 +196,7 @@ def one_bcast_program(shapes):
             yield from ctx.world.bcast(
                 np.arange(float(count)) if ctx.rank == 0 else None, root=0,
                 algorithm=algorithm)
-    return lambda: [body(ctx) for ctx in make_contexts(8)]
+    return spmd(8, body)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])

@@ -1,8 +1,16 @@
 """Unit tests for repro.util.validation."""
 
+import math
+
 import pytest
 
+from repro.core.summa import run_summa
 from repro.errors import ConfigurationError
+from repro.faults import parse_fault_spec
+from repro.mpi.comm import make_contexts
+from repro.network.model import HockneyParams
+from repro.payloads import PhantomArray
+from repro.planner import PlanQuery
 from repro.util.validation import (
     require,
     require_divides,
@@ -66,3 +74,43 @@ class TestRequireType:
     def test_fails(self):
         with pytest.raises(ConfigurationError, match="v"):
             require_type("s", int, "v")
+
+
+def _summa(backend):
+    A = PhantomArray((16, 16))
+    return run_summa(A, A, grid=(2, 2), block=4, gamma=math.nan,
+                     backend=backend)
+
+
+#: id -> (an input a ``x < bound`` check let through, the field the
+#: refusal names).  Each is refused when it is built, never per message.
+NON_FINITE = {
+    **{f"gamma-{tier}": (lambda tier=tier: _summa(tier), "gamma")
+       for tier in ("des", "macro", "predictor")},
+    "gamma-context": (lambda: make_contexts(2, gamma=math.nan), "gamma"),
+    **{spec: (lambda spec=spec: parse_fault_spec(spec), field)
+       for spec, field in (
+           ("slow(rank=0,factor=2,t0=nan)", "t0"),
+           ("drop(p=0.5,t0=nan)", "t0"),
+           ("drop(p=0.5,t1=nan)", "t1"),
+           ("slow(rank=0,factor=nan)", "factor"),
+           ("degrade(src=0,dst=1,beta=nan)", "beta"),
+           ("degrade(src=0,dst=1,beta=inf)", "beta"),
+           ("retry(timeout=nan)", "timeout"),
+           ("kill(rank=1,t=nan)", "time"))},
+    "hockney-alpha-inf": (lambda: HockneyParams(alpha=math.inf, beta=1e-9),
+                          "alpha"),
+    "plan-gamma-nan": (lambda: PlanQuery(n=64, p=4, gamma=math.nan)
+                       .resolve(), "gamma"),
+}
+
+
+@pytest.mark.parametrize("build, field", NON_FINITE.values(),
+                         ids=list(NON_FINITE))
+def test_a_non_finite_input_is_refused_by_name(build, field):
+    with pytest.raises(ConfigurationError, match=field):
+        build()
+
+
+def test_a_window_may_stay_open_at_its_end():
+    assert parse_fault_spec("drop(p=0.5,t1=inf)").drops[0].t1 == math.inf
