@@ -10,7 +10,7 @@ Usage::
 import math
 
 from repro.models.exascale import ExascaleScenario, exascale_prediction
-from repro.models.optimizer import critical_ratio, predicted_extremum_kind
+from repro.costs import critical_ratio, predicted_extremum_kind
 from repro.util.tables import format_table
 
 

@@ -21,12 +21,8 @@ from repro import PhantomArray
 from repro.core.hsumma import run_hsumma
 from repro.core.tuning import tune_group_count
 from repro.core.grouping import valid_group_counts
-from repro.costs import VANDEGEIJN_MODEL
-from repro.models.optimizer import (
-    critical_ratio,
-    hsumma_beats_summa,
-    optimal_group_count,
-)
+from repro.costs import VANDEGEIJN_MODEL, critical_ratio, hsumma_beats_summa
+from repro.models.optimizer import optimal_group_count
 from repro.mpi.comm import CollectiveOptions
 from repro.platforms.bluegene import BGP_PARAMS
 from repro.util.gridmath import factor_grid

@@ -31,10 +31,8 @@ hyper-systolic two-level ring depth at the registry's optimal stride
 
 from __future__ import annotations
 
-import math
 from typing import Any, Generator
 
-from repro.costs.registry import optimal_pipeline_segments  # noqa: F401 (re-export; the closed form lives in the cost registry)
 from repro.errors import ConfigurationError
 from repro.collectives.scatter import range_scatter_rel
 from repro.payloads import join_payload, split_payload
@@ -136,7 +134,8 @@ def bcast_pipelined(
 
     ``segments=None`` picks a size-oblivious default of
     ``max(4, ceil(log2 p))`` — callers who know the platform's
-    ``alpha/beta`` should pass :func:`optimal_pipeline_segments`.
+    ``alpha/beta`` should pass
+    :func:`repro.costs.optimal_pipeline_segments`.
     """
     size = comm.size
     if size == 1:

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 
-from repro.costs.registry import BroadcastModel, SMOOTH_MODELS
+from repro.costs.registry import BroadcastModel
 from repro.errors import ModelError
-
-VANDEGEIJN_MODEL = SMOOTH_MODELS["vandegeijn"]
 
 
 def matmul_flops(n: float) -> float:

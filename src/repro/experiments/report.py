@@ -39,7 +39,8 @@ def build_scorecard() -> list[CheckResult]:
     from repro.core.hsumma import run_hsumma
     from repro.core.summa import run_summa
     from repro.mpi.comm import CollectiveOptions
-    from repro.models.optimizer import hsumma_beats_summa, optimal_group_count
+    from repro.costs import hsumma_beats_summa
+    from repro.models.optimizer import optimal_group_count
     from repro.network.model import HockneyParams
     from repro.payloads import PhantomArray
 

@@ -19,18 +19,16 @@ from repro.costs import (
     BINOMIAL_MODEL,
     VANDEGEIJN_MODEL,
     BroadcastModel,
+    critical_ratio,
     hsumma_bandwidth_factor,
+    hsumma_beats_summa,
     hsumma_latency_factor,
     hsumma_optimal_vdg_cost,
+    predicted_extremum_kind,
     summa_bandwidth_factor,
     summa_latency_factor,
 )
 from repro.errors import ModelError
-from repro.models.optimizer import (
-    critical_ratio,
-    hsumma_beats_summa,
-    predicted_extremum_kind,
-)
 from repro.util.tables import format_table
 
 

@@ -11,16 +11,14 @@ from repro.costs import (
     BINOMIAL_MODEL,
     VANDEGEIJN_MODEL,
     BroadcastModel,
+    critical_ratio,
+    hsumma_beats_summa,
     hsumma_communication_cost,
+    predicted_extremum_kind,
     summa_communication_cost,
     summa_computation_cost,
 )
-from repro.models.optimizer import (
-    critical_ratio,
-    hsumma_beats_summa,
-    optimal_group_count,
-    predicted_extremum_kind,
-)
+from repro.models.optimizer import optimal_group_count
 from repro.models.exascale import exascale_prediction
 
 __all__ = [

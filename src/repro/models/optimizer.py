@@ -8,8 +8,8 @@ so ``G = sqrt(p)`` is always a stationary point, and it is the *minimum*
 exactly when ``alpha/beta > 2*n*b/p`` (eq. 10) — otherwise it is the
 maximum and the best HSUMMA degenerates to SUMMA (``G = 1`` or
 ``G = p``).  The threshold test, the derivative and the
-extremum-kind classifier are the registry's closed forms
-(:mod:`repro.costs.closed_forms`), re-exported here; this module adds
+extremum-kind classifier are the registry's closed forms (import them
+from :mod:`repro.costs`); this module adds
 the numeric optimiser over integer group counts — optionally
 restricted to the counts actually *realisable* on a processor grid
 (feasible ``I x J`` splits), which is what the planner uses.
@@ -20,23 +20,11 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.costs.closed_forms import (  # noqa: F401 (re-exports)
-    critical_ratio,
-    crossover_processor_count,
-    hsumma_beats_summa,
-    hsumma_communication_cost,
-    predicted_extremum_kind,
-    vdg_cost_derivative,
-)
+from repro.costs.closed_forms import hsumma_communication_cost
 from repro.costs.registry import VANDEGEIJN_MODEL, BroadcastModel
 from repro.errors import ModelError
 
 __all__ = [
-    "critical_ratio",
-    "crossover_processor_count",
-    "hsumma_beats_summa",
-    "predicted_extremum_kind",
-    "vdg_cost_derivative",
     "default_group_candidates",
     "optimal_group_count",
 ]

@@ -22,6 +22,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.simulator.tracing import SimResult
+from repro.util.validation import require_positive
 from repro.verify.checks import (
     checks_run,
     finding_for_exception,
@@ -49,8 +50,9 @@ class VerifyOptions:
         Base seed of the schedule jitter (schedule ``k`` uses
         ``seed + 1 + k``).
     amplitude:
-        Relative wire-time jitter amplitude (each edge's transfer time
-        is scaled by a fixed factor in ``[1, 1 + amplitude)``).
+        Relative wire-time jitter amplitude, finite and positive (each
+        edge's transfer time is scaled by a fixed factor in
+        ``[1, 1 + amplitude)``).
     """
 
     schedules: int = 2
@@ -59,10 +61,12 @@ class VerifyOptions:
     amplitude: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.schedules < 0:
+        if (isinstance(self.schedules, bool)
+                or not isinstance(self.schedules, int) or self.schedules < 0):
             raise ConfigurationError(
-                f"verify schedules must be >= 0, got {self.schedules}"
+                f"verify schedules must be an int >= 0, got {self.schedules!r}"
             )
+        require_positive(self.amplitude, "amplitude")
 
 
 def coerce_verify(verify: Any) -> VerifyOptions | None:

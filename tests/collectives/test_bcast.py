@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.collectives import COLLECTIVES
-from repro.collectives.bcast import optimal_pipeline_segments
+from repro.costs import optimal_pipeline_segments
 from repro.costs import PipelineDepthWarning, bcast_time
 from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray

@@ -1,7 +1,7 @@
 """Anti-drift tests: the SUMMA/HSUMMA/broadcast closed forms live in
-exactly one package (`repro.costs`), and the consumer that still
-carries a second name for one — the optimizer — delegates to it.  If
-someone re-introduces a local copy of a formula, these tests fail."""
+exactly one package (`repro.costs`), under one name each.  If someone
+re-introduces a local copy of a formula, or a second import path for
+one, these tests fail."""
 
 
 import pytest
@@ -14,13 +14,12 @@ PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 
 
 class TestSingleSourceOfTruth:
-    def test_optimizer_reexports_are_registry_functions(self):
+    def test_the_optimizer_carries_no_second_name(self):
         from repro.models import optimizer
 
-        assert optimizer.critical_ratio is costs.critical_ratio
-        assert optimizer.hsumma_beats_summa is costs.hsumma_beats_summa
-        assert (optimizer.crossover_processor_count
-                is costs.crossover_processor_count)
+        assert not {"critical_ratio", "crossover_processor_count",
+                    "hsumma_beats_summa", "predicted_extremum_kind",
+                    "vdg_cost_derivative"} & set(vars(optimizer))
 
 
 class TestDiscreteSmoothAgreement:

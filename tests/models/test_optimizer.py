@@ -4,14 +4,17 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.costs import BINOMIAL_MODEL, VANDEGEIJN_MODEL
-from repro.models.optimizer import (
+from repro.costs import (
+    BINOMIAL_MODEL,
+    VANDEGEIJN_MODEL,
     critical_ratio,
+    crossover_processor_count,
     hsumma_beats_summa,
-    optimal_group_count,
+    hsumma_communication_cost,
     predicted_extremum_kind,
     vdg_cost_derivative,
 )
+from repro.models.optimizer import default_group_candidates, optimal_group_count
 
 
 class TestCriticalRatio:
@@ -73,8 +76,6 @@ class TestDerivative:
 
 class TestCrossover:
     def test_inverse_of_threshold(self):
-        from repro.models.optimizer import crossover_processor_count
-
         n, b, alpha, beta = 65536, 256, 3e-6, 1e-9
         p_star = crossover_processor_count(n, b, alpha, beta)
         # Just below: threshold fails; just above: holds.
@@ -84,14 +85,10 @@ class TestCrossover:
     def test_bgp_crossover_between_8k_and_16k(self):
         """Explains Figure 9's model-side shape: parity through 8192,
         win at 16384."""
-        from repro.models.optimizer import crossover_processor_count
-
         p_star = crossover_processor_count(65536, 256, 3e-6, 1e-9)
         assert 8192 < p_star < 16384
 
     def test_validation(self):
-        from repro.models.optimizer import crossover_processor_count
-
         with pytest.raises(ModelError):
             crossover_processor_count(0, 1, 1, 1)
 
@@ -133,19 +130,14 @@ class TestGridRestrictedCandidates:
     counts actually realisable on an ``s x t`` processor grid."""
 
     def test_default_candidates_without_grid(self):
-        from repro.models.optimizer import default_group_candidates
-
         cands = default_group_candidates(64)
         assert cands == [1, 2, 4, 8, 16, 32, 64]
 
     def test_default_candidates_include_exact_sqrt(self):
-        from repro.models.optimizer import default_group_candidates
-
         assert 3 in default_group_candidates(9)
 
     def test_grid_restricts_to_feasible_counts(self):
         from repro.core.grouping import valid_group_counts
-        from repro.models.optimizer import default_group_candidates
 
         assert default_group_candidates(9, grid=(3, 3)) == (
             valid_group_counts(3, 3)
@@ -153,13 +145,9 @@ class TestGridRestrictedCandidates:
 
     def test_grid_excludes_unrealisable_counts(self):
         """G=2 on a 3x3 grid has no I|3, J|3 split with I*J=2."""
-        from repro.models.optimizer import default_group_candidates
-
         assert 2 not in default_group_candidates(9, grid=(3, 3))
 
     def test_grid_must_match_p(self):
-        from repro.models.optimizer import default_group_candidates
-
         with pytest.raises(ModelError):
             default_group_candidates(64, grid=(4, 4))
 
@@ -188,8 +176,6 @@ class TestBoundaries:
 
     def test_g1_and_gp_price_identically(self):
         """G=1 and G=p both degenerate to SUMMA (paper Section III)."""
-        from repro.models.optimizer import hsumma_communication_cost
-
         n, p, b = 1024, 4096, 16
         t1 = hsumma_communication_cost(n, p, 1, b, 1e-4, 1e-9,
                                        VANDEGEIJN_MODEL)
@@ -209,12 +195,6 @@ class TestBoundaries:
         """At alpha/beta == 2nb/p the VdG cost is constant in G, the
         derivative vanishes everywhere, and ties resolve to the
         smallest candidate."""
-        from repro.models.optimizer import (
-            critical_ratio,
-            predicted_extremum_kind,
-            vdg_cost_derivative,
-        )
-
         n, p, b = 1024, 64, 16
         beta = 1e-9
         alpha = beta * critical_ratio(n, b, p)
@@ -233,8 +213,6 @@ class TestBoundaries:
         assert G == 1  # deterministic tie-break to the smallest
 
     def test_just_off_threshold_breaks_the_tie(self):
-        from repro.models.optimizer import critical_ratio
-
         n, p, b = 1024, 64, 16
         beta = 1e-9
         alpha = beta * critical_ratio(n, b, p)

@@ -17,12 +17,10 @@ from repro.collectives import COLLECTIVES
 from repro.costs import (
     BINOMIAL_MODEL,
     VANDEGEIJN_MODEL,
-    hsumma_communication_cost,
-    summa_communication_cost,
-)
-from repro.models.optimizer import (
     critical_ratio,
+    hsumma_communication_cost,
     predicted_extremum_kind,
+    summa_communication_cost,
     vdg_cost_derivative,
 )
 from repro.network.model import HockneyParams

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import multiply
 from repro.core.summa import run_summa
 from repro.errors import ConfigurationError
 from repro.faults import parse_fault_spec
@@ -102,6 +103,14 @@ NON_FINITE = {
                           "alpha"),
     "plan-gamma-nan": (lambda: PlanQuery(n=64, p=4, gamma=math.nan)
                        .resolve(), "gamma"),
+    # A NaN or infinite jitter priced every rerun's wire at NaN, and
+    # such a rerun checks nothing.
+    **{f"verify-{field}-{value}": (lambda kw={field: value}: multiply(
+        PhantomArray((16, 16)), PhantomArray((16, 16)), nprocs=4,
+        verify=kw), field)
+       for field, value in (("amplitude", math.nan), ("amplitude", math.inf),
+                            ("amplitude", 0), ("schedules", 2.5),
+                            ("schedules", True))},
 }
 
 
