@@ -1614,9 +1614,8 @@ class Engine:
 
 
 class ExpandingEngine(Engine):
-    """An engine that moves every message of every broadcast through
-    the generators: the reference replay and stepping are compared with
-    (``tests/property/test_replay_equals_expansion.py``, one table of
-    broadcast x size x mode)."""
+    """An engine that steps every message of every broadcast: the
+    reference replay is compared with
+    (``tests/property/test_replay_equals_expansion.py``)."""
 
     _replay = False

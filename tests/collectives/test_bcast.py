@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.collectives import COLLECTIVES
-from repro.costs import optimal_pipeline_segments
-from repro.costs import PipelineDepthWarning, bcast_time
+from repro.costs import PipelineDepthWarning, bcast_time, optimal_pipeline_segments
 from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
 from repro.simulator import run_spmd

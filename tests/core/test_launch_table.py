@@ -2,10 +2,10 @@
 
 Every test parametrised on ``family_name`` sweeps
 :data:`repro.core.launch.FAMILIES`: adding a row enrolls the new family
-in the launch contract — uniform shared options, named rejection of
-shape arguments — and ``test_every_family_has_a_case`` fails until the
-row comes with a (tiny) case in ``conformance.CASES``, which the tier
-conformance table runs through every tier at dyadic parameters.
+in the launch contract — data-mode product, tier agreement, uniform
+shared options — and ``test_every_family_has_a_case`` fails until the
+row comes with a (tiny) case to run.  Beyond these single cases the tier
+conformance harness (``tests/property/conformance.py``) draws every row.
 """
 
 import numpy as np
@@ -15,17 +15,26 @@ from repro import multiply
 from repro.core import launch as launch_module
 from repro.core.launch import FAMILIES, family
 from repro.errors import ConfigurationError
+from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
-from tests.property.conformance import (
-    CASES,
-    DYADIC_CHECKS,
-    DYADIC_GAMMA as GAMMA,
-    DYADIC_PARAMS as PARAMS,
-    conforms,
-    dyadic,
-)
+from tests.property.conformance import conforms
 
 N = 64
+#: Dyadic platform parameters: every cost is exact in binary floating
+#: point, so the tiers must agree to the bit, not to a tolerance.
+PARAMS = HockneyParams(alpha=2.0 ** -17, beta=2.0 ** -30)
+GAMMA = 2.0 ** -30
+
+#: ``multiply`` arguments of one small run per family.
+CASES = {
+    "summa": dict(grid=(2, 4), block=8),
+    "hsumma": dict(grid=(4, 4), block=8, groups=4),
+    "cyclic": dict(grid=(2, 2), block=8),
+    "cannon": dict(grid=(4, 4)),
+    "fox": dict(grid=(4, 4)),
+    "3d": dict(nprocs=8),
+    "2.5d": dict(nprocs=32, replication=2),
+}
 
 
 @pytest.fixture(params=list(FAMILIES))
@@ -40,6 +49,17 @@ def _shape_of(case):
     case = dict(case)
     s, t = case.pop("grid", (None, None))
     return Shape(s=s, t=t, **case)
+
+
+def _run(name, *, phantom=True, **run):
+    if phantom:
+        A, B = PhantomArray((N, N)), PhantomArray((N, N))
+    else:
+        rng = np.random.default_rng(7)
+        A, B = rng.standard_normal((N, N)), rng.standard_normal((N, N))
+    result = multiply(A, B, algorithm=name, params=PARAMS, gamma=GAMMA,
+                      **CASES[name], **run)
+    return A, B, result
 
 
 def test_every_family_has_a_case():
@@ -119,17 +139,51 @@ def test_accepts_table_covers_every_row():
     assert set(ACCEPTS) == set(FAMILIES)
 
 
+def test_data_mode_product(family_name):
+    A, B, result = _run(family_name, phantom=False)
+    assert np.allclose(result.C, A @ B)
+
+
+def test_macro_equals_des_on_homogeneous_network(family_name):
+    _, _, des = _run(family_name, backend="des")
+    _, _, macro = _run(family_name, backend="macro")
+    assert macro.total_time == des.total_time
+    assert macro.compute_time == des.compute_time
+
+
+def test_predictor_matches_macro_or_refuses_by_name(family_name):
+    spec = family(family_name)
+    if spec.predict is None:
+        with pytest.raises(ConfigurationError) as exc:
+            _run(family_name, backend="predictor")
+        assert f"'{spec.refusal[0]}'" in str(exc.value)
+        assert spec.display in str(exc.value)
+        return
+    _, _, macro = _run(family_name, backend="macro")
+    _, _, predicted = _run(family_name, backend="predictor")
+    assert predicted.total_time == macro.total_time
+    assert predicted.compute_time == macro.compute_time
+    assert predicted.comm_time == pytest.approx(macro.comm_time, rel=1e-9)
+
+
+def test_trace_leaves_total_time_bit_identical(family_name):
+    _, _, plain = _run(family_name)
+    _, _, traced = _run(family_name, trace=True)
+    assert traced.total_time == plain.total_time
+    assert traced.sim.trace
+
+
 def test_shared_options_are_accepted_uniformly(family_name):
     """Seven runners used to lack ``trace`` and three ``faults``."""
-    _, _, result = dyadic(family_name, trace=True, contention=True,
-                          bcast_segments=2, verify=True,
-                          faults="slow(rank=1,factor=2)")
+    _, _, result = _run(family_name, trace=True, contention=True,
+                        bcast_segments=2, verify=True,
+                        faults="slow(rank=1,factor=2)")
     assert result.sim.verdict.ok
 
 
 def test_unknown_keyword_is_a_type_error_naming_it(family_name):
     with pytest.raises(TypeError, match="pipeline_depth"):
-        dyadic(family_name, pipeline_depth=4)
+        _run(family_name, pipeline_depth=4)
 
 
 # -- the specs that need no table row ---------------------------------
@@ -299,12 +353,13 @@ def tsumma_row(monkeypatch):
 def test_toy_family_passes_conformance_from_one_row(tsumma_row):
     assert set(CASES) == set(FAMILIES)
     test_table_rows_resolve_to_their_own_name("tsumma")
-    for check in DYADIC_CHECKS.values():
-        check("tsumma")
+    test_data_mode_product("tsumma")
+    test_macro_equals_des_on_homogeneous_network("tsumma")
+    test_predictor_matches_macro_or_refuses_by_name("tsumma")
     conforms("tsumma")  # the tier harness draws the row, unedited
     test_shared_options_are_accepted_uniformly("tsumma")
     with pytest.raises(ConfigurationError, match="transposed SUMMA"):
-        dyadic("tsumma", backend="predictor", bcast="segmented")
+        _run("tsumma", backend="predictor", bcast="segmented")
     test_multiply_rejects_unconsumed_shape_fields_by_name("tsumma", "groups")
     test_multiply_rejects_unconsumed_shape_fields_by_name("tsumma", "overlap")
 

@@ -10,7 +10,6 @@ import itertools
 import pytest
 
 from repro.core.hsumma import HSummaConfig, run_hsumma
-from repro.core.launch import live
 from repro.core.summa import SummaConfig, run_summa
 from repro.errors import ConfigurationError
 from repro.experiments.stepmodel import (
@@ -26,7 +25,6 @@ from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
 from repro.payloads import PhantomArray
 from tests.pins import canon, digest
-from tests.property import conformance
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
 GAMMA = 1e-10
@@ -138,42 +136,6 @@ def test_outer_phase_is_priced_by_its_announced_algorithm():
         hexes += canon((rep.total_time, rep.comm_time, rep.compute_time))
     assert digest("".join(hexes), 64) == (
         "87c4cf5123c65d4dc48a2fd59a3f72a8a2735bd46fe6d1d1b0d11ba11d290559")
-
-
-class TestChainEqualsStepModel:
-    """A widest run's predictor chain (``check_predictor``) is the step
-    model's arithmetic on the pipelined broadcasts too, at every depth
-    (7 divides no payload), each HSUMMA phase priced under the algorithm
-    its requests announce."""
-
-    def _contract(self, step_model, name, inner, depth, **shape):
-        run = conformance.widest_run(name, CollectiveOptions(
-            bcast_segments=depth), bcast=inner, **shape)
-        network = run.net()
-        conformance.check_predictor(run, network,
-                                    run.launch("macro", network)[1])
-        chain = live(run.spec.predict)(run.cfg, network=network,
-                                       options=run.options,
-                                       gamma=conformance.GAMMA)
-        model = step_model(run.cfg, AnalyticCoster(
-            conformance.PARAMS, inner, segments=depth), conformance.GAMMA)
-        assert (chain.total_time, chain.compute_time) == (
-            model.total_time, model.compute_time)
-        assert chain.comm_time == pytest.approx(model.comm_time,
-                                                rel=conformance.TOL)
-
-    def test_summa(self):
-        for inner, depth in itertools.product(PHASE_BCASTS[2:],
-                                              (None, 1, 3, 7)):
-            self._contract(summa_step_model, "summa", inner, depth)
-
-    def test_hsumma(self):
-        # Mixed levels: either may be a bulk tree, one is pipelined.
-        for (outer, inner), depth in itertools.product(
-                (("fourcolor", "binomial"), ("vandegeijn", "segmented"),
-                 ("hypersystolic", "fourcolor")), (None, 1, 3, 7)):
-            self._contract(hsumma_step_model, "hsumma", inner, depth,
-                           outer_bcast=outer)
 
 
 class TestCosters:

@@ -31,7 +31,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro import multiply
 from repro.core.hsumma import HSUMMA_MULTILEVEL, MultiLevelConfig
 from repro.core.launch import Shape, family, launch, live
 from repro.costs import lower_bound_time
@@ -84,20 +83,6 @@ FIELDS = {
 #: ``J == 1``: the probe-set special cases) included.
 GROUP_GRIDS = (1, 2, 4, 8, 16, (2, 1), (1, 8))
 MULTILEVEL = "multilevel"
-#: Dyadic platform parameters: every cost is exact in binary floating
-#: point, so the tiers must agree to the bit, not to a tolerance.
-DYADIC_PARAMS = HockneyParams(alpha=2.0 ** -17, beta=2.0 ** -30)
-DYADIC_GAMMA = 2.0 ** -30
-#: ``multiply`` arguments of one small (64^3) run per family.
-CASES = {
-    "summa": dict(grid=(2, 4), block=8),
-    "hsumma": dict(grid=(4, 4), block=8, groups=4),
-    "cyclic": dict(grid=(2, 2), block=8),
-    "cannon": dict(grid=(4, 4)),
-    "fox": dict(grid=(4, 4)),
-    "3d": dict(nprocs=8),
-    "2.5d": dict(nprocs=32, replication=2),
-}
 #: Why a DES broadcast of these programs may expand instead of replaying.
 EXPANDED = {"non-blocking schedule", "zero-byte send", "transfer trace",
             "one-rank communicator"}
@@ -408,55 +393,6 @@ def check_predictor(run, network, macro):
                        match="backend='predictor' cannot price") as exc:
         run.launch("predictor", network, trace=run.trace)
     assert f"feature '{refusal}" in str(exc.value)
-
-
-def dyadic(name, *, phantom=True, **run):
-    """``(A, B, multiply result)`` of the :data:`CASES` run of family
-    ``name`` at the dyadic parameters, with the options ``run``."""
-    A, B = ((PhantomArray((64, 64)),) * 2 if phantom
-            else np.random.default_rng(7).standard_normal((2, 64, 64)))
-    return A, B, multiply(A, B, algorithm=name, params=DYADIC_PARAMS,
-                          gamma=DYADIC_GAMMA, **CASES[name], **run)
-
-
-def check_product(name):
-    A, B, result = dyadic(name, phantom=False)
-    assert np.allclose(result.C, A @ B)
-
-
-def check_des_equals_macro(name):
-    des, macro = (dyadic(name, backend=tier)[2] for tier in ("des", "macro"))
-    assert (macro.total_time, macro.compute_time) == (des.total_time,
-                                                      des.compute_time)
-
-
-def check_predictor_or_refusal(name):
-    """``backend="predictor"`` gives macro's floats, or refuses naming
-    the row's feature and display name."""
-    spec = family(name)
-    if spec.predict is None:
-        with pytest.raises(ConfigurationError) as exc:
-            dyadic(name, backend="predictor")
-        assert f"'{spec.refusal[0]}'" in str(exc.value)
-        assert spec.display in str(exc.value)
-        return
-    macro, predicted = (dyadic(name, backend=tier)[2]
-                        for tier in ("macro", "predictor"))
-    assert predicted.total_time == macro.total_time
-    assert predicted.compute_time == macro.compute_time
-    assert predicted.comm_time == pytest.approx(macro.comm_time, rel=TOL)
-
-
-def check_trace(name):
-    plain, traced = dyadic(name)[2], dyadic(name, trace=True)[2]
-    assert traced.total_time == plain.total_time
-    assert traced.sim.trace
-
-
-#: What a family's :data:`CASES` run must show at the dyadic parameters.
-DYADIC_CHECKS = {"product": check_product, "des": check_des_equals_macro,
-                 "predictor": check_predictor_or_refusal,
-                 "trace": check_trace}
 
 
 def check(run):

@@ -5,9 +5,8 @@ row and the multi-level hierarchy, drawn through the harness of
 A new row enrols with no edit here; ``test_every_row_is_drawn`` fails
 if a row accepts no drawn shape.  Beside the sweep, :data:`FIXED` pins
 the runs the draws need not reach, each through one ``check_*``: every
-family's widest run (at every group grid and pipelined broadcast depth,
-on the homogeneous network and a torus), the multi-level configurations
-and each family's ``multiply`` case at dyadic parameters (to the bit).
+family's widest run (HSUMMA's and cyclic's at every group grid, on the
+homogeneous network and a torus) and the multi-level configurations.
 """
 
 import pytest
@@ -18,10 +17,8 @@ from repro.experiments.stepmodel import TopologyCoster
 from repro.mpi.comm import CollectiveOptions
 from tests.property.conformance import (
     BULK,
-    DYADIC_CHECKS,
     GROUP_GRIDS,
     MULTILEVEL,
-    SEGMENTED,
     Run,
     check_collapse,
     check_des_against_macro,
@@ -100,23 +97,11 @@ FIXED = [
                               scale=(3, 2, 5)),
                    check_des_against_macro, id=f"des-{name}-{bcast}")
       for name in ("summa", "hsumma", MULTILEVEL) for bcast in BULK),
-    # Depth 7 divides no payload of a widest run (it has no prime
-    # factor but 2 and 3); None is the algorithm's own depth.
-    *(pytest.param(widest_run(name, CollectiveOptions(
-        bcast=bcast, bcast_segments=depth)), check_predictor,
-        id=f"chain-{name}-{bcast}-s{depth or 'auto'}")
-      for name in FAMILIES for bcast in sorted(SEGMENTED)
-      for depth in (None, 1, 3, 7)),
-    *(pytest.param(name, check, id=f"dyadic-{key}-{name}")
-      for name in FAMILIES for key, check in DYADIC_CHECKS.items()),
 ]
 
 
 @pytest.mark.parametrize("run, check", FIXED)
 def test_a_fixed_run_conforms(run, check):
-    if isinstance(run, str):  # a family's ``multiply`` case, dyadic
-        check(run)
-        return
     network = run.net()
     if check is check_collapse:
         on_torus = run.network == "torus"
