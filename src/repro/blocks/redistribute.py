@@ -27,17 +27,6 @@ Gen = Generator[Any, Any, Any]
 Distribution = BlockDistribution | BlockCyclicDistribution
 
 
-def _owner_and_local(dist: Distribution, gi: int, gj: int):
-    owner = dist.owner(gi, gj)
-    if isinstance(dist, BlockDistribution):
-        return owner, dist.global_to_local(gi, gj)
-    # Block-cyclic: local position = (local block, offset within block).
-    bi, bj = gi // dist.nb_r, gj // dist.nb_c
-    lbi, lbj = dist.local_block_index(bi, bj)
-    return owner, (lbi * dist.nb_r + gi % dist.nb_r,
-                   lbj * dist.nb_c + gj % dist.nb_c)
-
-
 def _row_runs(dist: Distribution, rows: int):
     """Maximal runs of consecutive global rows with constant (owner row,
     contiguous local rows) — lets the piece map work per run instead of

@@ -19,6 +19,7 @@ from repro.costs import (
     summa_communication_cost,
     summa_computation_cost,
 )
+from repro.util.validation import require_positive
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,6 +32,10 @@ class ExascaleScenario:
     alpha: float = 500e-9
     beta: float = 8.0 / 100e9  # 8-byte elements over 100 GB/s links
     total_flops: float = 1e18
+
+    def __post_init__(self) -> None:
+        for name in ("n", "p", "b", "alpha", "beta", "total_flops"):
+            require_positive(getattr(self, name), name)
 
     @property
     def gamma(self) -> float:

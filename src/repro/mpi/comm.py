@@ -452,9 +452,7 @@ class Comm:
         handle = yield IRecvRequest(self._wire[source], self._tag(tag))
         return handle
 
-    # A bare RequestHandle yielded to the engine waits on itself; the
-    # wait helpers yield handles directly rather than allocating a
-    # WaitRequest wrapper per wait (identical semantics — see the
+    # A RequestHandle yielded to the engine waits on itself (see the
     # engine's dispatch table).
 
     def wait(self, handle: RequestHandle) -> Gen:

@@ -19,6 +19,7 @@ from typing import Sequence
 
 from repro.errors import TopologyError
 from repro.network.model import HockneyParams, Network
+from repro.util.validation import require_finite
 
 
 class PiecewiseHockney:
@@ -28,6 +29,10 @@ class PiecewiseHockney:
         if not regimes:
             raise TopologyError("need at least one regime")
         bounds = [b for b, _ in regimes]
+        for bound in bounds:
+            # Every comparison with NaN is false: it would pass the
+            # order and monotonicity checks below.
+            require_finite(bound, "regime bound", inf_ok=True)
         if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise TopologyError(
                 f"regime bounds must be strictly increasing, got {bounds}"

@@ -25,6 +25,7 @@ from typing import Hashable, Sequence
 from repro.errors import TopologyError
 from repro.network.mapping import RankMapping, block_mapping
 from repro.network.model import HockneyParams, LinkClaim, Network
+from repro.util.validation import require_finite
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,6 +98,7 @@ class Torus3D(Network):
         super().__init__(nranks)
         self.params = params
         self.alpha_hop = params.alpha * 0.05 if alpha_hop is None else alpha_hop
+        require_finite(self.alpha_hop, "alpha_hop")
         if self.alpha_hop < 0:
             raise TopologyError(f"alpha_hop must be >= 0, got {self.alpha_hop}")
         self.intra_params = intra_params or HockneyParams(

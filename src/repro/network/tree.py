@@ -20,6 +20,7 @@ from typing import Hashable, Sequence
 from repro.errors import TopologyError
 from repro.network.mapping import RankMapping, block_mapping
 from repro.network.model import HockneyParams, LinkClaim, Network
+from repro.util.validation import require_finite
 
 
 class SwitchedCluster(Network):
@@ -69,6 +70,7 @@ class SwitchedCluster(Network):
         self.switch_hop_alpha = (
             params.alpha if switch_hop_alpha is None else switch_hop_alpha
         )
+        require_finite(self.switch_hop_alpha, "switch_hop_alpha")
         if self.switch_hop_alpha < 0:
             raise TopologyError(
                 f"switch_hop_alpha must be >= 0, got {self.switch_hop_alpha}"

@@ -21,7 +21,6 @@ from repro.simulator.requests import (
     RequestHandle,
     SendRecvRequest,
     SendRequest,
-    WaitRequest,
     payload_nbytes,
 )
 from repro.simulator.spans import (
@@ -50,7 +49,6 @@ __all__ = [
     "SpanCloseRequest",
     "SpanOpenRequest",
     "TransferRecord",
-    "WaitRequest",
     "iter_spans",
     "payload_nbytes",
     "phase_of",

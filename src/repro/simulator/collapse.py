@@ -114,12 +114,11 @@ class GridSymmetry:
         one comm whose participants are *all* probed (the class
         primary), and so that ``twin_indices`` maps every rank onto a
         behavioural twin inside the probe set.
-    rank_class:
-        Point-to-point congruence class of a world rank: all ranks of
-        one class post their sends/receives in lockstep.
     twin_indices:
         Probed behavioural twin per world rank (vectorised over a
-        numpy array of ranks).
+        numpy array of ranks).  Ranks sharing a twin also form one
+        point-to-point class: they post their sends/receives in
+        lockstep.
     class_keys:
         Maps a communicator's world child sequence number (``cid[0]``
         for depth-1 communicators) to a callable turning its split
@@ -157,7 +156,6 @@ class GridSymmetry:
 
     nranks: int
     probe: tuple[int, ...]
-    rank_class: Callable[[int], tuple]
     twin_indices: Callable[[np.ndarray], np.ndarray]
     class_keys: Mapping[int, Callable[[Any], Any]]
     rotated: frozenset = frozenset()
@@ -339,7 +337,7 @@ class CollapsedMacroEngine(MacroBackend):
         #: p2p lanes (see _lane): wire tag -> {rank << 33 | peer << 1
         #: | leg: lane}.
         self._occ: dict[tuple, dict] = {}
-        self._rank_class: dict[int, tuple] = {}
+        self._twin_of: dict[int, int] = {}
 
     def _setup_matching(self) -> None:
         """None: point-to-point is collapsed per class (_post_p2p)."""
@@ -507,10 +505,11 @@ class CollapsedMacroEngine(MacroBackend):
 
     # -- point-to-point collapse -------------------------------------------
 
-    def _class_of_rank(self, rank: int) -> tuple:
-        cls = self._rank_class.get(rank)
+    def _class_of_rank(self, rank: int) -> int:
+        """A rank's point-to-point class: its probed twin."""
+        cls = self._twin_of.get(rank)
         if cls is None:
-            cls = self._rank_class[rank] = self.symmetry.rank_class(rank)
+            cls = self._twin_of[rank] = int(self.symmetry.twin_indices(rank))
         return cls
 
     def _lane(self, me: int, leg: int, tag: tuple, peer: int) -> list:
@@ -822,7 +821,6 @@ def _grid(
 
     return GridSymmetry(
         nranks=s * t, probe=tuple(probe),
-        rank_class=lambda rank: divmod(int(twin_indices(rank)), t),
         twin_indices=twin_indices,
         class_keys=class_keys, rotated=rotated, p2p_tags=p2p_tags,
         communicators=communicators,
@@ -1015,10 +1013,6 @@ def dns3d_symmetry(q: int) -> GridSymmetry:
     i_lines = (j == 0) & (k <= 1)
     k_line = (i == 0) & (j == 0)
 
-    def rank_class(rank: int) -> tuple:
-        i, j, k = coords(rank)
-        return (k == 0, j == 0, j == k, i == 0, i == k)
-
     def twin_indices(ranks: np.ndarray) -> np.ndarray:
         i, j, k = coords(ranks)
         # Flag-preserving representative with all coordinates in
@@ -1040,7 +1034,6 @@ def dns3d_symmetry(q: int) -> GridSymmetry:
         nranks=q ** 3,
         probe=tuple(np.flatnonzero(
             cube | j_lines | i_lines | k_line).tolist()),
-        rank_class=rank_class,
         twin_indices=twin_indices,
         # Child 2 is the k-axis reduction: globally lockstep.
         class_keys={0: axis_key, 1: axis_key, 2: _const},
@@ -1067,11 +1060,6 @@ def summa25d_symmetry(q: int, c: int) -> GridSymmetry:
     if q <= 0 or c <= 0:
         raise SimulationError(f"bad 2.5D layout: q={q}, c={c}")
 
-    def rank_class(rank: int) -> tuple:
-        i = rank // (c * q)
-        j = (rank // c) % q
-        return (min(i, 1), min(j, 1), rank % c)
-
     def layer_key(color: int) -> int:
         # row (color = i*c + layer) / col (color = j*c + layer) comms:
         # the layer picks the rotating pivot root.
@@ -1083,7 +1071,6 @@ def summa25d_symmetry(q: int, c: int) -> GridSymmetry:
         probe=(*range(c * q),
                *(r for i in range(1, q)
                  for r in range(i * c * q, i * c * q + c))),
-        rank_class=rank_class,
         # (i, j, layer) -> (0, j, layer): same layer (keeps the retval
         # face and pivot range), same column rootness on the row comms.
         twin_indices=lambda ranks: ranks % (c * q),

@@ -73,7 +73,6 @@ from repro.simulator.requests import (
     RequestHandle,
     SendRecvRequest,
     SendRequest,
-    WaitRequest,
 )
 from repro.simulator.spans import SpanCloseRequest, SpanOpenRequest, SpanRecorder
 from repro.simulator.tracing import RankStats, SimResult, TransferRecord
@@ -236,8 +235,6 @@ def _pending_op_info(op: Any) -> dict:
         info.update(kind="send", peer=op.dst, tag=op.tag)
     elif cls is RequestHandle:
         info.update(kind=f"wait-{op.kind}", peer=None, tag=None)
-    elif cls is WaitRequest:
-        info.update(kind=f"wait-{op.handle.kind}", peer=None, tag=None)
     elif cls is tuple:
         info.update(kind="wait-pair", peer=None, tag=None)
     elif cls is CollectiveRequest:
@@ -340,10 +337,7 @@ class Engine:
             CounterRequest: self._handle_counter,
             ISendRequest: self._handle_isend,
             IRecvRequest: self._handle_irecv,
-            WaitRequest: self._handle_wait,
-            # A bare handle yielded as a request waits on itself — the
-            # allocation-free form of WaitRequest the MPI layer's hot
-            # paths use.
+            # A handle yielded as a request waits on itself.
             RequestHandle: self._handle_wait_handle,
             # A 2-tuple batches two operations into one resume: a pair
             # of nonblocking requests posts both, a pair of handles
@@ -612,9 +606,12 @@ class Engine:
     # handler plus a fused fault-free path, the calls cost the
     # des_general benchmark 2.1 % of wall_s (1.235 -> 1.260 s, ten
     # pairs, 2-vCPU Xeon, CPython 3.11); its verified SUMMA, the one
-    # operation that took the fused path, 5.5 %.  Folding the two
-    # inlines left in _transfer_done and _start_transfer into helpers
-    # as well cost another 0.8 % (six pairs).
+    # operation that took the fused path, 5.5 %.  Putting every message
+    # on the wire through one method (_occupy) instead of three inlined
+    # copies cost the contended SUMMA of des_general 3.3 % (0.127 ->
+    # 0.131 s, the change faster in 4 of 20 alternating pairs) and
+    # des_general's wall_s 0.4 % (0.939 -> 0.943 s, 11 of 20), inside
+    # the run-to-run spread (2-vCPU Xeon, CPython 3.11).
     #
     # Pool invariant (established at every release site): a pooled
     # endpoint has payload=None, handle=None, span=None,
@@ -757,13 +754,6 @@ class Engine:
         handle = RequestHandle(state.stats.rank, "recv")
         self._post_recv(state, request.src, request.tag, handle, now)
         return handle
-
-    def _handle_wait(self, state: _RankState, request: WaitRequest,
-                     now: float) -> Any:
-        value = self._handle_wait_handle(state, request.handle, now)
-        if value is _PARKED:
-            state.blocked_on = request  # park on the request, not the handle
-        return value
 
     def _handle_wait_handle(self, state: _RankState, handle: RequestHandle,
                             now: float) -> Any:
@@ -1075,9 +1065,8 @@ class Engine:
     #
     # Each leg of the recorded schedule is one transfer on its run
     # channel.  A rank posts its legs op by op, as its generators would
-    # have, and a leg starts the moment its second side posts: its link
-    # claims, wire memo, fault ordinal, trace record and message counts
-    # go through _start_transfer's float operations, and one event
+    # have, and a leg starts the moment its second side posts: it goes
+    # on the wire through _occupy, as every transfer does, and one event
     # completes it (_leg_done), sender first, like _transfer_done.  A
     # fused shift completes like _handle_sendrecv's pair wait.  After its
     # last leg a rank's own generator resumes with the root's payload.
@@ -1197,7 +1186,7 @@ class Engine:
         broadcast: post its next op at ``now`` — its send leg, then (a
         fused shift) its receive leg — or, after its last, hand its
         generator the root's payload.  A leg whose other side is posted
-        starts as :meth:`_start_transfer` would start it.  A leg never
+        goes on the wire (:meth:`_occupy`).  A leg never
         finishes before its post, so ``now`` is never behind the
         rank's clock."""
         if state.finished:
@@ -1227,34 +1216,10 @@ class Engine:
                 continue
             if now > start:
                 start = now
-            chan = inst.chans[leg]
             sender, _r, nbytes, _smode, _rmode = inst.steps[leg]
-            cells = None
-            if self.contention:
-                cells = chan.claims
-                if cells is None:
-                    cells = self._claims(chan)
-                for cell in cells:
-                    if cell[0] > start:
-                        start = cell[0]
-            stats = inst.states[sender].stats
-            if self._faults is None:
-                wire = chan.tt.get(nbytes)
-                if wire is None:
-                    wire = chan.tt[nbytes] = self.network.transfer_time(
-                        chan.src, chan.dst, nbytes)
-                finish = start + wire
-            else:
-                finish = self._faulty_finish(chan, nbytes, start, stats)
-            if cells is not None:
-                for cell in cells:
-                    cell[0] = finish
-            if self.collect_trace:
-                self._trace.append(
-                    TransferRecord(chan.src, chan.dst, chan.tag, nbytes,
-                                   start, finish, span=inst.spans[sender]))
-            stats.messages_sent += 1
-            stats.bytes_sent += nbytes
+            finish = self._occupy(inst.chans[leg], nbytes, start,
+                                  inst.states[sender].stats,
+                                  inst.spans[sender])
             self._events.push(finish, self._leg_done, (inst, leg, finish))
 
     def _leg_done(self, inst: _Stepped, leg: int, finish: float) -> None:
@@ -1324,29 +1289,9 @@ class Engine:
         """Eager protocol: inject the message now; the sender completes
         at wire-clear time, the receive matches later.  The caller still
         queues ``ep`` on the channel's send FIFO."""
-        src, dst = chan.src, chan.dst
-        start = ep.post_time
-        cells = None
-        if self.contention:
-            cells = chan.claims
-            if cells is None:
-                cells = self._claims(chan)
-            for cell in cells:
-                if cell[0] > start:
-                    start = cell[0]
-        stats = self._ranks[src].stats
-        finish = self._transfer_finish(chan, ep.nbytes, start, stats)
-        if cells is not None:
-            for cell in cells:
-                cell[0] = finish
-        ep.eager_arrival = finish
-        if self.collect_trace:
-            self._trace.append(
-                TransferRecord(src, dst, chan.tag, ep.nbytes, start, finish,
-                               span=ep.span)
-            )
-        stats.messages_sent += 1
-        stats.bytes_sent += ep.nbytes
+        ep.eager_arrival = finish = self._occupy(
+            chan, ep.nbytes, ep.post_time, self._ranks[chan.src].stats,
+            ep.span)
         self._events.push(finish, self._complete_endpoint,
                           (ep, finish, None))
 
@@ -1361,10 +1306,9 @@ class Engine:
                               (recv, send.payload, finish))
             return
 
-        src = chan.src
         start = send.post_time
         if recv.post_time > start:
-            if send.nbytes <= self.eager_threshold and src != chan.dst:
+            if send.nbytes <= self.eager_threshold and chan.src != chan.dst:
                 # An eager-size send found its receive already queued
                 # yet posted later — only when ranks step out of time
                 # order.  In time order the send would have come first
@@ -1373,41 +1317,49 @@ class Engine:
                 self._start_transfer(chan, send, recv)
                 return
             start = recv.post_time
+        finish = self._occupy(chan, send.nbytes, start,
+                              self._ranks[chan.src].stats, send.span)
+        self._events.push(finish, self._transfer_done, (send, recv, finish))
+
+    def _occupy(self, chan: _Channel, nbytes: int, start: float,
+                stats: RankStats, span: str | None) -> float:
+        """Put one message of ``nbytes`` on ``chan``'s wire no earlier
+        than ``start`` and return its wire-clear time: wait for the
+        route's links (under contention), price the wire (or its
+        faulted form), hold the links until the finish, trace the
+        transfer and charge it to the sender's ``stats``.  Every
+        message a run moves — rendezvous, eager injection, stepped
+        broadcast leg — goes through here.
+
+        The wire time is memoised per channel and size: the identical
+        float the network model returns (networks are pure cost
+        functions — see ``docs/performance.md``)."""
         cells = None
-        if self.contention and src != chan.dst:
+        if self.contention:
             cells = chan.claims
             if cells is None:
                 cells = self._claims(chan)
             for cell in cells:
                 if cell[0] > start:
                     start = cell[0]
-
-        nbytes = send.nbytes
-        sender_stats = self._ranks[src].stats
+        try:
+            wire = chan.tt[nbytes]
+        except KeyError:
+            wire = chan.tt[nbytes] = self.network.transfer_time(
+                chan.src, chan.dst, nbytes)
         if self._faults is None:
-            try:
-                finish = start + chan.tt[nbytes]
-            except KeyError:
-                wire = chan.tt[nbytes] = self.network.transfer_time(
-                    src, chan.dst, nbytes
-                )
-                finish = start + wire
+            finish = start + wire
         else:
-            finish = self._faulty_finish(chan, nbytes, start, sender_stats)
+            finish = self._faulty_finish(chan, nbytes, start, stats, wire)
         if cells is not None:
             for cell in cells:
                 cell[0] = finish
-
         if self.collect_trace:
-            self._trace.append(
-                TransferRecord(src, chan.dst, chan.tag, nbytes, start,
-                               finish, span=send.span)
-            )
-
-        sender_stats.messages_sent += 1
-        sender_stats.bytes_sent += nbytes
-
-        self._events.push(finish, self._transfer_done, (send, recv, finish))
+            self._trace.append(TransferRecord(chan.src, chan.dst, chan.tag,
+                                              nbytes, start, finish, span=span))
+        stats.messages_sent += 1
+        stats.bytes_sent += nbytes
+        return finish
 
     def _claims(self, chan: _Channel) -> tuple:
         """The cells of ``chan``'s route, one per link, shared by every
@@ -1433,28 +1385,10 @@ class Engine:
 
     # -- fault injection ----------------------------------------------------
 
-    def _transfer_finish(self, chan: _Channel, nbytes: int, start: float,
-                         sender_stats: RankStats) -> float:
-        """Wire-clear time of a transfer starting at ``start``.
-
-        The fault-free branch performs exactly the pre-fault float
-        operations, keeping untraced healthy runs bit-identical; the
-        memoised network time is the identical float the network model
-        returns (networks are pure cost functions — see
-        ``docs/performance.md``).
-        """
-        if self._faults is None:
-            wire = chan.tt.get(nbytes)
-            if wire is None:
-                wire = chan.tt[nbytes] = self.network.transfer_time(
-                    chan.src, chan.dst, nbytes
-                )
-            return start + wire
-        return self._faulty_finish(chan, nbytes, start, sender_stats)
-
     def _faulty_finish(self, chan: _Channel, nbytes: int, start: float,
-                       sender_stats: RankStats) -> float:
-        """One logical message under the fault schedule.
+                       sender_stats: RankStats, clean: float) -> float:
+        """One logical message under the fault schedule; ``clean`` is
+        its fault-free wire time.
 
         Dropped attempts waste the (possibly degraded) wire time plus a
         backoff from the retry policy, then retransmit — the payload
@@ -1466,10 +1400,6 @@ class Engine:
         """
         faults = self._faults
         src, dst, tag = chan.src, chan.dst, chan.tag
-        clean = chan.tt.get(nbytes)
-        if clean is None:
-            clean = chan.tt[nbytes] = self.network.transfer_time(
-                src, dst, nbytes)
         if src == dst:
             return start + clean
         ordinal = chan.ordinal

@@ -3,7 +3,7 @@
 A rank program is a generator; each ``yield`` hands the engine one of
 the request types below and (for blocking requests) suspends the rank
 until the operation completes.  Nonblocking requests resume immediately
-with a :class:`RequestHandle` that a later :class:`WaitRequest` waits on.
+with a :class:`RequestHandle`; yielding the handle waits on it.
 """
 
 from __future__ import annotations
@@ -182,21 +182,6 @@ class SendRecvRequest(_Request):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SendRecv(dst={self.dst}, src={self.src}, "
                 f"nbytes={self.nbytes})")
-
-
-class WaitRequest(_Request):
-    """Block until ``handle`` completes; resumes with the received
-    payload (for irecv handles) or ``None`` (for isend handles)."""
-
-    __slots__ = ("handle",)
-
-    def __init__(self, handle: "RequestHandle"):
-        if not isinstance(handle, RequestHandle):
-            raise SimulationError(f"wait needs a RequestHandle, got {handle!r}")
-        self.handle = handle
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Wait({self.handle!r})"
 
 
 class CollectiveRequest(_Request):

@@ -19,7 +19,6 @@ from repro.simulator.requests import (
     RequestHandle,
     SendRecvRequest,
     SendRequest,
-    WaitRequest,
 )
 from repro.verify.recorder import Recorder
 from repro.verify.verdict import Finding
@@ -94,8 +93,6 @@ def _edges_for(rank: int, request: Any, recorder: Recorder) -> tuple[int, ...]:
         return (request.src,)
     if cls is SendRecvRequest:
         return _fused_edges(rank, request, recorder)
-    if cls is WaitRequest:
-        return _handle_edges(rank, (request.handle,), recorder)
     if cls is RequestHandle:
         return _handle_edges(rank, (request,), recorder)
     if cls is tuple and len(request) == 2:
@@ -139,10 +136,8 @@ def _handle_edges(rank: int, handles: tuple, recorder: Recorder
 def _describe_wait(rank: int, request: Any, info: dict,
                    recorder: Recorder) -> str:
     if request is not None:
-        cls = request.__class__
-        if cls is WaitRequest or cls is RequestHandle:
-            handle = request.handle if cls is WaitRequest else request
-            op = recorder.op_for_handle(rank, handle)
+        if request.__class__ is RequestHandle:
+            op = recorder.op_for_handle(rank, request)
             if op is not None:
                 return f"rank {rank} waits on {op.describe()[len(f'rank {rank}: '):]}"
         return f"rank {rank} blocked in {request!r}"

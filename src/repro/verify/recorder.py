@@ -35,7 +35,6 @@ from repro.simulator.requests import (
     RequestHandle,
     SendRecvRequest,
     SendRequest,
-    WaitRequest,
 )
 
 
@@ -207,9 +206,6 @@ class Recorder:
             self._obs_recv(obs, request.src, request.recvtag, blocking=True,
                            fused=True)
             return None
-        if cls is WaitRequest:
-            self._obs_wait(obs, request.handle)
-            return None
         if cls is RequestHandle:
             self._obs_wait(obs, request)
             return None
@@ -340,16 +336,6 @@ class Recorder:
                 recv.matched = True
 
     # -- convenience views --------------------------------------------------
-
-    def unmatched_sends(self) -> list[OpRecord]:
-        self.reconstruct_matching()
-        return [s for chan in self.channels.values() for s in chan.sends
-                if not s.matched]
-
-    def unmatched_recvs(self) -> list[OpRecord]:
-        self.reconstruct_matching()
-        return [r for chan in self.channels.values() for r in chan.recvs
-                if not r.matched and not r.timed_out]
 
     def pending_ops(self) -> dict[int, Any]:
         """Rank -> the request it was blocked in when the run ended."""

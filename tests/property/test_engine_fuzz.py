@@ -13,7 +13,6 @@ from repro.simulator.requests import (
     ComputeRequest,
     ISendRequest,
     RecvRequest,
-    WaitRequest,
 )
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
@@ -62,7 +61,7 @@ def _program(oplist):
             else:
                 yield ComputeRequest(op[1])
         for h in handles:
-            yield WaitRequest(h)
+            yield h
         return nbytes_recv
 
     return gen()

@@ -10,9 +10,13 @@ same run with every message moved through the generators
 (``ExpandingEngine``).
 
 The sweep covers every broadcast the recorder accepts, p = 2..17, roots
-0 and p-1 with the root sometimes announcing last.  Below it, the
-fail-safes: what still expands through the generators says why, and
-waiting for a root changes nothing a run can observe.
+0 and p-1 with the root sometimes announcing last.  Expansion puts its
+messages on the wire through the same method a stepped leg does, so a
+traced run is also held to the wire itself: each message charged to
+its sender, no two overlapping on one link, one mode on a wire every
+leg shares.  Below it, the fail-safes: what still expands through the
+generators says why, and waiting for a root changes nothing a run can
+observe.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from repro.cluster.engine import ClusterEngine
 from repro.collectives import COLLECTIVES
 from repro.errors import DeadlockError
 from repro.mpi.comm import CollectiveOptions
+from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
 from repro.network.tree import SwitchedCluster
@@ -42,9 +47,21 @@ RECORDABLE = sorted(
     name for name in COLLECTIVES["bcast"].algorithms
     if replay.record(name, 8, 0, None, 4096, 8).__class__ is replay.Schedule)
 
+
+class OneWire(HomogeneousNetwork):
+    """Every message crosses one shared link: under contention each leg
+    waits for the one before it."""
+
+    def links(self, src, dst):
+        return (("wire",),) if src != dst else ()
+
+
 #: Engine switches that make a run observe global time, and the network
 #: each runs on (18 nodes: room for p = 17).
 MODES = {
+    "one shared wire, transfer trace": dict(
+        network=lambda: OneWire(18, PARAMS), contention=True,
+        collect_trace=True),
     "torus contention, transfer trace": dict(
         network=lambda: Torus3D((3, 3, 2), PARAMS), contention=True,
         collect_trace=True),
@@ -77,6 +94,22 @@ def rounds(algorithm, size):
     return spmd(size, body)
 
 
+def wire_rules_hold(run, network):
+    """Held against the wire, not against expansion (both engines put
+    every message on it through one method): each traced message is
+    charged to its sender, and messages that share a link never
+    overlap on it."""
+    sent = [0] * len(run.stats)
+    for t in run.trace:
+        sent[t.src] += 1
+    assert sent == [s.messages_sent for s in run.stats]
+    free = {}
+    for t in sorted(run.trace, key=lambda t: t.start):
+        for link in network.links(t.src, t.dst):
+            assert free.get(link, 0.0) <= t.start
+            free[link] = t.finish
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("size", range(2, 18))
 @pytest.mark.parametrize("algorithm", RECORDABLE)
@@ -84,6 +117,9 @@ def test_stepped_equals_expansion(algorithm, size, mode):
     stepped, _ = both(rounds(algorithm, size), **MODES[mode])
     assert stepped.replay["stepped"] == stepped.replay["expanded"] == 4
     assert stepped.replay["replayed"] == 0
+    if MODES[mode].get("collect_trace"):
+        assert len(stepped.trace) == stepped.total_messages > 0
+        wire_rules_hold(stepped, MODES[mode]["network"]())
 
 
 def test_the_sweep_covers_every_blocking_broadcast():

@@ -13,7 +13,6 @@ from repro.simulator.requests import (
     ISendRequest,
     RecvRequest,
     SendRequest,
-    WaitRequest,
 )
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
@@ -75,8 +74,8 @@ class TestBasicTransfers:
             # Receive in reverse tag order.
             b = yield IRecvRequest(0, 8)
             a = yield IRecvRequest(0, 7)
-            va = yield WaitRequest(a)
-            vb = yield WaitRequest(b)
+            va = yield a
+            vb = yield b
             return (va, vb)
 
         res = _engine(2).run([sender(), receiver()])
@@ -111,7 +110,7 @@ class TestNonblocking:
         def sender():
             handle = yield ISendRequest(1, 0, b"data")
             yield ComputeRequest(0.5)  # overlap
-            yield WaitRequest(handle)
+            yield handle
             return "done"
 
         def receiver():
@@ -130,7 +129,7 @@ class TestNonblocking:
 
         def receiver():
             handle = yield IRecvRequest(0, 0)
-            value = yield WaitRequest(handle)
+            value = yield handle
             return value
 
         res = _engine(2).run([sender(), receiver()])
@@ -143,7 +142,7 @@ class TestNonblocking:
         def receiver():
             handle = yield IRecvRequest(0, 0)
             yield ComputeRequest(10.0)  # transfer finishes long before
-            value = yield WaitRequest(handle)
+            value = yield handle
             return value
 
         res = _engine(2).run([sender(), receiver()])
@@ -154,8 +153,8 @@ class TestNonblocking:
         def prog():
             sh = yield ISendRequest(0, 0, "self")
             rh = yield IRecvRequest(0, 0)
-            value = yield WaitRequest(rh)
-            yield WaitRequest(sh)
+            value = yield rh
+            yield sh
             return value
 
         res = _engine(1).run([prog()])
@@ -169,7 +168,7 @@ class TestNonblocking:
         def b():
             handle = yield RecvRequest(0, 1)
             yield RecvRequest(0, 0)
-            yield WaitRequest(handle)
+            yield handle
 
         with pytest.raises(SimulationError, match="waiting on rank"):
             _engine(2).run([a(), b()])

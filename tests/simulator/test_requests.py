@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.network.homogeneous import HomogeneousNetwork
+from repro.network.model import HockneyParams
 from repro.payloads import PhantomArray
+from repro.simulator.engine import Engine
 from repro.simulator.requests import (
     ComputeRequest,
     RequestHandle,
     SendRequest,
-    WaitRequest,
     payload_nbytes,
 )
 
@@ -56,8 +58,12 @@ class TestRequests:
             ComputeRequest(-1.0)
 
     def test_wait_requires_handle(self):
-        with pytest.raises(SimulationError):
-            WaitRequest("not a handle")
+        def prog():
+            yield "not a handle"
+
+        engine = Engine(HomogeneousNetwork(1, HockneyParams(1e-5, 1e-9)))
+        with pytest.raises(SimulationError, match="unknown request"):
+            engine.run([prog()])
 
     def test_handle_initial_state(self):
         h = RequestHandle(3, "recv")

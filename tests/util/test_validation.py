@@ -8,8 +8,13 @@ from repro import multiply
 from repro.core.summa import run_summa
 from repro.errors import ConfigurationError
 from repro.faults import parse_fault_spec
+from repro.models.exascale import ExascaleScenario, exascale_prediction
+from repro.models.optimizer import optimal_group_count
 from repro.mpi.comm import make_contexts
 from repro.network.model import HockneyParams
+from repro.network.piecewise import PiecewiseHockney
+from repro.network.torus import Torus3D
+from repro.network.tree import SwitchedCluster
 from repro.payloads import PhantomArray
 from repro.planner import PlanQuery
 from repro.util.validation import (
@@ -111,6 +116,27 @@ NON_FINITE = {
        for field, value in (("amplitude", math.nan), ("amplitude", math.inf),
                             ("amplitude", 0), ("schedules", 2.5),
                             ("schedules", True))},
+    # A NaN or infinite hop latency priced every message at NaN.
+    **{f"torus-alpha_hop-{value}": (lambda value=value: Torus3D(
+        (2, 2, 2), HockneyParams(1e-6, 1e-9), alpha_hop=value), "alpha_hop")
+       for value in (math.nan, math.inf)},
+    **{f"switched-switch_hop_alpha-{value}": (lambda value=value: SwitchedCluster(
+        4, 2, HockneyParams(1e-6, 1e-9), switch_hop_alpha=value),
+        "switch_hop_alpha")
+       for value in (math.nan, math.inf)},
+    # Figure 10's model reported an optimal G from NaN or negative
+    # parameters.
+    "exascale-alpha-nan": (lambda: exascale_prediction(
+        ExascaleScenario(alpha=math.nan)), "alpha"),
+    "exascale-beta-negative": (lambda: exascale_prediction(
+        ExascaleScenario(beta=-1.0)), "beta"),
+    "optimal-G-alpha-nan": (lambda: optimal_group_count(
+        1024, 16, 64, math.nan, 1e-9), "alpha"),
+    # Every comparison with a NaN bound is false, so the order checks
+    # passed it.
+    "piecewise-bound-nan": (lambda: PiecewiseHockney([
+        (100.0, HockneyParams(1e-6, 1e-9)), (math.nan, HockneyParams(1e-6, 1e-9)),
+        (math.inf, HockneyParams(1e-6, 1e-9))]), "regime bound"),
 }
 
 
