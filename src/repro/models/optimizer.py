@@ -23,7 +23,7 @@ from typing import Iterable
 from repro.costs.closed_forms import hsumma_communication_cost
 from repro.costs.registry import VANDEGEIJN_MODEL, BroadcastModel
 from repro.errors import ModelError
-from repro.util.validation import require_finite
+from repro.util.validation import require_positive
 
 __all__ = [
     "default_group_candidates",
@@ -82,8 +82,8 @@ def optimal_group_count(
     the Van de Geijn cost is flat in ``G``) resolve to the smallest
     candidate, so the choice is deterministic.
     """
-    require_finite(alpha, "alpha")
-    require_finite(beta, "beta")
+    require_positive(alpha, "alpha")
+    require_positive(beta, "beta")
     if candidates is None:
         candidates = default_group_candidates(p, grid)
     best_g, best_t = None, math.inf

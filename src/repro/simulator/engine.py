@@ -37,8 +37,9 @@ observable bit (see ``docs/performance.md``):
   completes through :meth:`Engine._transfer_done` (a blocking
   endpoint inline, a handle via :meth:`Engine._complete_handle`).
 * Per-``(src, dst, tag)`` match state lives in interned
-  :class:`_Channel` objects (one dict probe per post, queues allocated
-  once, the fault layer's ordinal inline).
+  :class:`_Channel` objects (one dict probe per post, each queue
+  created by the first post that waits on it, the fault layer's
+  ordinal inline).
 * :class:`_Endpoint` objects, and the handles of fused sendrecvs, are
   pooled across transfers.
 * Fault-free transfer times are memoised on each channel per message
@@ -143,18 +144,23 @@ class _Channel:
 
     Holds the FIFO send/recv queues plus the fault layer's per-channel
     message ordinal, so the hot matching path performs a single dict
-    probe and never allocates queues it immediately throws away.
+    probe.  A queue is created by the first post that has to wait on
+    it: a stepped broadcast leg never queues, and a post whose partner
+    is already waiting only pops, so most channels of a run under
+    global time hold no queue (two empty deques are 1.5 KB, six times
+    the rest of the channel).
     """
 
+    # __weakref__: tests hold that a finished run frees its channels.
     __slots__ = ("src", "dst", "tag", "sends", "recvs", "ordinal", "tt",
-                 "claims")
+                 "claims", "__weakref__")
 
     def __init__(self, src: int, dst: int, tag: Any):
         self.src = src
         self.dst = dst
         self.tag = tag
-        self.sends: deque[_Endpoint] = deque()
-        self.recvs: deque[_Endpoint] = deque()
+        self.sends: deque[_Endpoint] | None = None
+        self.recvs: deque[_Endpoint] | None = None
         self.ordinal = 0  # messages already charged to the fault layer
         #: nbytes -> fault-free wire time; networks are pure cost
         #: functions, so the cached float is exactly what the model
@@ -677,7 +683,10 @@ class Engine:
             return
         if nbytes <= self.eager_threshold and rank != dst:
             self._eager_send(chan, ep)
-        chan.sends.append(ep)
+        queue = chan.sends
+        if queue is None:
+            queue = chan.sends = deque()
+        queue.append(ep)
 
     def _post_recv(self, state: _RankState, src: int, tag: Any,
                    handle: RequestHandle | None, now: float,
@@ -707,7 +716,10 @@ class Engine:
             self._start_transfer(chan, queue.popleft(), ep)
             return
         if not queue:
-            chan.recvs.append(ep)
+            queue = chan.recvs
+            if queue is None:
+                queue = chan.recvs = deque()
+            queue.append(ep)
         if timeout is not None:
             # The deadline bounds *matching*, not completion: once a
             # send pairs up, the transfer always runs to the end (as on
@@ -1431,12 +1443,12 @@ class Engine:
                       chan: _Channel, deadline: float) -> None:
         if ep.matched:
             return  # a send paired up first; the transfer will finish
-        try:
-            chan.recvs.remove(ep)
-        except ValueError:
-            # Never queued: the channel's head was a send posted past
-            # the deadline (see _post_recv), so nothing matched it.
-            pass
+        queue = chan.recvs
+        # Not queued when the channel's head was a send posted past the
+        # deadline (see _post_recv): nothing matched it, and the
+        # receive queue may never have been created.
+        if queue and ep in queue:
+            queue.remove(ep)
         ep.matched = True
         state.stats.timeouts += 1
         state.stats.comm_time += deadline - state.block_start

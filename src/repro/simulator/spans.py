@@ -69,7 +69,7 @@ class SpanCloseRequest(_Request):
         return "SpanClose()"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Span:
     """One named interval of a rank's virtual clock.
 

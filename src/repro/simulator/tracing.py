@@ -52,7 +52,7 @@ class RankStats:
         return self.clock - self.comm_time - self.compute_time
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TransferRecord:
     """One completed point-to-point transfer (recorded when tracing).
 

@@ -139,7 +139,7 @@ def test_a_finished_stream_is_freed_by_reference_count():
 
         def _make_channel(self, src, dst, tag):
             chan = super()._make_channel(src, dst, tag)
-            refs.append(weakref.ref(chan.sends))
+            refs.append(weakref.ref(chan))
             return chan
 
     machine = Torus3D((4, 2, 2), DEFAULT_PARAMS)

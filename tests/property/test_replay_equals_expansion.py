@@ -466,9 +466,21 @@ def patient(ctx, writer):
     return ("late", got)
 
 
-def test_a_send_posted_past_the_deadline_does_not_beat_it():
+def test_a_send_posted_past_the_deadline_does_not_beat_it(monkeypatch):
     # Rank 4's send is queued (posted at 0.5 ms) when rank 1, resumed
-    # at its exit clock, posts a receive that expires at ~0.1 ms.
+    # at its exit clock, posts a receive that expires at ~0.1 ms.  The
+    # receive is never queued, so its expiry meets a channel whose
+    # receive queue was never created.
+    expired = []
+    recv_timeout = Engine._recv_timeout
+
+    def spy(engine, state, ep, chan, deadline):
+        expired.append((type(engine).__name__, chan.recvs is None,
+                        deadline))
+        recv_timeout(engine, state, ep, chan, deadline)
+
+    monkeypatch.setattr(Engine, "_recv_timeout", spy)
+
     def after(ctx):
         if ctx.rank == 1:
             result = yield from patient(ctx, writer=4)
@@ -479,6 +491,12 @@ def test_a_send_posted_past_the_deadline_does_not_beat_it():
 
     replayed, _ = both(spmd(5, early_leaver(after)), HOMOGENEOUS)
     assert replayed.return_values[1][0] == "late"
+    # Expanded, nothing steps ahead: the receive is queued as usual.
+    assert expired == [("Engine", True, 0.000114096),
+                       ("ExpandingEngine", False, 0.000114096)]
+    stats1 = replayed.stats[1]
+    assert (stats1.timeouts, stats1.clock, stats1.comm_time) \
+        == (1, 0.000510064, 0.000510064)
 
 
 def test_a_wait_that_ends_later_does_not_step_the_rank_ahead():

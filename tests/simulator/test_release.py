@@ -34,7 +34,7 @@ class ChannelSpy(Engine):
 
     def _make_channel(self, src, dst, tag):
         chan = super()._make_channel(src, dst, tag)
-        self.refs.append(weakref.ref(chan.sends))
+        self.refs.append(weakref.ref(chan))
         return chan
 
 
@@ -49,7 +49,7 @@ def test_a_finished_run_is_freed_by_reference_count():
         programs = [_sender(), _receiver()]
         refs = [weakref.ref(gen) for gen in programs]
         result = engine.run(programs)
-        refs += engine.refs  # the one channel's queue
+        refs += engine.refs  # the one channel
         del programs, engine  # rank states were the programs' last owners
         assert result.return_values[1] == b"x" * 100
         assert len(refs) == 3
@@ -162,3 +162,64 @@ def test_a_finished_rank_is_never_stepped_again():
 
     result = Killer(HomogeneousNetwork(2, PARAMS)).run([quick(), victim()])
     assert result.stats[1].clock == 0.0  # the stale wake-up never landed
+
+
+def test_a_channel_that_carried_only_stepped_legs_holds_no_queue(monkeypatch):
+    # Under global time a broadcast is stepped from its recorded
+    # schedule and never queues a message, so a channel only its legs
+    # use creates neither FIFO (each queue is made by the first post
+    # that waits on it).
+    from repro.cluster import JobSpec, serve
+    from repro.core.summa import run_summa
+    from repro.mpi.comm import CollectiveOptions
+    from repro.network.torus import Torus3D
+    from repro.payloads import PhantomArray
+
+    legs, posted, runs = set(), set(), []
+    leg_channels = Engine._leg_channels
+    post_send = Engine._post_send
+    post_recv = Engine._post_recv
+    release = Engine._release
+
+    def on_legs(engine, *args):
+        chans = leg_channels(engine, *args)
+        legs.update(chans)
+        return chans
+
+    def on_send(engine, rank, dst, tag, *args):
+        post_send(engine, rank, dst, tag, *args)
+        posted.add(engine._channels[tag][rank * engine._rankmul + dst])
+
+    def on_recv(engine, state, src, tag, *args):
+        post_recv(engine, state, src, tag, *args)
+        rank = state.stats.rank
+        posted.add(engine._channels[tag][src * engine._rankmul + rank])
+
+    def on_release(engine):
+        # The micro-DES costers a stream prices launches with step
+        # nothing; they are not the runs under test.
+        if engine._report["stepped"]:
+            runs.append((type(engine).__name__,
+                         [chan for by_tag in engine._channels.values()
+                          for chan in by_tag.values()]))
+        release(engine)
+
+    monkeypatch.setattr(Engine, "_leg_channels", on_legs)
+    monkeypatch.setattr(Engine, "_post_send", on_send)
+    monkeypatch.setattr(Engine, "_post_recv", on_recv)
+    monkeypatch.setattr(Engine, "_release", on_release)
+
+    A = PhantomArray((256, 256))
+    sim = run_summa(A, A, grid=(4, 4), block=16,
+                    network=Torus3D((4, 2, 2), PARAMS), contention=True)[1]
+    assert sim.replay["stepped"] == 128 and sim.replay["replayed"] == 0
+    records = serve([JobSpec(jid=0, arrival=0.0, n=256, p=16),
+                     JobSpec(jid=1, arrival=0.0, n=256, p=16)], slots=32,
+                    options=CollectiveOptions(bcast="vandegeijn"))
+    assert [r.status for r in records.records] == ["done", "done"]
+    assert [name for name, _ in runs] == ["DesBackend", "ClusterEngine"]
+    for _, chans in runs:
+        only_stepped = [c for c in chans if c in legs and c not in posted]
+        assert only_stepped
+        assert [c for c in only_stepped
+                if c.sends is not None or c.recvs is not None] == []

@@ -132,6 +132,11 @@ NON_FINITE = {
         ExascaleScenario(beta=-1.0)), "beta"),
     "optimal-G-alpha-nan": (lambda: optimal_group_count(
         1024, 16, 64, math.nan, 1e-9), "alpha"),
+    # A negative price drove the search to a negative cost.
+    "optimal-G-alpha-negative": (lambda: optimal_group_count(
+        1024, 16, 64, -1e-6, 1e-9), "alpha"),
+    "optimal-G-beta-zero": (lambda: optimal_group_count(
+        1024, 16, 64, 1e-6, 0.0), "beta"),
     # Every comparison with a NaN bound is false, so the order checks
     # passed it.
     "piecewise-bound-nan": (lambda: PiecewiseHockney([
