@@ -15,10 +15,10 @@ machine.  The split of responsibilities:
   engine ranks and nothing downstream rewrites a request.  Everything
   a job observes stays ``0..p-1``, and at base 0 the map is the
   standalone one — a 1-job stream is bit-identical to a standalone run.
-* What the machine charges belongs to machine *slots*: the route memo
-  here and the wire-time memo in :class:`ClusterNetwork` are keyed by
-  slot pair, so a job placed where an earlier one ran asks the machine
-  nothing new.
+* What the machine charges belongs to machine *slots*: the engine's
+  one route per wire is keyed here by slot pair (``_route_key``), so a
+  job placed where an earlier one ran shares its wire times and link
+  cells and asks the machine nothing new.
 * Scheduling is event-driven and happens *around* the engine, never
   inside its stepping loop: arrivals, attempt completions (counted by
   the :meth:`Engine._rank_finished` hook) and slot failures each
@@ -241,16 +241,11 @@ class ClusterEngine(Engine):
             # transfer-completion cascade.
             self._events.push(time, self._attempt_done, (attempt,))
 
-    def _links(self, src: int, dst: int) -> tuple:
+    def _route_key(self, src: int, dst: int) -> tuple[int, int]:
         # Routes belong to machine slots, not to the engine ranks bound
-        # to them: every attempt placed on a slot pair shares the route
-        # the first one asked the machine for.
-        slot = self.network.slots
-        key = (slot[src], slot[dst])
-        links = self._links_cache.get(key)
-        if links is None:
-            links = self._links_cache[key] = tuple(self.machine.links(*key))
-        return links
+        # to them.
+        slots = self.network.slots
+        return slots[src], slots[dst]
 
     # -- job lifecycle ------------------------------------------------------
 

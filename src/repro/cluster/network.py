@@ -15,11 +15,11 @@ channel or link state can leak between attempts.  Capacity is sized up
 front (sum over jobs of ``p * (1 + max_retries)``) because the engine
 fixes its rank multiplier at setup.
 
-Slots *are* reused, and costs belong to them: ``transfer_time`` keeps
-the machine's answer per ``(slot, slot, nbytes)`` (networks are pure
-cost models, so the kept float is the one the machine would return),
-and ``slots`` lets the engine key its route memo the same way.  A job
-placed where an earlier one ran costs the machine no new question.
+Slots *are* reused, and costs belong to them: ``slots`` lets the
+engine key its one route per wire by slot pair, so the route's memo of
+the machine's wire times and link claims serves every job placed on
+that pair.  A job placed where an earlier one ran costs the machine no
+new question.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class ClusterNetwork(Network):
         self.machine = machine
         #: Machine slot of every bound engine rank, in bind order.
         self.slots: list[int] = []
-        self._wire_times: dict[tuple[int, int, float], float] = {}
 
     def bind(self, slots: Sequence[int]) -> int:
         """Bind the next ``len(slots)`` engine ranks to machine slots;
@@ -70,12 +69,8 @@ class ClusterNetwork(Network):
         return base
 
     def transfer_time(self, src: int, dst: int, nbytes: float) -> float:
-        slots = self.slots
-        key = (slots[src], slots[dst], nbytes)
-        wire = self._wire_times.get(key)
-        if wire is None:
-            wire = self._wire_times[key] = self.machine.transfer_time(*key)
-        return wire
+        return self.machine.transfer_time(self.slots[src], self.slots[dst],
+                                          nbytes)
 
     def links(self, src: int, dst: int) -> Sequence[LinkClaim]:
         return self.machine.links(self.slots[src], self.slots[dst])

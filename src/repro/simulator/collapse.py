@@ -522,8 +522,8 @@ class CollapsedMacroEngine(MacroBackend):
         back.  My n-th send to the peer class pairs (FIFO channel
         order) with the peer class's n-th receive from my class, so
         ``me`` counts occurrences per partner *class*: every lane of
-        ``me`` into one stream shares one counter.  The wire memo maps
-        a leg's size to its wire time between ``src`` and ``dst``."""
+        ``me`` into one stream shares one counter.  The wire memo is
+        the ``tt`` of the run's route from ``src`` to ``dst``."""
         if tag[1] not in self.symmetry.p2p_tags:
             raise SymmetryBroken(
                 f"rank {me} used undeclared p2p tag {tag[1]!r}")
@@ -536,7 +536,8 @@ class CollapsedMacroEngine(MacroBackend):
         theirs, _ = posts.setdefault((other, cls_peer, tag, cls_me),
                                      ([], {}))
         src, dst = (me, peer) if leg == 0 else (peer, me)
-        lane = [mine, theirs, counters.setdefault(me, [0]), {}, src, dst]
+        lane = [mine, theirs, counters.setdefault(me, [0]),
+                self._route(src, dst).tt, src, dst]
         self._occ.setdefault(tag, {})[me << 33 | peer << 1 | leg] = lane
         return lane
 
@@ -563,14 +564,6 @@ class CollapsedMacroEngine(MacroBackend):
                     self._try_p2p(spec)
         return occ
 
-    def _wire(self, src: int, dst: int, nbytes: int) -> float:
-        key = (src, dst, nbytes)
-        tt = self._wires.get(key)
-        if tt is None:
-            tt = self._wires[key] = self.network.transfer_time(
-                src, dst, nbytes)
-        return tt
-
     def _try_p2p(self, spec: tuple) -> None:
         """Fire a posted p2p op once its partner-class posts exist, or
         park it on the first missing one."""
@@ -590,13 +583,14 @@ class CollapsedMacroEngine(MacroBackend):
             d_time = send[1][s_occ][0]
             wire = send[3].get(nbytes)
             if wire is None:
-                wire = send[3][nbytes] = self._wire(send[4], send[5], nbytes)
+                wire = send[3][nbytes] = self.network.transfer_time(
+                    send[4], send[5], nbytes)
             finish_s = (now if now >= d_time else d_time) + wire
         if recv is not None:
             s_time, s_nbytes, payload = recv[1][r_occ]
             wire = recv[3].get(s_nbytes)
             if wire is None:
-                wire = recv[3][s_nbytes] = self._wire(
+                wire = recv[3][s_nbytes] = self.network.transfer_time(
                     recv[4], recv[5], s_nbytes)
             finish_r = (now if now >= s_time else s_time) + wire
         done = finish_s if finish_s > finish_r else finish_r

@@ -42,11 +42,11 @@ observable bit (see ``docs/performance.md``):
   ordinal inline).
 * :class:`_Endpoint` objects, and the handles of fused sendrecvs, are
   pooled across transfers.
-* Fault-free transfer times are memoised on each channel per message
-  size — networks are pure cost models, so the cached float is the
-  exact float the network would return.
-* Under contention a channel caches its route as a tuple of shared
-  one-float cells, one per link, holding the time the link frees up.
+* One route per wire (:meth:`Engine._route`), shared by every channel
+  and replayed leg on it, memoises the fault-free transfer time per
+  message size (networks are pure cost models: the cached float is the
+  exact float the network would return) and, under contention, the
+  shared one-float cells of its links, each the time the link frees up.
 * Under global time a broadcast is stepped from its recorded schedule
   (:meth:`Engine._step`): one event per leg, no endpoints, handles or
   generator frames.
@@ -139,36 +139,43 @@ class _Endpoint:
         self.timed = False  # a pending expiry event references this ep
 
 
+class _Route:
+    """The run's one route per wire (see :meth:`Engine._route`): ``tt``
+    maps nbytes to the fault-free wire time (bulk-synchronous traffic
+    repeats a handful of sizes per wire thousands of times), ``claims``
+    holds the link cells under contention (see :meth:`Engine._claims`)."""
+
+    __slots__ = ("tt", "claims")
+
+    def __init__(self) -> None:
+        self.tt: dict[int, float] = {}
+        self.claims: tuple | None = None
+
+
 class _Channel:
     """Interned match state of one ``(src, dst, tag)`` channel.
 
     Holds the FIFO send/recv queues plus the fault layer's per-channel
     message ordinal, so the hot matching path performs a single dict
-    probe.  A queue is created by the first post that has to wait on
-    it: a stepped broadcast leg never queues, and a post whose partner
-    is already waiting only pops, so most channels of a run under
-    global time hold no queue (two empty deques are 1.5 KB, six times
-    the rest of the channel).
+    probe, and its wire's route.  A queue is created by the first post
+    that has to wait on it: a stepped broadcast leg never queues, and a
+    post whose partner is already waiting only pops, so most channels
+    of a run under global time hold no queue (two empty deques are
+    1.5 KB, six times the rest of the channel).
     """
 
     # __weakref__: tests hold that a finished run frees its channels.
-    __slots__ = ("src", "dst", "tag", "sends", "recvs", "ordinal", "tt",
-                 "claims", "__weakref__")
+    __slots__ = ("src", "dst", "tag", "sends", "recvs", "ordinal", "route",
+                 "__weakref__")
 
-    def __init__(self, src: int, dst: int, tag: Any):
+    def __init__(self, src: int, dst: int, tag: Any, route: _Route):
         self.src = src
         self.dst = dst
         self.tag = tag
         self.sends: deque[_Endpoint] | None = None
         self.recvs: deque[_Endpoint] | None = None
         self.ordinal = 0  # messages already charged to the fault layer
-        #: nbytes -> fault-free wire time; networks are pure cost
-        #: functions, so the cached float is exactly what the model
-        #: would return (bulk-synchronous traffic repeats a handful of
-        #: message sizes per channel thousands of times).
-        self.tt: dict[int, float] = {}
-        #: The route's link cells under contention (see Engine._claims).
-        self.claims: tuple | None = None
+        self.route = route
 
 
 class _RankState:
@@ -306,8 +313,8 @@ class Engine:
 
     #: What :meth:`_release` drops (subclasses add their own).
     _RUN_TABLES: tuple[str, ...] = (
-        "_ranks", "_events", "_pending", "_schedules", "_wires", "_channels",
-        "_link_free", "_links_cache", "_ep_pool", "_rh_pool")
+        "_ranks", "_events", "_pending", "_schedules", "_routes", "_channels",
+        "_link_free", "_ep_pool", "_rh_pool")
 
     def __init__(
         self,
@@ -431,8 +438,8 @@ class Engine:
         #: base, shape key)`` the channels of a stepped shape's legs
         #: on that communicator (see _step).
         self._schedules: dict[tuple | None, Any] = {None: ({}, {})}
-        #: (src, dst, nbytes) -> wire time of a replayed leg.
-        self._wires: dict[tuple, float] = {}
+        #: Route key -> the run's route of that wire (see _route).
+        self._routes: dict[Any, _Route] = {}
         self._report: dict | None = {
             "replayed": 0, "expanded": 0, "stepped": 0, "recorded": 0,
             "reasons": {}}
@@ -448,7 +455,6 @@ class Engine:
         self._rankmul = self.network.nranks
         #: link -> its one-float cell: the time the link frees up.
         self._link_free: dict[Any, list[float]] = {}
-        self._links_cache: dict[tuple[int, int], tuple] = {}
         self._ep_pool: list[_Endpoint] = []
         # Handles created by _handle_sendrecv never escape the engine,
         # so they are recycled once their pair wait resumes.
@@ -960,9 +966,9 @@ class Engine:
 
         Those floats are a function of the schedule, the wires and the
         inputs alone, and communicators with equal placement keys have
-        bit-equal wires: so the last few distinct ``(arrival clocks,
-        comm_time)`` of a shape on a placement class, compared with
-        ``==``, hand back their exits without a replay."""
+        bit-equal wires: so a shape on a placement class prices its legs
+        once, and the last few distinct ``(arrival clocks, comm_time)``
+        of it, compared with ``==``, hand back their exits."""
         req0 = entry[0][1]
         root = req0.root
         size = len(entry)
@@ -988,17 +994,25 @@ class Engine:
         if memo is None:
             memo = by_cid[req0.cid] = by_class.setdefault(
                 self.network.placement_key(parts), {})
-        seen = memo.get(key)
-        if seen is None:
-            seen = memo[key] = []
+        found = memo.get(key)
+        if found is None:
+            wires = []
+            for s, r, nbytes, _smode, _rmode in schedule.steps:
+                tt = self._route(parts[s], parts[r]).tt
+                wire = tt.get(nbytes)
+                if wire is None:
+                    wire = tt[nbytes] = self.network.transfer_time(
+                        parts[s], parts[r], nbytes)
+                wires.append(wire)
+            found = memo[key] = (wires, [])
+        wires, seen = found
         for arrival, charged, exits, comms in seen:
             if arrival == clock and charged == comm:
                 clock, comm = exits, comms
                 break
         else:
             inputs = (clock[:], comm[:])
-            schedule.replay(clock, comm, parts, self._wires,
-                            self.network.transfer_time)
+            schedule.replay(clock, comm, wires)
             seen.append(inputs + (clock, comm))
             if len(seen) > replay.MEMO_INPUTS:
                 del seen[0]
@@ -1294,8 +1308,23 @@ class Engine:
         key = src * self._rankmul + dst
         chan = by_tag.get(key)
         if chan is None:
-            chan = by_tag[key] = _Channel(src, dst, tag)
+            chan = by_tag[key] = _Channel(src, dst, tag,
+                                          self._route(src, dst))
         return chan
+
+    def _route(self, src: int, dst: int) -> _Route:
+        """The run's one route of the wire from ``src`` to ``dst``:
+        every channel, tag and replayed leg on it shares its wire-time
+        memo and its link cells."""
+        key = self._route_key(src, dst)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = _Route()
+        return route
+
+    def _route_key(self, src: int, dst: int) -> Any:
+        """What a route belongs to: its engine rank pair."""
+        return src, dst
 
     def _eager_send(self, chan: _Channel, ep: _Endpoint) -> None:
         """Eager protocol: inject the message now; the sender completes
@@ -1343,21 +1372,22 @@ class Engine:
         message a run moves — rendezvous, eager injection, stepped
         broadcast leg — goes through here.
 
-        The wire time is memoised per channel and size: the identical
-        float the network model returns (networks are pure cost
-        functions — see ``docs/performance.md``)."""
+        The wire time is memoised on the channel's route per size: the
+        identical float the network model returns (networks are pure
+        cost functions — see ``docs/performance.md``)."""
+        route = chan.route
         cells = None
         if self.contention:
-            cells = chan.claims
+            cells = route.claims
             if cells is None:
                 cells = self._claims(chan)
             for cell in cells:
                 if cell[0] > start:
                     start = cell[0]
         try:
-            wire = chan.tt[nbytes]
+            wire = route.tt[nbytes]
         except KeyError:
-            wire = chan.tt[nbytes] = self.network.transfer_time(
+            wire = route.tt[nbytes] = self.network.transfer_time(
                 chan.src, chan.dst, nbytes)
         if self._faults is None:
             finish = start + wire
@@ -1375,25 +1405,13 @@ class Engine:
 
     def _claims(self, chan: _Channel) -> tuple:
         """The cells of ``chan``'s route, one per link, shared by every
-        channel that claims the link; cached on the channel."""
+        route that claims the link; asked of the network once per route
+        (routes are static for the lifetime of a network model)."""
         link_free = self._link_free
-        cells = []
-        for link in self._links(chan.src, chan.dst):
-            cell = link_free.get(link)
-            if cell is None:
-                cell = link_free[link] = [0.0]
-            cells.append(cell)
-        claims = chan.claims = tuple(cells)
+        claims = chan.route.claims = tuple(
+            link_free.setdefault(link, [0.0])
+            for link in self.network.links(chan.src, chan.dst))
         return claims
-
-    def _links(self, src: int, dst: int) -> tuple:
-        """Physical links of the (src, dst) route, memoised — routes are
-        static for the lifetime of a network model."""
-        key = (src, dst)
-        links = self._links_cache.get(key)
-        if links is None:
-            links = self._links_cache[key] = tuple(self.network.links(src, dst))
-        return links
 
     # -- fault injection ----------------------------------------------------
 

@@ -32,7 +32,7 @@ first finds its shapes recorded (see :data:`CACHE_LEGS`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -207,22 +207,18 @@ class Schedule:
             lanes.append(tuple(lane))
         return tuple(lanes), tuple(tags)
 
-    def replay(self, clock: list[float], comm: list[float], parts: Any,
-               wires: dict, transfer_time: Callable) -> None:
+    def replay(self, clock: list[float], comm: list[float],
+               wires: Sequence[float]) -> None:
         """Advance ``clock`` (arrival clocks in, exit clocks out) and
         ``comm`` (running ``comm_time``), both indexed by communicator
-        rank, through the schedule.  ``parts`` maps a communicator rank
-        to the rank ``transfer_time`` prices; ``wires`` memoises it per
-        ``(src, dst, nbytes)``.  The float operations are the engine's,
-        in its order: a blocking operation charges ``finish - post``; a
-        fused shift charges its receive leg from the post, then the
-        send leg's tail past the receive."""
+        rank, through the schedule; ``wires[i]`` is the fault-free wire
+        time of step ``i`` (the engine prices it once, on the run's one
+        route per wire).  The float operations are the engine's, in its
+        order: a blocking operation charges ``finish - post``; a fused
+        shift charges its receive leg from the post, then the send
+        leg's tail past the receive."""
         hold = [0.0] * len(clock)
-        for s, r, nbytes, smode, rmode in self.steps:
-            key = (parts[s], parts[r], nbytes)
-            wire = wires.get(key)
-            if wire is None:
-                wire = wires[key] = transfer_time(*key)
+        for (s, r, _nbytes, smode, rmode), wire in zip(self.steps, wires):
             cs = clock[s]
             cr = clock[r]
             finish = (cs if cs >= cr else cr) + wire
@@ -339,7 +335,8 @@ def _record(algo: Callable, size: int, root: int, segments: int | None,
         return refused.args[0]
     clock = [0.0] * size
     comm = [0.0] * size
-    schedule.replay(clock, comm, range(size), {}, network.transfer_time)
+    schedule.replay(clock, comm, [network.transfer_time(s, r, nbytes)
+                                  for s, r, nbytes, _s, _r in schedule.steps])
     for rank, stats in enumerate(sim.stats):
         if (clock[rank], comm[rank], schedule.messages[rank],
                 schedule.nbytes[rank]) != (

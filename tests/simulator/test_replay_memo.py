@@ -153,7 +153,8 @@ def test_a_memo_never_holds_more_than_its_bound(monkeypatch):
 
     both(spmd(4, body), lambda: HomogeneousNetwork(4, PARAMS))
     _by_cid, by_class = held[0][None]
-    memos = [seen for memo in by_class.values() for seen in memo.values()]
+    memos = [seen for memo in by_class.values()
+             for _wires, seen in memo.values()]
     assert memos and max(map(len, memos)) == replay.MEMO_INPUTS
 
 
