@@ -7,7 +7,8 @@ machine.  The split of responsibilities:
 * Each job *attempt* binds a fresh, disjoint range of engine ranks
   (``ClusterNetwork.bind``); rank namespaces never overlap and never
   get reused, so no channel, endpoint or link bookkeeping can leak
-  between jobs or between retries of one job.
+  between jobs or between retries of one job, and an attempt's channels
+  are dropped as soon as it ends (``_vacate``).
 * An attempt's programs are built *at* its base
   (:func:`~repro.cluster.programs.build_programs`): the MPI layer,
   which already maps a communicator rank to a wire rank, folds the
@@ -39,7 +40,7 @@ randomness (Poisson arrivals) is seeded upstream.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.cluster.jobs import JobSpec, validate_stream
 from repro.cluster.network import ClusterNetwork
@@ -332,11 +333,31 @@ class ClusterEngine(Engine):
                          trace=trace, spans=spans)
 
     def _vacate(self, attempt: _Attempt) -> None:
+        """Free the ended ``attempt``'s slots, its channels and the
+        leg channels of its stepped broadcasts: engine ranks are never
+        reused, so no later post can need them."""
         self._running.remove(attempt)
         self._grid.release(attempt.slots)
         for slot in attempt.slots:
             if self._slot_owner.get(slot) is attempt:
                 del self._slot_owner[slot]
+        base = attempt.base
+        # A channel key is src * _rankmul + dst with dst < _rankmul.
+        lo = base * self._rankmul
+        hi = (base + attempt.p) * self._rankmul
+        channels = self._channels
+        for tag in list(channels):
+            by_tag = channels[tag]
+            for key in [k for k in by_tag if lo <= k < hi]:
+                del by_tag[key]
+            if not by_tag:
+                del channels[tag]
+        # Besides the memo entry (None) and the shape keys, _schedules
+        # holds the leg channels of each (cid, base, shape key).
+        schedules = self._schedules
+        for key in [k for k in schedules
+                    if k is not None and len(k) == 3 and k[1] == base]:
+            del schedules[key]
 
     # -- fail-stop ----------------------------------------------------------
 

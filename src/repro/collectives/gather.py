@@ -16,20 +16,6 @@ Gen = Generator[Any, Any, Any]
 TAG_GATHER_OP = -30
 
 
-def gather_linear(comm: Any, obj: Any, root: int) -> Gen:
-    """Every rank sends directly to the root; returns the list (by
-    communicator rank) on the root, ``None`` elsewhere."""
-    if comm.rank != root:
-        yield from comm.send(obj, root, tag=TAG_GATHER_OP)
-        return None
-    out: list[Any] = [None] * comm.size
-    out[root] = obj
-    for r in range(comm.size):
-        if r != root:
-            out[r] = yield from comm.recv(r, tag=TAG_GATHER_OP)
-    return out
-
-
 def gather_binomial(comm: Any, obj: Any, root: int) -> Gen:
     """Range-splitting tree gather, mirror of the tree scatter.
 

@@ -89,19 +89,3 @@ def scatter_binomial(comm: Any, parts: Sequence[Any] | None, root: int) -> Gen:
         held = [parts[(i + root) % size] for i in range(size)]
     result = yield from range_scatter_rel(comm, held, root)
     return result
-
-
-def scatter_linear(comm: Any, parts: Sequence[Any] | None, root: int) -> Gen:
-    """Root sends each rank its part directly; ``O(p)`` latency."""
-    if comm.rank == root:
-        if parts is None or len(parts) != comm.size:
-            raise ConfigurationError(
-                f"scatter root needs exactly {comm.size} parts, got "
-                f"{None if parts is None else len(parts)}"
-            )
-        for r in range(comm.size):
-            if r != root:
-                yield from comm.send(parts[r], r, tag=TAG_SCATTER_OP)
-        return parts[root]
-    part = yield from comm.recv(root, tag=TAG_SCATTER_OP)
-    return part

@@ -35,7 +35,7 @@ import dataclasses
 from abc import ABC, abstractmethod
 from typing import Hashable, Sequence
 
-from repro.collectives import COLLECTIVES, CONTRIBUTION, ROOT
+from repro.collectives import COLLECTIVES, ROOT
 from repro.core.hsumma import HSUMMA, HSummaConfig
 from repro.core.launch import AlgorithmSpec, launch
 from repro.core.summa import SUMMA, SummaConfig

@@ -173,16 +173,3 @@ def render_phase_timeline(
     legend = " ".join(f"{g}={name}" for name, g in glyphs.items())
     lines.append(f"{'':>{label_w}} {legend} {GLYPH_IDLE}=outside spans")
     return "\n".join(lines)
-
-
-def communication_matrix(result: SimResult) -> list[list[int]]:
-    """Bytes sent between every rank pair (``matrix[src][dst]``)."""
-    if not result.trace and result.total_messages:
-        raise ConfigurationError(
-            "result has no trace; rerun the engine with collect_trace=True"
-        )
-    n = result.nranks
-    matrix = [[0] * n for _ in range(n)]
-    for rec in result.trace:
-        matrix[rec.src][rec.dst] += rec.nbytes
-    return matrix

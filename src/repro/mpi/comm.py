@@ -190,7 +190,7 @@ def make_contexts(
     """One :class:`MpiContext` per rank, all built now and sharing
     membership caches (:func:`context_factory` over every rank) — for
     callers that hand each context to a program themselves
-    (``run_spmd``, the heterogeneous and redistribution runners)."""
+    (``run_spmd``, the heterogeneous runner, the schedule recorder)."""
     context = context_factory(nranks, options, gamma, trace, retry)
     return [context(rank) for rank in range(nranks)]
 

@@ -3,11 +3,10 @@
 Every algorithm in this repository is written once, as a set of SPMD
 rank generators.  A *backend* decides how much machinery executes them:
 
-* :class:`DesBackend` — the full discrete-event engine.  Collectives
-  expand into their exact per-message point-to-point schedules; every
-  transfer is an event.  Bit-identical to the historical ``Engine``
-  (it *is* the engine), and the reference semantics everything else is
-  validated against.
+* :class:`~repro.simulator.engine.Engine` (``backend="des"``) — the
+  full discrete-event engine.  Collectives expand into their exact
+  per-message point-to-point schedules; every transfer is an event.
+  The reference semantics everything else is validated against.
 * :class:`MacroBackend` — the same generators, but each
   :class:`~repro.simulator.requests.CollectiveRequest` is satisfied
   directly from a :class:`~repro.experiments.stepmodel.CollectiveCoster`
@@ -50,13 +49,12 @@ Why it scales: a p=16384 HSUMMA step is ~3 events instead of ~10^5.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Any, Iterable
+from typing import Any
 
 from repro.collectives import COLLECTIVES
 from repro.errors import ConfigurationError
 from repro.network.model import Network
-from repro.simulator.engine import Engine, RankProgram, _RankState
+from repro.simulator.engine import Engine, _RankState
 from repro.simulator.requests import CollectiveReply, CollectiveRequest
 from repro.simulator.tracing import SimResult
 
@@ -65,24 +63,7 @@ from repro.simulator.tracing import SimResult
 _NOTHING = object()
 
 
-class Backend(ABC):
-    """Executes a set of SPMD rank programs and returns a
-    :class:`~repro.simulator.tracing.SimResult`."""
-
-    @abstractmethod
-    def run(self, programs: Iterable[RankProgram]) -> SimResult:
-        """Run one generator per rank to completion."""
-
-
-class DesBackend(Engine, Backend):
-    """Full discrete-event execution (the reference semantics).
-
-    Identical to :class:`~repro.simulator.engine.Engine` — the alias
-    exists so call sites name the backend they chose.
-    """
-
-
-class MacroBackend(Engine, Backend):
+class MacroBackend(Engine):
     """Step-synchronous execution: collectives priced by a cost oracle.
 
     Parameters
@@ -329,13 +310,13 @@ def resolve_backend(
     eager_threshold: int = 0,
     faults: Any = None,
     symmetry: Any = None,
-) -> Backend:
+) -> Engine:
     """Turn a backend spec into a ready engine.
 
     ``backend`` may be None or ``"des"`` (full discrete-event),
     ``"macro"`` (coster-satisfied collectives), or an
-    already-built :class:`~repro.simulator.engine.Engine` /
-    :class:`Backend` instance, which is returned as-is (its own
+    already-built :class:`~repro.simulator.engine.Engine` (a
+    :class:`MacroBackend` included), which is returned as-is (its own
     network/options win).  ``"predictor"`` has no engine (the runners
     price it before any program is built), so it raises: the
     fault-injection refusal first, else directions to a runner.
@@ -348,7 +329,7 @@ def resolve_backend(
     backends ignore it.
     """
     active = faults is not None and not getattr(faults, "empty", False)
-    if isinstance(backend, (Engine, Backend)):
+    if isinstance(backend, Engine):
         if active and getattr(backend, "_faults", None) is not faults:
             raise ConfigurationError(
                 "a prebuilt engine cannot adopt a fault schedule; pass "
@@ -356,7 +337,7 @@ def resolve_backend(
             )
         return backend
     if backend is None or backend == "des":
-        return DesBackend(
+        return Engine(
             network,
             contention=contention,
             collect_trace=collect_trace,

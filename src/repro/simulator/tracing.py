@@ -9,7 +9,7 @@ measures) plus per-rank detail and aggregate message statistics.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.simulator.spans import Span, iter_spans
 
@@ -235,13 +235,3 @@ class SimResult:
             f"comm {self.comm_time:.6f}s, compute {self.compute_time:.6f}s, "
             f"{self.total_messages} msgs / {self.total_bytes} bytes"
         )
-
-
-def merge_max(results: Iterable[SimResult]) -> tuple[float, float]:
-    """Max total and comm time across several runs (utility for sweeps)."""
-    total = 0.0
-    comm = 0.0
-    for r in results:
-        total = max(total, r.total_time)
-        comm = max(comm, r.comm_time)
-    return total, comm

@@ -8,7 +8,6 @@ in the exascale predictions (p = 2**20 and beyond).
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from repro.errors import ConfigurationError
 
@@ -98,11 +97,3 @@ def split_evenly(total: int, parts: int) -> list[int]:
         raise ConfigurationError(f"split_evenly needs parts >= 1, got {parts}")
     base, rem = divmod(total, parts)
     return [base + (1 if i < rem else 0) for i in range(parts)]
-
-
-def chunk_bounds(total: int, parts: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(start, stop)`` bounds for :func:`split_evenly` chunks."""
-    start = 0
-    for size in split_evenly(total, parts):
-        yield (start, start + size)
-        start += size

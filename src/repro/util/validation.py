@@ -8,7 +8,6 @@ configuration-error paths easy to test.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.util.gridmath import is_power_of_two
@@ -54,11 +53,3 @@ def require_power_of_two(value: int, name: str) -> None:
     """Require ``value`` to be a positive power of two."""
     if not is_power_of_two(value):
         raise ConfigurationError(f"{name} must be a power of two, got {value!r}")
-
-
-def require_type(value: Any, types: type | tuple[type, ...], name: str) -> None:
-    """Require ``value`` to be an instance of ``types``."""
-    if not isinstance(value, types):
-        raise ConfigurationError(
-            f"{name} must be {types!r}, got {type(value).__name__}"
-        )

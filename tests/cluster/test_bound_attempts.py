@@ -156,3 +156,38 @@ def test_a_finished_stream_is_freed_by_reference_count():
         assert [ref for ref in refs if ref() is not None] == []
     finally:
         gc.enable()
+
+
+def test_an_ended_attempt_leaves_no_channel_behind():
+    # Engine ranks are never reused, so once an attempt ends nothing
+    # can post on its channels again: the stream drops them (and its
+    # stepped broadcasts' leg channels) then, not when the stream ends.
+    seen, made = [], []
+
+    class Spy(ClusterEngine):
+        def _launch(self, record, slots, now):
+            mul = self._rankmul
+            seen.append((
+                len(self._ranks),
+                sorted({key // mul for by_tag in self._channels.values()
+                        for key in by_tag}),
+                sorted({key[1] for key in self._schedules
+                        if key is not None and len(key) == 3})))
+            super()._launch(record, slots, now)
+
+        def _make_channel(self, src, dst, tag):
+            made.append(src)
+            return super()._make_channel(src, dst, tag)
+
+    machine = Torus3D((4, 2, 2), DEFAULT_PARAMS)
+    scheduler = FifoScheduler(alpha=DEFAULT_PARAMS.alpha,
+                              beta=DEFAULT_PARAMS.beta, gamma=GAMMA)
+    engine = Spy(machine, (4, 4), 32, scheduler=scheduler, gamma=GAMMA)
+    records = engine.serve([_job(0, 0.0, None), _job(1, 0.0, None)])
+    assert [r.status for r in records] == ["done", "done"]
+    first, second = (r.attempts[0] for r in records)
+    assert second.start == first.end  # job 1 waited for job 0's slots
+    assert min(made) == 0 and max(made) == 31  # both jobs made channels
+    # At job 1's launch: job 0 has run (16 ranks), and not one of its
+    # channels or leg-channel tuples is left.
+    assert seen[1] == (16, [], [])

@@ -15,7 +15,6 @@ import pytest
 
 from repro.costs import bcast_time
 from repro.collectives.pipelined import (
-    LinkStep,
     fourcolor_schedule,
     validate_link_coloring,
 )

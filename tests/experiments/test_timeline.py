@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.timeline import communication_matrix, render_timeline
+from repro.experiments.timeline import render_timeline
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.simulator.engine import Engine
@@ -93,22 +93,3 @@ class TestRenderTimeline:
         plain = render_timeline(run(summa_program), width=40)
         over = render_timeline(run(lookahead_program), width=40)
         assert plain != over
-
-
-class TestCommunicationMatrix:
-    def test_bytes_per_pair(self):
-        res = _traced_run()
-        matrix = communication_matrix(res)
-        assert matrix[0][1] == 1000
-        assert matrix[1][0] == 0
-
-    def test_requires_trace(self):
-        def sender():
-            yield SendRequest(1, 0, b"x")
-
-        def receiver():
-            yield RecvRequest(0, 0)
-
-        res = Engine(HomogeneousNetwork(2, PARAMS)).run([sender(), receiver()])
-        with pytest.raises(ConfigurationError):
-            communication_matrix(res)

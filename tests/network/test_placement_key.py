@@ -27,7 +27,6 @@ from repro.network.mapping import (
     shuffled_mapping,
 )
 from repro.network.model import HockneyParams, Network
-from repro.network.piecewise import PiecewiseHockney, PiecewiseNetwork
 from repro.network.subnet import SubNetwork
 from repro.network.torus import Torus3D
 from repro.network.tree import SwitchedCluster
@@ -50,8 +49,6 @@ def _mappings(nranks, ranks_per_node):
 def _cases():
     cases = {
         "homogeneous": HomogeneousNetwork(12, PARAMS),
-        "piecewise": PiecewiseNetwork(
-            12, PiecewiseHockney.mpi_like(1e-4, 1e-9)),
     }
     for name, mapping in _mappings(12, 2).items():
         cases[f"homogeneous-intra-{name}"] = HomogeneousNetwork(
@@ -137,7 +134,8 @@ class TestKeysActuallyCollapse:
     these pin the collisions the figure sweeps rely on."""
 
     def test_default_is_the_tuple(self):
-        net = PiecewiseNetwork(8, PiecewiseHockney.mpi_like(1e-4, 1e-9))
+        net = HomogeneousNetwork(8, PARAMS, intra_params=INTRA,
+                                 mapping=block_mapping(8, 2))
         assert net.placement_key([3, 1, 2]) == (3, 1, 2)
         assert net.placement_key((3, 1, 2)) != net.placement_key((1, 3, 2))
 

@@ -1,8 +1,5 @@
 """Tests for the plan cache: memo, disk round-trip, batched dedupe."""
 
-
-import pytest
-
 from repro.planner import PLAN_CACHE_SALT, PlanQuery, PlanService
 from repro.planner.service import _PLAN_FN
 

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blocks.distribution import BlockCyclicDistribution, BlockDistribution
-from repro.blocks.redistribute import run_redistribute
-from repro.collectives.alltoall import alltoall_bruck, alltoall_pairwise
 from repro.hetero.partition import proportional_partition
 from repro.network.model import HockneyParams
-from repro.network.piecewise import PiecewiseHockney
 from repro.simulator import run_spmd
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
@@ -60,63 +56,6 @@ class TestPartitionProperties:
         for share, s in zip(shares, speeds):
             ideal = total * s / weight
             assert abs(share - ideal) <= p
-
-
-class TestAlltoallProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        fn=st.sampled_from([alltoall_pairwise, alltoall_bruck]),
-        size=st.integers(min_value=1, max_value=12),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_permutation_property(self, fn, size, seed):
-        """All-to-all is a transpose: out[r][s] == in[s][r]."""
-        rng = np.random.default_rng(seed)
-        payloads = rng.integers(0, 1000, size=(size, size))
-
-        def prog(ctx):
-            parts = [int(payloads[ctx.rank][d]) for d in range(size)]
-            out = yield from fn(ctx.world, parts)
-            return out
-
-        res = run_spmd(prog, size, params=PARAMS)
-        for r in range(size):
-            for s in range(size):
-                assert res.return_values[r][s] == payloads[s][r]
-
-
-class TestRedistributeProperties:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        s=st.sampled_from([1, 2, 3]),
-        t=st.sampled_from([1, 2, 3]),
-        nb=st.sampled_from([1, 2, 3]),
-        seed=st.integers(min_value=0, max_value=100),
-    )
-    def test_roundtrip_preserves_matrix(self, s, t, nb, seed):
-        rows = nb * s * 4
-        cols = nb * t * 4
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((rows, cols))
-        blk = BlockDistribution(rows, cols, s, t)
-        cyc = BlockCyclicDistribution(rows, cols, s, t, nb, nb)
-        out, _ = run_redistribute(M, blk, cyc, params=PARAMS)
-        assert np.array_equal(out, M)
-
-
-class TestPiecewiseProperties:
-    @settings(max_examples=40)
-    @given(
-        alpha=st.floats(min_value=1e-7, max_value=1e-3),
-        beta=st.floats(min_value=1e-11, max_value=1e-8),
-        sizes=st.lists(st.integers(min_value=0, max_value=1 << 24),
-                       min_size=2, max_size=10),
-    )
-    def test_mpi_like_monotone(self, alpha, beta, sizes):
-        model = PiecewiseHockney.mpi_like(alpha, beta)
-        sizes = sorted(sizes)
-        times = [model.transfer_time(s) for s in sizes]
-        assert all(b >= a - 1e-18 for a, b in zip(times, times[1:]))
 
 
 class TestEagerProperties:

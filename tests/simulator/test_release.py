@@ -125,7 +125,7 @@ def test_an_engine_stays_within_the_shared_key_limit(monkeypatch):
     A = PhantomArray((64, 64))
     sim = run_cannon(A, A, grid=(4, 4), backend="macro")[1]
     assert sim.collapse["mode"] == "collapsed"
-    assert set(held) == {"DesBackend", "MacroBackend", "CollapsedMacroEngine"}
+    assert set(held) == {"Engine", "MacroBackend", "CollapsedMacroEngine"}
     assert max(held.values()) <= 30, held
 
 
@@ -168,18 +168,25 @@ def test_a_channel_that_carried_only_stepped_legs_holds_no_queue(monkeypatch):
     # Under global time a broadcast is stepped from its recorded
     # schedule and never queues a message, so a channel only its legs
     # use creates neither FIFO (each queue is made by the first post
-    # that waits on it).
+    # that waits on it).  A stream frees each attempt's channels as the
+    # attempt ends, so its channels are read there.
     from repro.cluster import JobSpec, serve
+    from repro.cluster.engine import ClusterEngine
     from repro.core.summa import run_summa
     from repro.mpi.comm import CollectiveOptions
     from repro.network.torus import Torus3D
     from repro.payloads import PhantomArray
 
-    legs, posted, runs = set(), set(), []
+    legs, posted, runs, freed = set(), set(), [], []
     leg_channels = Engine._leg_channels
     post_send = Engine._post_send
     post_recv = Engine._post_recv
     release = Engine._release
+    vacate = ClusterEngine._vacate
+
+    def channels(engine):
+        return [chan for by_tag in engine._channels.values()
+                for chan in by_tag.values()]
 
     def on_legs(engine, *args):
         chans = leg_channels(engine, *args)
@@ -195,19 +202,22 @@ def test_a_channel_that_carried_only_stepped_legs_holds_no_queue(monkeypatch):
         rank = state.stats.rank
         posted.add(engine._channels[tag][src * engine._rankmul + rank])
 
+    def on_vacate(engine, attempt):
+        freed.extend(channels(engine))
+        vacate(engine, attempt)
+
     def on_release(engine):
         # The micro-DES costers a stream prices launches with step
         # nothing; they are not the runs under test.
         if engine._report["stepped"]:
-            runs.append((type(engine).__name__,
-                         [chan for by_tag in engine._channels.values()
-                          for chan in by_tag.values()]))
+            runs.append((type(engine).__name__, channels(engine) + freed))
         release(engine)
 
     monkeypatch.setattr(Engine, "_leg_channels", on_legs)
     monkeypatch.setattr(Engine, "_post_send", on_send)
     monkeypatch.setattr(Engine, "_post_recv", on_recv)
     monkeypatch.setattr(Engine, "_release", on_release)
+    monkeypatch.setattr(ClusterEngine, "_vacate", on_vacate)
 
     A = PhantomArray((256, 256))
     sim = run_summa(A, A, grid=(4, 4), block=16,
@@ -217,7 +227,7 @@ def test_a_channel_that_carried_only_stepped_legs_holds_no_queue(monkeypatch):
                      JobSpec(jid=1, arrival=0.0, n=256, p=16)], slots=32,
                     options=CollectiveOptions(bcast="vandegeijn"))
     assert [r.status for r in records.records] == ["done", "done"]
-    assert [name for name, _ in runs] == ["DesBackend", "ClusterEngine"]
+    assert [name for name, _ in runs] == ["Engine", "ClusterEngine"]
     for _, chans in runs:
         only_stepped = [c for c in chans if c in legs and c not in posted]
         assert only_stepped

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator.tracing import RankStats, SimResult, TransferRecord, merge_max
+from repro.simulator.tracing import RankStats, SimResult, TransferRecord
 
 
 def _result(clocks, comms, computes):
@@ -52,15 +52,6 @@ class TestTransferRecord:
     def test_duration(self):
         rec = TransferRecord(0, 1, 0, 100, start=1.0, finish=1.5)
         assert rec.duration == pytest.approx(0.5)
-
-
-class TestMergeMax:
-    def test_merge(self):
-        a = _result([1.0], [0.3], [0])
-        b = _result([2.0], [0.1], [0])
-        total, comm = merge_max([a, b])
-        assert total == 2.0
-        assert comm == 0.3
 
 
 class TestFaultCounters:

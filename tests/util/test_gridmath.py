@@ -1,13 +1,10 @@
 """Unit tests for repro.util.gridmath."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.util.gridmath import (
     ceil_div,
-    chunk_bounds,
     divisors,
     factor_grid,
     is_perfect_square,
@@ -162,16 +159,3 @@ class TestSplitEvenly:
     def test_rejects_zero_parts(self):
         with pytest.raises(ConfigurationError):
             split_evenly(5, 0)
-
-
-class TestChunkBounds:
-    def test_bounds_cover(self):
-        bounds = list(chunk_bounds(10, 3))
-        assert bounds == [(0, 4), (4, 7), (7, 10)]
-
-    def test_contiguous(self):
-        bounds = list(chunk_bounds(17, 5))
-        for (a0, a1), (b0, _b1) in zip(bounds, bounds[1:]):
-            assert a1 == b0
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == 17

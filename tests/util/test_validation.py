@@ -12,7 +12,6 @@ from repro.models.exascale import ExascaleScenario, exascale_prediction
 from repro.models.optimizer import optimal_group_count
 from repro.mpi.comm import make_contexts
 from repro.network.model import HockneyParams
-from repro.network.piecewise import PiecewiseHockney
 from repro.network.torus import Torus3D
 from repro.network.tree import SwitchedCluster
 from repro.payloads import PhantomArray
@@ -22,7 +21,6 @@ from repro.util.validation import (
     require_divides,
     require_positive,
     require_power_of_two,
-    require_type,
 )
 
 
@@ -68,18 +66,6 @@ class TestRequirePowerOfTwo:
     def test_fails(self):
         with pytest.raises(ConfigurationError, match="n"):
             require_power_of_two(12, "n")
-
-
-class TestRequireType:
-    def test_ok(self):
-        require_type(3, int, "v")
-
-    def test_tuple_of_types(self):
-        require_type(3.5, (int, float), "v")
-
-    def test_fails(self):
-        with pytest.raises(ConfigurationError, match="v"):
-            require_type("s", int, "v")
 
 
 def _summa(backend):
@@ -139,9 +125,6 @@ NON_FINITE = {
         1024, 16, 64, 1e-6, 0.0), "beta"),
     # Every comparison with a NaN bound is false, so the order checks
     # passed it.
-    "piecewise-bound-nan": (lambda: PiecewiseHockney([
-        (100.0, HockneyParams(1e-6, 1e-9)), (math.nan, HockneyParams(1e-6, 1e-9)),
-        (math.inf, HockneyParams(1e-6, 1e-9))]), "regime bound"),
 }
 
 
