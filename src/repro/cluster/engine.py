@@ -104,7 +104,7 @@ class _Attempt:
     """One launch of a job: a bound rank range on a slot block."""
 
     __slots__ = ("record", "base", "p", "slots", "start", "end",
-                 "predicted_finish", "live", "dead")
+                 "predicted_finish", "live", "dead", "result")
 
     def __init__(self, record: JobRecord, base: int, slots: tuple[int, ...],
                  start: float, predicted_finish: float) -> None:
@@ -117,6 +117,7 @@ class _Attempt:
         self.predicted_finish = predicted_finish
         self.live = len(slots)   # unfinished ranks
         self.dead = False        # fail-stop hit
+        self.result: SimResult | None = None  # set once it completes
 
 
 class ClusterEngine(Engine):
@@ -221,6 +222,7 @@ class ClusterEngine(Engine):
                 self._events.push(record.job.arrival, self._job_arrival,
                                   (record, record.job.arrival))
             self._drain("job stream")
+            self._split_records()
             stranded = [r.job.jid for r in self._queue]
         finally:
             self._release()
@@ -320,17 +322,32 @@ class ClusterEngine(Engine):
         self._vacate(attempt)
         record.status = "done"
         record.finish = finish
-        record.result = self._job_result(attempt)
+        record.result = attempt.result = self._job_result(attempt)
         self._dispatch_jobs(finish)
 
     def _job_result(self, attempt: _Attempt) -> SimResult:
+        """The attempt's own :class:`SimResult`; its transfer records
+        and root spans are filled in by :meth:`_split_records`."""
         base, p = attempt.base, attempt.p
         stats = [self._ranks[base + i].stats for i in range(p)]
         return_values = [self._ranks[base + i].retval for i in range(p)]
-        trace = [t for t in self._trace if base <= t.src < base + p]
-        spans = [s for s in self._spans.roots if base <= s.rank < base + p]
         return SimResult(stats=stats, return_values=return_values,
-                         trace=trace, spans=spans)
+                         trace=[], spans=[])
+
+    def _split_records(self) -> None:
+        """Hand each completed attempt the transfer records and root
+        spans of its ranks, in stream order: one pass over each of the
+        stream's lists once it has drained (a completed attempt's
+        ranks record nothing after it ends)."""
+        owner = self._attempts
+        for transfer in self._trace:
+            result = owner[transfer.src].result
+            if result is not None:
+                result.trace.append(transfer)
+        for span in self._spans.roots:
+            result = owner[span.rank].result
+            if result is not None:
+                result.spans.append(span)
 
     def _vacate(self, attempt: _Attempt) -> None:
         """Free the ended ``attempt``'s slots, its channels and the

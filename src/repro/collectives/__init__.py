@@ -97,6 +97,12 @@ class Collective:
     result: str | None
     to: str
     uniform: bool = False
+    #: The span a traced call opens, ``coll.<op>``: one string per row,
+    #: not one per call.
+    span: str = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "span", "coll." + self.op)
 
     def algorithm(self, name: str) -> Callable[..., Gen]:
         """The generator function registered as ``name``."""

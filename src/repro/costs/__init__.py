@@ -62,6 +62,7 @@ from repro.costs.registry import (
     hypersystolic_stride,
     max_pipeline_segments,
     optimal_pipeline_segments,
+    pipeline_slots,
     segmented_fill_slots,
 )
 
@@ -101,6 +102,7 @@ __all__ = [
     "PipelineDepthWarning",
     "max_pipeline_segments",
     "optimal_pipeline_segments",
+    "pipeline_slots",
     "predicted_extremum_kind",
     "segmented_fill_slots",
     "summa_bandwidth_factor",

@@ -414,24 +414,26 @@ class CostEstimate:
 _ZERO = CostEstimate(seconds=0.0, alpha_terms=0.0, beta_bytes=0.0)
 
 
+def pipeline_slots(algorithm: str, p: int, m: float, alpha: float,
+                   beta: float, segments: int | None = None
+                   ) -> tuple[int, float]:
+    """``(slots, chunk)`` of a :data:`PIPELINED_BCASTS` broadcast of
+    ``m`` among ``p >= 2`` ranks at pipeline depth ``segments`` (the
+    closed-form optimum when unset): it completes in
+    ``slots * (alpha + chunk * beta)``."""
+    s = segments or optimal_pipeline_segments(m, p, alpha, beta, algorithm)
+    if algorithm == "fourcolor" and p == 2:
+        # One link pair: the executable sends the message whole.
+        return 1, m
+    base, rate, chunks = _pipeline_shape(algorithm, p)
+    return base + rate * s, m / (chunks * s)
+
+
 def _bcast_estimate(q: CostQuery) -> CostEstimate:
     m, p, alpha, beta = q.nbytes, q.p, q.alpha, q.beta
-    if q.algorithm == "pipelined":
-        s = q.segments or optimal_pipeline_segments(m, p, alpha, beta)
-        return CostEstimate(
-            seconds=(p - 2 + s) * (alpha + (m / s) * beta),
-            alpha_terms=float(p - 2 + s),
-            beta_bytes=(p - 2 + s) * (m / s),
-        )
     if q.algorithm in PIPELINED_BCASTS:
-        s = q.segments or optimal_pipeline_segments(m, p, alpha, beta,
-                                                    q.algorithm)
-        if q.algorithm == "fourcolor" and p == 2:
-            # One link pair: the executable sends the message whole.
-            slots, chunk = 1, m
-        else:
-            base, rate, chunks = _pipeline_shape(q.algorithm, p)
-            slots, chunk = base + rate * s, m / (chunks * s)
+        slots, chunk = pipeline_slots(q.algorithm, p, m, alpha, beta,
+                                      q.segments)
         return CostEstimate(
             seconds=slots * (alpha + chunk * beta),
             alpha_terms=float(slots),

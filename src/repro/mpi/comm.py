@@ -587,7 +587,7 @@ class Comm:
             attrs = {"comm_size": self.size, "algorithm": name}
             if row.rooted:
                 attrs["root"] = root
-            yield SpanOpenRequest("coll." + row.op, attrs)
+            yield SpanOpenRequest(row.span, attrs)
         reply = yield self._announce(
             row.op, name, None if from_root and self.rank != root else obj,
             root=root, segments=segments,

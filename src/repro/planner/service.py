@@ -36,10 +36,13 @@ from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.planner.query import Plan, PlanQuery, ResolvedQuery
 from repro.planner.space import (
+    ROW_FIELDS,
     Candidate,
-    candidate_memory_elements,
+    CandidateTable,
+    candidate,
     closed_form_costs,
     enumerate_candidates,
+    footprints,
 )
 
 #: Bump when the search space, ranking forms, or refinement change in a
@@ -48,6 +51,8 @@ PLAN_CACHE_SALT = "planner-5"  # planner-5: keyed on the fault profile
 _PLAN_FN = "repro.planner.plan"
 
 REFINE_BACKENDS = ("predictor", "none")
+
+_S, _REPLICATION = ROW_FIELDS.index("s"), ROW_FIELDS.index("replication")
 
 
 class PlanService:
@@ -135,56 +140,61 @@ class PlanService:
         spec["refine"] = self.refine
         return spec
 
-    def _price(self, rq: ResolvedQuery) -> Plan:
-        cands = enumerate_candidates(rq)
-        total = len(cands)
+    def _rank(self, rq: ResolvedQuery
+              ) -> tuple[int, list[tuple[float, tuple[Any, ...]]]]:
+        """The size of the query's whole space, and its table rows
+        within the memory budget as ``(closed form, row)`` pairs,
+        cheapest first.  Ties keep enumeration order (the sort is
+        stable); no :class:`Candidate` is built."""
+        table = enumerate_candidates(rq)
+        total = len(table)
         if rq.memory_elements is not None:
-            fits = [c for c in cands
-                    if candidate_memory_elements(rq, c) <= rq.memory_elements]
-            if not fits:
-                tightest = min(candidate_memory_elements(rq, c)
-                               for c in cands)
+            need = footprints(rq, table.rows)
+            if min(need) > rq.memory_elements:
                 raise ConfigurationError(
                     f"no candidate fits the {rq.memory_elements:.0f}-element "
                     f"per-rank memory budget (smallest footprint: "
-                    f"{tightest:.0f} elements); raise memory_bytes or p"
+                    f"{min(need):.0f} elements); raise memory_bytes or p"
                 )
-            cands = fits
+            table = CandidateTable([row for row, elements
+                                    in zip(table.rows, need)
+                                    if elements <= rq.memory_elements])
+        priced = zip(closed_form_costs(rq, table), table.rows)
+        return total, sorted(priced, key=itemgetter(0))
+
+    def _price(self, rq: ResolvedQuery) -> Plan:
+        total, ranked = self._rank(rq)
         # Every family's chain re-prices the ranking's top_k leaders on
         # equal footing.  The one eligibility wrinkle: a replicated
-        # candidate's layer grid comes from p alone (q = sqrt(p/c)), so
-        # q may not tile an n the 2-D grids tile fine — such candidates
-        # feed the closed-form advisory instead of competing.  Each
-        # candidate's closed form is computed once, then reused by the
-        # sort, the advisory minima, the plan and refine="none".
-        priced = list(zip(closed_form_costs(rq, cands), cands))
-        refinable = [(cost, c) for cost, c in priced
-                     if not c.replication or rq.n % c.s == 0]
+        # row's layer grid comes from p alone (q = sqrt(p/c)), so q may
+        # not tile an n the 2-D grids tile fine — such rows feed the
+        # closed-form advisory instead of competing.  Each row's closed
+        # form is computed once, then reused by the sort, the advisory,
+        # the plan and refine="none"; a Candidate is built only for the
+        # rows refined.
+        refinable = [(cost, row) for cost, row in ranked
+                     if not row[_REPLICATION] or rq.n % row[_S] == 0]
         if not refinable:
             raise ConfigurationError(
                 f"no refinable candidate for n={rq.n}, p={rq.p} "
                 "(every configuration was filtered out)"
             )
-        # Ties keep enumeration order: the sort is stable and min()
-        # returns the first minimum.
-        ranked = sorted(refinable, key=itemgetter(0))
-        leaders = ranked[: self.top_k]
-        # The best 2.5D candidate is always refined — even when it does
-        # not lead the ranking — so the plan's 2.5D advisory reports
-        # predictor-fidelity times, not the ranking closed form.
-        analytic = [pc for pc in refinable if pc[1].replication]
-        adv: tuple[float, Candidate] | None = None
-        if analytic:
-            adv = min(analytic, key=itemgetter(0))
-            if adv not in leaders:
-                leaders = leaders + [adv]
+        leaders = refinable[: self.top_k]
+        # The best 2.5D row (the first in the ranking) is always refined
+        # — even when it does not lead the ranking — so the plan's 2.5D
+        # advisory reports predictor-fidelity times, not the ranking
+        # closed form.
+        adv = next((pc for pc in refinable if pc[1][_REPLICATION]), None)
+        if adv is not None and adv not in leaders:
+            leaders.append(adv)
         best: tuple[float, float, float, str, float, Candidate] | None = None
         adv_refined: tuple[float, float, float, str] | None = None
         flops = summa_computation_cost(rq.n, rq.p, rq.gamma)
-        for cost, cand in leaders:
+        for cost, row in leaders:
+            cand = candidate(row)
             refined = (self._refine(rq, cand) if self.refine == "predictor"
                        else (cost, cost - flops, flops, "closed-form"))
-            if adv is not None and cand is adv[1]:
+            if adv is not None and row is adv[1]:
                 adv_refined = refined
             if best is None or refined[0] < best[0]:
                 best = (*refined, cost, cand)
@@ -193,7 +203,7 @@ class PlanService:
         advisory: dict[str, Any] = {}
         if adv_refined is not None and adv is not None:
             advisory["25d"] = {
-                "replication": adv[1].replication,
+                "replication": adv[1][_REPLICATION],
                 "predicted_time": adv_refined[0],
                 "comm_time": adv_refined[1],
                 "compute_time": adv_refined[2],
@@ -202,12 +212,13 @@ class PlanService:
                 "closed_form_only": False,
             }
         else:
-            # Reached only when no replicated candidate is refinable.
-            skipped = [pc for pc in priced if pc[1].replication]
-            if skipped:
-                cost, c = min(skipped, key=itemgetter(0))
+            # Reached only when no replicated row is refinable.
+            skipped = next((pc for pc in ranked if pc[1][_REPLICATION]),
+                           None)
+            if skipped is not None:
+                cost, row = skipped
                 advisory["25d"] = {
-                    "replication": c.replication,
+                    "replication": row[_REPLICATION],
                     "closed_form_time": cost,
                     # Flags the fallback for JSON consumers: this
                     # variant never entered the refined competition

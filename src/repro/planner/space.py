@@ -7,7 +7,10 @@ candidates whenever its layer grid tiles ``n``).  A candidate is a
 family name plus the :class:`~repro.core.launch.Shape` it would run
 at; *what* to search is planner policy, so
 :func:`enumerate_candidates` is the one function here that names
-families — the footprint and the ranking read the shape.  Ranking
+families — the footprint and the ranking read the shape.  The space is
+a :class:`CandidateTable` of plain rows: the footprint filter and the
+ranking run over rows, and a :class:`Candidate` is built only for a row
+that is read as one (the planner reads its refined leaders).  Ranking
 costs are assembled from the unified cost registry's broadcast factors
 (:mod:`repro.costs`) — the same ``L(p)``/``W(p)`` the simulator's
 closed forms reduce to — generalised to rectangular ``s x t`` grids;
@@ -19,20 +22,19 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from typing import Any, Callable, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.core.launch import Shape
 from repro.costs import (
-    CostQuery,
+    PIPELINED_BCASTS,
     PipelineDepthWarning,
     algo25d_communication_cost,
     bcast_bandwidth_factor,
     bcast_latency_factor,
-    estimate,
     optimal_pipeline_segments,
+    pipeline_slots,
     summa_computation_cost,
 )
-from repro.costs import PIPELINED_BCASTS
 from repro.errors import ConfigurationError
 from repro.planner.query import ResolvedQuery
 
@@ -137,8 +139,46 @@ def _segment_choices(rq: ResolvedQuery, alg: str, elements: float,
     return sorted({max(1, s_opt // 2), s_opt, 2 * s_opt})
 
 
-def enumerate_candidates(rq: ResolvedQuery) -> list[Candidate]:
-    """The full search space for one query."""
+#: The fields of one candidate-table row, in order: the family name,
+#: then every shape field a candidate sets.
+ROW_FIELDS = ("algorithm", "s", "t", "block", "inner_block", "groups",
+              "bcast", "outer_bcast", "segments", "replication")
+
+
+class CandidateTable(Sequence[Candidate]):
+    """The search space as a table: one :data:`ROW_FIELDS` tuple per
+    candidate in :attr:`rows`, in enumeration order.  Indexing or
+    iterating builds a row's :class:`Candidate` on demand, so ranking
+    the rows builds none."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[tuple[Any, ...]]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> Candidate:
+        return candidate(self.rows[index])
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return map(candidate, self.rows)
+
+
+def candidate(row: tuple[Any, ...]) -> Candidate:
+    """The :class:`Candidate` of one table row."""
+    return Candidate(**dict(zip(ROW_FIELDS, row)))
+
+
+def _row(shape: Shape) -> tuple[Any, ...]:
+    """The table row of a candidate or a bare shape (which names no
+    family: its ``algorithm`` is ``None``)."""
+    return tuple(getattr(shape, name, None) for name in ROW_FIELDS)
+
+
+def enumerate_candidates(rq: ResolvedQuery) -> CandidateTable:
+    """The full search space for one query, as a table."""
     from repro.core.grouping import choose_group_grid, valid_group_counts
 
     # The enumeration deliberately probes the infinite-NIC optimum
@@ -146,25 +186,35 @@ def enumerate_candidates(rq: ResolvedQuery) -> list[Candidate]:
     # registry's over-capacity warning is noise here and stays muted:
     # once per call, not per pipelined group (every entry to and exit
     # from a filter context invalidates the interpreter's warning
-    # caches).
+    # caches).  Depths repeat across group counts sharing an inner
+    # grid width, so each is computed once per call.
+    depths: dict[tuple[str, float, int], list[int]] = {}
+
+    def segment_choices(alg: str, elements: float, p: int) -> list[int]:
+        key = (alg, elements, p)
+        choices = depths.get(key)
+        if choices is None:
+            choices = depths[key] = _segment_choices(rq, alg, elements, p)
+        return choices
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PipelineDepthWarning)
         n, p = rq.n, rq.p
         algs = _bcast_choices(rq)
         pipelined = PIPELINED_CHOICES if not rq.faulty else ()
-        out: list[Candidate] = []
+        # Rows follow ROW_FIELDS.
+        out: list[tuple[Any, ...]] = []
+        add = out.append
         for s, t in candidate_grids(p):
             blocks = candidate_blocks(n, s, t)
-            rows, cols = n / s, n / t
+            tile_rows = n / s
             for b in blocks:
                 for alg in algs:
-                    out.append(Candidate(algorithm="summa", s=s, t=t,
-                                         block=b, bcast=alg))
+                    add(("summa", s, t, b, None, None, alg, None, None, None))
                 for alg in pipelined:
-                    for seg in _segment_choices(rq, alg, rows * b, t):
-                        out.append(Candidate(
-                            algorithm="summa", s=s, t=t, block=b,
-                            bcast=alg, segments=seg))
+                    for seg in segment_choices(alg, tile_rows * b, t):
+                        add(("summa", s, t, b, None, None, alg, None, seg,
+                             None))
             if p == 1:
                 continue
             groups = [G for G in valid_group_counts(s, t) if 1 < G < p]
@@ -177,75 +227,107 @@ def enumerate_candidates(rq: ResolvedQuery) -> list[Candidate]:
                     inner = [B] + ([B // 4] if B % 4 == 0 else [])
                     for ib in inner:
                         for alg in algs:
-                            out.append(Candidate(
-                                algorithm="hsumma", s=s, t=t, block=B,
-                                inner_block=ib, groups=gg,
-                                bcast=alg, outer_bcast=alg,
-                            ))
+                            add(("hsumma", s, t, B, ib, gg, alg, alg, None,
+                                 None))
                         for alg in pipelined:
                             # The pipeline depth follows the inner (hot)
                             # message; the outer level shares the depth.
-                            for seg in _segment_choices(
-                                    rq, alg, rows * ib, max(inner_t, 2)):
-                                out.append(Candidate(
-                                    algorithm="hsumma", s=s, t=t, block=B,
-                                    inner_block=ib, groups=gg,
-                                    bcast=alg, outer_bcast=alg, segments=seg,
-                                ))
+                            for seg in segment_choices(
+                                    alg, tile_rows * ib, max(inner_t, 2)):
+                                add(("hsumma", s, t, B, ib, gg, alg, alg,
+                                     seg, None))
         if not rq.faulty:
             # Under a fault profile only the fault-tolerant 2D family is
             # offered; the 2.5D schedule has no FT broadcast variant.
             for c in candidate_replications(p):
                 side = math.isqrt(p // c) or 1
-                out.append(Candidate(algorithm="2.5d", s=side, t=side,
-                                     replication=c))
-        return out
+                add(("2.5d", side, side, None, None, None, None, None, None,
+                     c))
+        return CandidateTable(out)
 
 
-def candidate_memory_elements(rq: ResolvedQuery, cand: Candidate) -> float:
+def candidate_memory_elements(rq: ResolvedQuery, cand: Shape) -> float:
     """Per-rank footprint in elements: the three resident tiles
     (``replication`` copies of the 2-D share where the family
     replicates) plus one pivot-panel receive-buffer pair per broadcast
     level (``block``, and ``inner_block`` where set)."""
+    return footprints(rq, [_row(cand)])[0]
+
+
+def footprints(rq: ResolvedQuery,
+               rows: Sequence[tuple[Any, ...]]) -> list[float]:
+    """:func:`candidate_memory_elements` of each table row."""
     n = rq.n
-    rows, cols = n / cand.s, n / cand.t
-    if cand.replication:
-        total = 3.0 * cand.replication * n * n / rq.p
-    else:
-        total = 3.0 * rows * cols
-    for width in (cand.block, cand.inner_block):
-        if width:
-            total += rows * width + width * cols
-    return total
+    out = []
+    for _, s, t, block, inner_block, _, _, _, _, c in rows:
+        tile_rows, tile_cols = n / s, n / t
+        if c:
+            total = 3.0 * c * n * n / rq.p
+        else:
+            total = 3.0 * tile_rows * tile_cols
+        for width in (block, inner_block):
+            if width:
+                total += tile_rows * width + width * tile_cols
+        out.append(total)
+    return out
 
 
-def closed_form_cost(rq: ResolvedQuery, cand: Candidate) -> float:
+def closed_form_cost(rq: ResolvedQuery, cand: Shape) -> float:
     """Ranking-stage estimate in seconds (communication + computation),
-    assembled from the registry's broadcast factors."""
-    compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
-    return _comm_cost(rq, cand, _bcast_term) + compute
+    assembled from the registry's broadcast factors: one row through
+    :func:`closed_form_costs`."""
+    return closed_form_costs(rq, (cand,))[0]
+
+
+class _Terms(dict):
+    """One ranking's broadcast terms, keyed ``(algorithm, p, elements,
+    segments)``: a missing term is priced by :func:`_bcast_term` at the
+    query's ``alpha`` and per-element ``beta``, then kept."""
+
+    def __init__(self, alpha: float, beta_el: float):
+        super().__init__()
+        self.alpha, self.beta_el = alpha, beta_el
+
+    def __missing__(self, key: tuple[Any, ...]) -> float:
+        alg, p, elements, segments = key
+        cost = self[key] = _bcast_term(alg, p, elements, self.alpha,
+                                       self.beta_el, segments)
+        return cost
 
 
 def closed_form_costs(rq: ResolvedQuery,
-                      cands: Sequence[Candidate]) -> list[float]:
-    """:func:`closed_form_cost` of each candidate, bit for bit, pricing
-    each distinct broadcast term once: candidates share most of their
-    ``(algorithm, p, elements, segments)`` terms, and the table lives
-    for this call only."""
-    table: dict[tuple[Any, ...], float] = {}
+                      cands: Sequence[Shape]) -> list[float]:
+    """:func:`closed_form_cost` of each candidate (of each row, for a
+    :class:`CandidateTable`), pricing each distinct broadcast term
+    once: candidates share most of their ``(algorithm, p, elements,
+    segments)`` terms, and the table lives for this call only.
 
-    def term(alg: str | None, p: int, elements: float, alpha: float,
-             beta_el: float, segments: int | None) -> float:
-        # alpha and beta_el are the query's: not part of the key.
-        key = (alg, p, elements, segments)
-        cost = table.get(key)
-        if cost is None:
-            cost = table[key] = _bcast_term(alg, p, elements, alpha, beta_el,
-                                            segments)
-        return cost
-
-    compute = summa_computation_cost(rq.n, rq.p, rq.gamma)
-    return [_comm_cost(rq, cand, term) + compute for cand in cands]
+    A row without ``groups`` is the paper's ``G = 1`` degeneracy
+    (Section III: "with G = 1 or G = p HSUMMA degenerates to SUMMA"):
+    on the ``(1, 1)`` group grid both outer terms are exactly ``0.0``
+    and the inner grid is the whole ``s x t``.  Otherwise the outer
+    broadcasts run across the ``I x J`` group grid and the inner ones
+    within each ``(s/I) x (t/J)`` group (paper eqs. 3-5, rectangular
+    generalisation)."""
+    rows = (cands.rows if isinstance(cands, CandidateTable)
+            else [_row(c) for c in cands])
+    n, p, alpha, beta_el = rq.n, rq.p, rq.alpha, rq.beta_element
+    compute = summa_computation_cost(n, p, rq.gamma)
+    term = _Terms(alpha, beta_el)
+    out = []
+    for _, s, t, B, ib, groups, bcast, outer, seg, c in rows:
+        if c:
+            comm = algo25d_communication_cost(n, p, c, alpha, beta_el)
+        else:
+            tile_rows, tile_cols = n / s, n / t
+            I, J = groups or (1, 1)
+            b = ib or B
+            comm = ((n / B) * (term[outer, J, tile_rows * B, seg]
+                               + term[outer, I, B * tile_cols, seg])
+                    + (n / b) * (term[bcast, t // J, tile_rows * b, seg]
+                                 + term[bcast, s // I, b * tile_cols, seg]))
+        out.append(comm + compute)
+    return out
 
 
 def _bcast_term(alg: str | None, p: int, elements: float,
@@ -254,42 +336,11 @@ def _bcast_term(alg: str | None, p: int, elements: float,
     if p <= 1:
         return 0.0  # L(1) = W(1) = 0: a single-member broadcast is free
     if alg in PIPELINED_BCASTS:
-        # No linear L/W form: priced directly by the registry (element
+        # No linear L/W form: the registry's pipeline slots (element
         # counts with a per-element beta are dimensionally equivalent
         # to its bytes convention).
-        return estimate(CostQuery(
-            op="bcast", algorithm=alg, p=p, nbytes=elements,
-            alpha=alpha, beta=beta_el, segments=segments,
-        )).seconds
+        slots, chunk = pipeline_slots(alg, p, elements, alpha, beta_el,
+                                      segments)
+        return slots * (alpha + chunk * beta_el)
     return (bcast_latency_factor(alg, p) * alpha
             + elements * bcast_bandwidth_factor(alg, p) * beta_el)
-
-
-def _comm_cost(rq: ResolvedQuery, cand: Candidate,
-               term: Callable[..., float]) -> float:
-    """Communication seconds, each broadcast term priced by ``term``
-    (:func:`_bcast_term` or a table in front of it)."""
-    n, alpha, beta_el = rq.n, rq.alpha, rq.beta_element
-    if cand.replication:
-        return algo25d_communication_cost(n, rq.p, cand.replication,
-                                          alpha, beta_el)
-    rows, cols = n / cand.s, n / cand.t
-    seg = cand.segments
-    # Outer broadcasts across the I x J group grid, inner broadcasts
-    # within each (s/I) x (t/J) group (paper eqs. 3-5, rectangular
-    # generalisation).  A candidate without groups is the paper's
-    # G = 1 degeneracy (Section III: "with G = 1 or G = p HSUMMA
-    # degenerates to SUMMA"): on the (1, 1) group grid both outer
-    # terms are exactly 0.0 and the inner grid is the whole s x t.
-    I, J = cand.groups or (1, 1)
-    inner_s, inner_t = cand.s // I, cand.t // J
-    B, b = cand.block, cand.inner_block or cand.block
-    outer = (n / B) * (
-        term(cand.outer_bcast, J, rows * B, alpha, beta_el, seg)
-        + term(cand.outer_bcast, I, B * cols, alpha, beta_el, seg)
-    )
-    inner = (n / b) * (
-        term(cand.bcast, inner_t, rows * b, alpha, beta_el, seg)
-        + term(cand.bcast, inner_s, b * cols, alpha, beta_el, seg)
-    )
-    return outer + inner

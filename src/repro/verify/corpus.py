@@ -8,7 +8,8 @@ overlap schedules, block-cyclic, Cannon, Fox, the 3-D and 2.5D
 algorithms, heterogeneous 1-D SUMMA, the LU/QR factorizations, and the
 segmented broadcast family (pipelined tree, 4-color ring,
 hyper-systolic ring) — passes every structural check and the
-K-schedule determinism harness.  The ``*-collapsed`` cases pin the
+K-schedule determinism harness, as does a bare timed receive that
+expires while another rank blocks.  The ``*-collapsed`` cases pin the
 symmetry-collapsed macro engine's congruence contract instead
 (collapse engages and replays the per-rank engine bit-identically);
 they run without the recorder, which is a collapse blocker by design.
@@ -27,7 +28,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.verify.session import VerifyOptions, coerce_verify
+from repro.verify.session import VerifyOptions, coerce_verify, run_verified
 from repro.verify.verdict import Verdict
 
 
@@ -240,6 +241,48 @@ def _pipelined_spmd_case(name: str, algorithm: str, nranks: int,
     return CorpusCase(name=name, run=run, description=description)
 
 
+def _timed_recv_case() -> CorpusCase:
+    """A timed receive expires while another rank, which posted later,
+    is still blocked in its own receive: the verifier must credit the
+    expiry to the rank that timed out (one ``recv-timeout`` warning, no
+    error)."""
+    def run(verify: Any) -> Verdict:
+        from repro.network.homogeneous import HomogeneousNetwork
+        from repro.network.model import HockneyParams
+        from repro.simulator.requests import (
+            RECV_TIMEOUT,
+            ComputeRequest,
+            RecvRequest,
+            SendRequest,
+        )
+
+        def make() -> list:
+            def receiver():
+                yield ComputeRequest(1e-4)
+                return (yield RecvRequest(2, 5))
+
+            def waiter():
+                got = yield RecvRequest(2, 9, timeout=0.5)
+                return got is RECV_TIMEOUT
+
+            def late_sender():
+                yield ComputeRequest(1.0)
+                yield SendRequest(0, 5, "late", nbytes=8)
+
+            return [receiver(), waiter(), late_sender()]
+
+        net = HomogeneousNetwork(3, HockneyParams(1e-5, 1e-9))
+        return run_verified(make, verify=verify, backend=None,
+                            network=net).verdict
+
+    return CorpusCase(
+        name="spmd-timed-recv",
+        run=run,
+        description="a timed receive expires while another rank blocks "
+                    "in a receive",
+    )
+
+
 #: Each table family's tiny cases: family -> (case name, description,
 #: ``multiply`` arguments) rows.  A :data:`~repro.core.launch.FAMILIES`
 #: row without an entry gets one case at its defaults on four ranks.
@@ -286,7 +329,7 @@ _ORDER = (
     "hsumma-overlap", "cyclic", "cannon", "fox", "dns3d", "25d",
     "cannon-collapsed", "dns3d-collapsed", "25d-collapsed",
     "hetero-summa1d", "lu", "qr", "spmd-collectives", "summa-segmented",
-    "spmd-fourcolor", "spmd-hypersystolic",
+    "spmd-fourcolor", "spmd-hypersystolic", "spmd-timed-recv",
 )
 
 
@@ -307,6 +350,7 @@ def build_corpus() -> list[CorpusCase]:
             "spmd-hypersystolic", "hypersystolic", 7, 3,
             "hyper-systolic ring broadcast on 7 ranks, root 1",
         ),
+        _timed_recv_case(),
     ]
     for name in FAMILIES:
         default = ((name, f"{family(name).display} at its defaults on four "

@@ -113,14 +113,20 @@ class CollectiveGroup:
 class RankObservation:
     """Per-rank recorder state."""
 
-    __slots__ = ("rank", "nops", "pending", "finished", "crashed",
-                 "handles", "retval")
+    __slots__ = ("rank", "nops", "pending", "posted", "posted_pair",
+                 "finished", "crashed", "handles", "retval")
 
     def __init__(self, rank: int):
         self.rank = rank
         self.nops = 0
         #: the request observed but not yet resumed (None when idle)
         self.pending: Any = None
+        #: the records of the pending request: its point-to-point post,
+        #: or the two posts of a request pair (None where a member
+        #: posts nothing); its resume is credited to these
+        self.posted: OpRecord | None = None
+        self.posted_pair: tuple[OpRecord | None, OpRecord | None] = (
+            None, None)
         self.finished = False
         self.crashed = False
         #: id(handle) -> OpRecord for program-visible handles (identity
@@ -147,11 +153,6 @@ class Recorder:
         #: (check, message, ranks, detail) found at observe time
         self.immediate: list[tuple[str, str, tuple, dict]] = []
         self._reconstructed = False
-        # Records created by the most recent _observe call; at most one
-        # rank steps at a time and _observe_result runs before the next
-        # _observe, so single stash slots suffice.
-        self._last: OpRecord | None = None
-        self._last_pair: tuple[OpRecord | None, OpRecord | None] = (None, None)
 
     # -- wrapping -----------------------------------------------------------
 
@@ -217,7 +218,7 @@ class Recorder:
             else:
                 ra = self._observe(obs, a)
                 rb = self._observe(obs, b)
-                self._last_pair = (ra, rb)
+                obs.posted_pair = (ra, rb)
                 obs.pending = request
             return None
         if cls is CollectiveRequest:
@@ -229,15 +230,17 @@ class Recorder:
                         value: Any) -> None:
         obs.pending = None
         cls = request.__class__
+        # A blocking request resumes after other ranks have posted: its
+        # records are the ones this rank posted, not the latest posts.
         if cls is SendRequest:
-            self._last.resumed = True
+            obs.posted.resumed = True
         elif cls is RecvRequest:
-            rec = self._last
+            rec = obs.posted
             rec.resumed = True
             if value is RECV_TIMEOUT:
                 rec.timed_out = True
         elif cls is ISendRequest or cls is IRecvRequest:
-            self._bind_handle(obs, self._last, value)
+            self._bind_handle(obs, obs.posted, value)
         elif cls is SendRecvRequest:
             # The fused wait covers both legs; a resume means both ran.
             chan_s = self._channel(obs.rank, request.dst, request.sendtag)
@@ -245,14 +248,14 @@ class Recorder:
             chan_r = self._channel(request.src, obs.rank, request.recvtag)
             chan_r.recvs[-1].resumed = True
         elif cls is tuple and len(request) == 2:
-            ra, rb = self._last_pair
+            ra, rb = obs.posted_pair
             if ((ra is not None or rb is not None)
                     and isinstance(value, tuple) and len(value) == 2):
                 if ra is not None:
                     self._bind_handle(obs, ra, value[0])
                 if rb is not None:
                     self._bind_handle(obs, rb, value[1])
-            self._last_pair = (None, None)
+            obs.posted_pair = (None, None)
         # Waits were fully handled at observe time.
 
     def _obs_send(self, obs: RankObservation, dst: int, tag: Any,
@@ -262,7 +265,7 @@ class Recorder:
         rec = OpRecord(rank, "send", dst, tag, nbytes, blocking=blocking,
                        index=obs.nops, fused=fused)
         obs.nops += 1
-        self._last = rec
+        obs.posted = rec
         if blocking and not fused and dst == rank:
             self.immediate.append((
                 "self-send",
@@ -281,7 +284,7 @@ class Recorder:
         rec = OpRecord(rank, "recv", src, tag, 0, blocking=blocking,
                        index=obs.nops, fused=fused, timeout=timeout)
         obs.nops += 1
-        self._last = rec
+        obs.posted = rec
         self._channel(src, rank, tag).recvs.append(rec)
         return rec
 

@@ -11,6 +11,7 @@ from repro.cluster import (
     poisson_stream,
     serve,
 )
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.programs import naive_launch
 from repro.core.summa import run_summa
 from repro.errors import ConfigurationError
@@ -147,6 +148,40 @@ def test_failure_killing_the_retry_too():
     record = res.records[0]
     assert record.status == "failed"
     assert record.failed_attempts == 2
+
+
+def test_each_job_result_holds_its_ranks_records_in_stream_order(
+        monkeypatch):
+    """A traced stream's records are split among the jobs once, after
+    the stream drains: each completed attempt gets exactly the transfer
+    records and root spans of its rank range, in stream order — the
+    filtered lists — and a killed attempt's records go to no job."""
+    engines = []
+    stream_serve = ClusterEngine.serve
+
+    def spy(engine, jobs):
+        engines.append(engine)
+        return stream_serve(engine, jobs)
+
+    monkeypatch.setattr(ClusterEngine, "serve", spy)
+    jobs = [JobSpec(jid=jid, arrival=jid * 2e-4, n=256, p=p)
+            for jid, p in enumerate((16, 8, 8, 16))]
+    res = serve(jobs, machine=Torus3D((4, 2, 4), DEFAULT_PARAMS),
+                slot_grid=(4, 8), scheduler="fifo", gamma=GAMMA,
+                collect_trace=True, failures="kill(rank=0,t=0.0005)")
+    [engine] = engines
+    killed = [a for r in res.records for a in r.attempts if a.dead]
+    assert killed and all(r.status == "done" for r in res.records)
+    for record in res.records:
+        [attempt] = [a for a in record.attempts if not a.dead]
+        lo, hi = attempt.base, attempt.base + attempt.p
+        assert record.result.trace and record.result.spans
+        assert record.result.trace == \
+            [t for t in engine._trace if lo <= t.src < hi]
+        assert record.result.spans == \
+            [s for s in engine._spans.roots if lo <= s.rank < hi]
+    owned = sum(len(r.result.trace) for r in res.records)
+    assert owned < len(engine._trace)  # the killed attempt's records
 
 
 def test_oversized_job_rejected_not_wedged():

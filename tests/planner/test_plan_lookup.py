@@ -47,8 +47,73 @@ def test_table_costs_match_closed_form_cost_bit_for_bit(query):
 def test_plans_match_the_unmemoised_ranking(query, refine, monkeypatch):
     q = PlanQuery(**query)
     fast = PlanService(refine=refine).plan(q).to_dict()
-    monkeypatch.setattr(service_mod, "closed_form_costs", _unmemoised_costs)
+    ran = []
+
+    def unmemoised(rq, cands):
+        ran.append(len(cands))
+        return _unmemoised_costs(rq, cands)
+
+    monkeypatch.setattr(service_mod, "closed_form_costs", unmemoised)
     assert PlanService(refine=refine).plan(q).to_dict() == fast
+    assert ran and ran[0] > 0
+
+
+@pytest.mark.parametrize("query", SWEEP)
+def test_the_table_ranks_as_the_candidates_sort(query):
+    """The service ranks table rows; sorting the built candidates by
+    their own closed form gives the same order, ties included."""
+    rq = PlanQuery(**query).resolve()
+    cands = [c for c in space.enumerate_candidates(rq)
+             if rq.memory_elements is None
+             or space.candidate_memory_elements(rq, c) <= rq.memory_elements]
+    ranked = sorted(cands, key=lambda c: space.closed_form_cost(rq, c))
+    total, rows = PlanService()._rank(rq)
+    assert total == len(space.enumerate_candidates(rq))
+    assert [space.candidate(row) for _, row in rows] == ranked
+    assert [cost.hex() for cost, _ in rows] == \
+        [space.closed_form_cost(rq, c).hex() for c in ranked]
+    costs = [cost for cost, _ in rows]
+    assert len(set(costs)) < len(costs)  # the sweep has ties to keep
+
+
+@pytest.mark.parametrize("refine", ["predictor", "none"])
+@pytest.mark.parametrize("query", SWEEP)
+def test_a_cold_plan_builds_candidates_only_for_what_it_refines(
+        query, refine, monkeypatch):
+    rq = PlanQuery(**query).resolve()
+    service = PlanService(refine=refine)
+    _, ranked = service._rank(rq)
+    refinable = [row for _, row in ranked
+                 if not row[service_mod._REPLICATION]
+                 or rq.n % row[service_mod._S] == 0]
+    refined = refinable[:service.top_k] + [
+        row for row in refinable[service.top_k:]
+        if row[service_mod._REPLICATION]][:1]
+    expected = [space.candidate(row) for row in refined]
+    # A leader's refinement shapes it through its family's configure,
+    # which copies the candidate: those copies are not counted.
+    built, refined_cands, refining = [], [], [False]
+    init, refine_one = space.Candidate.__init__, PlanService._refine
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if not refining[0]:
+            built.append(self)
+
+    def refine_counted(self, rq, cand):
+        refined_cands.append(cand)
+        refining[0] = True
+        try:
+            return refine_one(self, rq, cand)
+        finally:
+            refining[0] = False
+
+    monkeypatch.setattr(space.Candidate, "__init__", counted)
+    monkeypatch.setattr(PlanService, "_refine", refine_counted)
+    plan = service.plan(rq)
+    assert built == expected
+    assert refined_cands == (expected if refine == "predictor" else [])
+    assert plan.candidates > 10 * len(built)
 
 
 def test_memo_hit_calls_no_json_and_builds_no_plan(monkeypatch):

@@ -16,6 +16,7 @@ from repro.faults.schedule import RetryPolicy
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.simulator.requests import (
+    RECV_TIMEOUT,
     ComputeRequest,
     RecvRequest,
     SendRequest,
@@ -153,6 +154,35 @@ class TestTimedReceives:
         assert sim.verdict.ok
         [finding] = sim.verdict.by_check("recv-timeout")
         assert finding.severity == "warning"
+
+    def test_expiry_is_credited_to_the_rank_that_timed_out(self):
+        """Rank 1's timed receive expires while rank 0, which posted
+        later, is still blocked in its own receive: the expiry belongs
+        to rank 1's receive, and rank 0's receive matches rank 2's
+        late send."""
+
+        def make():
+            def waiter():
+                got = yield RecvRequest(2, 9, timeout=0.5)
+                return got is RECV_TIMEOUT
+
+            def receiver():
+                yield ComputeRequest(1e-4)
+                got = yield RecvRequest(2, 5)
+                return got
+
+            def late_sender():
+                yield ComputeRequest(1.0)
+                yield SendRequest(0, 5, "late", nbytes=8)
+
+            return [receiver(), waiter(), late_sender()]
+
+        sim = _run_raw(make, 3)
+        assert sim.return_values[:2] == ["late", True]
+        assert sim.verdict.ok, sim.verdict.to_text()
+        assert [f.check for f in sim.verdict.findings] == ["recv-timeout"]
+        [finding] = sim.verdict.findings
+        assert finding.ranks == (1,)
 
     def test_recv_retry_escalation_verifies_clean(self):
         """recv_retry: the first window expires, the retry succeeds.
