@@ -4,8 +4,8 @@ A *job* is one multiply request: square ``n x n`` matrices on ``p``
 ranks, arriving at a virtual time.  Streams come from two sources:
 
 * :func:`poisson_stream` — a seeded Poisson arrival process over a
-  small catalogue of job sizes (the synthetic "heavy traffic" workload
-  of ROADMAP item 5);
+  small catalogue of job sizes (a synthetic "heavy traffic" workload
+  for the schedulers);
 * a JSONL trace file (:func:`load_trace` / :func:`dump_trace`), one
   job per line — ``{"jid": 0, "arrival": 0.0, "n": 512, "p": 16}`` —
   so real request logs can be replayed.

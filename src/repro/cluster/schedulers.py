@@ -14,7 +14,7 @@ mutates the grid itself — the engine owns allocation.
   finish) will have drained, and later jobs may jump ahead only if
   their predicted runtime fits inside that reservation window.  The
   predicted runtimes come from the same estimate family the planner
-  uses, as ROADMAP item 5 prescribes.
+  uses, so the schedulers and the planner agree on what a job costs.
 * :class:`PlannerScheduler` — EASY's no-starvation skeleton, with two
   planner upgrades: launches come from ``plan_many`` (shape, algorithm,
   grid, blocking per job, closed-form fidelity for determinism and

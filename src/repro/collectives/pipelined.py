@@ -1,4 +1,4 @@
-"""Pipelined / hyper-systolic broadcast family (ROADMAP item 3).
+"""Pipelined / hyper-systolic broadcast family.
 
 Three segmented algorithms join the plain pipelined chain of
 :mod:`repro.collectives.bcast`; all chop the message into ``S``

@@ -99,9 +99,10 @@ _RH_POOL_MAX = 4096
 
 #: Why a run observes global time, for the reasons under which a
 #: broadcast is stepped from its recorded schedule rather than through
-#: its generators (the others — a verifier, the eager protocol, a drain
-#: around an unfilled broadcast — must see every message move; so must
-#: an eager run whatever else it switches on: a schedule is rendezvous).
+#: its generators (the others — the eager protocol, a drain around an
+#: unfilled broadcast — must see every message move; so must an eager
+#: run whatever else it switches on, a schedule being rendezvous, and a
+#: watched run, see ``Engine._observed``).
 _STEPPING = frozenset({"contention", "transfer trace", "faults",
                        "span trace", "timed receive", "job stream"})
 
@@ -302,10 +303,20 @@ class Engine:
 
     #: May a repeated blocking broadcast be replayed from its recorded
     #: schedule (see :meth:`_filled`), or stepped from it under global
-    #: time (see :meth:`_step`)?  Callers that must see every message
-    #: move through the generators — the verifier, the replay property
-    #: tests' reference — set it to False on the instance or a subclass.
+    #: time (see :meth:`_step`)?  The replay property tests' reference,
+    #: :class:`ExpandingEngine`, says no: every message moves through
+    #: the generators.
     _replay = True
+
+    #: Is every rank program watched request by request (the verifier's
+    #: recorder sets it on the instance for one run)?  A watched run
+    #: replays a broadcast only if its schedule lays out each rank's
+    #: legs (:meth:`repro.simulator.replay.Schedule.lanes`): the reply
+    #: carries the schedule, and the watcher credits the rank its legs
+    #: from it.  It never steps one: a stepped rank would show the
+    #: watcher no request of its own, and a deadlock inside the
+    #: broadcast would read as a wait on the collective.
+    _observed = False
 
     #: Why every run of this class observes global time (None: only the
     #: switches of a run make it so); such a run never replays.
@@ -924,7 +935,8 @@ class Engine:
         The DES takes over broadcasts only (a reduction must keep its
         data-mode summation order): it parks them while nothing in the
         run observes global time, and steps them from their recorded
-        schedules once something does."""
+        schedules once something does (unless the run is watched: see
+        :attr:`_observed`)."""
         if request.op != "bcast":
             return False
         reason = self._expanding
@@ -932,7 +944,8 @@ class Engine:
             if reason is None:
                 self._park(state, request, now)
                 return True
-            if reason in _STEPPING and not self.eager_threshold:
+            if (reason in _STEPPING and not self.eager_threshold
+                    and not self._observed):
                 return self._step(state, request, now)
         if request.me == request.root:
             self._count_expanded(reason or "one-rank communicator")
@@ -984,6 +997,11 @@ class Engine:
         if schedule.__class__ is str:
             self._release_parked(entry, schedule)
             return
+        if self._observed:
+            laid = schedule.lanes(root)
+            if laid.__class__ is str:
+                self._release_parked(entry, laid)
+                return
         schedules = self._schedules
         parts = req0.participants
         base = entry[0][0].stats.rank - parts[req0.me]
@@ -1017,7 +1035,7 @@ class Engine:
             if len(seen) > replay.MEMO_INPUTS:
                 del seen[0]
         self._report["replayed"] += 1
-        reply = CollectiveReply(payload)
+        reply = CollectiveReply(payload, schedule)
         push = self._events.push
         resume = self._resume
         for st, req in entry:
@@ -1155,12 +1173,12 @@ class Engine:
             elif parked:
                 del pending[key]
             return False
-        lanes, tags = found
+        lanes = found[0]
         where = (request.cid, base, shape)
         chans = self._schedules.get(where)
         if chans is None:
             chans = self._schedules[where] = self._leg_channels(
-                schedule.steps, tags, parts, base, request.cid)
+                schedule, root, parts, base, request.cid)
         inst = _Stepped(schedule.steps, lanes, chans, request.payload)
         self._count_expanded(self._expanding)
         self._report["stepped"] += 1
@@ -1173,21 +1191,19 @@ class Engine:
             del pending[key]
         return True
 
-    def _leg_channels(self, steps: tuple, tags: tuple, parts: Any,
-                      base: int, cid: tuple) -> tuple:
-        """The run channel of every leg of a schedule on communicator
+    def _leg_channels(self, schedule: replay.Schedule, root: int,
+                      parts: Any, base: int, cid: tuple) -> tuple:
+        """The run channel of every leg of ``schedule`` on communicator
         ``cid`` (members ``parts``, bound at engine ``base``)."""
         channels = self._channels
         mul = self._rankmul
         wire = [p + base for p in parts] if base else parts
         by_tag: dict[int, dict] = {}
         chans = []
-        for (s, r, _nbytes, _smode, _rmode), tag in zip(steps, tags):
+        for src, dst, tag in schedule.endpoints(root, wire):
             inner = by_tag.get(tag)
             if inner is None:
                 inner = by_tag[tag] = channels.setdefault((cid, tag), {})
-            src = wire[s]
-            dst = wire[r]
             chan = inner.get(src * mul + dst)
             if chan is None:
                 chan = self._make_channel(src, dst, (cid, tag))

@@ -32,7 +32,7 @@ first finds its shapes recorded (see :data:`CACHE_LEGS`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class Schedule:
     rank's send totals.  All are tuples: a schedule is shared by every
     run of the process."""
 
-    __slots__ = ("steps", "tags", "messages", "nbytes", "_lanes")
+    __slots__ = ("steps", "tags", "messages", "nbytes", "_lanes", "_legs")
 
     def __init__(self, ops: list[list[tuple]]) -> None:
         """Pair the legs of per-rank op lists ``[(dst, sendtag, nbytes,
@@ -153,6 +153,7 @@ class Schedule:
         self.messages = tuple(messages)
         self.nbytes = tuple(nbytes)
         self._lanes: Any = None
+        self._legs: list[Any] | None = None
 
     def lanes(self, root: int) -> "tuple[tuple, tuple] | str":
         """``(lanes, tags)`` for stepping this schedule under global
@@ -172,6 +173,30 @@ class Schedule:
         if found is None:
             found = self._lanes = self._lay(root)
         return found
+
+    def legs(self, root: int, me: int) -> tuple:
+        """Rank ``me``'s lane (see :meth:`lanes`, which must not have
+        refused) decoded: ``(step, receives, fused)`` per leg in
+        posting order — the step, whether this is its receive leg, and
+        whether it belongs to a fused shift.  Built once per rank."""
+        legs = self._legs
+        if legs is None:
+            legs = self._legs = [None] * len(self.messages)
+        mine = legs[me]
+        if mine is None:
+            mine = legs[me] = tuple(
+                (entry >> 2, entry & 1 == 1, entry & 2 == 2)
+                for entry in self.lanes(root)[0][me])
+        return mine
+
+    def endpoints(self, root: int, ranks: Sequence[int]) -> Iterator[tuple]:
+        """``(sender, receiver, tag)`` of every step in order: its
+        communicator ranks mapped through ``ranks`` and its tag within
+        the communicator (see :meth:`lanes`, which must not have
+        refused)."""
+        tags = self.lanes(root)[1]
+        for (s, r, _nbytes, _smode, _rmode), tag in zip(self.steps, tags):
+            yield ranks[s], ranks[r], tag
 
     def _lay(self, root: int) -> "tuple[tuple, tuple] | str":
         tags = []

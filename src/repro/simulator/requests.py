@@ -255,18 +255,24 @@ class CollectiveRequest(_Request):
 
 
 class CollectiveReply:
-    """Macro-backend answer to a :class:`CollectiveRequest`.
+    """A backend's answer to a :class:`CollectiveRequest`.
 
     Wrapping the value distinguishes "the collective was satisfied and
     its result is None" (e.g. a reduce on a non-root rank) from "expand
     the collective yourself" (the plain ``None`` the discrete-event
     backend resumes with).
+
+    ``schedule`` is the recorded :class:`~repro.simulator.replay.
+    Schedule` of a broadcast the DES replayed (the legs it stands in
+    for, which a verifier's recorder credits to the rank); None for an
+    answer that moved no messages, such as the macro backend's.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "schedule")
 
-    def __init__(self, value: Any):
+    def __init__(self, value: Any, schedule: Any = None):
         self.value = value
+        self.schedule = schedule
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CollectiveReply({self.value!r})"

@@ -204,15 +204,6 @@ class SimResult:
             return 0
         return max(range(len(self.stats)), key=lambda r: self.stats[r].clock)
 
-    def phase_breakdown(self, rank: int | None = None):
-        """Per-phase rollup for ``rank`` (default: the critical rank).
-
-        Convenience forwarding to :func:`repro.metrics.phase_rollup`.
-        """
-        from repro.metrics import phase_rollup
-
-        return phase_rollup(self, rank=rank)
-
     def replay_summary(self) -> str:
         """One-line broadcast replay report ("" when there is none)."""
         if self.replay is None:

@@ -131,7 +131,14 @@ def _check_leftovers(recorder: Recorder) -> list[Finding]:
     return findings
 
 
+def _posted(op: OpRecord) -> tuple[int, int]:
+    """Where ``op`` stands in its rank's program: the order a finding
+    lists its examples in, whatever order the run met the channels."""
+    return op.rank, op.index
+
+
 def _rollup(check: str, severity: str, ops: list[OpRecord]) -> Finding:
+    ops.sort(key=_posted)
     ranks = tuple(sorted({op.rank for op in ops}))
     examples = [op.describe() for op in ops[:_EXAMPLES]]
     noun = CHECKS[check].split(" (")[0]
@@ -150,6 +157,7 @@ def _check_timeouts(recorder: Recorder) -> list[Finding]:
                for op in chan.recvs if op.timed_out]
     if not expired:
         return []
+    expired.sort(key=_posted)
     ranks = tuple(sorted({op.rank for op in expired}))
     return [Finding(
         "recv-timeout", "warning",

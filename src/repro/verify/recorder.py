@@ -12,6 +12,15 @@ no change to the values flowing either way.  A verified run is
 bit-identical to an unverified one; with verification off the wrapper
 is not even installed.
 
+A broadcast the DES replays from its recorded schedule posts nothing
+the wrapper could see: the rank resumes from its announcement with a
+reply that carries the schedule.  The recorder then appends the rank's
+legs, in posting order, as the records its expansion would have made
+(same channel, kind, size, fusion and ordinal, each resumed), so every
+count, match and finding reads as if the broadcast had expanded.  The
+engine replays a watched run's broadcast only where the schedule lays
+out those legs, and never steps one.
+
 Matching reconstruction
 -----------------------
 The engine matches FIFO per ``(src, dst, tag)`` channel; a timed
@@ -28,6 +37,7 @@ from typing import Any, Generator
 
 from repro.simulator.requests import (
     RECV_TIMEOUT,
+    CollectiveReply,
     CollectiveRequest,
     IRecvRequest,
     ISendRequest,
@@ -47,7 +57,8 @@ class OpRecord:
 
     def __init__(self, rank: int, kind: str, peer: int, tag: Any,
                  nbytes: int, *, blocking: bool, index: int,
-                 fused: bool = False, timeout: float | None = None):
+                 fused: bool = False, timeout: float | None = None,
+                 resumed: bool = False):
         self.rank = rank
         self.kind = kind  # "send" | "recv"
         self.peer = peer
@@ -57,7 +68,7 @@ class OpRecord:
         self.fused = fused  # leg of a SendRecvRequest
         self.handle: RequestHandle | None = None
         self.index = index  # per-rank observation ordinal
-        self.resumed = False  # generator got a value back for this op
+        self.resumed = resumed  # generator got a value back for this op
         self.timed_out = False  # recv resumed with RECV_TIMEOUT
         self.waited = False  # a wait was issued on the handle
         self.matched = False  # set by reconstruction at finalize
@@ -153,6 +164,9 @@ class Recorder:
         #: (check, message, ranks, detail) found at observe time
         self.immediate: list[tuple[str, str, tuple, dict]] = []
         self._reconstructed = False
+        #: (schedule, cid, engine base) -> the channel of each step of
+        #: that replayed broadcast, resolved once (see _credit)
+        self._step_chans: dict[tuple, tuple] = {}
 
     # -- wrapping -----------------------------------------------------------
 
@@ -256,6 +270,9 @@ class Recorder:
                 if rb is not None:
                     self._bind_handle(obs, rb, value[1])
             obs.posted_pair = (None, None)
+        elif cls is CollectiveRequest:
+            if value.__class__ is CollectiveReply and value.schedule is not None:
+                self._credit(obs, request, value.schedule)
         # Waits were fully handled at observe time.
 
     def _obs_send(self, obs: RankObservation, dst: int, tag: Any,
@@ -306,6 +323,38 @@ class Recorder:
         if world not in group.by_rank:
             group.order.append(world)
         group.by_rank[world] = request
+
+    def _credit(self, obs: RankObservation, request: CollectiveRequest,
+                schedule: Any) -> None:
+        """Append the legs of a replayed broadcast ``obs``'s rank has
+        just left, in posting order (``Schedule.legs``): the records
+        its expansion would have posted."""
+        rank = obs.rank
+        parts = request.participants
+        base = rank - parts[request.me]  # contexts bound at an engine base
+        key = (schedule, request.cid, base)
+        chans = self._step_chans.get(key)
+        if chans is None:
+            wire_tags: dict[Any, tuple] = {}
+            chans = self._step_chans[key] = tuple(
+                self._channel(src, dst, wire_tags.setdefault(
+                    tag, (request.cid, tag)))
+                for src, dst, tag in schedule.endpoints(
+                    request.root, [p + base for p in parts]))
+        steps = schedule.steps
+        index = obs.nops
+        for step, receives, fused in schedule.legs(request.root, request.me):
+            chan = chans[step]
+            if receives:
+                chan.recvs.append(OpRecord(
+                    rank, "recv", chan.src, chan.tag, 0, blocking=True,
+                    index=index, fused=fused, resumed=True))
+            else:
+                chan.sends.append(OpRecord(
+                    rank, "send", chan.dst, chan.tag, steps[step][2],
+                    blocking=True, index=index, fused=fused, resumed=True))
+            index += 1
+        obs.nops = index
 
     def _bind_handle(self, obs: RankObservation, rec: OpRecord,
                      value: Any) -> None:

@@ -111,8 +111,9 @@ class VerifySession:
         deadlocked run yields the structured diagnosis.
         """
         wrapped = self.wrap_programs(programs)
-        # The recorder observes messages: every broadcast expands.
-        engine._replay = False
+        # Replay, never step: the recorder credits a replayed
+        # broadcast's legs from its schedule (Engine._observed).
+        engine._observed = True
         try:
             return engine.run(wrapped)
         except DeadlockError as exc:
@@ -122,7 +123,7 @@ class VerifySession:
             exc.verdict = self.finalize(outcome="error", exc=exc)
             raise
         finally:
-            del engine._replay  # a prebuilt engine goes back as it came
+            del engine._observed  # a prebuilt engine goes back as it came
 
     def finalize(self, outcome: str = "clean",
                  exc: BaseException | None = None,
@@ -232,11 +233,9 @@ def run_verified(
             def rerun(net: Any) -> Any:
                 # Faults off: drops/degradation only move virtual time,
                 # never numerics, so the fault-free rerun must still
-                # reproduce the baseline bit-for-bit — by moving every
-                # payload through the perturbed wire, not by replay.
-                engine = build(net, None)
-                engine._replay = False
-                return engine.run(make_programs()).return_values
+                # reproduce the baseline bit-for-bit.  Nothing watches
+                # it, so it replays and steps as an unverified run does.
+                return build(net, None).run(make_programs()).return_values
 
             schedule_findings = check_schedules(
                 rerun, network,

@@ -32,8 +32,9 @@ from repro.simulator import replay
 from repro.simulator.engine import Engine, ExpandingEngine
 from repro.simulator.requests import RECV_TIMEOUT, ComputeRequest
 from repro.simulator.runtime import run_spmd
-from repro.verify import VerifyOptions
+from repro.verify import Recorder, VerifyOptions
 from repro.verify.corpus import run_corpus
+from repro.verify.session import VerifySession
 from tests.pins import assert_identical, bits, both, spmd, stats
 
 PARAMS = HockneyParams(alpha=1e-5, beta=1e-9)
@@ -155,13 +156,15 @@ def test_a_fallback_is_named_in_the_result(algorithm, payload, reason):
     (dict(collect_trace=True), "transfer trace"),
     (dict(eager_threshold=64), "eager protocol"),
     (dict(faults="drop(p=0.01)"), "faults"),
-    (dict(verify=VerifyOptions(schedules=0)), "expansion requested"),
+    (dict(backend=ExpandingEngine(HomogeneousNetwork(8, PARAMS))),
+     "expansion requested"),
     (dict(trace=True), "transfer trace"),
 ])
 def test_a_run_with_global_time_expands_and_says_why(switch, reason):
     # Under global time a broadcast is stepped from its recorded
     # schedule, except where every message must move through the
-    # generators (the verifier) or a send may not wait for its receive.
+    # generators (the reference engine) or a send may not wait for its
+    # receive.
     stepped = int(reason not in {"eager protocol", "expansion requested"})
     sim = run_spmd(one_bcast("binomial", np.arange(64.0)), 8, **switch)
     assert sim.replay == {"replayed": 0, "expanded": 1, "stepped": stepped,
@@ -247,6 +250,9 @@ def test_a_verified_run_observes_what_the_parent_observed():
 
 
 def test_a_verified_run_and_its_reruns_move_every_message(monkeypatch):
+    # Every message is accounted for, none through the generators: the
+    # watched run replays and credits the legs to the recorder, the
+    # perturbed reruns replay as an unverified run does.
     body = one_bcast("vandegeijn", np.arange(4096.0))
     unverified = run_spmd(body, 8)
     assert unverified.replay["replayed"] == 1
@@ -261,11 +267,173 @@ def test_a_verified_run_and_its_reruns_move_every_message(monkeypatch):
     monkeypatch.setattr(Engine, "run", spy)
     verified = run_spmd(body, 8, verify=VerifyOptions(schedules=2))
     assert verified.verdict.ok and verified.verdict.meta["observed_ops"] > 0
+    assert verified.replay == unverified.replay
     assert stats(verified) == stats(unverified)
     assert len(runs) == 3  # the primary run and two perturbed reruns
     for messages, report in runs:
         assert messages == unverified.total_messages > 0
-        assert report["reasons"] == {"expansion requested": 1}
+        assert report == unverified.replay
+
+
+@pytest.mark.parametrize("switch, reason", [
+    ({}, None),
+    (dict(contention=True), "contention"),
+    (dict(collect_trace=True), "transfer trace"),
+    (dict(faults="drop(p=0.01)"), "faults"),
+])
+def test_a_verified_run_replays_but_never_steps(switch, reason):
+    # The recorder is credited a replayed broadcast's legs; a stepped
+    # one would show it nothing, so under global time it expands.
+    body = one_bcast("binomial", np.arange(64.0))
+    sim = run_spmd(body, 8, verify=VerifyOptions(schedules=0), **switch)
+    if reason is None:
+        assert sim.replay == run_spmd(body, 8).replay
+        assert sim.replay["replayed"] == 1
+    else:
+        assert sim.replay == {"replayed": 0, "expanded": 1, "stepped": 0,
+                              "recorded": 0, "reasons": {reason: 1}}
+    assert sim.verdict.ok and sim.verdict.meta["observed_ops"] == 14
+
+
+def skips_the_second_broadcast(ctx):
+    """Rank 5 skips the second of two broadcasts and waits for a
+    message rank 2 never sends."""
+    for i in range(2):
+        if i and ctx.rank == 5:
+            got = yield from ctx.world.recv(2, tag=9)
+            return got
+        got = yield from ctx.world.bcast(
+            np.arange(64.0) if ctx.rank == 0 else None, root=0)
+    return got
+
+
+def verdict_of(backend, net, **switches):
+    with pytest.raises(DeadlockError) as exc:
+        run_spmd(skips_the_second_broadcast, 8, network=net, backend=backend,
+                 verify=VerifyOptions(schedules=0), **switches)
+    return exc.value
+
+
+@pytest.mark.parametrize("switch", ["contention", "collect_trace"])
+def test_a_verified_deadlock_under_global_time_reads_as_expanded(switch):
+    # Against the reference engine, which moves every message through
+    # the generators: the verdict, the blocked ranks and the message are
+    # the same to the byte.  Stepped, rank 1 would be blocked in the
+    # collective instead of in its send.
+    net = Torus3D((2, 2, 2), PARAMS)
+    watched = verdict_of(None, net, **{switch: True})
+    reference = verdict_of(ExpandingEngine(net, **{switch: True}), net)
+    assert watched.verdict.to_dict() == reference.verdict.to_dict()
+    assert watched.blocked == reference.blocked
+    assert str(watched) == str(reference)
+    assert watched.blocked[1]["kind"] == "send"
+
+
+def test_a_verified_deadlock_without_global_time_keeps_its_findings():
+    net = Torus3D((2, 2, 2), PARAMS)
+    watched = verdict_of(None, net)
+    reference = verdict_of(ExpandingEngine(net), net)
+    assert watched.verdict.to_dict() == reference.verdict.to_dict()
+    assert str(watched) == str(reference)
+
+
+def leaks_after_three_broadcasts(ctx):
+    """Three broadcasts, then nine sends nobody receives or waits for
+    from ranks 0, 3 and 6."""
+    for root in range(3):
+        got = yield from ctx.world.bcast(
+            np.arange(512.0) if ctx.rank == root else None, root=root)
+    if ctx.rank in (0, 3, 6):
+        for tag in (-1, -2, -3):
+            yield from ctx.world.isend(got, (ctx.rank + 1) % 8, tag=tag)
+    return got
+
+
+def test_a_finding_lists_its_examples_in_program_order():
+    # Replay changes the order in which the run first meets each
+    # channel; the examples follow rank and posting order instead, so
+    # the verdict is the reference engine's to the byte.
+    net = Torus3D((2, 2, 2), PARAMS)
+    body = leaks_after_three_broadcasts
+    verify = VerifyOptions(schedules=0)
+    watched = run_spmd(body, 8, network=net, verify=verify)
+    reference = run_spmd(body, 8, network=net, verify=verify,
+                         backend=ExpandingEngine(net))
+    assert watched.replay["replayed"] == 3
+    assert watched.verdict.to_dict() == reference.verdict.to_dict()
+    leaked, = (f for f in watched.verdict.findings
+               if f.check == "leaked-send")
+    assert leaked.detail["count"] == 9
+    assert [e.split(":")[0] for e in leaked.detail["examples"]] == [
+        "rank 0", "rank 0", "rank 0", "rank 3"]
+
+
+@pytest.mark.parametrize("size", [3, 8])
+@pytest.mark.parametrize("algorithm", sorted(REPLAYABLE))
+def test_a_replayed_broadcast_is_credited_as_its_expansion_is_seen(
+        algorithm, size):
+    # Every record on every channel, in order: kind, peer, size,
+    # fusion, per-rank ordinal, resume and reconstructed match.
+    def observe(engine):
+        session = VerifySession(VerifyOptions(schedules=0), 16)
+        sim = session.execute(engine, sweep_program(algorithm, size)())
+        recorder = session.recorder
+        recorder.reconstruct_matching()
+        return sim.replay["replayed"], {
+            key: [(op.rank, op.kind, op.peer, op.nbytes, op.blocking,
+                   op.fused, op.index, op.resumed, op.matched)
+                  for op in chan.sends + chan.recvs]
+            for key, chan in recorder.channels.items()}
+
+    replayed, watched = observe(Engine(HOMOGENEOUS()))
+    expanded, reference = observe(ExpandingEngine(HOMOGENEOUS()))
+    assert replayed > 0 == expanded
+    assert watched == reference
+
+
+def handshake(comm, obj, root, segments=None):
+    """A broadcast whose non-roots first tell the root they are ready:
+    a straight line of blocking operations, so it replays, but one a
+    non-root opens with a send, so it lays out no lanes."""
+    if comm.rank != root:
+        yield from comm.send(None, root, tag=-99, nbytes=8)
+        got = yield from comm.recv(root, tag=-99)
+        return got
+    for peer in range(comm.size):
+        if peer != root:
+            yield from comm.recv(peer, tag=-99)
+    for peer in range(comm.size):
+        if peer != root:
+            yield from comm.send(obj, peer, tag=-99)
+    return obj
+
+
+def test_a_verified_run_expands_a_schedule_without_lanes(monkeypatch):
+    monkeypatch.setitem(COLLECTIVES["bcast"].algorithms, "handshake",
+                        handshake)
+    body = one_bcast("handshake", np.arange(64.0))
+    assert run_spmd(body, 4).replay["replayed"] == 1
+    sim = run_spmd(body, 4, verify=VerifyOptions(schedules=0))
+    assert sim.replay["reasons"] == {"a non-root sends first": 1}
+    assert sim.verdict.ok and sim.verdict.meta["observed_ops"] == 12
+
+
+def test_a_verified_macro_run_credits_no_legs(monkeypatch):
+    credited = []
+    credit = Recorder._credit
+
+    def spy(recorder, obs, request, schedule):
+        credited.append(request)
+        credit(recorder, obs, request, schedule)
+
+    monkeypatch.setattr(Recorder, "_credit", spy)
+    body = one_bcast("binomial", np.arange(64.0))
+    macro = run_spmd(body, 8, backend="macro",
+                     verify=VerifyOptions(schedules=0))
+    assert macro.verdict.ok and macro.verdict.meta["observed_ops"] == 0
+    assert credited == []
+    run_spmd(body, 8, verify=VerifyOptions(schedules=0))
+    assert len(credited) == 8
 
 
 def test_a_prebuilt_engine_replays_again_after_a_verified_run():

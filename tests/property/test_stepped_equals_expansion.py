@@ -204,20 +204,25 @@ def test_a_segmented_fourcolor_broadcast_under_contention_expands():
 
 
 @pytest.mark.parametrize("switch, reason", [
-    (dict(contention=True, verify=VerifyOptions(schedules=0)),
+    (dict(contention=True, backend=ExpandingEngine(
+        Torus3D((2, 2, 2), PARAMS), contention=True)),
      "expansion requested"),
     (dict(eager_threshold=64), "eager protocol"),
     (dict(contention=True, eager_threshold=64), "contention"),
+    (dict(contention=True, verify=VerifyOptions(schedules=0)), "contention"),
 ])
 def test_a_run_that_must_move_every_message_does(switch, reason):
-    # The verifier's recorder must see every message; an eager send
-    # does not wait for its receive, which no recorded schedule has.
+    # The reference engine moves every message through the generators;
+    # an eager send does not wait for its receive, which no recorded
+    # schedule has; a verified run's recorder must see each rank post
+    # its legs, which a stepped rank does not.
     body = one_bcast("vandegeijn", np.arange(4096.0))
     network = Torus3D((2, 2, 2), PARAMS)
     sim = run_spmd(body, 8, network=network, **switch)
     assert sim.replay == {"replayed": 0, "expanded": 1, "stepped": 0,
                           "recorded": 0, "reasons": {reason: 1}}
-    engine = {k: v for k, v in switch.items() if k != "verify"}
+    engine = {k: v for k, v in switch.items()
+              if k not in ("backend", "verify")}
     reference = ExpandingEngine(network, **engine).run(spmd(8, body)())
     assert stats(sim) == stats(reference)
 

@@ -5,6 +5,12 @@ caller or deleted.  The scan reads every ``import`` / ``from ... import``
 of ``repro`` in the package, the benchmarks and the examples, function
 level imports included, and asks that each module other than a package's
 ``__init__`` / ``__main__`` is imported by a file other than itself.
+
+The same holds, by name, for the package's top-level functions: each
+must be named (called, imported, passed or looked up by its string) by
+some file of the package, the benchmarks or the examples.  The few
+that only tests name are listed in :data:`TEST_ONLY`, which can only
+shrink.
 """
 
 import ast
@@ -13,6 +19,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 READERS = ("src", "benchmarks", "examples")
+
+
+#: Top-level functions only tests name, kept as public entry points.
+#: A new one fails the scan; so does one here that found a caller.
+TEST_ONLY = {
+    "repro.core.grouping.group_of",
+    "repro.experiments.figures.headline_ratios",
+    "repro.metrics.fault_report",
+    "repro.models.scaling.weak_scaling",
+}
 
 
 def _module_name(path: Path) -> str:
@@ -49,3 +65,37 @@ def test_every_module_is_imported_by_another_file():
     assert unreached == [], (
         f"modules no other file of {', '.join(READERS)} imports: "
         f"{unreached}")
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Every identifier a file uses: names, attributes, imported names
+    and identifier-shaped strings (names bound by lookup)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def test_every_function_is_named_by_something_that_runs():
+    named = set()
+    for top in READERS:
+        for path in (ROOT / top).rglob("*.py"):
+            named |= _named(ast.parse(path.read_text(), str(path)))
+    unnamed = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name not in named):
+                unnamed.add(f"{_module_name(path)}.{node.name}")
+    assert unnamed == TEST_ONLY, (
+        f"named by tests only: {sorted(unnamed - TEST_ONLY)}; "
+        f"no longer test-only, drop from TEST_ONLY: "
+        f"{sorted(TEST_ONLY - unnamed)}")
