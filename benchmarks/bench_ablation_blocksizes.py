@@ -11,8 +11,9 @@ fixed b only reduces the outer latency term.
 from conftest import run_once
 
 from repro.core.hsumma import HSummaConfig
-from repro.experiments.stepmodel import AnalyticCoster, hsumma_step_model
+from repro.experiments.stepmodel import hsumma_step_model
 from repro.platforms.grid5000 import GRAPHENE_PARAMS
+from repro.simulator.costers import AnalyticCoster
 from repro.util.tables import format_table
 
 P, N = 128, 8192

@@ -13,12 +13,9 @@ from conftest import run_once
 from repro.core.grouping import choose_group_grid, valid_group_counts
 from repro.core.hsumma import HSummaConfig
 from repro.core.summa import SummaConfig
-from repro.experiments.stepmodel import (
-    AnalyticCoster,
-    hsumma_step_model,
-    summa_step_model,
-)
+from repro.experiments.stepmodel import hsumma_step_model, summa_step_model
 from repro.platforms.bluegene import BGP_PARAMS
+from repro.simulator.costers import AnalyticCoster
 from repro.util.tables import format_table
 
 P, N, B = 1024, 16384, 64  # scaled-down BG/P point (32x32 grid)

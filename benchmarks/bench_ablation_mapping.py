@@ -17,7 +17,7 @@ from conftest import run_once
 
 from repro.core.grouping import choose_group_grid, group_aligned_mapping
 from repro.core.hsumma import HSummaConfig
-from repro.experiments.stepmodel import TopologyCoster, hsumma_step_model
+from repro.experiments.stepmodel import hsumma_step_model
 from repro.network.mapping import shuffled_mapping
 from repro.network.torus import Torus3D
 from repro.platforms.bluegene import (
@@ -26,6 +26,7 @@ from repro.platforms.bluegene import (
     bluegene_p,
     torus_dims_for,
 )
+from repro.simulator.costers import TopologyCoster
 from repro.util.tables import format_table
 
 P, N, B = 1024, 16384, 64

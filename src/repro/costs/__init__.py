@@ -25,7 +25,6 @@ from repro.costs.closed_forms import (
     hsumma_communication_cost,
     hsumma_latency_factor,
     hsumma_optimal_vdg_cost,
-    matmul_flops,
     predicted_extremum_kind,
     summa_bandwidth_factor,
     summa_communication_cost,
@@ -96,7 +95,6 @@ __all__ = [
     "hypersystolic_stride",
     "latency_lower_bound_terms",
     "lower_bound_time",
-    "matmul_flops",
     "memory_dependent_bound_elements",
     "memory_independent_bound_elements",
     "PipelineDepthWarning",

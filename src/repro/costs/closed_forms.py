@@ -8,7 +8,7 @@ convert), and ``p`` may be non-integer — the extremum analysis
 differentiates through ``sqrt(p)``.
 
 Also here: the 2.5D matmul communication cost (Solomonik-Demmel) the
-planner uses to price replication, and the raw flop count.
+planner uses to price replication.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ import math
 
 from repro.costs.registry import BroadcastModel
 from repro.errors import ModelError
-
-
-def matmul_flops(n: float) -> float:
-    """Classical-algorithm flop count ``2 n^3`` of an ``n x n`` multiply."""
-    if n <= 0:
-        raise ModelError(f"need n > 0, got {n}")
-    return 2.0 * n**3
 
 
 # ---------------------------------------------------------------------------

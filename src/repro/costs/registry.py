@@ -453,8 +453,8 @@ def estimate(q: CostQuery) -> CostEstimate:
 
     This is *the* cost function: :func:`collective_time` /
     :func:`bcast_time`, the macro backend's
-    :class:`~repro.experiments.stepmodel.AnalyticCoster` /
-    :class:`~repro.experiments.stepmodel.TopologyCoster`, and (through
+    :class:`~repro.simulator.costers.AnalyticCoster` /
+    :class:`~repro.simulator.costers.TopologyCoster`, and (through
     them) the closed-form predictor all route here.
     """
     if q.nbytes < 0:

@@ -1,10 +1,10 @@
 """Experiment reproduction machinery.
 
 * :mod:`repro.experiments.stepmodel` — the fast step-synchronous
-  executor: charges every SUMMA/HSUMMA step the cost of its constituent
-  broadcasts (costed analytically, by micro-simulation, or by a
-  topology-effective approximation) and scales to the paper's 16384-
-  and 2^20-rank settings.
+  executor: runs SUMMA/HSUMMA on the macro backend, every collective
+  priced by a coster (:mod:`repro.simulator.costers`: analytically, by
+  micro-simulation, or by a topology-effective approximation), and
+  scales to the paper's 16384- and 2^20-rank settings.
 * :mod:`repro.experiments.harness` — sweep/series plumbing and table
   output.
 * :mod:`repro.experiments.figures` — one driver per paper figure
@@ -14,21 +14,5 @@
 """
 
 from repro.experiments.harness import Series
-from repro.experiments.stepmodel import (
-    AnalyticCoster,
-    MicroDesCoster,
-    TopologyCoster,
-    StepModelReport,
-    hsumma_step_model,
-    summa_step_model,
-)
 
-__all__ = [
-    "Series",
-    "AnalyticCoster",
-    "MicroDesCoster",
-    "TopologyCoster",
-    "StepModelReport",
-    "hsumma_step_model",
-    "summa_step_model",
-]
+__all__ = ["Series"]

@@ -19,21 +19,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.grouping import valid_group_counts
 from repro.core.launch import family, launch, live, Shape
 from repro.errors import ConfigurationError
 from repro.experiments.harness import Series
 from repro.experiments.parallel import SweepCache, parallel_map
-from repro.experiments.stepmodel import (
-    AnalyticCoster,
-    CollectiveCoster,
-    MicroDesCoster,
-    TopologyCoster,
-    hsumma_step_model,
-    summa_step_model,
-)
+from repro.experiments.stepmodel import hsumma_step_model, summa_step_model
 from repro.models.exascale import ExascaleScenario, exascale_prediction
 from repro.network.model import Network
 from repro.payloads import PhantomArray
@@ -41,6 +34,12 @@ from repro.platforms.base import Platform
 from repro.platforms.bluegene import bluegene_p
 from repro.platforms.exa import exascale_2012
 from repro.platforms.grid5000 import grid5000_graphene
+from repro.simulator.costers import (
+    AnalyticCoster,
+    CollectiveCoster,
+    MicroDesCoster,
+    TopologyCoster,
+)
 from repro.simulator.predictor import refuse_pipelined
 from repro.util.gridmath import factor_grid
 
@@ -226,6 +225,46 @@ def group_sweep(
     )
 
 
+def _paper_groups(p: int) -> list[int]:
+    """The group counts valid on ``p``'s grid that are powers of two,
+    as in the paper's BlueGene/P plots."""
+    s, t = factor_grid(p)
+    return [g for g in valid_group_counts(s, t) if (g & (g - 1)) == 0]
+
+
+def _per_p_sweeps(platform: str, procs: Sequence[int], n: int, block: int,
+                  groups_of: Callable[[int], Sequence[int]] | None = None,
+                  **sweep: Any) -> list[Series]:
+    """One :func:`group_sweep` per processor count on the named
+    platform, over ``groups_of(p)`` (default: every valid group
+    count)."""
+    factory = _PLATFORM_FACTORIES[platform]
+    return [group_sweep(factory(p), p, n, block,
+                        groups=groups_of(p) if groups_of else None, **sweep)
+            for p in procs]
+
+
+def _scaling(name: str, platform: str, procs: Sequence[int], n: int,
+             block: int, groups_of: Callable[[int], Sequence[int]] | None = None,
+             **sweep: Any) -> Series:
+    """Comm time vs processor count: HSUMMA at its per-p best group
+    count against SUMMA (figures 7 and 9)."""
+    hs, su, best_g = [], [], []
+    for per_p in _per_p_sweeps(platform, procs, n, block, groups_of,
+                               name=f"{name}-inner", **sweep):
+        g, t = per_p.min_of("hsumma_comm")
+        hs.append(t)
+        su.append(per_p.column("summa_comm")[0])
+        best_g.append(g)
+    return Series(
+        name=name,
+        xlabel="procs",
+        x=list(procs),
+        columns={"hsumma_comm": hs, "summa_comm": su, "best_groups": best_g},
+        meta={"platform": platform, "n": n, "b": block},
+    )
+
+
 def fig5(
     p: int = 128,
     n: int = 8192,
@@ -269,24 +308,8 @@ def fig7(
 ) -> Series:
     """Figure 7: Grid5000 scalability — comm time vs processor count,
     HSUMMA at its per-p best group count."""
-    hs, su, best_g = [], [], []
-    for p in procs:
-        sweep = group_sweep(
-            grid5000_graphene(p), p, n, block,
-            coster_kind=coster_kind, name="fig7-inner",
-            jobs=jobs, cache=cache,
-        )
-        g, t = sweep.min_of("hsumma_comm")
-        hs.append(t)
-        su.append(sweep.column("summa_comm")[0])
-        best_g.append(g)
-    return Series(
-        name="fig7",
-        xlabel="procs",
-        x=list(procs),
-        columns={"hsumma_comm": hs, "summa_comm": su, "best_groups": best_g},
-        meta={"platform": "grid5000-graphene", "n": n, "b": block},
-    )
+    return _scaling("fig7", "grid5000-graphene", procs, n, block,
+                    coster_kind=coster_kind, jobs=jobs, cache=cache)
 
 
 def fig8(
@@ -301,9 +324,7 @@ def fig8(
 ) -> Series:
     """Figure 8: BlueGene/P 16384 cores — overall and comm time vs G."""
     if groups is None:
-        s, t = factor_grid(p)
-        groups = [g for g in valid_group_counts(s, t)
-                  if (g & (g - 1)) == 0]  # powers of two, as in the paper
+        groups = _paper_groups(p)
     return group_sweep(
         bluegene_p(p), p, n, block,
         groups=groups, coster_kind=coster_kind, name="fig8",
@@ -322,26 +343,8 @@ def fig9(
 ) -> Series:
     """Figure 9: BlueGene/P scalability — comm time vs core count,
     HSUMMA at its per-p best group count."""
-    hs, su, best_g = [], [], []
-    for p in procs:
-        s, t = factor_grid(p)
-        groups = [g for g in valid_group_counts(s, t) if (g & (g - 1)) == 0]
-        sweep = group_sweep(
-            bluegene_p(p), p, n, block,
-            groups=groups, coster_kind=coster_kind, name="fig9-inner",
-            jobs=jobs, cache=cache,
-        )
-        g, tmin = sweep.min_of("hsumma_comm")
-        hs.append(tmin)
-        su.append(sweep.column("summa_comm")[0])
-        best_g.append(g)
-    return Series(
-        name="fig9",
-        xlabel="procs",
-        x=list(procs),
-        columns={"hsumma_comm": hs, "summa_comm": su, "best_groups": best_g},
-        meta={"platform": "bluegene-p", "n": n, "b": block},
-    )
+    return _scaling("fig9", "bluegene-p", procs, n, block, _paper_groups,
+                    coster_kind=coster_kind, jobs=jobs, cache=cache)
 
 
 def fig10(
@@ -391,14 +394,10 @@ def headline_ratios(
     SUMMA over best-G HSUMMA on BG/P (2.08x / 5.89x comm, 1.2x / 2.36x
     overall on 2048 / 16384 cores)."""
     out: dict[int, dict[str, float]] = {}
-    for p in procs:
-        s, t = factor_grid(p)
-        groups = [g for g in valid_group_counts(s, t) if (g & (g - 1)) == 0]
-        sweep = group_sweep(
-            bluegene_p(p), p, n, block,
-            groups=groups, coster_kind=coster_kind, name="headline",
-            jobs=jobs, cache=cache,
-        )
+    for p, sweep in zip(procs, _per_p_sweeps(
+            "bluegene-p", procs, n, block, _paper_groups,
+            coster_kind=coster_kind, name="headline", jobs=jobs,
+            cache=cache)):
         g_c, hs_comm = sweep.min_of("hsumma_comm")
         _, hs_total = sweep.min_of("hsumma_total")
         out[p] = {

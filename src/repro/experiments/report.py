@@ -117,7 +117,8 @@ def build_scorecard() -> list[CheckResult]:
 
     def stepmodel_matches_des():
         from repro.core.summa import SummaConfig
-        from repro.experiments.stepmodel import AnalyticCoster, summa_step_model
+        from repro.experiments.stepmodel import summa_step_model
+        from repro.simulator.costers import AnalyticCoster
 
         n = 256
         cfg = SummaConfig(m=n, l=n, n=n, s=4, t=4, block=16)

@@ -9,7 +9,7 @@ rank generators.  A *backend* decides how much machinery executes them:
   The reference semantics everything else is validated against.
 * :class:`MacroBackend` — the same generators, but each
   :class:`~repro.simulator.requests.CollectiveRequest` is satisfied
-  directly from a :class:`~repro.experiments.stepmodel.CollectiveCoster`
+  directly from a :class:`~repro.simulator.costers.CollectiveCoster`
   oracle instead of being expanded: all participants synchronise at the
   latest arrival, the oracle prices the collective once, and every
   participant resumes at ``start + T``.  Point-to-point traffic and
@@ -54,6 +54,7 @@ from typing import Any
 from repro.collectives import COLLECTIVES
 from repro.errors import ConfigurationError
 from repro.network.model import Network
+from repro.simulator.costers import default_coster
 from repro.simulator.engine import Engine, _RankState
 from repro.simulator.requests import CollectiveReply, CollectiveRequest
 from repro.simulator.tracing import SimResult
@@ -72,7 +73,7 @@ class MacroBackend(Engine):
         Network model; used for any point-to-point traffic the programs
         issue and as the source of the default coster's parameters.
     coster:
-        A :class:`~repro.experiments.stepmodel.CollectiveCoster`.
+        A :class:`~repro.simulator.costers.CollectiveCoster`.
         Defaults to the analytic closed forms on a plain homogeneous
         network and to the micro-DES oracle (exact per-collective
         simulation, memoised) on anything with topology.
@@ -118,7 +119,7 @@ class MacroBackend(Engine):
             eager_threshold=eager_threshold,
         )
         if coster is None:
-            coster = _default_coster(network, contention=contention)
+            coster = default_coster(network, contention=contention)
         self.coster = coster
         self.symmetry = symmetry
         #: How the last :meth:`run_with_factory` call executed:
@@ -174,8 +175,8 @@ class MacroBackend(Engine):
 
         A participant-invariant coster prices every class alike.  A
         placement-invariant one (its price reads
-        ``coster.network.placement_key(participants)``, never the root
-        or the cid) does so only if each declared class sits on one
+        ``coster.network.placement_key(participants)``, never the root)
+        does so only if each declared class sits on one
         placement, which is checked here, last, over every declared
         communicator — before any program is built."""
         symmetry = self.symmetry
@@ -262,7 +263,6 @@ class MacroBackend(Engine):
                 root,
                 nbytes,
                 segments=req0.segments,
-                cid=req0.cid,
             )
         return (start, start + duration, sizes,
                 row.results(req0.root, payloads))
@@ -270,7 +270,7 @@ class MacroBackend(Engine):
     def _duration_key(self, req0: CollectiveRequest, root: int,
                       nbytes: int) -> tuple:
         return (req0.op, req0.algorithm, req0.participants, root, nbytes,
-                req0.segments, req0.cid)
+                req0.segments)
 
     def _collective_done(
         self,
@@ -290,15 +290,6 @@ class MacroBackend(Engine):
                 reply = CollectiveReply(value)
                 prev = value
             resume(st, reply, finish)
-
-
-def _default_coster(network: Network, *, contention: bool) -> Any:
-    from repro.experiments.stepmodel import AnalyticCoster, MicroDesCoster
-    from repro.network.homogeneous import HomogeneousNetwork
-
-    if isinstance(network, HomogeneousNetwork) and network.intra_params is None:
-        return AnalyticCoster(network.params)
-    return MicroDesCoster(network, contention=contention)
 
 
 def resolve_backend(

@@ -454,7 +454,7 @@ class CollapsedMacroEngine(MacroBackend):
         # _observe), so the duration memo can drop the participant
         # tuple — same float, one coster call per class.
         return (req0.op, req0.algorithm, self._comms[req0.cid][2], root,
-                nbytes, req0.segments, req0.cid[0])
+                nbytes, req0.segments)
 
     def _join(self, state: _RankState, request: CollectiveRequest,
               memo: _Memo, rotated: bool) -> None:

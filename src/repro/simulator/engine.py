@@ -944,8 +944,7 @@ class Engine:
             if reason is None:
                 self._park(state, request, now)
                 return True
-            if (reason in _STEPPING and not self.eager_threshold
-                    and not self._observed):
+            if self._steps(reason):
                 return self._step(state, request, now)
         if request.me == request.root:
             self._count_expanded(reason or "one-rank communicator")
@@ -1097,13 +1096,19 @@ class Engine:
         pending, self._pending = self._pending, {}
         for (cid, seq), entry in pending.items():
             self._release_parked(entry, reason)
-            # Its participants still to come expand too, stepped run or
-            # not (see _step): one path per collective.
+            # Its participants still to come expand too; a stepped run
+            # counts them for _step (one path per collective).
             st, req = entry[0]
             left = len(req.participants) - len(entry)
-            if left:
+            if left and self._steps(reason):
                 base = st.stats.rank - req.participants[req.me]
                 self._pending[(cid, seq, base)] = left
+
+    def _steps(self, reason: str | None) -> bool:
+        """Does a run that does not replay, for ``reason``, step its
+        broadcasts (:meth:`_step`)?  Never eager, never watched."""
+        return (reason in _STEPPING and not self.eager_threshold
+                and not self._observed)
 
     # -- stepping a broadcast under global time -------------------------------
     #

@@ -1,7 +1,7 @@
 """Closed-form performance prediction: the zero-stepping backend.
 
 The macro backend executes rank generators and satisfies every
-collective from a :class:`~repro.experiments.stepmodel.CollectiveCoster`
+collective from a :class:`~repro.simulator.costers.CollectiveCoster`
 oracle.  On a homogeneous fault-free network the resulting virtual
 times follow a *fixed critical chain* per algorithm step — e.g. one
 SUMMA step is exactly ``clock += T_row; clock += T_col; clock += g`` —
@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.model import Network
+from repro.simulator.costers import default_coster
 from repro.simulator.tracing import RankStats, SimResult
 
 
@@ -151,10 +152,8 @@ def refuse_pipelined(spec: Any, cfg: Any, options: Any) -> None:
 
 
 def _resolve_coster(network: Network, coster: Any) -> Any:
-    from repro.simulator.backends import _default_coster
-
     if coster is None:
-        coster = _default_coster(network, contention=False)
+        coster = default_coster(network, contention=False)
     if not getattr(coster, "participant_invariant", False):
         raise ConfigurationError(
             "backend='predictor' cannot price this run: feature "
@@ -167,18 +166,16 @@ def _resolve_coster(network: Network, coster: Any) -> Any:
     return coster
 
 
-def bcast(p: int, nbytes: int, cid0: int,
-          algorithm: str | None = None) -> tuple:
+def bcast(p: int, nbytes: int, algorithm: str | None = None) -> tuple:
     """Leaf (a plain tuple, equal to any other of the same priced
-    phase): one broadcast among ``p`` ranks at the run's pipeline depth,
-    on the communicators of world child sequence ``cid0`` (``algorithm``
-    defaults to the run's first resolved one)."""
-    return ("bcast", p, nbytes, cid0, algorithm)
+    phase): one broadcast among ``p`` ranks at the run's pipeline depth
+    (``algorithm`` defaults to the run's first resolved one)."""
+    return ("bcast", p, nbytes, algorithm)
 
 
-def reduce(p: int, nbytes: int, cid0: int) -> tuple:
+def reduce(p: int, nbytes: int) -> tuple:
     """One reduction among ``p`` ranks, by the run's reduce algorithm."""
-    return ("reduce", p, nbytes, cid0, None)
+    return ("reduce", p, nbytes, None)
 
 
 def p2p(nbytes: int) -> tuple:
@@ -228,15 +225,13 @@ class _Run:
             return leaf[1]
         if kind == "p2p":
             return self.network.transfer_time(0, 1, leaf[1])
-        _, p, nbytes, cid0, algorithm = leaf
+        _, p, nbytes, algorithm = leaf
         if kind == "bcast":
             algorithm, segments = algorithm or self.bcasts[0], self.segments
         else:
             algorithm, segments = self.reduce_alg, None
         return self.coster.collective_time(
-            kind, algorithm, tuple(range(p)), 0, nbytes,
-            segments=segments, cid=(cid0, 0),
-        )
+            kind, algorithm, tuple(range(p)), 0, nbytes, segments=segments)
 
 
 def _flatten(nodes: list, numbers: dict[tuple, int]) -> np.ndarray:
@@ -366,13 +361,11 @@ def predict_summa(run: _Run, cfg: Any) -> list:
     rows, cols, blocks, _ = cfg.schedule
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
     a_row, b_row = mloc * run.a_itemsize, nloc * run.b_itemsize
-    first = 0 if len(blocks) == 1 else 2
     chain = [compute(run.gemm_seconds(mloc, blocks[-1], nloc))]
     for q in reversed(range(len(blocks))):
         chain = [repeat((blocks[q - 1] if q else cfg.l) // blocks[q], [
-            bcast(cols[q], a_row * blocks[q], first + 2 * q, run.bcasts[q]),
-            bcast(rows[q], blocks[q] * b_row, first + 2 * q + 1,
-                  run.bcasts[q]),
+            bcast(cols[q], a_row * blocks[q], run.bcasts[q]),
+            bcast(rows[q], blocks[q] * b_row, run.bcasts[q]),
             *chain,
         ])]
     return chain
@@ -398,10 +391,10 @@ def predict_cyclic(run: _Run, cfg: Any) -> list:
     a_bytes = mloc * cfg.nb * run.a_itemsize
     b_bytes = cfg.nb * nloc * run.b_itemsize
     if not cfg.hierarchical:
-        pivots = [bcast(cfg.t, a_bytes, 0), bcast(cfg.s, b_bytes, 1)]
+        pivots = [bcast(cfg.t, a_bytes), bcast(cfg.s, b_bytes)]
     else:
-        pivots = [bcast(cfg.J, a_bytes, 2), bcast(cfg.t // cfg.J, a_bytes, 4),
-                  bcast(cfg.I, b_bytes, 3), bcast(cfg.s // cfg.I, b_bytes, 5)]
+        pivots = [bcast(cfg.J, a_bytes), bcast(cfg.t // cfg.J, a_bytes),
+                  bcast(cfg.I, b_bytes), bcast(cfg.s // cfg.I, b_bytes)]
     return [repeat(cfg.nsteps, pivots + [
         compute(run.gemm_seconds(mloc, cfg.nb, nloc))])]
 
@@ -478,7 +471,7 @@ def predict_fox(run: _Run, cfg: SquareGridConfig) -> list:
     """
     q = cfg.q
     mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(run, cfg)
-    step = [bcast(q, a_bytes, 0), compute(run.gemm_seconds(mloc, lloc, nloc))]
+    step = [bcast(q, a_bytes), compute(run.gemm_seconds(mloc, lloc, nloc))]
     return [repeat(q - 1, step + [p2p(b_bytes)])] + step
 
 
@@ -497,10 +490,10 @@ def predict_dns3d(run: _Run, cfg: SquareGridConfig) -> list:
     mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(run, cfg)
     route_a = [p2p(a_bytes)] if q > 1 else []  # (i,j,0) -> (i,j,j)
     route_b = [p2p(b_bytes)] if q > 1 else []  # (i,j,0) -> (i,j,i)
-    return route_a + [bcast(q, a_bytes, 0)] + route_b + [
-        bcast(q, b_bytes, 1),
+    return route_a + [bcast(q, a_bytes)] + route_b + [
+        bcast(q, b_bytes),
         compute(run.gemm_seconds(mloc, lloc, nloc)),
-        reduce(q, mloc * nloc * 8, 2)]
+        reduce(q, mloc * nloc * 8)]
 
 
 @chain_walk()
@@ -515,7 +508,7 @@ def predict_summa25d(run: _Run, cfg: SquareGridConfig) -> list:
     """
     q, c = cfg.q, cfg.c
     mloc, lloc, nloc, a_bytes, b_bytes = _square_tiles(run, cfg)
-    return [bcast(c, a_bytes, 0), bcast(c, b_bytes, 0),
-            repeat(q // c, [bcast(q, a_bytes, 1), bcast(q, b_bytes, 2),
+    return [bcast(c, a_bytes), bcast(c, b_bytes),
+            repeat(q // c, [bcast(q, a_bytes), bcast(q, b_bytes),
                             compute(run.gemm_seconds(mloc, lloc, nloc))]),
-            reduce(c, mloc * nloc * 8, 0)]
+            reduce(c, mloc * nloc * 8)]

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.experiments.stepmodel import MicroDesCoster
+from repro.simulator.costers import MicroDesCoster
 from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams

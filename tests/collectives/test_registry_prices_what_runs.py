@@ -24,7 +24,7 @@ from repro.collectives import COLLECTIVES
 from repro.costs import collective_time
 from repro.costs.registry import PIPELINED_BCASTS
 from repro.errors import ModelError
-from repro.experiments.stepmodel import MicroDesCoster
+from repro.simulator.costers import MicroDesCoster
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 

@@ -243,7 +243,8 @@ def test_runner_step_model_and_cluster_share_one_program_factory(
     from repro.cluster import JobSpec, build_programs
     from repro.cluster.programs import naive_launch
     from repro.core import summa
-    from repro.experiments.stepmodel import AnalyticCoster, summa_step_model
+    from repro.experiments.stepmodel import summa_step_model
+    from repro.simulator.costers import AnalyticCoster
 
     built = []
     original = summa.summa_program
@@ -321,8 +322,8 @@ def tsumma_program(ctx, a_tile, b_tile, cfg):
 def predict_tsumma(run, cfg):
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
     return [repeat(cfg.nsteps, [
-        bcast(cfg.s, cfg.block * nloc * run.b_itemsize, 1),
-        bcast(cfg.t, mloc * cfg.block * run.a_itemsize, 0),
+        bcast(cfg.s, cfg.block * nloc * run.b_itemsize),
+        bcast(cfg.t, mloc * cfg.block * run.a_itemsize),
         compute(run.gemm_seconds(mloc, cfg.block, nloc)),
     ])]
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.figures import fig5, fig6, fig7, fig8
-from repro.experiments.stepmodel import MicroDesCoster, TopologyCoster
+from repro.simulator.costers import MicroDesCoster, TopologyCoster
 from repro.network.model import HockneyParams, Network
 from repro.network.torus import Torus3D
 from repro.network.tree import SwitchedCluster

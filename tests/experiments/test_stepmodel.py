@@ -12,18 +12,17 @@ import pytest
 from repro.core.hsumma import HSummaConfig, run_hsumma
 from repro.core.summa import SummaConfig, run_summa
 from repro.errors import ConfigurationError
-from repro.experiments.stepmodel import (
-    AnalyticCoster,
-    MicroDesCoster,
-    TopologyCoster,
-    hsumma_step_model,
-    summa_step_model,
-)
+from repro.experiments.stepmodel import hsumma_step_model, summa_step_model
 from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
 from repro.payloads import PhantomArray
+from repro.simulator.costers import (
+    AnalyticCoster,
+    MicroDesCoster,
+    TopologyCoster,
+)
 from tests.pins import canon, digest
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)

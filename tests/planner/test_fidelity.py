@@ -66,11 +66,8 @@ def _replay_with_predictor(result, rq):
 def _replay_with_macro(result, rq):
     """Rebuild the chosen config and step the macro engine (the
     backend a segmented-family plan names)."""
-    from repro.experiments.stepmodel import (
-        AnalyticCoster,
-        hsumma_step_model,
-        summa_step_model,
-    )
+    from repro.experiments.stepmodel import hsumma_step_model, summa_step_model
+    from repro.simulator.costers import AnalyticCoster
 
     cfg = _rebuild_config(result, rq)
     hock = HockneyParams(rq.alpha, rq.beta)

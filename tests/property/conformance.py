@@ -35,7 +35,7 @@ from repro.core.hsumma import HSUMMA_MULTILEVEL, MultiLevelConfig
 from repro.core.launch import Shape, family, launch, live
 from repro.costs import lower_bound_time
 from repro.errors import ConfigurationError
-from repro.experiments.stepmodel import TopologyCoster
+from repro.simulator.costers import TopologyCoster
 from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams

@@ -23,12 +23,9 @@ requests announce.
 import pytest
 
 from repro.core.launch import FAMILIES, family, live
-from repro.experiments.stepmodel import (
-    AnalyticCoster,
-    hsumma_step_model,
-    summa_step_model,
-)
+from repro.experiments.stepmodel import hsumma_step_model, summa_step_model
 from repro.mpi.comm import CollectiveOptions
+from repro.simulator.costers import AnalyticCoster
 from tests.property.conformance import (
     GAMMA,
     PARAMS,

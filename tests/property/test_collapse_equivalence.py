@@ -123,7 +123,7 @@ class TestNewFamiliesFallBack:
         eligibility blocker, but the collapsed engine's own uniform-wire
         guard must still refuse to replicate p2p times measured on a
         mapped two-tier network."""
-        from repro.experiments.stepmodel import AnalyticCoster
+        from repro.simulator.costers import AnalyticCoster
 
         A = PhantomArray((32, 32))
         falls_back(lambda **run: run_cannon(A, A, grid=(4, 4), **run),

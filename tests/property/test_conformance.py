@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.hsumma import HSUMMA_MULTILEVEL, MultiLevelConfig
 from repro.core.launch import FAMILIES, family
-from repro.experiments.stepmodel import TopologyCoster
+from repro.simulator.costers import TopologyCoster
 from repro.mpi.comm import CollectiveOptions
 from tests.property.conformance import (
     BULK,

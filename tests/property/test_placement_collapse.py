@@ -32,7 +32,7 @@ import pytest
 from repro.core.cyclic import run_cyclic
 from repro.core.hsumma import run_hsumma
 from repro.core.summa import run_summa
-from repro.experiments.stepmodel import MicroDesCoster, TopologyCoster
+from repro.simulator.costers import MicroDesCoster, TopologyCoster
 from repro.network.model import HockneyParams
 from repro.network.torus import Torus3D
 from repro.network.tree import SwitchedCluster

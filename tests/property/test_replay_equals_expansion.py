@@ -512,6 +512,35 @@ def test_a_timed_receive_releases_what_is_parked(payload):
     assert replayed.replay["reasons"] == {"timed receive": 1}
 
 
+@pytest.mark.parametrize("verify", [None, True])
+def test_a_released_broadcast_leaves_no_count_behind(monkeypatch, verify):
+    # Rank 3's timed receive releases the three ranks parked at the
+    # broadcast.  How many participants are still to come is kept for
+    # _step alone, which consumes it when rank 3 arrives; a watched run
+    # never steps, so it must not keep the count past the run.
+    left = []
+    release = Engine._release
+
+    def spy(engine):
+        left.append(dict(engine._pending))
+        release(engine)
+
+    monkeypatch.setattr(Engine, "_release", spy)
+
+    def body(ctx):
+        if ctx.rank == 3:
+            yield from ctx.world.recv(0, tag=9, timeout=1e-3)
+        got = yield from ctx.world.bcast(
+            np.arange(8.0) if ctx.rank == 0 else None, root=0,
+            algorithm="binomial")
+        return got
+
+    sim = run_spmd(body, 4, verify=verify)
+    assert bits(sim.return_values[3]) == bits(np.arange(8.0))
+    assert sim.replay["reasons"] == {"timed receive": 1}
+    assert left and all(pending == {} for pending in left)
+
+
 # -- trap 6, continued: an unfilled broadcast at drain ------------------------------
 
 def test_a_broadcast_one_rank_never_joins_deadlocks_as_the_parent_did():

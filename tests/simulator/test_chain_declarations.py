@@ -19,7 +19,7 @@ import pytest
 from repro.core.cyclic import CyclicConfig
 from repro.core.hsumma import HSummaConfig
 from repro.core.summa import SummaConfig
-from repro.experiments.stepmodel import AnalyticCoster
+from repro.simulator.costers import AnalyticCoster
 from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
@@ -72,7 +72,7 @@ def scalar_walk(declaration, run):
                 step = duration(node, lambda: run.network.transfer_time(
                     0, 1, node[1]))
             else:
-                _, p, nbytes, cid0, algorithm = node
+                _, p, nbytes, algorithm = node
                 if p <= 1:
                     continue  # the engine's free single-rank no-op
                 if kind == "bcast":
@@ -82,7 +82,7 @@ def scalar_walk(declaration, run):
                     algorithm, segments = run.reduce_alg, None
                 step = duration(node, lambda: run.coster.collective_time(
                     kind, algorithm, tuple(range(p)), 0, nbytes,
-                    segments=segments, cid=(cid0, 0)))
+                    segments=segments))
             finish = clock + step
             comm += finish - clock
             clock = finish
@@ -119,18 +119,18 @@ def predict_toy(run, cfg):
     leaf shared between two loops, and a trailing partial round."""
     mloc, nloc = cfg.m // cfg.s, cfg.n // cfg.t
     gemm = compute(run.gemm_seconds(mloc, cfg.block, nloc))
-    col = bcast(cfg.s, cfg.block * nloc * run.b_itemsize, 1, run.bcasts[1])
+    col = bcast(cfg.s, cfg.block * nloc * run.b_itemsize, run.bcasts[1])
     return [
         p2p(mloc * run.a_itemsize),
         repeat(0, [p2p(1), gemm]),
         repeat(cfg.nsteps, [
             col,
-            repeat(3, [bcast(cfg.t, mloc * cfg.block * run.a_itemsize, 0),
+            repeat(3, [bcast(cfg.t, mloc * cfg.block * run.a_itemsize),
                        repeat(1, [gemm])]),
             p2p(nloc * run.b_itemsize),
         ]),
         col, gemm,
-        reduce(cfg.s, mloc * nloc * 8, 2),
+        reduce(cfg.s, mloc * nloc * 8),
     ]
 
 
@@ -228,7 +228,7 @@ def test_a_chain_without_communication_or_computation_is_all_zeros():
 
     @chain_walk()
     def predict_nothing(run, cfg):
-        return [repeat(5, []), repeat(0, [compute(1.0)]), bcast(1, 64, 0)]
+        return [repeat(5, []), repeat(0, [compute(1.0)]), bcast(1, 64)]
 
     sim = assert_evaluator_equals_walk(
         predict_nothing, cfg, nranks=1, platform="exascale")
@@ -242,8 +242,8 @@ def test_a_loop_that_never_runs_is_not_priced():
 
     @chain_walk()
     def predict_skipped(run, cfg):
-        return [repeat(0, [p2p(8), bcast(4, 64, 0),
-                           repeat(2, [reduce(4, 64, 1)])]),
+        return [repeat(0, [p2p(8), bcast(4, 64),
+                           repeat(2, [reduce(4, 64)])]),
                 compute(1.5)]
 
     params, _ = PLATFORMS["exascale"]
@@ -296,7 +296,8 @@ class CountingCoster(AnalyticCoster):
 
 def test_exascale_hsumma_is_priced_per_distinct_leaf_not_per_step():
     """The fig. 10 point: 16384 outer steps of five phases each cost
-    four coster calls and a bounded number of Python calls."""
+    two coster calls (a level's row and column broadcasts are one
+    leaf on the square grid) and a bounded number of Python calls."""
     from repro.platforms import exascale_2012
 
     p, n, side = 1 << 20, 1 << 22, 1 << 10

@@ -23,7 +23,7 @@ from repro.algorithms.dns3d import run_dns3d
 from repro.algorithms.fox import run_fox
 from repro.core.cyclic import run_cyclic
 from repro.core.hsumma import run_hsumma
-from repro.experiments.stepmodel import TopologyCoster
+from repro.simulator.costers import TopologyCoster
 from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams

@@ -99,3 +99,15 @@ def test_every_function_is_named_by_something_that_runs():
         f"named by tests only: {sorted(unnamed - TEST_ONLY)}; "
         f"no longer test-only, drop from TEST_ONLY: "
         f"{sorted(TEST_ONLY - unnamed)}")
+
+
+def test_the_simulator_imports_nothing_from_the_experiments():
+    # The experiment drivers sit on the simulator: a collective is
+    # priced by a coster of the simulator layer, and an import the other
+    # way — at module level or inside a function — would be a cycle.
+    upward = sorted({
+        f"{_module_name(path)} imports {name}"
+        for path in (PACKAGE / "simulator").rglob("*.py")
+        for name in _imported(ast.parse(path.read_text(), str(path)))
+        if name.split(".")[:2] == ["repro", "experiments"]})
+    assert upward == [], upward
