@@ -13,12 +13,13 @@ the paper's choice to analyse under plain Hockney.
 import pytest
 from conftest import run_once
 
-from repro.blocks.dmatrix import DistMatrix
 from repro.core.hsumma import HSummaConfig, hsumma_program
+from repro.core.launch import GridLayout
 from repro.core.summa import SummaConfig, summa_program
 from repro.mpi.comm import CollectiveOptions, MpiContext
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
+from repro.payloads import PhantomArray
 from repro.simulator.engine import Engine
 from repro.util.tables import format_table
 
@@ -28,13 +29,10 @@ N, S, T, BLOCK, GROUPS = 512, 8, 8, 16, (4, 4)
 
 
 def _run(program_factory, cfg, eager):
-    da = DistMatrix.phantom_global(N, N, S, T)
-    db = DistMatrix.phantom_global(N, N, S, T)
+    tiles = GridLayout(S, T).deal(PhantomArray((N, N)), PhantomArray((N, N)))
     programs = [
         program_factory(
-            MpiContext(r, S * T, options=VDG, gamma=2e-9),
-            da.tile(*divmod(r, T)), db.tile(*divmod(r, T)), cfg,
-        )
+            MpiContext(r, S * T, options=VDG, gamma=2e-9), *tiles(r), cfg)
         for r in range(S * T)
     ]
     engine = Engine(

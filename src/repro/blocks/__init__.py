@@ -9,14 +9,12 @@ algorithm runs unchanged in data mode and in scale (phantom) mode.
 """
 
 from repro.blocks.distribution import BlockCyclicDistribution, BlockDistribution
-from repro.blocks.dmatrix import DistMatrix
 from repro.blocks.ops import gemm_flops, local_gemm_acc, slice_cols, slice_rows, zeros_like_result
 from repro.blocks.verify import max_abs_error, relative_error
 
 __all__ = [
     "BlockDistribution",
     "BlockCyclicDistribution",
-    "DistMatrix",
     "gemm_flops",
     "local_gemm_acc",
     "slice_cols",

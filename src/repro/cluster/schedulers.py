@@ -16,7 +16,7 @@ mutates the grid itself — the engine owns allocation.
   predicted runtimes come from the same estimate family the planner
   uses, so the schedulers and the planner agree on what a job costs.
 * :class:`PlannerScheduler` — EASY's no-starvation skeleton, with two
-  planner upgrades: launches come from ``plan_many`` (shape, algorithm,
+  planner upgrades: launches come from the plan service (shape, algorithm,
   grid, blocking per job, closed-form fidelity for determinism and
   speed), and backfill candidates are scanned shortest-predicted-first
   instead of queue order.

@@ -100,11 +100,8 @@ def hsumma_communication_cost(
     model: BroadcastModel,
     *,
     B: float | None = None,
-    outer_model: BroadcastModel | None = None,
 ) -> float:
-    """Equations (3)-(5) generalised to ``b != B`` and to a different
-    broadcast algorithm per level (``outer_model`` defaults to
-    ``model``):
+    """Equations (3)-(5) generalised to ``b != B``:
 
         ``T_HS = 2*(n/B)*L(sqrt(G))*alpha + 2*(n/b)*L(sqrt(p/G))*alpha
                + 2*(n^2/sqrt(p)) * (W(sqrt(G)) + W(sqrt(p/G))) * beta``
@@ -113,12 +110,11 @@ def hsumma_communication_cost(
     """
     B = b if B is None else B
     _check_hsumma(n, p, G, b, B)
-    om = outer_model or model
     qG = math.sqrt(G)
     qI = math.sqrt(p / G)
-    latency = 2.0 * ((n / B) * om.L(qG) + (n / b) * model.L(qI)) * alpha
+    latency = 2.0 * ((n / B) * model.L(qG) + (n / b) * model.L(qI)) * alpha
     volume = n * n / math.sqrt(p)
-    bandwidth = 2.0 * volume * (om.W(qG) + model.W(qI)) * beta
+    bandwidth = 2.0 * volume * (model.W(qG) + model.W(qI)) * beta
     return latency + bandwidth
 
 
@@ -166,6 +162,16 @@ def hsumma_optimal_vdg_cost(
 # Extremum analysis — equations (6)-(11)
 # ---------------------------------------------------------------------------
 
+def _check_rates(alpha: float, beta: float) -> None:
+    """Refuse a NaN, infinite, zero or negative ``alpha`` or ``beta`` by
+    name: a comparison with NaN is false, so the thresholds below would
+    answer without one."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not 0 < value < math.inf:
+            raise ModelError(
+                f"{name} must be positive and finite, got {value!r}")
+
+
 def critical_ratio(n: float, b: float, p: float) -> float:
     """The paper's threshold ``2*n*b/p`` (eq. 10/11), in elements."""
     if n <= 0 or b <= 0 or p < 1:
@@ -178,8 +184,7 @@ def hsumma_beats_summa(
 ) -> bool:
     """Equation (10): True when ``alpha/beta > 2nb/p`` so HSUMMA's cost
     has its minimum at ``G = sqrt(p)`` strictly inside ``(1, p)``."""
-    if alpha <= 0 or beta <= 0:
-        raise ModelError(f"need alpha, beta > 0; got {alpha}, {beta}")
+    _check_rates(alpha, beta)
     return alpha / beta > critical_ratio(n, b, p)
 
 
@@ -188,6 +193,7 @@ def predicted_extremum_kind(
 ) -> str:
     """'minimum', 'maximum', or 'flat' at ``G = sqrt(p)`` for the Van de
     Geijn cost function (eqs. 10/11)."""
+    _check_rates(alpha, beta)
     r = alpha / beta
     c = critical_ratio(n, b, p)
     if math.isclose(r, c, rel_tol=1e-12):
@@ -204,6 +210,7 @@ def vdg_cost_derivative(
     """
     if not (0 < G <= p):
         raise ModelError(f"G={G} outside (0, p={p}]")
+    _check_rates(alpha, beta)
     return (G - math.sqrt(p)) / (G * math.sqrt(G)) * (
         n * alpha / b - 2.0 * n * n * beta / p
     )
@@ -221,11 +228,9 @@ def crossover_processor_count(
     (n=65536, b=256, alpha/beta=3000 elements) this is ~11185, i.e.
     between the measured 8192 and 16384 core counts, matching where the
     model's parity ends."""
-    if n <= 0 or b <= 0 or alpha <= 0 or beta <= 0:
-        raise ModelError(
-            f"need positive arguments; got n={n}, b={b}, "
-            f"alpha={alpha}, beta={beta}"
-        )
+    if n <= 0 or b <= 0:
+        raise ModelError(f"need n > 0 and b > 0; got n={n}, b={b}")
+    _check_rates(alpha, beta)
     return 2.0 * n * b * beta / alpha
 
 

@@ -311,7 +311,7 @@ def max_pipeline_segments(p: int, algorithm: str = "pipelined") -> int:
 
 def optimal_pipeline_segments(
     m_bytes: float, p: int, alpha: float, beta: float,
-    algorithm: str = "pipelined", *, clamp: bool = False,
+    algorithm: str = "pipelined",
 ) -> int:
     """Segment count minimising a pipelined broadcast's completion time
     ``(base + rate*S)(alpha + m*beta/(chunks*S))``:
@@ -325,10 +325,9 @@ def optimal_pipeline_segments(
 
     When ``S*`` exceeds :func:`max_pipeline_segments` — the infinite-NIC
     artifact documented in ``docs/cost_model.md`` — a
-    :class:`PipelineDepthWarning` is emitted; pass ``clamp=True`` to cap
-    the result at the route capacity instead of returning the raw
-    optimum (the default keeps the historical closed-form value, which
-    the pinned predictor artifacts rely on).
+    :class:`PipelineDepthWarning` is emitted and the raw optimum is
+    returned: the closed-form value the pinned predictor artifacts rely
+    on.
     """
     if p <= 2 or m_bytes <= 0 or alpha <= 0:
         return 1
@@ -345,8 +344,6 @@ def optimal_pipeline_segments(
             "assumes infinite NIC slots (docs/cost_model.md)",
             PipelineDepthWarning, stacklevel=2,
         )
-        if clamp:
-            return cap
     return depth
 
 

@@ -122,7 +122,7 @@ class _Sweep:
     @functools.cached_property
     def coster(self) -> CollectiveCoster:
         algo = self.platform.options.bcast
-        if self.kind in ("analytic", "predictor"):
+        if self.kind == "predictor":
             # The predictor composes the analytic closed forms per
             # phase (topology-blind — the platform's Hockney parameters
             # price every communicator).  See docs/cost_model.md for
@@ -133,8 +133,8 @@ class _Sweep:
         if self.kind == "topology":
             return TopologyCoster(self.network, algo)
         raise ConfigurationError(
-            f"unknown coster kind {self.kind!r}; use analytic, micro, "
-            "topology or predictor"
+            f"unknown coster kind {self.kind!r}; use des, micro, topology "
+            "or predictor"
         )
 
     def point(self, spec: Mapping[str, Any]) -> dict[str, float]:

@@ -95,9 +95,7 @@ def _run_macro(
         spec, cfg, PhantomArray((cfg.m, cfg.l)), PhantomArray((cfg.l, cfg.n)),
         network=network, gamma=gamma,
         options=CollectiveOptions(
-            bcast=getattr(coster, "algorithm", "binomial"),
-            bcast_segments=getattr(coster, "segments", None),
-        ),
+            bcast=getattr(coster, "algorithm", "binomial")),
         backend=MacroBackend(network, coster=coster,
                              symmetry=spec.symmetry(cfg)),
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Hashable, Sequence
 
 from repro.errors import TopologyError
-from repro.network.mapping import RankMapping, block_mapping
+from repro.network.mapping import block_mapping
 from repro.network.model import HockneyParams, LinkClaim, Network
 from repro.util.validation import require_finite
 
@@ -43,8 +43,8 @@ class SwitchedCluster(Network):
     intra_params:
         Parameters for on-node messages; defaults to 1/20 latency and
         1/8 per-byte cost of the NIC link.
-    mapping:
-        Rank placement, defaults to block mapping.
+
+    Ranks are placed on nodes in blocks.
     """
 
     def __init__(
@@ -56,7 +56,6 @@ class SwitchedCluster(Network):
         ranks_per_node: int = 1,
         switch_hop_alpha: float | None = None,
         intra_params: HockneyParams | None = None,
-        mapping: RankMapping | None = None,
     ) -> None:
         if nnodes < 1 or nodes_per_switch < 1:
             raise TopologyError(
@@ -78,11 +77,7 @@ class SwitchedCluster(Network):
         self.intra_params = intra_params or HockneyParams(
             alpha=params.alpha / 20.0, beta=params.beta / 8.0
         )
-        self.mapping = mapping or block_mapping(nranks, ranks_per_node)
-        if self.mapping.nranks != nranks:
-            raise TopologyError(
-                f"mapping covers {self.mapping.nranks} ranks, cluster has {nranks}"
-            )
+        self.mapping = block_mapping(nranks, ranks_per_node)
 
     def switch_of(self, node: int) -> int:
         """Edge switch index of ``node``."""

@@ -20,7 +20,6 @@ from repro.planner.service import (
     REFINE_BACKENDS,
     PlanService,
     plan,
-    plan_many,
 )
 from repro.planner.space import (
     Candidate,
@@ -49,5 +48,4 @@ __all__ = [
     "closed_form_cost",
     "enumerate_candidates",
     "plan",
-    "plan_many",
 ]

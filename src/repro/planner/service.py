@@ -15,13 +15,13 @@ the JSON spec (the sweep harness's
 :class:`~repro.experiments.parallel.SweepCache`, under its own salt) —
 so a repeated query costs one hash and one dict probe, and plans
 survive across processes when a cache directory is given.
-``plan_many`` deduplicates equivalent queries (same key) before pricing.
+``PlanService.plan_many`` deduplicates equivalent queries (same key) before pricing.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.core.launch import family, live
 from repro.costs import (
@@ -278,16 +278,6 @@ def _as_cached(plan: Plan) -> Plan:
     )
 
 
-def plan(query: PlanQuery | ResolvedQuery, *, cache_dir: str | None = None,
-         top_k: int = 4, refine: str = "predictor") -> Plan:
+def plan(query: PlanQuery | ResolvedQuery) -> Plan:
     """One-shot convenience wrapper around :class:`PlanService`."""
-    return PlanService(cache_dir=cache_dir, top_k=top_k,
-                       refine=refine).plan(query)
-
-
-def plan_many(queries: Sequence[PlanQuery | ResolvedQuery], *,
-              cache_dir: str | None = None, top_k: int = 4,
-              refine: str = "predictor") -> list[Plan]:
-    """One-shot batched planning (shared cache, deduplicated)."""
-    return PlanService(cache_dir=cache_dir, top_k=top_k,
-                       refine=refine).plan_many(queries)
+    return PlanService().plan(query)

@@ -48,8 +48,10 @@ BCAST_CHOICES = ("binomial", "vandegeijn")
 PIPELINED_CHOICES = ("segmented", "fourcolor", "hypersystolic")
 FT_BCAST_CHOICES = ("binomial",)
 
-#: Enumeration caps: most-square grids kept per p, trailing (largest)
-#: power-of-two blocks kept per grid, and the pivot-panel ceiling.
+#: Enumeration caps: the widest grid aspect ratio, most-square grids
+#: kept per p, trailing (largest) power-of-two blocks kept per grid,
+#: and the pivot-panel ceiling.
+MAX_ASPECT = 4
 MAX_GRIDS = 3
 MAX_BLOCKS = 4
 MAX_BLOCK = 1024
@@ -70,26 +72,25 @@ class Candidate(Shape):
                 for key, value in super().params().items()}
 
 
-def candidate_grids(p: int, *, max_aspect: int = 4,
-                    limit: int = MAX_GRIDS) -> list[tuple[int, int]]:
+def candidate_grids(p: int) -> list[tuple[int, int]]:
     """Factor pairs ``(s, t)`` of ``p`` with ``s <= t``, most square
-    first, aspect ratio at most ``max_aspect`` — falling back to the
-    most square pair available (e.g. ``(1, p)`` for prime ``p``)."""
+    first, aspect ratio at most :data:`MAX_ASPECT` — falling back to
+    the most square pair available (e.g. ``(1, p)`` for prime ``p``) —
+    the first :data:`MAX_GRIDS` kept."""
     if p < 1:
         raise ConfigurationError(f"p must be >= 1, got {p}")
     pairs = [(s, p // s) for s in range(1, math.isqrt(p) + 1) if p % s == 0]
     pairs.sort(key=lambda st: st[1] / st[0])
-    keep = [st for st in pairs if st[1] / st[0] <= max_aspect]
+    keep = [st for st in pairs if st[1] / st[0] <= MAX_ASPECT]
     if not keep:
         keep = pairs[:1]
-    return keep[:limit]
+    return keep[:MAX_GRIDS]
 
 
-def candidate_blocks(n: int, s: int, t: int, *,
-                     limit: int = MAX_BLOCKS) -> list[int]:
+def candidate_blocks(n: int, s: int, t: int) -> list[int]:
     """Power-of-two pivot blocks valid on an ``s x t`` grid: the chain
     ``1, 2, 4, ...`` dividing both tile dimensions ``n/s`` and ``n/t``
-    (capped at :data:`MAX_BLOCK`), largest ``limit`` kept."""
+    (capped at :data:`MAX_BLOCK`), largest :data:`MAX_BLOCKS` kept."""
     g = math.gcd(n // s, n // t)
     if g < 1:
         raise ConfigurationError(
@@ -98,7 +99,7 @@ def candidate_blocks(n: int, s: int, t: int, *,
     chain = [1]
     while g % (chain[-1] * 2) == 0 and chain[-1] * 2 <= MAX_BLOCK:
         chain.append(chain[-1] * 2)
-    return chain[-limit:]
+    return chain[-MAX_BLOCKS:]
 
 
 def candidate_replications(p: int) -> list[int]:

@@ -308,8 +308,7 @@ class CollapsedMacroEngine(MacroBackend):
             # makes those times pair-independent.
             from repro.network.homogeneous import HomogeneousNetwork
 
-            if not (isinstance(self.network, HomogeneousNetwork)
-                    and self.network.intra_params is None):
+            if not isinstance(self.network, HomogeneousNetwork):
                 raise SymmetryBroken(
                     "point-to-point collapse requires a uniform network")
 

@@ -100,12 +100,9 @@ class AnalyticCoster(CollectiveCoster):
         self,
         params: HockneyParams,
         algorithm: str = "binomial",
-        *,
-        segments: int | None = None,
     ):
         self.params = params
         self.algorithm = algorithm
-        self.segments = segments
 
     def bcast_time(
         self, participants: Sequence[int], root_index: int, nbytes: int
@@ -129,7 +126,7 @@ class AnalyticCoster(CollectiveCoster):
             nbytes,
             len(participants),
             self.params,
-            segments=segments if segments is not None else self.segments,
+            segments=segments,
         )
 
 
@@ -149,21 +146,17 @@ class MicroDesCoster(CollectiveCoster):
         algorithm: str = "binomial",
         *,
         contention: bool = False,
-        segments: int | None = None,
     ):
         self.network = network
         self.algorithm = algorithm
         self.contention = contention
-        self.segments = segments
         self._memo: dict = {}
         self.calls = 0
         self.simulations = 0
         # On a uniform network position is irrelevant — the placement
         # key is the participant count and any root is root 0 — which
         # is exactly the invariance contract.
-        self.participant_invariant = (
-            isinstance(network, HomogeneousNetwork) and network.intra_params is None
-        )
+        self.participant_invariant = isinstance(network, HomogeneousNetwork)
 
     def bcast_time(
         self, participants: Sequence[int], root_index: int, nbytes: int
@@ -186,8 +179,6 @@ class MicroDesCoster(CollectiveCoster):
             return 0.0
         if op == "bcast":
             algorithm = algorithm or self.algorithm
-            if segments is None:
-                segments = self.segments
         self.calls += 1
         root = 0 if self.participant_invariant else root_index
         key = (op, algorithm, segments,
@@ -347,6 +338,6 @@ class TopologyCoster(CollectiveCoster):
 def default_coster(network: Network, *, contention: bool) -> CollectiveCoster:
     """The analytic closed forms on a plain homogeneous network, else
     the micro-DES oracle (exact per-collective simulation, memoised)."""
-    if isinstance(network, HomogeneousNetwork) and network.intra_params is None:
+    if isinstance(network, HomogeneousNetwork):
         return AnalyticCoster(network.params)
     return MicroDesCoster(network, contention=contention)

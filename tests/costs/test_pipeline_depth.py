@@ -3,7 +3,7 @@
 The analytic optimum ``S* = sqrt(base*m*beta/(chunks*rate*alpha))``
 assumes infinitely many NIC slots; a real route holds at most
 ``base + rate`` segments.  ``optimal_pipeline_segments`` warns past
-that capacity and clamps on request (docs/cost_model.md)."""
+that capacity and keeps the closed-form value (docs/cost_model.md)."""
 
 import warnings
 
@@ -51,22 +51,4 @@ def test_overdeep_optimum_warns_but_keeps_closed_form_value():
     # Huge message, tiny latency: S* far beyond the 15-segment route.
     with pytest.warns(PipelineDepthWarning, match="segment capacity 15"):
         s = optimal_pipeline_segments(1 << 30, 16, 1e-7, 1e-9)
-    assert s > 15  # historical value preserved by default
-
-
-def test_clamp_caps_at_route_capacity():
-    with pytest.warns(PipelineDepthWarning):
-        s = optimal_pipeline_segments(1 << 30, 16, 1e-7, 1e-9, clamp=True)
-    assert s == max_pipeline_segments(16, "pipelined") == 15
-
-
-@pytest.mark.parametrize("algorithm", ["pipelined", "segmented",
-                                       "fourcolor", "hypersystolic"])
-def test_clamped_depth_never_exceeds_capacity(algorithm):
-    cap = max_pipeline_segments(64, algorithm)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PipelineDepthWarning)
-        for nbytes in (1 << 10, 1 << 20, 1 << 30):
-            s = optimal_pipeline_segments(float(nbytes), 64, 1e-7, 1e-9,
-                                          algorithm, clamp=True)
-            assert 1 <= s <= cap
+    assert s > 15  # the closed-form value, not the capacity

@@ -24,10 +24,10 @@ class TestGroupSweep:
         assert hs[0] == pytest.approx(su, rel=1e-9)
         assert hs[-1] == pytest.approx(su, rel=1e-9)
 
-    def test_analytic_coster_kind(self):
+    def test_predictor_coster_kind(self):
         s = group_sweep(
             grid5000_graphene(16), 16, 512, 32,
-            coster_kind="analytic", name="t",
+            coster_kind="predictor", name="t",
         )
         assert len(s.x) == len(s.column("hsumma_comm"))
 

@@ -130,8 +130,16 @@ def test_outer_phase_is_priced_by_its_announced_algorithm():
         cfg = HSummaConfig(m=256, l=256, n=256, s=s, t=t, I=I, J=J,
                            outer_block=16, inner_block=8,
                            outer_bcast=outer, inner_bcast=inner)
-        rep = hsumma_step_model(
-            cfg, AnalyticCoster(PARAMS, inner, segments=depth), GAMMA)
+        if depth is None:
+            rep = hsumma_step_model(cfg, AnalyticCoster(PARAMS, inner), GAMMA)
+        else:
+            _, rep = run_hsumma(
+                PhantomArray((256, 256)), PhantomArray((256, 256)),
+                grid=(s, t), groups=(I, J), outer_block=16, inner_block=8,
+                outer_bcast=outer, inner_bcast=inner,
+                network=HomogeneousNetwork(s * t, PARAMS), gamma=GAMMA,
+                backend="macro", options=CollectiveOptions(
+                    bcast=inner, bcast_segments=depth))
         hexes += canon((rep.total_time, rep.comm_time, rep.compute_time))
     assert digest("".join(hexes), 64) == (
         "87c4cf5123c65d4dc48a2fd59a3f72a8a2735bd46fe6d1d1b0d11ba11d290559")

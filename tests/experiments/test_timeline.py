@@ -69,7 +69,7 @@ class TestRenderTimeline:
         """The lookahead schedule keeps transfer cells busy during
         compute columns; quick sanity that the tool distinguishes the
         two schedules."""
-        from repro.blocks.dmatrix import DistMatrix
+        from repro.core.launch import GridLayout
         from repro.core.summa import SummaConfig, summa_program
         from repro.core.overlap import lookahead_program
         from repro.mpi.comm import MpiContext
@@ -79,14 +79,11 @@ class TestRenderTimeline:
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         cfg = SummaConfig(m=n, l=n, n=n, s=2, t=2, block=8)
-        da, db = DistMatrix.from_global(A, 2, 2), DistMatrix.from_global(B, 2, 2)
+        tiles = GridLayout(2, 2).deal(A, B)
 
         def run(factory):
-            progs = [
-                factory(MpiContext(r, 4, gamma=5e-9),
-                        da.tile(*divmod(r, 2)), db.tile(*divmod(r, 2)), cfg)
-                for r in range(4)
-            ]
+            progs = [factory(MpiContext(r, 4, gamma=5e-9), *tiles(r), cfg)
+                     for r in range(4)]
             return Engine(HomogeneousNetwork(4, PARAMS),
                           collect_trace=True).run(progs)
 

@@ -93,6 +93,29 @@ class TestCrossover:
             crossover_processor_count(0, 1, 1, 1)
 
 
+#: Each threshold function, called at a point where it answers, with
+#: ``alpha`` and ``beta`` last.
+THRESHOLDS = {
+    "hsumma_beats_summa": lambda a, b: hsumma_beats_summa(1024, 64, 256, a, b),
+    "predicted_extremum_kind":
+        lambda a, b: predicted_extremum_kind(1024, 64, 256, a, b),
+    "vdg_cost_derivative":
+        lambda a, b: vdg_cost_derivative(1024, 256, 4, 64, a, b),
+    "crossover_processor_count":
+        lambda a, b: crossover_processor_count(1024, 64, a, b),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 0.0, -1e-5])
+@pytest.mark.parametrize("rate", ["alpha", "beta"])
+@pytest.mark.parametrize("name", sorted(THRESHOLDS))
+def test_thresholds_refuse_a_bad_rate_by_name(name, rate, bad):
+    rates = {"alpha": 1e-5, "beta": 1e-9, rate: bad}
+    with pytest.raises(ModelError, match=f"{rate} must be positive"):
+        THRESHOLDS[name](rates["alpha"], rates["beta"])
+
+
 class TestOptimalGroupCount:
     def test_interior_optimum(self):
         G, t = optimal_group_count(1024, 4096, 16, 1e-4, 1e-9)

@@ -1,10 +1,6 @@
 """Unit tests for repro.network.homogeneous."""
 
-import pytest
-
-from repro.errors import TopologyError
 from repro.network.homogeneous import HomogeneousNetwork
-from repro.network.mapping import block_mapping
 from repro.network.model import HockneyParams
 
 
@@ -18,28 +14,6 @@ class TestHomogeneousNetwork:
             if a != b
         }
         assert len(times) == 1
-
-    def test_intra_node_cheaper(self):
-        inter = HockneyParams(1e-5, 1e-9)
-        intra = HockneyParams(1e-7, 1e-10)
-        net = HomogeneousNetwork(
-            4, inter, intra_params=intra, mapping=block_mapping(4, 2)
-        )
-        # Ranks 0,1 share node 0; ranks 2,3 share node 1.
-        assert net.transfer_time(0, 1, 1000) == pytest.approx(
-            intra.transfer_time(1000)
-        )
-        assert net.transfer_time(0, 2, 1000) == pytest.approx(
-            inter.transfer_time(1000)
-        )
-
-    def test_intra_without_mapping_rejected(self):
-        with pytest.raises(TopologyError):
-            HomogeneousNetwork(
-                4,
-                HockneyParams(1e-5, 1e-9),
-                intra_params=HockneyParams(1e-7, 1e-10),
-            )
 
     def test_links_unique_per_pair(self):
         net = HomogeneousNetwork(4, HockneyParams(1e-5, 1e-9))

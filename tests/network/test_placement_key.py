@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.network
+from repro.cluster.network import ClusterNetwork
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.mapping import (
     block_mapping,
@@ -32,7 +33,6 @@ from repro.network.torus import Torus3D
 from repro.network.tree import SwitchedCluster
 
 PARAMS = HockneyParams(alpha=1e-4, beta=1e-9)
-INTRA = HockneyParams(alpha=1e-6, beta=1e-10)
 SIZES = (0, 1, 4096, 2 ** 20)
 
 
@@ -50,13 +50,11 @@ def _cases():
     cases = {
         "homogeneous": HomogeneousNetwork(12, PARAMS),
     }
-    for name, mapping in _mappings(12, 2).items():
-        cases[f"homogeneous-intra-{name}"] = HomogeneousNetwork(
-            12, PARAMS, intra_params=INTRA, mapping=mapping)
     for rpn in (1, 2):
+        # A cluster places its ranks in blocks.
+        cases[f"switched-rpn{rpn}-block"] = SwitchedCluster(
+            12, 3, PARAMS, ranks_per_node=rpn)
         for name, mapping in _mappings(12 * rpn, rpn).items():
-            cases[f"switched-rpn{rpn}-{name}"] = SwitchedCluster(
-                12, 3, PARAMS, ranks_per_node=rpn, mapping=mapping)
             cases[f"torus-rpn{rpn}-{name}"] = Torus3D(
                 (3, 2, 2), PARAMS, ranks_per_node=rpn, alpha_hop=1e-5,
                 mapping=mapping)
@@ -134,17 +132,14 @@ class TestKeysActuallyCollapse:
     these pin the collisions the figure sweeps rely on."""
 
     def test_default_is_the_tuple(self):
-        net = HomogeneousNetwork(8, PARAMS, intra_params=INTRA,
-                                 mapping=block_mapping(8, 2))
+        # A job's view of a shared machine keeps the base key.
+        net = ClusterNetwork(HomogeneousNetwork(8, PARAMS), 8)
         assert net.placement_key([3, 1, 2]) == (3, 1, 2)
         assert net.placement_key((3, 1, 2)) != net.placement_key((1, 3, 2))
 
     def test_homogeneous_is_the_size(self):
         net = HomogeneousNetwork(8, PARAMS)
         assert net.placement_key((0, 1, 2)) == net.placement_key((7, 3, 5)) == 3
-        intra = HomogeneousNetwork(8, PARAMS, intra_params=INTRA,
-                                   mapping=block_mapping(8, 2))
-        assert intra.placement_key((0, 1, 2)) == (0, 1, 2)
 
     def test_switched_rows_sit_alike(self):
         net = SwitchedCluster(12, 3, PARAMS)

@@ -32,6 +32,10 @@ class TestSwitchedCluster:
         net = SwitchedCluster(2, 2, PARAMS, ranks_per_node=2)
         assert net.hops(0, 1) == 0
         assert net.transfer_time(0, 1, 1000) < net.transfer_time(0, 2, 1000)
+        intra = HockneyParams(1e-7, 1e-10)
+        net = SwitchedCluster(2, 2, PARAMS, ranks_per_node=2,
+                              intra_params=intra)
+        assert net.transfer_time(0, 1, 1000) == intra.transfer_time(1000)
 
     def test_switch_of(self):
         net = SwitchedCluster(10, 3, PARAMS)

@@ -18,8 +18,10 @@ import pytest
 from repro.core.hsumma import HSummaConfig
 from repro.core.summa import SummaConfig
 from repro.costs import PIPELINED_BCASTS
+from repro.mpi.comm import CollectiveOptions
 from repro.network.homogeneous import HomogeneousNetwork
 from repro.network.model import HockneyParams
+from repro.payloads import PhantomArray
 from repro.planner import PlanQuery, PlanService
 from repro.simulator.predictor import (
     SquareGridConfig,
@@ -66,19 +68,19 @@ def _replay_with_predictor(result, rq):
 def _replay_with_macro(result, rq):
     """Rebuild the chosen config and step the macro engine (the
     backend a segmented-family plan names)."""
-    from repro.experiments.stepmodel import hsumma_step_model, summa_step_model
-    from repro.simulator.costers import AnalyticCoster
+    from repro.core.hsumma import HSUMMA
+    from repro.core.launch import launch
+    from repro.core.summa import SUMMA
 
+    spec = SUMMA if result.algorithm == "summa" else HSUMMA
     cfg = _rebuild_config(result, rq)
-    hock = HockneyParams(rq.alpha, rq.beta)
-    seg = result.params.get("segments")
-    if result.algorithm == "summa":
-        return summa_step_model(
-            cfg, AnalyticCoster(hock, result.params["bcast"], segments=seg),
-            rq.gamma)
-    return hsumma_step_model(
-        cfg, AnalyticCoster(hock, result.params["bcast"], segments=seg),
-        rq.gamma)
+    operand = PhantomArray((rq.n, rq.n))
+    return launch(
+        spec, cfg, operand, operand, network=HomogeneousNetwork(
+            cfg.s * cfg.t, HockneyParams(rq.alpha, rq.beta)),
+        gamma=rq.gamma, backend="macro", options=CollectiveOptions(
+            bcast=result.params["bcast"],
+            bcast_segments=result.params.get("segments")))[1]
 
 
 QUERIES = [

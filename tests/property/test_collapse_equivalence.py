@@ -56,13 +56,13 @@ def falls_back(run, net, symmetry, reason, **backend):
 
 
 def _mapped(nranks):
-    """Four ranks a node, intra-node links faster: a wire whose cost
-    depends on who the participants are."""
-    from repro.network.mapping import block_mapping
+    """Four ranks a node on one switch, intra-node links faster: a wire
+    whose cost depends on who the participants are."""
+    from repro.network.tree import SwitchedCluster
 
-    return HomogeneousNetwork(
-        nranks, PARAMS, intra_params=HockneyParams(alpha=1e-6, beta=1e-10),
-        mapping=block_mapping(nranks, 4))
+    return SwitchedCluster(
+        nranks // 4, nranks // 4, PARAMS, ranks_per_node=4,
+        intra_params=HockneyParams(alpha=1e-6, beta=1e-10))
 
 
 class TestAsymmetryFallsBack:

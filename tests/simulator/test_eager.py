@@ -133,19 +133,15 @@ class TestEagerSemantics:
         B = rng.standard_normal((n, n))
         net = HomogeneousNetwork(16, PARAMS)
         # run_summa drives its own engine; build one manually instead.
-        from repro.blocks.dmatrix import DistMatrix
+        from repro.core.launch import GridLayout
         from repro.core.summa import SummaConfig, summa_program
         from repro.mpi.comm import MpiContext
 
         cfg = SummaConfig(m=n, l=n, n=n, s=4, t=4, block=8)
-        da = DistMatrix.from_global(A, 4, 4)
-        db = DistMatrix.from_global(B, 4, 4)
-        programs = [
-            summa_program(MpiContext(r, 16), da.tile(*divmod(r, 4)),
-                          db.tile(*divmod(r, 4)), cfg)
-            for r in range(16)
-        ]
+        layout = GridLayout(4, 4)
+        tiles = layout.deal(A, B)
+        programs = [summa_program(MpiContext(r, 16), *tiles(r), cfg)
+                    for r in range(16)]
         sim = Engine(net, eager_threshold=1 << 20).run(programs)
-        tiles = {divmod(r, 4): sim.return_values[r] for r in range(16)}
-        C = da.dist.assemble(tiles)  # C shares A's distribution shape here
+        C = layout.assemble((A, B), sim.return_values)
         assert np.max(np.abs(C - A @ B)) < 1e-10

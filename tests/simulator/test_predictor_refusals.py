@@ -229,29 +229,21 @@ class TestLegitimateRefusals:
 
 class TestCosterRefusal:
     def test_participant_dependent_coster(self):
-        """A topology-positional network, or a homogeneous one with a
-        second tier inside a node, has no participant-count form; the
-        refusal points at the macro backend, which can step the very
-        same coster."""
-        from repro.network.homogeneous import HomogeneousNetwork
-        from repro.network.mapping import block_mapping
+        """A topology-positional network has no participant-count
+        form; the refusal points at the macro backend, which can step
+        the very same coster."""
         from repro.network.model import HockneyParams
         from repro.network.tree import SwitchedCluster
 
         A, B = _phantoms()
-        params = HockneyParams(1e-6, 1e-10)
-        for network in (
-            SwitchedCluster(nnodes=4, nodes_per_switch=2, params=params),
-            HomogeneousNetwork(4, params,
-                               intra_params=HockneyParams(1e-7, 1e-11),
-                               mapping=block_mapping(4, 2)),
-        ):
-            with pytest.raises(ConfigurationError) as exc:
-                run_summa(A, B, grid=(2, 2), block=16, backend="predictor",
-                          network=network)
-            msg = str(exc.value)
-            assert "participant-dependent costs" in msg
-            assert "backend='macro'" in msg
+        network = SwitchedCluster(nnodes=4, nodes_per_switch=2,
+                                  params=HockneyParams(1e-6, 1e-10))
+        with pytest.raises(ConfigurationError) as exc:
+            run_summa(A, B, grid=(2, 2), block=16, backend="predictor",
+                      network=network)
+        msg = str(exc.value)
+        assert "participant-dependent costs" in msg
+        assert "backend='macro'" in msg
 
 
 class TestBackendObject:

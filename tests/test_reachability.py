@@ -11,6 +11,15 @@ must be named (called, imported, passed or looked up by its string) by
 some file of the package, the benchmarks or the examples.  The few
 that only tests name are listed in :data:`TEST_ONLY`, which can only
 shrink.
+
+And for options: each keyword-only parameter with a default, on a
+public function or method, must be passed by keyword in some call of
+the package, the benchmarks or the examples, to a callee of the same
+name (the class, for ``__init__``).  A keyword passed to any other
+callee, such as ``super().__init__``, a private helper or
+``functools.partial``, counts for every option of that name: options
+travel through ``**`` forwarding.  The few that only tests pass are listed in
+:data:`TEST_ONLY_OPTIONS`, which can only shrink.
 """
 
 import ast
@@ -28,6 +37,29 @@ TEST_ONLY = {
     "repro.experiments.figures.headline_ratios",
     "repro.metrics.fault_report",
     "repro.models.scaling.weak_scaling",
+}
+
+#: Keyword options only tests pass, each with why it stays.  A new one
+#: fails the scan; so does one here that found a caller.
+TEST_ONLY_OPTIONS = {
+    "repro.core.factorize_api.factorize(kernel=)":
+        "the public one-call API names the factorization to run",
+    "repro.costs.closed_forms.hsumma_communication_cost(B=)":
+        "the paper's equations (3)-(5) with an outer block B != b",
+    "repro.costs.closed_forms.hsumma_latency_factor(B=)":
+        "the paper's Tables I/II latency factor with B != b",
+    "repro.models.scaling.scalability_limit(model=)":
+        "the paper's scalability study under another broadcast",
+    "repro.models.scaling.scalability_limit(p_max=)":
+        "the paper's scalability study over a wider processor range",
+    "repro.network.torus.Torus3D.__init__(alpha_hop=)":
+        "machine description: the per-hop latency of the torus",
+    "repro.network.torus.Torus3D.__init__(intra_params=)":
+        "machine description: on-node links of the torus",
+    "repro.network.tree.SwitchedCluster.__init__(switch_hop_alpha=)":
+        "machine description: the core crossing of the cluster",
+    "repro.network.tree.SwitchedCluster.__init__(intra_params=)":
+        "machine description: on-node links of the cluster",
 }
 
 
@@ -99,6 +131,59 @@ def test_every_function_is_named_by_something_that_runs():
         f"named by tests only: {sorted(unnamed - TEST_ONLY)}; "
         f"no longer test-only, drop from TEST_ONLY: "
         f"{sorted(TEST_ONLY - unnamed)}")
+
+
+def _public_functions(tree: ast.Module):
+    """``(callee, prefix, function)`` for each public top-level function
+    (prefix ``""``) and each public method or ``__init__`` of a public
+    top-level class (prefix ``"Class."``); ``callee`` is the name a call
+    of it reads (the class, for ``__init__``)."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            yield node.name, "", node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and (item.name == "__init__"
+                             or not item.name.startswith("_"))):
+                    callee = node.name if item.name == "__init__" else item.name
+                    yield callee, f"{node.name}.", item
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_every_keyword_option_is_set_by_something_that_runs():
+    options = {}
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for callee, prefix, fn in _public_functions(tree):
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    options[f"{_module_name(path)}.{prefix}{fn.name}"
+                            f"({arg.arg}=)"] = callee, arg.arg
+    defined = {callee for callee, _ in options.values()}
+    # ``(callee, keyword)``; callee ``None`` stands for any.
+    passed = set()
+    for top in READERS:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    callee = _callee(node)
+                    callee = callee if callee in defined else None
+                    passed.update((callee, kw.arg)
+                                  for kw in node.keywords if kw.arg)
+    unset = {option for option, (callee, kw) in options.items()
+             if (callee, kw) not in passed and (None, kw) not in passed}
+    assert unset == set(TEST_ONLY_OPTIONS), (
+        f"set by tests only: {sorted(unset - set(TEST_ONLY_OPTIONS))}; "
+        f"no longer test-only, drop from TEST_ONLY_OPTIONS: "
+        f"{sorted(set(TEST_ONLY_OPTIONS) - unset)}")
 
 
 def test_the_simulator_imports_nothing_from_the_experiments():
