@@ -4,15 +4,16 @@ The paper's key observation is that SUMMA's communication is all
 broadcast, so the broadcast algorithm determines the constant factors.
 This package implements the broadcast algorithms the paper analyses
 (binomial tree and Van de Geijn scatter-allgather) plus the classical
-alternatives (flat, binary, chain, pipelined chain), and the other
-collectives the baseline matmul algorithms need (scatter, gather,
-allgather, reduce, allreduce, barrier).
+alternatives (flat, binary, chain, pipelined chain), and one algorithm
+for each other collective: the binomial reduce of the 2.5D and 3-D
+baselines, the scatter, gather and allreduce of QR, and the ring
+allgather and dissemination barrier of the communicator.
 
 Every algorithm is a generator function over a duck-typed communicator
 (:class:`repro.mpi.Comm`), so they run unchanged inside the full
 discrete-event simulator and inside the step-model micro-simulations.
-:data:`COLLECTIVES` declares each op once: its algorithms, its default
-option, its size convention and what each rank gets back.
+:data:`COLLECTIVES` declares each op once: its algorithms, its size
+convention and what each rank gets back.
 """
 
 from __future__ import annotations
@@ -40,13 +41,8 @@ from repro.collectives.pipelined import (
     fourcolor_schedule,
     validate_link_coloring,
 )
-from repro.collectives.allgather import allgather_rd, allgather_ring
-from repro.collectives.extra import (
-    allgather_bruck,
-    allreduce_rabenseifner,
-    reduce_scatter_ring,
-)
-from repro.collectives.reduce import allreduce_rd, reduce_binomial, reduce_flat
+from repro.collectives.allgather import allgather_ring
+from repro.collectives.reduce import allreduce_rd, reduce_binomial
 from repro.collectives.scatter import scatter_binomial
 from repro.costs import (
     bcast_bandwidth_factor,
@@ -77,9 +73,9 @@ class Collective:
     error names it.  ``algorithms`` maps names to generator functions:
     a rooted op's take ``(comm, obj, root)``, the others ``(comm,
     obj)``, the barrier's ``(comm,)``; a broadcast's also take
-    ``segments=``.  ``option`` is the
-    :class:`~repro.mpi.CollectiveOptions` field naming the default
-    algorithm (None: the op has one, the default).  ``size`` is the
+    ``segments=``.  Every op but the broadcast has one algorithm; a
+    broadcast runs the one its call names, else the
+    :class:`~repro.mpi.CollectiveOptions` ``bcast``.  ``size`` is the
     size convention.  The result rule is ``result`` — ``"payload"``
     (the root's), ``"list"`` (every contribution in rank order),
     ``"sum"`` (their element-wise sum) or None — delivered ``to``
@@ -91,7 +87,6 @@ class Collective:
     op: str
     noun: str
     algorithms: dict[str, Callable[..., Gen]]
-    option: str | None
     rooted: bool
     size: str | None
     result: str | None
@@ -149,29 +144,21 @@ COLLECTIVES: dict[str, Collective] = {row.op: row for row in (
         "pipelined": bcast_pipelined, "segmented": bcast_segmented,
         "fourcolor": bcast_fourcolor, "hypersystolic": bcast_hypersystolic,
         "vandegeijn": bcast_vandegeijn, "ft_binomial": bcast_ft,
-    }, option="bcast", rooted=True, size=ROOT, result="payload", to="all"),
+    }, rooted=True, size=ROOT, result="payload", to="all"),
     Collective("scatter", "scatter", {"binomial": scatter_binomial},
-               option=None, rooted=True, size=ROOT, result="payload",
-               to="each"),
+               rooted=True, size=ROOT, result="payload", to="each"),
     Collective("gather", "gather", {"binomial": gather_binomial},
-               option=None, rooted=True, size=CONTRIBUTION, result="list",
-               to="root"),
-    Collective("allgather", "allgather", {
-        "ring": allgather_ring, "recursive_doubling": allgather_rd,
-        "bruck": allgather_bruck,
-    }, option="allgather", rooted=False, size=CONTRIBUTION, result="list",
-        to="all"),
-    Collective("reduce", "reduce", {
-        "binomial": reduce_binomial, "flat": reduce_flat,
-    }, option="reduce", rooted=True, size=CONTRIBUTION, result="sum",
-        to="root", uniform=True),
-    Collective("allreduce", "allreduce", {
-        "recursive_doubling": allreduce_rd,
-        "rabenseifner": allreduce_rabenseifner,
-    }, option="allreduce", rooted=False, size=CONTRIBUTION, result="sum",
-        to="all", uniform=True),
+               rooted=True, size=CONTRIBUTION, result="list", to="root"),
+    Collective("allgather", "allgather", {"ring": allgather_ring},
+               rooted=False, size=CONTRIBUTION, result="list", to="all"),
+    Collective("reduce", "reduce", {"binomial": reduce_binomial},
+               rooted=True, size=CONTRIBUTION, result="sum", to="root",
+               uniform=True),
+    Collective("allreduce", "allreduce", {"recursive_doubling": allreduce_rd},
+               rooted=False, size=CONTRIBUTION, result="sum", to="all",
+               uniform=True),
     Collective("barrier", "barrier", {"dissemination": barrier_dissemination},
-               option=None, rooted=False, size=None, result=None, to="all"),
+               rooted=False, size=None, result=None, to="all"),
 )}
 
 #: The fields a collective call announces, in announcement order, with
@@ -192,9 +179,6 @@ __all__ = [
     "Collective",
     "ROOT",
     "SIGNATURE",
-    "allgather_bruck",
-    "allreduce_rabenseifner",
-    "reduce_scatter_ring",
     "bcast_flat",
     "bcast_binomial",
     "bcast_binary",
@@ -208,9 +192,7 @@ __all__ = [
     "fourcolor_schedule",
     "validate_link_coloring",
     "allgather_ring",
-    "allgather_rd",
     "reduce_binomial",
-    "reduce_flat",
     "allreduce_rd",
     "bcast_time",
     "bcast_latency_factor",

@@ -9,7 +9,6 @@ from repro.payloads import nbytes_of
 Gen = Generator[Any, Any, Any]
 
 TAG_AG_RING = -40
-TAG_AG_RD = -41
 
 
 def allgather_ring(comm: Any, obj: Any) -> Gen:
@@ -39,26 +38,3 @@ def allgather_ring(comm: Any, obj: Any) -> Gen:
         out[carry_index] = incoming
     return out
 
-
-def allgather_rd(comm: Any, obj: Any) -> Gen:
-    """Recursive-doubling allgather: ``log2 p`` rounds, partners exchange
-    their accumulated halves.  Requires a power-of-two size; other
-    sizes fall back to the ring algorithm."""
-    size = comm.size
-    if size & (size - 1) != 0:
-        result = yield from allgather_ring(comm, obj)
-        return result
-    out: dict[int, Any] = {comm.rank: obj}
-    dist = 1
-    while dist < size:
-        partner = comm.rank ^ dist
-        # Send everything in my current block of `dist` ranks.
-        block_start = (comm.rank // dist) * dist
-        bundle = [(r, out[r]) for r in range(block_start, block_start + dist)]
-        incoming = yield from comm.sendrecv(
-            bundle, partner, partner, sendtag=TAG_AG_RD, recvtag=TAG_AG_RD
-        )
-        for r, val in incoming:
-            out[r] = val
-        dist *= 2
-    return [out[r] for r in range(size)]

@@ -19,21 +19,6 @@ TAG_REDUCE = -50
 TAG_ALLRED = -51
 
 
-def reduce_flat(comm: Any, obj: Any, root: int) -> Gen:
-    """Every rank sends to the root, which combines sequentially."""
-    if comm.size == 1:
-        return obj
-    if comm.rank != root:
-        yield from comm.send(obj, root, tag=TAG_REDUCE)
-        return None
-    acc = obj
-    for r in range(comm.size):
-        if r != root:
-            other = yield from comm.recv(r, tag=TAG_REDUCE)
-            acc = combine_payloads(acc, other)
-    return acc
-
-
 def reduce_binomial(comm: Any, obj: Any, root: int) -> Gen:
     """Binomial-tree reduce: mirror image of the binomial broadcast,
     ``ceil(log2 p)`` rounds."""

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.costs.registry import check_rates
 from repro.errors import ModelError
 
 
@@ -119,10 +120,7 @@ def lower_bound_time(
 ) -> LowerBound:
     """Assemble the full time floor for an ``n x n`` multiply on ``p``
     ranks (``beta`` per **element**, matching the closed forms)."""
-    if alpha < 0 or beta < 0 or gamma < 0:
-        raise ModelError(
-            f"need alpha, beta, gamma >= 0; got {alpha}, {beta}, {gamma}"
-        )
+    check_rates(alpha=alpha, beta=beta, gamma=gamma)
     elements = bandwidth_lower_bound_elements(n, p, memory_elements)
     latency = latency_lower_bound_terms(p)
     return LowerBound(

@@ -60,6 +60,16 @@ def _binary_depth(p: int) -> int:
     return max(0, int(math.floor(math.log2(p))))
 
 
+def check_rates(**rates: float) -> None:
+    """Refuse a NaN, infinite or negative rate by name; zero is a legal
+    rate (a free wire, free flops).  ``rate < 0`` is false for NaN, so a
+    sign check alone would let one through."""
+    for name, value in rates.items():
+        if not 0 <= value < math.inf:
+            raise ModelError(
+                f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _log2_smooth(p: float) -> float:
     return math.log2(p) if p > 1 else 0.0
 
@@ -329,6 +339,7 @@ def optimal_pipeline_segments(
     returned: the closed-form value the pinned predictor artifacts rely
     on.
     """
+    check_rates(alpha=alpha, beta=beta)
     if p <= 2 or m_bytes <= 0 or alpha <= 0:
         return 1
     base, rate, chunks = _pipeline_shape(algorithm, p)
@@ -458,6 +469,7 @@ def estimate(q: CostQuery) -> CostEstimate:
         raise ModelError(f"message size must be >= 0, got {q.nbytes}")
     if q.p < 1:
         raise ModelError(f"p must be >= 1, got {q.p}")
+    check_rates(alpha=q.alpha, beta=q.beta)
     if q.p == 1:
         return _ZERO
     if q.op == "bcast":
@@ -479,56 +491,32 @@ def estimate(q: CostQuery) -> CostEstimate:
             alpha_terms=float(log2p),
             beta_bytes=(p - 1) * m,
         )
-    if q.op == "allgather":
-        if q.algorithm == "ring" or (q.algorithm == "recursive_doubling"
-                                     and p & (p - 1)):
-            # Recursive doubling falls back to the ring off powers of two.
-            return CostEstimate(
-                seconds=(p - 1) * (alpha + m * beta),
-                alpha_terms=float(p - 1),
-                beta_bytes=(p - 1) * m,
-            )
-        if q.algorithm in ("recursive_doubling", "bruck"):
-            return CostEstimate(
-                seconds=log2p * alpha + (p - 1) * m * beta,
-                alpha_terms=float(log2p),
-                beta_bytes=(p - 1) * m,
-            )
-    if q.op == "reduce":
-        if q.algorithm == "flat":
-            return CostEstimate(
-                seconds=(p - 1) * (alpha + m * beta),
-                alpha_terms=float(p - 1),
-                beta_bytes=(p - 1) * m,
-            )
-        if q.algorithm == "binomial":
+    if q.op == "allgather" and q.algorithm == "ring":
+        return CostEstimate(
+            seconds=(p - 1) * (alpha + m * beta),
+            alpha_terms=float(p - 1),
+            beta_bytes=(p - 1) * m,
+        )
+    if q.op == "reduce" and q.algorithm == "binomial":
+        return CostEstimate(
+            seconds=log2p * (alpha + m * beta),
+            alpha_terms=float(log2p),
+            beta_bytes=log2p * m,
+        )
+    if q.op == "allreduce" and q.algorithm == "recursive_doubling":
+        if p & (p - 1) == 0:
             return CostEstimate(
                 seconds=log2p * (alpha + m * beta),
                 alpha_terms=float(log2p),
                 beta_bytes=log2p * m,
             )
-    if q.op == "allreduce":
-        if q.algorithm == "rabenseifner":
-            # A ring reduce-scatter plus a ring allgather of m/p chunks.
-            return CostEstimate(
-                seconds=2 * (p - 1) * alpha + 2 * (p - 1) / p * m * beta,
-                alpha_terms=float(2 * (p - 1)),
-                beta_bytes=2 * (p - 1) / p * m,
-            )
-        if q.algorithm == "recursive_doubling":
-            if p & (p - 1) == 0:
-                return CostEstimate(
-                    seconds=log2p * (alpha + m * beta),
-                    alpha_terms=float(log2p),
-                    beta_bytes=log2p * m,
-                )
-            # The implementation falls back to reduce + bcast off
-            # powers of two.
-            return estimate(
-                dataclasses.replace(q, op="reduce", algorithm="binomial")
-            ) + estimate(
-                dataclasses.replace(q, op="bcast", algorithm="binomial")
-            )
+        # The implementation falls back to reduce + bcast off
+        # powers of two.
+        return estimate(
+            dataclasses.replace(q, op="reduce", algorithm="binomial")
+        ) + estimate(
+            dataclasses.replace(q, op="bcast", algorithm="binomial")
+        )
     if q.op == "barrier":
         # Dissemination barrier: ceil(log2 p) zero-byte rounds.
         return CostEstimate(

@@ -34,7 +34,12 @@ from repro.payloads import PhantomArray
 from repro.verify.session import run_verified
 from repro.simulator.runtime import DEFAULT_PARAMS
 from repro.simulator.tracing import SimResult
-from repro.util.validation import require, require_divides
+from repro.util.validation import (
+    require,
+    require_divides,
+    require_finite,
+    require_positive,
+)
 
 Gen = Generator[Any, Any, Any]
 
@@ -59,8 +64,7 @@ class Hetero1dConfig:
         require(self.m > 0 and self.l > 0 and self.n > 0,
                 f"matrix dims must be positive: {self.m}, {self.l}, {self.n}")
         require(len(self.speeds) >= 1, "need at least one rank")
-        require(all(s > 0 for s in self.speeds),
-                f"speeds must be positive: {self.speeds}")
+        _require_speeds(self.speeds, "speeds")
         require_divides(self.block, self.l, "hetero1d: block into inner dim")
         require_divides(self.groups, len(self.speeds),
                         "hetero1d: groups into rank count")
@@ -79,6 +83,12 @@ class Hetero1dConfig:
     def col_bounds(self) -> list[tuple[int, int]]:
         """Column ranges of ``B``/``C`` per rank (speed-proportional)."""
         return partition_bounds(self.n, self.speeds)
+
+
+def _require_speeds(speeds: Sequence[float], name: str) -> None:
+    """Refuse a NaN, infinite, zero or negative speed by name."""
+    for rank, speed in enumerate(speeds):
+        require_positive(speed, f"{name}[{rank}]")
 
 
 def hetero_summa1d_program(
@@ -176,14 +186,20 @@ def run_hetero_summa1d(
     (m, l), (l2, n) = A.shape, B.shape
     if l != l2:
         raise ConfigurationError(f"inner dims differ: {A.shape} @ {B.shape}")
-    part = tuple(partition_speeds) if partition_speeds is not None else tuple(speeds)
+    true_speeds = tuple(speeds)
+    _require_speeds(true_speeds, "speeds")
+    require_finite(base_gamma, "base_gamma")
+    require(base_gamma >= 0, f"base_gamma must be >= 0, got {base_gamma!r}")
+    part = true_speeds
+    if partition_speeds is not None:
+        part = tuple(partition_speeds)
+        _require_speeds(part, "partition_speeds")
     if len(part) != len(speeds):
         raise ConfigurationError(
             f"partition_speeds has {len(part)} entries for {len(speeds)} ranks"
         )
     cfg = Hetero1dConfig(m=m, l=l, n=n, speeds=part, block=block,
                          groups=groups)
-    true_speeds = tuple(speeds)
     p = cfg.p
     bounds = cfg.col_bounds()
     phantom = isinstance(A, PhantomArray) or isinstance(B, PhantomArray)

@@ -63,20 +63,17 @@ def _wire_size(payload: Any) -> int | None:
 
 @dataclasses.dataclass(frozen=True)
 class CollectiveOptions:
-    """Default algorithm choices for collective operations.
+    """Default broadcast choices for collective operations.
 
-    ``bcast``, ``allgather``, ``reduce`` and ``allreduce`` each name an
-    algorithm of the op's row in :data:`repro.collectives.COLLECTIVES`
-    (the row's ``option`` is the field).  ``bcast_segments`` is the
-    pipeline depth ``s``: the segment count for the pipelined /
-    segmented broadcast family (None = auto).
+    ``bcast`` names an algorithm of the broadcast row of
+    :data:`repro.collectives.COLLECTIVES` (every other op has one
+    algorithm).  ``bcast_segments`` is the pipeline depth ``s``: the
+    segment count for the pipelined / segmented broadcast family
+    (None = auto).
     """
 
     bcast: str = "binomial"
     bcast_segments: int | None = None
-    allgather: str = "ring"
-    reduce: str = "binomial"
-    allreduce: str = "recursive_doubling"
 
     def __post_init__(self) -> None:
         depth = self.bcast_segments
@@ -580,8 +577,9 @@ class Comm:
         span, announce it, expand it unless the backend replied with
         the result, close the span."""
         ctx = self._ctx
-        name = algorithm or (getattr(ctx.options, row.option) if row.option
-                             else next(iter(row.algorithms)))
+        name = algorithm
+        if name is None:
+            (name,) = row.algorithms  # every op but bcast has one
         from_root = row.size == ROOT
         if ctx.trace:
             attrs = {"comm_size": self.size, "algorithm": name}
@@ -617,8 +615,10 @@ class Comm:
         ``algorithm`` overrides the context default for this call.
         """
         self._check_rank(root)
-        return self._collective(COLLECTIVES["bcast"], obj, root, algorithm,
-                                self._ctx.options.bcast_segments)
+        options = self._ctx.options
+        return self._collective(COLLECTIVES["bcast"], obj, root,
+                                algorithm or options.bcast,
+                                options.bcast_segments)
 
     def scatter(self, parts: Sequence[Any] | None, root: int) -> Gen:
         """Scatter ``parts[i]`` to rank ``i``; ``parts`` given on root only."""
@@ -642,20 +642,18 @@ class Comm:
         self._check_rank(root)
         return self._collective(COLLECTIVES["gather"], obj, root)
 
-    def allgather(self, obj: Any, algorithm: str | None = None) -> Gen:
+    def allgather(self, obj: Any) -> Gen:
         """All ranks end with the list of every rank's contribution."""
-        return self._collective(COLLECTIVES["allgather"], obj,
-                                algorithm=algorithm)
+        return self._collective(COLLECTIVES["allgather"], obj)
 
     def reduce(self, obj: Any, root: int) -> Gen:
         """Element-wise sum onto ``root`` (None elsewhere)."""
         self._check_rank(root)
         return self._collective(COLLECTIVES["reduce"], obj, root)
 
-    def allreduce(self, obj: Any, algorithm: str | None = None) -> Gen:
+    def allreduce(self, obj: Any) -> Gen:
         """Element-wise sum delivered to every rank."""
-        return self._collective(COLLECTIVES["allreduce"], obj,
-                                algorithm=algorithm)
+        return self._collective(COLLECTIVES["allreduce"], obj)
 
     def barrier(self) -> Gen:
         """Dissemination barrier."""

@@ -208,8 +208,10 @@ class MicroDesCoster(CollectiveCoster):
         subnet = SubNetwork(self.network, participants)
         n = len(participants)
         kwargs: dict = {"bcast_segments": segments}
-        if algorithm is not None and row.option is not None:
-            kwargs[row.option] = algorithm
+        if algorithm is not None:
+            row.algorithm(algorithm)  # refuses a name the row lacks
+            if op == "bcast":
+                kwargs["bcast"] = algorithm
         options = CollectiveOptions(**kwargs)
 
         def stand_in(rank: int):

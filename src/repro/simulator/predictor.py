@@ -46,6 +46,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.collectives import COLLECTIVES
 from repro.errors import ConfigurationError
 from repro.network.model import Network
 from repro.simulator.costers import default_coster
@@ -174,7 +175,7 @@ def bcast(p: int, nbytes: int, algorithm: str | None = None) -> tuple:
 
 
 def reduce(p: int, nbytes: int) -> tuple:
-    """One reduction among ``p`` ranks, by the run's reduce algorithm."""
+    """One reduction among ``p`` ranks, by the reduce row's algorithm."""
     return ("reduce", p, nbytes, None)
 
 
@@ -207,7 +208,6 @@ class _Run:
     coster: Any
     network: Network
     bcasts: tuple[str, ...]
-    reduce_alg: str
     segments: int | None
     gamma: float
     a_itemsize: int
@@ -229,7 +229,7 @@ class _Run:
         if kind == "bcast":
             algorithm, segments = algorithm or self.bcasts[0], self.segments
         else:
-            algorithm, segments = self.reduce_alg, None
+            (algorithm,), segments = COLLECTIVES[kind].algorithms, None
         return self.coster.collective_time(
             kind, algorithm, tuple(range(p)), 0, nbytes, segments=segments)
 
@@ -334,8 +334,8 @@ def chain_walk(
         ) -> SimResult:
             opts = options or _default_options()
             run = _Run(_resolve_coster(network, coster), network,
-                       bcasts(cfg, options), opts.reduce,
-                       opts.bcast_segments, gamma, a_itemsize, b_itemsize)
+                       bcasts(cfg, options), opts.bcast_segments, gamma,
+                       a_itemsize, b_itemsize)
             return _evaluate(declare(run, cfg), run)
 
         predict.bcasts = bcasts

@@ -10,11 +10,6 @@ start/end) are hashed through ``tests/pins.py``.  A fourth and fifth
 digest pin ``MicroDesCoster.collective_time`` for the pair on a
 homogeneous network and on a 2x2x2 torus.  A refusal is recorded as
 its message.
-
-Three rows the cost-model fixes move are left out: the macro times of
-``allreduce/rabenseifner`` and ``allgather/recursive_doubling`` (their
-return values stay pinned), and ``allgather/bruck`` off powers of two
-(its return values stay pinned; its coster times are not taken).
 """
 
 from __future__ import annotations
@@ -45,26 +40,13 @@ PAIRS = (
         "fourcolor", "hypersystolic", "vandegeijn", "ft_binomial")),
     ("scatter", "binomial"),
     ("gather", "binomial"),
-    *(("allgather", name) for name in ("ring", "recursive_doubling",
-                                       "bruck")),
+    ("allgather", "ring"),
     ("reduce", "binomial"),
-    ("reduce", "flat"),
     ("allreduce", "recursive_doubling"),
-    ("allreduce", "rabenseifner"),
     ("barrier", "dissemination"),
 )
 
 ROOTED = frozenset({"bcast", "scatter", "gather", "reduce"})
-
-#: Pairs whose macro times are left out (return values only).
-UNPINNED_MACRO_TIMES = frozenset({("allreduce", "rabenseifner"),
-                                  ("allgather", "recursive_doubling")})
-
-
-def _times_unpinned(op, algorithm, p, tier):
-    if tier == "macro":
-        return (op, algorithm) in UNPINNED_MACRO_TIMES
-    return (op, algorithm) == ("allgather", "bruck") and p & (p - 1) != 0
 
 
 def _contribution(rank, index=0):
@@ -101,8 +83,8 @@ def _program(op, root):
 
 
 def _options(op, algorithm):
-    if op in ("bcast", "allgather", "reduce", "allreduce"):
-        return CollectiveOptions(**{op: algorithm})
+    if op == "bcast":
+        return CollectiveOptions(bcast=algorithm)
     return CollectiveOptions()
 
 
@@ -131,9 +113,6 @@ def record_runs(op, algorithm, tier):
                 continue
             # Insertion order: a span's attributes are pinned in order.
             values = canon(sim.return_values, sort_keys=False)
-            if _times_unpinned(op, algorithm, p, tier):
-                out.append((p, root, values))
-                continue
             out.append((p, root, values, canon(sim.stats, sort_keys=False),
                         canon(sim.spans, sort_keys=False)))
     return tuple(out)
@@ -150,8 +129,6 @@ def record_coster(op, algorithm, tier):
     network = dict(COSTER_NETWORKS)[tier]()
     out = []
     for p in SIZES:
-        if _times_unpinned(op, algorithm, p, tier):
-            continue
         # A permutation of the eight ranks: participants are not a
         # contiguous block of the torus.
         participants = tuple((3 * i + 1) % 8 for i in range(p))
@@ -249,36 +226,16 @@ PINS = {
     'allgather-ring-macro': '0a97debe3bcff075',
     'allgather-ring-micro-homogeneous': 'c49fae8a90835383',
     'allgather-ring-micro-torus': '28e3ceae035f40a5',
-    'allgather-recursive_doubling-des': 'e4648404f63234b3',
-    'allgather-recursive_doubling-des-traced': '85d1e898dece829a',
-    'allgather-recursive_doubling-macro': '42271339482b8094',
-    'allgather-recursive_doubling-micro-homogeneous': 'ddc653a9739f12f8',
-    'allgather-recursive_doubling-micro-torus': '1d43b0c6dd822b3f',
-    'allgather-bruck-des': '4fb9fbd5bdf68282',
-    'allgather-bruck-des-traced': 'ee0c4f2352dd2be7',
-    'allgather-bruck-macro': '3de430c19425d716',
-    'allgather-bruck-micro-homogeneous': '2c6f479931abd189',
-    'allgather-bruck-micro-torus': 'eac94fe89c63d1ce',
     'reduce-binomial-des': 'c35a054a5157fcd6',
     'reduce-binomial-des-traced': '4837f34a1305b593',
     'reduce-binomial-macro': '21527e77d8fe3e6f',
     'reduce-binomial-micro-homogeneous': 'f5e294c25d36d33f',
     'reduce-binomial-micro-torus': '45a7ddce04ea1bd9',
-    'reduce-flat-des': 'f436f07f831a7508',
-    'reduce-flat-des-traced': 'c1e8880994a82cbc',
-    'reduce-flat-macro': '309418290f0d4f5c',
-    'reduce-flat-micro-homogeneous': '32b193ae3cfecc99',
-    'reduce-flat-micro-torus': 'a3709f7e20eac853',
     'allreduce-recursive_doubling-des': '9dc750cf6007336c',
     'allreduce-recursive_doubling-des-traced': '3eb5b23363273330',
     'allreduce-recursive_doubling-macro': '205e698947de7c4f',
     'allreduce-recursive_doubling-micro-homogeneous': '5ecf4f9129711bbf',
     'allreduce-recursive_doubling-micro-torus': 'ec4b35cb2196171d',
-    'allreduce-rabenseifner-des': '51f07ef326e7023f',
-    'allreduce-rabenseifner-des-traced': 'aa0d8640e0c89310',
-    'allreduce-rabenseifner-macro': 'd16054af7e225a2a',
-    'allreduce-rabenseifner-micro-homogeneous': '27fa7b109918e0ec',
-    'allreduce-rabenseifner-micro-torus': '6d2f0db50c4d66d9',
     'barrier-dissemination-des': '03831341624a4278',
     'barrier-dissemination-des-traced': '1070be10dd853d9e',
     'barrier-dissemination-macro': '8018de82a96f6db2',

@@ -4,9 +4,7 @@ Every ``(op, algorithm)`` of :data:`repro.collectives.COLLECTIVES`
 runs through the discrete-event engine (the micro-DES coster, on a
 homogeneous network) at p = 2..17 and two message sizes, and its
 makespan must sit within 1 % of :func:`repro.costs.collective_time`.
-The remainder is container framing bytes (Bruck and recursive
-doubling send ``(offset, item)`` pairs) and Van de Geijn's uneven
-split.  Two rows are held to something else, by name:
+The remainder is Van de Geijn's uneven split.  Two rows are held to something else, by name:
 
 * the segmented broadcast family is priced at the registry's optimal
   pipeline depth, not at the depth the executable picks;

@@ -8,6 +8,8 @@ from repro.costs import (
     CostEstimate,
     CostQuery,
     estimate,
+    lower_bound_time,
+    optimal_pipeline_segments,
 )
 from repro.errors import ModelError
 from repro.network.model import HockneyParams
@@ -65,6 +67,34 @@ class TestEstimate:
         auto = _seconds("bcast", "pipelined", 16, 1_000_000)
         manual = _seconds("bcast", "pipelined", 16, 1_000_000, segments=4)
         assert auto <= manual + 1e-12
+
+
+#: Each public cost entry point that takes network rates, called at a
+#: point where it answers, with ``alpha`` and ``beta`` last.
+RATED = {
+    "estimate":
+        lambda a, b: estimate(CostQuery("bcast", "binomial", 8, 100, a, b)),
+    "lower_bound_time": lambda a, b: lower_bound_time(1024, 64, a, b, 1e-11),
+    "optimal_pipeline_segments":
+        lambda a, b: optimal_pipeline_segments(1e6, 16, a, b, "segmented"),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 -1.0])
+@pytest.mark.parametrize("rate", ["alpha", "beta"])
+@pytest.mark.parametrize("name", sorted(RATED))
+def test_cost_entry_points_refuse_a_bad_rate_by_name(name, rate, bad):
+    rates = {"alpha": 1e-5, "beta": 1e-9, rate: bad}
+    with pytest.raises(ModelError, match=f"{rate} must be finite and >= 0"):
+        RATED[name](rates["alpha"], rates["beta"])
+
+
+@pytest.mark.parametrize("rate", ["alpha", "beta"])
+@pytest.mark.parametrize("name", sorted(RATED))
+def test_cost_entry_points_take_a_zero_rate(name, rate):
+    rates = {"alpha": 1e-5, "beta": 1e-9, rate: 0.0}
+    RATED[name](rates["alpha"], rates["beta"])
 
 
 class TestCostEstimate:

@@ -124,3 +124,27 @@ class TestHeteroSumma1d:
                 rng.standard_normal((8, 8)), rng.standard_normal((8, 8)),
                 speeds=[1, 1, 1], groups=2, block=4, params=PARAMS,
             )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs,named", [
+    ({"speeds": (1.0, NAN), "partition_speeds": (1.0, 1.0)}, "speeds[1]"),
+    ({"speeds": (1.0, 0.0), "partition_speeds": (1.0, 1.0)}, "speeds[1]"),
+    ({"speeds": (1.0, INF), "partition_speeds": (1.0, 1.0)}, "speeds[1]"),
+    ({"speeds": (1.0, -1.0)}, "speeds[1]"),
+    ({"speeds": (1.0, INF)}, "speeds[1]"),
+    ({"speeds": (1.0, 1.0), "partition_speeds": (INF, 1.0)},
+     "partition_speeds[0]"),
+    ({"speeds": (1.0, 1.0), "base_gamma": NAN}, "base_gamma"),
+    ({"speeds": (1.0, 1.0), "base_gamma": INF}, "base_gamma"),
+    ({"speeds": (1.0, 1.0), "base_gamma": -1e-9}, "base_gamma"),
+], ids=["speed-nan", "speed-zero", "speed-inf", "speed-negative",
+        "speed-inf-unpartitioned", "partition-speed-inf", "base-gamma-nan",
+        "base-gamma-inf", "base-gamma-negative"])
+def test_bad_speeds_and_base_gamma_are_refused_by_name(kwargs, named):
+    with pytest.raises(ConfigurationError) as err:
+        run_hetero_summa1d(PhantomArray((64, 64)), PhantomArray((64, 64)),
+                           block=16, params=PARAMS, **kwargs)
+    assert str(err.value).startswith(named)

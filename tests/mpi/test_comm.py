@@ -187,7 +187,7 @@ class TestCollectiveOptions:
     def test_defaults(self):
         opts = CollectiveOptions()
         assert opts.bcast == "binomial"
-        assert opts.allgather == "ring"
+        assert opts.bcast_segments is None
 
     def test_replace(self):
         opts = CollectiveOptions().replace(bcast="vandegeijn")

@@ -79,7 +79,7 @@ def scalar_walk(declaration, run):
                     algorithm, segments = (algorithm or run.bcasts[0],
                                            run.segments)
                 else:
-                    algorithm, segments = run.reduce_alg, None
+                    algorithm, segments = "binomial", None
                 step = duration(node, lambda: run.coster.collective_time(
                     kind, algorithm, tuple(range(p)), 0, nbytes,
                     segments=segments))
@@ -101,8 +101,8 @@ def assert_evaluator_equals_walk(predict, cfg, *, nranks, platform,
     network = HomogeneousNetwork(nranks, params)
     opts = options or CollectiveOptions()
     run = predictor._Run(AnalyticCoster(params), network,
-                         predict.bcasts(cfg, options), opts.reduce,
-                         opts.bcast_segments, gamma, a_itemsize, b_itemsize)
+                         predict.bcasts(cfg, options), opts.bcast_segments,
+                         gamma, a_itemsize, b_itemsize)
     expected = scalar_walk(predict.__wrapped__(run, cfg), run)
     sim = predict(cfg, network=network, options=options, gamma=gamma,
                   a_itemsize=a_itemsize, b_itemsize=b_itemsize)
@@ -191,8 +191,7 @@ def test_the_sweep_covers_every_table_row_with_a_chain():
 def test_evaluator_equals_the_scalar_walk_bit_for_bit(case, platform):
     _, predict, cfg, nranks = case
     for algorithm, depth in itertools.product(BCASTS, DEPTHS):
-        options = CollectiveOptions(bcast=algorithm, bcast_segments=depth,
-                                    reduce="flat" if depth else "binomial")
+        options = CollectiveOptions(bcast=algorithm, bcast_segments=depth)
         assert_evaluator_equals_walk(predict, cfg, nranks=nranks,
                                      platform=platform, options=options)
     # Library defaults, and operand item sizes the declaration reads.

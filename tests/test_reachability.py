@@ -20,6 +20,14 @@ callee, such as ``super().__init__``, a private helper or
 ``functools.partial``, counts for every option of that name: options
 travel through ``**`` forwarding.  The few that only tests pass are listed in
 :data:`TEST_ONLY_OPTIONS`, which can only shrink.
+
+And for collectives, one level down from options: each broadcast
+algorithm of :data:`repro.collectives.COLLECTIVES` must be named as a
+string by a file of the package, the benchmarks or the examples other
+than the layers that define, price and dispatch the collectives;
+every other op has exactly one algorithm, the one ``Comm`` runs; and
+each op's ``Comm`` method must be called by such a file, or be listed
+in :data:`TEST_ONLY_COLLECTIVES`, which can only shrink.
 """
 
 import ast
@@ -61,6 +69,19 @@ TEST_ONLY_OPTIONS = {
     "repro.network.tree.SwitchedCluster.__init__(intra_params=)":
         "machine description: on-node links of the cluster",
 }
+
+#: Collective ops whose ``Comm`` method only tests call, each with why
+#: it stays.  A new one fails the scan; so does one here that found a
+#: caller.
+TEST_ONLY_COLLECTIVES = {
+    "allgather": "MPI surface of the communicator: the ring allgather",
+    "barrier": "MPI surface of the communicator: the dissemination barrier",
+}
+
+#: The files that define, price or dispatch the collectives: naming an
+#: algorithm or calling a ``Comm`` method there selects nothing.
+COLLECTIVE_LAYERS = (PACKAGE / "collectives", PACKAGE / "costs",
+                     PACKAGE / "mpi" / "comm.py")
 
 
 def _module_name(path: Path) -> str:
@@ -184,6 +205,36 @@ def test_every_keyword_option_is_set_by_something_that_runs():
         f"set by tests only: {sorted(unset - set(TEST_ONLY_OPTIONS))}; "
         f"no longer test-only, drop from TEST_ONLY_OPTIONS: "
         f"{sorted(set(TEST_ONLY_OPTIONS) - unset)}")
+
+
+def test_every_collective_algorithm_is_selected_by_something_that_runs():
+    from repro.collectives import COLLECTIVES
+
+    strings, called = set(), set()
+    for top in READERS:
+        for path in (ROOT / top).rglob("*.py"):
+            if any(path.is_relative_to(layer) for layer in COLLECTIVE_LAYERS):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)):
+                    strings.add(node.value)
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)):
+                    called.add(node.func.attr)
+    # A bcast is chosen by name; any other op runs its first algorithm
+    # (``Comm`` names none), so the rest are unselected.
+    unselected = [f"bcast/{name}" for name in COLLECTIVES["bcast"].algorithms
+                  if name not in strings]
+    unselected += [f"{op}/{name}" for op, row in COLLECTIVES.items()
+                   if op != "bcast" for name in list(row.algorithms)[1:]]
+    assert unselected == [], f"selected by nothing that runs: {unselected}"
+    uncalled = {op for op in COLLECTIVES if op not in called}
+    assert uncalled == set(TEST_ONLY_COLLECTIVES), (
+        f"called by tests only: "
+        f"{sorted(uncalled - set(TEST_ONLY_COLLECTIVES))}; "
+        f"no longer test-only, drop from TEST_ONLY_COLLECTIVES: "
+        f"{sorted(set(TEST_ONLY_COLLECTIVES) - uncalled)}")
 
 
 def test_the_simulator_imports_nothing_from_the_experiments():
